@@ -280,6 +280,13 @@ impl SegmentColumnCache {
         cols
     }
 
+    /// Tallies `n` segment references served by a memo layered over this
+    /// cache (the optimizer's pass-1 summary table), so a hit keeps
+    /// meaning "a reference that did not evaluate its segment".
+    pub(crate) fn add_hits(&self, n: usize) {
+        self.hits.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Lookups served from the table.
     pub fn hits(&self) -> usize {
         self.hits.load(Ordering::Relaxed)

@@ -275,64 +275,94 @@ pub(crate) fn insert_region_sorted(
 /// Enumerates feasible cuts over the candidate boundaries, smallest
 /// partition counts first, up to the internal budget.
 pub fn enumerate_cuts(profile: &Profile, cfg: &AmpsConfig) -> Vec<Vec<usize>> {
+    enumerate_cut_slots(profile, cfg).1
+}
+
+/// [`enumerate_cuts`] plus its boundary *slots*: the ascending end layers
+/// every cut draws from (the candidate boundaries, then the final layer).
+/// Every segment of every cut starts right after one slot (or at layer 0)
+/// and ends at a later one, so `(start slot, end slot)` pairs index dense
+/// per-segment tables.
+pub(crate) fn enumerate_cut_slots(
+    profile: &Profile,
+    cfg: &AmpsConfig,
+) -> (Vec<usize>, Vec<Vec<usize>>) {
     let n = profile.num_layers();
-    let mut cands = candidate_boundaries(profile, cfg);
-    cands.push(n - 1); // the final boundary is always available
-    let mut cuts = Vec::new();
+    let mut ends = candidate_boundaries(profile, cfg);
+    ends.push(n - 1); // the final boundary is always available
+    let m = ends.len();
+    let mut walk = CutWalk {
+        profile,
+        cfg,
+        ends: &ends,
+        feasible: vec![None; m * m],
+        acc: Vec::new(),
+        out: Vec::new(),
+    };
 
     // Iterative deepening on the partition count keeps low-k cuts first.
     for k in 1..=cfg.max_partitions {
-        let before = cuts.len();
-        extend(profile, cfg, &cands, 0, k, &mut Vec::new(), &mut cuts);
-        if cuts.len() >= CUT_BUDGET {
-            cuts.truncate(CUT_BUDGET);
+        walk.extend(0, k);
+        if walk.out.len() >= CUT_BUDGET {
+            walk.out.truncate(CUT_BUDGET);
             break;
         }
-        // If no cut of size k exists and none smaller either, larger k may
-        // still work (deployment limit forces more partitions), so only
-        // stop early when we have results and k already exceeds what the
-        // budget can extend.
-        let _ = before;
     }
-    cuts
+    let CutWalk { out: cuts, .. } = walk;
+    (ends, cuts)
 }
 
-/// Recursive extension: cover layers from `start` with exactly `k` more
-/// partitions ending at candidate positions.
-fn extend(
-    profile: &Profile,
-    cfg: &AmpsConfig,
-    cands: &[usize],
-    start: usize,
-    k: usize,
-    acc: &mut Vec<usize>,
-    out: &mut Vec<Vec<usize>>,
-) {
-    if out.len() >= CUT_BUDGET {
-        return;
+/// The recursive cut walk's state: the boundary slots and the memo of
+/// every `(start slot, end slot)` pair's [`segment_feasible`] verdict,
+/// which the deepening rounds and sibling branches ask for repeatedly.
+struct CutWalk<'a> {
+    profile: &'a Profile,
+    cfg: &'a AmpsConfig,
+    ends: &'a [usize],
+    /// `m × m`, indexed `start slot · m + end slot`; `None` = not asked yet.
+    feasible: Vec<Option<bool>>,
+    acc: Vec<usize>,
+    out: Vec<Vec<usize>>,
+}
+
+impl CutWalk<'_> {
+    /// Memoized [`segment_feasible`] of the segment from start slot `s`
+    /// (slot 0 starts at layer 0, slot `j + 1` right after `ends[j]`) to
+    /// `ends[e]`.
+    fn feasible(&mut self, s: usize, e: usize) -> bool {
+        let (profile, cfg, ends) = (self.profile, self.cfg, self.ends);
+        let start = if s == 0 { 0 } else { ends[s - 1] + 1 };
+        *self.feasible[s * ends.len() + e]
+            .get_or_insert_with(|| segment_feasible(profile, start, ends[e], cfg))
     }
-    let n = profile.num_layers();
-    if k == 1 {
-        let end = n - 1;
-        if end >= start && segment_feasible(profile, start, end, cfg) {
-            let mut cut = acc.clone();
-            cut.push(end);
-            out.push(cut);
-        }
-        return;
-    }
-    for &end in cands {
-        if end < start || end >= n - 1 {
-            continue;
-        }
-        if !segment_feasible(profile, start, end, cfg) {
-            continue;
-        }
-        acc.push(end);
-        extend(profile, cfg, cands, end + 1, k - 1, acc, out);
-        acc.pop();
-        if out.len() >= CUT_BUDGET {
+
+    /// Covers the layers from start slot `s` with exactly `k` more
+    /// partitions ending at boundary slots.
+    fn extend(&mut self, s: usize, k: usize) {
+        if self.out.len() >= CUT_BUDGET {
             return;
+        }
+        let last = self.ends.len() - 1;
+        if k == 1 {
+            if self.feasible(s, last) {
+                let mut cut = self.acc.clone();
+                cut.push(self.ends[last]);
+                self.out.push(cut);
+            }
+            return;
+        }
+        // Slots are ascending, so the ends at or after the segment start
+        // are exactly slots `s..`; the final slot is left for `k == 1`.
+        for e in s..last {
+            if !self.feasible(s, e) {
+                continue;
+            }
+            self.acc.push(self.ends[e]);
+            self.extend(e + 1, k - 1);
+            self.acc.pop();
+            if self.out.len() >= CUT_BUDGET {
+                return;
+            }
         }
     }
 }

@@ -135,6 +135,22 @@ fn separable_argmin_cols<P: std::borrow::Borrow<PartitionColumns>>(
     (memories, time, cost)
 }
 
+/// `(memory, seconds, dollars)` of one chosen column.
+pub(crate) type ColumnPick = (u32, f64, f64);
+
+/// One segment's terms of the separable fast paths: the `(min-cost,
+/// min-time)` columns [`separable_min_cost_cols`] and
+/// [`separable_min_time_cols`] pick for it. Summing these left to right
+/// from `0.0` over a cut's segments reproduces those functions' totals
+/// bit for bit.
+pub(crate) fn separable_picks(p: &PartitionColumns) -> (ColumnPick, ColumnPick) {
+    let pick = |j: usize| (p.memories[j], p.evals[j].duration_s, p.evals[j].dollars);
+    (
+        pick(argmin_column(p, |e| e.dollars)),
+        pick(argmin_column(p, |e| e.duration_s)),
+    )
+}
+
 /// Separable fast path over evaluated columns: per-partition cost argmin,
 /// ignoring any SLO coupling. Returns `(memories, total time, total cost)`.
 pub fn separable_min_cost_cols<P: std::borrow::Borrow<PartitionColumns>>(

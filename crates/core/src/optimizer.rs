@@ -10,10 +10,9 @@
 use crate::baselines::predict_dag;
 use crate::colcache::{CacheCounters, NodeColumns, SegmentColumnCache};
 use crate::config::AmpsConfig;
-use crate::cuts::{enumerate_cuts, insert_region_sorted, segment_feasible, DagShared};
+use crate::cuts::{enumerate_cut_slots, insert_region_sorted, segment_feasible, DagShared};
 use crate::miqp_build::{
-    build_from_presolved, evaluate_columns, separable_min_cost_cols, separable_min_time_cols,
-    CutMiqp,
+    build_from_presolved, evaluate_columns, separable_picks, ColumnPick, CutMiqp,
 };
 use crate::plan::{DagNode, DagObject, DagPlan, ExecutionPlan, PartitionPlan};
 use ampsinf_model::LayerGraph;
@@ -58,22 +57,29 @@ struct Candidate {
 
 /// Pass-1 result for one cut: the separable optima over memory mixes,
 /// cached so later passes never re-evaluate columns.
-pub(crate) struct FastEval {
-    pub(crate) ci: usize,
+#[derive(Debug, Clone, PartialEq)]
+pub struct FastEval {
+    /// Index of the cut in the enumerated cut list.
+    pub ci: usize,
     /// Separable min-cost memory mix and its time/cost.
-    pub(crate) mems: Vec<u32>,
-    pub(crate) time: f64,
-    pub(crate) cost: f64,
+    pub mems: Vec<u32>,
+    /// Total seconds of the min-cost mix.
+    pub time: f64,
+    /// Total dollars of the min-cost mix.
+    pub cost: f64,
     /// Separable min-time memory mix and its time/cost (the SLO fallback).
-    pub(crate) min_mems: Vec<u32>,
-    pub(crate) min_time: f64,
-    pub(crate) min_cost: f64,
+    pub min_mems: Vec<u32>,
+    /// Total seconds of the min-time mix.
+    pub min_time: f64,
+    /// Total dollars of the min-time mix.
+    pub min_cost: f64,
 }
 
 /// Pass-1 verdict for one cut. Deliberately **SLO-independent**: whether a
 /// feasible cut survives a given SLO (`min_time ≤ slo`) is decided per
 /// point, so one evaluation serves every point of a sweep.
-pub(crate) enum CutEval {
+#[derive(Debug, Clone, PartialEq)]
+pub enum CutEval {
     /// No memory assignment satisfies the platform constraints.
     Infeasible,
     /// Feasible; carries the cached separable optima.
@@ -414,16 +420,17 @@ impl Optimizer {
 
     /// Computes the optimal execution + provisioning plan for `graph`.
     ///
-    /// With `cfg.threads > 1` both passes fan out over a scoped worker
-    /// pool; a deterministic merge (see `DESIGN.md`, "Optimizer
+    /// With `cfg.threads > 1` pass 2's MIQP solves fan out over a scoped
+    /// worker pool; a deterministic merge (see `DESIGN.md`, "Optimizer
     /// parallelism") guarantees the selected plan is bit-identical to the
-    /// `threads = 1` run at every thread count.
+    /// `threads = 1` run at every thread count. Pass 1 is a per-segment
+    /// summary table plus a few additions per cut, and runs on one thread.
     pub fn optimize(&self, graph: &LayerGraph) -> Result<OptimizerReport, OptimizeError> {
         let t0 = Instant::now();
         let threads = self.resolve_threads();
         let p1 = Instant::now();
         let profile = Profile::batched(graph, self.cfg.batch_size);
-        let shared = self.build_shared(profile, threads)?;
+        let shared = self.build_shared(profile)?;
         let pass1_time = p1.elapsed();
         let p2 = Instant::now();
         let sol = self.solve_point(graph, &shared, threads, None, None, None)?;
@@ -445,18 +452,25 @@ impl Optimizer {
         })
     }
 
-    /// Pass 1 for one `(model, batch)`: enumerate cuts, evaluate every
-    /// cut's columns through a fresh shared memo cache, and run the
-    /// separable fast paths. Everything here is **SLO-independent** (the
-    /// cut set, the columns, and the separable argmins are functions of
-    /// the profile and the platform config only), so one `BatchShared`
-    /// serves every SLO point of a sweep at this batch size.
-    pub(crate) fn build_shared(
-        &self,
-        profile: Profile,
-        threads: usize,
-    ) -> Result<BatchShared, OptimizeError> {
-        let cuts = enumerate_cuts(&profile, &self.cfg);
+    /// Pass 1 on its own: the enumerated cuts of `graph` at this
+    /// configuration's batch size and every cut's SLO-independent verdict,
+    /// exactly as the planner ranks them.
+    pub fn pass1(&self, graph: &LayerGraph) -> (Vec<Vec<usize>>, Vec<CutEval>) {
+        let profile = Profile::batched(graph, self.cfg.batch_size);
+        let (ends, cuts) = enumerate_cut_slots(&profile, &self.cfg);
+        let evals = self.evaluate_cuts(&profile, &ends, &cuts, &SegmentColumnCache::new());
+        (cuts, evals)
+    }
+
+    /// Pass 1 for one `(model, batch)`: enumerate cuts, summarize every
+    /// distinct segment once through a fresh shared memo cache, and sum
+    /// each cut's separable fast paths from that summary. Everything here
+    /// is **SLO-independent** (the cut set, the columns, and the separable
+    /// argmins are functions of the profile and the platform config
+    /// only), so one `BatchShared` serves every SLO point of a sweep at
+    /// this batch size.
+    pub(crate) fn build_shared(&self, profile: Profile) -> Result<BatchShared, OptimizeError> {
+        let (ends, cuts) = enumerate_cut_slots(&profile, &self.cfg);
         if cuts.is_empty() {
             return Err(OptimizeError::NoFeasibleCut);
         }
@@ -465,28 +479,23 @@ impl Optimizer {
         // cuts overwhelmingly share `(start, end)` segments, and a
         // segment's columns are a pure function of the profile/config.
         let cache = SegmentColumnCache::new();
-        // Workers fill per-cut slots, so the merged order (and the stable
-        // sort below) never depends on thread interleaving.
-        let evals = self.evaluate_cuts(&profile, &cuts, threads, &cache);
-        let mut order: Vec<usize> = evals
+        let evals = self.evaluate_cuts(&profile, &ends, &cuts, &cache);
+        let mut ranked: Vec<(f64, usize)> = evals
             .iter()
-            .enumerate()
-            .filter_map(|(i, e)| matches!(e, CutEval::Feasible(_)).then_some(i))
+            .filter_map(|e| match e {
+                CutEval::Feasible(fe) => Some((fe.cost, fe.ci)),
+                CutEval::Infeasible => None,
+            })
             .collect();
-        if order.is_empty() {
+        if ranked.is_empty() {
             return Err(OptimizeError::NoFeasibleCut);
         }
-        // Stable sort by separable min cost. A per-point SLO filter over
-        // this order yields exactly the sequence the cold per-point
+        // Stable sort by separable min cost, over compact `(cost, index)`
+        // keys rather than the evals themselves. A per-point SLO filter
+        // over this order yields exactly the sequence the cold per-point
         // filter-then-sort produced (stable sort + filter commute).
-        order.sort_by(|&a, &b| {
-            let (CutEval::Feasible(fa), CutEval::Feasible(fb)) = (&evals[a], &evals[b]) else {
-                unreachable!("order holds feasible evals only");
-            };
-            fa.cost
-                .partial_cmp(&fb.cost)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        let order = ranked.into_iter().map(|(_, ci)| ci).collect();
         Ok(BatchShared {
             profile,
             cuts,
@@ -682,8 +691,11 @@ impl Optimizer {
             .iter()
             .map(|c| c.cost)
             .fold(f64::INFINITY, f64::min);
-        let budget = best_cost * (1.0 + self.cfg.cost_tolerance);
-        let winner = candidates
+        // The budget never falls below `best_cost` (the tolerance is
+        // clamped at 0), so the cheapest candidate always passes the
+        // filter; only non-finite costs could empty it.
+        let budget = best_cost * (1.0 + self.tolerance());
+        let Some(winner) = candidates
             .iter()
             .filter(|c| c.cost <= budget + 1e-15)
             .min_by(|a, b| {
@@ -691,7 +703,9 @@ impl Optimizer {
                     .partial_cmp(&b.time_s)
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
-            .expect("non-empty candidate set");
+        else {
+            return Err(OptimizeError::SloInfeasible);
+        };
 
         // Per-partition memory upgrades: spend the remaining tolerance on
         // the best time-per-dollar improvements (cost-efficiency with
@@ -738,7 +752,7 @@ impl Optimizer {
         ws: &mut QpWorkspace,
         counters: &SolveCounters,
     ) -> (Vec<Candidate>, usize) {
-        let tol = self.cfg.cost_tolerance;
+        let tol = self.tolerance();
         let cap = |best: f64| prior.map_or(best, |b| best.min(b));
         let mut candidates: Vec<Candidate> = Vec::new();
         let mut best_candidate_cost = f64::INFINITY;
@@ -806,6 +820,12 @@ impl Optimizer {
         (candidates, miqps_pruned)
     }
 
+    /// The cost tolerance the selection rules spend: `cfg.cost_tolerance`,
+    /// with a NaN or negative value behaving as 0 (pure cost minimum).
+    pub(crate) fn tolerance(&self) -> f64 {
+        self.cfg.cost_tolerance.max(0.0)
+    }
+
     /// Resolves the configured thread count (`0` = machine parallelism).
     pub(crate) fn resolve_threads(&self) -> usize {
         if self.cfg.threads == 0 {
@@ -817,84 +837,78 @@ impl Optimizer {
         }
     }
 
-    /// Pass-1 verdict for a single cut. Columns come from the shared memo
-    /// cache — the separable argmins over the presolved Pareto frontier
-    /// equal those over the raw grid (dominated columns are never argmins
-    /// and exact duplicates keep their smallest-memory copy). No SLO is
-    /// consulted here: the verdict is shared across every sweep point.
-    fn eval_cut(
-        &self,
-        profile: &Profile,
-        ci: usize,
-        cut: &[usize],
-        cache: &SegmentColumnCache,
-    ) -> CutEval {
-        let Some(cols) = cache.columns_for_cut(profile, cut, &self.cfg) else {
-            return CutEval::Infeasible;
-        };
-        let (mems, time, cost) = separable_min_cost_cols(&cols);
-        let (min_mems, min_time, min_cost) = separable_min_time_cols(&cols);
-        CutEval::Feasible(FastEval {
-            ci,
-            mems,
-            time,
-            cost,
-            min_mems,
-            min_time,
-            min_cost,
-        })
-    }
-
-    /// Evaluates all cuts, fanning out over `threads` scoped workers.
-    /// Workers pull cut indices from a shared counter and write into
-    /// per-cut slots, so the returned order matches the sequential loop.
+    /// Pass-1 verdicts of all cuts, from a summary table of their distinct
+    /// segments. `ends` are the boundary slots the cuts draw from (see
+    /// [`enumerate_cut_slots`]). The first reference to a segment
+    /// evaluates its presolved columns through `cache` (a miss) and stores
+    /// its two separable picks in a dense `(start slot, end slot)` table;
+    /// every later reference reads the table (a hit). The separable
+    /// argmins over the presolved Pareto frontier equal those over the raw
+    /// grid (dominated columns are never argmins and exact duplicates keep
+    /// their smallest-memory copy), and each cut sums its picks left to
+    /// right from `0.0` — the order `separable_min_{cost,time}_cols` add
+    /// in — so every verdict is bit-identical to summing the cut's
+    /// columns directly. No SLO is consulted: the verdicts serve every
+    /// sweep point.
     fn evaluate_cuts(
         &self,
         profile: &Profile,
+        ends: &[usize],
         cuts: &[Vec<usize>],
-        threads: usize,
         cache: &SegmentColumnCache,
     ) -> Vec<CutEval> {
-        let workers = threads.min(cuts.len()).max(1);
-        if workers == 1 {
-            return cuts
-                .iter()
-                .enumerate()
-                .map(|(ci, cut)| self.eval_cut(profile, ci, cut, cache))
-                .collect();
+        let m = ends.len();
+        let mut slot = vec![0usize; profile.num_layers()];
+        for (j, &e) in ends.iter().enumerate() {
+            slot[e] = j;
         }
-        let next = AtomicUsize::new(0);
-        let parts: Vec<Vec<(usize, CutEval)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let ci = next.fetch_add(1, Ordering::Relaxed);
-                            if ci >= cuts.len() {
-                                break;
-                            }
-                            local.push((ci, self.eval_cut(profile, ci, &cuts[ci], cache)));
+        // `None` = not referenced yet; `Some(None)` = no feasible column.
+        let mut table: Vec<Option<Option<(ColumnPick, ColumnPick)>>> = vec![None; m * m];
+        let mut served = 0usize;
+        let evals = cuts
+            .iter()
+            .enumerate()
+            .map(|(ci, cut)| {
+                let mut fe = FastEval {
+                    ci,
+                    mems: Vec::with_capacity(cut.len()),
+                    time: 0.0,
+                    cost: 0.0,
+                    min_mems: Vec::with_capacity(cut.len()),
+                    min_time: 0.0,
+                    min_cost: 0.0,
+                };
+                let (mut s, mut start) = (0usize, 0usize);
+                for &end in cut {
+                    let e = slot[end];
+                    let cell = &mut table[s * m + e];
+                    let picks = match *cell {
+                        Some(picks) => {
+                            served += 1;
+                            picks
                         }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pass-1 worker panicked"))
-                .collect()
-        });
-        let mut slots: Vec<Option<CutEval>> = (0..cuts.len()).map(|_| None).collect();
-        for part in parts {
-            for (ci, e) in part {
-                slots[ci] = Some(e);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every cut evaluated exactly once"))
-            .collect()
+                        None => *cell.insert(
+                            cache
+                                .get_or_eval(profile, start, end, &self.cfg)
+                                .map(|cols| separable_picks(&cols)),
+                        ),
+                    };
+                    let Some(((mem, t, c), (min_mem, min_t, min_c))) = picks else {
+                        return CutEval::Infeasible;
+                    };
+                    fe.mems.push(mem);
+                    fe.time += t;
+                    fe.cost += c;
+                    fe.min_mems.push(min_mem);
+                    fe.min_time += min_t;
+                    fe.min_cost += min_c;
+                    (s, start) = (e + 1, end + 1);
+                }
+                CutEval::Feasible(fe)
+            })
+            .collect();
+        cache.add_hits(served);
+        evals
     }
 
     /// Solves one prebuilt cut MIQP cold (no cutoff), aggregating solver
@@ -981,7 +995,7 @@ impl Optimizer {
                             let rank = ctx.jobs[j];
                             let Some(pb) = &ctx.built[rank] else { continue };
                             let bound = f64::from_bits(best.load(Ordering::Relaxed));
-                            if pb.lower > bound * (1.0 + self.cfg.cost_tolerance) + 1e-15 {
+                            if pb.lower > bound * (1.0 + self.tolerance()) + 1e-15 {
                                 // The dual root bound already proves this cut
                                 // cannot enter the tolerance set; skipping is
                                 // always safe here — the replay re-examines
@@ -994,7 +1008,7 @@ impl Optimizer {
                             // feasible (the cutoff only prunes tree nodes),
                             // so they may still tighten the shared bound.
                             let cutoff = (ctx.use_cutoff && bound.is_finite())
-                                .then_some(bound * (1.0 + self.cfg.cost_tolerance) + 1e-15);
+                                .then_some(bound * (1.0 + self.tolerance()) + 1e-15);
                             let (outcome, clean) =
                                 self.solve_prebuilt_bounded(pb, cutoff, &mut ws, counters);
                             if let Some((_, t, c)) = &outcome {
@@ -1101,7 +1115,7 @@ impl Optimizer {
         // search (the chain pass's `BatchShared` carries it, along with
         // the segment/node memo tables the search reads).
         let profile = Profile::batched(graph, self.cfg.batch_size);
-        let shared = self.build_shared(profile, threads)?;
+        let shared = self.build_shared(profile)?;
         let pass1_time = p1.elapsed();
         let p2 = Instant::now();
         let sol = self.solve_point(graph, &shared, threads, None, None, None)?;
@@ -1153,7 +1167,7 @@ impl Optimizer {
         chain_plan: &ExecutionPlan,
         threads: usize,
     ) -> (Option<DagPlan>, usize, DagSearchStats) {
-        let tol = self.cfg.cost_tolerance;
+        let tol = self.tolerance();
         let node_track = CacheCounters::new();
         let spine_track = CacheCounters::new();
         let mut trials_evaluated = 0usize;
@@ -1585,7 +1599,7 @@ impl Optimizer {
                 }
             }
         }
-        let budget = cost * (1.0 + cfg.cost_tolerance);
+        let budget = cost * (1.0 + self.tolerance());
         while upgrade_step(
             &cols,
             &parents,
@@ -1826,6 +1840,32 @@ mod tests {
         let tol = Optimizer::new(AmpsConfig::default()).optimize(&g).unwrap();
         assert!(pure.plan.predicted_cost <= tol.plan.predicted_cost + 1e-12);
         assert!(tol.plan.predicted_time_s <= pure.plan.predicted_time_s + 1e-9);
+    }
+
+    #[test]
+    fn nan_or_negative_tolerance_selects_like_zero() {
+        // A budget below the best cost used to empty the winner set and
+        // panic; such tolerances now behave exactly as 0.
+        let g = zoo::mobilenet_v1();
+        let with_tol = |cost_tolerance: f64| {
+            Optimizer::new(AmpsConfig {
+                cost_tolerance,
+                ..Default::default()
+            })
+            .optimize(&g)
+            .unwrap()
+            .plan
+        };
+        let zero = with_tol(0.0);
+        for tol in [-1.0, f64::NAN] {
+            let plan = with_tol(tol);
+            assert_eq!(plan.partitions, zero.partitions, "tolerance {tol}");
+            assert_eq!(
+                plan.predicted_cost.to_bits(),
+                zero.predicted_cost.to_bits(),
+                "tolerance {tol}"
+            );
+        }
     }
 
     #[test]

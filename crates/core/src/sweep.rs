@@ -19,7 +19,7 @@
 //! 3. **Parallel batch chains** — each batch's points form a sequential
 //!    tight-to-loose chain (so seeds are deterministic); distinct batch
 //!    chains run concurrently on scoped threads, and the remaining
-//!    threads fan out *inside* each point's two passes. Results merge in
+//!    threads fan out *inside* each point's MIQP pass. Results merge in
 //!    grid order.
 //!
 //! The report marks the per-batch Pareto frontier over (time, cost) with
@@ -326,7 +326,7 @@ impl Optimizer {
         let t0 = Instant::now();
         let threads = self.resolve_threads();
 
-        // Shared pass 1, once per distinct batch, each with full fan-out.
+        // Shared pass 1, once per distinct batch.
         let p1 = Instant::now();
         let shared_by_batch: Vec<(u64, Result<BatchShared, OptimizeError>)> =
             batched_unique(graph, &grid.batches)
@@ -334,7 +334,7 @@ impl Optimizer {
                 .map(|(b, profile)| {
                     let mut cfg = self.config().clone();
                     cfg.batch_size = b;
-                    let built = Optimizer::new(cfg).build_shared(profile, threads);
+                    let built = Optimizer::new(cfg).build_shared(profile);
                     (b, built)
                 })
                 .collect();
@@ -555,12 +555,10 @@ impl Optimizer {
                 .map(|(b, profile)| {
                     let mut cfg = self.config().clone();
                     cfg.batch_size = b;
-                    let built = Optimizer::new(cfg.clone())
-                        .build_shared(profile, threads)
-                        .map(|sh| {
-                            let ds = DagShared::new(graph, &sh.profile, &cfg);
-                            (sh, ds)
-                        });
+                    let built = Optimizer::new(cfg.clone()).build_shared(profile).map(|sh| {
+                        let ds = DagShared::new(graph, &sh.profile, &cfg);
+                        (sh, ds)
+                    });
                     (b, built)
                 })
                 .collect();
@@ -774,14 +772,13 @@ impl Optimizer {
     /// once per distinct batch and shared by every SLO point.
     pub fn optimize_pipelined(&self, graph: &LayerGraph, grid: &SweepGrid) -> PipelineSweepReport {
         let t0 = Instant::now();
-        let threads = self.resolve_threads();
         let shared_by_batch: Vec<(u64, Result<BatchShared, OptimizeError>)> =
             batched_unique(graph, &grid.batches)
                 .into_iter()
                 .map(|(b, profile)| {
                     let mut cfg = self.config().clone();
                     cfg.batch_size = b;
-                    let built = Optimizer::new(cfg).build_shared(profile, threads);
+                    let built = Optimizer::new(cfg).build_shared(profile);
                     (b, built)
                 })
                 .collect();
@@ -872,7 +869,7 @@ impl Optimizer {
         if floor.is_infinite() {
             return Err(OptimizeError::SloInfeasible);
         }
-        let budget = floor * (1.0 + cfg.cost_tolerance) + 1e-15;
+        let budget = floor * (1.0 + self.tolerance()) + 1e-15;
 
         // Pass B: among budget-feasible candidates, minimize the
         // bottleneck stage. Stage durations come from `quick_eval` — the

@@ -2,7 +2,7 @@
 //! parallelism"): at every thread count the selected plan must be
 //! bit-identical to the sequential `threads = 1` run — same partitions,
 //! same memories, bit-equal predicted cost and time. The sweep covers the
-//! no-SLO path (zero MIQPs, pass 1 parallel only), binding SLOs (parallel
+//! no-SLO path (zero MIQPs, pass 1 and selection only), binding SLOs (parallel
 //! speculative MIQP pass + lazy replay), and infeasible SLOs (error-path
 //! agreement). Tight-SLO sweeps run on chain models whose MIQPs are small,
 //! so the suite stays fast in the debug profile; the real zoo models cover
@@ -10,8 +10,10 @@
 
 use ampsinf_core::colcache::SegmentColumnCache;
 use ampsinf_core::cuts::enumerate_cuts;
-use ampsinf_core::miqp_build::{evaluate_columns, presolve_dominated};
-use ampsinf_core::optimizer::{OptimizeError, Optimizer, OptimizerReport};
+use ampsinf_core::miqp_build::{
+    evaluate_columns, presolve_dominated, separable_min_cost_cols, separable_min_time_cols,
+};
+use ampsinf_core::optimizer::{CutEval, OptimizeError, Optimizer, OptimizerReport};
 use ampsinf_core::AmpsConfig;
 use ampsinf_model::zoo;
 use ampsinf_model::LayerGraph;
@@ -83,8 +85,8 @@ fn slim() -> AmpsConfig {
 
 #[test]
 fn zoo_models_identical_without_slo() {
-    // Unconstrained runs solve zero MIQPs, so this isolates the parallel
-    // pass-1 evaluation + stable merge on the real architectures.
+    // Unconstrained runs solve zero MIQPs, so this isolates pass 1's
+    // summary-table evaluation + stable sort on the real architectures.
     for g in [zoo::mobilenet_v1(), zoo::resnet50(), zoo::xception()] {
         let label = g.name.clone();
         assert_identical(&g, &AmpsConfig::default(), &label);
@@ -157,6 +159,60 @@ fn memoized_columns_match_direct_evaluation() {
             }
         }
         assert!(cache.hits() > 0, "{}: shared segments never hit", g.name);
+    }
+}
+
+/// Pass 1's summary table is exact: for every cut, the table-summed
+/// min-cost and min-time mixes equal the per-cut path — the cut's cached
+/// columns through `separable_min_{cost,time}_cols` — bit for bit, and a
+/// cut is infeasible exactly when some segment has no column.
+#[test]
+fn pass1_summary_table_matches_per_cut_columns_bitwise() {
+    let bits = |v: f64| v.to_bits();
+    for g in [
+        zoo::mobilenet_v1(),
+        zoo::resnet50(),
+        zoo::inception_v3(),
+        zoo::bert_base().quantized(1),
+    ] {
+        for batch in [1, 64] {
+            let cfg = AmpsConfig::default().with_batch(batch);
+            let label = format!("{}/batch={batch}", g.name);
+            let (cuts, evals) = Optimizer::new(cfg.clone()).pass1(&g);
+            let profile = Profile::batched(&g, batch);
+            assert_eq!(cuts, enumerate_cuts(&profile, &cfg), "{label}: cut list");
+            assert_eq!(evals.len(), cuts.len(), "{label}: one verdict per cut");
+            let cache = SegmentColumnCache::new();
+            let mut feasible = 0usize;
+            for (ci, (cut, eval)) in cuts.iter().zip(&evals).enumerate() {
+                match (cache.columns_for_cut(&profile, cut, &cfg), eval) {
+                    (Some(cols), CutEval::Feasible(fe)) => {
+                        feasible += 1;
+                        let (mems, time, cost) = separable_min_cost_cols(&cols);
+                        let (min_mems, min_time, min_cost) = separable_min_time_cols(&cols);
+                        assert_eq!(fe.ci, ci, "{label}: cut index");
+                        assert_eq!(fe.mems, mems, "{label}: cut {ci} min-cost mix");
+                        assert_eq!(fe.min_mems, min_mems, "{label}: cut {ci} min-time mix");
+                        assert_eq!(
+                            [bits(fe.time), bits(fe.cost)],
+                            [bits(time), bits(cost)],
+                            "{label}: cut {ci} min-cost totals"
+                        );
+                        assert_eq!(
+                            [bits(fe.min_time), bits(fe.min_cost)],
+                            [bits(min_time), bits(min_cost)],
+                            "{label}: cut {ci} min-time totals"
+                        );
+                    }
+                    (None, CutEval::Infeasible) => {}
+                    (cols, eval) => panic!(
+                        "{label}: cut {ci} feasibility diverges (columns {}, verdict {eval:?})",
+                        cols.is_some()
+                    ),
+                }
+            }
+            assert!(feasible > 0, "{label}: no feasible cut exercised");
+        }
     }
 }
 

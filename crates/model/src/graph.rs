@@ -207,6 +207,61 @@ impl LayerGraph {
         crossing
     }
 
+    /// Every boundary's crossing bytes at once: entry `k` equals
+    /// [`LayerGraph::cut_transfer_bytes`]`(k)`, built in one O(layers +
+    /// edges) sweep instead of one O(n²) scan per boundary. A tensor
+    /// crosses exactly the boundaries from its producer up to (not
+    /// including) its last consumer, so a running sum adds each tensor at
+    /// its producer and drops it at its last consumer.
+    pub fn boundary_transfer_bytes(&self) -> Vec<u64> {
+        let mut out = self.crossing_sums(&self.last_consumers(), |i| {
+            self.nodes[i].output_shape.bytes()
+        });
+        // After the last layer the chain returns the final output.
+        if let (Some(b), Some(node)) = (out.last_mut(), self.nodes.last()) {
+            *b = node.output_shape.bytes();
+        }
+        out
+    }
+
+    /// Per boundary `k`, the sum of `weight(i)` over the tensors live
+    /// across it (`i ≤ k < last[i]`), as a difference-array sweep over the
+    /// [`last_consumers`](Self::last_consumers) table.
+    fn crossing_sums(&self, last: &[usize], weight: impl Fn(usize) -> u64) -> Vec<u64> {
+        // `ends[k]`: weight of the tensors whose last consumer is `k`.
+        let mut ends = vec![0u64; last.len()];
+        for (i, &l) in last.iter().enumerate() {
+            if l > i {
+                ends[l] += weight(i);
+            }
+        }
+        let mut crossing = 0u64;
+        let mut out = Vec::with_capacity(last.len());
+        for (k, &l) in last.iter().enumerate() {
+            // Tensors dropped here were added at earlier producers, so the
+            // running sum never underflows.
+            crossing -= ends[k];
+            if l > k {
+                crossing += weight(k);
+            }
+            out.push(crossing);
+        }
+        out
+    }
+
+    /// Per layer, the index of its output's last consumer, or the layer's
+    /// own index when nothing consumes it. The output of layer `i` crosses
+    /// the boundary after `k ≥ i` exactly when `last[i] > k`.
+    fn last_consumers(&self) -> Vec<usize> {
+        let mut last: Vec<usize> = (0..self.nodes.len()).collect();
+        for (idx, n) in self.nodes.iter().enumerate() {
+            for &i in &n.inputs {
+                last[i] = last[i].max(idx);
+            }
+        }
+        last
+    }
+
     /// Number of distinct live tensors crossing the boundary after `k`.
     pub fn cut_tensor_count(&self, k: usize) -> usize {
         assert!(k < self.nodes.len(), "cut position out of range");
@@ -291,8 +346,10 @@ impl LayerGraph {
     /// excluded by (c).
     pub fn branch_regions(&self) -> Vec<BranchRegion> {
         let n = self.nodes.len();
+        let last = self.last_consumers();
+        let live = self.crossing_sums(&last, |_| 1);
         let mut regions = Vec::new();
-        'merges: for b in 0..n {
+        for b in 0..n {
             if !self.nodes[b].op.is_merge() {
                 continue;
             }
@@ -321,17 +378,16 @@ impl LayerGraph {
             if self.nodes[b].inputs.iter().any(|&i| i <= a) {
                 continue;
             }
-            // (a) exactly one tensor enters the region.
-            if self.cut_tensor_count(a) != 1 {
+            // (a) exactly one tensor enters the region (`a < b`, so this
+            // is never the final boundary).
+            if live[a] != 1 {
                 continue;
             }
             // (b) neither the entry tensor nor any interior tensor may be
             // consumed past the merge (the gather must collect everything
             // the rest of the network will ever need).
-            for i in a..b {
-                if self.nodes.iter().skip(b + 1).any(|m| m.inputs.contains(&i)) {
-                    continue 'merges;
-                }
+            if (a..b).any(|i| last[i] > b) {
+                continue;
             }
             let len = b - a - 1;
             if len < 2 {

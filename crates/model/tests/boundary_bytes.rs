@@ -7,7 +7,94 @@
 //! because every scatter/gather storage fee in the DAG cost model is
 //! proportional to them.
 
-use ampsinf_model::zoo;
+use ampsinf_model::{zoo, LayerGraph};
+
+/// Every zoo model, the toy graphs included.
+fn all_models() -> Vec<LayerGraph> {
+    vec![
+        zoo::mobilenet_v1(),
+        zoo::resnet50(),
+        zoo::inception_v3(),
+        zoo::xception(),
+        zoo::vgg16(),
+        zoo::vgg19(),
+        zoo::densenet121(),
+        zoo::bert_base(),
+        zoo::bert_base().quantized(1),
+        zoo::tiny_cnn(),
+        zoo::branchy_cnn(),
+        zoo::linear_chain(7, 8),
+    ]
+}
+
+/// The one-pass boundary table is exact: entry `k` equals the per-cut
+/// scan `cut_transfer_bytes(k)` at every boundary, including the final
+/// one (the model output).
+#[test]
+fn one_pass_table_equals_per_cut_scan_on_every_zoo_model() {
+    for g in all_models() {
+        let table = g.boundary_transfer_bytes();
+        assert_eq!(table.len(), g.num_layers(), "{}", g.name);
+        for (k, &bytes) in table.iter().enumerate() {
+            assert_eq!(bytes, g.cut_transfer_bytes(k), "{}: boundary {k}", g.name);
+        }
+    }
+}
+
+/// Fork/join regions found through the last-consumer table keep both
+/// defining properties as the per-cut scans state them: one tensor
+/// enters after `entry`, and nothing from `entry..merge` is consumed
+/// past the merge. The pinned `(entry, merge)` lists and total widths
+/// show that no region was gained or lost.
+#[test]
+fn branch_regions_agree_with_per_cut_scans() {
+    let inception = [
+        (17, 40),
+        (40, 63),
+        (63, 86),
+        (86, 100),
+        (100, 132),
+        (132, 164),
+        (164, 196),
+        (196, 228),
+        (228, 248),
+        (248, 279),
+        (279, 310),
+    ];
+    /// `(model name, (entry, merge) per region, total branch width)`.
+    type Pinned<'a> = (&'a str, &'a [(usize, usize)], usize);
+    let expected: [Pinned; 12] = [
+        ("mobilenet", &[], 0),
+        ("resnet50", &[(6, 17), (38, 49), (80, 91), (142, 153)], 8),
+        ("inception_v3", &inception, 42),
+        ("xception", &[(6, 15), (15, 25), (25, 35), (115, 125)], 8),
+        ("vgg16", &[], 0),
+        ("vgg19", &[], 0),
+        ("densenet121", &[], 0),
+        ("bert-h768-l12", &[], 0),
+        ("bert-h768-l12-w8", &[], 0),
+        ("tiny_cnn", &[], 0),
+        ("branchy_cnn", &[(1, 5)], 2),
+        ("chain7", &[], 0),
+    ];
+    for (g, &(name, spans, widths)) in all_models().iter().zip(&expected) {
+        let regions = g.branch_regions();
+        assert_eq!(g.name, name);
+        let found: Vec<(usize, usize)> = regions.iter().map(|r| (r.entry, r.merge)).collect();
+        assert_eq!(found, spans, "{name}: regions changed");
+        let width: usize = regions.iter().map(|r| r.width()).sum();
+        assert_eq!(width, widths, "{name}: branch widths changed");
+        for r in &regions {
+            assert_eq!(g.cut_tensor_count(r.entry), 1, "{name}: {r:?}");
+            for i in r.entry..r.merge {
+                assert!(
+                    (r.merge + 1..g.num_layers()).all(|m| !g.nodes()[m].inputs.contains(&i)),
+                    "{name}: layer {i} escapes {r:?}"
+                );
+            }
+        }
+    }
+}
 
 /// ResNet-50, cut inside the first bottleneck's residual fork: after
 /// `conv2_block1_3_bn` both addends of `conv2_block1_out` are live —

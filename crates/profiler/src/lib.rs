@@ -81,8 +81,10 @@ impl Profile {
             prefix_activations.push(prefix_activations.last().unwrap() + lp.output_bytes);
             layers.push(lp);
         }
-        let boundary_bytes = (0..n)
-            .map(|k| graph.cut_transfer_bytes(k) * batch)
+        let boundary_bytes = graph
+            .boundary_transfer_bytes()
+            .into_iter()
+            .map(|b| b * batch)
             .collect();
         Profile {
             model: graph.name.clone(),

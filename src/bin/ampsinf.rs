@@ -1229,15 +1229,32 @@ fn load_model(arg: Option<&String>) -> Result<LayerGraph, String> {
 fn parse_cfg(args: &[String]) -> Result<(AmpsConfig, Option<u64>, Option<String>), String> {
     let mut cfg = AmpsConfig::default();
     if let Some(v) = flag_value(args, "--slo") {
-        cfg.slo_s = Some(v.parse().map_err(|_| format!("bad --slo value {v}"))?);
+        let slo: f64 = v.parse().map_err(|_| format!("bad --slo value {v}"))?;
+        if !(slo.is_finite() && slo > 0.0) {
+            return Err(format!(
+                "bad --slo value {v} (need a positive number of seconds)"
+            ));
+        }
+        cfg.slo_s = Some(slo);
     }
     if let Some(v) = flag_value(args, "--batch") {
         cfg.batch_size = v.parse().map_err(|_| format!("bad --batch value {v}"))?;
+        if cfg.batch_size == 0 {
+            return Err(format!(
+                "bad --batch value {v} (need at least 1 image per batch)"
+            ));
+        }
     }
     if let Some(v) = flag_value(args, "--tolerance") {
-        cfg.cost_tolerance = v
+        let tol: f64 = v
             .parse()
             .map_err(|_| format!("bad --tolerance value {v}"))?;
+        if !(tol.is_finite() && tol >= 0.0) {
+            return Err(format!(
+                "bad --tolerance value {v} (need a finite cost fraction >= 0)"
+            ));
+        }
+        cfg.cost_tolerance = tol;
     }
     if let Some(v) = flag_value(args, "--threads") {
         cfg.threads = v.parse().map_err(|_| format!("bad --threads value {v}"))?;

@@ -85,6 +85,43 @@ fn bad_flag_value_fails_cleanly() {
 }
 
 #[test]
+fn out_of_range_planning_flags_fail_cleanly() {
+    // Each of these used to reach a library assert or an empty winner
+    // set and panic; they must be rejected up front with a clear error.
+    let cases = [
+        ("--batch", "0"),
+        ("--tolerance", "-1"),
+        ("--tolerance", "nan"),
+        ("--tolerance", "inf"),
+        ("--slo", "0"),
+        ("--slo", "-5"),
+        ("--slo", "nan"),
+        ("--slo", "inf"),
+    ];
+    for cmd in ["plan", "serve"] {
+        for (flag, value) in cases {
+            let (_, stderr, ok) = run(&[cmd, "mobilenet", flag, value]);
+            let label = format!("{cmd} {flag} {value}");
+            assert!(!ok, "{label} should fail");
+            assert!(
+                stderr.contains(&format!("bad {flag} value")),
+                "{label}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{label}: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn in_range_planning_flags_still_plan() {
+    for (flag, value) in [("--tolerance", "0"), ("--batch", "2"), ("--slo", "30")] {
+        let (stdout, stderr, ok) = run(&["plan", "mobilenet", flag, value]);
+        assert!(ok, "{flag} {value}: {stderr}");
+        assert!(stdout.contains("lambda(s)"), "{flag} {value}: {stdout}");
+    }
+}
+
+#[test]
 fn no_args_prints_usage() {
     let (_, stderr, ok) = run(&[]);
     assert!(!ok);
