@@ -27,7 +27,7 @@ fn main() {
         });
     }
 
-    // SLO near the feasibility edge forces the joint MIQP path.
+    // SLO near the feasibility edge forces the per-cut knapsack path.
     let g = zoo::resnet50();
     let free = Optimizer::new(AmpsConfig::default()).optimize(&g).unwrap();
     let slo = free.plan.predicted_time_s * 0.9;
@@ -41,8 +41,8 @@ fn main() {
     // int8. Even at 1 byte/param VGG16's fc1 (~103 MB) exceeds the 2020
     // deployment weight budget (250 MB cap − 169 MB deps − 1 MB code), so
     // the VGG16 rows run under a lifted 512 MB package cap; BERT fits the
-    // stock quotas. A tight SLO keeps pass 2 busy (MIQPs dominate);
-    // without one, pass 1 dominates.
+    // stock quotas. A tight SLO adds pass 2's knapsack solves; without
+    // one, pass 1 is the whole chain plan.
     let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut sweep = vec![1usize, 2, machine];
     sweep.sort_unstable();

@@ -22,7 +22,10 @@ pub struct AmpsConfig {
     pub max_partition_fraction: f64,
     /// Maximum number of partitions considered (the paper's `K`).
     pub max_partitions: usize,
-    /// Convexification policy for the MIQP.
+    /// Reference-only: convexification policy for the branch-and-bound
+    /// MIQP solver. The planner solves each cut exactly as a pick-one
+    /// knapsack and never reads this; callers that replay
+    /// [`crate::miqp_build::build`] through `ampsinf_solver::bb` do.
     pub convexify: ConvexifyMethod,
     /// Time preference: among plans within `(1 + cost_tolerance)` of the
     /// minimum cost, pick the fastest. This encodes the paper's
@@ -38,15 +41,14 @@ pub struct AmpsConfig {
     /// plans pick larger memory blocks, e.g. MobileNet 2048/2176 MB at
     /// batch 10).
     pub batch_size: u64,
-    /// Worker threads for the optimizer's two passes (cut evaluation and
-    /// MIQP solves). `0` (the default) uses the machine's available
-    /// parallelism; `1` runs fully sequentially. The selected plan is
-    /// identical at every setting.
+    /// Worker threads for the DAG region search and for a sweep's batch
+    /// chains (a chain plan's two passes run on one thread). `0` (the
+    /// default) uses the machine's available parallelism; `1` runs fully
+    /// sequentially. The selected plan is identical at every setting.
     pub threads: usize,
-    /// Warm-start branch-and-bound node relaxations from the parent node's
-    /// solution (skips the phase-1 simplex on most nodes). `false` forces
-    /// cold starts — the equivalence tests flip this to prove both modes
-    /// return identical plans.
+    /// Reference-only: warm-start branch-and-bound node relaxations from
+    /// the parent node's solution. Like `convexify`, the planner never
+    /// reads it; only callers of `ampsinf_solver::bb` do.
     pub bb_warm_start: bool,
     /// Retry budget per partition invocation: how many times a failed
     /// lambda is re-invoked before the chain gives up. Because
@@ -92,7 +94,7 @@ pub struct AmpsConfig {
     pub pipeline_depth: usize,
     /// Sweep-mode cross-point seeding: completed tighter-SLO points feed
     /// their optimal cost into looser points as a pruning upper bound
-    /// (speculative B&B cutoffs + replay dual-bound prunes). Like
+    /// (replay LP-bound prunes and tolerance break). Like
     /// `serve_threads`, this is an **execution** parameter — a per-point
     /// cold fallback guarantees every plan stays bit-identical to an
     /// independent `optimize()` whether seeding is on or off; only solve

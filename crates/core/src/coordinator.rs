@@ -1278,7 +1278,7 @@ impl Coordinator {
     /// `i % serve_lanes` with its RNG streams keyed by index
     /// ([`Platform::begin_request`]), each request executes its nodes in
     /// topological index order with the deterministic `(request, node)`
-    /// ready recurrence of [`serve_lite_dag`](Self::serve_lite_dag), and
+    /// ready recurrence of `serve_lite_dag`, and
     /// results merge in global index order — so the report is
     /// bit-identical at every thread count, faults on or off. On a
     /// chain-shaped plan ([`DagPlan::from_chain`]) it reproduces

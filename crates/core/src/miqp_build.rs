@@ -7,10 +7,16 @@
 //! both selected by the same `x_j`) and a linear term `P_j x_j` carrying
 //! transfer cost at the selected price plus request/invocation fees. The
 //! SLO enters as a single linear row over all selectors.
+//!
+//! That MIQP is a pick-one knapsack with one constraint: [`CutKnapsack`]
+//! states it in that form for the planner's exact solver
+//! ([`ampsinf_solver::knapsack`]); [`build`] assembles the MIQP form the
+//! branch-and-bound reference solves.
 
 use crate::config::AmpsConfig;
 use ampsinf_linalg::Matrix;
 use ampsinf_profiler::{quick_eval, Profile, SegmentEval};
+use ampsinf_solver::knapsack::{self, Item};
 use ampsinf_solver::{MiqpProblem, VarKind};
 
 /// One partition's per-memory evaluation column.
@@ -195,12 +201,14 @@ pub fn presolve_dominated(p: &PartitionColumns) -> PartitionColumns {
     }
 }
 
-/// Total binary budget for one *joint* MIQP. The dense active-set QP
-/// relaxations scale cubically with variable count, so each partition
-/// keeps a representative column subset (extremes, the cost argmin and its
+/// Total binary budget for one *joint* MIQP: each partition keeps a
+/// representative column subset (extremes, the cost argmin and its
 /// neighbourhood, plus even spacing) sized so the whole problem stays
-/// around this many binaries; the separable pass and the final
-/// memory-upgrade step always use the full grid.
+/// around this many binaries. The budget dates from the branch-and-bound
+/// solver, whose dense relaxations scale cubically with variable count;
+/// the exact knapsack keeps it so its plans match that reference. The
+/// separable pass and the final memory-upgrade step always use the full
+/// grid.
 const MIQP_BINARY_BUDGET: usize = 48;
 /// Never thin a partition below this many columns.
 const MIN_MIQP_COLS: usize = 4;
@@ -234,6 +242,72 @@ fn thin_columns(p: &PartitionColumns, max_cols: usize) -> PartitionColumns {
     }
 }
 
+/// The per-cut problem's columns: every presolved partition thinned to its
+/// share of `MIQP_BINARY_BUDGET` — the groups both the MIQP and the
+/// knapsack form choose from.
+pub fn miqp_columns<P: std::borrow::Borrow<PartitionColumns>>(
+    presolved: &[P],
+) -> Vec<PartitionColumns> {
+    let max_cols = (MIQP_BINARY_BUDGET / presolved.len().max(1)).max(MIN_MIQP_COLS);
+    presolved
+        .iter()
+        .map(|p| thin_columns(p.borrow(), max_cols))
+        .collect()
+}
+
+/// One cut's MIQP as a pick-one knapsack: the [`miqp_columns`] groups with
+/// each column's `(seconds, dollars)`. Its objective at a pick is the
+/// MIQP's (the summed dollars of the chosen columns) and its one
+/// constraint is the SLO row.
+#[derive(Debug, Clone)]
+pub struct CutKnapsack {
+    /// Per-partition thinned columns, in cut order.
+    pub parts: Vec<PartitionColumns>,
+    groups: Vec<Vec<Item>>,
+}
+
+impl CutKnapsack {
+    /// The knapsack form of the cut whose presolved columns are given.
+    pub fn new<P: std::borrow::Borrow<PartitionColumns>>(presolved: &[P]) -> Self {
+        let parts = miqp_columns(presolved);
+        let groups = parts
+            .iter()
+            .map(|p| {
+                p.evals
+                    .iter()
+                    .map(|e| Item {
+                        seconds: e.duration_s,
+                        dollars: e.dollars,
+                    })
+                    .collect()
+            })
+            .collect();
+        CutKnapsack { parts, groups }
+    }
+
+    /// A lower bound on the dollars of every mix whose seconds are at most
+    /// `limit` (the LP relaxation, padded down); infinite when no mix fits.
+    pub fn lower_bound(&self, limit: f64) -> f64 {
+        knapsack::lp_bound(&self.groups, limit).unwrap_or(f64::INFINITY)
+    }
+
+    /// The cheapest memory mix whose seconds are at most `limit`, as
+    /// `(memories, seconds, dollars)` with both totals summed left to right
+    /// from `0.0` like [`CutMiqp::decode`]. Ties go to fewer seconds, then
+    /// the lexicographically smaller memories (columns ascend by memory).
+    /// `None` when no mix fits.
+    pub fn solve(&self, limit: f64) -> Option<(Vec<u32>, f64, f64)> {
+        let pick = knapsack::solve(&self.groups, limit)?;
+        let memories = self
+            .parts
+            .iter()
+            .zip(&pick.choice)
+            .map(|(p, &j)| p.memories[j])
+            .collect();
+        Some((memories, pick.seconds, pick.dollars))
+    }
+}
+
 /// Builds the solver-ready MIQP for a cut (Eq. 12–14 + Eq. 1 + SLO row).
 pub fn build(profile: &Profile, cut: &[usize], cfg: &AmpsConfig) -> Option<CutMiqp> {
     let full = evaluate_columns(profile, cut, cfg)?;
@@ -249,11 +323,7 @@ pub fn build_from_presolved<P: std::borrow::Borrow<PartitionColumns>>(
     presolved: &[P],
     cfg: &AmpsConfig,
 ) -> CutMiqp {
-    let max_cols = (MIQP_BINARY_BUDGET / presolved.len().max(1)).max(MIN_MIQP_COLS);
-    let parts: Vec<PartitionColumns> = presolved
-        .iter()
-        .map(|p| thin_columns(p.borrow(), max_cols))
-        .collect();
+    let parts = miqp_columns(presolved);
     let nvars: usize = parts.iter().map(|p| p.memories.len()).sum();
     let mut offsets = Vec::with_capacity(parts.len());
     let mut h = Matrix::zeros(nvars, nvars);
@@ -460,6 +530,37 @@ mod tests {
         assert!(t <= t_free * 0.8 + 1e-6, "SLO violated: {t}");
         assert!(cost >= cost_free - 1e-12, "faster cannot be cheaper");
         assert!(mems[0] > free.separable_min_cost().0[0]);
+    }
+
+    #[test]
+    fn knapsack_matches_bb_on_a_binding_cut() {
+        let (profile, mut cfg) = setup();
+        let n = profile.num_layers();
+        let cut = vec![n / 3, 2 * n / 3, n - 1];
+        let free = build(&profile, &cut, &cfg).unwrap();
+        let slo = free.separable_min_cost().1 * 0.9;
+        cfg.slo_s = Some(slo);
+        let miqp = build(&profile, &cut, &cfg).unwrap();
+        let sol = solve_miqp(&miqp.problem, BbOptions::default());
+        assert_eq!(sol.status, BbStatus::Optimal);
+        let (_, t_bb, c_bb) = miqp.decode(&sol.x);
+        let presolved: Vec<PartitionColumns> = evaluate_columns(&profile, &cut, &cfg)
+            .unwrap()
+            .iter()
+            .map(presolve_dominated)
+            .collect();
+        let ks = CutKnapsack::new(&presolved);
+        assert_eq!(
+            ks.parts, miqp.parts,
+            "both forms choose from the same columns"
+        );
+        let (mems, t, c) = ks.solve(slo + 1e-9).unwrap();
+        assert_eq!(mems.len(), cut.len());
+        assert!(t <= slo + 1e-9 && t_bb <= slo + 1e-9);
+        assert!(c <= c_bb + 2e-9, "knapsack {c} vs b&b {c_bb}");
+        assert!(ks.lower_bound(slo + 1e-9) <= c);
+        assert_eq!(ks.lower_bound(0.001), f64::INFINITY);
+        assert!(ks.solve(0.001).is_none());
     }
 
     #[test]

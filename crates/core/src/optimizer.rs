@@ -11,16 +11,11 @@ use crate::baselines::predict_dag;
 use crate::colcache::{CacheCounters, NodeColumns, SegmentColumnCache};
 use crate::config::AmpsConfig;
 use crate::cuts::{enumerate_cut_slots, insert_region_sorted, segment_feasible, DagShared};
-use crate::miqp_build::{
-    build_from_presolved, evaluate_columns, separable_picks, ColumnPick, CutMiqp,
-};
+use crate::miqp_build::{evaluate_columns, separable_picks, ColumnPick, CutKnapsack};
 use crate::plan::{DagNode, DagObject, DagPlan, ExecutionPlan, PartitionPlan};
 use ampsinf_model::LayerGraph;
 use ampsinf_profiler::Profile;
-use ampsinf_solver::bb::{solve_miqp_with, BbStatus};
-use ampsinf_solver::{BbOptions, MiqpProblem, QpWorkspace};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -31,6 +26,9 @@ pub enum OptimizeError {
     NoFeasibleCut,
     /// Cuts exist but none meets the SLO.
     SloInfeasible,
+    /// The request cannot be planned as given (a zero batch size or a NaN
+    /// SLO); the text says which.
+    InvalidInput(&'static str),
 }
 
 impl std::fmt::Display for OptimizeError {
@@ -40,11 +38,19 @@ impl std::fmt::Display for OptimizeError {
                 write!(f, "no partitioning satisfies the platform constraints")
             }
             OptimizeError::SloInfeasible => write!(f, "no configuration meets the SLO"),
+            OptimizeError::InvalidInput(why) => write!(f, "invalid input: {why}"),
         }
     }
 }
 
 impl std::error::Error for OptimizeError {}
+
+/// The [`OptimizeError::InvalidInput`] of a zero batch size.
+pub(crate) const ZERO_BATCH: OptimizeError =
+    OptimizeError::InvalidInput("batch size must be at least 1");
+
+/// The [`OptimizeError::InvalidInput`] of a NaN SLO.
+pub(crate) const NAN_SLO: OptimizeError = OptimizeError::InvalidInput("SLO is NaN");
 
 /// A fully evaluated candidate configuration.
 #[derive(Debug, Clone)]
@@ -86,169 +92,36 @@ pub enum CutEval {
     Feasible(FastEval),
 }
 
-/// Pass-2 treatment of one surviving cut. Fixed before any solve starts,
-/// so the schedule is independent of thread interleaving.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// Pass-2 treatment of one surviving cut, fixed before the replay starts.
+#[derive(Clone, Copy)]
 enum CutClass {
     /// Separable min-cost mix meets the SLO (or none is set): that mix is
     /// already this cut's cost optimum, so the MIQP cannot improve it.
     Fast,
     /// SLO-binding: the min-cost mix misses the SLO but some mix meets it —
-    /// the full MIQP finds the cheapest such mix.
-    Miqp,
+    /// the exact knapsack finds the cheapest such mix. Carries the cut's
+    /// slot in the replay's binding-cut memo.
+    Miqp(usize),
     /// SLO-binding cut beyond the MIQP cap: fall back to the cached
     /// fastest memory mix.
     Fallback,
 }
 
-/// Decoded MIQP result for one cut: `(memories, time, cost)`, or `None`
-/// when the solve produced no usable point.
-type MiqpOutcome = Option<(Vec<u32>, f64, f64)>;
-
-/// The SLO-independent part of one cut's MIQP, cacheable across sweep
-/// points: the assembled problem *without* the SLO row, the SLO row
-/// itself, and the sampled dual profile from which any SLO's Lagrangian
-/// root bound is a cheap max over samples. Everything here is a function
-/// of `(profile, cut, prices)` only — a chain of SLO points over one
-/// batch reuses it verbatim, paying matrix assembly and the O(n³)
-/// breakpoint sweep once per cut instead of once per point.
-pub(crate) struct CutPrebuilt {
-    /// The assembled pick-one MIQP with no SLO row.
-    base: CutMiqp,
-    /// Per-variable durations — the SLO row's coefficients.
-    t_row: Vec<f64>,
-    /// `(λ, g(λ))` samples of the SLO-free dual profile
-    /// `g(λ) = constant + Σ_group min_i (cost_i + λ·t_i)`, at `λ = 0`
-    /// plus every positive within-group breakpoint. For an SLO `s` the
-    /// Lagrangian root bound is `max over samples of g(λ) − λ·s` (each
-    /// `λ ≥ 0` yields a valid dual bound; the breakpoints contain the
-    /// maximizer of the piecewise-linear concave dual).
-    dual: Vec<(f64, f64)>,
-    /// Whether the dual profile is usable (all durations finite, ≥ 0).
-    dual_ok: bool,
-}
-
-impl CutPrebuilt {
-    /// Assembles the SLO-free problem and samples its dual profile.
-    fn new(base: CutMiqp) -> Self {
-        let qp = &base.problem.qp;
-        let n = base.problem.num_vars();
-        let cost: Vec<f64> = (0..n).map(|i| 0.5 * qp.h[(i, i)] + qp.c[i]).collect();
-        let mut t_row = Vec::with_capacity(n);
-        for p in &base.parts {
-            for e in &p.evals {
-                t_row.push(e.duration_s);
-            }
-        }
-        let dual_ok = t_row.len() == n && t_row.iter().all(|&v| v.is_finite() && v >= 0.0);
-        let mut dual = Vec::new();
-        if dual_ok {
-            let groups: Vec<std::ops::Range<usize>> = base
-                .offsets
-                .iter()
-                .zip(&base.parts)
-                .map(|(&o, p)| o..o + p.memories.len())
-                .collect();
-            let g_of = |lam: f64| -> f64 {
-                let mut total = qp.constant;
-                for r in &groups {
-                    let mut best = f64::INFINITY;
-                    for i in r.clone() {
-                        best = best.min(cost[i] + lam * t_row[i]);
-                    }
-                    total += best;
-                }
-                total
-            };
-            dual.push((0.0, g_of(0.0)));
-            for r in &groups {
-                for i in r.clone() {
-                    for j in (i + 1)..r.end {
-                        let dt = t_row[i] - t_row[j];
-                        if dt != 0.0 {
-                            let lam = (cost[j] - cost[i]) / dt;
-                            if lam > 0.0 && lam.is_finite() {
-                                dual.push((lam, g_of(lam)));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        CutPrebuilt {
-            base,
-            t_row,
-            dual,
-            dual_ok,
-        }
-    }
-
-    /// Lagrangian root bound at `slo`, floored at `floor` (the cut's
-    /// separable min cost — itself a valid bound).
-    fn lower_at(&self, slo: Option<f64>, floor: f64) -> f64 {
-        let Some(s) = slo else {
-            return self.dual.first().map_or(floor, |&(_, g)| g.max(floor));
-        };
-        if !self.dual_ok {
-            return floor;
-        }
-        self.dual
-            .iter()
-            .map(|&(lam, g)| g - lam * s)
-            .fold(floor, f64::max)
-    }
-
-    /// The solver-ready problem at `slo`: the cached base plus the SLO
-    /// row — bitwise the problem a from-scratch build would produce.
-    fn problem_at(&self, slo: Option<f64>) -> MiqpProblem {
-        let mut p = self.base.problem.clone();
-        if let Some(s) = slo {
-            p.add_le(self.t_row.clone(), s);
-        }
-        p
-    }
-}
-
-/// A chain-scoped memo of [`CutPrebuilt`]s keyed by cut index — one per
-/// sweep batch chain, threaded through [`Optimizer::solve_point`].
-pub(crate) type PrebuiltCache = HashMap<usize, Arc<CutPrebuilt>>;
-
-/// A prebuilt MIQP job for one point: the shared SLO-free state plus this
-/// point's provable lower bound.
-struct Prebuilt {
-    pre: Arc<CutPrebuilt>,
-    /// `max(separable min cost, Lagrangian SLO-dual root bound)`: every
+/// One SLO-binding cut's pass-2 state, filled as the replay first reaches
+/// its rank and reused by a cold-fallback replay of the same point.
+struct BindingCut {
+    /// Index of the cut in the enumerated cut list.
+    ci: usize,
+    /// The cut's MIQP in knapsack form.
+    knapsack: CutKnapsack,
+    /// `max(separable min cost, LP-relaxation bound at the SLO)`: every
     /// SLO-feasible mix of this cut costs at least this much, so a cut
-    /// whose `lower` exceeds the running tolerance budget can be pruned
-    /// without solving — in the replay as well as speculatively.
+    /// whose `lower` exceeds the running tolerance budget is pruned
+    /// without a solve.
     lower: f64,
-}
-
-/// Aggregated solver statistics shared by the speculative phase and the
-/// replay.
-#[derive(Default)]
-struct SolveCounters {
-    miqps: AtomicUsize,
-    nodes: AtomicUsize,
-    relaxations: AtomicUsize,
-    warm_starts: AtomicUsize,
-}
-
-/// Shared inputs of the speculative MIQP phase.
-struct Pass2Ctx<'a> {
-    /// Per-rank prebuilt MIQPs (`Some` exactly on [`CutClass::Miqp`] ranks).
-    built: &'a [Option<Prebuilt>],
-    /// Ranks classified [`CutClass::Miqp`], in rank (fast-cost) order.
-    jobs: &'a [usize],
-    /// Cheapest cost already guaranteed by a Fast/Fallback candidate —
-    /// seeds the shared incumbent bound. In sweep mode a prior point's
-    /// optimum is folded in as well.
-    bound_seed: f64,
-    /// Inject the running bound as a B&B cutoff (sweep mode only). Results
-    /// whose search the cutoff actually pruned are *not* memoized — the
-    /// deterministic replay lazily re-solves them cold — so plans stay
-    /// bit-identical to unseeded runs.
-    use_cutoff: bool,
+    /// The exact solve's `(memories, time, cost)` (`Some(None)`: no mix
+    /// meets the SLO), once solved.
+    outcome: Option<Option<(Vec<u32>, f64, f64)>>,
 }
 
 /// SLO-independent shared state for one `(model, batch)`: the batch-scaled
@@ -273,11 +146,10 @@ pub(crate) struct PointSolve {
     /// Minimum candidate cost before tolerance upgrades — the value a
     /// looser-SLO point may use as its `prior` bound.
     pub(crate) best_cost: f64,
-    pub(crate) miqps_solved: usize,
+    /// Indices of the binding cuts whose knapsack was solved, in rank
+    /// order (`miqps_solved` of them).
+    pub(crate) solved: Vec<usize>,
     pub(crate) miqps_pruned: usize,
-    pub(crate) bb_nodes: usize,
-    pub(crate) qp_relaxations: usize,
-    pub(crate) warm_start_hits: usize,
     /// A prior bound was threaded into this solve.
     pub(crate) seeded: bool,
     /// The prior proved invalid and the replay reran unseeded.
@@ -292,22 +164,21 @@ pub struct OptimizerReport {
     pub plan: ExecutionPlan,
     /// Cuts enumerated.
     pub cuts_considered: usize,
-    /// Full MIQP (branch-and-bound) solves performed. With several threads
-    /// this may exceed the sequential count (speculative solves that the
-    /// deterministic merge later discards) — the *plan* never differs.
+    /// SLO-binding cuts whose MIQP was solved exactly, as a pick-one
+    /// knapsack.
     pub miqps_solved: usize,
-    /// MIQP-classified cuts the deterministic replay discarded on their
-    /// SLO-dual lower bound alone, without a solve. (Replay-only and in
-    /// rank order, so this count is thread-independent.)
+    /// SLO-binding cuts the replay discarded on their LP lower bound
+    /// alone, without a solve.
     pub miqps_pruned: usize,
-    /// Branch-and-bound nodes expanded across all MIQP solves. Like
-    /// `miqps_solved`, speculative over-solving can inflate this with
-    /// several threads; the plan never differs.
+    /// Reference-only: branch-and-bound nodes. The planner solves no MIQP
+    /// by branch and bound, so this is always 0; the field stays for
+    /// callers that replay [`crate::miqp_build::build`] through
+    /// `ampsinf_solver::bb` and report the same counters.
     pub bb_nodes: usize,
-    /// QP relaxations solved across all MIQP solves.
+    /// Reference-only: QP relaxations (always 0, see `bb_nodes`).
     pub qp_relaxations: usize,
-    /// Node relaxations warm-started from the parent node's solution
-    /// (phase-1 simplex skipped).
+    /// Reference-only: warm-started relaxations (always 0, see
+    /// `bb_nodes`).
     pub warm_start_hits: usize,
     /// Segment-column memo cache hits across both passes.
     pub column_cache_hits: usize,
@@ -318,9 +189,10 @@ pub struct OptimizerReport {
     pub solve_time: Duration,
     /// Wall-clock time of pass 1 (column evaluation + separable paths).
     pub pass1_time: Duration,
-    /// Wall-clock time of pass 2 (MIQP solves + deterministic merge).
+    /// Wall-clock time of pass 2 (the replay and its knapsack solves).
     pub pass2_time: Duration,
-    /// Worker threads the run actually used.
+    /// Worker threads the run was allowed (`cfg.threads` resolved). The
+    /// chain passes run on one thread; the DAG region search fans out.
     pub threads_used: usize,
 }
 
@@ -369,43 +241,19 @@ pub struct DagReport {
     pub search: DagSearchStats,
 }
 
-/// Lock-free `min` on an `f64` stored as bits in an `AtomicU64`.
-fn atomic_min_f64(cell: &AtomicU64, v: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        if f64::from_bits(cur) <= v {
-            return;
-        }
-        match cell.compare_exchange_weak(cur, v.to_bits(), Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(c) => cur = c,
-        }
-    }
-}
-
 /// The AMPS-Inf optimizer.
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     cfg: AmpsConfig,
 }
 
-/// Number of lowest-cost cuts that get the full MIQP treatment (the
-/// separable fast path prunes the rest; both paths agree whenever the SLO
-/// row is slack, which `verify` tests assert).
+/// Number of lowest-cost cuts the replay always examines before its
+/// tolerance break may stop it.
 const MIQP_TOP_CUTS: usize = 12;
 
-/// Hard cap on full MIQP solves per optimization (bounds the SLO-binding
-/// worst case; cuts beyond the cap fall back to their fastest memory mix).
+/// Hard cap on MIQP solves per optimization (bounds the SLO-binding worst
+/// case; cuts beyond the cap fall back to their fastest memory mix).
 const MIQP_HARD_CAP: usize = 200;
-
-/// How many MIQP jobs (in rank order) the speculative parallel phase may
-/// start ahead of the deterministic replay. The replay usually stops after
-/// `MIQP_TOP_CUTS` plus the tolerance tail, so a window of a few times
-/// that keeps speculative over-solving — work the sequential path would
-/// never do — bounded while still hiding MIQP latency across workers.
-/// Ranks past the window are solved lazily by the replay if it actually
-/// reaches them.
-const SPECULATION_WINDOW: usize = 2 * MIQP_TOP_CUTS;
 
 impl Optimizer {
     /// Creates an optimizer with the given configuration.
@@ -420,36 +268,52 @@ impl Optimizer {
 
     /// Computes the optimal execution + provisioning plan for `graph`.
     ///
-    /// With `cfg.threads > 1` pass 2's MIQP solves fan out over a scoped
-    /// worker pool; a deterministic merge (see `DESIGN.md`, "Optimizer
-    /// parallelism") guarantees the selected plan is bit-identical to the
-    /// `threads = 1` run at every thread count. Pass 1 is a per-segment
-    /// summary table plus a few additions per cut, and runs on one thread.
+    /// Both passes run on one thread: pass 1 is a per-segment summary table
+    /// plus a few additions per cut, and pass 2 solves each SLO-binding
+    /// cut exactly as a pick-one knapsack in microseconds. The plan is the
+    /// same at every `cfg.threads`.
     pub fn optimize(&self, graph: &LayerGraph) -> Result<OptimizerReport, OptimizeError> {
+        self.chain(graph).map(|(_, report)| report)
+    }
+
+    /// Validates the request, runs both passes, and returns the shared
+    /// pass-1 state with the chain report.
+    fn chain(&self, graph: &LayerGraph) -> Result<(BatchShared, OptimizerReport), OptimizeError> {
+        self.check_inputs()?;
         let t0 = Instant::now();
-        let threads = self.resolve_threads();
-        let p1 = Instant::now();
-        let profile = Profile::batched(graph, self.cfg.batch_size);
-        let shared = self.build_shared(profile)?;
-        let pass1_time = p1.elapsed();
+        let shared = self.build_shared(Profile::batched(graph, self.cfg.batch_size))?;
+        let pass1_time = t0.elapsed();
         let p2 = Instant::now();
-        let sol = self.solve_point(graph, &shared, threads, None, None, None)?;
+        let sol = self.solve_point(graph, &shared, None, None)?;
         let pass2_time = p2.elapsed();
-        Ok(OptimizerReport {
+        let report = OptimizerReport {
             plan: sol.plan,
             cuts_considered: shared.cuts.len(),
-            miqps_solved: sol.miqps_solved,
+            miqps_solved: sol.solved.len(),
             miqps_pruned: sol.miqps_pruned,
-            bb_nodes: sol.bb_nodes,
-            qp_relaxations: sol.qp_relaxations,
-            warm_start_hits: sol.warm_start_hits,
+            bb_nodes: 0,
+            qp_relaxations: 0,
+            warm_start_hits: 0,
             column_cache_hits: shared.cache.hits(),
             column_cache_misses: shared.cache.misses(),
             solve_time: t0.elapsed(),
             pass1_time,
             pass2_time,
-            threads_used: threads,
-        })
+            threads_used: self.resolve_threads(),
+        };
+        Ok((shared, report))
+    }
+
+    /// Rejects a request the planner cannot plan: a zero batch size or a
+    /// NaN SLO.
+    pub(crate) fn check_inputs(&self) -> Result<(), OptimizeError> {
+        if self.cfg.batch_size == 0 {
+            return Err(ZERO_BATCH);
+        }
+        if self.cfg.slo_s.is_some_and(f64::is_nan) {
+            return Err(NAN_SLO);
+        }
+        Ok(())
     }
 
     /// Pass 1 on its own: the enumerated cuts of `graph` at this
@@ -460,6 +324,20 @@ impl Optimizer {
         let (ends, cuts) = enumerate_cut_slots(&profile, &self.cfg);
         let evals = self.evaluate_cuts(&profile, &ends, &cuts, &SegmentColumnCache::new());
         (cuts, evals)
+    }
+
+    /// Pass 2's exact solves on their own: the SLO-binding cuts whose
+    /// knapsack the replay solved for this configuration, in rank order —
+    /// what an oracle re-solves to check the planner's inner solve.
+    pub fn solved_cuts(&self, graph: &LayerGraph) -> Result<Vec<Vec<usize>>, OptimizeError> {
+        self.check_inputs()?;
+        let shared = self.build_shared(Profile::batched(graph, self.cfg.batch_size))?;
+        let sol = self.solve_point(graph, &shared, None, None)?;
+        Ok(sol
+            .solved
+            .iter()
+            .map(|&ci| shared.cuts[ci].clone())
+            .collect())
     }
 
     /// Pass 1 for one `(model, batch)`: enumerate cuts, summarize every
@@ -506,28 +384,25 @@ impl Optimizer {
     }
 
     /// Pass 2 for one grid point (`self.cfg` carries the point's SLO and
-    /// batch): classify the surviving cuts, solve the SLO-binding MIQPs,
-    /// and select the plan.
+    /// batch): classify the surviving cuts, solve the SLO-binding ones
+    /// exactly, and select the plan.
     ///
     /// `prior`, when given, is an upper bound on this point's optimal
-    /// candidate cost (a completed tighter-SLO point's optimum): the
-    /// speculative phase seeds its incumbent bound and injects B&B
-    /// cutoffs from it, and the replay prunes against it. A cold-fallback
-    /// guard makes the bound *advisory*: if the seeded replay's best cost
-    /// ever exceeds the prior (possible only when the prior was invalid —
-    /// the capped/fallback heuristics are not perfectly monotone), the
-    /// replay reruns unseeded, so the returned plan is **always**
-    /// bit-identical to `prior = None` (an independent `optimize()` call).
-    #[allow(clippy::too_many_arguments)]
+    /// candidate cost (a completed tighter-SLO point's optimum) that the
+    /// replay prunes and breaks against. A cold-fallback guard makes the
+    /// bound *advisory*: if the seeded replay's best cost ever exceeds the
+    /// prior (possible only when the prior was invalid — the capped/
+    /// fallback heuristics are not perfectly monotone), the replay reruns
+    /// unseeded, so the returned plan is **always** bit-identical to
+    /// `prior = None` (an independent `optimize()` call).
     pub(crate) fn solve_point(
         &self,
         graph: &LayerGraph,
         shared: &BatchShared,
-        threads: usize,
         prior: Option<f64>,
         track: Option<&CacheCounters>,
-        mut prebuilt: Option<&mut PrebuiltCache>,
     ) -> Result<PointSolve, OptimizeError> {
+        self.check_inputs()?;
         // Per-point SLO filter: `min_time` is the fastest any memory mix
         // can make the cut; cuts whose min_time violates the SLO are
         // provably infeasible and never see a MIQP.
@@ -550,110 +425,30 @@ impl Optimizer {
         // is the unconstrained cost optimum), so only binding cuts — where
         // the SLO row actually constrains the mix — pay for a solve, up to
         // a hard cap. Without an SLO no MIQP is ever needed.
-        let mut classes = Vec::with_capacity(fast.len());
         let mut binding = 0usize;
-        for fe in &fast {
-            let slo_ok = self.cfg.slo_s.is_none_or(|s| fe.time <= s);
-            classes.push(if slo_ok {
-                CutClass::Fast
-            } else if binding < MIQP_HARD_CAP {
-                binding += 1;
-                CutClass::Miqp
-            } else {
-                CutClass::Fallback
-            });
-        }
-        let jobs: Vec<usize> = (0..fast.len())
-            .filter(|&r| classes[r] == CutClass::Miqp)
+        let classes: Vec<CutClass> = fast
+            .iter()
+            .map(|fe| {
+                if self.cfg.slo_s.is_none_or(|s| fe.time <= s) {
+                    CutClass::Fast
+                } else if binding < MIQP_HARD_CAP {
+                    binding += 1;
+                    CutClass::Miqp(binding - 1)
+                } else {
+                    CutClass::Fallback
+                }
+            })
             .collect();
-        let mut bound_seed = f64::INFINITY;
-        for (rank, fe) in fast.iter().enumerate() {
-            match classes[rank] {
-                CutClass::Fast => bound_seed = bound_seed.min(fe.cost),
-                CutClass::Fallback => {
-                    if self.cfg.slo_s.is_none_or(|s| fe.min_time <= s + 1e-9) {
-                        bound_seed = bound_seed.min(fe.min_cost);
-                    }
-                }
-                CutClass::Miqp => {}
-            }
-        }
 
-        // Prebuild every MIQP job: the SLO-free problem + sampled dual
-        // profile come from the chain cache when sweeping (assembled once
-        // per cut, reused by every point of the chain) or are built fresh
-        // for a cold solve; either way the per-point work is only the
-        // cheap `max over dual samples` bound. `lower` is a provable
-        // floor on any candidate the cut can produce; both the
-        // speculative phase and the replay prune on it before paying for
-        // a branch-and-bound run. Built sequentially in rank order →
-        // fully deterministic, and bitwise-independent of whether the
-        // cache was warm.
-        let mut built: Vec<Option<Prebuilt>> = (0..fast.len()).map(|_| None).collect();
-        for &rank in &jobs {
-            let fe = fast[rank];
-            let cached = prebuilt
-                .as_ref()
-                .and_then(|c| c.get(&fe.ci))
-                .map(Arc::clone);
-            let pre = match cached {
-                Some(p) => p,
-                None => {
-                    let Some(cols) = shared.cache.columns_for_cut_tracked(
-                        &shared.profile,
-                        &shared.cuts[fe.ci],
-                        &self.cfg,
-                        track,
-                    ) else {
-                        continue; // unreachable: the cut survived pass 1
-                    };
-                    let mut slo_free = self.cfg.clone();
-                    slo_free.slo_s = None;
-                    let p = Arc::new(CutPrebuilt::new(build_from_presolved(&cols, &slo_free)));
-                    if let Some(c) = prebuilt.as_mut() {
-                        c.insert(fe.ci, Arc::clone(&p));
-                    }
-                    p
-                }
-            };
-            let lower = pre.lower_at(self.cfg.slo_s, fe.cost);
-            built[rank] = Some(Prebuilt { pre, lower });
-        }
-
-        // Speculative phase: workers race through the MIQP jobs sharing an
-        // atomic incumbent bound; cuts whose lower bound already exceeds
-        // the bound's tolerance budget are skipped. Results are memoized
-        // per rank. With a prior the bound starts tighter and each B&B
-        // gets a cutoff; only cutoff-clean results (bit-identical to cold
-        // solves) are memoized.
-        let counters = SolveCounters::default();
-        let mut outcomes: Vec<Option<MiqpOutcome>> = (0..fast.len()).map(|_| None).collect();
-        if threads > 1 && !jobs.is_empty() {
-            let ctx = Pass2Ctx {
-                built: &built,
-                jobs: &jobs[..jobs.len().min(SPECULATION_WINDOW)],
-                bound_seed: prior.map_or(bound_seed, |b| bound_seed.min(b)),
-                use_cutoff: prior.is_some(),
-            };
-            for (rank, o) in self.speculate(&ctx, &counters, threads) {
-                outcomes[rank] = Some(o);
-            }
-        }
-
-        // Deterministic merge: replay the sequential selection loop in
-        // rank order (see `run_replay`), then fall back to an unseeded
-        // replay if the prior turned out to be invalid for this point.
-        let mut ws = QpWorkspace::new();
-        let (mut candidates, mut miqps_pruned) = self.run_replay(
-            &shared.cuts,
-            &fast,
-            &classes,
-            &built,
-            &mut outcomes,
-            prior,
-            &mut ws,
-            &counters,
-        );
+        // Replay the sequential selection loop in rank order (see
+        // `run_replay`), then fall back to an unseeded replay if the prior
+        // turned out to be invalid for this point. Binding cuts are
+        // memoized in rank order, so the rerun pays only for cuts the
+        // seeded pass never reached or pruned.
+        let mut memo: Vec<Option<BindingCut>> = (0..binding).map(|_| None).collect();
+        let mut replay =
+            |prior: Option<f64>| self.run_replay(shared, &fast, &classes, &mut memo, prior, track);
+        let (mut candidates, mut miqps_pruned) = replay(prior);
         let mut seed_fallback = false;
         if let Some(b) = prior {
             let seeded_best = candidates
@@ -662,28 +457,21 @@ impl Optimizer {
                 .fold(f64::INFINITY, f64::min);
             // If the prior really bounds this point's optimum, the seeded
             // replay provably found it (see DESIGN.md §5e) and its best
-            // cost is ≤ the prior. Otherwise rerun cold — memoized MIQP
-            // outcomes are reused, so the rerun pays only for solves the
-            // seeded pass pruned.
+            // cost is ≤ the prior. Otherwise rerun cold.
             if candidates.is_empty() || seeded_best > b {
                 seed_fallback = true;
-                let (c2, p2) = self.run_replay(
-                    &shared.cuts,
-                    &fast,
-                    &classes,
-                    &built,
-                    &mut outcomes,
-                    None,
-                    &mut ws,
-                    &counters,
-                );
-                candidates = c2;
-                miqps_pruned = p2;
+                (candidates, miqps_pruned) = replay(None);
             }
         }
         if candidates.is_empty() {
             return Err(OptimizeError::SloInfeasible);
         }
+        let solved = memo
+            .iter()
+            .flatten()
+            .filter(|bc| bc.outcome.is_some())
+            .map(|bc| bc.ci)
+            .collect();
 
         // Selection: min cost, then timely-response upgrades within the
         // cost tolerance.
@@ -716,43 +504,39 @@ impl Optimizer {
         Ok(PointSolve {
             plan,
             best_cost,
-            miqps_solved: counters.miqps.load(Ordering::Relaxed),
+            solved,
             miqps_pruned,
-            bb_nodes: counters.nodes.load(Ordering::Relaxed),
-            qp_relaxations: counters.relaxations.load(Ordering::Relaxed),
-            warm_start_hits: counters.warm_starts.load(Ordering::Relaxed),
             seeded: prior.is_some(),
             seed_fallback,
         })
     }
 
-    /// The deterministic sequential selection loop over ranked cuts,
-    /// reusing memoized MIQP results and lazily solving (and memoizing)
-    /// any rank the speculative phase skipped. Because each MIQP solve is
-    /// itself deterministic, this loop — and therefore the selected plan —
-    /// is bit-identical to the `threads = 1` run.
+    /// The deterministic sequential selection loop over ranked cuts. A
+    /// binding cut is prepared (knapsack form and LP bound) when the loop
+    /// first reaches its rank and solved only if its bound survives;
+    /// `memo` keeps both, and the outcome, for a rerun. The knapsack
+    /// returns only mixes within `slo + 1e-9`, the acceptance test every
+    /// candidate meets.
     ///
     /// With `prior = Some(B)` every pruning threshold uses
     /// `min(best_so_far, B)` instead of `best_so_far`. When `B` really
     /// bounds this point's optimal candidate cost `b*`, this is provably
     /// plan-neutral: the `b*` cut is never pruned or broken past (its
-    /// separable floor and dual bound are ≤ `b*` ≤ every threshold), and
+    /// separable floor and LP bound are ≤ `b*` ≤ every threshold), and
     /// every candidate the tighter thresholds drop costs more than
     /// `b*(1+tol) + 1e-15` — outside the final winner filter anyway.
     /// Returns `(candidates, replay prunes)`.
-    #[allow(clippy::too_many_arguments)]
     fn run_replay(
         &self,
-        cuts: &[Vec<usize>],
+        shared: &BatchShared,
         fast: &[&FastEval],
         classes: &[CutClass],
-        built: &[Option<Prebuilt>],
-        outcomes: &mut [Option<MiqpOutcome>],
+        memo: &mut [Option<BindingCut>],
         prior: Option<f64>,
-        ws: &mut QpWorkspace,
-        counters: &SolveCounters,
+        track: Option<&CacheCounters>,
     ) -> (Vec<Candidate>, usize) {
         let tol = self.tolerance();
+        let limit = self.cfg.slo_s.map_or(f64::INFINITY, |s| s + 1e-9);
         let cap = |best: f64| prior.map_or(best, |b| best.min(b));
         let mut candidates: Vec<Candidate> = Vec::new();
         let mut best_candidate_cost = f64::INFINITY;
@@ -761,61 +545,55 @@ impl Optimizer {
             if fe.cost > cap(best_candidate_cost) * (1.0 + tol) + 1e-15 && rank >= MIQP_TOP_CUTS {
                 break; // no later cut can enter the tolerance set
             }
-            match classes[rank] {
-                CutClass::Fast => {
-                    best_candidate_cost = best_candidate_cost.min(fe.cost);
-                    candidates.push(Candidate {
-                        cut: cuts[fe.ci].clone(),
-                        memories: fe.mems.clone(),
-                        time_s: fe.time,
-                        cost: fe.cost,
-                    });
-                }
-                CutClass::Miqp => {
-                    let Some(pb) = &built[rank] else { continue };
-                    // Dual-bound prune: any candidate this cut yields costs
+            let cut = &shared.cuts[fe.ci];
+            let (memories, time_s, cost) = match classes[rank] {
+                CutClass::Fast => (fe.mems.clone(), fe.time, fe.cost),
+                CutClass::Miqp(slot) => {
+                    let bc = match &mut memo[slot] {
+                        Some(bc) => bc,
+                        entry => {
+                            let Some(cols) = shared.cache.columns_for_cut_tracked(
+                                &shared.profile,
+                                cut,
+                                &self.cfg,
+                                track,
+                            ) else {
+                                continue; // unreachable: the cut survived pass 1
+                            };
+                            let knapsack = CutKnapsack::new(&cols);
+                            let lower = knapsack.lower_bound(limit).max(fe.cost);
+                            entry.insert(BindingCut {
+                                ci: fe.ci,
+                                knapsack,
+                                lower,
+                                outcome: None,
+                            })
+                        }
+                    };
+                    // LP-bound prune: any candidate this cut yields costs
                     // ≥ `lower` > the running tolerance budget, and the
                     // budget only shrinks from here — the cut can neither
                     // become the cost minimum nor enter the tolerance set.
-                    if pb.lower > cap(best_candidate_cost) * (1.0 + tol) + 1e-15 {
+                    if bc.lower > cap(best_candidate_cost) * (1.0 + tol) + 1e-15 {
                         miqps_pruned += 1;
                         continue;
                     }
-                    let outcome = match &outcomes[rank] {
-                        Some(o) => o.clone(),
-                        None => {
-                            let o = self.solve_prebuilt(pb, ws, counters);
-                            outcomes[rank] = Some(o.clone());
-                            o
-                        }
-                    };
-                    if let Some((memories, t, c)) = outcome {
-                        if self.cfg.slo_s.is_none_or(|s| t <= s + 1e-9) {
-                            best_candidate_cost = best_candidate_cost.min(c);
-                            candidates.push(Candidate {
-                                cut: cuts[fe.ci].clone(),
-                                memories,
-                                time_s: t,
-                                cost: c,
-                            });
-                        }
-                    }
+                    let outcome = bc.outcome.get_or_insert_with(|| bc.knapsack.solve(limit));
+                    let Some(mix) = outcome else { continue };
+                    mix.clone()
                 }
-                CutClass::Fallback => {
-                    // SLO-binding cut beyond the MIQP cap: the cached
-                    // fastest memory mix fits the SLO (the min-time filter
-                    // kept this cut alive).
-                    if self.cfg.slo_s.is_none_or(|s| fe.min_time <= s + 1e-9) {
-                        best_candidate_cost = best_candidate_cost.min(fe.min_cost);
-                        candidates.push(Candidate {
-                            cut: cuts[fe.ci].clone(),
-                            memories: fe.min_mems.clone(),
-                            time_s: fe.min_time,
-                            cost: fe.min_cost,
-                        });
-                    }
-                }
-            }
+                // SLO-binding cut beyond the MIQP cap: the cached fastest
+                // memory mix fits the SLO (the min-time filter kept this
+                // cut alive).
+                CutClass::Fallback => (fe.min_mems.clone(), fe.min_time, fe.min_cost),
+            };
+            best_candidate_cost = best_candidate_cost.min(cost);
+            candidates.push(Candidate {
+                cut: cut.clone(),
+                memories,
+                time_s,
+                cost,
+            });
         }
         (candidates, miqps_pruned)
     }
@@ -911,129 +689,6 @@ impl Optimizer {
         evals
     }
 
-    /// Solves one prebuilt cut MIQP cold (no cutoff), aggregating solver
-    /// statistics into the shared counters.
-    fn solve_prebuilt(
-        &self,
-        pb: &Prebuilt,
-        ws: &mut QpWorkspace,
-        counters: &SolveCounters,
-    ) -> MiqpOutcome {
-        self.solve_prebuilt_bounded(pb, None, ws, counters).0
-    }
-
-    /// Like [`solve_prebuilt`](Self::solve_prebuilt) with an optional B&B
-    /// cutoff injected. Returns `(outcome, clean)`: `clean` is true when
-    /// the cutoff never pruned a node, i.e. the run is bit-identical to a
-    /// cold solve and may be memoized for the deterministic replay.
-    ///
-    /// The SLO row is appended here, at solve time: only jobs that
-    /// actually reach a branch-and-bound run pay for problem assembly —
-    /// dual-pruned jobs never materialize their matrices.
-    fn solve_prebuilt_bounded(
-        &self,
-        pb: &Prebuilt,
-        cutoff: Option<f64>,
-        ws: &mut QpWorkspace,
-        counters: &SolveCounters,
-    ) -> (MiqpOutcome, bool) {
-        let problem = pb.pre.problem_at(self.cfg.slo_s);
-        let sol = solve_miqp_with(
-            &problem,
-            BbOptions {
-                convexify: self.cfg.convexify,
-                warm_start: self.cfg.bb_warm_start,
-                cutoff,
-                ..Default::default()
-            },
-            ws,
-        );
-        counters.miqps.fetch_add(1, Ordering::Relaxed);
-        counters.nodes.fetch_add(sol.stats.nodes, Ordering::Relaxed);
-        counters
-            .relaxations
-            .fetch_add(sol.stats.relaxations, Ordering::Relaxed);
-        counters
-            .warm_starts
-            .fetch_add(sol.stats.warm_starts, Ordering::Relaxed);
-        let clean = sol.stats.cutoff_prunes == 0;
-        let outcome = match sol.status {
-            BbStatus::Optimal | BbStatus::NodeLimit if !sol.x.is_empty() => {
-                Some(pb.pre.base.decode(&sol.x))
-            }
-            _ => None,
-        };
-        (outcome, clean)
-    }
-
-    /// Speculative MIQP phase: workers pull jobs in rank order and share an
-    /// atomic incumbent bound. Returns `(rank, outcome)` for every job
-    /// actually solved; skipped jobs are re-examined (and lazily solved if
-    /// still needed) by the deterministic merge. Each B&B run receives no
-    /// external cutoff, so its result is independent of the bound — the
-    /// bound only decides whether a solve happens at all.
-    fn speculate(
-        &self,
-        ctx: &Pass2Ctx<'_>,
-        counters: &SolveCounters,
-        threads: usize,
-    ) -> Vec<(usize, MiqpOutcome)> {
-        let workers = threads.min(ctx.jobs.len());
-        let best = AtomicU64::new(ctx.bound_seed.to_bits());
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut ws = QpWorkspace::new();
-                        let mut local: Vec<(usize, MiqpOutcome)> = Vec::new();
-                        loop {
-                            let j = next.fetch_add(1, Ordering::Relaxed);
-                            if j >= ctx.jobs.len() {
-                                break;
-                            }
-                            let rank = ctx.jobs[j];
-                            let Some(pb) = &ctx.built[rank] else { continue };
-                            let bound = f64::from_bits(best.load(Ordering::Relaxed));
-                            if pb.lower > bound * (1.0 + self.tolerance()) + 1e-15 {
-                                // The dual root bound already proves this cut
-                                // cannot enter the tolerance set; skipping is
-                                // always safe here — the replay re-examines
-                                // (and lazily solves) any rank it still needs.
-                                continue;
-                            }
-                            // Sweep mode: inject the running bound as a B&B
-                            // cutoff so hopeless searches stop early. The
-                            // incumbents such a run reports are genuinely
-                            // feasible (the cutoff only prunes tree nodes),
-                            // so they may still tighten the shared bound.
-                            let cutoff = (ctx.use_cutoff && bound.is_finite())
-                                .then_some(bound * (1.0 + self.tolerance()) + 1e-15);
-                            let (outcome, clean) =
-                                self.solve_prebuilt_bounded(pb, cutoff, &mut ws, counters);
-                            if let Some((_, t, c)) = &outcome {
-                                if self.cfg.slo_s.is_none_or(|slo| *t <= slo + 1e-9) {
-                                    atomic_min_f64(&best, *c);
-                                }
-                            }
-                            // Memoize only cutoff-clean results: anything
-                            // else is not provably cold-identical, and the
-                            // replay must lazily re-solve it.
-                            if clean {
-                                local.push((rank, outcome));
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("pass-2 worker panicked"))
-                .collect()
-        })
-    }
-
     /// Greedy memory upgrades within the cost budget, over the *full*
     /// memory grid.
     fn upgrade_memories(&self, profile: &Profile, base: &Candidate, budget: f64) -> Candidate {
@@ -1102,43 +757,21 @@ impl Optimizer {
     /// tensor (1 PUT, `k` GETs) and drained by a *gather* of the branch
     /// outputs (`k` PUTs, `k` GETs at the merge node) — every object
     /// billing its own request fees and transfer seconds through
-    /// [`quick_eval_node`]. Regions are accumulated greedily by marginal
-    /// improvement; the DAG is reported only when it wins under the
+    /// [`quick_eval_node`](ampsinf_profiler::quick_eval_node). Regions are
+    /// accumulated greedily by marginal improvement; the DAG is reported
+    /// only when it wins under the
     /// *same* objective as the chain (minimum cost subject to the SLO,
     /// fastest within `cost_tolerance` of the optimum), so callers never
     /// pay for parallelism that the communication fees eat.
     pub fn optimize_dag(&self, graph: &LayerGraph) -> Result<DagReport, OptimizeError> {
-        let t0 = Instant::now();
-        let threads = self.resolve_threads();
-        let p1 = Instant::now();
         // One batched profile serves both the chain solve and the region
         // search (the chain pass's `BatchShared` carries it, along with
         // the segment/node memo tables the search reads).
-        let profile = Profile::batched(graph, self.cfg.batch_size);
-        let shared = self.build_shared(profile)?;
-        let pass1_time = p1.elapsed();
-        let p2 = Instant::now();
-        let sol = self.solve_point(graph, &shared, threads, None, None, None)?;
-        let pass2_time = p2.elapsed();
-        let chain = OptimizerReport {
-            plan: sol.plan,
-            cuts_considered: shared.cuts.len(),
-            miqps_solved: sol.miqps_solved,
-            miqps_pruned: sol.miqps_pruned,
-            bb_nodes: sol.bb_nodes,
-            qp_relaxations: sol.qp_relaxations,
-            warm_start_hits: sol.warm_start_hits,
-            column_cache_hits: shared.cache.hits(),
-            column_cache_misses: shared.cache.misses(),
-            solve_time: t0.elapsed(),
-            pass1_time,
-            pass2_time,
-            threads_used: threads,
-        };
+        let (shared, chain) = self.chain(graph)?;
         let ds = DagShared::new(graph, &shared.profile, &self.cfg);
         let s0 = Instant::now();
         let (dag, regions_used, mut search) =
-            self.dag_search(graph, &shared, &ds, &chain.plan, threads);
+            self.dag_search(graph, &shared, &ds, &chain.plan, chain.threads_used);
         search.search_time = s0.elapsed();
         Ok(DagReport {
             chain,
@@ -1154,9 +787,8 @@ impl Optimizer {
     /// construction is independent of the round's running incumbent, so
     /// with `threads > 1` the trials are built concurrently into
     /// per-trial slots and the acceptance scan replays sequentially in
-    /// region order — the same speculative-work/deterministic-replay
-    /// discipline as pass 2, making the accepted set bit-identical to the
-    /// serial loop at every thread count. Returns the winning DAG (if
+    /// region order, making the accepted set bit-identical to the serial
+    /// loop at every thread count. Returns the winning DAG (if
     /// any), the accepted-region count, and the search counters (with
     /// `search_time` left for the caller to stamp).
     pub(crate) fn dag_search(
@@ -1866,6 +1498,26 @@ mod tests {
                 "tolerance {tol}"
             );
         }
+    }
+
+    #[test]
+    fn zero_batch_and_nan_slo_are_errors_not_panics() {
+        let g = zoo::tiny_cnn();
+        let zero = AmpsConfig {
+            batch_size: 0,
+            ..Default::default()
+        };
+        let nan = AmpsConfig::default().with_slo(f64::NAN);
+        for (cfg, want) in [(zero, ZERO_BATCH), (nan, NAN_SLO)] {
+            let opt = Optimizer::new(cfg);
+            assert_eq!(opt.optimize(&g).unwrap_err(), want);
+            assert_eq!(opt.optimize_dag(&g).unwrap_err(), want);
+            assert_eq!(opt.solved_cuts(&g).unwrap_err(), want);
+        }
+        assert_eq!(
+            ZERO_BATCH.to_string(),
+            "invalid input: batch size must be at least 1"
+        );
     }
 
     #[test]

@@ -10,17 +10,16 @@
 //!    and reused by every SLO point ([`crate::optimizer`]'s `BatchShared`).
 //! 2. **Cross-point bound seeding** — the optimal cost is monotone
 //!    non-increasing as the SLO loosens, so a completed tighter-SLO
-//!    point's optimum is an upper bound for every looser point: it seeds
-//!    the speculative phase's incumbent bound, injects branch-and-bound
-//!    cutoffs ([`ampsinf_solver::BbOptions::cutoff`]), and tightens the
-//!    replay's dual-bound prunes. A per-point cold-fallback guard keeps
-//!    the bound *advisory*: plans are **always** bit-identical to
-//!    independent cold solves, at every thread count, seeding on or off.
+//!    point's optimum is an upper bound for every looser point: it
+//!    tightens the replay's LP-bound prunes and its tolerance break. A
+//!    per-point cold-fallback guard keeps the bound *advisory*: plans are
+//!    **always** bit-identical to independent cold solves, at every
+//!    thread count, seeding on or off.
 //! 3. **Parallel batch chains** — each batch's points form a sequential
 //!    tight-to-loose chain (so seeds are deterministic); distinct batch
-//!    chains run concurrently on scoped threads, and the remaining
-//!    threads fan out *inside* each point's MIQP pass. Results merge in
-//!    grid order.
+//!    chains run concurrently on scoped threads, and in a DAG sweep the
+//!    remaining threads fan out each point's region trials. Results merge
+//!    in grid order.
 //!
 //! The report marks the per-batch Pareto frontier over (time, cost) with
 //! the knee point flagged — the grid point a cost/latency trade-off
@@ -28,10 +27,12 @@
 
 use crate::colcache::CacheCounters;
 use crate::cuts::DagShared;
-use crate::optimizer::{BatchShared, CutEval, DagSearchStats, OptimizeError, Optimizer};
+use crate::optimizer::{
+    BatchShared, CutEval, DagSearchStats, OptimizeError, Optimizer, PointSolve, NAN_SLO, ZERO_BATCH,
+};
 use crate::plan::{DagPlan, ExecutionPlan, PartitionPlan, PipelinePlan};
 use ampsinf_model::LayerGraph;
-use ampsinf_profiler::{batched_unique, quick_eval};
+use ampsinf_profiler::{batched_unique, quick_eval, Profile};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -99,21 +100,14 @@ impl SweepGrid {
     }
 }
 
-/// Per-point solver statistics. Plans are thread-invariant; these counts
-/// are not (speculative over-solving, like `OptimizerReport::miqps_solved`)
-/// — they exist to make the amortization observable.
+/// Per-point solver statistics; they exist to make the amortization
+/// observable.
 #[derive(Debug, Clone, Default)]
 pub struct PointStats {
-    /// Full MIQP solves attributed to this point.
+    /// Exact knapsack solves of SLO-binding cuts at this point.
     pub miqps_solved: usize,
-    /// Replay-side dual-bound prunes.
+    /// SLO-binding cuts the replay pruned on their LP bound.
     pub miqps_pruned: usize,
-    /// Branch-and-bound nodes expanded.
-    pub bb_nodes: usize,
-    /// QP relaxations solved.
-    pub qp_relaxations: usize,
-    /// Warm-started node relaxations.
-    pub warm_start_hits: usize,
     /// Segment-column cache hits attributed to this point's pass 2.
     pub cache_hits: usize,
     /// Segment-column cache misses attributed to this point's pass 2
@@ -308,15 +302,133 @@ impl PipelineSweepReport {
 /// One batch group awaiting execution: the shared pass-1 state (or the
 /// error every point inherits) plus the SLO indices in tight-to-loose
 /// execution order.
-struct BatchGroup<'a> {
+struct BatchGroup<'a, S> {
     bi: usize,
     batch: u64,
-    shared: &'a Result<BatchShared, OptimizeError>,
+    shared: &'a Result<S, OptimizeError>,
     /// Indices into `grid.slos`, ascending by SLO value (stable on ties).
     exec_order: Vec<usize>,
 }
 
+/// One [`BatchGroup`] per grid batch, over the per-distinct-batch state.
+fn batch_groups<'a, S>(
+    grid: &SweepGrid,
+    shared_by_batch: &'a [(u64, Result<S, OptimizeError>)],
+) -> Vec<BatchGroup<'a, S>> {
+    let mut exec_order: Vec<usize> = (0..grid.slos.len()).collect();
+    exec_order.sort_by(|&a, &c| {
+        grid.slos[a]
+            .partial_cmp(&grid.slos[c])
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    grid.batches
+        .iter()
+        .enumerate()
+        .map(|(bi, &b)| BatchGroup {
+            bi,
+            batch: b,
+            shared: shared_of(shared_by_batch, b),
+            exec_order: exec_order.clone(),
+        })
+        .collect()
+}
+
+/// The state [`Optimizer::shared_per_batch`] built for batch `b`.
+fn shared_of<S>(
+    shared_by_batch: &[(u64, Result<S, OptimizeError>)],
+    b: u64,
+) -> &Result<S, OptimizeError> {
+    &shared_by_batch
+        .iter()
+        .find(|(seen, _)| *seen == b)
+        .expect("every grid batch was profiled")
+        .1
+}
+
+/// Runs `run` over every batch group — on up to `workers` scoped threads
+/// claiming groups in turn when there are several — and returns the
+/// results in group order, whichever thread ran each.
+fn run_groups<G: Sync, P: Send>(
+    groups: &[G],
+    workers: usize,
+    run: impl Fn(&G) -> P + Sync,
+) -> Vec<P> {
+    if workers <= 1 {
+        return groups.iter().map(run).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let parts: Vec<Vec<(usize, P)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        let gi = next.fetch_add(1, Ordering::Relaxed);
+                        if gi >= groups.len() {
+                            break;
+                        }
+                        local.push((gi, run(&groups[gi])));
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("sweep chain worker panicked"))
+            .collect()
+    });
+    let mut slots: Vec<Option<P>> = (0..groups.len()).map(|_| None).collect();
+    for (gi, p) in parts.into_iter().flatten() {
+        slots[gi] = Some(p);
+    }
+    slots
+        .into_iter()
+        .map(|s| s.expect("every chain ran exactly once"))
+        .collect()
+}
+
+/// Scatters each group's chain (points in its execution order) into
+/// batch-major grid order.
+fn grid_order<S, P>(groups: &[BatchGroup<'_, S>], chains: Vec<Vec<P>>, per_batch: usize) -> Vec<P> {
+    let mut points: Vec<Option<P>> = (0..groups.len() * per_batch).map(|_| None).collect();
+    for (g, chain) in groups.iter().zip(chains) {
+        for (&si, point) in g.exec_order.iter().zip(chain) {
+            points[g.bi * per_batch + si] = Some(point);
+        }
+    }
+    points
+        .into_iter()
+        .map(|p| p.expect("every grid point planned exactly once"))
+        .collect()
+}
+
 impl Optimizer {
+    /// Per-distinct-batch shared state: `build` runs on the batch's profile
+    /// with an optimizer configured for that batch. A zero batch gets
+    /// [`OptimizeError::InvalidInput`] instead, which every point at it
+    /// inherits.
+    fn shared_per_batch<S>(
+        &self,
+        graph: &LayerGraph,
+        batches: &[u64],
+        build: impl Fn(&Optimizer, Profile) -> Result<S, OptimizeError>,
+    ) -> Vec<(u64, Result<S, OptimizeError>)> {
+        let valid: Vec<u64> = batches.iter().copied().filter(|&b| b > 0).collect();
+        let mut out: Vec<(u64, Result<S, OptimizeError>)> = batched_unique(graph, &valid)
+            .into_iter()
+            .map(|(b, profile)| {
+                let mut cfg = self.config().clone();
+                cfg.batch_size = b;
+                (b, build(&Optimizer::new(cfg), profile))
+            })
+            .collect();
+        if valid.len() < batches.len() {
+            out.push((0, Err(ZERO_BATCH)));
+        }
+        out
+    }
+
     /// Plans every point of `grid` in one call. See the module docs for
     /// what is shared across points; the contract is that every returned
     /// plan is bit-identical to an independent [`Optimizer::optimize`]
@@ -328,202 +440,92 @@ impl Optimizer {
 
         // Shared pass 1, once per distinct batch.
         let p1 = Instant::now();
-        let shared_by_batch: Vec<(u64, Result<BatchShared, OptimizeError>)> =
-            batched_unique(graph, &grid.batches)
-                .into_iter()
-                .map(|(b, profile)| {
-                    let mut cfg = self.config().clone();
-                    cfg.batch_size = b;
-                    let built = Optimizer::new(cfg).build_shared(profile);
-                    (b, built)
-                })
-                .collect();
+        let shared_by_batch =
+            self.shared_per_batch(graph, &grid.batches, |opt, p| opt.build_shared(p));
         let pass1_time = p1.elapsed();
 
-        let groups: Vec<BatchGroup<'_>> = grid
-            .batches
-            .iter()
-            .enumerate()
-            .map(|(bi, &b)| {
-                let shared = &shared_by_batch
-                    .iter()
-                    .find(|(seen, _)| *seen == b)
-                    .expect("every grid batch was profiled")
-                    .1;
-                let mut exec_order: Vec<usize> = (0..grid.slos.len()).collect();
-                exec_order.sort_by(|&a, &c| {
-                    grid.slos[a]
-                        .partial_cmp(&grid.slos[c])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                BatchGroup {
-                    bi,
-                    batch: b,
-                    shared,
-                    exec_order,
-                }
-            })
-            .collect();
-
-        // Batch chains run concurrently; the threads left over fan out
-        // inside each point. Both splits depend only on the grid shape
-        // and `threads`, never on interleaving.
+        // Batch chains run concurrently; the split depends only on the
+        // grid shape and `threads`, never on interleaving.
+        let groups = batch_groups(grid, &shared_by_batch);
         let workers = threads.min(groups.len()).max(1);
-        let inner = (threads / workers).max(1);
-        let chains: Vec<Vec<SweepPoint>> = if workers == 1 {
-            groups
+        let chains = run_groups(&groups, workers, |g| {
+            let mut bound = None;
+            g.exec_order
                 .iter()
-                .map(|g| self.run_chain(graph, grid, g, inner))
+                .map(|&si| {
+                    let t = Instant::now();
+                    let slo = grid.slos[si];
+                    let (_, solve, mut stats) =
+                        self.sweep_point(graph, g.shared.as_ref(), g.batch, slo, &mut bound);
+                    stats.solve_time = t.elapsed();
+                    SweepPoint {
+                        slo_s: slo,
+                        batch: g.batch,
+                        outcome: solve.map(|ps| ps.plan),
+                        stats,
+                        dominated: false,
+                        knee: false,
+                    }
+                })
                 .collect()
-        } else {
-            let next = AtomicUsize::new(0);
-            let parts: Vec<Vec<(usize, Vec<SweepPoint>)>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut local = Vec::new();
-                            loop {
-                                let gi = next.fetch_add(1, Ordering::Relaxed);
-                                if gi >= groups.len() {
-                                    break;
-                                }
-                                local.push((gi, self.run_chain(graph, grid, &groups[gi], inner)));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sweep chain worker panicked"))
-                    .collect()
-            });
-            let mut slots: Vec<Option<Vec<SweepPoint>>> = (0..groups.len()).map(|_| None).collect();
-            for part in parts {
-                for (gi, chain) in part {
-                    slots[gi] = Some(chain);
-                }
-            }
-            slots
-                .into_iter()
-                .map(|s| s.expect("every chain ran exactly once"))
-                .collect()
-        };
-
-        // Deterministic merge into grid order: chain `bi` produced its
-        // points keyed by SLO index.
+        });
         let n = grid.slos.len();
-        let mut points: Vec<Option<SweepPoint>> = (0..grid.len()).map(|_| None).collect();
-        for (g, chain) in groups.iter().zip(chains) {
-            for (si, point) in g.exec_order.iter().zip(chain) {
-                points[g.bi * n + si] = Some(point);
-            }
-        }
-        let mut points: Vec<SweepPoint> = points
-            .into_iter()
-            .map(|p| p.expect("every grid point planned exactly once"))
-            .collect();
-
+        let mut points = grid_order(&groups, chains, n);
         let pareto = mark_pareto(&mut points, grid.batches.len(), n);
 
-        let cache_hits: usize = shared_by_batch
-            .iter()
-            .filter_map(|(_, s)| s.as_ref().ok().map(|sh| sh.cache.hits()))
-            .sum();
-        let cache_misses: usize = shared_by_batch
-            .iter()
-            .filter_map(|(_, s)| s.as_ref().ok().map(|sh| sh.cache.misses()))
-            .sum();
-        let cuts_considered: usize = shared_by_batch
-            .iter()
-            .filter_map(|(_, s)| s.as_ref().ok().map(|sh| sh.cuts.len()))
-            .sum();
-
+        let ok_shared = || shared_by_batch.iter().filter_map(|(_, s)| s.as_ref().ok());
         SweepReport {
             points,
             pareto,
-            cuts_considered,
-            cache_hits,
-            cache_misses,
+            cuts_considered: ok_shared().map(|sh| sh.cuts.len()).sum(),
+            cache_hits: ok_shared().map(|sh| sh.cache.hits()).sum(),
+            cache_misses: ok_shared().map(|sh| sh.cache.misses()).sum(),
             pass1_time,
             total_time: t0.elapsed(),
             threads_used: threads,
         }
     }
 
-    /// Solves one batch group's points tight-to-loose, threading each
-    /// completed point's optimum into the next as the prior bound.
-    fn run_chain(
+    /// Solves one grid point of a batch chain at `(batch, slo)`, seeded
+    /// with the chain's running `bound` (tightened when the point solves).
+    /// Returns the point's optimizer, its solve, and its stats (with
+    /// `solve_time` left for the caller to stamp).
+    fn sweep_point(
         &self,
         graph: &LayerGraph,
-        grid: &SweepGrid,
-        group: &BatchGroup<'_>,
-        inner_threads: usize,
-    ) -> Vec<SweepPoint> {
-        let mut out = Vec::with_capacity(group.exec_order.len());
-        let mut bound: Option<f64> = None;
-        // Chain-scoped memo of SLO-free prebuilt MIQPs: every point of
-        // the chain reuses a cut's assembled problem and dual profile,
-        // paying only the cheap per-SLO bound evaluation.
-        let mut prebuilt = crate::optimizer::PrebuiltCache::new();
-        for &si in &group.exec_order {
-            let slo = grid.slos[si];
-            let t = Instant::now();
-            let mut cfg = self.config().clone();
-            cfg.batch_size = group.batch;
-            cfg.slo_s = Some(slo);
-            let seed = if cfg.sweep_seed_bounds { bound } else { None };
-            let point_opt = Optimizer::new(cfg);
-            let counters = CacheCounters::new();
-            let (outcome, stats) = match group.shared {
-                Err(e) => (Err(e.clone()), PointStats::default()),
-                Ok(sh) => {
-                    match point_opt.solve_point(
-                        graph,
-                        sh,
-                        inner_threads,
-                        seed,
-                        Some(&counters),
-                        Some(&mut prebuilt),
-                    ) {
-                        Err(e) => (
-                            Err(e),
-                            PointStats {
-                                seeded: seed.is_some(),
-                                ..PointStats::default()
-                            },
-                        ),
-                        Ok(ps) => {
-                            bound = Some(bound.map_or(ps.best_cost, |b| b.min(ps.best_cost)));
-                            let stats = PointStats {
-                                miqps_solved: ps.miqps_solved,
-                                miqps_pruned: ps.miqps_pruned,
-                                bb_nodes: ps.bb_nodes,
-                                qp_relaxations: ps.qp_relaxations,
-                                warm_start_hits: ps.warm_start_hits,
-                                cache_hits: counters.hits(),
-                                cache_misses: counters.misses(),
-                                seeded: ps.seeded,
-                                seed_fallback: ps.seed_fallback,
-                                solve_time: Duration::ZERO,
-                            };
-                            (Ok(ps.plan), stats)
-                        }
-                    }
+        shared: Result<&BatchShared, &OptimizeError>,
+        batch: u64,
+        slo: f64,
+        bound: &mut Option<f64>,
+    ) -> (Optimizer, Result<PointSolve, OptimizeError>, PointStats) {
+        let mut cfg = self.config().clone();
+        cfg.batch_size = batch;
+        cfg.slo_s = Some(slo);
+        let seed = if cfg.sweep_seed_bounds { *bound } else { None };
+        let opt = Optimizer::new(cfg);
+        let counters = CacheCounters::new();
+        let solve = shared
+            .map_err(Clone::clone)
+            .and_then(|sh| opt.solve_point(graph, sh, seed, Some(&counters)));
+        let stats = match &solve {
+            Ok(ps) => {
+                *bound = Some(bound.map_or(ps.best_cost, |b| b.min(ps.best_cost)));
+                PointStats {
+                    miqps_solved: ps.solved.len(),
+                    miqps_pruned: ps.miqps_pruned,
+                    cache_hits: counters.hits(),
+                    cache_misses: counters.misses(),
+                    seeded: ps.seeded,
+                    seed_fallback: ps.seed_fallback,
+                    solve_time: Duration::ZERO,
                 }
-            };
-            let mut stats = stats;
-            stats.solve_time = t.elapsed();
-            out.push(SweepPoint {
-                slo_s: slo,
-                batch: group.batch,
-                outcome,
-                stats,
-                dominated: false,
-                knee: false,
-            });
-        }
-        out
+            }
+            Err(_) => PointStats {
+                seeded: shared.is_ok() && seed.is_some(),
+                ..PointStats::default()
+            },
+        };
+        (opt, solve, stats)
     }
 
     /// Plans every point of `grid` with the branch-parallel search of
@@ -531,16 +533,16 @@ impl Optimizer {
     /// *and* the greedy fork/join region search against it.
     ///
     /// Reuses [`Optimizer::optimize_sweep`]'s amortization for the chain
-    /// side (shared pass 1, tight-to-loose bound seeding, prebuilt MIQPs,
-    /// parallel batch chains) and adds the DAG side's own sharing: the
-    /// region candidates, scatter/gather byte tables, spine-span memo,
-    /// and node-evaluation memo are built once per distinct batch
-    /// ([`DagShared`] is SLO-independent) and warmed further by every
-    /// point of the batch. The contract matches `optimize_sweep`'s: every
-    /// point's chain plan *and* DAG verdict are bit-identical to an
-    /// independent [`Optimizer::optimize_dag`] call at that `(slo,
-    /// batch)` — at every thread count, seeding on or off — because every
-    /// memoized value is a pure function of its key.
+    /// side (shared pass 1, tight-to-loose bound seeding, parallel batch
+    /// chains) and adds the DAG side's own sharing: the region
+    /// candidates, scatter/gather byte tables, spine-span memo, and
+    /// node-evaluation memo are built once per distinct batch (the
+    /// region tables and memos are SLO-independent) and
+    /// warmed further by every point of the batch. The contract matches
+    /// `optimize_sweep`'s: every point's chain plan *and* DAG verdict are
+    /// bit-identical to an independent [`Optimizer::optimize_dag`] call at
+    /// that `(slo, batch)` — at every thread count, seeding on or off —
+    /// because every memoized value is a pure function of its key.
     pub fn optimize_dag_sweep(&self, graph: &LayerGraph, grid: &SweepGrid) -> DagSweepReport {
         let t0 = Instant::now();
         let threads = self.resolve_threads();
@@ -548,195 +550,56 @@ impl Optimizer {
         // Shared pass 1 plus the DAG search's shared tables, once per
         // distinct batch.
         let p1 = Instant::now();
-        type DagBatch = (BatchShared, DagShared);
-        let shared_by_batch: Vec<(u64, Result<DagBatch, OptimizeError>)> =
-            batched_unique(graph, &grid.batches)
-                .into_iter()
-                .map(|(b, profile)| {
-                    let mut cfg = self.config().clone();
-                    cfg.batch_size = b;
-                    let built = Optimizer::new(cfg.clone()).build_shared(profile).map(|sh| {
-                        let ds = DagShared::new(graph, &sh.profile, &cfg);
-                        (sh, ds)
-                    });
-                    (b, built)
-                })
-                .collect();
+        let shared_by_batch = self.shared_per_batch(graph, &grid.batches, |opt, p| {
+            let sh = opt.build_shared(p)?;
+            let ds = DagShared::new(graph, &sh.profile, opt.config());
+            Ok((sh, ds))
+        });
         let pass1_time = p1.elapsed();
 
-        struct DagGroup<'a> {
-            bi: usize,
-            batch: u64,
-            shared: &'a Result<(BatchShared, DagShared), OptimizeError>,
-            exec_order: Vec<usize>,
-        }
-        let groups: Vec<DagGroup<'_>> = grid
-            .batches
-            .iter()
-            .enumerate()
-            .map(|(bi, &b)| {
-                let shared = &shared_by_batch
-                    .iter()
-                    .find(|(seen, _)| *seen == b)
-                    .expect("every grid batch was profiled")
-                    .1;
-                let mut exec_order: Vec<usize> = (0..grid.slos.len()).collect();
-                exec_order.sort_by(|&a, &c| {
-                    grid.slos[a]
-                        .partial_cmp(&grid.slos[c])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                DagGroup {
-                    bi,
-                    batch: b,
-                    shared,
-                    exec_order,
-                }
-            })
-            .collect();
-
         // Same deterministic thread split as `optimize_sweep`: batch
-        // chains concurrently, leftover threads inside each point (where
-        // they also fan out the region trials).
-        let run_group = |g: &DagGroup<'_>, inner: usize| -> Vec<DagSweepPoint> {
-            let mut out = Vec::with_capacity(g.exec_order.len());
-            let mut bound: Option<f64> = None;
-            let mut prebuilt = crate::optimizer::PrebuiltCache::new();
-            for &si in &g.exec_order {
-                let slo = grid.slos[si];
-                let t = Instant::now();
-                let mut cfg = self.config().clone();
-                cfg.batch_size = g.batch;
-                cfg.slo_s = Some(slo);
-                let seed = if cfg.sweep_seed_bounds { bound } else { None };
-                let point_opt = Optimizer::new(cfg);
-                let counters = CacheCounters::new();
-                let mut point = match g.shared {
-                    Err(e) => DagSweepPoint {
-                        slo_s: slo,
-                        batch: g.batch,
-                        outcome: Err(e.clone()),
-                        dag: None,
-                        regions_used: 0,
-                        stats: PointStats::default(),
-                        search: DagSearchStats::default(),
-                        dominated: false,
-                        knee: false,
-                    },
-                    Ok((sh, ds)) => {
-                        match point_opt.solve_point(
-                            graph,
-                            sh,
-                            inner,
-                            seed,
-                            Some(&counters),
-                            Some(&mut prebuilt),
-                        ) {
-                            Err(e) => DagSweepPoint {
-                                slo_s: slo,
-                                batch: g.batch,
-                                outcome: Err(e),
-                                dag: None,
-                                regions_used: 0,
-                                stats: PointStats {
-                                    seeded: seed.is_some(),
-                                    ..PointStats::default()
-                                },
-                                search: DagSearchStats::default(),
-                                dominated: false,
-                                knee: false,
-                            },
-                            Ok(ps) => {
-                                bound = Some(bound.map_or(ps.best_cost, |b| b.min(ps.best_cost)));
-                                let stats = PointStats {
-                                    miqps_solved: ps.miqps_solved,
-                                    miqps_pruned: ps.miqps_pruned,
-                                    bb_nodes: ps.bb_nodes,
-                                    qp_relaxations: ps.qp_relaxations,
-                                    warm_start_hits: ps.warm_start_hits,
-                                    cache_hits: counters.hits(),
-                                    cache_misses: counters.misses(),
-                                    seeded: ps.seeded,
-                                    seed_fallback: ps.seed_fallback,
-                                    solve_time: Duration::ZERO,
-                                };
-                                let s0 = Instant::now();
-                                let (dag, regions_used, mut search) =
-                                    point_opt.dag_search(graph, sh, ds, &ps.plan, inner);
-                                search.search_time = s0.elapsed();
-                                DagSweepPoint {
-                                    slo_s: slo,
-                                    batch: g.batch,
-                                    outcome: Ok(ps.plan),
-                                    dag,
-                                    regions_used,
-                                    stats,
-                                    search,
-                                    dominated: false,
-                                    knee: false,
-                                }
-                            }
-                        }
-                    }
-                };
-                point.stats.solve_time = t.elapsed();
-                out.push(point);
-            }
-            out
-        };
+        // chains concurrently, leftover threads fan out each point's
+        // region trials.
+        let groups = batch_groups(grid, &shared_by_batch);
         let workers = threads.min(groups.len()).max(1);
         let inner = (threads / workers).max(1);
-        let chains: Vec<Vec<DagSweepPoint>> = if workers == 1 {
-            groups.iter().map(|g| run_group(g, inner)).collect()
-        } else {
-            let next = AtomicUsize::new(0);
-            let parts: Vec<Vec<(usize, Vec<DagSweepPoint>)>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut local = Vec::new();
-                            loop {
-                                let gi = next.fetch_add(1, Ordering::Relaxed);
-                                if gi >= groups.len() {
-                                    break;
-                                }
-                                local.push((gi, run_group(&groups[gi], inner)));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("dag sweep chain worker panicked"))
-                    .collect()
-            });
-            let mut slots: Vec<Option<Vec<DagSweepPoint>>> =
-                (0..groups.len()).map(|_| None).collect();
-            for part in parts {
-                for (gi, chain) in part {
-                    slots[gi] = Some(chain);
-                }
-            }
-            slots
-                .into_iter()
-                .map(|s| s.expect("every chain ran exactly once"))
+        let chains = run_groups(&groups, workers, |g| {
+            let mut bound = None;
+            g.exec_order
+                .iter()
+                .map(|&si| {
+                    let t = Instant::now();
+                    let slo = grid.slos[si];
+                    let chain = g.shared.as_ref().map(|(sh, _)| sh);
+                    let (opt, solve, mut stats) =
+                        self.sweep_point(graph, chain, g.batch, slo, &mut bound);
+                    let (dag, regions_used, search) = match (&solve, g.shared) {
+                        (Ok(ps), Ok((sh, ds))) => {
+                            let s0 = Instant::now();
+                            let (dag, used, mut search) =
+                                opt.dag_search(graph, sh, ds, &ps.plan, inner);
+                            search.search_time = s0.elapsed();
+                            (dag, used, search)
+                        }
+                        _ => (None, 0, DagSearchStats::default()),
+                    };
+                    stats.solve_time = t.elapsed();
+                    DagSweepPoint {
+                        slo_s: slo,
+                        batch: g.batch,
+                        outcome: solve.map(|ps| ps.plan),
+                        dag,
+                        regions_used,
+                        stats,
+                        search,
+                        dominated: false,
+                        knee: false,
+                    }
+                })
                 .collect()
-        };
-
-        // Deterministic merge into grid order.
+        });
         let n = grid.slos.len();
-        let mut points: Vec<Option<DagSweepPoint>> = (0..grid.len()).map(|_| None).collect();
-        for (g, chain) in groups.iter().zip(chains) {
-            for (si, point) in g.exec_order.iter().zip(chain) {
-                points[g.bi * n + si] = Some(point);
-            }
-        }
-        let mut points: Vec<DagSweepPoint> = points
-            .into_iter()
-            .map(|p| p.expect("every grid point planned exactly once"))
-            .collect();
-
+        let mut points = grid_order(&groups, chains, n);
         let pareto = mark_frontier(&mut points, grid.batches.len(), n, true);
 
         let ok_shared = || shared_by_batch.iter().filter_map(|(_, s)| s.as_ref().ok());
@@ -772,24 +635,12 @@ impl Optimizer {
     /// once per distinct batch and shared by every SLO point.
     pub fn optimize_pipelined(&self, graph: &LayerGraph, grid: &SweepGrid) -> PipelineSweepReport {
         let t0 = Instant::now();
-        let shared_by_batch: Vec<(u64, Result<BatchShared, OptimizeError>)> =
-            batched_unique(graph, &grid.batches)
-                .into_iter()
-                .map(|(b, profile)| {
-                    let mut cfg = self.config().clone();
-                    cfg.batch_size = b;
-                    let built = Optimizer::new(cfg).build_shared(profile);
-                    (b, built)
-                })
-                .collect();
+        let shared_by_batch =
+            self.shared_per_batch(graph, &grid.batches, |opt, p| opt.build_shared(p));
 
         let mut points = Vec::with_capacity(grid.len());
         for &batch in &grid.batches {
-            let shared = &shared_by_batch
-                .iter()
-                .find(|(seen, _)| *seen == batch)
-                .expect("every grid batch was profiled")
-                .1;
+            let shared = shared_of(&shared_by_batch, batch);
             for &slo in &grid.slos {
                 let outcome = match shared {
                     Err(e) => Err(e.clone()),
@@ -852,6 +703,9 @@ impl Optimizer {
         sh: &BatchShared,
         slo: f64,
     ) -> Result<PipelinePlan, OptimizeError> {
+        if slo.is_nan() {
+            return Err(NAN_SLO);
+        }
         let cfg = self.config();
         // Pass A: the cost floor over SLO-feasible candidates.
         let mut floor = f64::INFINITY;
@@ -1297,6 +1151,34 @@ mod tests {
             if let Ok(pp) = &p.outcome {
                 assert!(pp.bottleneck_s >= best.bottleneck_s - 1e-15);
             }
+        }
+    }
+
+    #[test]
+    fn zero_batches_and_nan_slos_are_per_point_errors() {
+        let g = ampsinf_model::zoo::tiny_cnn();
+        let opt = Optimizer::new(AmpsConfig::default().with_threads(1));
+        let free = opt.optimize(&g).unwrap().plan.predicted_time_s;
+        // The public fields bypass the grid constructors' checks.
+        let grid = SweepGrid {
+            slos: vec![f64::NAN, free * 2.0],
+            batches: vec![0, 1],
+        };
+        let want = [Some(ZERO_BATCH), Some(ZERO_BATCH), Some(NAN_SLO), None];
+        let chain: Vec<_> = opt.optimize_sweep(&g, &grid).points;
+        let dag: Vec<_> = opt.optimize_dag_sweep(&g, &grid).points;
+        let pipe: Vec<_> = opt.optimize_pipelined(&g, &grid).points;
+        let outcomes = [
+            chain
+                .iter()
+                .map(|p| p.outcome.clone().err())
+                .collect::<Vec<_>>(),
+            dag.iter().map(|p| p.outcome.clone().err()).collect(),
+            pipe.iter().map(|p| p.outcome.clone().err()).collect(),
+        ];
+        for errs in outcomes {
+            // Batch-major: (0, NaN), (0, ok), (1, NaN), (1, ok) plans.
+            assert_eq!(errs, want);
         }
     }
 

@@ -2,22 +2,25 @@
 //! parallelism"): at every thread count the selected plan must be
 //! bit-identical to the sequential `threads = 1` run — same partitions,
 //! same memories, bit-equal predicted cost and time. The sweep covers the
-//! no-SLO path (zero MIQPs, pass 1 and selection only), binding SLOs (parallel
-//! speculative MIQP pass + lazy replay), and infeasible SLOs (error-path
-//! agreement). Tight-SLO sweeps run on chain models whose MIQPs are small,
-//! so the suite stays fast in the debug profile; the real zoo models cover
-//! the (much cheaper) unconstrained path and one slim binding case.
+//! no-SLO path (zero MIQPs, pass 1 and selection only), binding SLOs (the
+//! exact knapsack replay), and infeasible SLOs (error-path agreement). The
+//! suite also checks the memoized pass-1 tables against direct evaluation
+//! and the planner's knapsack solves against the branch-and-bound
+//! reference.
 
 use ampsinf_core::colcache::SegmentColumnCache;
 use ampsinf_core::cuts::enumerate_cuts;
 use ampsinf_core::miqp_build::{
-    evaluate_columns, presolve_dominated, separable_min_cost_cols, separable_min_time_cols,
+    build_from_presolved, evaluate_columns, presolve_dominated, separable_min_cost_cols,
+    separable_min_time_cols, CutKnapsack,
 };
 use ampsinf_core::optimizer::{CutEval, OptimizeError, Optimizer, OptimizerReport};
 use ampsinf_core::AmpsConfig;
 use ampsinf_model::zoo;
 use ampsinf_model::LayerGraph;
 use ampsinf_profiler::Profile;
+use ampsinf_solver::bb::solve_miqp;
+use ampsinf_solver::BbOptions;
 
 const THREAD_COUNTS: [usize; 2] = [2, 4];
 
@@ -95,16 +98,14 @@ fn zoo_models_identical_without_slo() {
 
 #[test]
 fn mobilenet_binding_slo_identical() {
-    // One real-model binding case: the speculative MIQP pass + replay.
+    // One real-model binding case: the knapsack replay.
     slo_sweep(&zoo::mobilenet_v1(), &slim(), &[0.95], "mobilenet_v1/slim");
 }
 
 #[test]
 fn tiny_cnn_plans_identical_across_slo_tightness() {
     // A small heterogeneous model (conv/BN/residual-add): cheap enough to
-    // sweep slack and binding SLOs broadly. (Homogeneous dense chains are
-    // deliberately not used here — their massive cost ties degenerate the
-    // branch-and-bound search and the sweep stops being cheap.)
+    // sweep slack and binding SLOs broadly.
     let g = zoo::tiny_cnn();
     slo_sweep(&g, &AmpsConfig::default(), &[1.5, 0.9], "tiny_cnn");
 }
@@ -216,45 +217,62 @@ fn pass1_summary_table_matches_per_cut_columns_bitwise() {
     }
 }
 
+/// The benchmark plan mix's models with the SLO factors each is planned
+/// at (Xception has no feasible plan at 0.9×).
+const PLAN_MIX: [(&str, &[f64]); 5] = [
+    ("mobilenet", &[0.9, 0.95, 1.0, 1.1, 1.25, 1.5]),
+    ("resnet50", &[0.9, 0.95, 1.0, 1.1, 1.25, 1.5]),
+    ("inception_v3", &[0.9, 0.95, 1.0, 1.1, 1.25, 1.5]),
+    ("xception", &[0.95, 1.0, 1.1, 1.25, 1.5]),
+    ("bert-w8", &[0.9, 0.95, 1.0, 1.1, 1.25, 1.5]),
+];
+
+/// The exact knapsack against the branch-and-bound reference on every
+/// SLO-binding cut the replay solves across the plan mix: on the same
+/// presolved columns, the knapsack's mix is never dearer than the MIQP
+/// optimum beyond B&B's 2e-9 absolute gap, and both meet the SLO.
 #[test]
-fn warm_and_cold_bb_plans_identical() {
-    // Warm-started branch-and-bound must select the same plan as cold
-    // starts — bit-equal cost/time, same partitions — at every thread
-    // count, across slack and binding SLOs.
-    for g in [zoo::mobilenet_v1(), zoo::tiny_cnn()] {
-        let free = Optimizer::new(slim().with_threads(1))
+fn knapsack_never_worse_than_bb_on_replayed_binding_cuts() {
+    let mut checked = 0usize;
+    for (name, factors) in PLAN_MIX {
+        let g = match name {
+            "bert-w8" => zoo::bert_base().quantized(1),
+            _ => zoo::by_name(name).expect("zoo model"),
+        };
+        let cfg = AmpsConfig::default().with_threads(1);
+        let free = Optimizer::new(cfg.clone())
             .optimize(&g)
-            .expect("unconstrained run is feasible");
-        for factor in [1.5, 0.95] {
-            let slo = free.plan.predicted_time_s * factor;
-            let cfg = slim().with_slo(slo);
-            let warm = Optimizer::new(cfg.clone().with_threads(1))
-                .optimize(&g)
-                .expect("warm run feasible");
-            for &t in &[1usize, 2, 4] {
-                let mut cold_cfg = cfg.clone().with_threads(t);
-                cold_cfg.bb_warm_start = false;
-                let cold = Optimizer::new(cold_cfg)
-                    .optimize(&g)
-                    .expect("cold run feasible");
-                let label = format!("{}/slo={factor}/threads={t}", g.name);
-                assert_eq!(
-                    warm.plan.partitions, cold.plan.partitions,
-                    "{label}: partitions diverge warm vs cold"
-                );
-                assert_eq!(
-                    warm.plan.predicted_cost.to_bits(),
-                    cold.plan.predicted_cost.to_bits(),
-                    "{label}: cost diverges warm vs cold"
-                );
-                assert_eq!(
-                    warm.plan.predicted_time_s.to_bits(),
-                    cold.plan.predicted_time_s.to_bits(),
-                    "{label}: time diverges warm vs cold"
-                );
+            .expect("unconstrained run is feasible")
+            .plan
+            .predicted_time_s;
+        let profile = Profile::batched(&g, cfg.batch_size);
+        let cache = SegmentColumnCache::new();
+        for &f in factors {
+            let slo = free * f;
+            let cfg = cfg.clone().with_slo(slo);
+            let cuts = Optimizer::new(cfg.clone())
+                .solved_cuts(&g)
+                .expect("plan-mix point is feasible");
+            for cut in &cuts {
+                let label = format!("{name} at {f}x, cut {cut:?}");
+                let cols = cache
+                    .columns_for_cut(&profile, cut, &cfg)
+                    .expect("feasible cut");
+                let (_, t, c) = CutKnapsack::new(&cols)
+                    .solve(slo + 1e-9)
+                    .unwrap_or_else(|| panic!("{label}: knapsack found no mix"));
+                let miqp = build_from_presolved(&cols, &cfg);
+                let sol = solve_miqp(&miqp.problem, BbOptions::default());
+                assert!(!sol.x.is_empty(), "{label}: b&b found no mix");
+                let (_, t_bb, c_bb) = miqp.decode(&sol.x);
+                assert!(t <= slo + 1e-9, "{label}: knapsack takes {t} s");
+                assert!(t_bb <= slo + 1e-9, "{label}: b&b takes {t_bb} s");
+                assert!(c <= c_bb + 2e-9, "{label}: knapsack ${c} vs b&b ${c_bb}");
+                checked += 1;
             }
         }
     }
+    assert!(checked >= 100, "only {checked} binding cuts exercised");
 }
 
 #[test]

@@ -20,6 +20,11 @@
 //!   module docs and DESIGN.md §1);
 //! * [`bb`] — best-first branch-and-bound over the convexified relaxations,
 //!   exact for the problem sizes AMPS-Inf produces;
+//! * [`knapsack`] — the per-cut MIQP in its native form, a pick-one
+//!   knapsack with one constraint, solved exactly by a Pareto dynamic
+//!   program with an LP-relaxation lower bound. The planner solves its
+//!   per-cut problems here; [`bb`] and [`qcr`] are the reference it is
+//!   tested against;
 //! * [`problem`] — the `MiqpProblem` builder shared by all of the above.
 //!
 //! # Example: a pick-one memory choice as a tiny MIQP
@@ -48,6 +53,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod bb;
+pub mod knapsack;
 pub mod lp;
 pub mod problem;
 pub mod qcr;

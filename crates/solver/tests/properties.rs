@@ -1,9 +1,11 @@
-//! Property-style tests: the B&B MIQP solver against brute-force oracles,
-//! KKT conditions for the QP, and LP invariants. Inputs come from a
+//! Property-style tests: the B&B MIQP solver and the pick-one knapsack
+//! against brute-force oracles, KKT conditions for the QP, and LP
+//! invariants. Inputs come from a
 //! deterministic PRNG (no external property-testing dependency).
 
 use ampsinf_linalg::{vector, Matrix};
 use ampsinf_solver::bb::solve_miqp;
+use ampsinf_solver::knapsack::{self, Item, Pick};
 use ampsinf_solver::{
     BbOptions, LpProblem, LpStatus, MiqpProblem, QpProblem, QpStatus, Relation, VarKind,
 };
@@ -30,6 +32,18 @@ impl Gen {
 
     fn vec(&mut self, n: usize, lo: f64, hi: f64) -> Vec<f64> {
         (0..n).map(|_| self.range(lo, hi)).collect()
+    }
+
+    /// Uniform over `[0, 1)` from the top 53 bits of the next state (the
+    /// full range, unlike [`Gen::unit`]'s lower half).
+    fn uniform(&mut self) -> f64 {
+        self.unit();
+        (self.0 >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Uniform integer in `[lo, hi]` over [`Gen::uniform`].
+    fn index(&mut self, lo: usize, hi: usize) -> usize {
+        lo + (self.uniform() * (hi - lo + 1) as f64) as usize
     }
 
     fn int(&mut self, lo: i64, hi: i64) -> i64 {
@@ -275,5 +289,127 @@ fn bb_objective_invariant_under_qcr_method() {
             s1.objective,
             s2.objective
         );
+    }
+}
+
+/// A random pick-one instance: 2–10 groups of 1–12 items, sized so the
+/// brute-force oracle stays under ~200k picks. `integral` draws small
+/// integers (exact sums and frequent ties) instead of reals.
+fn knapsack_instance(g: &mut Gen, integral: bool) -> Vec<Vec<Item>> {
+    let groups = g.index(2, 10);
+    let mut picks = 1usize;
+    (0..groups)
+        .map(|_| {
+            let cols = g.index(1, 12).min(200_000 / picks);
+            picks *= cols;
+            (0..cols)
+                .map(|_| {
+                    let (seconds, dollars) = if integral {
+                        (g.index(0, 6) as f64, g.index(0, 6) as f64)
+                    } else {
+                        (0.1 + 9.9 * g.uniform(), 1e-5 + 1e-3 * g.uniform())
+                    };
+                    Item { seconds, dollars }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Brute-force oracle: every pick in lexicographic order, sums added left
+/// to right from 0.0, keeping the first of the cheapest, then fastest.
+fn knapsack_brute_force(groups: &[Vec<Item>], limit: f64) -> Option<Pick> {
+    let mut choice = vec![0usize; groups.len()];
+    let mut best: Option<Pick> = None;
+    loop {
+        let (mut seconds, mut dollars) = (0.0, 0.0);
+        for (items, &j) in groups.iter().zip(&choice) {
+            seconds += items[j].seconds;
+            dollars += items[j].dollars;
+        }
+        let better = best
+            .as_ref()
+            .is_none_or(|b| dollars < b.dollars || (dollars == b.dollars && seconds < b.seconds));
+        if seconds <= limit && better {
+            best = Some(Pick {
+                choice: choice.clone(),
+                seconds,
+                dollars,
+            });
+        }
+        // Odometer, last group fastest: lexicographic order.
+        let mut k = groups.len();
+        loop {
+            if k == 0 {
+                return best;
+            }
+            k -= 1;
+            choice[k] += 1;
+            if choice[k] < groups[k].len() {
+                break;
+            }
+            choice[k] = 0;
+        }
+    }
+}
+
+/// Seconds range `(fastest, slowest)` of an instance's picks.
+fn seconds_range(groups: &[Vec<Item>]) -> (f64, f64) {
+    groups.iter().fold((0.0, 0.0), |(lo, hi), items| {
+        let s = items.iter().map(|it| it.seconds);
+        (
+            lo + s.clone().fold(f64::INFINITY, f64::min),
+            hi + s.fold(0.0, f64::max),
+        )
+    })
+}
+
+#[test]
+fn knapsack_matches_brute_force_bitwise() {
+    let mut g = Gen::new(21);
+    let (mut feasible, mut infeasible) = (0, 0);
+    for case in 0..120 {
+        let integral = case % 3 == 0;
+        let groups = knapsack_instance(&mut g, integral);
+        let (lo, hi) = seconds_range(&groups);
+        // Mostly binding limits, some slack, some below the fastest pick.
+        let limit = match case % 5 {
+            0 => lo - 0.5,
+            1 => hi + 1.0,
+            _ if integral => (lo + g.uniform() * (hi - lo)).round(),
+            _ => lo + g.uniform() * (hi - lo),
+        };
+        let got = knapsack::solve(&groups, limit);
+        let want = knapsack_brute_force(&groups, limit);
+        match (&got, &want) {
+            (Some(a), Some(b)) => {
+                feasible += 1;
+                assert_eq!(a.choice, b.choice, "case {case}: choice");
+                assert_eq!(a.seconds.to_bits(), b.seconds.to_bits(), "case {case}");
+                assert_eq!(a.dollars.to_bits(), b.dollars.to_bits(), "case {case}");
+                let lp = knapsack::lp_bound(&groups, limit).expect("a pick fits");
+                assert!(lp <= a.dollars, "case {case}: lp {lp} above {}", a.dollars);
+            }
+            (None, None) => infeasible += 1,
+            _ => panic!("case {case}: knapsack {got:?} vs brute force {want:?}"),
+        }
+    }
+    assert!(
+        feasible >= 60 && infeasible >= 20,
+        "{feasible}/{infeasible}"
+    );
+}
+
+#[test]
+fn knapsack_lp_bound_is_tight_without_binding_limit_and_none_when_infeasible() {
+    let mut g = Gen::new(22);
+    for _ in 0..CASES {
+        let groups = knapsack_instance(&mut g, false);
+        let (lo, hi) = seconds_range(&groups);
+        let slack = knapsack::solve(&groups, hi).expect("every pick fits");
+        let lp = knapsack::lp_bound(&groups, hi).unwrap();
+        assert!(lp <= slack.dollars && slack.dollars - lp < 1e-12);
+        assert!(knapsack::lp_bound(&groups, lo * (1.0 - 1e-6)).is_none());
+        assert!(knapsack::solve(&groups, lo * (1.0 - 1e-6)).is_none());
     }
 }

@@ -914,10 +914,9 @@ fn run_sweep(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
         }
         if verbose {
             println!(
-                "      solver: {} miqp(s), {} pruned, {} b&b nodes, seeded={} fallback={}, {:?}",
+                "      solver: {} knapsack solve(s), {} LP-pruned, seeded={} fallback={}, {:?}",
                 p.stats.miqps_solved,
                 p.stats.miqps_pruned,
-                p.stats.bb_nodes,
                 p.stats.seeded,
                 p.stats.seed_fallback,
                 p.stats.solve_time
@@ -1178,8 +1177,8 @@ fn print_reliability(retries: usize, failed: usize, wasted_s: f64, wasted_dollar
 /// `--verbose` companion block: solver-internals counters from the run.
 fn print_solver_stats(r: &amps_inf::core::optimizer::OptimizerReport) {
     println!(
-        "solver: {} b&b nodes, {} qp relaxations, {} warm-started, {} cuts dual-pruned",
-        r.bb_nodes, r.qp_relaxations, r.warm_start_hits, r.miqps_pruned
+        "solver: {} exact knapsack solve(s), {} binding cut(s) pruned on the LP bound",
+        r.miqps_solved, r.miqps_pruned
     );
     println!(
         "columns: {} cache hits, {} misses",

@@ -174,6 +174,50 @@ fn sweep_prints_frontier_table() {
 }
 
 #[test]
+fn verbose_plan_and_sweep_report_knapsack_counters() {
+    // A binding SLO (MobileNet's unconstrained plan takes ~8.1 s) makes
+    // pass 2 solve knapsacks, and no branch-and-bound counter is printed.
+    let (stdout, stderr, ok) = run(&["plan", "mobilenet", "--slo", "6.5", "--verbose"]);
+    assert!(ok, "stderr: {stderr}");
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("solver: "))
+        .unwrap_or_else(|| panic!("no solver line: {stdout}"));
+    assert!(line.contains("exact knapsack solve(s)"), "{line}");
+    assert!(line.contains("pruned on the LP bound"), "{line}");
+    assert!(
+        !line.contains("solver: 0 exact"),
+        "binding SLO solved nothing: {line}"
+    );
+    assert!(!stdout.contains("b&b"), "{stdout}");
+
+    let (stdout, stderr, ok) = run(&[
+        "sweep",
+        "mobilenet",
+        "--slo-from",
+        "6.5",
+        "--slo-to",
+        "8",
+        "--points",
+        "3",
+        "--verbose",
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    let solver_lines: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.trim_start().starts_with("solver: "))
+        .collect();
+    assert_eq!(solver_lines.len(), 3, "{stdout}");
+    assert!(
+        solver_lines
+            .iter()
+            .all(|l| l.contains("knapsack solve(s)") && l.contains("LP-pruned")),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("b&b"), "{stdout}");
+}
+
+#[test]
 fn dag_sweep_prints_chain_vs_dag_table() {
     let (stdout, stderr, ok) = run(&[
         "sweep",
