@@ -1373,6 +1373,99 @@ mod tests {
         assert_eq!(r.replans, 0, "only the loose tier is ever deployable");
     }
 
+    /// FNV-1a over the `to_bits` of every field of a load report except
+    /// `dag_nodes` (which the original chain engine did not report).
+    fn load_digest(r: &LoadReport) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut word = |w: u64| {
+            for b in w.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        word(r.latencies_s.len() as u64);
+        for &l in &r.latencies_s {
+            word(l.to_bits());
+        }
+        for x in [
+            r.makespan_s,
+            r.dollars,
+            r.idle_s,
+            r.idle_dollars,
+            r.stall_s,
+            r.pipeline_utilization,
+        ] {
+            word(x.to_bits());
+        }
+        for n in [r.cold_starts, r.peak_instances, r.failures, r.pre_warmed] {
+            word(n as u64);
+        }
+        for n in [r.invocations, r.plan_hits, r.plan_misses, r.replans] {
+            word(n);
+        }
+        for s in [&r.shape, &r.policy] {
+            for b in s.bytes() {
+                word(u64::from(b));
+            }
+        }
+        word(r.stage_utilization.len() as u64);
+        for &u in &r.stage_utilization {
+            word(u.to_bits());
+        }
+        h
+    }
+
+    /// Faults, a flaky store and a billed provisioned pool over 4 lanes.
+    fn disturbed(cfg: AmpsConfig) -> AmpsConfig {
+        use ampsinf_faas::{FaultPlan, StoreKind, WarmPoolPolicy};
+        let mut cfg = cfg
+            .with_serve_lanes(4)
+            .with_retries(2)
+            .with_faults(FaultPlan::uniform(0.25, 17))
+            .with_warm_pool(WarmPoolPolicy::provisioned(2));
+        cfg.store = StoreKind::flaky_s3(0.2);
+        cfg
+    }
+
+    /// Runs `run` at 1 and 8 serving threads, checks both digests agree,
+    /// and returns it.
+    fn golden(cfg: &AmpsConfig, run: impl Fn(&AmpsConfig) -> LoadReport) -> u64 {
+        let one = load_digest(&run(&cfg.clone().with_serve_threads(1)));
+        let eight = load_digest(&run(&cfg.clone().with_serve_threads(8)));
+        assert_eq!(one, eight, "thread counts disagree");
+        one
+    }
+
+    #[test]
+    fn open_loop_golden() {
+        // Pinned from the original chain engine; the one DAG engine must
+        // reproduce it bit for bit on the lowered chain.
+        let g = zoo::resnet50();
+        let cfg = AmpsConfig::default();
+        let plan = Optimizer::new(cfg.clone()).optimize(&g).unwrap().plan;
+        let load = LoadSpec::poisson(4.0, 40, 9).with_shape(ArrivalShape::bursty());
+        let run = |cfg: &AmpsConfig| run_open_loop(&g, &plan, cfg, &load).unwrap();
+        let clean = golden(&cfg.clone().with_serve_lanes(4), run);
+        assert_eq!(clean, 0x2ce5_c7dd_b4f1_e0c4, "clean {clean:#018x}");
+        let faulty = golden(&disturbed(cfg.clone()), run);
+        assert_eq!(faulty, 0x45f3_2693_beee_0a7f, "disturbed {faulty:#018x}");
+        let piped = golden(&disturbed(cfg).with_pipeline(2), run);
+        assert_eq!(piped, 0x0063_e1df_9875_b2e7, "pipelined {piped:#018x}");
+    }
+
+    #[test]
+    fn adaptive_loop_golden() {
+        let (g, plan, cfg) = setup();
+        let free = plan.predicted_time_s;
+        let adaptive = AdaptiveSpec::new(8, vec![free * 1.05, free * 4.0]);
+        let load = LoadSpec::poisson(2.0, 48, 33).with_shape(ArrivalShape::flash_crowd());
+        let run = |cfg: &AmpsConfig| run_adaptive_loop(&g, cfg, &load, &adaptive).unwrap();
+        let clean = golden(&cfg.clone().with_serve_lanes(4), run);
+        assert_eq!(clean, 0x4afb_484c_cc85_7045, "clean {clean:#018x}");
+        let faulty = golden(&disturbed(cfg), run);
+        assert_eq!(faulty, 0x8954_16cd_fb5d_f784, "disturbed {faulty:#018x}");
+    }
+
     #[test]
     fn adaptive_loop_is_thread_invariant() {
         let (g, plan, cfg) = setup();
