@@ -116,7 +116,7 @@ fn bench_serving(b: &mut Bencher) {
                 let dep = coord
                     .deploy_dag(&mut platform, &inception, &dag_plan)
                     .unwrap();
-                let trace = coord.serve_trace_dag(&mut platform, &dep, &arrivals);
+                let trace = coord.serve_trace(&mut platform, &dep, &arrivals);
                 dag_dollars.push(trace.dollars.to_bits());
                 trace.last_completion_s
             },

@@ -1,7 +1,20 @@
 //! The Coordinator component (paper §4): package each partition, deploy
-//! the lambdas, chain invocations through storage, return the prediction.
+//! the lambdas, run invocations that hand tensors to each other through
+//! storage, return the prediction.
 //!
-//! # Sharded serving (DESIGN.md §6c–§6d)
+//! # One engine (DESIGN.md §6c–§7)
+//!
+//! Every plan is served as a DAG of partition lambdas. A branch-parallel
+//! [`DagPlan`] deploys as is ([`Coordinator::deploy_dag`]); the paper's
+//! chain ([`ExecutionPlan`]) is lowered through [`DagPlan::from_chain`]
+//! first ([`Coordinator::deploy`]), so a chain is simply a DAG whose every
+//! node reads its predecessor's one object. Node `v` of a request starts
+//! at its *checkpoint-ready* instant — the latest completion among the
+//! producers of the objects it reads — and every batch, trace and
+//! pipelined mode runs on that one recurrence, one invoke/retry loop and
+//! one lane runner.
+//!
+//! # Sharded serving
 //!
 //! The batch/trace engines split the platform into
 //! [`AmpsConfig::serve_lanes`] warm-pool shards ("lanes"). Request `i` is
@@ -29,25 +42,14 @@ use ampsinf_faas::{InvocationOutcome, ObjectKey};
 use ampsinf_model::LayerGraph;
 use std::fmt::Write as _;
 
-/// A deployed chain of partition lambdas.
-#[derive(Debug, Clone)]
-pub struct Deployment {
-    /// Function ids in chain order.
-    pub functions: Vec<FunctionId>,
-    /// Partition work profiles in chain order.
-    pub works: Vec<PartitionWork>,
-    /// Wall-clock deployment duration (uploads proceed in parallel; the
-    /// paper counts this once per job in its end-to-end §2.2 times).
-    pub deploy_s: f64,
-}
-
 /// One retried partition attempt: what failed, and the backoff the
 /// coordinator waited before re-invoking. Because intermediates live in
 /// S3, the retry resumed from the last checkpointed boundary — only the
 /// failed partition re-ran.
 #[derive(Debug, Clone)]
 pub struct RetryRecord {
-    /// Chain position of the partition that failed.
+    /// Node index (chain position on a chain plan) of the partition that
+    /// failed.
     pub lambda: usize,
     /// The failed attempt, with its billing.
     pub failed: FailedInvocation,
@@ -60,7 +62,8 @@ pub struct RetryRecord {
 pub struct ServeError {
     /// The final attempt's failure.
     pub reason: InvokeError,
-    /// Chain position of the partition that exhausted its budget.
+    /// Node index (chain position on a chain plan) of the partition that
+    /// exhausted its budget.
     pub lambda: usize,
     /// Attempts made on that partition (1 = no retries).
     pub attempts: u32,
@@ -95,14 +98,15 @@ pub struct JobReport {
     pub import_s: f64,
     /// Sum of per-lambda compute time (paper Fig. 6 "prediction time").
     pub predict_s: f64,
-    /// Chain wall-clock from trigger to prediction (excludes deployment).
+    /// Wall-clock from trigger to prediction (excludes deployment): the
+    /// critical path, which on a chain is the whole chain.
     pub inference_s: f64,
     /// End-to-end completion: deployment + inference (paper §2.2.1).
     pub e2e_s: f64,
     /// Dollars directly billed to this request (compute + requests +
     /// storage fees), including every failed attempt's bill.
     pub dollars: f64,
-    /// Per-lambda successful outcomes in chain order.
+    /// Per-lambda successful outcomes in node order.
     pub outcomes: Vec<InvocationOutcome>,
     /// Failed attempts that were retried, in occurrence order.
     pub retries: Vec<RetryRecord>,
@@ -160,115 +164,33 @@ impl BatchReport {
     }
 }
 
-/// Reusable per-request buffers for the serving hot path: the interned
-/// boundary keys and refillable [`InvocationWork`] values one request
-/// needs, allocated once per (lane, deployment) instead of once per
-/// request.
-#[derive(Debug, Clone)]
-pub struct ServeScratch {
-    works: Vec<InvocationWork>,
-    keys: Vec<ObjectKey>,
-    buf: String,
-    tag: String,
-    /// Whether `works` already holds this deployment's full profiles with
-    /// anonymous keys patched in — [`ServeScratch::prepare_anon`]'s
-    /// fast-path marker (a [`ServeScratch::prepare`] call clears it).
-    primed: bool,
-}
-
-impl ServeScratch {
-    /// Scratch sized for `dep`'s chain length.
-    pub fn for_deployment(dep: &Deployment) -> Self {
-        ServeScratch {
-            works: vec![InvocationWork::default(); dep.functions.len()],
-            keys: Vec::with_capacity(dep.functions.len().saturating_sub(1)),
-            buf: String::new(),
-            tag: String::new(),
-            primed: false,
-        }
-    }
-
-    /// Interns this request's boundary keys (`{tag}/b{i}`) into
-    /// `platform`'s store and refills the per-partition work profiles in
-    /// place.
-    pub fn prepare(&mut self, platform: &mut Platform, dep: &Deployment, tag: &str) {
-        let k = dep.functions.len();
-        self.works.resize(k, InvocationWork::default());
-        self.keys.clear();
-        self.primed = false;
-        for i in 0..k.saturating_sub(1) {
-            self.buf.clear();
-            let _ = write!(self.buf, "{tag}/b{i}");
-            self.keys.push(platform.store.intern(&self.buf));
-        }
-        for i in 0..k {
-            let input = (i > 0).then(|| self.keys[i - 1]);
-            let output = (i + 1 < k).then(|| self.keys[i]);
-            dep.works[i].invocation_into(&mut self.works[i], input, output);
-        }
-    }
-
-    /// Prepares this request with *anonymous* boundary keys — the trace
-    /// engine's hot path. The first call builds the full work profiles;
-    /// every later call only allocates fresh keys and patches them into
-    /// the existing read/write slots, so per-request setup is O(chain
-    /// length) with no string formatting, hashing, or map insertion.
-    pub fn prepare_anon(&mut self, platform: &mut Platform, dep: &Deployment) {
-        let k = dep.functions.len();
-        if !self.primed || self.works.len() != k {
-            self.works.clear();
-            self.works.resize(k, InvocationWork::default());
-            self.keys.clear();
-            for _ in 0..k.saturating_sub(1) {
-                self.keys.push(platform.store.fresh_key());
-            }
-            for i in 0..k {
-                let input = (i > 0).then(|| self.keys[i - 1]);
-                let output = (i + 1 < k).then(|| self.keys[i]);
-                dep.works[i].invocation_into(&mut self.works[i], input, output);
-            }
-            self.primed = true;
-            return;
-        }
-        // Chain layout is fixed: partition i writes exactly boundary i and
-        // partition i+1 reads it — patch the keys in place. The block's
-        // keys are the same values `k - 1` individual `fresh_key` calls
-        // would have drawn.
-        let base = platform.store.fresh_block(k.saturating_sub(1));
-        for i in 0..k.saturating_sub(1) {
-            let key = base.offset(i as u32);
-            self.keys[i] = key;
-            self.works[i].writes[0].0 = key;
-            self.works[i + 1].reads[0] = key;
-        }
-    }
-}
-
-/// Per-node invocation scalars of a deployed DAG node, precomputed at
-/// deploy time so the serving hot path only patches storage keys.
+/// Per-node invocation scalars of a deployed node, precomputed at deploy
+/// time so the serving hot path only patches storage keys.
 #[derive(Debug, Clone, Copy)]
-struct DagNodeWork {
+struct NodeWork {
     load_bytes: u64,
     flops: u64,
     resident_bytes: u64,
     tmp_bytes: u64,
 }
 
-/// A deployed branch-parallel DAG of partition lambdas
-/// ([`Coordinator::deploy_dag`]). Node `v` becomes ready when every
-/// object it reads has been written — fan-out nodes of a scatter all read
-/// the same object and therefore start concurrently; the gather node
-/// waits for the last branch. A chain-shaped plan degenerates to exactly
-/// the [`Deployment`] wiring, and the DAG engines reproduce the chain
-/// engines bit-for-bit on it.
+/// A deployed plan: one partition lambda per DAG node, wired by the
+/// storage objects between them ([`Coordinator::deploy_dag`], or
+/// [`Coordinator::deploy`] for a chain). Node `v` becomes ready when
+/// every object it reads has been written — fan-out nodes of a scatter
+/// all read the same object and therefore start concurrently; the gather
+/// node waits for the last branch; a chain node waits for its
+/// predecessor.
 #[derive(Debug, Clone)]
-pub struct DagDeployment {
-    /// Function ids in node (topological) order.
+pub struct Deployment {
+    /// Function ids in node (topological) order — chain order for a
+    /// chain.
     pub functions: Vec<FunctionId>,
-    /// Wall-clock deployment duration (uploads proceed in parallel).
+    /// Wall-clock deployment duration (uploads proceed in parallel; the
+    /// paper counts this once per job in its end-to-end §2.2 times).
     pub deploy_s: f64,
     /// Per-node invocation scalars in node order.
-    scalars: Vec<DagNodeWork>,
+    scalars: Vec<NodeWork>,
     /// CSR offsets into `reads_obj`/`read_producer`: node `v` reads the
     /// entries in `reads_off[v]..reads_off[v + 1]`.
     reads_off: Vec<u32>,
@@ -288,9 +210,18 @@ pub struct DagDeployment {
     writes: Vec<(u32, u64)>,
     /// Number of inter-node storage objects.
     num_objects: usize,
+    /// Every non-root node reads only objects its predecessor produced —
+    /// the chain shape, where completions are monotone in node order and
+    /// every request's critical path is every node.
+    chain: bool,
 }
 
-impl DagDeployment {
+/// The former name of [`Deployment`]. It exists only because the frozen
+/// `ampsbench` harness still names it; the next benchmark change removes
+/// it.
+pub type DagDeployment = Deployment;
+
+impl Deployment {
     /// Number of inter-node storage objects.
     pub fn num_objects(&self) -> usize {
         self.num_objects
@@ -316,10 +247,10 @@ impl DagDeployment {
     }
 }
 
-/// Per-node observability of a DAG trace (DESIGN.md §7): how long every
+/// Per-node observability of a trace (DESIGN.md §7): how long every
 /// node's sandboxes executed, how long ready work sat waiting in front of
 /// each node, and how much of the requests' end-to-end latency each node
-/// sat on. Accumulated per lane inside [`DagServeScratch`] and summed in
+/// sat on. Accumulated per lane inside [`ServeScratch`] and summed in
 /// lane order, so the values are bit-identical at every thread count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DagNodeStats {
@@ -336,11 +267,11 @@ pub struct DagNodeStats {
     /// starting (retry backoff, and station waits when pipelined), plus
     /// storage-retry stalls inside the attempt.
     pub stall_s: Vec<f64>,
-    /// Seconds each node contributed to request critical paths: per
-    /// request, the walk from the last-finishing node back through each
-    /// node's latest-finishing input producer (first such producer on
-    /// ties) accumulates the successful-attempt duration of every node on
-    /// the path.
+    /// Seconds each node contributed to the critical paths of successful
+    /// requests: per request, the walk from the last-finishing node back
+    /// through each node's latest-finishing input producer (first such
+    /// producer on ties) accumulates the successful-attempt duration of
+    /// every node on the path.
     pub crit_s: Vec<f64>,
     /// Wall-clock span of the run (first arrival → last completion).
     pub span_s: f64,
@@ -390,131 +321,123 @@ impl DagNodeStats {
     }
 }
 
-/// Reusable per-request buffers for the DAG serving hot path: one
+/// One node's slot in [`ServeScratch`]: its times for the request in
+/// flight next to its accumulators across the lane's requests, so the
+/// hot loop touches one cache line per node.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeSlot {
+    /// Completion time for the request in flight.
+    finish: f64,
+    /// Successful-attempt duration for the request in flight (the
+    /// critical-path input).
+    dur: f64,
+    busy_s: f64,
+    stall_s: f64,
+    crit_s: f64,
+}
+
+/// Reusable per-request buffers for the serving hot path: one
 /// [`InvocationWork`] per node whose storage-key slots are patched in
 /// place each request, the per-node completion/duration times the ready
 /// recurrence and critical-path walk fold over, and the per-node
 /// busy/stall/critical accumulators the trace engines merge in lane
-/// order.
+/// order. A scratch serves the deployment it was built for.
 #[derive(Debug, Clone)]
-pub struct DagServeScratch {
+pub struct ServeScratch {
     works: Vec<InvocationWork>,
+    nodes: Vec<NodeSlot>,
     keys: Vec<ObjectKey>,
-    /// Completion time of each node for the request in flight.
-    finish: Vec<f64>,
-    /// Successful-attempt duration of each node for the request in
-    /// flight (critical-path walk input).
-    dur: Vec<f64>,
-    /// Per-node accumulators across this lane's requests.
-    busy_s: Vec<f64>,
-    stall_s: Vec<f64>,
-    crit_s: Vec<f64>,
     buf: String,
+    /// The named batch modes' per-image tag buffer.
+    tag: String,
+    /// Whether `works` already holds the deployment's profiles, so a
+    /// request only patches its keys in.
     primed: bool,
 }
 
-impl DagServeScratch {
+impl ServeScratch {
     /// Scratch sized for `dep`'s node count.
-    pub fn for_deployment(dep: &DagDeployment) -> Self {
+    pub fn for_deployment(dep: &Deployment) -> Self {
         let k = dep.functions.len();
-        DagServeScratch {
+        ServeScratch {
             works: vec![InvocationWork::default(); k],
+            nodes: vec![NodeSlot::default(); k],
             keys: Vec::with_capacity(dep.num_objects()),
-            finish: vec![0.0; k],
-            dur: vec![0.0; k],
-            busy_s: vec![0.0; k],
-            stall_s: vec![0.0; k],
-            crit_s: vec![0.0; k],
             buf: String::new(),
+            tag: String::new(),
             primed: false,
         }
     }
 
-    /// Refills every node's work profile from the deployment's scalars
-    /// and per-object keys produced by `key_of`.
-    fn fill_works(&mut self, dep: &DagDeployment, key_of: impl Fn(u32) -> ObjectKey) {
+    /// Points every node's read/write slots at this request's object keys
+    /// (`key_of(object)`). The first call builds the full work profiles
+    /// from the deployment's scalars; the wiring is fixed per plan, so
+    /// every later call only patches keys into the existing slots — no
+    /// Vec growth, clearing, or per-object allocator calls.
+    #[inline]
+    fn load_keys(&mut self, dep: &Deployment, key_of: impl Fn(u32) -> ObjectKey) {
+        let k = dep.functions.len();
+        if self.primed && self.works.len() == k {
+            for (v, w) in self.works.iter_mut().enumerate() {
+                for (slot, &o) in dep.reads_of(v).iter().enumerate() {
+                    w.reads[slot] = key_of(o);
+                }
+                for (slot, &(o, _)) in dep.writes_of(v).iter().enumerate() {
+                    w.writes[slot].0 = key_of(o);
+                }
+            }
+            return;
+        }
+        self.works.clear();
+        self.works.resize(k, InvocationWork::default());
+        self.nodes.resize(k, NodeSlot::default());
         for (v, w) in self.works.iter_mut().enumerate() {
             let s = dep.scalars[v];
             w.load_bytes = s.load_bytes;
             w.flops = s.flops;
             w.resident_bytes = s.resident_bytes;
             w.tmp_bytes = s.tmp_bytes;
-            w.reads.clear();
             w.reads.extend(dep.reads_of(v).iter().map(|&o| key_of(o)));
-            w.writes.clear();
             w.writes.extend(
                 dep.writes_of(v)
                     .iter()
                     .map(|&(o, bytes)| (key_of(o), bytes)),
             );
         }
-    }
-
-    /// Resizes the per-node buffers for `dep` (no-op when already sized).
-    fn resize_for(&mut self, dep: &DagDeployment) {
-        let k = dep.functions.len();
-        self.works.clear();
-        self.works.resize(k, InvocationWork::default());
-        self.finish.resize(k, 0.0);
-        self.dur.resize(k, 0.0);
-        self.busy_s.resize(k, 0.0);
-        self.stall_s.resize(k, 0.0);
-        self.crit_s.resize(k, 0.0);
+        self.primed = true;
     }
 
     /// Interns this request's object keys (`{tag}/b{o}`, one per object in
-    /// object order — identical to the chain's boundary keys on a
-    /// chain-shaped plan) and refills the per-node work profiles.
-    pub fn prepare(&mut self, platform: &mut Platform, dep: &DagDeployment, tag: &str) {
-        self.resize_for(dep);
+    /// object order — boundary `o` on a chain) and points the per-node
+    /// work profiles at them.
+    pub fn prepare(&mut self, platform: &mut Platform, dep: &Deployment, tag: &str) {
         self.keys.clear();
-        self.primed = false;
         for o in 0..dep.num_objects() {
             self.buf.clear();
             let _ = write!(self.buf, "{tag}/b{o}");
             self.keys.push(platform.store.intern(&self.buf));
         }
         let keys = std::mem::take(&mut self.keys);
-        self.fill_works(dep, |o| keys[o as usize]);
+        self.load_keys(dep, |o| keys[o as usize]);
         self.keys = keys;
     }
 
     /// Prepares this request with *anonymous* object keys — the trace
     /// engine's hot path. Keys are drawn as one contiguous block in
-    /// object order, so a chain-shaped plan draws exactly the chain
-    /// engine's key sequence (flaky-store fate parity). The first call
-    /// builds the full work profiles; every later call only allocates the
-    /// key block and patches the keys into the existing read/write slots
-    /// — per-request setup is O(reads + writes) stores with no Vec
-    /// growth, clearing, or per-object allocator calls.
-    pub fn prepare_anon(&mut self, platform: &mut Platform, dep: &DagDeployment) {
-        let k = dep.functions.len();
+    /// object order, so per-request setup is one allocator call plus
+    /// O(reads + writes) key stores.
+    pub fn prepare_anon(&mut self, platform: &mut Platform, dep: &Deployment) {
         let base = platform.store.fresh_block(dep.num_objects());
-        if !self.primed || self.works.len() != k {
-            self.resize_for(dep);
-            self.fill_works(dep, |o| base.offset(o));
-            self.primed = true;
-            return;
-        }
-        // The wiring is fixed per plan: every read/write slot position is
-        // the same for every request, so only the keys change.
-        for (v, w) in self.works.iter_mut().enumerate() {
-            for (slot, &o) in dep.reads_of(v).iter().enumerate() {
-                w.reads[slot] = base.offset(o);
-            }
-            for (slot, &(o, _)) in dep.writes_of(v).iter().enumerate() {
-                w.writes[slot].0 = base.offset(o);
-            }
-        }
+        self.load_keys(dep, |o| base.offset(o));
     }
 
     /// Drains this lane's per-node accumulators into `stats` (summed in
     /// lane order by the trace engines).
     fn drain_into(&mut self, stats: &mut DagNodeStats) {
-        for v in 0..self.busy_s.len() {
-            stats.busy_s[v] += self.busy_s[v];
-            stats.stall_s[v] += self.stall_s[v];
-            stats.crit_s[v] += self.crit_s[v];
+        for (v, n) in self.nodes.iter().enumerate() {
+            stats.busy_s[v] += n.busy_s;
+            stats.stall_s[v] += n.stall_s;
+            stats.crit_s[v] += n.crit_s;
         }
     }
 }
@@ -544,13 +467,18 @@ pub struct RequestSummary {
 /// (DESIGN.md §6e): per-stage occupancy and stall, plus the span the
 /// utilization is measured against. Summed over lanes in lane order, so
 /// the values are bit-identical at every thread count.
+///
+/// This is a station's view, not a node's: a station stays occupied
+/// through failed attempts and their backoffs, and its stall is the wait
+/// for a free station only. [`DagNodeStats`] counts successful attempts
+/// as busy and retry backoff as stall, so under faults the two differ.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineStats {
     /// Total stations per stage across all lanes
     /// (`pipeline_depth × lanes`).
     pub stations_per_stage: usize,
     /// Station-occupied seconds per stage (the utilization numerator),
-    /// indexed by chain position.
+    /// indexed by node.
     pub stage_busy_s: Vec<f64>,
     /// Ready-but-waiting seconds per stage: how long requests whose input
     /// tensor was already checkpointed sat queued for a free station.
@@ -563,6 +491,29 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
+    /// Folds station pools (lane-major, one per node) into stats over a
+    /// run spanning `span_s`.
+    fn from_pools<'a>(
+        stations_per_stage: usize,
+        nodes: usize,
+        pools: impl IntoIterator<Item = &'a [StationPool]>,
+        span_s: f64,
+    ) -> Self {
+        let mut stats = PipelineStats {
+            stations_per_stage,
+            stage_busy_s: vec![0.0; nodes],
+            stage_stall_s: vec![0.0; nodes],
+            span_s,
+        };
+        for lane in pools {
+            for (i, st) in lane.iter().enumerate() {
+                stats.stage_busy_s[i] += st.busy_s();
+                stats.stage_stall_s[i] += st.stall_s();
+            }
+        }
+        stats
+    }
+
     /// Total stall across all stages.
     pub fn stall_s(&self) -> f64 {
         self.stage_stall_s.iter().sum()
@@ -646,14 +597,48 @@ pub struct TraceReport {
     /// the policy bills idle capacity; part of no other total).
     pub idle_dollars: f64,
     /// Pipeline-station measurements when the trace ran in pipelined mode
-    /// ([`Coordinator::serve_trace_pipelined`]); `None` on the sequential
+    /// ([`Coordinator::serve_trace_pipelined`]); `None` on the scale-out
     /// engine.
     pub pipeline: Option<PipelineStats>,
     /// Per-node busy/stall/critical-path measurements when the trace ran
-    /// a single DAG deployment ([`Coordinator::serve_trace_dag`] and its
-    /// pipelined twin); `None` on the chain engines and the
-    /// multi-deployment adaptive engine.
+    /// a single deployment ([`Coordinator::serve_trace`] and
+    /// [`Coordinator::serve_trace_pipelined`]); `None` on the
+    /// multi-deployment engine ([`Coordinator::serve_trace_assigned`]),
+    /// whose node indices mean different things across deployments.
     pub dag_nodes: Option<DagNodeStats>,
+}
+
+/// How a node's invocation is admitted once its inputs are checkpointed:
+/// at once (`()`, the scale-out engine), or through the node's bounded
+/// station pool (one [`StationPool`] per node, the pipelined engine). A station stays occupied through every retry and backoff
+/// until the node's attempt chain resolves.
+trait Admission {
+    /// Station and start instant for node `v`, ready at `ready`.
+    fn admit(&mut self, v: usize, ready: f64) -> (usize, f64);
+    /// Frees node `v`'s `station`, occupied from `start` to `end`.
+    fn release(&mut self, v: usize, station: usize, start: f64, end: f64);
+}
+
+impl Admission for () {
+    #[inline(always)]
+    fn admit(&mut self, _v: usize, ready: f64) -> (usize, f64) {
+        (0, ready)
+    }
+
+    #[inline(always)]
+    fn release(&mut self, _v: usize, _station: usize, _start: f64, _end: f64) {}
+}
+
+impl Admission for Vec<StationPool> {
+    #[inline]
+    fn admit(&mut self, v: usize, ready: f64) -> (usize, f64) {
+        self[v].admit(ready)
+    }
+
+    #[inline]
+    fn release(&mut self, v: usize, station: usize, start: f64, end: f64) {
+        self[v].release(station, start, end);
+    }
 }
 
 /// One lane's collection slot in [`Coordinator::run_lanes`]: its
@@ -691,7 +676,10 @@ impl Coordinator {
         .with_warm_pool(self.cfg.warm_pool)
     }
 
-    /// Packages and deploys every partition of `plan`.
+    /// Packages and deploys every partition of a chain `plan`: the chain
+    /// lowers through [`DagPlan::from_chain`] (one object per boundary,
+    /// carrying the cut's transfer bytes) into
+    /// [`deploy_dag`](Self::deploy_dag).
     pub fn deploy(
         &self,
         platform: &mut Platform,
@@ -699,26 +687,12 @@ impl Coordinator {
         plan: &ExecutionPlan,
     ) -> Result<Deployment, DeployError> {
         plan.validate(graph.num_layers())
-            .expect("structurally valid plan");
-        let mut functions = Vec::with_capacity(plan.partitions.len());
-        let mut works = Vec::with_capacity(plan.partitions.len());
-        let mut deploy_s = 0.0f64;
-        for (i, p) in plan.partitions.iter().enumerate() {
-            let work = PartitionWork::from_segment(graph, p.start, p.end);
-            let spec = work.function_spec(format!("{}-part{}", plan.model, i), p.memory_mb);
-            let (fid, d) = platform.deploy(spec)?;
-            functions.push(fid);
-            works.push(work);
-            deploy_s = deploy_s.max(d); // parallel uploads
-        }
-        Ok(Deployment {
-            functions,
-            works,
-            deploy_s,
-        })
+            .map_err(DeployError::InvalidPlan)?;
+        let dag = DagPlan::from_chain(plan, |k| graph.cut_transfer_bytes(k));
+        self.deploy_dag(platform, graph, &dag)
     }
 
-    /// Packages and deploys every node of a branch-parallel DAG `plan`.
+    /// Packages and deploys every node of a DAG `plan`.
     ///
     /// Each node gets its own lambda (`{model}-node{v}`); each
     /// [`DagObject`](crate::plan::DagObject) becomes one storage object
@@ -726,15 +700,15 @@ impl Coordinator {
     /// consumer — the scatter/gather request fees and lifetime-billed
     /// bytes ride on exactly those transfers. The staged input that feeds
     /// a node's `/tmp` and resident footprint is the sum of the objects it
-    /// reads (the root's image arrives with the trigger, as in the chain).
+    /// reads (the root's image arrives with the trigger).
     pub fn deploy_dag(
         &self,
         platform: &mut Platform,
         graph: &LayerGraph,
         plan: &DagPlan,
-    ) -> Result<DagDeployment, DeployError> {
+    ) -> Result<Deployment, DeployError> {
         plan.validate(graph.num_layers())
-            .expect("structurally valid plan");
+            .map_err(DeployError::InvalidPlan)?;
         let n = plan.nodes.len();
         let mut functions = Vec::with_capacity(n);
         let mut scalars = Vec::with_capacity(n);
@@ -746,6 +720,7 @@ impl Coordinator {
         reads_off.push(0u32);
         writes_off.push(0u32);
         let mut deploy_s = 0.0f64;
+        let mut chain = true;
         for (v, node) in plan.nodes.iter().enumerate() {
             let work = PartitionWork::from_segment(graph, node.start, node.end);
             let spec = work.function_spec(format!("{}-node{v}", plan.model), node.memory_mb);
@@ -754,8 +729,10 @@ impl Coordinator {
             deploy_s = deploy_s.max(d); // parallel uploads
             let reads = plan.inputs_of(v);
             for &o in &reads {
+                let producer = plan.objects[o].producer;
+                chain &= producer + 1 == v;
                 reads_obj.push(o as u32);
-                read_producer.push(plan.objects[o].producer as u32);
+                read_producer.push(producer as u32);
             }
             reads_off.push(reads_obj.len() as u32);
             for o in plan.outputs_of(v) {
@@ -767,14 +744,14 @@ impl Coordinator {
             } else {
                 reads.iter().map(|&o| plan.objects[o].bytes).sum()
             };
-            scalars.push(DagNodeWork {
+            scalars.push(NodeWork {
                 load_bytes: work.seg.weight_bytes,
                 flops: work.seg.flops,
                 resident_bytes: 2 * work.seg.weight_bytes + work.seg.activation_bytes + input_bytes,
                 tmp_bytes: work.seg.weight_bytes + input_bytes,
             });
         }
-        Ok(DagDeployment {
+        Ok(Deployment {
             functions,
             deploy_s,
             scalars,
@@ -784,20 +761,27 @@ impl Coordinator {
             writes_off,
             writes,
             num_objects: plan.objects.len(),
+            chain,
         })
     }
 
-    /// Serves one request through the chain, starting at `t0`.
+    /// Serves one request through `dep`, starting at `t0`.
     ///
     /// `tag` disambiguates intermediate-object keys between requests.
     ///
-    /// A failed partition invocation with a transient cause is retried up
-    /// to [`AmpsConfig::invoke_retries`] times with exponential backoff
-    /// (`backoff_base_s · 2^(n-1)`). Because each boundary tensor is
-    /// already checkpointed in storage, a retry resumes from the last
-    /// boundary: only the failed partition re-runs, never the chain.
-    /// Retried attempts are billed (real Lambda bills failures) and
-    /// surfaced in [`JobReport::retries`]/`wasted_s`/`wasted_dollars`.
+    /// Node `v` is invoked at its checkpoint-ready instant: the latest
+    /// completion among the producers of the objects it reads, or `t0`
+    /// for the root. Scatter siblings therefore run concurrently in
+    /// simulated time; `inference_s` is the critical path (max node
+    /// completion − `t0`) while `dollars` sums every sandbox.
+    ///
+    /// A failed invocation with a transient cause is retried up to
+    /// [`AmpsConfig::invoke_retries`] times with exponential backoff
+    /// (`backoff_base_s · 2^(n-1)`). Because every input object is
+    /// already checkpointed in storage, a retry resumes from there: only
+    /// the failed partition re-runs, never the request. Retried attempts
+    /// are billed (real Lambda bills failures) and surfaced in
+    /// [`JobReport::retries`]/`wasted_s`/`wasted_dollars`.
     pub fn serve_one(
         &self,
         platform: &mut Platform,
@@ -807,58 +791,94 @@ impl Coordinator {
     ) -> Result<JobReport, ServeError> {
         let mut scratch = ServeScratch::for_deployment(dep);
         scratch.prepare(platform, dep, tag);
-        self.serve_one_with(platform, dep, t0, &scratch)
+        self.serve_one_with(platform, dep, t0, &mut scratch)
     }
 
-    /// [`serve_one`](Self::serve_one) over pre-interned keys and reused
-    /// work buffers — the allocation-free hot path of the batch engines.
-    /// `scratch` must have been [`prepare`](ServeScratch::prepare)d for
-    /// this request's tag on this platform.
-    pub fn serve_one_with(
+    /// Invokes `fid` at `start` and retries transient failures up to
+    /// [`AmpsConfig::invoke_retries`] times, re-invoking
+    /// `backoff_base_s · 2^(n-1)` seconds after the `n`-th failure ends.
+    /// Every retried failure goes to `on_retry` with its backoff. Returns
+    /// the successful outcome, or the final failure. The engine's one
+    /// invoke/retry/backoff loop.
+    #[inline(always)]
+    fn invoke_retrying(
+        &self,
+        platform: &mut Platform,
+        fid: FunctionId,
+        start: f64,
+        work: &InvocationWork,
+        mut on_retry: impl FnMut(FailedInvocation, f64),
+    ) -> Result<InvocationOutcome, FailedInvocation> {
+        let mut now = start;
+        let mut attempt: u32 = 0;
+        loop {
+            match platform.invoke(fid, now, work) {
+                Ok(out) => return Ok(out),
+                Err(failed) => {
+                    attempt += 1;
+                    if attempt > self.cfg.invoke_retries || !failed.reason.is_transient() {
+                        return Err(failed);
+                    }
+                    let backoff_s = self.cfg.backoff_base_s * 2f64.powi(attempt as i32 - 1);
+                    now = failed.end + backoff_s;
+                    on_retry(failed, backoff_s);
+                }
+            }
+        }
+    }
+
+    /// [`serve_one`](Self::serve_one) over prepared scratch — the
+    /// allocation-light body of the named batch modes. `scratch` must
+    /// have been [`prepare`](ServeScratch::prepare)d for this request's
+    /// tag on this platform.
+    fn serve_one_with(
         &self,
         platform: &mut Platform,
         dep: &Deployment,
         t0: f64,
-        scratch: &ServeScratch,
+        scratch: &mut ServeScratch,
     ) -> Result<JobReport, ServeError> {
         let k = dep.functions.len();
         let mut outcomes: Vec<InvocationOutcome> = Vec::with_capacity(k);
         let mut retries: Vec<RetryRecord> = Vec::new();
-        let mut now = t0;
-        for i in 0..k {
-            let work = &scratch.works[i];
-            let mut attempt: u32 = 0;
-            let out = loop {
-                match platform.invoke(dep.functions[i], now, work) {
-                    Ok(out) => break out,
-                    Err(failed) => {
-                        attempt += 1;
-                        if attempt > self.cfg.invoke_retries || !failed.reason.is_transient() {
-                            let wasted: f64 = retries.iter().map(|r| r.failed.dollars).sum::<f64>()
-                                + failed.dollars;
-                            let spent: f64 =
-                                outcomes.iter().map(|o| o.dollars).sum::<f64>() + wasted;
-                            return Err(ServeError {
-                                reason: failed.reason,
-                                lambda: i,
-                                attempts: attempt,
-                                elapsed_s: failed.end - t0,
-                                dollars: spent,
-                            });
-                        }
-                        // Back off, then resume from the checkpointed
-                        // boundary — the input tensor is still in storage.
-                        let backoff_s = self.cfg.backoff_base_s * 2f64.powi(attempt as i32 - 1);
-                        now = failed.end + backoff_s;
-                        retries.push(RetryRecord {
-                            lambda: i,
-                            failed,
-                            backoff_s,
-                        });
-                    }
+        let mut done = t0;
+        for v in 0..k {
+            let mut ready = t0;
+            for &p in dep.producers_of(v) {
+                ready = ready.max(scratch.nodes[p as usize].finish);
+            }
+            let mut attempts = 1;
+            let on_retry = |failed, backoff_s| {
+                attempts += 1;
+                retries.push(RetryRecord {
+                    lambda: v,
+                    failed,
+                    backoff_s,
+                })
+            };
+            let out = match self.invoke_retrying(
+                platform,
+                dep.functions[v],
+                ready,
+                &scratch.works[v],
+                on_retry,
+            ) {
+                Ok(out) => out,
+                Err(failed) => {
+                    let wasted: f64 =
+                        retries.iter().map(|r| r.failed.dollars).sum::<f64>() + failed.dollars;
+                    let spent: f64 = outcomes.iter().map(|o| o.dollars).sum::<f64>() + wasted;
+                    return Err(ServeError {
+                        reason: failed.reason,
+                        lambda: v,
+                        attempts,
+                        elapsed_s: failed.end - t0,
+                        dollars: spent,
+                    });
                 }
             };
-            now = out.end;
+            scratch.nodes[v].finish = out.end;
+            done = done.max(out.end);
             outcomes.push(out);
         }
         let load_s: f64 = outcomes.iter().map(|o| o.breakdown.load_s).sum();
@@ -881,114 +901,8 @@ impl Coordinator {
             })
             .sum();
         let dollars: f64 = outcomes.iter().map(|o| o.dollars).sum::<f64>() + retry_dollars;
-        let inference_s = now - t0;
-        Ok(JobReport {
-            deploy_s: dep.deploy_s,
-            load_s,
-            import_s,
-            predict_s,
-            inference_s,
-            e2e_s: dep.deploy_s + inference_s,
-            dollars,
-            outcomes,
-            retries,
-            wasted_s: retry_s + stall_s,
-            wasted_dollars: retry_dollars + stall_dollars,
-        })
-    }
-
-    /// Serves one request through a DAG deployment, starting at `t0`.
-    ///
-    /// Node `v` is invoked at the *checkpoint-ready* instant: the maximum
-    /// over its parents' completion times (the instant the last object it
-    /// reads finished its PUT), or `t0` for the root. Scatter siblings
-    /// therefore run concurrently in simulated time; `inference_s` is the
-    /// critical path (max node completion − `t0`) while `dollars` sums
-    /// every sandbox — the two axes a branch plan trades against each
-    /// other. Retry/backoff/billing semantics match
-    /// [`serve_one`](Self::serve_one) exactly.
-    pub fn serve_one_dag(
-        &self,
-        platform: &mut Platform,
-        dep: &DagDeployment,
-        t0: f64,
-        tag: &str,
-    ) -> Result<JobReport, ServeError> {
-        let mut scratch = DagServeScratch::for_deployment(dep);
-        scratch.prepare(platform, dep, tag);
-        self.serve_one_dag_with(platform, dep, t0, &mut scratch)
-    }
-
-    /// [`serve_one_dag`](Self::serve_one_dag) over prepared scratch — the
-    /// DAG twin of [`serve_one_with`](Self::serve_one_with).
-    pub fn serve_one_dag_with(
-        &self,
-        platform: &mut Platform,
-        dep: &DagDeployment,
-        t0: f64,
-        scratch: &mut DagServeScratch,
-    ) -> Result<JobReport, ServeError> {
-        let k = dep.functions.len();
-        let mut outcomes: Vec<InvocationOutcome> = Vec::with_capacity(k);
-        let mut retries: Vec<RetryRecord> = Vec::new();
-        for v in 0..k {
-            let mut now = t0;
-            for &p in dep.producers_of(v) {
-                now = now.max(scratch.finish[p as usize]);
-            }
-            let work = &scratch.works[v];
-            let mut attempt: u32 = 0;
-            let out = loop {
-                match platform.invoke(dep.functions[v], now, work) {
-                    Ok(out) => break out,
-                    Err(failed) => {
-                        attempt += 1;
-                        if attempt > self.cfg.invoke_retries || !failed.reason.is_transient() {
-                            let wasted: f64 = retries.iter().map(|r| r.failed.dollars).sum::<f64>()
-                                + failed.dollars;
-                            let spent: f64 =
-                                outcomes.iter().map(|o| o.dollars).sum::<f64>() + wasted;
-                            return Err(ServeError {
-                                reason: failed.reason,
-                                lambda: v,
-                                attempts: attempt,
-                                elapsed_s: failed.end - t0,
-                                dollars: spent,
-                            });
-                        }
-                        let backoff_s = self.cfg.backoff_base_s * 2f64.powi(attempt as i32 - 1);
-                        now = failed.end + backoff_s;
-                        retries.push(RetryRecord {
-                            lambda: v,
-                            failed,
-                            backoff_s,
-                        });
-                    }
-                }
-            };
-            scratch.finish[v] = out.end;
-            outcomes.push(out);
-        }
-        let load_s: f64 = outcomes.iter().map(|o| o.breakdown.load_s).sum();
-        let import_s: f64 = outcomes.iter().map(|o| o.breakdown.import_s).sum();
-        let predict_s: f64 = outcomes.iter().map(|o| o.breakdown.compute_s).sum();
-        let retry_dollars: f64 = retries.iter().map(|r| r.failed.dollars).sum();
-        let retry_s: f64 = retries
-            .iter()
-            .map(|r| r.failed.duration() + r.backoff_s)
-            .sum();
-        let stall_s: f64 = outcomes.iter().map(|o| o.storage_retry_s).sum();
-        let stall_dollars: f64 = outcomes
-            .iter()
-            .zip(&dep.functions)
-            .map(|(o, fid)| {
-                let mem = platform.spec(*fid).map_or(0, |s| s.memory_mb);
-                self.cfg.prices.lambda_compute_cost(o.storage_retry_s, mem)
-            })
-            .sum();
-        let dollars: f64 = outcomes.iter().map(|o| o.dollars).sum::<f64>() + retry_dollars;
         // Critical path, not sum: concurrent branches overlap.
-        let inference_s = scratch.finish[..k].iter().fold(t0, |a, &b| a.max(b)) - t0;
+        let inference_s = done - t0;
         Ok(JobReport {
             deploy_s: dep.deploy_s,
             load_s,
@@ -1004,8 +918,8 @@ impl Coordinator {
         })
     }
 
-    /// Serves `images` requests in parallel (paper Table 5): all chains
-    /// start at `t0`; completion is the slowest chain. One dead image no
+    /// Serves `images` requests in parallel (paper Table 5): all requests
+    /// start at `t0`; completion is the slowest one. One dead image no
     /// longer poisons the batch — it degrades into
     /// [`BatchReport::failures`] while the rest complete.
     ///
@@ -1013,7 +927,7 @@ impl Coordinator {
     /// warm-pool shards (executed by up to [`AmpsConfig::serve_threads`]
     /// workers) and the per-image results merge back in image order — the
     /// report is bit-identical at every thread count. At the default
-    /// single lane the original serial engine runs unchanged.
+    /// single lane the images run serially on `platform` itself.
     pub fn serve_parallel(
         &self,
         platform: &mut Platform,
@@ -1021,47 +935,37 @@ impl Coordinator {
         images: usize,
         t0: f64,
     ) -> BatchReport {
-        if self.cfg.serve_lanes > 1 {
-            return self.serve_parallel_sharded(platform, dep, images, t0);
-        }
-        let mut batch = Self::empty_batch(dep, images);
-        let mut scratch = ServeScratch::for_deployment(dep);
-        let mut tag = String::new();
-        for img in 0..images {
-            tag.clear();
-            let _ = write!(tag, "img{img}");
-            scratch.prepare(platform, dep, &tag);
-            match self.serve_one_with(platform, dep, t0, &scratch) {
-                Ok(r) => {
-                    batch.completion_s = batch.completion_s.max(r.inference_s);
-                    Self::absorb_job(&mut batch, r);
-                }
-                Err(e) => {
-                    batch.completion_s = batch.completion_s.max(e.elapsed_s);
-                    Self::absorb_failure(&mut batch, img, e);
-                }
+        let results = if self.cfg.serve_lanes > 1 {
+            let starts = vec![t0; images];
+            let (results, shards) = self.run_lanes(
+                platform,
+                &starts,
+                |_lane| ServeScratch::for_deployment(dep),
+                |p, scratch: &mut ServeScratch, idx, start| {
+                    let mut tag = std::mem::take(&mut scratch.tag);
+                    tag.clear();
+                    let _ = write!(tag, "img{idx}");
+                    scratch.prepare(p, dep, &tag);
+                    scratch.tag = tag;
+                    self.serve_one_with(p, dep, start, scratch)
+                },
+            );
+            for (shard, _) in shards {
+                platform.absorb_shard(shard);
             }
-        }
-        batch.e2e_s = dep.deploy_s + batch.completion_s;
-        batch
-    }
-
-    fn serve_parallel_sharded(
-        &self,
-        platform: &mut Platform,
-        dep: &Deployment,
-        images: usize,
-        t0: f64,
-    ) -> BatchReport {
-        let starts = vec![t0; images];
-        let (results, shards) = self.run_lanes(platform, dep, &starts, |p, scratch, idx, start| {
-            let mut tag = std::mem::take(&mut scratch.tag);
-            tag.clear();
-            let _ = write!(tag, "img{idx}");
-            scratch.prepare(p, dep, &tag);
-            scratch.tag = tag;
-            self.serve_one_with(p, dep, start, scratch)
-        });
+            results
+        } else {
+            let mut scratch = ServeScratch::for_deployment(dep);
+            let mut tag = String::new();
+            (0..images)
+                .map(|img| {
+                    tag.clear();
+                    let _ = write!(tag, "img{img}");
+                    scratch.prepare(platform, dep, &tag);
+                    self.serve_one_with(platform, dep, t0, &mut scratch)
+                })
+                .collect()
+        };
         let mut batch = Self::empty_batch(dep, images);
         for (img, result) in results.into_iter().enumerate() {
             match result {
@@ -1074,9 +978,6 @@ impl Coordinator {
                     Self::absorb_failure(&mut batch, img, e);
                 }
             }
-        }
-        for shard in shards {
-            platform.absorb_shard(shard);
         }
         batch.e2e_s = dep.deploy_s + batch.completion_s;
         batch
@@ -1101,7 +1002,7 @@ impl Coordinator {
             tag.clear();
             let _ = write!(tag, "img{img}");
             scratch.prepare(platform, dep, &tag);
-            match self.serve_one_with(platform, dep, now, &scratch) {
+            match self.serve_one_with(platform, dep, now, &mut scratch) {
                 Ok(r) => {
                     now += r.inference_s;
                     Self::absorb_job(&mut batch, r);
@@ -1117,14 +1018,14 @@ impl Coordinator {
         batch
     }
 
-    /// Serves `images` requests through the pipelined chain — the
+    /// Serves `images` requests with pipelined stage execution — the
     /// closed-loop counterpart of [`serve_sequential`](Self::serve_sequential)
     /// (all requests ready at `t0`, single warm pool), but with stages
-    /// overlapping across requests: every stage owns
+    /// overlapping across requests: every node owns
     /// [`AmpsConfig::pipeline_depth`] stations (defaulting to 1 when
-    /// pipelining is not configured), and request `k+1` enters stage `i`
-    /// as soon as its stage-`i−1` boundary tensor is checkpointed and a
-    /// station frees. Completion is therefore bottleneck-stage-bound —
+    /// pipelining is not configured), and request `k+1` enters node `v`
+    /// as soon as its inputs are checkpointed and a station frees. On a
+    /// chain, completion is therefore bottleneck-stage-bound —
     /// `fill + (n−1)·max_i t_i` on a clean run — instead of
     /// [`serve_sequential`](Self::serve_sequential)'s `n·Σ_i t_i`.
     pub fn serve_pipelined(
@@ -1136,7 +1037,7 @@ impl Coordinator {
     ) -> PipelineReport {
         let depth = self.cfg.pipeline_depth.max(1);
         let k = dep.functions.len();
-        let mut stations: Vec<StationPool> = (0..k).map(|_| StationPool::new(depth)).collect();
+        let mut stations = vec![StationPool::new(depth); k];
         let mut scratch = ServeScratch::for_deployment(dep);
         let idle_before = platform.warm_idle_accrued();
         let mut requests = Vec::with_capacity(images);
@@ -1145,33 +1046,29 @@ impl Coordinator {
         let mut failed = 0usize;
         for _ in 0..images {
             scratch.prepare_anon(platform, dep);
-            let r = self.serve_lite_pipelined(platform, dep, t0, &scratch, &mut stations);
+            let r = self.serve_lite(platform, dep, t0, &mut scratch, &mut stations);
             completion = completion.max(r.arrival_s + r.latency_s);
             dollars += r.dollars;
             failed += usize::from(!r.ok);
             requests.push(r);
         }
         let span = completion - t0;
-        let stats = PipelineStats {
-            stations_per_stage: depth,
-            stage_busy_s: stations.iter().map(StationPool::busy_s).collect(),
-            stage_stall_s: stations.iter().map(StationPool::stall_s).collect(),
-            span_s: span,
-        };
         PipelineReport {
             completion_s: span,
             e2e_s: dep.deploy_s + span,
             dollars,
             failed,
             requests,
-            stats,
+            stats: PipelineStats::from_pools(depth, k, [stations.as_slice()], span),
             warm_idle_s: platform.warm_idle_accrued() - idle_before,
         }
     }
 
     /// Serves an arrival trace (one request per entry of `arrivals`, in
     /// seconds on the platform clock) through the sharded engine and
-    /// returns scalar per-request summaries — the open-loop load path.
+    /// returns scalar per-request summaries plus per-node stats — the
+    /// open-loop load path. Instances scale out on demand: a node never
+    /// waits for anything but its inputs.
     ///
     /// Requests never abort the run: one that exhausts its retry budget is
     /// recorded (`ok == false`, counted in [`TraceReport::failures`]) and
@@ -1184,16 +1081,30 @@ impl Coordinator {
         dep: &Deployment,
         arrivals: &[f64],
     ) -> TraceReport {
-        self.serve_trace_assigned(platform, std::slice::from_ref(dep), &|_| 0, arrivals)
+        self.serve_trace_on(platform, dep, arrivals, 0, || ()).0
+    }
+
+    /// [`serve_trace`](Self::serve_trace) under its former name. It
+    /// exists only because the frozen `ampsbench` harness still calls it;
+    /// the next benchmark change removes it.
+    pub fn serve_trace_dag(
+        &self,
+        platform: &mut Platform,
+        dep: &Deployment,
+        arrivals: &[f64],
+    ) -> TraceReport {
+        self.serve_trace(platform, dep, arrivals)
     }
 
     /// [`serve_trace`](Self::serve_trace) over several deployments:
-    /// request `i` runs the chain `deps[assign(i)]` — the plan-cache
-    /// engine's entry point, where an adaptive controller switches plans
-    /// between load epochs. `assign` must be a pure function of the
-    /// request index (that is what keeps the report thread-invariant);
-    /// every returned index must be `< deps.len()`, and all deployments
-    /// must live on `platform`.
+    /// request `i` runs `deps[assign(i)]` — the plan-cache engine's entry
+    /// point, where an adaptive controller switches plans (chain or
+    /// branch-parallel) between load epochs. `assign` must be a pure
+    /// function of the request index (that is what keeps the report
+    /// thread-invariant); every returned index must be `< deps.len()`,
+    /// and all deployments must live on `platform`. Per-node stats are
+    /// not folded here (node indices mean different things across
+    /// deployments), so `dag_nodes` stays `None`.
     pub fn serve_trace_assigned(
         &self,
         platform: &mut Platform,
@@ -1201,36 +1112,41 @@ impl Coordinator {
         assign: &(dyn Fn(usize) -> usize + Sync),
         arrivals: &[f64],
     ) -> TraceReport {
-        let (requests, shards) = self.run_lanes_assigned(
+        let (requests, lanes) = self.run_lanes(
             platform,
-            deps,
-            assign,
             arrivals,
-            |p, scratch, d, _idx, t0| {
+            |_lane| -> Vec<ServeScratch> {
+                deps.iter().map(ServeScratch::for_deployment).collect()
+            },
+            |p, scratches: &mut Vec<ServeScratch>, idx, t0| {
+                let d = assign(idx);
+                let scratch = &mut scratches[d];
                 scratch.prepare_anon(p, &deps[d]);
-                self.serve_lite(p, &deps[d], t0, scratch)
+                self.serve_lite(p, &deps[d], t0, scratch, &mut ())
             },
         );
+        let shards = lanes.into_iter().map(|(p, _)| p).collect();
         let fids: Vec<FunctionId> = deps
             .iter()
             .flat_map(|d| d.functions.iter().copied())
             .collect();
-        self.finish_trace(platform, &fids, requests, shards, None)
+        self.finish_trace(platform, &fids, requests, shards)
     }
 
     /// [`serve_trace`](Self::serve_trace) with pipelined stage execution
-    /// (DESIGN.md §6e): inside each lane, every chain stage owns
-    /// [`AmpsConfig::pipeline_depth`] stations, and stage `i` of request
-    /// `k+1` starts as soon as its input tensor is checkpointed *and* a
-    /// station frees — so stages overlap across requests instead of the
-    /// stage's warm instances idling while the rest of the chain runs.
+    /// (DESIGN.md §6e): inside each lane, every node owns
+    /// [`AmpsConfig::pipeline_depth`] stations, and node `v` of request
+    /// `k+1` starts as soon as its inputs are checkpointed *and* a
+    /// station frees — so stages overlap across requests instead of a
+    /// stage's warm instances idling while the rest of the request runs.
     ///
     /// Stations admit strictly in request-index order (FIFO by arrival
     /// index), and each lane's station state travels with its task, so
     /// the report stays bit-identical at every thread count, faults on or
-    /// off, exactly like the sequential engine. Per-request RNG streams
-    /// are keyed identically ([`Platform::begin_request`]), so a given
-    /// request draws the same fault/storage fates in both modes.
+    /// off. Per-request RNG streams are keyed identically
+    /// ([`Platform::begin_request`]), so a given request draws the same
+    /// fault/storage fates in both modes. The report carries both the
+    /// stations' [`PipelineStats`] and the nodes' [`DagNodeStats`].
     pub fn serve_trace_pipelined(
         &self,
         platform: &mut Platform,
@@ -1239,194 +1155,73 @@ impl Coordinator {
     ) -> TraceReport {
         let depth = self.cfg.pipeline_depth.max(1);
         let k = dep.functions.len();
-        let n = arrivals.len();
-        let lanes = self.cfg.serve_lanes.max(1).min(n.max(1));
-        let (requests, lane_outs) = self.run_lanes_stateful(
-            platform,
-            std::slice::from_ref(dep),
-            &|_| 0,
-            arrivals,
-            |_lane| -> Vec<StationPool> { (0..k).map(|_| StationPool::new(depth)).collect() },
-            |p, scratch, stations, _d, _idx, t0| {
-                scratch.prepare_anon(p, dep);
-                self.serve_lite_pipelined(p, dep, t0, scratch, stations)
-            },
-        );
-        // Fold the per-lane station measurements in lane order; the span
-        // is filled in by `finish_trace` once the last completion is known.
-        let mut stats = PipelineStats {
-            stations_per_stage: depth * lanes,
-            stage_busy_s: vec![0.0; k],
-            stage_stall_s: vec![0.0; k],
-            span_s: 0.0,
-        };
-        let mut shards = Vec::with_capacity(lane_outs.len());
-        for (shard, stations) in lane_outs {
-            for (i, st) in stations.iter().enumerate() {
-                stats.stage_busy_s[i] += st.busy_s();
-                stats.stage_stall_s[i] += st.stall_s();
-            }
-            shards.push(shard);
-        }
-        stats.span_s = arrivals.first().copied().unwrap_or(0.0);
-        self.finish_trace(platform, &dep.functions, requests, shards, Some(stats))
+        let lanes = self.cfg.serve_lanes.max(1).min(arrivals.len().max(1));
+        let (mut report, pools) =
+            self.serve_trace_on(platform, dep, arrivals, depth * lanes, || {
+                vec![StationPool::new(depth); k]
+            });
+        let span = (report.last_completion_s - arrivals.first().copied().unwrap_or(0.0)).max(0.0);
+        report.pipeline = Some(PipelineStats::from_pools(
+            depth * lanes,
+            k,
+            pools.iter().map(Vec::as_slice),
+            span,
+        ));
+        report
     }
 
-    /// Serves an arrival trace through a branch-parallel DAG deployment —
-    /// the DAG twin of [`serve_trace`](Self::serve_trace), on the same
-    /// work-stealing lane machinery: request `i` runs on lane
-    /// `i % serve_lanes` with its RNG streams keyed by index
-    /// ([`Platform::begin_request`]), each request executes its nodes in
-    /// topological index order with the deterministic `(request, node)`
-    /// ready recurrence of `serve_lite_dag`, and
-    /// results merge in global index order — so the report is
-    /// bit-identical at every thread count, faults on or off. On a
-    /// chain-shaped plan ([`DagPlan::from_chain`]) it reproduces
-    /// [`serve_trace`](Self::serve_trace) bit-for-bit.
-    pub fn serve_trace_dag(
+    /// The single-deployment trace engine: serves `arrivals` on `dep`
+    /// across the lanes, each lane carrying its own scratch and the
+    /// admission state `admission()` builds, and returns the report with
+    /// per-node stats plus every lane's admission state in lane order.
+    fn serve_trace_on<A: Admission + Send>(
         &self,
         platform: &mut Platform,
-        dep: &DagDeployment,
+        dep: &Deployment,
         arrivals: &[f64],
-    ) -> TraceReport {
+        stations_per_node: usize,
+        admission: impl Fn() -> A + Sync,
+    ) -> (TraceReport, Vec<A>) {
         let k = dep.functions.len();
-        let (requests, lane_outs) = self.run_lanes_generic(
+        let (requests, lanes) = self.run_lanes(
             platform,
             arrivals,
-            |_lane| DagServeScratch::for_deployment(dep),
-            |p, scratch: &mut DagServeScratch, _idx, t0| {
+            |_lane| (ServeScratch::for_deployment(dep), admission()),
+            |p, lane: &mut (ServeScratch, A), _idx, t0| {
+                let (scratch, adm) = lane;
                 scratch.prepare_anon(p, dep);
-                self.serve_lite_dag(p, dep, t0, scratch)
+                self.serve_lite(p, dep, t0, scratch, adm)
             },
         );
+        let first_arrival = arrivals.first().copied().unwrap_or(0.0);
         let mut stats = DagNodeStats {
-            // 0: the sequential engine scales instances out on demand, so
-            // no station count bounds per-node concurrency.
-            stations_per_node: 0,
+            stations_per_node,
             busy_s: vec![0.0; k],
             stall_s: vec![0.0; k],
             crit_s: vec![0.0; k],
-            span_s: arrivals.first().copied().unwrap_or(0.0),
+            span_s: 0.0,
         };
-        let mut shards = Vec::with_capacity(lane_outs.len());
-        for (shard, mut scratch) in lane_outs {
+        let mut shards = Vec::with_capacity(lanes.len());
+        let mut states = Vec::with_capacity(lanes.len());
+        for (shard, (mut scratch, state)) in lanes {
             scratch.drain_into(&mut stats);
             shards.push(shard);
+            states.push(state);
         }
-        let mut report = self.finish_trace(platform, &dep.functions, requests, shards, None);
-        stats.span_s = (report.last_completion_s - stats.span_s).max(0.0);
+        let mut report = self.finish_trace(platform, &dep.functions, requests, shards);
+        stats.span_s = (report.last_completion_s - first_arrival).max(0.0);
         report.dag_nodes = Some(stats);
-        report
-    }
-
-    /// [`serve_trace_dag`](Self::serve_trace_dag) over several DAG
-    /// deployments: request `i` runs `deps[assign(i)]` — the plan-cache
-    /// engine's DAG entry point, where an adaptive controller switches
-    /// effective plans (chain-shaped or branch-parallel, both deployed as
-    /// DAGs) between load epochs. `assign` must be a pure function of the
-    /// request index; every returned index must be `< deps.len()`, and
-    /// all deployments must live on `platform`. Per-node stats are not
-    /// folded here (node indices mean different things across
-    /// deployments), so `dag_nodes` stays `None`.
-    pub fn serve_trace_assigned_dag(
-        &self,
-        platform: &mut Platform,
-        deps: &[DagDeployment],
-        assign: &(dyn Fn(usize) -> usize + Sync),
-        arrivals: &[f64],
-    ) -> TraceReport {
-        let (requests, lane_outs) = self.run_lanes_generic(
-            platform,
-            arrivals,
-            |_lane| -> Vec<DagServeScratch> {
-                deps.iter().map(DagServeScratch::for_deployment).collect()
-            },
-            |p, scratches: &mut Vec<DagServeScratch>, idx, t0| {
-                let d = assign(idx);
-                let scratch = &mut scratches[d];
-                scratch.prepare_anon(p, &deps[d]);
-                self.serve_lite_dag(p, &deps[d], t0, scratch)
-            },
-        );
-        let shards = lane_outs.into_iter().map(|(p, _)| p).collect();
-        let fids: Vec<FunctionId> = deps
-            .iter()
-            .flat_map(|d| d.functions.iter().copied())
-            .collect();
-        self.finish_trace(platform, &fids, requests, shards, None)
-    }
-
-    /// [`serve_trace_dag`](Self::serve_trace_dag) with pipeline-station
-    /// admission: every DAG node owns [`AmpsConfig::pipeline_depth`]
-    /// stations per lane, and node `v` of a later request starts as soon
-    /// as its input objects are checkpointed *and* a station frees.
-    /// Station state travels with the lane task, so the report stays
-    /// bit-identical at every thread count; on a chain-shaped plan it
-    /// reproduces [`serve_trace_pipelined`](Self::serve_trace_pipelined)
-    /// bit-for-bit.
-    pub fn serve_trace_dag_pipelined(
-        &self,
-        platform: &mut Platform,
-        dep: &DagDeployment,
-        arrivals: &[f64],
-    ) -> TraceReport {
-        let depth = self.cfg.pipeline_depth.max(1);
-        let k = dep.functions.len();
-        let n = arrivals.len();
-        let lanes = self.cfg.serve_lanes.max(1).min(n.max(1));
-        let (requests, lane_outs) = self.run_lanes_generic(
-            platform,
-            arrivals,
-            |_lane| {
-                let stations: Vec<StationPool> = (0..k).map(|_| StationPool::new(depth)).collect();
-                (DagServeScratch::for_deployment(dep), stations)
-            },
-            |p, lane_state: &mut (DagServeScratch, Vec<StationPool>), _idx, t0| {
-                let (scratch, stations) = lane_state;
-                scratch.prepare_anon(p, dep);
-                self.serve_lite_dag_pipelined(p, dep, t0, scratch, stations)
-            },
-        );
-        let mut stats = PipelineStats {
-            stations_per_stage: depth * lanes,
-            stage_busy_s: vec![0.0; k],
-            stage_stall_s: vec![0.0; k],
-            span_s: 0.0,
-        };
-        let mut node_stats = DagNodeStats {
-            stations_per_node: depth * lanes,
-            busy_s: vec![0.0; k],
-            stall_s: vec![0.0; k],
-            crit_s: vec![0.0; k],
-            span_s: arrivals.first().copied().unwrap_or(0.0),
-        };
-        let mut shards = Vec::with_capacity(lane_outs.len());
-        for (shard, (mut scratch, stations)) in lane_outs {
-            for (i, st) in stations.iter().enumerate() {
-                stats.stage_busy_s[i] += st.busy_s();
-                stats.stage_stall_s[i] += st.stall_s();
-            }
-            scratch.drain_into(&mut node_stats);
-            shards.push(shard);
-        }
-        stats.span_s = arrivals.first().copied().unwrap_or(0.0);
-        let mut report = self.finish_trace(platform, &dep.functions, requests, shards, Some(stats));
-        node_stats.span_s = (report.last_completion_s - node_stats.span_s).max(0.0);
-        report.dag_nodes = Some(node_stats);
-        report
+        (report, states)
     }
 
     /// Shared trace aggregation: settle storage and warm pools per shard
-    /// in lane order, absorb shards, and assemble the report. When
-    /// `pipeline` is given, its `span_s` field arrives holding the first
-    /// arrival time and leaves holding `last_completion − first_arrival`.
+    /// in lane order, absorb shards, and assemble the report.
     fn finish_trace(
         &self,
         platform: &mut Platform,
         functions: &[FunctionId],
         requests: Vec<RequestSummary>,
-        shards: Vec<Platform>,
-        pipeline: Option<PipelineStats>,
+        mut shards: Vec<Platform>,
     ) -> TraceReport {
         let mut dollars = 0.0f64;
         let mut last_completion = 0.0f64;
@@ -1440,7 +1235,6 @@ impl Coordinator {
         let mut idle_s = 0.0f64;
         let mut idle_dollars = 0.0f64;
         let mut invocations = 0u64;
-        let mut shards = shards;
         for shard in &mut shards {
             settled += shard.settle_storage(last_completion);
             let (lane_idle, lane_idle_dollars) = shard.settle_warm_pool(last_completion);
@@ -1460,10 +1254,6 @@ impl Coordinator {
             .map(|&f| platform.instance_count(f))
             .max()
             .unwrap_or(0);
-        let pipeline = pipeline.map(|mut stats| {
-            stats.span_s = (last_completion - stats.span_s).max(0.0);
-            stats
-        });
         TraceReport {
             requests,
             dollars,
@@ -1476,168 +1266,25 @@ impl Coordinator {
             pre_warmed: platform.pre_warmed_total(),
             idle_s,
             idle_dollars,
-            pipeline,
+            pipeline: None,
             dag_nodes: None,
         }
     }
 
     /// [`serve_one_with`](Self::serve_one_with) reduced to the scalars a
-    /// [`RequestSummary`] carries: same invoke/retry/backoff loop and the
-    /// same accounting, but no per-outcome or per-retry allocation.
-    fn serve_lite(
+    /// [`RequestSummary`] carries — the trace engines' hot path: the same
+    /// ready recurrence, retry loop and accounting, but no per-outcome or
+    /// per-retry allocation. Each node is admitted through `admission`
+    /// once ready, and its busy/stall seconds accumulate on `scratch`; a
+    /// successful request's critical path accumulates too.
+    #[inline(always)]
+    fn serve_lite<A: Admission>(
         &self,
         platform: &mut Platform,
         dep: &Deployment,
         t0: f64,
-        scratch: &ServeScratch,
-    ) -> RequestSummary {
-        let k = dep.functions.len();
-        let mut now = t0;
-        let mut dollars = 0.0f64;
-        let mut retry_dollars = 0.0f64;
-        let mut retry_s = 0.0f64;
-        let mut stall_s = 0.0f64;
-        let mut stall_dollars = 0.0f64;
-        let mut n_retries: u32 = 0;
-        for i in 0..k {
-            let mut attempt: u32 = 0;
-            let out = loop {
-                match platform.invoke(dep.functions[i], now, &scratch.works[i]) {
-                    Ok(out) => break out,
-                    Err(failed) => {
-                        attempt += 1;
-                        if attempt > self.cfg.invoke_retries || !failed.reason.is_transient() {
-                            // Mirror `absorb_failure`: the doomed request's
-                            // whole spend and elapsed time produced nothing.
-                            let spent = dollars + retry_dollars + failed.dollars;
-                            return RequestSummary {
-                                arrival_s: t0,
-                                latency_s: failed.end - t0,
-                                dollars: spent,
-                                retries: n_retries,
-                                wasted_s: failed.end - t0,
-                                wasted_dollars: spent,
-                                ok: false,
-                            };
-                        }
-                        let backoff_s = self.cfg.backoff_base_s * 2f64.powi(attempt as i32 - 1);
-                        now = failed.end + backoff_s;
-                        n_retries += 1;
-                        retry_dollars += failed.dollars;
-                        retry_s += failed.duration() + backoff_s;
-                    }
-                }
-            };
-            now = out.end;
-            dollars += out.dollars;
-            stall_s += out.storage_retry_s;
-            if out.storage_retry_s > 0.0 {
-                let mem = platform.spec(dep.functions[i]).map_or(0, |s| s.memory_mb);
-                stall_dollars += self
-                    .cfg
-                    .prices
-                    .lambda_compute_cost(out.storage_retry_s, mem);
-            }
-        }
-        RequestSummary {
-            arrival_s: t0,
-            latency_s: now - t0,
-            dollars: dollars + retry_dollars,
-            retries: n_retries,
-            wasted_s: retry_s + stall_s,
-            wasted_dollars: retry_dollars + stall_dollars,
-            ok: true,
-        }
-    }
-
-    /// [`serve_lite`](Self::serve_lite) with pipeline-station admission:
-    /// each stage's invocation is gated behind `stations[i]` — it starts
-    /// at `max(ready, earliest station free)` instead of immediately at
-    /// `ready`, and occupies its station through every retry and backoff
-    /// until the attempt chain resolves. Station waits lengthen the
-    /// request's latency but are *not* waste (they are pipeline stalls,
-    /// accumulated on the pool and surfaced via [`PipelineStats`]).
-    fn serve_lite_pipelined(
-        &self,
-        platform: &mut Platform,
-        dep: &Deployment,
-        t0: f64,
-        scratch: &ServeScratch,
-        stations: &mut [StationPool],
-    ) -> RequestSummary {
-        let mut ready = t0;
-        let mut dollars = 0.0f64;
-        let mut retry_dollars = 0.0f64;
-        let mut retry_s = 0.0f64;
-        let mut stall_s = 0.0f64;
-        let mut stall_dollars = 0.0f64;
-        let mut n_retries: u32 = 0;
-        for (i, pool) in stations.iter_mut().enumerate() {
-            let (station, start) = pool.admit(ready);
-            let mut now = start;
-            let mut attempt: u32 = 0;
-            let out = loop {
-                match platform.invoke(dep.functions[i], now, &scratch.works[i]) {
-                    Ok(out) => break out,
-                    Err(failed) => {
-                        attempt += 1;
-                        if attempt > self.cfg.invoke_retries || !failed.reason.is_transient() {
-                            // The doomed request occupied its station until
-                            // the final attempt ended.
-                            pool.release(station, start, failed.end);
-                            let spent = dollars + retry_dollars + failed.dollars;
-                            return RequestSummary {
-                                arrival_s: t0,
-                                latency_s: failed.end - t0,
-                                dollars: spent,
-                                retries: n_retries,
-                                wasted_s: failed.end - t0,
-                                wasted_dollars: spent,
-                                ok: false,
-                            };
-                        }
-                        let backoff_s = self.cfg.backoff_base_s * 2f64.powi(attempt as i32 - 1);
-                        now = failed.end + backoff_s;
-                        n_retries += 1;
-                        retry_dollars += failed.dollars;
-                        retry_s += failed.duration() + backoff_s;
-                    }
-                }
-            };
-            pool.release(station, start, out.end);
-            ready = out.end;
-            dollars += out.dollars;
-            stall_s += out.storage_retry_s;
-            if out.storage_retry_s > 0.0 {
-                let mem = platform.spec(dep.functions[i]).map_or(0, |s| s.memory_mb);
-                stall_dollars += self
-                    .cfg
-                    .prices
-                    .lambda_compute_cost(out.storage_retry_s, mem);
-            }
-        }
-        RequestSummary {
-            arrival_s: t0,
-            latency_s: ready - t0,
-            dollars: dollars + retry_dollars,
-            retries: n_retries,
-            wasted_s: retry_s + stall_s,
-            wasted_dollars: retry_dollars + stall_dollars,
-            ok: true,
-        }
-    }
-
-    /// [`serve_one_dag_with`](Self::serve_one_dag_with) reduced to the
-    /// scalars a [`RequestSummary`] carries — the DAG twin of
-    /// [`serve_lite`](Self::serve_lite). On a chain-shaped plan the
-    /// ready recurrence degenerates to `now = previous end` and the
-    /// result is bit-identical to the chain engine's.
-    fn serve_lite_dag(
-        &self,
-        platform: &mut Platform,
-        dep: &DagDeployment,
-        t0: f64,
-        scratch: &mut DagServeScratch,
+        scratch: &mut ServeScratch,
+        admission: &mut A,
     ) -> RequestSummary {
         let k = dep.functions.len();
         let mut dollars = 0.0f64;
@@ -1646,55 +1293,76 @@ impl Coordinator {
         let mut stall_s = 0.0f64;
         let mut stall_dollars = 0.0f64;
         let mut n_retries: u32 = 0;
+        let mut done = t0;
+        // First node attaining the latest completion, where the
+        // critical-path walk starts.
+        let mut last = 0usize;
+        let mut last_end = t0;
+        // A chain node is ready when its predecessor completes.
+        let mut prev_end = t0;
+        let works = &scratch.works[..k];
+        let nodes = &mut scratch.nodes[..k];
         for v in 0..k {
             // Checkpoint-ready: every object this node reads is written.
-            let mut ready = t0;
-            for &p in dep.producers_of(v) {
-                ready = ready.max(scratch.finish[p as usize]);
-            }
-            let mut now = ready;
-            let mut attempt: u32 = 0;
-            let out = loop {
-                match platform.invoke(dep.functions[v], now, &scratch.works[v]) {
-                    Ok(out) => break out,
-                    Err(failed) => {
-                        attempt += 1;
-                        if attempt > self.cfg.invoke_retries || !failed.reason.is_transient() {
-                            let spent = dollars + retry_dollars + failed.dollars;
-                            return RequestSummary {
-                                arrival_s: t0,
-                                latency_s: failed.end - t0,
-                                dollars: spent,
-                                retries: n_retries,
-                                wasted_s: failed.end - t0,
-                                wasted_dollars: spent,
-                                ok: false,
-                            };
-                        }
-                        let backoff_s = self.cfg.backoff_base_s * 2f64.powi(attempt as i32 - 1);
-                        now = failed.end + backoff_s;
-                        n_retries += 1;
-                        retry_dollars += failed.dollars;
-                        retry_s += failed.duration() + backoff_s;
-                    }
+            let ready = if dep.chain {
+                prev_end
+            } else {
+                let mut ready = t0;
+                for &p in dep.producers_of(v) {
+                    ready = ready.max(nodes[p as usize].finish);
+                }
+                ready
+            };
+            let (station, start) = admission.admit(v, ready);
+            let on_retry = |failed: FailedInvocation, backoff_s: f64| {
+                n_retries += 1;
+                retry_dollars += failed.dollars;
+                retry_s += failed.duration() + backoff_s;
+            };
+            let fid = dep.functions[v];
+            let out = match self.invoke_retrying(platform, fid, start, &works[v], on_retry) {
+                Ok(out) => out,
+                Err(failed) => {
+                    // The doomed request's whole spend and elapsed time
+                    // produced nothing; its station stayed occupied until
+                    // the final attempt ended.
+                    admission.release(v, station, start, failed.end);
+                    let spent = dollars + retry_dollars + failed.dollars;
+                    return RequestSummary {
+                        arrival_s: t0,
+                        latency_s: failed.end - t0,
+                        dollars: spent,
+                        retries: n_retries,
+                        wasted_s: failed.end - t0,
+                        wasted_dollars: spent,
+                        ok: false,
+                    };
                 }
             };
-            scratch.finish[v] = out.end;
-            scratch.dur[v] = out.end - out.start;
-            scratch.busy_s[v] += out.end - out.start;
-            scratch.stall_s[v] += (out.start - ready) + out.storage_retry_s;
+            admission.release(v, station, start, out.end);
+            let dur = out.end - out.start;
+            let node = &mut nodes[v];
+            node.finish = out.end;
+            node.dur = dur;
+            node.busy_s += dur;
+            node.stall_s += (out.start - ready) + out.storage_retry_s;
+            if v == 0 || out.end > last_end {
+                last = v;
+                last_end = out.end;
+            }
+            prev_end = out.end;
+            done = done.max(out.end);
             dollars += out.dollars;
             stall_s += out.storage_retry_s;
             if out.storage_retry_s > 0.0 {
-                let mem = platform.spec(dep.functions[v]).map_or(0, |s| s.memory_mb);
+                let mem = platform.spec(fid).map_or(0, |s| s.memory_mb);
                 stall_dollars += self
                     .cfg
                     .prices
                     .lambda_compute_cost(out.storage_retry_s, mem);
             }
         }
-        let done = scratch.finish[..k].iter().fold(t0, |a, &b| a.max(b));
-        self.accumulate_critical_path(dep, scratch, k);
+        Self::accumulate_critical_path(dep, scratch, last);
         RequestSummary {
             arrival_s: t0,
             latency_s: done - t0,
@@ -1706,148 +1374,40 @@ impl Coordinator {
         }
     }
 
-    /// Walks one served request's critical path — from the last-finishing
-    /// node back through each node's latest-finishing input producer
-    /// (first such producer on ties, making the walk deterministic) — and
-    /// adds every visited node's successful-attempt duration to the
-    /// lane's `crit_s` accumulator. O(path length) per request.
-    fn accumulate_critical_path(
-        &self,
-        dep: &DagDeployment,
-        scratch: &mut DagServeScratch,
-        k: usize,
-    ) {
-        if k == 0 {
+    /// Walks one served request's critical path — from node `last` (the
+    /// first to attain the latest completion) back through each node's
+    /// latest-finishing input producer (first such producer on ties,
+    /// making the walk deterministic) — and adds every visited node's
+    /// successful-attempt duration to the lane's `crit_s` accumulator.
+    ///
+    /// On a chain deployment completions are monotone in node order, so
+    /// the walk visits every node up to `last` and every node after it
+    /// ran for zero seconds: adding every node's duration in one straight
+    /// loop gives the same sums without the walk.
+    #[inline(always)]
+    fn accumulate_critical_path(dep: &Deployment, scratch: &mut ServeScratch, last: usize) {
+        let nodes = &mut scratch.nodes;
+        if dep.chain {
+            for n in nodes.iter_mut() {
+                n.crit_s += n.dur;
+            }
             return;
         }
-        let mut v = 0usize;
-        for u in 1..k {
-            if scratch.finish[u] > scratch.finish[v] {
-                v = u;
-            }
-        }
+        let mut v = last;
         loop {
-            scratch.crit_s[v] += scratch.dur[v];
+            nodes[v].crit_s += nodes[v].dur;
             let producers = dep.producers_of(v);
             let Some(&first) = producers.first() else {
                 break;
             };
             let mut best = first as usize;
             for &p in &producers[1..] {
-                if scratch.finish[p as usize] > scratch.finish[best] {
+                if nodes[p as usize].finish > nodes[best].finish {
                     best = p as usize;
                 }
             }
             v = best;
         }
-    }
-
-    /// [`serve_lite_dag`](Self::serve_lite_dag) with pipeline-station
-    /// admission, the DAG twin of
-    /// [`serve_lite_pipelined`](Self::serve_lite_pipelined): node `v` of
-    /// a later request enters its station pool as soon as its input
-    /// objects are checkpointed and a station frees, so stages overlap
-    /// across requests and branches overlap within one.
-    fn serve_lite_dag_pipelined(
-        &self,
-        platform: &mut Platform,
-        dep: &DagDeployment,
-        t0: f64,
-        scratch: &mut DagServeScratch,
-        stations: &mut [StationPool],
-    ) -> RequestSummary {
-        let k = dep.functions.len();
-        let mut dollars = 0.0f64;
-        let mut retry_dollars = 0.0f64;
-        let mut retry_s = 0.0f64;
-        let mut stall_s = 0.0f64;
-        let mut stall_dollars = 0.0f64;
-        let mut n_retries: u32 = 0;
-        for (v, pool) in stations.iter_mut().enumerate().take(k) {
-            let mut ready = t0;
-            for &p in dep.producers_of(v) {
-                ready = ready.max(scratch.finish[p as usize]);
-            }
-            let (station, start) = pool.admit(ready);
-            let mut now = start;
-            let mut attempt: u32 = 0;
-            let out = loop {
-                match platform.invoke(dep.functions[v], now, &scratch.works[v]) {
-                    Ok(out) => break out,
-                    Err(failed) => {
-                        attempt += 1;
-                        if attempt > self.cfg.invoke_retries || !failed.reason.is_transient() {
-                            pool.release(station, start, failed.end);
-                            let spent = dollars + retry_dollars + failed.dollars;
-                            return RequestSummary {
-                                arrival_s: t0,
-                                latency_s: failed.end - t0,
-                                dollars: spent,
-                                retries: n_retries,
-                                wasted_s: failed.end - t0,
-                                wasted_dollars: spent,
-                                ok: false,
-                            };
-                        }
-                        let backoff_s = self.cfg.backoff_base_s * 2f64.powi(attempt as i32 - 1);
-                        now = failed.end + backoff_s;
-                        n_retries += 1;
-                        retry_dollars += failed.dollars;
-                        retry_s += failed.duration() + backoff_s;
-                    }
-                }
-            };
-            pool.release(station, start, out.end);
-            scratch.finish[v] = out.end;
-            scratch.dur[v] = out.end - out.start;
-            scratch.busy_s[v] += out.end - out.start;
-            scratch.stall_s[v] += (out.start - ready) + out.storage_retry_s;
-            dollars += out.dollars;
-            stall_s += out.storage_retry_s;
-            if out.storage_retry_s > 0.0 {
-                let mem = platform.spec(dep.functions[v]).map_or(0, |s| s.memory_mb);
-                stall_dollars += self
-                    .cfg
-                    .prices
-                    .lambda_compute_cost(out.storage_retry_s, mem);
-            }
-        }
-        let done = scratch.finish[..k].iter().fold(t0, |a, &b| a.max(b));
-        self.accumulate_critical_path(dep, scratch, k);
-        RequestSummary {
-            arrival_s: t0,
-            latency_s: done - t0,
-            dollars: dollars + retry_dollars,
-            retries: n_retries,
-            wasted_s: retry_s + stall_s,
-            wasted_dollars: retry_dollars + stall_dollars,
-            ok: true,
-        }
-    }
-
-    /// Runs `f` once per request across [`AmpsConfig::serve_lanes`]
-    /// warm-pool shards, executed by up to [`AmpsConfig::serve_threads`]
-    /// workers (0 = auto), and merges deterministically: per-request
-    /// results in global index order, shard platforms in lane order.
-    /// `f` receives `(platform, scratch, request_index, start)`.
-    fn run_lanes<R, F>(
-        &self,
-        base: &Platform,
-        dep: &Deployment,
-        starts: &[f64],
-        f: F,
-    ) -> (Vec<R>, Vec<Platform>)
-    where
-        R: Send,
-        F: Fn(&mut Platform, &mut ServeScratch, usize, f64) -> R + Sync,
-    {
-        self.run_lanes_assigned(
-            base,
-            std::slice::from_ref(dep),
-            &|_| 0,
-            starts,
-            move |p, scratch, _d, idx, t0| f(p, scratch, idx, t0),
-        )
     }
 
     /// Number of requests lane `lane` owns when `n` requests round-robin
@@ -1861,8 +1421,12 @@ impl Coordinator {
     }
 
     /// The work-stealing core of the sharded serving engine (DESIGN.md
-    /// §6d): every lane is a self-contained task (shard platform, one
-    /// scratch per deployment, result buffer, progress cursor) on a shared
+    /// §6d): runs `f(platform, state, request_index, start)` once per
+    /// request across [`AmpsConfig::serve_lanes`] warm-pool shards,
+    /// executed by up to [`AmpsConfig::serve_threads`] workers (0 =
+    /// auto). Every lane is a self-contained task (shard platform, the
+    /// caller-built per-lane state `init(lane)` — scratches, station
+    /// pools, anything —, result buffer, progress cursor) on a shared
     /// queue; workers pop a task, advance it one *chunk* of requests, and
     /// either requeue it or deposit it in its lane slot when exhausted.
     /// Chunking amortizes queue traffic while letting an idle worker steal
@@ -1875,83 +1439,13 @@ impl Coordinator {
     /// lane's entire mutable state travels with its task — workers race
     /// only for *which lane advances next*, never for state inside one.
     /// Chunk boundaries therefore cannot affect any result, and the merge
-    /// (requests in global index order, shard platforms in lane order) is
-    /// the same at every worker count.
+    /// (requests in global index order, shard platforms and lane states
+    /// in lane order) is the same at every worker count.
     ///
     /// Warm-pool pre-warming ([`AmpsConfig::warm_pool`]) happens here,
     /// per shard: lane `l` gets `⌈(pre_warm - l) / lanes⌉` of the policy's
     /// instances, so the split is deterministic and the sum exact.
-    fn run_lanes_assigned<R, F>(
-        &self,
-        base: &Platform,
-        deps: &[Deployment],
-        assign: &(dyn Fn(usize) -> usize + Sync),
-        starts: &[f64],
-        f: F,
-    ) -> (Vec<R>, Vec<Platform>)
-    where
-        R: Send,
-        F: Fn(&mut Platform, &mut ServeScratch, usize, usize, f64) -> R + Sync,
-    {
-        let (results, lanes) = self.run_lanes_stateful(
-            base,
-            deps,
-            assign,
-            starts,
-            |_| (),
-            move |p, scratch, _, d, idx, t0| f(p, scratch, d, idx, t0),
-        );
-        (results, lanes.into_iter().map(|(p, ())| p).collect())
-    }
-
-    /// [`run_lanes_assigned`](Self::run_lanes_assigned) with an arbitrary
-    /// per-lane state `S` riding along with the lane's task (the pipelined
-    /// engine's station pools). The state is created per lane by `init`,
-    /// mutated only by that lane's requests (in index order), and returned
-    /// with the shard platform in lane order — so it inherits the same
-    /// thread-count invariance as the platform itself.
-    fn run_lanes_stateful<R, S, F, I>(
-        &self,
-        base: &Platform,
-        deps: &[Deployment],
-        assign: &(dyn Fn(usize) -> usize + Sync),
-        starts: &[f64],
-        init: I,
-        f: F,
-    ) -> (Vec<R>, Vec<(Platform, S)>)
-    where
-        R: Send,
-        S: Send,
-        I: Fn(usize) -> S + Sync,
-        F: Fn(&mut Platform, &mut ServeScratch, &mut S, usize, usize, f64) -> R + Sync,
-    {
-        let (results, lanes) = self.run_lanes_generic(
-            base,
-            starts,
-            |lane| {
-                let scratches: Vec<ServeScratch> =
-                    deps.iter().map(ServeScratch::for_deployment).collect();
-                (scratches, init(lane))
-            },
-            move |p, lane_state: &mut (Vec<ServeScratch>, S), idx, t0| {
-                let d = assign(idx);
-                f(p, &mut lane_state.0[d], &mut lane_state.1, d, idx, t0)
-            },
-        );
-        (
-            results,
-            lanes.into_iter().map(|(p, (_, s))| (p, s)).collect(),
-        )
-    }
-
-    /// The scratch-agnostic core of the lane machinery: like
-    /// [`run_lanes_stateful`](Self::run_lanes_stateful) but the entire
-    /// per-lane mutable state — chain scratches, DAG scratches, station
-    /// pools, anything — is the caller-built `S`. This is what lets the
-    /// DAG engines reuse the work-stealing queue, the chunking, and the
-    /// deterministic merge without the chain's [`ServeScratch`] being
-    /// baked into the lane task.
-    fn run_lanes_generic<R, S, F, I>(
+    fn run_lanes<R, S, F, I>(
         &self,
         base: &Platform,
         starts: &[f64],
@@ -2393,9 +1887,7 @@ mod tests {
         let coord = Coordinator::new(cfg);
         let mut platform = coord.platform();
         let dep = coord.deploy_dag(&mut platform, &g, &plan).unwrap();
-        let report = coord
-            .serve_one_dag(&mut platform, &dep, 0.0, "req0")
-            .unwrap();
+        let report = coord.serve_one(&mut platform, &dep, 0.0, "req0").unwrap();
         assert!(
             (report.inference_s - plan.predicted_time_s).abs() < 1e-6,
             "measured {} vs predicted {}",
@@ -2427,47 +1919,56 @@ mod tests {
     }
 
     #[test]
-    fn dag_chain_shape_reproduces_chain_engine_bitwise() {
-        // The degenerate-DAG invariant: executing a chain-shaped DagPlan
-        // through the DAG engines reproduces the chain engines' reports
-        // bit-for-bit, sequential and pipelined.
+    fn chain_critical_path_is_every_node() {
+        // A chain's completions are monotone in node order, so every
+        // clean request's critical path is the whole chain: the straight
+        // per-node sum the engine takes on chains must equal the busy
+        // seconds, bit for bit, in both trace modes.
         let g = zoo::resnet50();
-        let cfg = AmpsConfig::default();
-        let plan = Optimizer::new(cfg.clone()).optimize(&g).unwrap().plan;
-        assert!(plan.num_lambdas() >= 2);
-        let dag = crate::plan::DagPlan::from_chain(&plan, |e| g.cut_transfer_bytes(e));
-        assert!(dag.is_chain());
+        let (coord, plan) = optimized(&g);
         let arrivals: Vec<f64> = (0..12).map(|i| i as f64 * 0.5).collect();
-
-        let coord = Coordinator::new(cfg.clone());
-        let mut p_chain = coord.platform();
-        let dep = coord.deploy(&mut p_chain, &g, &plan).unwrap();
-        let chain = coord.serve_trace(&mut p_chain, &dep, &arrivals);
-
-        let mut p_dag = coord.platform();
-        let ddep = coord.deploy_dag(&mut p_dag, &g, &dag).unwrap();
-        let mut via_dag = coord.serve_trace_dag(&mut p_dag, &ddep, &arrivals);
-        // The DAG engine adds per-node observability on top of the chain
-        // report; everything the chain engine reports must match bitwise.
-        assert!(via_dag.dag_nodes.is_some());
-        via_dag.dag_nodes = None;
-        assert_eq!(chain, via_dag);
-        for (a, b) in chain.requests.iter().zip(&via_dag.requests) {
-            assert_eq!(a.latency_s.to_bits(), b.latency_s.to_bits());
-            assert_eq!(a.dollars.to_bits(), b.dollars.to_bits());
+        for coord in [coord.clone(), Coordinator::new(coord.cfg.with_pipeline(2))] {
+            let mut platform = coord.platform();
+            let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
+            assert!(dep.chain);
+            let trace = if coord.cfg.pipeline_depth > 0 {
+                coord.serve_trace_pipelined(&mut platform, &dep, &arrivals)
+            } else {
+                coord.serve_trace(&mut platform, &dep, &arrivals)
+            };
+            let stats = trace.dag_nodes.expect("every single-deployment trace");
+            assert_eq!(stats.busy_s.len(), plan.num_lambdas());
+            assert_eq!(stats.busy_s, stats.crit_s);
+            assert!(stats.busy_s() > 0.0);
         }
+    }
 
-        let coord_pipe = Coordinator::new(cfg.with_pipeline(2));
-        let mut pp_chain = coord_pipe.platform();
-        let pdep = coord_pipe.deploy(&mut pp_chain, &g, &plan).unwrap();
-        let chain_pipe = coord_pipe.serve_trace_pipelined(&mut pp_chain, &pdep, &arrivals);
+    #[test]
+    fn deploy_rejects_overlapping_partitions() {
+        let g = zoo::resnet50();
+        let (coord, mut plan) = optimized(&g);
+        assert!(plan.num_lambdas() >= 2, "need a boundary to overlap");
+        plan.partitions[1].start -= 1;
+        let mut platform = coord.platform();
+        match coord.deploy(&mut platform, &g, &plan) {
+            Err(DeployError::InvalidPlan(why)) => assert!(why.contains("tile"), "{why}"),
+            other => panic!("expected InvalidPlan, got {other:?}"),
+        }
+    }
 
-        let mut pp_dag = coord_pipe.platform();
-        let pddep = coord_pipe.deploy_dag(&mut pp_dag, &g, &dag).unwrap();
-        let mut dag_pipe = coord_pipe.serve_trace_dag_pipelined(&mut pp_dag, &pddep, &arrivals);
-        assert!(dag_pipe.dag_nodes.is_some());
-        dag_pipe.dag_nodes = None;
-        assert_eq!(chain_pipe, dag_pipe);
+    #[test]
+    fn deploy_dag_rejects_backward_objects() {
+        let g = zoo::branchy_cnn();
+        let cfg = AmpsConfig::default();
+        let mut plan = branchy_dag(&g, &cfg);
+        // The gather tail's first input now claims to feed the spine.
+        plan.objects[1].consumers = vec![0];
+        let coord = Coordinator::new(cfg);
+        let mut platform = coord.platform();
+        match coord.deploy_dag(&mut platform, &g, &plan) {
+            Err(DeployError::InvalidPlan(why)) => assert!(why.contains("backward"), "{why}"),
+            other => panic!("expected InvalidPlan, got {other:?}"),
+        }
     }
 
     #[test]
@@ -2484,13 +1985,13 @@ mod tests {
         let coord = Coordinator::new(cfg.clone());
         let mut p_seq = coord.platform();
         let dep = coord.deploy_dag(&mut p_seq, &g, &plan).unwrap();
-        let seq = coord.serve_trace_dag(&mut p_seq, &dep, &arrivals);
+        let seq = coord.serve_trace(&mut p_seq, &dep, &arrivals);
         assert_eq!(seq.failures, 0);
 
         let coord_pipe = Coordinator::new(cfg.with_pipeline(1));
         let mut p_pipe = coord_pipe.platform();
         let dep_pipe = coord_pipe.deploy_dag(&mut p_pipe, &g, &plan).unwrap();
-        let pipe = coord_pipe.serve_trace_dag_pipelined(&mut p_pipe, &dep_pipe, &arrivals);
+        let pipe = coord_pipe.serve_trace_pipelined(&mut p_pipe, &dep_pipe, &arrivals);
         assert_eq!(pipe.failures, 0);
         assert!(
             pipe.cold_starts < seq.cold_starts,

@@ -21,7 +21,8 @@
 //!   (greedy-from-last-layer + max memory), Baseline 3 (exhaustive
 //!   optimum via DP over all boundaries);
 //! * [`coordinator`] — the Coordinator component: package partitions,
-//!   deploy, chain invocations through storage, return predictions;
+//!   deploy, run every plan (chains lowered to DAGs) as invocations that
+//!   hand tensors over through storage, return predictions;
 //! * [`plancache`] — the online `(model, SLO, batch) → plan` cache the
 //!   adaptive serving loop consults when load shifts SLO pressure;
 //! * [`plan`] — serializable execution/provisioning plans.
@@ -42,9 +43,8 @@ pub mod trace;
 
 pub use config::AmpsConfig;
 pub use coordinator::{
-    BatchFailure, BatchReport, Coordinator, DagDeployment, DagNodeStats, DagServeScratch,
-    JobReport, PipelineReport, PipelineStats, RequestSummary, RetryRecord, ServeError,
-    ServeScratch, TraceReport,
+    BatchFailure, BatchReport, Coordinator, DagNodeStats, Deployment, JobReport, PipelineReport,
+    PipelineStats, RequestSummary, RetryRecord, ServeError, ServeScratch, TraceReport,
 };
 pub use optimizer::{DagReport, DagSearchStats, OptimizeError, Optimizer};
 pub use plan::{

@@ -56,7 +56,7 @@ impl ExecutionPlan {
         for w in self.partitions.windows(2) {
             if w[1].start != w[0].end + 1 {
                 return Err(format!(
-                    "gap between partitions: {} .. {}",
+                    "partitions must tile the layer order: {} .. {}",
                     w[0].end, w[1].start
                 ));
             }

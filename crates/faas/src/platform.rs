@@ -50,6 +50,9 @@ pub enum DeployError {
     },
     /// More function layers than the platform allows.
     TooManyLayers(usize),
+    /// The plan handed to the deployer is structurally invalid (overlapping
+    /// or missing layers, objects flowing backward, ...).
+    InvalidPlan(String),
 }
 
 impl std::fmt::Display for DeployError {
@@ -63,6 +66,7 @@ impl std::fmt::Display for DeployError {
                 *limit as f64 / MB as f64
             ),
             DeployError::TooManyLayers(n) => write!(f, "{n} layers exceed the platform cap"),
+            DeployError::InvalidPlan(why) => write!(f, "invalid plan: {why}"),
         }
     }
 }

@@ -19,11 +19,10 @@
 
 use std::collections::HashMap;
 
-use ampsinf_core::coordinator::Deployment;
-use ampsinf_core::plan::{DagPlan, EffectivePlan, ExecutionPlan};
+use ampsinf_core::plan::{DagPlan, ExecutionPlan};
 use ampsinf_core::sweep::SweepGrid;
 use ampsinf_core::{
-    AmpsConfig, Coordinator, DagDeployment, DagNodeStats, Optimizer, PlanCache, TraceReport,
+    AmpsConfig, Coordinator, DagNodeStats, Deployment, Optimizer, PlanCache, TraceReport,
 };
 use ampsinf_faas::SmallRng;
 use ampsinf_model::LayerGraph;
@@ -328,10 +327,10 @@ pub struct LoadReport {
     /// Per-stage station utilization in chain order (empty unless the run
     /// was pipelined).
     pub stage_utilization: Vec<f64>,
-    /// Per-DAG-node busy/stall/critical-path accounting (`Some` only for
-    /// single-DAG open-loop runs — [`run_open_loop_dag`]; the adaptive
-    /// engine serves several deployments whose node indices don't line
-    /// up, so it reports `None`).
+    /// Per-node busy/stall/critical-path accounting (`Some` for every
+    /// single-plan open-loop run, chain or DAG; the adaptive engine serves
+    /// several deployments whose node indices don't line up, so it
+    /// reports `None`).
     pub dag_nodes: Option<DagNodeStats>,
 }
 
@@ -418,70 +417,70 @@ fn report_from_trace(
     }
 }
 
-/// Runs an open-loop workload against a deployed plan.
+/// The trace `load` describes, or an error when its mean rate is not a
+/// positive finite number of requests per second.
+fn checked_arrivals(load: &LoadSpec) -> Result<Vec<f64>, String> {
+    if !(load.rate_rps > 0.0 && load.rate_rps.is_finite()) {
+        return Err(format!(
+            "arrival rate must be positive and finite, got {} rps",
+            load.rate_rps
+        ));
+    }
+    Ok(load.arrivals())
+}
+
+/// Runs an open-loop workload against a deployed chain plan: the chain
+/// lowers through [`DagPlan::from_chain`] and serves exactly as
+/// [`run_open_loop_dag`] serves any plan.
 ///
-/// Requests are processed in arrival order; each runs the full partition
-/// chain. The platform's instance pools decide warm/cold per invocation
-/// under [`AmpsConfig::warm_pool`]'s provisioning policy, so bursts
-/// scale out (cold) and steady trickles stay warm — Lambda's actual
-/// elasticity behaviour, or the pre-warmed variant the policy buys.
-///
-/// Serving runs on [`Coordinator::serve_trace`]'s work-stealing sharded
-/// engine: with [`AmpsConfig::serve_lanes`] > 1, requests split across
-/// warm-pool shards executed by [`AmpsConfig::serve_threads`] workers,
-/// and the report is bit-identical at every thread count. A request that
-/// exhausts its retry budget no longer aborts the run — it is counted in
-/// [`LoadReport::failures`] and the load keeps flowing.
+/// Requests are processed in arrival order. The platform's instance
+/// pools decide warm/cold per invocation under [`AmpsConfig::warm_pool`]'s
+/// provisioning policy, so bursts scale out (cold) and steady trickles
+/// stay warm — Lambda's actual elasticity behaviour, or the pre-warmed
+/// variant the policy buys.
 pub fn run_open_loop(
     graph: &LayerGraph,
     plan: &ExecutionPlan,
     cfg: &AmpsConfig,
     load: &LoadSpec,
 ) -> Result<LoadReport, String> {
-    let coord = Coordinator::new(cfg.clone());
-    let mut platform = coord.platform();
-    let dep = coord
-        .deploy(&mut platform, graph, plan)
-        .map_err(|e| e.to_string())?;
-    let arrivals = load.arrivals();
-    let trace = if cfg.pipeline_depth > 0 {
-        coord.serve_trace_pipelined(&mut platform, &dep, &arrivals)
-    } else {
-        coord.serve_trace(&mut platform, &dep, &arrivals)
-    };
-    Ok(report_from_trace(&trace, &arrivals, load, cfg))
+    plan.validate(graph.num_layers())
+        .map_err(|e| format!("invalid plan: {e}"))?;
+    let dag = DagPlan::from_chain(plan, |k| graph.cut_transfer_bytes(k));
+    run_open_loop_dag(graph, &dag, cfg, load)
 }
 
-/// Runs an open-loop workload against a deployed branch-parallel
-/// [`DagPlan`].
+/// Runs an open-loop workload against a deployed plan (branch-parallel,
+/// or a chain lowered through [`DagPlan::from_chain`]).
 ///
-/// The DAG twin of [`run_open_loop`]: the same arrival shapes, warm-pool
-/// policies and fault injection drive [`Coordinator::serve_trace_dag`]'s
-/// work-stealing sharded engine (or the station-pipelined
-/// [`Coordinator::serve_trace_dag_pipelined`] when
-/// [`AmpsConfig::pipeline_depth`] > 0), and the report is bit-identical
-/// at every thread count. On top of the chain report, the run surfaces
-/// [`LoadReport::dag_nodes`]: per-node busy/stall seconds, station
-/// occupancy and critical-path shares — where the width actually went.
-///
-/// A chain-shaped plan ([`DagPlan::from_chain`]) reproduces the chain
-/// engine's [`run_open_loop`] report bit-for-bit.
+/// The arrival shapes, warm-pool policies and fault injection drive
+/// [`Coordinator::serve_trace`]'s work-stealing sharded engine (or the
+/// station-pipelined [`Coordinator::serve_trace_pipelined`] when
+/// [`AmpsConfig::pipeline_depth`] is positive): with several
+/// [`AmpsConfig::serve_lanes`], requests split across warm-pool shards
+/// executed by [`AmpsConfig::serve_threads`] workers, and the report is
+/// bit-identical at every thread count. A request that exhausts its retry
+/// budget does not abort the run — it is counted in
+/// [`LoadReport::failures`] and the load keeps flowing. The run also
+/// surfaces [`LoadReport::dag_nodes`]: per-node busy/stall seconds,
+/// station occupancy and critical-path shares — where the width actually
+/// went.
 pub fn run_open_loop_dag(
     graph: &LayerGraph,
     plan: &DagPlan,
     cfg: &AmpsConfig,
     load: &LoadSpec,
 ) -> Result<LoadReport, String> {
+    let arrivals = checked_arrivals(load)?;
     let coord = Coordinator::new(cfg.clone());
     let mut platform = coord.platform();
     let dep = coord
         .deploy_dag(&mut platform, graph, plan)
         .map_err(|e| e.to_string())?;
-    let arrivals = load.arrivals();
     let trace = if cfg.pipeline_depth > 0 {
-        coord.serve_trace_dag_pipelined(&mut platform, &dep, &arrivals)
+        coord.serve_trace_pipelined(&mut platform, &dep, &arrivals)
     } else {
-        coord.serve_trace_dag(&mut platform, &dep, &arrivals)
+        coord.serve_trace(&mut platform, &dep, &arrivals)
     };
     Ok(report_from_trace(&trace, &arrivals, load, cfg))
 }
@@ -515,28 +514,92 @@ impl AdaptiveSpec {
     }
 }
 
-/// Runs an open-loop workload with online re-planning between epochs.
+/// Runs an open-loop workload with online re-planning between epochs,
+/// over chain plans.
 ///
 /// The plan cache is seeded by one amortized [`Optimizer::optimize_sweep`]
-/// over the spec's SLO tiers. The controller then walks the arrival
-/// trace in epochs of [`AdaptiveSpec::epoch_requests`]: each epoch's
-/// observed arrival rate maps to a pressure in `(0, 1)` against the
-/// spec's mean rate, the pressure picks an SLO tier (hot epochs →
-/// tight tiers), and the tier's plan comes from the cache — solving at
-/// most once per `(SLO, batch)` point, with infeasible tiers falling
-/// back loose-ward and finally to an unconstrained plan. Each distinct
-/// plan is deployed once; requests then run on the work-stealing
-/// engine with a per-epoch chain assignment that is a pure function of
-/// the request index, so the report stays bit-identical at every
-/// thread count. [`LoadReport::plan_hits`], [`LoadReport::plan_misses`]
-/// and [`LoadReport::replans`] make the controller observable.
+/// over the spec's SLO tiers; each tier's chain is lowered through
+/// [`DagPlan::from_chain`]. See [`run_adaptive_loop_dag`] for the
+/// controller itself.
 pub fn run_adaptive_loop(
     graph: &LayerGraph,
     cfg: &AmpsConfig,
     load: &LoadSpec,
     adaptive: &AdaptiveSpec,
 ) -> Result<LoadReport, String> {
-    let arrivals = load.arrivals();
+    adaptive_loop(
+        graph,
+        cfg,
+        load,
+        adaptive,
+        |cache, grid| {
+            let sweep = Optimizer::new(cfg.clone()).optimize_sweep(graph, grid);
+            cache.seed_from_sweep(&graph.name, &sweep);
+        },
+        |cache, slo| {
+            let plan = cache.get_or_plan(graph, cfg, slo, cfg.batch_size).ok()?;
+            Some(DagPlan::from_chain(&plan, |k| graph.cut_transfer_bytes(k)))
+        },
+    )
+}
+
+/// Runs an open-loop workload with online re-planning over *effective*
+/// plans — chain or branch-parallel DAG, whichever the twin-objective
+/// search recommends per SLO tier.
+///
+/// The cache is seeded by one amortized [`Optimizer::optimize_dag_sweep`]
+/// over the spec's tiers, so each tier resolves to an
+/// [`EffectivePlan`](ampsinf_core::EffectivePlan)
+/// without ever solving on the serving path. The controller then walks
+/// the arrival trace in epochs of [`AdaptiveSpec::epoch_requests`]: each
+/// epoch's observed arrival rate maps to a pressure in `(0, 1)` against
+/// the spec's mean rate, the pressure picks an SLO tier (hot epochs →
+/// tight tiers), and the tier's plan comes from the cache — solving at
+/// most once per `(SLO, batch)` point, with infeasible tiers falling
+/// back loose-ward and finally to an unconstrained plan. Each distinct
+/// plan is deployed once; requests then run on
+/// [`Coordinator::serve_trace_assigned`] with a per-epoch assignment that
+/// is a pure function of the request index, so the report stays
+/// bit-identical at every thread count. [`LoadReport::plan_hits`],
+/// [`LoadReport::plan_misses`] and [`LoadReport::replans`] make the
+/// controller observable.
+pub fn run_adaptive_loop_dag(
+    graph: &LayerGraph,
+    cfg: &AmpsConfig,
+    load: &LoadSpec,
+    adaptive: &AdaptiveSpec,
+) -> Result<LoadReport, String> {
+    adaptive_loop(
+        graph,
+        cfg,
+        load,
+        adaptive,
+        |cache, grid| {
+            let sweep = Optimizer::new(cfg.clone()).optimize_dag_sweep(graph, grid);
+            cache.seed_from_dag_sweep(&graph.name, &sweep);
+        },
+        |cache, slo| {
+            let plan = cache
+                .get_or_plan_effective(graph, cfg, slo, cfg.batch_size)
+                .ok()?;
+            Some(plan.to_dag(|k| graph.cut_transfer_bytes(k)))
+        },
+    )
+}
+
+/// The adaptive controller both entry points share: `seed` fills the
+/// plan cache from one sweep over the tier grid, and `resolve` turns a
+/// tier (`None` = unconstrained) into the plan to deploy, or `None` when
+/// the tier is infeasible.
+fn adaptive_loop(
+    graph: &LayerGraph,
+    cfg: &AmpsConfig,
+    load: &LoadSpec,
+    adaptive: &AdaptiveSpec,
+    seed: impl FnOnce(&mut PlanCache, &SweepGrid),
+    mut resolve: impl FnMut(&mut PlanCache, Option<f64>) -> Option<DagPlan>,
+) -> Result<LoadReport, String> {
+    let arrivals = checked_arrivals(load)?;
     if arrivals.is_empty() {
         return Err("adaptive run needs at least one request".into());
     }
@@ -550,11 +613,9 @@ pub fn run_adaptive_loop(
     }
     let n_tiers = adaptive.slo_tiers.len();
 
-    // Seed the cache with one amortized sweep over the tier grid.
     let mut cache = PlanCache::new();
     let grid = SweepGrid::from_slos(adaptive.slo_tiers.clone()).with_batches(vec![cfg.batch_size]);
-    let sweep = Optimizer::new(cfg.clone()).optimize_sweep(graph, &grid);
-    cache.seed_from_sweep(&graph.name, &sweep);
+    seed(&mut cache, &grid);
 
     let coord = Coordinator::new(cfg.clone());
     let mut platform = coord.platform();
@@ -574,19 +635,13 @@ pub fn run_adaptive_loop(
         let tier = (((1.0 - pressure) * n_tiers as f64) as usize).min(n_tiers - 1);
 
         // Tier → plan, falling back loose-ward, then unconstrained.
-        let mut chosen: Option<(Option<f64>, ExecutionPlan)> = None;
-        for slo in adaptive.slo_tiers[tier..]
+        let Some((slo, plan)) = adaptive.slo_tiers[tier..]
             .iter()
             .copied()
             .map(Some)
             .chain([None])
-        {
-            if let Ok(plan) = cache.get_or_plan(graph, cfg, slo, cfg.batch_size) {
-                chosen = Some((slo, plan));
-                break;
-            }
-        }
-        let Some((slo, plan)) = chosen else {
+            .find_map(|slo| Some((slo, resolve(&mut cache, slo)?)))
+        else {
             return Err("no feasible plan at any SLO tier".into());
         };
         let key = slo.map(f64::to_bits);
@@ -594,7 +649,7 @@ pub fn run_adaptive_loop(
             Some(&i) => i,
             None => {
                 let dep = coord
-                    .deploy(&mut platform, graph, &plan)
+                    .deploy_dag(&mut platform, graph, &plan)
                     .map_err(|e| e.to_string())?;
                 deps.push(dep);
                 dep_of_tier.insert(key, deps.len() - 1);
@@ -609,112 +664,6 @@ pub fn run_adaptive_loop(
 
     let epoch_requests = adaptive.epoch_requests;
     let trace = coord.serve_trace_assigned(
-        &mut platform,
-        &deps,
-        &|i| epoch_dep[i / epoch_requests],
-        &arrivals,
-    );
-    let mut report = report_from_trace(&trace, &arrivals, load, cfg);
-    report.plan_hits = cache.hits();
-    report.plan_misses = cache.misses();
-    report.replans = replans;
-    Ok(report)
-}
-
-/// Runs an open-loop workload with online re-planning over *effective*
-/// plans — chain or branch-parallel DAG, whichever the twin-objective
-/// search recommends per SLO tier.
-///
-/// The DAG twin of [`run_adaptive_loop`]: the cache is seeded by one
-/// amortized [`Optimizer::optimize_dag_sweep`] over the spec's tiers, so
-/// each tier resolves to an [`EffectivePlan`] without ever solving on
-/// the serving path. Every distinct tier deploys through the one DAG
-/// engine (chain incumbents wrap via [`DagPlan::from_chain`], which the
-/// engine executes bit-identically to the chain path), and requests run
-/// on [`Coordinator::serve_trace_assigned_dag`] with a per-epoch
-/// assignment that is a pure function of the request index — the report
-/// stays bit-identical at every thread count.
-pub fn run_adaptive_loop_dag(
-    graph: &LayerGraph,
-    cfg: &AmpsConfig,
-    load: &LoadSpec,
-    adaptive: &AdaptiveSpec,
-) -> Result<LoadReport, String> {
-    let arrivals = load.arrivals();
-    if arrivals.is_empty() {
-        return Err("adaptive run needs at least one request".into());
-    }
-    if cfg.pipeline_depth > 0 {
-        return Err(
-            "pipelined execution does not combine with the adaptive controller: \
-             stations are bound to one plan's stages, and the controller switches \
-             plans between epochs"
-                .into(),
-        );
-    }
-    let n_tiers = adaptive.slo_tiers.len();
-
-    // Seed the effective-plan cache with one amortized DAG sweep.
-    let mut cache = PlanCache::new();
-    let grid = SweepGrid::from_slos(adaptive.slo_tiers.clone()).with_batches(vec![cfg.batch_size]);
-    let sweep = Optimizer::new(cfg.clone()).optimize_dag_sweep(graph, &grid);
-    cache.seed_from_dag_sweep(&graph.name, &sweep);
-
-    let coord = Coordinator::new(cfg.clone());
-    let mut platform = coord.platform();
-    let mut deps: Vec<DagDeployment> = Vec::new();
-    let mut dep_of_tier: HashMap<Option<u64>, usize> = HashMap::new();
-    let mut epoch_dep: Vec<usize> = Vec::new();
-    let mut replans = 0u64;
-    for epoch in arrivals.chunks(adaptive.epoch_requests) {
-        // Observed epoch rate → pressure in (0, 1) against the mean.
-        let span = epoch[epoch.len() - 1] - epoch[0];
-        let rate = if epoch.len() >= 2 && span > 0.0 {
-            (epoch.len() - 1) as f64 / span
-        } else {
-            load.rate_rps
-        };
-        let pressure = rate / (rate + load.rate_rps);
-        let tier = (((1.0 - pressure) * n_tiers as f64) as usize).min(n_tiers - 1);
-
-        // Tier → effective plan, falling back loose-ward, then
-        // unconstrained.
-        let mut chosen: Option<(Option<f64>, EffectivePlan)> = None;
-        for slo in adaptive.slo_tiers[tier..]
-            .iter()
-            .copied()
-            .map(Some)
-            .chain([None])
-        {
-            if let Ok(plan) = cache.get_or_plan_effective(graph, cfg, slo, cfg.batch_size) {
-                chosen = Some((slo, plan));
-                break;
-            }
-        }
-        let Some((slo, plan)) = chosen else {
-            return Err("no feasible plan at any SLO tier".into());
-        };
-        let key = slo.map(f64::to_bits);
-        let dep_idx = match dep_of_tier.get(&key) {
-            Some(&i) => i,
-            None => {
-                let dag = plan.to_dag(|k| graph.cut_transfer_bytes(k));
-                let dep = coord
-                    .deploy_dag(&mut platform, graph, &dag)
-                    .map_err(|e| e.to_string())?;
-                deps.push(dep);
-                dep_of_tier.insert(key, deps.len() - 1);
-                deps.len() - 1
-            }
-        };
-        if epoch_dep.last().is_some_and(|&prev| prev != dep_idx) {
-            replans += 1;
-        }
-        epoch_dep.push(dep_idx);
-    }
-
-    let epoch_requests = adaptive.epoch_requests;
-    let trace = coord.serve_trace_assigned_dag(
         &mut platform,
         &deps,
         &|i| epoch_dep[i / epoch_requests],
@@ -1253,39 +1202,31 @@ mod tests {
     }
 
     #[test]
-    fn chain_shaped_dag_open_loop_matches_chain_load_report() {
-        // A chain wrapped as a degenerate DAG must reproduce the chain
-        // engine's LoadReport bit-for-bit through the open-loop path.
+    fn bad_rates_are_errors_not_panics() {
         let (g, plan, cfg) = setup();
-        let cfg = cfg.with_serve_lanes(4);
-        let dag = DagPlan::from_chain(&plan, |e| g.cut_transfer_bytes(e));
-        assert!(dag.is_chain());
-        let load = LoadSpec::poisson(3.0, 16, 9).with_shape(ArrivalShape::bursty());
-        for t in [1usize, 8] {
-            let cfg = cfg.clone().with_serve_threads(t);
-            let chain = run_open_loop(&g, &plan, &cfg, &load).unwrap();
-            let via_dag = run_open_loop_dag(&g, &dag, &cfg, &load).unwrap();
-            assert_eq!(
-                chain
-                    .latencies_s
-                    .iter()
-                    .map(|l| l.to_bits())
-                    .collect::<Vec<_>>(),
-                via_dag
-                    .latencies_s
-                    .iter()
-                    .map(|l| l.to_bits())
-                    .collect::<Vec<_>>(),
-                "latencies at {t} threads"
-            );
-            assert_eq!(chain.dollars.to_bits(), via_dag.dollars.to_bits());
-            assert_eq!(chain.makespan_s.to_bits(), via_dag.makespan_s.to_bits());
-            assert_eq!(chain.cold_starts, via_dag.cold_starts);
-            assert_eq!(chain.peak_instances, via_dag.peak_instances);
-            assert_eq!(chain.invocations, via_dag.invocations);
-            assert_eq!(chain.failures, via_dag.failures);
-            assert!(via_dag.dag_nodes.is_some(), "DAG path adds node stats");
+        let dag = DagPlan::from_chain(&plan, |k| g.cut_transfer_bytes(k));
+        let adaptive = AdaptiveSpec::new(4, vec![plan.predicted_time_s * 2.0]);
+        for rate in [f64::INFINITY, f64::NAN, 0.0, -3.0] {
+            let load = LoadSpec::poisson(rate, 5, 1);
+            for err in [
+                run_open_loop(&g, &plan, &cfg, &load).unwrap_err(),
+                run_open_loop_dag(&g, &dag, &cfg, &load).unwrap_err(),
+                run_adaptive_loop(&g, &cfg, &load, &adaptive).unwrap_err(),
+                run_adaptive_loop_dag(&g, &cfg, &load, &adaptive).unwrap_err(),
+            ] {
+                assert!(err.contains("arrival rate"), "rate {rate}: {err}");
+            }
         }
+    }
+
+    #[test]
+    fn invalid_chain_plan_is_an_error() {
+        let g = zoo::resnet50();
+        let cfg = AmpsConfig::default();
+        let mut plan = Optimizer::new(cfg.clone()).optimize(&g).unwrap().plan;
+        plan.partitions.last_mut().unwrap().end += 5;
+        let err = run_open_loop(&g, &plan, &cfg, &LoadSpec::poisson(2.0, 4, 1)).unwrap_err();
+        assert!(err.contains("invalid plan"), "{err}");
     }
 
     #[test]

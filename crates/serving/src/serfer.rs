@@ -50,7 +50,8 @@ pub fn run_serfer(
         .map(|i| {
             let input_key = (i > 0).then(|| platform.store.intern(&format!("serfer/b{}", i - 1)));
             let output_key = (i + 1 < k).then(|| platform.store.intern(&format!("serfer/b{i}")));
-            let work: &PartitionWork = &dep.works[i];
+            let p = &plan.partitions[i];
+            let work = PartitionWork::from_segment(graph, p.start, p.end);
             StepState {
                 name: format!("partition{i}"),
                 function: dep.functions[i],

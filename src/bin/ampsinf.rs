@@ -19,8 +19,8 @@ use amps_inf::faas::WarmPoolPolicy;
 use amps_inf::model::summary::ModelSummary;
 use amps_inf::prelude::*;
 use amps_inf::serving::{
-    run_adaptive_loop, run_adaptive_loop_dag, run_open_loop, run_open_loop_dag, AdaptiveSpec,
-    ArrivalShape, LoadSpec,
+    run_adaptive_loop, run_adaptive_loop_dag, run_open_loop_dag, AdaptiveSpec, ArrivalShape,
+    LoadSpec,
 };
 
 fn main() {
@@ -177,113 +177,7 @@ fn run(args: &[String]) -> i32 {
             (Err(e), _) | (_, Err(e)) => fail(&e),
         },
         "serve" => match (load_model(args.get(1)), parse_cfg(&args[1..])) {
-            (Ok(g), Ok((cfg, _, _))) => {
-                let dag = args.iter().any(|a| a == "--dag");
-                if flag_value(args, "--requests").is_some() {
-                    return serve_load(&g, cfg, args, dag);
-                }
-                if dag {
-                    return serve_dag(&g, cfg, args);
-                }
-                let images = match flag_value(args, "--images") {
-                    Some(v) => match v.parse::<usize>() {
-                        Ok(n) if n > 0 => n,
-                        _ => {
-                            return fail(&format!(
-                                "bad --images value {v} (need a positive integer)"
-                            ))
-                        }
-                    },
-                    None => 1,
-                };
-                let parallel = args.iter().any(|a| a == "--parallel");
-                if cfg.pipeline_depth > 0 && parallel {
-                    return fail(
-                        "--pipeline and --parallel are mutually exclusive: --parallel \
-                         fans whole chains out with unbounded concurrency, --pipeline \
-                         overlaps stages under per-stage station budgets; pick one",
-                    );
-                }
-                match Optimizer::new(cfg.clone()).optimize(&g) {
-                    Ok(r) => {
-                        let plan = match pipeline_plan_or(&g, &cfg, r.plan) {
-                            Ok(p) => p,
-                            Err(e) => return fail(&e),
-                        };
-                        println!("{plan}");
-                        print_fault_plan(&cfg);
-                        let coord = Coordinator::new(cfg);
-                        let mut platform = coord.platform();
-                        let dep = match coord.deploy(&mut platform, &g, &plan) {
-                            Ok(d) => d,
-                            Err(e) => return fail(&format!("deploy: {e}")),
-                        };
-                        let (time, mut dollars) = if images == 1 {
-                            let job = match coord.serve_one(&mut platform, &dep, 0.0, "cli") {
-                                Ok(j) => j,
-                                Err(e) => return fail(&format!("serve: {e}")),
-                            };
-                            println!(
-                                "deploy {:.2}s  load {:.2}s  predict {:.2}s  chain {:.2}s",
-                                job.deploy_s, job.load_s, job.predict_s, job.inference_s
-                            );
-                            print_reliability(
-                                job.retries.len(),
-                                0,
-                                job.wasted_s,
-                                job.wasted_dollars,
-                            );
-                            (job.e2e_s, job.dollars)
-                        } else if coord.config().pipeline_depth > 0 {
-                            let p = coord.serve_pipelined(&mut platform, &dep, images, 0.0);
-                            println!(
-                                "pipeline: {} succeeded, {} failed over {} station(s)/stage",
-                                p.requests.len() - p.failed,
-                                p.failed,
-                                p.stats.stations_per_stage
-                            );
-                            let utils: Vec<String> = p
-                                .stats
-                                .stage_utilization()
-                                .iter()
-                                .map(|u| format!("{:.0}%", u * 100.0))
-                                .collect();
-                            println!(
-                                "pipeline: utilization {:.1}% [{}], stall {:.2}s, \
-                                 warm idle {:.2}s",
-                                p.stats.utilization() * 100.0,
-                                utils.join(", "),
-                                p.stats.stall_s(),
-                                p.warm_idle_s
-                            );
-                            (p.e2e_s, p.dollars)
-                        } else {
-                            let b = if parallel {
-                                coord.serve_parallel(&mut platform, &dep, images, 0.0)
-                            } else {
-                                coord.serve_sequential(&mut platform, &dep, images, 0.0)
-                            };
-                            println!("batch: {} succeeded, {} failed", b.succeeded(), b.failed());
-                            for f in &b.failures {
-                                println!("  image {}: {}", f.image, f.error);
-                            }
-                            let retries: usize = b.jobs.iter().map(|j| j.retries.len()).sum();
-                            print_reliability(retries, b.failed(), b.wasted_s, b.wasted_dollars);
-                            (b.e2e_s, b.dollars)
-                        };
-                        dollars += platform.settle_storage(time);
-                        println!(
-                            "{} image(s){}: {:.2}s end-to-end, ${:.6}",
-                            images,
-                            if parallel { " in parallel" } else { "" },
-                            time,
-                            dollars
-                        );
-                        0
-                    }
-                    Err(e) => fail(&format!("optimization failed: {e}")),
-                }
-            }
+            (Ok(g), Ok((cfg, _, _))) => serve(&g, cfg, args),
             (Err(e), _) | (_, Err(e)) => fail(&e),
         },
         _ => {
@@ -366,13 +260,23 @@ fn plan_dag(g: &LayerGraph, cfg: AmpsConfig, args: &[String], json_out: Option<S
     }
 }
 
-/// `serve --dag`: plan with [`plan_dag`]'s objective, then deploy the
-/// winning DAG (or the chain incumbent as a degenerate DAG when no branch
-/// plan wins) and execute requests through the fan-out/fan-in engine.
-/// `--parallel` forces the burst trace engine even for a single image
-/// (each DAG request already fans its branch nodes out concurrently, so
-/// the flag only picks the engine, not the within-request concurrency).
-fn serve_dag(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
+/// `serve`: plan, deploy and serve on the one engine. `--requests` runs
+/// an open-loop load ([`serve_load`]); otherwise `--images` requests run
+/// as a batch — one request, `--parallel` (all at t = 0), `--pipeline`
+/// (stage-overlapped stations) or one after another. `--dag` only picks
+/// the planner ([`plan_for_serving`]).
+fn serve(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
+    let parallel = args.iter().any(|a| a == "--parallel");
+    if cfg.pipeline_depth > 0 && parallel {
+        return fail(
+            "--pipeline and --parallel are mutually exclusive: --parallel \
+             fans whole requests out with unbounded concurrency, --pipeline \
+             overlaps stages under per-stage station budgets; pick one",
+        );
+    }
+    if flag_value(args, "--requests").is_some() {
+        return serve_load(g, cfg, args);
+    }
     let images = match flag_value(args, "--images") {
         Some(v) => match v.parse::<usize>() {
             Ok(n) if n > 0 => n,
@@ -380,13 +284,100 @@ fn serve_dag(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
         },
         None => 1,
     };
-    let parallel = args.iter().any(|a| a == "--parallel");
-    let verbose = args.iter().any(|a| a == "--verbose");
-    let report = match Optimizer::new(cfg.clone()).optimize_dag(g) {
-        Ok(r) => r,
-        Err(e) => return fail(&format!("optimization failed: {e}")),
+    let plan = match plan_for_serving(g, &cfg, args) {
+        Ok(p) => p,
+        Err(e) => return fail(&e),
     };
-    let plan = match report.dag {
+    print_fault_plan(&cfg);
+    let coord = Coordinator::new(cfg);
+    let mut platform = coord.platform();
+    let dep = match coord.deploy_dag(&mut platform, g, &plan) {
+        Ok(d) => d,
+        Err(e) => return fail(&format!("deploy: {e}")),
+    };
+    let (time, mut dollars) = if images == 1 {
+        let job = match coord.serve_one(&mut platform, &dep, 0.0, "cli") {
+            Ok(j) => j,
+            Err(e) => return fail(&format!("serve: {e}")),
+        };
+        println!(
+            "deploy {:.2}s  load {:.2}s  predict {:.2}s  {} {:.2}s",
+            job.deploy_s,
+            job.load_s,
+            job.predict_s,
+            if plan.is_chain() {
+                "chain"
+            } else {
+                "critical path"
+            },
+            job.inference_s
+        );
+        print_reliability(job.retries.len(), 0, job.wasted_s, job.wasted_dollars);
+        (job.e2e_s, job.dollars)
+    } else if coord.config().pipeline_depth > 0 {
+        let p = coord.serve_pipelined(&mut platform, &dep, images, 0.0);
+        println!(
+            "pipeline: {} succeeded, {} failed over {} station(s)/stage",
+            p.requests.len() - p.failed,
+            p.failed,
+            p.stats.stations_per_stage
+        );
+        let utils: Vec<String> = p
+            .stats
+            .stage_utilization()
+            .iter()
+            .map(|u| format!("{:.0}%", u * 100.0))
+            .collect();
+        println!(
+            "pipeline: utilization {:.1}% [{}], stall {:.2}s, warm idle {:.2}s",
+            p.stats.utilization() * 100.0,
+            utils.join(", "),
+            p.stats.stall_s(),
+            p.warm_idle_s
+        );
+        (p.e2e_s, p.dollars)
+    } else {
+        let b = if parallel {
+            coord.serve_parallel(&mut platform, &dep, images, 0.0)
+        } else {
+            coord.serve_sequential(&mut platform, &dep, images, 0.0)
+        };
+        println!("batch: {} succeeded, {} failed", b.succeeded(), b.failed());
+        for f in &b.failures {
+            println!("  image {}: {}", f.image, f.error);
+        }
+        let retries: usize = b.jobs.iter().map(|j| j.retries.len()).sum();
+        print_reliability(retries, b.failed(), b.wasted_s, b.wasted_dollars);
+        (b.e2e_s, b.dollars)
+    };
+    dollars += platform.settle_storage(time);
+    println!(
+        "{} image(s){}: {:.2}s end-to-end, ${:.6}",
+        images,
+        if parallel { " in parallel" } else { "" },
+        time,
+        dollars
+    );
+    0
+}
+
+/// The plan `serve` deploys, printed: with `--dag`, [`plan_dag`]'s
+/// chain-vs-DAG objective (the chain incumbent when no branch plan
+/// wins); otherwise the chain optimum, or under `--pipeline` the joint
+/// planner's stage-balanced chain. Chains lower through
+/// [`DagPlan::from_chain`].
+fn plan_for_serving(g: &LayerGraph, cfg: &AmpsConfig, args: &[String]) -> Result<DagPlan, String> {
+    let failed = |e| format!("optimization failed: {e}");
+    if !args.iter().any(|a| a == "--dag") {
+        let planned = Optimizer::new(cfg.clone()).optimize(g).map_err(failed)?;
+        let plan = pipeline_plan_or(g, cfg, planned.plan)?;
+        println!("{plan}");
+        return Ok(DagPlan::from_chain(&plan, |e| g.cut_transfer_bytes(e)));
+    }
+    let report = Optimizer::new(cfg.clone())
+        .optimize_dag(g)
+        .map_err(failed)?;
+    Ok(match report.dag {
         Some(d) => {
             println!(
                 "dag plan ({} of {} region(s) parallelized): {d}",
@@ -397,74 +388,13 @@ fn serve_dag(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
         None => {
             println!(
                 "no branch plan beats the chain here ({} region(s) considered); \
-                 serving the chain incumbent as a degenerate DAG",
+                 serving the chain incumbent",
                 report.regions_considered
             );
+            println!("{}", report.chain.plan);
             DagPlan::from_chain(&report.chain.plan, |e| g.cut_transfer_bytes(e))
         }
-    };
-    print_fault_plan(&cfg);
-    let coord = Coordinator::new(cfg);
-    let mut platform = coord.platform();
-    let dep = match coord.deploy_dag(&mut platform, g, &plan) {
-        Ok(d) => d,
-        Err(e) => return fail(&format!("deploy: {e}")),
-    };
-    if images == 1 && coord.config().pipeline_depth == 0 && !parallel {
-        let job = match coord.serve_one_dag(&mut platform, &dep, 0.0, "cli") {
-            Ok(j) => j,
-            Err(e) => return fail(&format!("serve: {e}")),
-        };
-        println!(
-            "deploy {:.2}s  load {:.2}s  predict {:.2}s  critical path {:.2}s",
-            job.deploy_s, job.load_s, job.predict_s, job.inference_s
-        );
-        print_reliability(job.retries.len(), 0, job.wasted_s, job.wasted_dollars);
-        let mut dollars = job.dollars;
-        dollars += platform.settle_storage(job.e2e_s);
-        println!("1 image(s): {:.2}s end-to-end, ${:.6}", job.e2e_s, dollars);
-        return 0;
-    }
-    // A burst of requests through the trace engine (all arrive at t = 0);
-    // storage and warm-pool idle are settled inside the engine.
-    let arrivals = vec![0.0; images];
-    let trace = if coord.config().pipeline_depth > 0 {
-        coord.serve_trace_dag_pipelined(&mut platform, &dep, &arrivals)
-    } else {
-        coord.serve_trace_dag(&mut platform, &dep, &arrivals)
-    };
-    println!(
-        "batch: {} succeeded, {} failed",
-        trace.requests.len() - trace.failures,
-        trace.failures
-    );
-    let retries: usize = trace.requests.iter().map(|r| r.retries as usize).sum();
-    let wasted_s: f64 = trace.requests.iter().map(|r| r.wasted_s).sum();
-    let wasted_dollars: f64 = trace.requests.iter().map(|r| r.wasted_dollars).sum();
-    print_reliability(retries, trace.failures, wasted_s, wasted_dollars);
-    if let Some(stats) = &trace.pipeline {
-        println!(
-            "pipeline: {} station(s)/node, utilization {:.1}%, stall {:.2}s",
-            stats.stations_per_stage,
-            stats.utilization() * 100.0,
-            stats.stall_s()
-        );
-    }
-    if verbose {
-        if let Some(stats) = &trace.dag_nodes {
-            print_dag_node_stats(stats, &plan);
-        }
-    }
-    println!(
-        "{} image(s) fanned out: {:.2}s end-to-end, ${:.6} \
-         (storage settlement ${:.6}, warm idle ${:.6} included)",
-        images,
-        trace.last_completion_s,
-        trace.dollars + trace.settled_dollars + trace.idle_dollars,
-        trace.settled_dollars,
-        trace.idle_dollars
-    );
-    0
+    })
 }
 
 /// Per-node busy/stall/occupancy/critical-path table for `--verbose`
@@ -551,9 +481,6 @@ fn parse_policy(spec: &str) -> Result<WarmPoolPolicy, String> {
     }
 }
 
-/// Open-loop load mode (`serve --requests M --rate R`): shaped arrivals
-/// against the planned deployment on the work-stealing serving engine,
-/// with a throughput / percentile summary instead of per-image reports.
 /// Under `--pipeline`, replace the sequential optimum with the joint
 /// planner's stage-balanced plan (minimum bottleneck within
 /// `cost_tolerance` of the sequential cost floor); otherwise keep `seq`.
@@ -586,20 +513,22 @@ fn pipeline_plan_or(
 /// Open-loop load mode (`serve --requests M --rate R`): shaped arrivals
 /// against the planned deployment on the work-stealing serving engine,
 /// with a throughput / percentile summary instead of per-image reports.
-/// With `dag`, planning runs the chain-vs-DAG objective and the winning
-/// (or chain-degenerate) DAG serves on the sharded DAG engine —
-/// `--adaptive` swaps *effective* plans (chain or DAG per SLO tier)
-/// between epochs, and `--verbose` prints the per-node
-/// busy/stall/occupancy/critical-path table.
-fn serve_load(g: &LayerGraph, cfg: AmpsConfig, args: &[String], dag: bool) -> i32 {
+/// `--adaptive` swaps plans between epochs (chains, or with `--dag`
+/// *effective* plans: chain or DAG per SLO tier), and `--verbose` prints
+/// the per-node busy/stall/occupancy/critical-path table.
+fn serve_load(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
     let requests = match flag_value(args, "--requests").unwrap().parse::<usize>() {
         Ok(n) if n > 0 => n,
         _ => return fail("bad --requests value (need a positive integer)"),
     };
     let rate = match flag_value(args, "--rate") {
         Some(v) => match v.parse::<f64>() {
-            Ok(r) if r > 0.0 => r,
-            _ => return fail(&format!("bad --rate value {v}")),
+            Ok(r) if r > 0.0 && r.is_finite() => r,
+            _ => {
+                return fail(&format!(
+                    "bad --rate value {v} (need a positive, finite number of requests per second)"
+                ))
+            }
         },
         None => 1.0,
     };
@@ -683,68 +612,26 @@ fn serve_load(g: &LayerGraph, cfg: AmpsConfig, args: &[String], dag: bool) -> i3
         None
     };
 
-    let mut dag_plan: Option<DagPlan> = None;
-    let rep = if let Some(adaptive) = &adaptive {
-        let run = if dag {
-            run_adaptive_loop_dag(g, &cfg, &load, adaptive)
-        } else {
-            run_adaptive_loop(g, &cfg, &load, adaptive)
-        };
-        match run {
-            Ok(r) => r,
-            Err(e) => return fail(&format!("adaptive load run: {e}")),
+    let dag = args.iter().any(|a| a == "--dag");
+    let mut plan = None;
+    let run = match &adaptive {
+        Some(adaptive) if dag => run_adaptive_loop_dag(g, &cfg, &load, adaptive),
+        Some(adaptive) => run_adaptive_loop(g, &cfg, &load, adaptive),
+        None => {
+            let p = match plan_for_serving(g, &cfg, args) {
+                Ok(p) => p,
+                Err(e) => return fail(&e),
+            };
+            print_fault_plan(&cfg);
+            let run = run_open_loop_dag(g, &p, &cfg, &load);
+            plan = Some(p);
+            run
         }
-    } else if dag {
-        if cfg.pipeline_depth > 0 && args.iter().any(|a| a == "--parallel") {
-            return fail(
-                "--pipeline and --parallel are mutually exclusive: --parallel \
-                 fans whole chains out with unbounded concurrency, --pipeline \
-                 overlaps stages under per-stage station budgets; pick one",
-            );
-        }
-        let report = match Optimizer::new(cfg.clone()).optimize_dag(g) {
-            Ok(r) => r,
-            Err(e) => return fail(&format!("optimization failed: {e}")),
-        };
-        let plan = match report.dag {
-            Some(d) => {
-                println!(
-                    "dag plan ({} of {} region(s) parallelized): {d}",
-                    report.regions_used, report.regions_considered
-                );
-                d
-            }
-            None => {
-                println!(
-                    "no branch plan beats the chain here ({} region(s) considered); \
-                     serving the chain incumbent as a degenerate DAG",
-                    report.regions_considered
-                );
-                DagPlan::from_chain(&report.chain.plan, |e| g.cut_transfer_bytes(e))
-            }
-        };
-        print_fault_plan(&cfg);
-        let r = match run_open_loop_dag(g, &plan, &cfg, &load) {
-            Ok(r) => r,
-            Err(e) => return fail(&format!("load run: {e}")),
-        };
-        dag_plan = Some(plan);
-        r
-    } else {
-        let planned = match Optimizer::new(cfg.clone()).optimize(g) {
-            Ok(r) => r,
-            Err(e) => return fail(&format!("optimization failed: {e}")),
-        };
-        let plan = match pipeline_plan_or(g, &cfg, planned.plan) {
-            Ok(p) => p,
-            Err(e) => return fail(&e),
-        };
-        println!("{plan}");
-        print_fault_plan(&cfg);
-        match run_open_loop(g, &plan, &cfg, &load) {
-            Ok(r) => r,
-            Err(e) => return fail(&format!("load run: {e}")),
-        }
+    };
+    let rep = match run {
+        Ok(r) => r,
+        Err(e) if adaptive.is_some() => return fail(&format!("adaptive load run: {e}")),
+        Err(e) => return fail(&format!("load run: {e}")),
     };
 
     println!(
@@ -803,7 +690,7 @@ fn serve_load(g: &LayerGraph, cfg: AmpsConfig, args: &[String], dag: bool) -> i3
         );
     }
     if verbose {
-        if let (Some(stats), Some(plan)) = (&rep.dag_nodes, &dag_plan) {
+        if let (Some(stats), Some(plan)) = (&rep.dag_nodes, &plan) {
             print_dag_node_stats(stats, plan);
         }
     }
@@ -1265,7 +1152,13 @@ fn parse_cfg(args: &[String]) -> Result<(AmpsConfig, Option<u64>, Option<String>
         cfg.invoke_retries = v.parse().map_err(|_| format!("bad --retries value {v}"))?;
     }
     if let Some(v) = flag_value(args, "--backoff") {
-        cfg.backoff_base_s = v.parse().map_err(|_| format!("bad --backoff value {v}"))?;
+        let base: f64 = v.parse().map_err(|_| format!("bad --backoff value {v}"))?;
+        if !(base.is_finite() && base >= 0.0) {
+            return Err(format!(
+                "bad --backoff value {v} (need a finite number of seconds >= 0)"
+            ));
+        }
+        cfg.backoff_base_s = base;
     }
     let fault_seed: u64 = match flag_value(args, "--fault-seed") {
         Some(v) => v

@@ -97,6 +97,9 @@ fn out_of_range_planning_flags_fail_cleanly() {
         ("--slo", "-5"),
         ("--slo", "nan"),
         ("--slo", "inf"),
+        ("--backoff", "nan"),
+        ("--backoff", "-5"),
+        ("--backoff", "inf"),
     ];
     for cmd in ["plan", "serve"] {
         for (flag, value) in cases {
@@ -109,6 +112,49 @@ fn out_of_range_planning_flags_fail_cleanly() {
             );
             assert!(!stderr.contains("panicked"), "{label}: {stderr}");
         }
+    }
+}
+
+#[test]
+fn bad_rates_fail_cleanly() {
+    // `--rate inf` used to reach the arrival generator's assert.
+    for rate in ["inf", "nan", "0", "-2", "banana"] {
+        let (_, stderr, ok) = run(&["serve", "mobilenet", "--requests", "5", "--rate", rate]);
+        assert!(!ok, "--rate {rate} should fail");
+        assert!(
+            stderr.contains("bad --rate value"),
+            "--rate {rate}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "--rate {rate}: {stderr}");
+    }
+}
+
+#[test]
+fn serve_dag_runs_every_serving_mode() {
+    // `--dag` only picks the planner: every batch and load mode serves
+    // the chosen plan on the one engine and prints its summary line.
+    let cases: [(&[&str], &str); 6] = [
+        (&[], "1 image(s):"),
+        (&["--images", "3"], "batch: 3 succeeded, 0 failed"),
+        (&["--images", "3", "--parallel"], "3 image(s) in parallel:"),
+        (
+            &["--images", "3", "--pipeline"],
+            "pipeline: 3 succeeded, 0 failed",
+        ),
+        (&["--requests", "20"], "latency: p50"),
+        (
+            &["--requests", "20", "--adaptive", "--slo-tiers", "9,30"],
+            "plan cache:",
+        ),
+    ];
+    for (extra, summary) in cases {
+        let mut args = vec!["serve", "mobilenet", "--dag"];
+        args.extend_from_slice(extra);
+        let (stdout, stderr, ok) = run(&args);
+        let label = args.join(" ");
+        assert!(ok, "{label}: {stderr}");
+        assert!(stdout.contains(summary), "{label}: {stdout}");
+        assert!(stdout.contains('$'), "{label}: {stdout}");
     }
 }
 

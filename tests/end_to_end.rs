@@ -161,11 +161,15 @@ fn storage_failure_injection() {
     let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
 
     // Run the first partition manually, then sabotage its output.
+    let work = |i: usize| {
+        let p = &plan.partitions[i];
+        amps_inf::faas::PartitionWork::from_segment(&g, p.start, p.end)
+    };
     let sab = platform.store.intern("sab/b0");
-    let w0 = dep.works[0].invocation(None, Some(sab));
+    let w0 = work(0).invocation(None, Some(sab));
     let o0 = platform.invoke(dep.functions[0], 0.0, &w0).unwrap();
     platform.store.delete("sab/b0", o0.end);
-    let w1 = dep.works[1].invocation(Some(sab), None);
+    let w1 = work(1).invocation(Some(sab), None);
     let err = platform.invoke(dep.functions[1], o0.end, &w1).unwrap_err();
     assert!(matches!(
         err.reason,
