@@ -250,7 +250,7 @@ impl Deployment {
 /// Per-node observability of a trace (DESIGN.md §7): how long every
 /// node's sandboxes executed, how long ready work sat waiting in front of
 /// each node, and how much of the requests' end-to-end latency each node
-/// sat on. Accumulated per lane inside [`ServeScratch`] and summed in
+/// sat on. Accumulated per lane inside its serving scratch and summed in
 /// lane order, so the values are bit-identical at every thread count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DagNodeStats {
@@ -343,7 +343,7 @@ struct NodeSlot {
 /// busy/stall/critical accumulators the trace engines merge in lane
 /// order. A scratch serves the deployment it was built for.
 #[derive(Debug, Clone)]
-pub struct ServeScratch {
+struct ServeScratch {
     works: Vec<InvocationWork>,
     nodes: Vec<NodeSlot>,
     keys: Vec<ObjectKey>,
@@ -357,7 +357,7 @@ pub struct ServeScratch {
 
 impl ServeScratch {
     /// Scratch sized for `dep`'s node count.
-    pub fn for_deployment(dep: &Deployment) -> Self {
+    fn for_deployment(dep: &Deployment) -> Self {
         let k = dep.functions.len();
         ServeScratch {
             works: vec![InvocationWork::default(); k],
@@ -410,7 +410,7 @@ impl ServeScratch {
     /// Interns this request's object keys (`{tag}/b{o}`, one per object in
     /// object order — boundary `o` on a chain) and points the per-node
     /// work profiles at them.
-    pub fn prepare(&mut self, platform: &mut Platform, dep: &Deployment, tag: &str) {
+    fn prepare(&mut self, platform: &mut Platform, dep: &Deployment, tag: &str) {
         self.keys.clear();
         for o in 0..dep.num_objects() {
             self.buf.clear();
@@ -426,7 +426,7 @@ impl ServeScratch {
     /// engine's hot path. Keys are drawn as one contiguous block in
     /// object order, so per-request setup is one allocator call plus
     /// O(reads + writes) key stores.
-    pub fn prepare_anon(&mut self, platform: &mut Platform, dep: &Deployment) {
+    fn prepare_anon(&mut self, platform: &mut Platform, dep: &Deployment) {
         let base = platform.store.fresh_block(dep.num_objects());
         self.load_keys(dep, |o| base.offset(o));
     }
@@ -1515,6 +1515,7 @@ impl Coordinator {
             use std::collections::VecDeque;
             use std::sync::atomic::{AtomicUsize, Ordering};
             use std::sync::Mutex;
+            const POISONED: &str = "a lane worker panicked";
             let queue: Mutex<VecDeque<LaneTask<R, S>>> =
                 Mutex::new((0..lanes).map(new_task).collect());
             let remaining = AtomicUsize::new(lanes);
@@ -1522,15 +1523,15 @@ impl Coordinator {
             std::thread::scope(|s| {
                 for _ in 0..workers {
                     s.spawn(|| loop {
-                        let task = queue.lock().unwrap().pop_front();
+                        let task = queue.lock().expect(POISONED).pop_front();
                         match task {
                             Some(mut task) => {
                                 if run_chunk(&mut task) {
-                                    slots.lock().unwrap()[task.lane] =
+                                    slots.lock().expect(POISONED)[task.lane] =
                                         Some((task.out, task.platform, task.state));
                                     remaining.fetch_sub(1, Ordering::Release);
                                 } else {
-                                    queue.lock().unwrap().push_back(task);
+                                    queue.lock().expect(POISONED).push_back(task);
                                 }
                             }
                             None => {
@@ -1545,7 +1546,7 @@ impl Coordinator {
             });
             slots
                 .into_inner()
-                .unwrap()
+                .expect(POISONED)
                 .into_iter()
                 .map(|slot| slot.expect("every lane ran"))
                 .collect()

@@ -44,7 +44,7 @@ pub mod trace;
 pub use config::AmpsConfig;
 pub use coordinator::{
     BatchFailure, BatchReport, Coordinator, DagNodeStats, Deployment, JobReport, PipelineReport,
-    PipelineStats, RequestSummary, RetryRecord, ServeError, ServeScratch, TraceReport,
+    PipelineStats, RequestSummary, RetryRecord, ServeError, TraceReport,
 };
 pub use optimizer::{DagReport, DagSearchStats, OptimizeError, Optimizer};
 pub use plan::{

@@ -10,7 +10,8 @@
 //!   no model splitting;
 //! * [`batched`] — batched-chain execution used by both the BATCH
 //!   comparison and AMPS-Inf's own batch modes (§5.4);
-//! * [`loadgen`] — open-loop workloads over a deployed chain with
+//! * [`loadgen`] — open-loop workloads over a deployed plan (chain or
+//!   branch-parallel DAG, both on the coordinator's one engine) with
 //!   seeded arrival shapes (Poisson, diurnal, flash crowd, bursts,
 //!   multi-tenant), warm-pool policy metrics, and an adaptive
 //!   plan-cache serving loop (the §2 "query load dynamics" scenario);

@@ -536,10 +536,8 @@ pub fn run_adaptive_loop(
             let sweep = Optimizer::new(cfg.clone()).optimize_sweep(graph, grid);
             cache.seed_from_sweep(&graph.name, &sweep);
         },
-        |cache, slo| {
-            let plan = cache.get_or_plan(graph, cfg, slo, cfg.batch_size).ok()?;
-            Some(DagPlan::from_chain(&plan, |k| graph.cut_transfer_bytes(k)))
-        },
+        |cache, slo| cache.get_or_plan(graph, cfg, slo, cfg.batch_size).ok(),
+        |plan| DagPlan::from_chain(plan, |k| graph.cut_transfer_bytes(k)),
     )
 }
 
@@ -579,25 +577,27 @@ pub fn run_adaptive_loop_dag(
             cache.seed_from_dag_sweep(&graph.name, &sweep);
         },
         |cache, slo| {
-            let plan = cache
+            cache
                 .get_or_plan_effective(graph, cfg, slo, cfg.batch_size)
-                .ok()?;
-            Some(plan.to_dag(|k| graph.cut_transfer_bytes(k)))
+                .ok()
         },
+        |plan| plan.to_dag(|k| graph.cut_transfer_bytes(k)),
     )
 }
 
 /// The adaptive controller both entry points share: `seed` fills the
-/// plan cache from one sweep over the tier grid, and `resolve` turns a
-/// tier (`None` = unconstrained) into the plan to deploy, or `None` when
-/// the tier is infeasible.
-fn adaptive_loop(
+/// plan cache from one sweep over the tier grid, `resolve` looks a tier
+/// (`None` = unconstrained) up in it (`None` when the tier is
+/// infeasible), and `lower` turns a tier's plan into the DAG deployed the
+/// first time the tier is chosen.
+fn adaptive_loop<P>(
     graph: &LayerGraph,
     cfg: &AmpsConfig,
     load: &LoadSpec,
     adaptive: &AdaptiveSpec,
     seed: impl FnOnce(&mut PlanCache, &SweepGrid),
-    mut resolve: impl FnMut(&mut PlanCache, Option<f64>) -> Option<DagPlan>,
+    mut resolve: impl FnMut(&mut PlanCache, Option<f64>) -> Option<P>,
+    lower: impl Fn(&P) -> DagPlan,
 ) -> Result<LoadReport, String> {
     let arrivals = checked_arrivals(load)?;
     if arrivals.is_empty() {
@@ -649,7 +649,7 @@ fn adaptive_loop(
             Some(&i) => i,
             None => {
                 let dep = coord
-                    .deploy_dag(&mut platform, graph, &plan)
+                    .deploy_dag(&mut platform, graph, &lower(&plan))
                     .map_err(|e| e.to_string())?;
                 deps.push(dep);
                 dep_of_tier.insert(key, deps.len() - 1);
