@@ -376,8 +376,7 @@ impl ServeScratch {
     /// Vec growth, clearing, or per-object allocator calls.
     #[inline]
     fn load_keys(&mut self, dep: &Deployment, key_of: impl Fn(u32) -> ObjectKey) {
-        let k = dep.functions.len();
-        if self.primed && self.works.len() == k {
+        if self.primed {
             for (v, w) in self.works.iter_mut().enumerate() {
                 for (slot, &o) in dep.reads_of(v).iter().enumerate() {
                     w.reads[slot] = key_of(o);
@@ -388,9 +387,6 @@ impl ServeScratch {
             }
             return;
         }
-        self.works.clear();
-        self.works.resize(k, InvocationWork::default());
-        self.nodes.resize(k, NodeSlot::default());
         for (v, w) in self.works.iter_mut().enumerate() {
             let s = dep.scalars[v];
             w.load_bytes = s.load_bytes;

@@ -963,18 +963,20 @@ fn usage() {
                                 sweep --dag with the sweep grid options\n\
                                 (amortized chain-vs-DAG verdicts per point,\n\
                                 frontier marked on the effective plans);\n\
-                                serve --dag with --images/--parallel/\n\
-                                --pipeline/--pipe-depth, the reliability\n\
-                                options, and the full open-loop load mode:\n\
-                                --requests/--rate/--shape/--policy/--lanes/\n\
-                                --threads run the DAG on the work-stealing\n\
-                                sharded engine (bit-identical at every\n\
-                                thread count), and --adaptive swaps\n\
-                                effective plans (chain or DAG per SLO tier)\n\
-                                between epochs off one amortized DAG sweep.\n\
+                                serve --dag: --dag only picks the planner;\n\
+                                the chosen plan (or the chain incumbent)\n\
+                                serves on the one engine exactly as serve\n\
+                                does without it: one image, --images N one\n\
+                                after another, --parallel, --pipeline/\n\
+                                --pipe-depth, the reliability options, and\n\
+                                the open-loop load mode (--requests/--rate/\n\
+                                --shape/--policy/--lanes/--threads), where\n\
+                                --adaptive swaps effective plans (chain or\n\
+                                DAG per SLO tier) between epochs off one\n\
+                                amortized DAG sweep.\n\
                                 Rejected: plan/sweep --dag with --pipeline\n\
            --verbose            print solver statistics (plan only); in\n\
-                                serve --dag load mode, print the per-node\n\
+                                serve load mode, print the per-node\n\
                                 busy/stall/occupancy/critical-path table\n\
            --quantize <bytes>   weight width 1..4 (plan only)\n\
            --json <path>        write the plan as JSON (plan only)\n\
@@ -987,7 +989,8 @@ fn usage() {
            --parallel           serve images concurrently (serve only)\n\
            --requests <n>       open-loop load mode: request count (serve\n\
                                 only; prints throughput/percentiles)\n\
-           --rate <rps>         mean arrival rate for --requests (default 1)\n\
+           --rate <rps>         mean arrival rate for --requests (default 1;\n\
+                                positive and finite)\n\
            --shape <name>       arrival shape for load mode: constant,\n\
                                 diurnal, spike, bursts or mix (default\n\
                                 constant-rate Poisson)\n\
@@ -1026,7 +1029,8 @@ fn usage() {
            --fault-seed <n>     seed of the deterministic fault stream\n\
            --flaky-store <p>    storage 5xx probability per request\n\
            --retries <n>        per-partition retry budget (default 2)\n\
-           --backoff <s>        exponential-backoff base seconds (default 0.1)"
+           --backoff <s>        exponential-backoff base seconds (default 0.1;\n\
+                                finite, >= 0)"
     );
 }
 
