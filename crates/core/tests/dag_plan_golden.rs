@@ -1,0 +1,212 @@
+//! Golden-value pins of the DAG planner's output.
+//!
+//! Every case plans one `(model, tolerance, SLO)` point at batch 64 with
+//! [`Optimizer::optimize_dag`] (plus one [`Optimizer::optimize_dag_sweep`]
+//! grid) and folds every field of the returned [`DagPlan`] — node spans
+//! and memories, object wiring and bytes, the `to_bits` of the predicted
+//! time and cost — together with `regions_used` and `trials_evaluated`
+//! into a 64-bit FNV-1a digest. The digests were recorded before the
+//! polish step priced its candidates on the fork/join block chain; any
+//! change to the search or the polish that moves a single accepted
+//! upgrade, memory or predicted bit shows up here.
+
+use ampsinf_core::optimizer::Optimizer;
+use ampsinf_core::sweep::SweepGrid;
+use ampsinf_core::{AmpsConfig, DagPlan, OptimizeError};
+use ampsinf_model::{zoo, LayerGraph};
+
+/// FNV-1a over 64-bit words.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn text(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        for b in s.bytes() {
+            self.word(u64::from(b));
+        }
+    }
+
+    fn dag(&mut self, d: Option<&DagPlan>) {
+        let Some(d) = d else {
+            self.word(0);
+            return;
+        };
+        self.word(1);
+        self.text(&d.model);
+        self.word(d.nodes.len() as u64);
+        for n in &d.nodes {
+            self.word(n.start as u64);
+            self.word(n.end as u64);
+            self.word(u64::from(n.memory_mb));
+        }
+        self.word(d.objects.len() as u64);
+        for o in &d.objects {
+            self.word(o.producer as u64);
+            self.word(o.consumers.len() as u64);
+            for &c in &o.consumers {
+                self.word(c as u64);
+            }
+            self.word(o.bytes);
+        }
+        self.word(d.predicted_time_s.to_bits());
+        self.word(d.predicted_cost.to_bits());
+    }
+
+    fn error(&mut self, e: &OptimizeError) {
+        self.word(2);
+        self.text(&e.to_string());
+    }
+}
+
+const TOLERANCES: [f64; 3] = [0.0, 0.1, 0.3];
+/// SLOs as multiples of the free chain's predicted time (`None`: no SLO).
+const SLO_FACTORS: [Option<f64>; 5] = [None, Some(0.95), Some(1.0), Some(1.1), Some(1.25)];
+
+fn base(tol: f64) -> AmpsConfig {
+    AmpsConfig {
+        batch_size: 64,
+        cost_tolerance: tol,
+        ..Default::default()
+    }
+    .with_threads(1)
+}
+
+/// The free-running chain optimum's time at `cfg` (the SLO anchor).
+fn chain_time(g: &LayerGraph, cfg: &AmpsConfig) -> f64 {
+    Optimizer::new(cfg.clone())
+        .optimize(g)
+        .expect("free chain run is feasible")
+        .plan
+        .predicted_time_s
+}
+
+/// One digest per `(tolerance, SLO factor)` case, in table order.
+fn optimize_dag_digests(g: &LayerGraph) -> Vec<u64> {
+    let mut out = Vec::new();
+    for tol in TOLERANCES {
+        let cfg = base(tol);
+        let t = chain_time(g, &cfg);
+        for factor in SLO_FACTORS {
+            let mut pcfg = cfg.clone();
+            pcfg.slo_s = factor.map(|f| t * f);
+            let mut d = Digest::new();
+            match Optimizer::new(pcfg).optimize_dag(g) {
+                Ok(r) => {
+                    d.dag(r.dag.as_ref());
+                    d.word(r.regions_used as u64);
+                    d.word(r.search.trials_evaluated as u64);
+                }
+                Err(e) => d.error(&e),
+            }
+            out.push(d.0);
+        }
+    }
+    out
+}
+
+fn check(label: &str, got: &[u64], want: &[u64]) {
+    let table: Vec<String> = got.iter().map(|x| format!("{x:#018x}")).collect();
+    assert_eq!(
+        got,
+        want,
+        "{label}: DAG plan digests moved; got [{}]",
+        table.join(", ")
+    );
+}
+
+#[test]
+fn inception_v3_batch64_dag_plans_are_pinned() {
+    let got = optimize_dag_digests(&zoo::inception_v3());
+    check("inception_v3", &got, &INCEPTION_V3);
+}
+
+#[test]
+fn resnet50_batch64_dag_plans_are_pinned() {
+    let got = optimize_dag_digests(&zoo::resnet50());
+    check("resnet50", &got, &RESNET50);
+}
+
+#[test]
+fn inception_v3_dag_sweep_is_pinned() {
+    let g = zoo::inception_v3();
+    let cfg = base(0.1);
+    let t = chain_time(&g, &cfg);
+    let report =
+        Optimizer::new(cfg).optimize_dag_sweep(&g, &SweepGrid::slo_range(t * 0.9, t * 1.5, 8));
+    let got: Vec<u64> = report
+        .points
+        .iter()
+        .map(|p| {
+            let mut d = Digest::new();
+            d.word(p.slo_s.to_bits());
+            d.word(p.batch);
+            match &p.outcome {
+                Ok(_) => {
+                    d.dag(p.dag.as_ref());
+                    d.word(p.regions_used as u64);
+                    d.word(p.search.trials_evaluated as u64);
+                }
+                Err(e) => d.error(e),
+            }
+            d.0
+        })
+        .collect();
+    check("inception_v3 sweep", &got, &INCEPTION_V3_SWEEP);
+}
+
+// Recorded tables: `TOLERANCES` major, `SLO_FACTORS` minor.
+const INCEPTION_V3: [u64; 15] = [
+    0x8c8ef6d24ebc7314,
+    0x49380e51c457628b,
+    0x98a33f2862a5be2e,
+    0x98a33f2862a5be2e,
+    0x8c8ef6d24ebc7314,
+    0xd6e2fae745fb2c61,
+    0x49380e51c457628b,
+    0xd6e2fae745fb2c61,
+    0xd6e2fae745fb2c61,
+    0xd6e2fae745fb2c61,
+    0xd6e2fae745fb2c61,
+    0x49380e51c457628b,
+    0xd6e2fae745fb2c61,
+    0xd6e2fae745fb2c61,
+    0xd6e2fae745fb2c61,
+];
+const RESNET50: [u64; 15] = [
+    0x730d752af9541598,
+    0x49380e51c457628b,
+    0x05e723b2d47efa81,
+    0xaa97402b01ee95d4,
+    0x730d752af9541598,
+    0x9fc6356347c8c27a,
+    0x49380e51c457628b,
+    0x05e723b2d47efa81,
+    0x9fc6356347c8c27a,
+    0x9fc6356347c8c27a,
+    0x05e723b2d47efa81,
+    0x49380e51c457628b,
+    0x05e723b2d47efa81,
+    0x05e723b2d47efa81,
+    0x05e723b2d47efa81,
+];
+const INCEPTION_V3_SWEEP: [u64; 8] = [
+    0xd4c4df581a7f5ad5,
+    0xa7574e64270345c9,
+    0x6118a86495655d01,
+    0xeeb90e5cb76b70fe,
+    0x0926674b7ca17ca9,
+    0xb17237b316c75b6f,
+    0x8e4b49af527e6be7,
+    0xab9f764e3f643483,
+];
