@@ -38,6 +38,7 @@ pub mod miqp_build;
 pub mod optimizer;
 pub mod plan;
 pub mod plancache;
+mod polish;
 pub mod sweep;
 pub mod trace;
 

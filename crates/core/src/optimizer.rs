@@ -13,6 +13,7 @@ use crate::config::AmpsConfig;
 use crate::cuts::{enumerate_cut_slots, insert_region_sorted, segment_feasible, DagShared};
 use crate::miqp_build::{evaluate_columns, separable_picks, ColumnPick, CutKnapsack};
 use crate::plan::{DagNode, DagObject, DagPlan, ExecutionPlan, PartitionPlan};
+use crate::polish::{dag_schedule, Polish};
 use ampsinf_model::LayerGraph;
 use ampsinf_profiler::Profile;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -215,8 +216,24 @@ pub struct DagSearchStats {
     /// Spine spans actually (re-)solved — span memo misses; adding one
     /// region to the accepted set re-solves only the spans it splits.
     pub spine_spans_solved: usize,
+    /// Memory upgrades the polish accepted, summed over every trial (SLO
+    /// repair and tolerance spending alike). Thread-independent: each
+    /// trial's polish is a deterministic function of its plan.
+    pub polish_steps: usize,
     /// Wall-clock of the region search (on top of the chain solve).
     pub search_time: Duration,
+}
+
+/// Tallies shared by every trial of one DAG region search (the
+/// [`DagSearchStats`] sources).
+#[derive(Default)]
+struct SearchCounters {
+    /// Node-evaluation memo lookups.
+    node: CacheCounters,
+    /// Spine-span memo lookups.
+    spine: CacheCounters,
+    /// Memory upgrades accepted by the trials' polish.
+    polish_steps: AtomicUsize,
 }
 
 /// Result of a chain-vs-DAG optimization (see [`Optimizer::optimize_dag`]):
@@ -800,8 +817,7 @@ impl Optimizer {
         threads: usize,
     ) -> (Option<DagPlan>, usize, DagSearchStats) {
         let tol = self.tolerance();
-        let node_track = CacheCounters::new();
-        let spine_track = CacheCounters::new();
+        let track = SearchCounters::default();
         let mut trials_evaluated = 0usize;
         let mut used = vec![false; ds.regions.len()];
         // Accepted regions, kept sorted ascending by entry so each trial
@@ -833,14 +849,7 @@ impl Optimizer {
                                     }
                                     local.push((
                                         wi,
-                                        self.build_dag(
-                                            graph,
-                                            sh,
-                                            ds,
-                                            &work[wi].1,
-                                            Some(&node_track),
-                                            Some(&spine_track),
-                                        ),
+                                        self.build_dag(graph, sh, ds, &work[wi].1, &track),
                                     ));
                                 }
                                 local
@@ -863,9 +872,7 @@ impl Optimizer {
                     .collect()
             } else {
                 work.iter()
-                    .map(|(_, t)| {
-                        self.build_dag(graph, sh, ds, t, Some(&node_track), Some(&spine_track))
-                    })
+                    .map(|(_, t)| self.build_dag(graph, sh, ds, t, &track))
                     .collect()
             };
             // Deterministic replay of the acceptance scan in region
@@ -924,10 +931,11 @@ impl Optimizer {
         let regions_used = if dag.is_some() { accepted.len() } else { 0 };
         let stats = DagSearchStats {
             trials_evaluated,
-            node_memo_hits: node_track.hits(),
-            node_memo_misses: node_track.misses(),
-            spine_span_hits: spine_track.hits(),
-            spine_spans_solved: spine_track.misses(),
+            node_memo_hits: track.node.hits(),
+            node_memo_misses: track.node.misses(),
+            spine_span_hits: track.spine.hits(),
+            spine_spans_solved: track.spine.misses(),
+            polish_steps: track.polish_steps.into_inner(),
             search_time: Duration::ZERO,
         };
         (dag, regions_used, stats)
@@ -1052,17 +1060,19 @@ impl Optimizer {
     /// spine-span memo (solved on first use by [`Optimizer::dag_spine`]);
     /// each branch runs as its own node at its memoized min-cost memory;
     /// scatter/gather objects carry the region traffic from `ds`'s
-    /// precomputed byte tables. Returns `None` when any piece is
-    /// infeasible or the SLO cannot be met.
+    /// precomputed byte tables. Nodes are emitted block by block (spine
+    /// nodes one at a time, then each region's branches), and the block
+    /// boundaries go to [`Optimizer::polish_dag`]. Returns `None` when any
+    /// piece is infeasible or the SLO cannot be met.
     fn build_dag(
         &self,
         graph: &LayerGraph,
         sh: &BatchShared,
         ds: &DagShared,
         trial: &[usize],
-        node_track: Option<&CacheCounters>,
-        spine_track: Option<&CacheCounters>,
+        track: &SearchCounters,
     ) -> Option<DagPlan> {
+        let node_track = Some(&track.node);
         let profile = &sh.profile;
         let n = profile.num_layers();
         if trial.is_empty() {
@@ -1071,13 +1081,16 @@ impl Optimizer {
 
         let mut nodes: Vec<DagNode> = Vec::new();
         let mut objects: Vec<DagObject> = Vec::new();
+        // Fork/join block boundaries for the polish: every spine node is a
+        // block, every region's branches one block.
+        let mut bounds: Vec<usize> = vec![0];
         // Gather objects of the region just closed, waiting for the next
         // spine segment's first node: `(branch node index, bytes)`.
         let mut pending_gather: Vec<(usize, u64)> = Vec::new();
         for ri in 0..=trial.len() {
             let prev = (ri > 0).then(|| trial[ri - 1]);
             let next = trial.get(ri).copied();
-            let parts = ds.spine_or(prev, next, spine_track, || {
+            let parts = ds.spine_or(prev, next, Some(&track.spine), || {
                 let a = prev.map_or(0, |p| ds.regions[p].merge);
                 let b = next.map_or(n - 1, |q| ds.regions[q].entry);
                 // The root's image arrives with the trigger; the tail
@@ -1108,6 +1121,7 @@ impl Optimizer {
                     end: e,
                     memory_mb: mem,
                 });
+                bounds.push(nodes.len());
             }
             for (bi, bytes) in pending_gather.drain(..) {
                 objects.push(DagObject {
@@ -1152,6 +1166,7 @@ impl Optimizer {
                     consumers,
                     bytes: ds.scatter[q],
                 });
+                bounds.push(nodes.len());
             }
         }
 
@@ -1163,7 +1178,7 @@ impl Optimizer {
             predicted_cost: 0.0,
         };
         debug_assert_eq!(plan.validate(n), Ok(()));
-        self.polish_dag(sh, plan, node_track)
+        self.polish_dag(sh, plan, &bounds, track)
     }
 
     /// Memory polish for a freshly built min-cost DAG, mirroring the
@@ -1171,25 +1186,28 @@ impl Optimizer {
     /// time-per-dollar single-node upgrades (the MIQP's "cheapest mix
     /// meeting the deadline" role), then spend the `cost_tolerance`
     /// budget on further upgrades. Every candidate's full-plan effect is
-    /// still measured (so upgrades off the critical path, which buy no
-    /// latency, are never taken) — but the evaluations come from the
-    /// shared node-column memo and the schedule is recomputed only from
-    /// the changed node down ([`dag_schedule_from`]), which is what makes
-    /// a trial near-free on warm caches.
+    /// still measured exactly (so upgrades off the critical path, which
+    /// buy no latency, are never taken) — but the evaluations come from
+    /// the shared node-column memo, and each candidate is priced on the
+    /// plan's fork/join block chain (`bounds`, recorded by
+    /// [`Optimizer::build_dag`]): one changed block term refolded over
+    /// the later blocks, bit-identical to a full re-schedule (see
+    /// `crate::polish`). Accepted upgrades are tallied into `track`, also
+    /// when the SLO repair fails.
     fn polish_dag(
         &self,
         sh: &BatchShared,
         mut plan: DagPlan,
-        track: Option<&CacheCounters>,
+        bounds: &[usize],
+        track: &SearchCounters,
     ) -> Option<DagPlan> {
         let cfg = &self.cfg;
         let profile = &sh.profile;
         let n = plan.nodes.len();
-        // Per-node object byte lists and parent sets are memory-independent,
-        // so hoist them — and with them each node's whole memory grid from
-        // the shared memo: an upgrade trial is then a cached lookup plus a
-        // suffix re-schedule, never a fresh evaluation.
-        let parents: Vec<Vec<usize>> = (0..n).map(|v| plan.parents_of(v)).collect();
+        // Per-node object byte lists are memory-independent, so hoist them
+        // — and with them each node's whole memory grid from the shared
+        // memo: an upgrade trial is then a cached lookup plus a block
+        // fold, never a fresh evaluation.
         let cols: Vec<Arc<NodeColumns>> = (0..n)
             .map(|v| {
                 let (reads, writes) = plan.node_io_bytes(v);
@@ -1200,51 +1218,52 @@ impl Optimizer {
                     &reads,
                     &writes,
                     cfg,
-                    track,
+                    Some(&track.node),
                 )
             })
             .collect();
+        let mems = plan.nodes.iter().map(|nd| nd.memory_mb).collect();
+        let mut p = Polish::new(&cols, bounds, mems)?;
+        // The block chain must be the plan's real wiring, and its folds
+        // the full schedule's arithmetic.
+        let check = |p: &Polish| {
+            debug_assert!((0..n).all(|v| {
+                let j = bounds.partition_point(|&b| b <= v) - 1;
+                let want: Vec<usize> = if j == 0 {
+                    Vec::new()
+                } else {
+                    (bounds[j - 1]..bounds[j]).collect()
+                };
+                plan.parents_of(v) == want
+            }));
+            debug_assert_eq!(p.time.to_bits(), {
+                let parents: Vec<Vec<usize>> = (0..n).map(|v| plan.parents_of(v)).collect();
+                dag_schedule(&parents, p.evals(), &mut vec![0.0; n])
+                    .0
+                    .to_bits()
+            });
+        };
+        check(&p);
 
-        let mut mems: Vec<u32> = plan.nodes.iter().map(|nd| nd.memory_mb).collect();
-        let mut evals: Vec<(f64, f64)> = Vec::with_capacity(n);
-        for (v, &m) in mems.iter().enumerate() {
-            evals.push(cols[v].eval_at(m)?);
-        }
-        let mut finish = vec![0.0f64; n];
-        let mut scratch = vec![0.0f64; n];
-        let (mut time, mut cost) = dag_schedule(&parents, &evals, &mut finish);
-
-        if let Some(slo) = cfg.slo_s {
-            while time > slo + 1e-12 {
-                if !upgrade_step(
-                    &cols,
-                    &parents,
-                    &mut mems,
-                    &mut evals,
-                    &mut time,
-                    &mut cost,
-                    None,
-                    &mut finish,
-                    &mut scratch,
-                ) {
-                    return None;
+        let repaired = cfg.slo_s.is_none_or(|slo| {
+            while p.time > slo + 1e-12 {
+                if !p.upgrade_step(None) {
+                    return false;
                 }
             }
+            true
+        });
+        if repaired {
+            let budget = p.cost * (1.0 + self.tolerance());
+            while p.upgrade_step(Some(budget)) {}
         }
-        let budget = cost * (1.0 + self.tolerance());
-        while upgrade_step(
-            &cols,
-            &parents,
-            &mut mems,
-            &mut evals,
-            &mut time,
-            &mut cost,
-            Some(budget),
-            &mut finish,
-            &mut scratch,
-        ) {}
+        check(&p);
+        track.polish_steps.fetch_add(p.steps, Ordering::Relaxed);
+        if !repaired {
+            return None;
+        }
 
-        for (node, &m) in plan.nodes.iter_mut().zip(&mems) {
+        for (node, &m) in plan.nodes.iter_mut().zip(&p.mems) {
             node.memory_mb = m;
         }
         // Stamp the canonical prediction (same arithmetic; also a guard).
@@ -1253,157 +1272,6 @@ impl Optimizer {
         }
         Some(plan)
     }
-}
-
-/// Forward schedule of a whole DAG: fills `finish` per node and returns
-/// the plan-level `(time, cost)` with `predict_dag`'s exact arithmetic —
-/// full-array max fold for the makespan, ordered sum for the cost.
-fn dag_schedule(parents: &[Vec<usize>], evals: &[(f64, f64)], finish: &mut [f64]) -> (f64, f64) {
-    for v in 0..evals.len() {
-        let ready = parents[v].iter().map(|&u| finish[u]).fold(0.0f64, f64::max);
-        finish[v] = ready + evals[v].0;
-    }
-    let time = finish.iter().copied().fold(0.0f64, f64::max);
-    let cost = evals.iter().map(|&(_, d)| d).sum();
-    (time, cost)
-}
-
-/// Schedule with node `v`'s evaluation replaced by `ev`, reusing the
-/// incumbent's `base` finish times. Parents precede children in a
-/// `DagPlan`'s node order, so `base[..v]` is unaffected by the
-/// substitution and only the suffix is recomputed — while the time fold
-/// still runs over the full array in index order and the cost is the
-/// full ordered sum with element `v` substituted, the same operation
-/// sequence as a cold [`dag_schedule`], hence bit-identical results.
-fn dag_schedule_from(
-    parents: &[Vec<usize>],
-    evals: &[(f64, f64)],
-    v: usize,
-    ev: (f64, f64),
-    base: &[f64],
-    scratch: &mut [f64],
-) -> (f64, f64) {
-    scratch[..v].copy_from_slice(&base[..v]);
-    for w in v..evals.len() {
-        let ready = parents[w]
-            .iter()
-            .map(|&u| scratch[u])
-            .fold(0.0f64, f64::max);
-        let d = if w == v { ev.0 } else { evals[w].0 };
-        scratch[w] = ready + d;
-    }
-    let time = scratch.iter().copied().fold(0.0f64, f64::max);
-    let cost = evals
-        .iter()
-        .enumerate()
-        .map(|(w, &(_, d))| if w == v { ev.1 } else { d })
-        .sum();
-    (time, cost)
-}
-
-/// One greedy polish step: the best Δtime/Δcost single-node memory bump
-/// over the cached grids (optionally within a cost budget), or `false`
-/// when no upgrade helps. Strict improvement with ascending node/grid
-/// iteration keeps ties deterministic; on acceptance the incumbent
-/// `finish` array is refreshed so later trials re-schedule from it.
-#[allow(clippy::too_many_arguments)]
-fn upgrade_step(
-    cols: &[Arc<NodeColumns>],
-    parents: &[Vec<usize>],
-    mems: &mut [u32],
-    evals: &mut [(f64, f64)],
-    time: &mut f64,
-    cost: &mut f64,
-    budget: Option<f64>,
-    finish: &mut [f64],
-    scratch: &mut [f64],
-) -> bool {
-    let n = mems.len();
-    // Exact critical-node marking on the incumbent schedule: seeds are
-    // the makespan-achieving nodes, and a parent is marked when its
-    // finish *equals* the child's ready time (comparisons of values from
-    // the same forward pass — no re-derived sums). A node off every
-    // tight path cannot move the makespan: the tight paths recompute to
-    // bitwise the same finishes, so such a candidate is exactly a
-    // `dt <= 1e-12` skip and is pruned without scheduling.
-    let mut crit = vec![false; n];
-    for v in 0..n {
-        crit[v] = finish[v] == *time;
-    }
-    for w in (0..n).rev() {
-        if !crit[w] {
-            continue;
-        }
-        let ready = parents[w].iter().map(|&u| finish[u]).fold(0.0f64, f64::max);
-        for &u in &parents[w] {
-            if finish[u] == ready {
-                crit[u] = true;
-            }
-        }
-    }
-    // Margins for the optimistic bounds below: a one-node substitution
-    // perturbs the schedule's path sums and the cost sum by at most
-    // ~n·ulp of their magnitudes (~1e-14 relative) — the 1e-13 slack
-    // strictly covers that, so a pruned candidate provably fails the
-    // exact test too and the argmax is unchanged bit for bit.
-    let tmargin = 1e-13 * time.max(1.0);
-    let cmargin = 1e-13 * cost.abs().max(1.0);
-    // (ratio, node, memory_mb, (time_s, dollars), new_time, new_cost)
-    type Upgrade = (f64, usize, u32, (f64, f64), f64, f64);
-    let mut best: Option<Upgrade> = None;
-    for v in 0..n {
-        if !crit[v] {
-            continue;
-        }
-        for (&m, cev) in cols[v].memories.iter().zip(&cols[v].evals) {
-            if m <= mems[v] {
-                continue;
-            }
-            let Some(ev) = *cev else { continue };
-            // Rounding is monotone, so a no-faster duration can only
-            // raise finishes: dt <= 0, an exact skip.
-            if ev.0 >= evals[v].0 {
-                continue;
-            }
-            // The makespan drops by at most the node's duration drop and
-            // the cost moves by at least the node's dollar delta; when
-            // even those optima cannot pass the exact filters, skip the
-            // O(n) re-schedule.
-            let dt_ub = (evals[v].0 - ev.0) + tmargin;
-            if dt_ub <= 1e-12 {
-                continue;
-            }
-            let dc_lb = (ev.1 - evals[v].1) - cmargin;
-            if budget.is_some_and(|b| *cost + dc_lb > b + 1e-13) {
-                continue;
-            }
-            if best.is_some_and(|(r, ..)| dt_ub / dc_lb.max(1e-12) <= r) {
-                continue;
-            }
-            let (nt, nc) = dag_schedule_from(parents, evals, v, ev, finish, scratch);
-            let dt = *time - nt;
-            let dc = nc - *cost;
-            if dt <= 1e-12 {
-                continue;
-            }
-            if budget.is_some_and(|b| nc > b + 1e-15) {
-                continue;
-            }
-            let ratio = dt / dc.max(1e-12);
-            if best.is_none_or(|(r, ..)| ratio > r) {
-                best = Some((ratio, v, m, ev, nt, nc));
-            }
-        }
-    }
-    let Some((_, v, m, ev, nt, nc)) = best else {
-        return false;
-    };
-    mems[v] = m;
-    evals[v] = ev;
-    *time = nt;
-    *cost = nc;
-    dag_schedule(parents, evals, finish);
-    true
 }
 
 #[cfg(test)]
