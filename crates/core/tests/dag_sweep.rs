@@ -200,7 +200,12 @@ fn dag_report_is_thread_invariant_on_batched_inception() {
             report_key(&par),
             "DAG report diverges at threads={threads}"
         );
+        assert_eq!(
+            serial.search.polish_steps, par.search.polish_steps,
+            "polish steps diverge at threads={threads}"
+        );
     }
+    assert!(serial.search.polish_steps > 0, "the polish must upgrade");
 }
 
 #[test]

@@ -900,9 +900,10 @@ fn run_dag_sweep(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
         }
         if verbose {
             println!(
-                "      search: {} trial(s), {} region(s) accepted, node evals {} hit / \
-                 {} miss, spine spans {} reused / {} solved, {:?}",
+                "      search: {} trial(s), {} polish step(s), {} region(s) accepted, node \
+                 evals {} hit / {} miss, spine spans {} reused / {} solved, {:?}",
                 p.search.trials_evaluated,
+                p.search.polish_steps,
                 p.regions_used,
                 p.search.node_memo_hits,
                 p.search.node_memo_misses,
@@ -1077,14 +1078,16 @@ fn print_solver_stats(r: &amps_inf::core::optimizer::OptimizerReport) {
     );
 }
 
-/// `--verbose` companion block for the DAG region search: how much of the
-/// trial work resolved from the node/spine memos, and the search wall
-/// time excluding the chain solve.
+/// `--verbose` companion block for the DAG region search: the trials and
+/// the memory upgrades their polish accepted, how much of the trial work
+/// resolved from the node/spine memos, and the search wall time excluding
+/// the chain solve.
 fn print_dag_search_stats(s: &amps_inf::core::DagSearchStats) {
     println!(
-        "dag search: {} trial(s) evaluated, node evals {} hit / {} miss, \
+        "dag search: {} trial(s) evaluated, {} polish step(s), node evals {} hit / {} miss, \
          spine spans {} reused / {} solved, {:?}",
         s.trials_evaluated,
+        s.polish_steps,
         s.node_memo_hits,
         s.node_memo_misses,
         s.spine_span_hits,

@@ -287,6 +287,51 @@ fn dag_sweep_prints_chain_vs_dag_table() {
 }
 
 #[test]
+fn verbose_dag_plan_and_sweep_report_polish_steps() {
+    let (stdout, stderr, ok) = run(&[
+        "plan",
+        "inception_v3",
+        "--dag",
+        "--batch",
+        "64",
+        "--slo",
+        "636.5",
+        "--verbose",
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.starts_with("dag search:") && l.contains("polish step(s)")),
+        "{stdout}"
+    );
+    let (stdout, stderr, ok) = run(&[
+        "sweep",
+        "inception_v3",
+        "--dag",
+        "--batches",
+        "64",
+        "--slo-from",
+        "600",
+        "--slo-to",
+        "700",
+        "--points",
+        "2",
+        "--verbose",
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    let search: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.trim_start().starts_with("search:"))
+        .collect();
+    assert_eq!(search.len(), 2, "{stdout}");
+    assert!(
+        search.iter().all(|l| l.contains("polish step(s)")),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn dag_sweep_shares_grid_validation_with_chain_sweep() {
     let (_, stderr, ok) = run(&["sweep", "inception_v3", "--dag"]);
     assert!(!ok);
