@@ -73,7 +73,9 @@ pub struct AmpsConfig {
     /// Worker threads executing the serving lanes. This is an **execution**
     /// parameter: every value, including the auto default `0`, produces
     /// bit-identical reports — only wall-clock changes. Clamped to the
-    /// lane count (one lane never splits across threads).
+    /// lane count (one lane never splits across threads) and to the
+    /// machine's available parallelism (extra workers would only contend
+    /// for the lane queue).
     pub serve_threads: usize,
     /// Warm-pool provisioning policy for the serving engine (pre-warm
     /// count, keep-alive horizon, idle billing). This is a **model**

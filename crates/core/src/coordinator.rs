@@ -1420,7 +1420,8 @@ impl Coordinator {
     /// §6d): runs `f(platform, state, request_index, start)` once per
     /// request across [`AmpsConfig::serve_lanes`] warm-pool shards,
     /// executed by up to [`AmpsConfig::serve_threads`] workers (0 =
-    /// auto). Every lane is a self-contained task (shard platform, the
+    /// auto; never more than the machine's available parallelism, since
+    /// surplus workers would only spin on the queue lock). Every lane is a self-contained task (shard platform, the
     /// caller-built per-lane state `init(lane)` — scratches, station
     /// pools, anything —, result buffer, progress cursor) on a shared
     /// queue; workers pop a task, advance it one *chunk* of requests, and
@@ -1456,9 +1457,12 @@ impl Coordinator {
     {
         let n = starts.len();
         let lanes = self.cfg.serve_lanes.max(1).min(n.max(1));
+        // More workers than cores only spin on the queue lock: an explicit
+        // thread count is capped at the machine's parallelism as well.
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
         let workers = match self.cfg.serve_threads {
-            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-            t => t,
+            0 => cores,
+            t => t.min(cores),
         }
         .clamp(1, lanes);
         let pre_warm = self.cfg.warm_pool.pre_warm;
