@@ -70,6 +70,9 @@ pub(crate) struct Polish<'a> {
     pre_cost: Vec<f64>,
     /// Nodes on a tight path of the current schedule.
     crit: Vec<bool>,
+    /// Per node and grid index `i`: the min seconds and the min dollars
+    /// over the node's feasible grid points `i..` (infinite past the last).
+    suffix_min: Vec<Vec<(f64, f64)>>,
 }
 
 impl<'a> Polish<'a> {
@@ -89,6 +92,17 @@ impl<'a> Polish<'a> {
             .map(|(&m, c)| c.eval_at(m))
             .collect::<Option<Vec<_>>>()?;
         let blocks = bounds.len() - 1;
+        let suffix_min = cols
+            .iter()
+            .map(|c| {
+                let mut out = vec![(f64::INFINITY, f64::INFINITY); c.evals.len() + 1];
+                for (i, ev) in c.evals.iter().enumerate().rev() {
+                    let (t, d) = out[i + 1];
+                    out[i] = ev.map_or((t, d), |(et, ed)| (t.min(et), d.min(ed)));
+                }
+                out
+            })
+            .collect();
         let mut p = Polish {
             cols,
             bounds,
@@ -101,6 +115,7 @@ impl<'a> Polish<'a> {
             pre_f: vec![0.0; blocks + 1],
             pre_cost: vec![0.0; n + 1],
             crit: vec![false; n],
+            suffix_min,
         };
         p.refresh();
         Some(p)
@@ -186,33 +201,41 @@ impl<'a> Polish<'a> {
                     .map(|w| self.evals[w].0)
                     .fold(0.0f64, f64::max);
                 let cur = self.evals[v];
+                // Optimistic filters on an upgrade to `(t, d)`: the
+                // makespan drops by at most the block term's drop and the
+                // cost moves by at least the node's dollar delta. A no-
+                // faster duration can only raise finishes (rounding is
+                // monotone): dt <= 0. When even those optima cannot pass
+                // the exact filters against the incumbent ratio `r`, the
+                // candidate is skipped unpriced. Every filter only
+                // tightens as `t` or `d` grows, so one that holds at a
+                // suffix's pointwise minimum holds for the whole suffix.
+                let hopeless = |(t, d): (f64, f64), r: Option<f64>| {
+                    if t >= cur.0 {
+                        return true;
+                    }
+                    let dt_ub = (self.terms[j] - rest.max(t)) + tmargin;
+                    let dc_lb = (d - cur.1) - cmargin;
+                    dt_ub <= 1e-12
+                        || budget.is_some_and(|b| self.cost + dc_lb > b + 1e-13)
+                        || r.is_some_and(|r| dt_ub / dc_lb.max(1e-12) <= r)
+                };
                 let col = &self.cols[v];
-                for (&m, cev) in col.memories.iter().zip(&col.evals) {
-                    if m <= self.mems[v] {
+                let suffix = &self.suffix_min[v];
+                let above = col.memories.partition_point(|&m| m <= self.mems[v]);
+                if hopeless(suffix[above], best.map(|b| b.0)) {
+                    continue;
+                }
+                for i in above..col.memories.len() {
+                    let Some(ev) = col.evals[i] else { continue };
+                    let r = best.map(|b| b.0);
+                    if hopeless(ev, r) {
+                        if hopeless(suffix[i + 1], r) {
+                            break;
+                        }
                         continue;
                     }
-                    let Some(ev) = *cev else { continue };
-                    // Rounding is monotone, so a no-faster duration can
-                    // only raise finishes: dt <= 0, an exact skip.
-                    if ev.0 >= cur.0 {
-                        continue;
-                    }
-                    // The makespan drops by at most the block term's drop
-                    // and the cost moves by at least the node's dollar
-                    // delta; when even those optima cannot pass the exact
-                    // filters, skip the O(blocks) fold.
                     let term = rest.max(ev.0);
-                    let dt_ub = (self.terms[j] - term) + tmargin;
-                    if dt_ub <= 1e-12 {
-                        continue;
-                    }
-                    let dc_lb = (ev.1 - cur.1) - cmargin;
-                    if budget.is_some_and(|b| self.cost + dc_lb > b + 1e-13) {
-                        continue;
-                    }
-                    if best.is_some_and(|(r, ..)| dt_ub / dc_lb.max(1e-12) <= r) {
-                        continue;
-                    }
                     let nt = self.makespan_with(j, term);
                     let dt = self.time - nt;
                     if dt <= 1e-12 {
@@ -220,7 +243,8 @@ impl<'a> Polish<'a> {
                     }
                     // Exact time gain over the optimistic cost: only a
                     // candidate that could still win pays the O(n) sum.
-                    if best.is_some_and(|(r, ..)| dt / dc_lb.max(1e-12) <= r) {
+                    let dc_lb = (ev.1 - cur.1) - cmargin;
+                    if r.is_some_and(|r| dt / dc_lb.max(1e-12) <= r) {
                         continue;
                     }
                     let nc = self.cost_with(v, ev.1);
@@ -228,8 +252,8 @@ impl<'a> Polish<'a> {
                         continue;
                     }
                     let ratio = dt / (nc - self.cost).max(1e-12);
-                    if best.is_none_or(|(r, ..)| ratio > r) {
-                        best = Some((ratio, v, m, ev, nt, nc));
+                    if r.is_none_or(|r| ratio > r) {
+                        best = Some((ratio, v, col.memories[i], ev, nt, nc));
                     }
                 }
             }
