@@ -1224,24 +1224,22 @@ impl Optimizer {
             .collect();
         let mems = plan.nodes.iter().map(|nd| nd.memory_mb).collect();
         let mut p = Polish::new(&cols, bounds, mems)?;
-        // The block chain must be the plan's real wiring, and its folds
-        // the full schedule's arithmetic.
+        // Debug builds check that the block chain is the plan's real
+        // wiring (block `j > 0` reads exactly block `j - 1`, block 0
+        // nothing) and that its fold reproduces the full schedule's
+        // makespan.
         let check = |p: &Polish| {
-            debug_assert!((0..n).all(|v| {
-                let j = bounds.partition_point(|&b| b <= v) - 1;
-                let want: Vec<usize> = if j == 0 {
-                    Vec::new()
-                } else {
-                    (bounds[j - 1]..bounds[j]).collect()
-                };
-                plan.parents_of(v) == want
-            }));
-            debug_assert_eq!(p.time.to_bits(), {
+            if cfg!(debug_assertions) {
                 let parents: Vec<Vec<usize>> = (0..n).map(|v| plan.parents_of(v)).collect();
-                dag_schedule(&parents, p.evals(), &mut vec![0.0; n])
-                    .0
-                    .to_bits()
-            });
+                for j in 0..bounds.len() - 1 {
+                    let want: Vec<usize> = (bounds[j.saturating_sub(1)]..bounds[j]).collect();
+                    assert!(parents[bounds[j]..bounds[j + 1]]
+                        .iter()
+                        .all(|ps| *ps == want));
+                }
+                let full = dag_schedule(&parents, p.evals(), &mut vec![0.0; n]).0;
+                assert_eq!(p.time.to_bits(), full.to_bits());
+            }
         };
         check(&p);
 

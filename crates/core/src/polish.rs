@@ -277,10 +277,11 @@ mod tests {
     use crate::plan::{DagNode, DagObject, DagPlan};
     use ampsinf_faas::rng::SmallRng;
 
-    /// The pre-block-chain polish step, kept verbatim as the oracle except
-    /// that each candidate re-schedules the whole DAG through its parent
-    /// lists (the suffix re-schedule it used performed the same operation
-    /// sequence). Returns the accepted `(node, memory, time, cost)`.
+    /// The reference polish step: parent-walk critical marking, the
+    /// node's own duration drop as the only time bound, and every
+    /// surviving candidate priced by a full forward schedule through the
+    /// plan's parent lists. Returns the accepted `(node, memory, time,
+    /// cost)`.
     #[allow(clippy::too_many_arguments)]
     fn reference_step(
         cols: &[Arc<NodeColumns>],
