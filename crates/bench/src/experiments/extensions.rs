@@ -6,13 +6,14 @@
 //! * `ext-quota`     — the 2020 vs post-2020 Lambda quota regimes (§5.1);
 //! * `ext-quantize`  — weight quantization unlocking BERT-class models (§7);
 //! * `ext-pipeline`  — sequential vs pipelined vs parallel batch execution;
-//! * `ext-parallel`  — Gillis-style weight slicing serving VGG16 (§6);
+//! * `ext-parallel`  — Gillis-style weight slicing serving VGG16 (§6) as a
+//!   fork/join region on the DAG planner and engine;
 //! * `ext-costmodel` — itemized Eq. (3) cost terms per model;
 //! * `ext-load`      — open-loop load dynamics over an optimized chain
 //!   (§2's elasticity motivation).
 
 use crate::Table;
-use ampsinf_core::{AmpsConfig, Coordinator, Optimizer};
+use ampsinf_core::{AmpsConfig, Coordinator, DagPlan, Optimizer};
 use ampsinf_model::zoo;
 use ampsinf_serving::loadgen::{run_open_loop, LoadSpec};
 
@@ -280,39 +281,56 @@ pub fn ext_stations() -> Table {
 
 /// Gillis-style weight parallelism (paper §6's contrasted approach) on the
 /// §1 motivating model: VGG16's fc1 layer alone busts the deployment cap,
-/// so chain partitioning is infeasible — weight slicing serves it.
+/// so chain partitioning is infeasible. Splitting fc1 into the fewest
+/// slices that fit turns it into one fork/join region, which the DAG
+/// planner prices and the coordinator serves like any other.
 pub fn ext_parallel() -> Table {
-    use ampsinf_serving::layer_parallel::{plan_with_parallelism, run_parallel_plan};
+    use ampsinf_core::cuts::split_oversized;
     let g = zoo::vgg16();
-    let cfg = AmpsConfig::default();
     let mut t = Table::new(
         "ext-parallel",
-        "VGG16 (fc1 = 392 MB): chain partitioning vs weight-sliced stages",
+        "VGG16 (fc1 = 392 MB): chain partitioning vs fc1 split into a fork/join region",
         &["feasible", "lambdas", "time (s)", "cost ($)"],
     );
-    match Optimizer::new(cfg.clone()).optimize(&g) {
+    match Optimizer::new(AmpsConfig::default()).optimize(&g) {
         Ok(_) => t.row_all("AMPS chain", &[1.0, 0.0, 0.0, 0.0]),
         Err(_) => t.row("AMPS chain", vec![Some(0.0), None, None, None]),
     }
-    match plan_with_parallelism(&g, &cfg, 16) {
-        Some(plan) => {
-            let run = run_parallel_plan(&g, &plan, &cfg).expect("plan executes");
-            t.row_all(
-                format!("weight-sliced (≤{} workers/stage)", plan.max_workers()),
-                &[
-                    1.0,
-                    plan.total_workers() as f64,
-                    run.inference_s,
-                    run.dollars,
-                ],
-            );
-        }
-        None => t.row("weight-sliced", vec![Some(0.0), None, None, None]),
+    let split = split_oversized(&g, &AmpsConfig::default()).expect("fc1 splits");
+    let k = split.branch_regions().iter().map(|r| r.width()).max();
+    for tolerance in [AmpsConfig::default().cost_tolerance, 0.0] {
+        let cfg = AmpsConfig {
+            cost_tolerance: tolerance,
+            ..Default::default()
+        };
+        let report = Optimizer::new(cfg.clone())
+            .optimize_dag(&split)
+            .expect("split VGG16 plans");
+        let plan = match report.dag {
+            Some(dag) => dag,
+            None => DagPlan::from_chain(&report.chain.plan, |b| split.cut_transfer_bytes(b)),
+        };
+        let coord = Coordinator::new(cfg);
+        let mut platform = coord.platform();
+        let dep = coord.deploy_dag(&mut platform, &split, &plan).unwrap();
+        let job = coord.serve_one(&mut platform, &dep, 0.0, "vgg16").unwrap();
+        t.row_all(
+            format!(
+                "fc1 split x{} → optimize_dag, tol {tolerance} ({} region(s))",
+                k.unwrap_or(1),
+                report.regions_used
+            ),
+            &[1.0, plan.num_lambdas() as f64, job.inference_s, job.dollars],
+        );
     }
     t.notes = "Shape: contiguous chains (the paper's design) cannot place VGG16's fc1 next \
-               to the 169 MB dependency layer at all; slicing that one layer across \
-               workers (Gillis's approach, §6) restores feasibility at the price of \
-               broadcast/gather transfers — the design tension between the two systems."
+               to the 169 MB dependency layer at all. Splitting that one layer into the \
+               fewest Dense slices that fit (Gillis's approach, §6) makes it a fork/join \
+               region: served on the coordinator's one engine, the slices run concurrently \
+               at the price of a broadcast of fc1's input and a gather of its output. \
+               With the default 10% cost tolerance the planner spends it on the region's \
+               speed; at tolerance 0 it keeps the slices in a chain, which is cheapest. \
+               Times and dollars are served by `serve_one` and equal the prediction."
         .into();
     t
 }
@@ -438,6 +456,10 @@ mod tests {
         assert_eq!(t.rows[0].1[0], Some(0.0), "chain must be infeasible");
         assert_eq!(t.rows[1].1[0], Some(1.0), "sliced must be feasible");
         assert!(t.rows[1].1[2].unwrap() > 0.0);
+        // The default tolerance buys the region's speed; at tolerance 0
+        // the plan is no dearer than a greedy per-layer slicer's $0.001896.
+        assert!(t.rows[1].1[2].unwrap() < t.rows[2].1[2].unwrap());
+        assert!(t.rows[2].1[3].unwrap() <= 0.001896);
     }
 
     #[test]

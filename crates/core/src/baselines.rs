@@ -18,6 +18,7 @@
 use crate::config::AmpsConfig;
 use crate::cuts::segment_feasible;
 use crate::plan::{DagPlan, ExecutionPlan, PartitionPlan};
+use crate::polish::dag_schedule;
 use ampsinf_faas::SmallRng;
 use ampsinf_model::LayerGraph;
 use ampsinf_profiler::{quick_eval, quick_eval_node, Profile};
@@ -63,10 +64,12 @@ pub fn predict(profile: &Profile, plan: &mut ExecutionPlan, cfg: &AmpsConfig) ->
 /// numbers diverge exactly where the chain's cannot — fan-out of `k`
 /// costs `k` sandboxes but only `max(branch)` wall-clock.
 pub fn predict_dag(profile: &Profile, plan: &mut DagPlan, cfg: &AmpsConfig) -> bool {
-    let Some((finish, cost)) = dag_schedule(profile, plan, cfg) else {
+    let Some(evals) = dag_evals(profile, plan, cfg) else {
         return false;
     };
-    plan.predicted_time_s = finish.iter().copied().fold(0.0f64, f64::max);
+    let parents: Vec<Vec<usize>> = (0..evals.len()).map(|v| plan.parents_of(v)).collect();
+    let (time, cost) = dag_schedule(&parents, &evals, &mut vec![0.0; evals.len()]);
+    plan.predicted_time_s = time;
     plan.predicted_cost = cost;
     true
 }
@@ -107,24 +110,6 @@ fn dag_evals(profile: &Profile, plan: &DagPlan, cfg: &AmpsConfig) -> Option<Vec<
         evals.push((e.duration_s, e.dollars));
     }
     Some(evals)
-}
-
-/// Ready-time recurrence over the node DAG: returns per-node finish
-/// instants (node `v` starts at the max of its producers' finishes) and
-/// the summed dollars.
-fn dag_schedule(profile: &Profile, plan: &DagPlan, cfg: &AmpsConfig) -> Option<(Vec<f64>, f64)> {
-    let evals = dag_evals(profile, plan, cfg)?;
-    let cost = evals.iter().map(|&(_, d)| d).sum();
-    let mut finish = vec![0.0f64; plan.nodes.len()];
-    for v in 0..plan.nodes.len() {
-        let ready = plan
-            .parents_of(v)
-            .into_iter()
-            .map(|u| finish[u])
-            .fold(0.0f64, f64::max);
-        finish[v] = ready + evals[v].0;
-    }
-    Some((finish, cost))
 }
 
 /// Baseline 1: random feasible cut + one random memory for all lambdas.

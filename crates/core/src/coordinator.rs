@@ -697,6 +697,15 @@ impl Coordinator {
     /// bytes ride on exactly those transfers. The staged input that feeds
     /// a node's `/tmp` and resident footprint is the sum of the objects it
     /// reads (the root's image arrives with the trigger).
+    ///
+    /// **Known batch fidelity gap.** Node work (FLOPs, activations, the
+    /// root's input) comes from the unbatched `graph.segment` and ignores
+    /// `cfg.batch_size`, while the planner's predictions and a DAG plan's
+    /// object bytes come from `Profile::batched`. At batch 1 served equals
+    /// predicted; above it the served run is cheaper and faster than the
+    /// plan says. At batch 64 ResNet-50's chain predicts 370.00 s /
+    /// $0.01493 and serves 31.70 s / $0.001184; Inception-v3's DAG predicts
+    /// 560.99 s / $0.02755 and serves 113.65 s / $0.005484.
     pub fn deploy_dag(
         &self,
         platform: &mut Platform,

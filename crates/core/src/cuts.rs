@@ -10,7 +10,9 @@
 //! solutions"), then enumerate combinations under a budget.
 
 use crate::config::AmpsConfig;
-use ampsinf_model::{BranchRegion, LayerGraph};
+use ampsinf_faas::runtime::{CODE_BYTES, DEPS_BYTES};
+use ampsinf_faas::MB;
+use ampsinf_model::{BranchRegion, LayerGraph, LayerOp};
 use ampsinf_profiler::Profile;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -83,6 +85,55 @@ pub fn segment_feasible(profile: &Profile, start: usize, end: usize, cfg: &AmpsC
         && profile
             .memory_floor(start, end, &cfg.quotas, &cfg.perf)
             .is_some()
+}
+
+/// Splits every layer too heavy to deploy alone (constraint (4): code +
+/// dependencies + its weights over the deployment limit, so no chain cut
+/// can hold it) into the fewest [`LayerGraph::split_layer`] slices `k`
+/// whose largest slice fits. Each split layer becomes a width-`k`
+/// fork/join region that [`Optimizer::optimize_dag`](crate::Optimizer::optimize_dag)
+/// plans and the coordinator serves like any other — intra-layer
+/// parallelism (VGG16's 392 MB `fc1`) on the one planner and engine.
+/// Returns the graph unchanged when every layer fits; errors when a heavy
+/// layer is not a `Dense`, or does not fit even at one unit per slice.
+pub fn split_oversized(graph: &LayerGraph, cfg: &AmpsConfig) -> Result<LayerGraph, String> {
+    let budget =
+        (u64::from(cfg.quotas.deploy_limit_mb) * MB).saturating_sub(CODE_BYTES + DEPS_BYTES);
+    let bytes_per_param = graph.bytes_per_param();
+    let mut out = graph.clone();
+    // Back to front, so a split never shifts a layer still to be visited.
+    for layer in (0..graph.num_layers()).rev() {
+        let node = graph.node(layer);
+        if node.params * bytes_per_param <= budget {
+            continue;
+        }
+        let LayerOp::Dense {
+            units,
+            use_bias,
+            activation,
+        } = node.op
+        else {
+            return Err(format!(
+                "{} ({}) exceeds the deployment limit and only Dense layers split",
+                node.name,
+                node.op.class_name()
+            ));
+        };
+        let input = [graph.node(node.inputs[0]).output_shape];
+        let slice_bytes = |k: u32| {
+            let widest = LayerOp::Dense {
+                units: units.div_ceil(k),
+                use_bias,
+                activation,
+            };
+            widest.param_count(&input) * bytes_per_param
+        };
+        let k = (2..=units)
+            .find(|&k| slice_bytes(k) <= budget)
+            .ok_or_else(|| format!("{} exceeds the deployment limit at any split", node.name))?;
+        out = out.split_layer(layer, k)?;
+    }
+    Ok(out)
 }
 
 /// Branch-cut candidates alongside the chain cuts: the model's fork/join
@@ -370,7 +421,93 @@ impl CutWalk<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampsinf_model::zoo;
+    use ampsinf_model::{serialize, zoo};
+
+    #[test]
+    fn split_oversized_leaves_fitting_graphs_unchanged() {
+        let cfg = AmpsConfig::default();
+        for g in [zoo::mobilenet_v1(), zoo::resnet50(), zoo::inception_v3()] {
+            let s = split_oversized(&g, &cfg).unwrap();
+            assert_eq!(serialize::to_json(&s), serialize::to_json(&g), "{}", g.name);
+        }
+    }
+
+    #[test]
+    fn split_oversized_uses_the_fewest_slices_that_fit() {
+        let cfg = AmpsConfig::default();
+        let budget = u64::from(cfg.quotas.deploy_limit_mb) * MB - CODE_BYTES - DEPS_BYTES;
+        for g in [zoo::vgg16(), zoo::vgg19()] {
+            let s = split_oversized(&g, &cfg).unwrap();
+            let profile = Profile::of(&s);
+            // Only fc1 is too heavy alone, and it becomes one region.
+            let regions = s.branch_regions();
+            assert_eq!(regions.len(), 1, "{}", g.name);
+            let r = &regions[0];
+            assert_eq!(s.node(r.merge).name, "fc1/concat");
+            assert_eq!(r.width(), 5);
+            // Every slice now deploys alone ...
+            assert!(r
+                .branches
+                .iter()
+                .all(|&(b, e)| profile.fits_deployment(b, e, &cfg.quotas)));
+            // ... and one slice fewer would not: its widest slice
+            // (ceil(units / (k - 1)) units) overflows the budget.
+            let fc1 = g.node(g.find("fc1").unwrap());
+            let fan_in = fc1.params / 4096 - 1;
+            let widest = u64::from(4096u32.div_ceil(r.width() as u32 - 1));
+            assert!((fan_in * widest + widest) * 4 > budget);
+            assert_eq!(s.total_params(), g.total_params());
+        }
+    }
+
+    #[test]
+    fn split_vgg16_plans_and_serves_its_prediction() {
+        use crate::{Coordinator, Optimizer};
+        let g = zoo::vgg16();
+        let cfg = AmpsConfig::default();
+        // fc1 fits no chain partition until it is split.
+        assert!(Optimizer::new(cfg.clone()).optimize(&g).is_err());
+        let s = split_oversized(&g, &cfg).unwrap();
+        let report = Optimizer::new(cfg.clone()).optimize_dag(&s).unwrap();
+        let plan = report.dag.expect("the fc1 region beats the chain");
+        assert_eq!(report.regions_used, 1);
+        assert_eq!(plan.width(), 5);
+        assert_eq!(plan.num_lambdas(), 7);
+        let coord = Coordinator::new(cfg.clone());
+        let mut platform = coord.platform();
+        let dep = coord.deploy_dag(&mut platform, &s, &plan).unwrap();
+        let job = coord.serve_one(&mut platform, &dep, 0.0, "vgg16").unwrap();
+        assert!(
+            (job.inference_s - plan.predicted_time_s).abs() < 1e-6,
+            "served {} vs predicted {}",
+            job.inference_s,
+            plan.predicted_time_s
+        );
+        assert!(
+            (job.dollars - plan.predicted_cost).abs() < 1e-9,
+            "served {} vs predicted {}",
+            job.dollars,
+            plan.predicted_cost
+        );
+        // At zero tolerance the cheapest plan keeps the slices in a chain,
+        // no dearer than a greedy per-layer slicer's $0.001896.
+        let exact = Optimizer::new(AmpsConfig {
+            cost_tolerance: 0.0,
+            ..cfg
+        })
+        .optimize_dag(&s)
+        .unwrap();
+        assert!(exact.dag.is_none());
+        assert!(exact.chain.plan.predicted_cost <= 0.001896);
+        assert!(exact.chain.plan.predicted_cost < plan.predicted_cost);
+    }
+
+    #[test]
+    fn split_oversized_rejects_unsplittable_layers() {
+        // BERT's token embedding is too heavy alone and is no Dense.
+        let err = split_oversized(&zoo::bert_base(), &AmpsConfig::default()).unwrap_err();
+        assert!(err.contains("only Dense layers split"), "{err}");
+    }
 
     #[test]
     fn three_layer_example_matches_paper() {

@@ -24,10 +24,11 @@
 use crate::colcache::NodeColumns;
 use std::sync::Arc;
 
-/// Forward schedule of a whole DAG from explicit parent lists: fills
-/// `finish` per node and returns the plan-level `(time, cost)` with
-/// `predict_dag`'s exact arithmetic — full-array max fold for the
-/// makespan, ordered sum for the cost. The block-chain fold must agree
+/// Forward schedule of a whole DAG from explicit parent lists (node `v`
+/// starts at the max of its parents' finishes): fills `finish` per node
+/// and returns the plan-level `(time, cost)` — full-array max fold for
+/// the makespan, ordered sum for the cost. `baselines::predict_dag`
+/// prices every DAG plan with it, and the block-chain fold must agree
 /// with it bit for bit.
 pub(crate) fn dag_schedule(
     parents: &[Vec<usize>],

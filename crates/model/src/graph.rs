@@ -78,6 +78,68 @@ impl LayerGraph {
         g
     }
 
+    /// Returns a copy with the `Dense` layer at `layer` split into `k`
+    /// sibling `Dense` slices (`{name}/0` …) that all read its input,
+    /// followed by a `Concat` merge (`{name}/concat`) that every former
+    /// consumer reads instead — intra-layer parallelism as one more
+    /// width-`k` fork/join region ([`LayerGraph::branch_regions`]).
+    /// Units are dealt as evenly as possible (the first `units % k`
+    /// slices take one more), so the slices' params and FLOPs sum exactly
+    /// to the layer's; the merge adds only its copy (`units` FLOPs).
+    ///
+    /// Errors when `layer` is out of range or not a `Dense`, or when `k`
+    /// is below 2 or above the layer's units.
+    pub fn split_layer(&self, layer: usize, k: u32) -> Result<LayerGraph, String> {
+        let node = self
+            .nodes
+            .get(layer)
+            .ok_or_else(|| format!("layer {layer} out of range ({} layers)", self.nodes.len()))?;
+        let LayerOp::Dense {
+            units,
+            use_bias,
+            activation,
+        } = node.op
+        else {
+            return Err(format!(
+                "{} is a {}; only Dense layers split",
+                node.name,
+                node.op.class_name()
+            ));
+        };
+        if !(2..=units).contains(&k) {
+            return Err(format!(
+                "cannot split {} ({units} units) into {k} slices",
+                node.name
+            ));
+        }
+        let mut g = LayerGraph {
+            name: self.name.clone(),
+            nodes: Vec::with_capacity(self.nodes.len() + k as usize + 1),
+            bytes_per_param: self.bytes_per_param,
+        };
+        // `remap[i]`: the index in `g` of the tensor old layer `i` produced.
+        let mut remap = Vec::with_capacity(self.nodes.len());
+        for (i, n) in self.nodes.iter().enumerate() {
+            let inputs: Vec<usize> = n.inputs.iter().map(|&j| remap[j]).collect();
+            if i != layer {
+                remap.push(g.add(n.name.clone(), n.op.clone(), &inputs));
+                continue;
+            }
+            let slices: Vec<usize> = (0..k)
+                .map(|s| {
+                    let op = LayerOp::Dense {
+                        units: units / k + u32::from(s < units % k),
+                        use_bias,
+                        activation,
+                    };
+                    g.add(format!("{}/{s}", n.name), op, &inputs)
+                })
+                .collect();
+            remap.push(g.add(format!("{}/concat", n.name), LayerOp::Concat, &slices));
+        }
+        Ok(g)
+    }
+
     /// Appends a layer consuming the outputs of `inputs` (indices of
     /// previously added layers) and returns its index.
     ///
@@ -91,15 +153,6 @@ impl LayerGraph {
                 i < idx,
                 "layer input {i} not yet defined (adding node {idx})"
             );
-        }
-        match &op {
-            LayerOp::Input { .. } => {
-                assert!(inputs.is_empty(), "Input layer takes no inputs")
-            }
-            op if op.is_merge() => {
-                assert!(inputs.len() >= 2, "{} needs ≥ 2 inputs", op.class_name())
-            }
-            _ => assert_eq!(inputs.len(), 1, "{} needs exactly 1 input", op.class_name()),
         }
         let in_shapes: Vec<TensorShape> =
             inputs.iter().map(|&i| self.nodes[i].output_shape).collect();
@@ -153,10 +206,18 @@ impl LayerGraph {
         self.total_params() * self.bytes_per_param
     }
 
-    /// Validates the DAG: topological input order and recomputable shapes.
+    /// Validates the DAG: topological input order, a supported weight
+    /// width, op arity and input shapes, and stored shapes, params and
+    /// FLOPs that match the ones recomputed from each op.
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes.is_empty() {
             return Err("empty graph".into());
+        }
+        if !(1..=4).contains(&self.bytes_per_param) {
+            return Err(format!(
+                "bytes_per_param {} is not in 1..=4",
+                self.bytes_per_param
+            ));
         }
         for (idx, n) in self.nodes.iter().enumerate() {
             for &i in &n.inputs {
@@ -169,11 +230,16 @@ impl LayerGraph {
                 .iter()
                 .map(|&i| self.nodes[i].output_shape)
                 .collect();
-            let expect = n.op.output_shape(&in_shapes);
-            if expect != n.output_shape {
+            let shape =
+                n.op.try_output_shape(&in_shapes)
+                    .map_err(|e| format!("node {idx} ({}): {e}", n.name))?;
+            let params = n.op.param_count(&in_shapes);
+            let flops = n.op.flops(&in_shapes);
+            if (n.output_shape, n.params, n.flops) != (shape, params, flops) {
                 return Err(format!(
-                    "node {idx} ({}): stored shape {} != recomputed {}",
-                    n.name, n.output_shape, expect
+                    "node {idx} ({}): stored shape {}, {} params, {} FLOPs != recomputed \
+                     {shape}, {params} params, {flops} FLOPs",
+                    n.name, n.output_shape, n.params, n.flops
                 ));
             }
         }
@@ -744,6 +810,82 @@ mod tests {
                 assert_eq!(*b, g.span_io_bytes(s, e).1);
             }
         }
+    }
+
+    #[test]
+    fn split_layer_preserves_work_and_forms_one_region() {
+        let g = chain();
+        let dense = g.find("dense").unwrap();
+        let s = g.split_layer(dense, 3).unwrap();
+        assert!(s.validate().is_ok());
+        assert_eq!(s.num_layers(), g.num_layers() + 3);
+        // Units dealt 4/3/3; the slices carry exactly the layer's params
+        // and FLOPs, and the merge adds only its 10-element copy.
+        let slices: Vec<&LayerNode> = (0..3)
+            .map(|i| s.node(s.find(&format!("dense/{i}")).unwrap()))
+            .collect();
+        let units: Vec<TensorShape> = slices.iter().map(|n| n.output_shape).collect();
+        assert_eq!(
+            units,
+            [4, 3, 3].map(TensorShape::Flat).to_vec(),
+            "even split"
+        );
+        assert_eq!(
+            slices.iter().map(|n| n.params).sum::<u64>(),
+            g.node(dense).params
+        );
+        assert_eq!(
+            slices.iter().map(|n| n.flops).sum::<u64>(),
+            g.node(dense).flops
+        );
+        assert_eq!(s.total_params(), g.total_params());
+        let concat = s.node(s.find("dense/concat").unwrap());
+        assert_eq!(concat.output_shape, TensorShape::Flat(10));
+        assert_eq!(concat.flops, 10);
+        assert_eq!(s.total_flops(), g.total_flops() + concat.flops);
+        assert_eq!(s.weight_bytes(), g.weight_bytes());
+        // The slices are one width-3 fork/join region fed by the flatten.
+        let regions = s.branch_regions();
+        assert_eq!(regions.len(), 1);
+        assert_eq!(regions[0].entry, s.find("flatten").unwrap());
+        assert_eq!(regions[0].merge, s.find("dense/concat").unwrap());
+        assert_eq!(regions[0].width(), 3);
+    }
+
+    #[test]
+    fn split_layer_rewires_consumers_to_the_merge() {
+        // Splitting a layer in the middle: the next layer reads the merge.
+        let mut g = chain();
+        let last = g.num_layers() - 1;
+        g.add(
+            "head",
+            LayerOp::Dense {
+                units: 2,
+                use_bias: false,
+                activation: Activation::Linear,
+            },
+            &[last],
+        );
+        let s = g.split_layer(last, 2).unwrap();
+        let head = s.node(s.find("head").unwrap());
+        assert_eq!(head.inputs, vec![s.find("dense/concat").unwrap()]);
+        assert_eq!(head.params, g.node(g.find("head").unwrap()).params);
+    }
+
+    #[test]
+    fn split_layer_rejects_bad_input() {
+        let g = chain();
+        let dense = g.find("dense").unwrap();
+        assert!(g.split_layer(g.find("conv1").unwrap(), 2).is_err());
+        assert!(g.split_layer(dense, 1).is_err());
+        assert!(g.split_layer(dense, 0).is_err());
+        assert!(g.split_layer(dense, 11).is_err());
+        assert!(g.split_layer(g.num_layers(), 2).is_err());
+        // Every unit in its own slice is the widest legal split.
+        assert_eq!(
+            g.split_layer(dense, 10).unwrap().branch_regions()[0].width(),
+            10
+        );
     }
 
     #[test]

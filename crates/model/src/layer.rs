@@ -222,19 +222,47 @@ impl LayerOp {
     ///
     /// # Panics
     /// Panics on arity or shape mismatches — model-construction errors, not
-    /// runtime conditions.
+    /// runtime conditions. [`LayerOp::try_output_shape`] returns them as
+    /// errors instead.
     pub fn output_shape(&self, inputs: &[TensorShape]) -> TensorShape {
-        let one = || -> TensorShape {
-            assert_eq!(inputs.len(), 1, "{self:?} expects exactly one input");
-            inputs[0]
+        self.try_output_shape(inputs)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Output shape given the input shapes, or why they do not fit the op:
+    /// wrong arity (`Input` takes none, merges two or more, every other op
+    /// exactly one), a flat input where a spatial one is required (or the
+    /// reverse), disagreeing merge inputs, a zero stride, or a dimension
+    /// that overflows `u32`.
+    pub fn try_output_shape(&self, inputs: &[TensorShape]) -> Result<TensorShape, String> {
+        let name = self.class_name();
+        let (arity_ok, arity) = match self {
+            LayerOp::Input { .. } => (inputs.is_empty(), "takes no inputs"),
+            op if op.is_merge() => (inputs.len() >= 2, "needs ≥ 2 inputs"),
+            _ => (inputs.len() == 1, "needs exactly 1 input"),
         };
-        let map = |s: TensorShape| -> (u32, u32, u32) {
-            match s {
-                TensorShape::Map { h, w, c } => (h, w, c),
-                TensorShape::Flat(_) => panic!("{self:?} requires a spatial input"),
+        if !arity_ok {
+            return Err(format!("{name} {arity}, got {}", inputs.len()));
+        }
+        let map = |s: TensorShape| match s {
+            TensorShape::Map { h, w, c } => Ok((h, w, c)),
+            TensorShape::Flat(_) => Err(format!("{name} requires a spatial input, got {s}")),
+        };
+        // Sliding-window ops: spatial dims from kernel, stride and padding;
+        // channels from `filters`, or kept.
+        let window = |kernel: (u32, u32), strides: (u32, u32), padding, filters: Option<u32>| {
+            let (h, w, c) = map(inputs[0])?;
+            if strides.0 == 0 || strides.1 == 0 {
+                return Err(format!("{name} has a zero stride"));
             }
+            Ok(TensorShape::map(
+                conv_dim(h, kernel.0, strides.0, padding),
+                conv_dim(w, kernel.1, strides.1, padding),
+                filters.unwrap_or(c),
+            ))
         };
-        match self {
+        let too_big = || format!("{name} output overflows u32");
+        Ok(match self {
             LayerOp::Input { shape } => *shape,
             LayerOp::Conv2D {
                 filters,
@@ -242,123 +270,108 @@ impl LayerOp {
                 strides,
                 padding,
                 ..
-            } => {
-                let (h, w, _) = map(one());
-                TensorShape::map(
-                    conv_dim(h, kernel.0, strides.0, *padding),
-                    conv_dim(w, kernel.1, strides.1, *padding),
-                    *filters,
-                )
             }
-            LayerOp::DepthwiseConv2D {
-                kernel,
-                strides,
-                padding,
-                ..
-            } => {
-                let (h, w, c) = map(one());
-                TensorShape::map(
-                    conv_dim(h, kernel.0, strides.0, *padding),
-                    conv_dim(w, kernel.1, strides.1, *padding),
-                    c,
-                )
-            }
-            LayerOp::SeparableConv2D {
+            | LayerOp::SeparableConv2D {
                 filters,
                 kernel,
                 strides,
                 padding,
                 ..
-            } => {
-                let (h, w, _) = map(one());
-                TensorShape::map(
-                    conv_dim(h, kernel.0, strides.0, *padding),
-                    conv_dim(w, kernel.1, strides.1, *padding),
-                    *filters,
-                )
+            } => window(*kernel, *strides, *padding, Some(*filters))?,
+            LayerOp::DepthwiseConv2D {
+                kernel,
+                strides,
+                padding,
+                ..
             }
-            LayerOp::Dense { units, .. } => {
-                let s = one();
-                assert!(
-                    matches!(s, TensorShape::Flat(_)),
-                    "Dense requires a flat input, got {s}"
-                );
-                TensorShape::Flat(*units)
-            }
-            LayerOp::BatchNorm { .. } | LayerOp::ActivationLayer { .. } | LayerOp::Dropout => one(),
-            LayerOp::MaxPool {
-                pool,
+            | LayerOp::MaxPool {
+                pool: kernel,
                 strides,
                 padding,
             }
             | LayerOp::AvgPool {
-                pool,
+                pool: kernel,
                 strides,
                 padding,
-            } => {
-                let (h, w, c) = map(one());
+            } => window(*kernel, *strides, *padding, None)?,
+            LayerOp::Dense { units, .. } => match inputs[0] {
+                TensorShape::Flat(_) => TensorShape::Flat(*units),
+                s => return Err(format!("{name} requires a flat input, got {s}")),
+            },
+            LayerOp::BatchNorm { .. }
+            | LayerOp::ActivationLayer { .. }
+            | LayerOp::Dropout
+            | LayerOp::LayerNorm => inputs[0],
+            LayerOp::GlobalAvgPool => TensorShape::Flat(map(inputs[0])?.2),
+            LayerOp::ZeroPadding { padding } => {
+                let (h, w, c) = map(inputs[0])?;
+                let grow = |x: u32, a: u32, b: u32| x.checked_add(a)?.checked_add(b);
                 TensorShape::map(
-                    conv_dim(h, pool.0, strides.0, *padding),
-                    conv_dim(w, pool.1, strides.1, *padding),
+                    grow(h, padding.0, padding.1).ok_or_else(too_big)?,
+                    grow(w, padding.2, padding.3).ok_or_else(too_big)?,
                     c,
                 )
             }
-            LayerOp::GlobalAvgPool => {
-                let (_, _, c) = map(one());
-                TensorShape::Flat(c)
-            }
-            LayerOp::ZeroPadding { padding } => {
-                let (h, w, c) = map(one());
-                TensorShape::map(h + padding.0 + padding.1, w + padding.2 + padding.3, c)
-            }
             LayerOp::Add => {
-                assert!(inputs.len() >= 2, "Add expects ≥ 2 inputs");
-                let first = inputs[0];
-                for s in &inputs[1..] {
-                    assert_eq!(*s, first, "Add inputs must agree in shape");
+                if inputs[1..].iter().any(|s| *s != inputs[0]) {
+                    return Err("Add inputs must agree in shape".into());
                 }
-                first
+                inputs[0]
             }
+            // Maps join along channels (spatial dims must agree); flat
+            // vectors join end to end.
             LayerOp::Concat => {
-                assert!(inputs.len() >= 2, "Concat expects ≥ 2 inputs");
-                let (h, w, mut c) = map(inputs[0]);
-                for s in &inputs[1..] {
-                    let (h2, w2, c2) = map(*s);
-                    assert_eq!((h, w), (h2, w2), "Concat spatial dims must agree");
-                    c += c2;
+                let mut out = inputs[0];
+                for &s in &inputs[1..] {
+                    out = match (out, s) {
+                        (TensorShape::Flat(a), TensorShape::Flat(b)) => {
+                            TensorShape::Flat(a.checked_add(b).ok_or_else(too_big)?)
+                        }
+                        (
+                            TensorShape::Map { h, w, c },
+                            TensorShape::Map {
+                                h: h2,
+                                w: w2,
+                                c: c2,
+                            },
+                        ) if (h, w) == (h2, w2) => {
+                            TensorShape::map(h, w, c.checked_add(c2).ok_or_else(too_big)?)
+                        }
+                        _ => return Err(format!("Concat inputs {out} and {s} must agree")),
+                    };
                 }
-                TensorShape::map(h, w, c)
+                out
             }
-            LayerOp::Flatten => TensorShape::Flat(one().elements() as u32),
+            LayerOp::Flatten => {
+                TensorShape::Flat(u32::try_from(inputs[0].elements()).map_err(|_| too_big())?)
+            }
             LayerOp::Reshape { shape } => {
-                assert_eq!(
-                    one().elements(),
-                    shape.elements(),
-                    "Reshape must preserve element count"
-                );
+                if inputs[0].elements() != shape.elements() {
+                    return Err("Reshape must preserve element count".into());
+                }
                 *shape
             }
             LayerOp::Embedding {
                 dim, max_positions, ..
             } => {
-                let s = one();
-                let seq = match s {
-                    TensorShape::Flat(n) => n,
-                    TensorShape::Map { .. } => panic!("Embedding expects flat token ids"),
+                let TensorShape::Flat(seq) = inputs[0] else {
+                    return Err("Embedding expects flat token ids".into());
                 };
-                assert!(
-                    seq <= *max_positions,
-                    "sequence of {seq} exceeds {max_positions} positions"
-                );
+                if seq > *max_positions {
+                    return Err(format!(
+                        "sequence of {seq} exceeds {max_positions} positions"
+                    ));
+                }
                 TensorShape::map(seq, 1, *dim)
             }
-            LayerOp::LayerNorm => one(),
             LayerOp::SelfAttention { .. } => {
-                let (seq, w, d) = map(one());
-                assert_eq!(w, 1, "SelfAttention expects a (seq, 1, dim) map");
+                let (seq, w, d) = map(inputs[0])?;
+                if w != 1 {
+                    return Err("SelfAttention expects a (seq, 1, dim) map".into());
+                }
                 TensorShape::map(seq, 1, d)
             }
-        }
+        })
     }
 
     /// Learned parameter count given the input shapes (Keras `Total params`

@@ -490,6 +490,46 @@ mod tests {
         // Corrupt a stored shape: validation must catch it.
         s = s.replacen("\"h\": 32", "\"h\": 31", 1);
         assert!(from_json(&s).is_err());
+        // Malformed files are errors, never panics: a Dense fed by a map,
+        // a one-input Add, and stored params or FLOPs the op disagrees with.
+        let tampered = |edit: &dyn Fn(&mut Vec<LayerNode>)| {
+            let mut nodes = g.nodes().to_vec();
+            edit(&mut nodes);
+            let file = to_json(&LayerGraph::from_parts(g.name.clone(), nodes, 4));
+            from_json(&file).expect_err("tampered model file must be rejected")
+        };
+        let at = |name: &str| g.find(name).unwrap();
+        let pool = at("pool");
+        let err = tampered(&|n| n[at("predictions")].inputs = vec![pool]);
+        assert!(err.contains("Dense requires a flat input"), "{err}");
+        let relu = at("relu1");
+        let err = tampered(&|n| n[at("add")].inputs = vec![relu]);
+        assert!(err.contains("Add needs ≥ 2 inputs"), "{err}");
+        let err = tampered(&|n| n[at("predictions")].params = 999_999_999);
+        assert!(err.contains("999999999 params"), "{err}");
+        let err = tampered(&|n| n[at("conv1")].flops += 1);
+        assert!(err.contains("FLOPs"), "{err}");
+        let err = tampered(&|n| {
+            n[at("conv1")].op = LayerOp::MaxPool {
+                pool: (2, 2),
+                strides: (0, 2),
+                padding: Padding::Valid,
+            }
+        });
+        assert!(err.contains("zero stride"), "{err}");
+        let zero_width = to_json(&g).replace("\"bytes_per_param\": 4", "\"bytes_per_param\": 0");
+        let err = from_json(&zero_width).expect_err("zero-width weights must be rejected");
+        assert!(err.contains("bytes_per_param 0"), "{err}");
+    }
+
+    #[test]
+    fn split_graph_round_trips() {
+        let g = zoo::vgg16();
+        let s = g.split_layer(g.find("fc1").unwrap(), 5).unwrap();
+        let back = from_json(&to_json(&s)).unwrap();
+        assert_eq!(to_json(&back), to_json(&s));
+        assert_eq!(back.branch_regions(), s.branch_regions());
+        assert_eq!(back.total_params(), g.total_params());
     }
 
     #[test]

@@ -14,16 +14,18 @@
 //!   branch-parallel DAG, both on the coordinator's one engine) with
 //!   seeded arrival shapes (Poisson, diurnal, flash crowd, bursts,
 //!   multi-tenant), warm-pool policy metrics, and an adaptive
-//!   plan-cache serving loop (the §2 "query load dynamics" scenario);
-//! * [`layer_parallel`] — Gillis-style weight-sliced partitions (§6's
-//!   contrasted approach), which serve models whose single largest layer
-//!   exceeds the deployment cap (VGG16's fc1).
+//!   plan-cache serving loop (the §2 "query load dynamics" scenario).
+//!
+//! Gillis-style weight slicing (§6's contrasted approach, which serves
+//! models whose single largest layer exceeds the deployment cap, such as
+//! VGG16's fc1) has no executor here: `ampsinf_core::cuts::split_oversized`
+//! rewrites such a layer into a fork/join region that the DAG planner and
+//! the coordinator's one engine handle like any other.
 
 #![warn(missing_docs)]
 
 pub mod batch_baseline;
 pub mod batched;
-pub mod layer_parallel;
 pub mod loadgen;
 pub mod sagemaker;
 pub mod serfer;

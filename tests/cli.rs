@@ -188,6 +188,58 @@ fn model_file_round_trip_through_cli() {
 }
 
 #[test]
+fn split_model_file_plans_as_a_dag() {
+    // VGG16's fc1 fits no lambda; split into a fork/join region and saved
+    // as a model file, it plans through the ordinary `--dag` path.
+    let g = amps_inf::model::zoo::vgg16();
+    let split = amps_inf::core::cuts::split_oversized(&g, &Default::default()).unwrap();
+    let dir = std::env::temp_dir().join("ampsinf-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("vgg16-split.json");
+    std::fs::write(&path, amps_inf::model::serialize::to_json(&split)).unwrap();
+    let (stdout, stderr, ok) = run(&["plan", path.to_str().unwrap(), "--dag"]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(
+        stdout.contains("dag plan: vgg16: 7 node(s), width 5"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("1 of 1 region(s) parallelized"), "{stdout}");
+    assert!(stdout.contains("predicted 52.24s / $0.00203"), "{stdout}");
+    let (_, stderr, ok) = run(&["plan", "vgg16"]);
+    assert!(!ok && stderr.contains("error:"), "{stderr}");
+}
+
+#[test]
+fn malformed_model_file_fails_cleanly() {
+    // A Dense fed by a spatial map used to panic inside validation.
+    let g = amps_inf::model::zoo::tiny_cnn();
+    let good = amps_inf::model::serialize::to_json(&g);
+    let pool = g.find("pool").unwrap();
+    let last = g.num_layers() - 1;
+    let marker = format!("\"inputs\": [\n        {}\n      ]", last - 1);
+    assert!(good.contains(&marker), "fixture layout changed:\n{good}");
+    let bad = good.replace(&marker, &format!("\"inputs\": [{pool}]"));
+    let dir = std::env::temp_dir().join("ampsinf-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("tiny-bad.json");
+    std::fs::write(&path, bad).unwrap();
+    for cmd in ["summary", "plan"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ampsinf"))
+            .args([cmd, path.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.starts_with("error:") && l.contains("flat input")),
+            "{cmd}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn images_flag_rejects_garbage() {
     // Regression: malformed --images used to silently fall back to 1.
     for bad in ["banana", "0", "-3", "1.5"] {
