@@ -497,6 +497,65 @@ mod tests {
         assert!(pre.evals.iter().any(|e| e.duration_s <= best_time + 1e-12));
     }
 
+    /// The dominance presolve by its definition: the O(l²) pairwise scan
+    /// — a column goes when another is no worse on both axes and better
+    /// on one, or is an exact duplicate at a smaller index.
+    fn presolve_reference(p: &PartitionColumns) -> PartitionColumns {
+        let l = p.memories.len();
+        let keep: Vec<usize> = (0..l)
+            .filter(|&j| {
+                !(0..l).any(|o| {
+                    o != j
+                        && p.evals[o].dollars <= p.evals[j].dollars
+                        && p.evals[o].duration_s <= p.evals[j].duration_s
+                        && (p.evals[o].dollars < p.evals[j].dollars
+                            || p.evals[o].duration_s < p.evals[j].duration_s
+                            || o < j)
+                })
+            })
+            .collect();
+        PartitionColumns {
+            start: p.start,
+            end: p.end,
+            memories: keep.iter().map(|&i| p.memories[i]).collect(),
+            evals: keep.iter().map(|&i| p.evals[i]).collect(),
+        }
+    }
+
+    #[test]
+    fn presolve_matches_pairwise_definition_on_random_columns() {
+        use ampsinf_faas::rng::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(0x5eed_d0e1);
+        for case in 0..2000 {
+            // Values on a coarse grid, so exact duplicates and ties on one
+            // axis are common; some columns copy an earlier one outright.
+            let l = rng.range_inclusive(1, 24);
+            let levels = rng.range_inclusive(1, 6);
+            let mut evals: Vec<SegmentEval> = Vec::with_capacity(l);
+            for _ in 0..l {
+                let e = if !evals.is_empty() && rng.below(4) == 0 {
+                    evals[rng.below(evals.len())]
+                } else {
+                    SegmentEval {
+                        duration_s: rng.range_inclusive(1, levels) as f64 * 0.5,
+                        dollars: rng.range_inclusive(1, levels) as f64 * 1e-6,
+                        breakdown: Default::default(),
+                    }
+                };
+                evals.push(e);
+            }
+            let p = PartitionColumns {
+                start: case,
+                end: case + 1,
+                memories: (0..l as u32).map(|i| 128 + 64 * i).collect(),
+                evals,
+            };
+            let want = presolve_reference(&p);
+            assert_eq!(presolve_dominated(&p), want, "case {case}: {p:?}");
+            assert_eq!(presolve_dominated(&want), want, "case {case}: idempotent");
+        }
+    }
+
     #[test]
     fn presolve_preserves_miqp_optimum() {
         let (profile, cfg) = setup();
