@@ -27,6 +27,24 @@ fn main() {
         });
     }
 
+    // Pass 1 alone — cut enumeration, one column evaluation per distinct
+    // segment, every cut's separable sums — the layer under a slack
+    // `optimize`. The row includes building the public per-cut lists
+    // `pass1` returns.
+    for (g, batch) in [
+        (zoo::mobilenet_v1(), 1),
+        (zoo::resnet50(), 1),
+        (zoo::inception_v3(), 1),
+        (zoo::resnet50(), 64),
+    ] {
+        let opt = Optimizer::new(AmpsConfig::default().with_batch(batch).with_threads(1));
+        let name = match batch {
+            1 => format!("pass1/{}", g.name),
+            _ => format!("pass1/{}/batch{batch}", g.name),
+        };
+        b.bench(&name, 10, || opt.pass1(&g));
+    }
+
     // SLO near the feasibility edge forces the per-cut knapsack path.
     let g = zoo::resnet50();
     let free = Optimizer::new(AmpsConfig::default()).optimize(&g).unwrap();

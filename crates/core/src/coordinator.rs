@@ -41,6 +41,8 @@ use ampsinf_faas::runtime::{PartitionWork, StationPool};
 use ampsinf_faas::{InvocationOutcome, ObjectKey};
 use ampsinf_model::LayerGraph;
 use std::fmt::Write as _;
+use std::iter::StepBy;
+use std::ops::Range;
 
 /// One retried partition attempt: what failed, and the backoff the
 /// coordinator waited before re-invoking. Because intermediates live in
@@ -684,8 +686,9 @@ impl Coordinator {
     ) -> Result<Deployment, DeployError> {
         plan.validate(graph.num_layers())
             .map_err(DeployError::InvalidPlan)?;
-        let dag = DagPlan::from_chain(plan, |k| graph.cut_transfer_bytes(k));
-        self.deploy_dag(platform, graph, &dag)
+        let boundary = graph.boundary_transfer_bytes();
+        let dag = DagPlan::from_chain(plan, |k| boundary[k]);
+        self.deploy_dag_with(platform, graph, &dag, &boundary)
     }
 
     /// Packages and deploys every node of a DAG `plan`.
@@ -712,6 +715,19 @@ impl Coordinator {
         graph: &LayerGraph,
         plan: &DagPlan,
     ) -> Result<Deployment, DeployError> {
+        self.deploy_dag_with(platform, graph, plan, &graph.boundary_transfer_bytes())
+    }
+
+    /// [`deploy_dag`](Self::deploy_dag) with the graph's
+    /// [`boundary_transfer_bytes`](LayerGraph::boundary_transfer_bytes)
+    /// table already built: every node's segment accounting reads it.
+    fn deploy_dag_with(
+        &self,
+        platform: &mut Platform,
+        graph: &LayerGraph,
+        plan: &DagPlan,
+        boundary: &[u64],
+    ) -> Result<Deployment, DeployError> {
         plan.validate(graph.num_layers())
             .map_err(DeployError::InvalidPlan)?;
         let n = plan.nodes.len();
@@ -727,7 +743,9 @@ impl Coordinator {
         let mut deploy_s = 0.0f64;
         let mut chain = true;
         for (v, node) in plan.nodes.iter().enumerate() {
-            let work = PartitionWork::from_segment(graph, node.start, node.end);
+            let work = PartitionWork {
+                seg: graph.segment_with(node.start, node.end, boundary),
+            };
             let spec = work.function_spec(format!("{}-node{v}", plan.model), node.memory_mb);
             let (fid, d) = platform.deploy(spec)?;
             functions.push(fid);
@@ -945,7 +963,7 @@ impl Coordinator {
             let (results, shards) = self.run_lanes(
                 platform,
                 &starts,
-                |_lane| ServeScratch::for_deployment(dep),
+                |_, _| ServeScratch::for_deployment(dep),
                 |p, scratch: &mut ServeScratch, idx, start| {
                     let mut tag = std::mem::take(&mut scratch.tag);
                     tag.clear();
@@ -1120,7 +1138,10 @@ impl Coordinator {
         let (requests, lanes) = self.run_lanes(
             platform,
             arrivals,
-            |_lane| -> Vec<ServeScratch> {
+            |requests, p| -> Vec<ServeScratch> {
+                // Every request draws its deployment's object keys.
+                p.store
+                    .reserve(requests.map(|i| deps[assign(i)].num_objects()).sum());
                 deps.iter().map(ServeScratch::for_deployment).collect()
             },
             |p, scratches: &mut Vec<ServeScratch>, idx, t0| {
@@ -1191,7 +1212,10 @@ impl Coordinator {
         let (requests, lanes) = self.run_lanes(
             platform,
             arrivals,
-            |_lane| (ServeScratch::for_deployment(dep), admission()),
+            |requests, p| {
+                p.store.reserve(requests.len() * dep.num_objects());
+                (ServeScratch::for_deployment(dep), admission())
+            },
             |p, lane: &mut (ServeScratch, A), _idx, t0| {
                 let (scratch, adm) = lane;
                 scratch.prepare_anon(p, dep);
@@ -1247,6 +1271,9 @@ impl Coordinator {
             idle_dollars += lane_idle_dollars;
             invocations += shard.invocation_count();
         }
+        platform
+            .store
+            .reserve(shards.iter().map(|s| s.store.num_keys()).sum());
         for shard in shards {
             platform.absorb_shard(shard);
         }
@@ -1431,8 +1458,10 @@ impl Coordinator {
     /// executed by up to [`AmpsConfig::serve_threads`] workers (0 =
     /// auto; never more than the machine's available parallelism, since
     /// surplus workers would only spin on the queue lock). Every lane is a self-contained task (shard platform, the
-    /// caller-built per-lane state `init(lane)` — scratches, station
-    /// pools, anything —, result buffer, progress cursor) on a shared
+    /// caller-built per-lane state `init(requests, platform)`, given the
+    /// lane's request indices and its shard platform — scratches, station
+    /// pools, reserved key tables, anything —, result buffer, progress
+    /// cursor) on a shared
     /// queue; workers pop a task, advance it one *chunk* of requests, and
     /// either requeue it or deposit it in its lane slot when exhausted.
     /// Chunking amortizes queue traffic while letting an idle worker steal
@@ -1461,7 +1490,7 @@ impl Coordinator {
     where
         R: Send,
         S: Send,
-        I: Fn(usize) -> S + Sync,
+        I: Fn(StepBy<Range<usize>>, &mut Platform) -> S + Sync,
         F: Fn(&mut Platform, &mut S, usize, f64) -> R + Sync,
     {
         let n = starts.len();
@@ -1490,11 +1519,12 @@ impl Coordinator {
         let new_task = |lane: usize| {
             let mut platform = base.fork_empty();
             platform.pre_warm(Self::lane_len(pre_warm, lanes, lane));
+            let state = init((lane..n).step_by(lanes), &mut platform);
             LaneTask {
                 lane,
                 done: 0,
                 platform,
-                state: init(lane),
+                state,
                 out: Vec::with_capacity(Self::lane_len(n, lanes, lane)),
             }
         };

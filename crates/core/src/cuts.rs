@@ -326,18 +326,94 @@ pub(crate) fn insert_region_sorted(
 /// Enumerates feasible cuts over the candidate boundaries, smallest
 /// partition counts first, up to the internal budget.
 pub fn enumerate_cuts(profile: &Profile, cfg: &AmpsConfig) -> Vec<Vec<usize>> {
-    enumerate_cut_slots(profile, cfg).1
+    let set = enumerate_cut_set(profile, cfg);
+    (0..set.len()).map(|ci| set.cut(ci).collect()).collect()
 }
 
-/// [`enumerate_cuts`] plus its boundary *slots*: the ascending end layers
-/// every cut draws from (the candidate boundaries, then the final layer).
-/// Every segment of every cut starts right after one slot (or at layer 0)
-/// and ends at a later one, so `(start slot, end slot)` pairs index dense
-/// per-segment tables.
-pub(crate) fn enumerate_cut_slots(
-    profile: &Profile,
-    cfg: &AmpsConfig,
-) -> (Vec<usize>, Vec<Vec<usize>>) {
+/// The enumerated cuts stored flat: one arena of boundary slots and one
+/// offset per cut, instead of a heap object per cut.
+///
+/// Every cut ends at the final layer and draws its end layers from the
+/// ascending boundary slots `ends` (the candidate boundaries, then the
+/// final layer). Each segment of a cut starts right after one slot (or at
+/// layer 0, start slot 0) and ends at a later one, so `(start slot, end
+/// slot)` pairs index dense per-segment tables (see
+/// [`CutSet::segments`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CutSet {
+    /// Boundary slots: ascending end layers, the final layer last.
+    pub(crate) ends: Vec<usize>,
+    /// Every cut's end slots, cut after cut.
+    slots: Vec<u16>,
+    /// Cut `ci` is `slots[offsets[ci]..offsets[ci + 1]]`.
+    offsets: Vec<u32>,
+}
+
+impl CutSet {
+    /// An empty set over the boundary slots `ends`.
+    fn new(ends: Vec<usize>) -> Self {
+        assert!(
+            ends.len() <= usize::from(u16::MAX) + 1,
+            "at most 65,536 boundary slots"
+        );
+        CutSet {
+            ends,
+            slots: Vec::new(),
+            offsets: vec![0],
+        }
+    }
+
+    /// Appends one cut given by its end slots.
+    fn push(&mut self, slots: &[u16]) {
+        self.slots.extend_from_slice(slots);
+        let end = u32::try_from(self.slots.len()).expect("slot arena fits u32 offsets");
+        self.offsets.push(end);
+    }
+
+    /// Number of cuts.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True when no cut was enumerated.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Cut `ci`'s end slots, ascending.
+    fn slots(&self, ci: usize) -> &[u16] {
+        &self.slots[self.offsets[ci] as usize..self.offsets[ci + 1] as usize]
+    }
+
+    /// Cut `ci`'s end layers, ascending (the classic cut list).
+    pub(crate) fn cut(&self, ci: usize) -> impl Iterator<Item = usize> + '_ {
+        self.slots(ci).iter().map(|&e| self.ends[usize::from(e)])
+    }
+
+    /// First layer of a segment at start slot `s`: slot 0 starts at
+    /// layer 0, slot `j + 1` right after `ends[j]`.
+    pub(crate) fn start_layer(&self, s: usize) -> usize {
+        if s == 0 {
+            0
+        } else {
+            self.ends[s - 1] + 1
+        }
+    }
+
+    /// Cut `ci`'s segments as `(start slot, end slot)` (see
+    /// [`CutSet::start_layer`]); a segment ends at `ends[end slot]`.
+    pub(crate) fn segments(&self, ci: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.slots(ci).iter().scan(0usize, |s, &e| {
+            let e = usize::from(e);
+            let seg = (*s, e);
+            *s = e + 1;
+            Some(seg)
+        })
+    }
+}
+
+/// [`enumerate_cuts`] as a flat [`CutSet`], with its boundary slots.
+pub(crate) fn enumerate_cut_set(profile: &Profile, cfg: &AmpsConfig) -> CutSet {
     let n = profile.num_layers();
     let mut ends = candidate_boundaries(profile, cfg);
     ends.push(n - 1); // the final boundary is always available
@@ -345,35 +421,33 @@ pub(crate) fn enumerate_cut_slots(
     let mut walk = CutWalk {
         profile,
         cfg,
-        ends: &ends,
         feasible: vec![None; m * m],
         acc: Vec::new(),
-        out: Vec::new(),
+        out: CutSet::new(ends),
     };
 
     // Iterative deepening on the partition count keeps low-k cuts first.
+    // The walk stops adding cuts at the budget.
     for k in 1..=cfg.max_partitions {
         walk.extend(0, k);
         if walk.out.len() >= CUT_BUDGET {
-            walk.out.truncate(CUT_BUDGET);
             break;
         }
     }
-    let CutWalk { out: cuts, .. } = walk;
-    (ends, cuts)
+    walk.out
 }
 
-/// The recursive cut walk's state: the boundary slots and the memo of
+/// The recursive cut walk's state: the cut set it fills and the memo of
 /// every `(start slot, end slot)` pair's [`segment_feasible`] verdict,
 /// which the deepening rounds and sibling branches ask for repeatedly.
 struct CutWalk<'a> {
     profile: &'a Profile,
     cfg: &'a AmpsConfig,
-    ends: &'a [usize],
     /// `m × m`, indexed `start slot · m + end slot`; `None` = not asked yet.
     feasible: Vec<Option<bool>>,
-    acc: Vec<usize>,
-    out: Vec<Vec<usize>>,
+    /// End slots of the cut under construction.
+    acc: Vec<u16>,
+    out: CutSet,
 }
 
 impl CutWalk<'_> {
@@ -381,10 +455,10 @@ impl CutWalk<'_> {
     /// (slot 0 starts at layer 0, slot `j + 1` right after `ends[j]`) to
     /// `ends[e]`.
     fn feasible(&mut self, s: usize, e: usize) -> bool {
-        let (profile, cfg, ends) = (self.profile, self.cfg, self.ends);
-        let start = if s == 0 { 0 } else { ends[s - 1] + 1 };
-        *self.feasible[s * ends.len() + e]
-            .get_or_insert_with(|| segment_feasible(profile, start, ends[e], cfg))
+        let (profile, cfg) = (self.profile, self.cfg);
+        let (start, end) = (self.out.start_layer(s), self.out.ends[e]);
+        *self.feasible[s * self.out.ends.len() + e]
+            .get_or_insert_with(|| segment_feasible(profile, start, end, cfg))
     }
 
     /// Covers the layers from start slot `s` with exactly `k` more
@@ -393,12 +467,13 @@ impl CutWalk<'_> {
         if self.out.len() >= CUT_BUDGET {
             return;
         }
-        let last = self.ends.len() - 1;
+        let last = self.out.ends.len() - 1;
         if k == 1 {
             if self.feasible(s, last) {
-                let mut cut = self.acc.clone();
-                cut.push(self.ends[last]);
-                self.out.push(cut);
+                // `CutSet::new` bounds the slot count, so every slot fits.
+                self.acc.push(last as u16);
+                self.out.push(&self.acc);
+                self.acc.pop();
             }
             return;
         }
@@ -408,7 +483,7 @@ impl CutWalk<'_> {
             if !self.feasible(s, e) {
                 continue;
             }
-            self.acc.push(self.ends[e]);
+            self.acc.push(e as u16);
             self.extend(e + 1, k - 1);
             self.acc.pop();
             if self.out.len() >= CUT_BUDGET {

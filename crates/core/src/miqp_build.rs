@@ -176,23 +176,36 @@ pub fn separable_min_time_cols<P: std::borrow::Borrow<PartitionColumns>>(
 
 /// Dominance presolve: within one partition's SOS-1 group, a memory column
 /// is dominated when another column is no worse on cost *and* duration (the
-/// only two quantities the objective and the SLO row see). Dominated
-/// columns can never appear in an optimal solution of the joint MIQP, so
-/// dropping them shrinks branch-and-bound work losslessly.
+/// only two quantities the objective and the SLO row see) and better on
+/// one, or is an exact duplicate of a column at a smaller index (so one
+/// copy stays). Dominated columns can never appear in an optimal solution
+/// of the joint MIQP, so dropping them shrinks the problem losslessly.
+///
+/// Sort and sweep, O(l log l): in `(dollars, seconds, index)` order every
+/// column that dominates `j` comes before it, so `j` is dominated exactly
+/// when some earlier column is no slower — a column is kept exactly when
+/// its seconds are strictly below every column before it. The kept
+/// columns come back in index order. Evaluations are finite and never
+/// `-0.0`, where `total_cmp` orders as `<` does.
 pub fn presolve_dominated(p: &PartitionColumns) -> PartitionColumns {
-    let l = p.memories.len();
-    let keep: Vec<usize> = (0..l)
-        .filter(|&j| {
-            !(0..l).any(|o| {
-                o != j
-                    && p.evals[o].dollars <= p.evals[j].dollars
-                    && p.evals[o].duration_s <= p.evals[j].duration_s
-                    && (p.evals[o].dollars < p.evals[j].dollars
-                        || p.evals[o].duration_s < p.evals[j].duration_s
-                        || o < j) // deterministic tie-break keeps one copy
-            })
-        })
-        .collect();
+    let mut order: Vec<usize> = (0..p.memories.len()).collect();
+    order.sort_unstable_by(|&a, &b| {
+        let (ea, eb) = (&p.evals[a], &p.evals[b]);
+        ea.dollars
+            .total_cmp(&eb.dollars)
+            .then(ea.duration_s.total_cmp(&eb.duration_s))
+            .then(a.cmp(&b))
+    });
+    let mut fastest = f64::INFINITY;
+    order.retain(|&j| {
+        let keep = p.evals[j].duration_s < fastest;
+        if keep {
+            fastest = p.evals[j].duration_s;
+        }
+        keep
+    });
+    order.sort_unstable();
+    let keep = order;
     PartitionColumns {
         start: p.start,
         end: p.end,

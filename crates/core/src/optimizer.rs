@@ -10,7 +10,7 @@
 use crate::baselines::predict_dag;
 use crate::colcache::{CacheCounters, NodeColumns, SegmentColumnCache};
 use crate::config::AmpsConfig;
-use crate::cuts::{enumerate_cut_slots, insert_region_sorted, segment_feasible, DagShared};
+use crate::cuts::{enumerate_cut_set, insert_region_sorted, segment_feasible, CutSet, DagShared};
 use crate::miqp_build::{evaluate_columns, separable_picks, ColumnPick, CutKnapsack};
 use crate::plan::{DagNode, DagObject, DagPlan, ExecutionPlan, PartitionPlan};
 use crate::polish::{dag_schedule, Polish};
@@ -62,8 +62,28 @@ struct Candidate {
     cost: f64,
 }
 
-/// Pass-1 result for one cut: the separable optima over memory mixes,
-/// cached so later passes never re-evaluate columns.
+/// A candidate as the replay keeps it: the cut by index and its memory
+/// mix by source. Only the winner becomes a [`Candidate`].
+struct Kept {
+    ci: usize,
+    mix: Mix,
+    time_s: f64,
+    cost: f64,
+}
+
+/// Where a kept candidate's memory mix comes from.
+enum Mix {
+    /// The cut's separable min-cost mix, read back from pass 1.
+    MinCost,
+    /// The cut's separable min-time mix, read back from pass 1.
+    MinTime,
+    /// The exact knapsack solve's mix.
+    Solved(Vec<u32>),
+}
+
+/// Pass-1 result for one cut in its per-cut form (see
+/// [`Optimizer::pass1`]): the separable optima over memory mixes. The
+/// planner itself keeps pass 1 flat and reads these values back from it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FastEval {
     /// Index of the cut in the enumerated cut list.
@@ -93,21 +113,6 @@ pub enum CutEval {
     Feasible(FastEval),
 }
 
-/// Pass-2 treatment of one surviving cut, fixed before the replay starts.
-#[derive(Clone, Copy)]
-enum CutClass {
-    /// Separable min-cost mix meets the SLO (or none is set): that mix is
-    /// already this cut's cost optimum, so the MIQP cannot improve it.
-    Fast,
-    /// SLO-binding: the min-cost mix misses the SLO but some mix meets it —
-    /// the exact knapsack finds the cheapest such mix. Carries the cut's
-    /// slot in the replay's binding-cut memo.
-    Miqp(usize),
-    /// SLO-binding cut beyond the MIQP cap: fall back to the cached
-    /// fastest memory mix.
-    Fallback,
-}
-
 /// One SLO-binding cut's pass-2 state, filled as the replay first reaches
 /// its rank and reused by a cold-fallback replay of the same point.
 struct BindingCut {
@@ -125,17 +130,84 @@ struct BindingCut {
     outcome: Option<Option<(Vec<u32>, f64, f64)>>,
 }
 
+/// One feasible cut's pass-1 totals: the seconds and dollars of its
+/// separable min-cost mix and of its separable min-time mix, each summed
+/// left to right from `0.0` over the cut's segments.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CutSums {
+    pub(crate) time: f64,
+    pub(crate) cost: f64,
+    pub(crate) min_time: f64,
+    pub(crate) min_cost: f64,
+}
+
+/// One segment's separable `(min-cost, min-time)` picks.
+type SegmentPicks = (ColumnPick, ColumnPick);
+
+/// Pass 1 stored flat: the cuts, one [`CutSums`] record per cut (`None`:
+/// infeasible), and the dense `(start slot, end slot)` picks table every
+/// cut's memory mixes are read back from — no per-cut heap object.
+pub(crate) struct Pass1 {
+    pub(crate) cuts: CutSet,
+    pub(crate) sums: Vec<Option<CutSums>>,
+    /// `start slot · m + end slot`; `None` for a segment no cut reached
+    /// or one with no feasible column (every segment of a feasible cut
+    /// has its picks).
+    picks: Vec<Option<SegmentPicks>>,
+}
+
+impl Pass1 {
+    /// Feasible cut `ci`'s totals.
+    pub(crate) fn sums(&self, ci: usize) -> CutSums {
+        self.sums[ci].expect("ranked cuts are feasible")
+    }
+
+    /// Feasible cut `ci`'s separable min-time mix (`fastest`) or min-cost
+    /// mix, one memory per partition.
+    pub(crate) fn mix(&self, ci: usize, fastest: bool) -> impl Iterator<Item = u32> + '_ {
+        let m = self.cuts.ends.len();
+        self.cuts.segments(ci).map(move |(s, e)| {
+            let (cost, time) = self.picks[s * m + e].expect("a feasible cut's segments have picks");
+            if fastest {
+                time.0
+            } else {
+                cost.0
+            }
+        })
+    }
+
+    /// True when cut `ci`'s min-cost and min-time mixes are the same.
+    pub(crate) fn one_mix(&self, ci: usize) -> bool {
+        self.mix(ci, false).eq(self.mix(ci, true))
+    }
+
+    /// Cut `ci`'s verdict in the public per-cut form.
+    fn eval(&self, ci: usize) -> CutEval {
+        match self.sums[ci] {
+            None => CutEval::Infeasible,
+            Some(s) => CutEval::Feasible(FastEval {
+                ci,
+                mems: self.mix(ci, false).collect(),
+                time: s.time,
+                cost: s.cost,
+                min_mems: self.mix(ci, true).collect(),
+                min_time: s.min_time,
+                min_cost: s.min_cost,
+            }),
+        }
+    }
+}
+
 /// SLO-independent shared state for one `(model, batch)`: the batch-scaled
-/// profile, the enumerated cuts, every cut's pass-1 verdict, the feasible
-/// cuts in cost rank order, and the segment-column memo table. One
-/// instance serves every SLO point of a sweep at this batch size; a plain
-/// [`Optimizer::optimize`] builds one for its single point.
+/// profile, pass 1 (the enumerated cuts and every cut's verdict), the
+/// feasible cuts in cost rank order, and the segment-column memo table.
+/// One instance serves every SLO point of a sweep at this batch size; a
+/// plain [`Optimizer::optimize`] builds one for its single point.
 pub(crate) struct BatchShared {
     pub(crate) profile: Profile,
-    pub(crate) cuts: Vec<Vec<usize>>,
-    /// Pass-1 verdict per cut (SLO-independent).
-    pub(crate) evals: Vec<CutEval>,
-    /// Indices of feasible evals, stable-sorted by separable min cost.
+    pub(crate) pass1: Pass1,
+    /// Indices of feasible cuts, ordered by separable min cost, ties by
+    /// index.
     pub(crate) order: Vec<usize>,
     /// Segment-column memo table shared by every point on this batch.
     pub(crate) cache: SegmentColumnCache,
@@ -305,7 +377,7 @@ impl Optimizer {
         let pass2_time = p2.elapsed();
         let report = OptimizerReport {
             plan: sol.plan,
-            cuts_considered: shared.cuts.len(),
+            cuts_considered: shared.pass1.cuts.len(),
             miqps_solved: sol.solved.len(),
             miqps_pruned: sol.miqps_pruned,
             bb_nodes: 0,
@@ -338,9 +410,13 @@ impl Optimizer {
     /// exactly as the planner ranks them.
     pub fn pass1(&self, graph: &LayerGraph) -> (Vec<Vec<usize>>, Vec<CutEval>) {
         let profile = Profile::batched(graph, self.cfg.batch_size);
-        let (ends, cuts) = enumerate_cut_slots(&profile, &self.cfg);
-        let evals = self.evaluate_cuts(&profile, &ends, &cuts, &SegmentColumnCache::new());
-        (cuts, evals)
+        let cuts = enumerate_cut_set(&profile, &self.cfg);
+        let p1 = self.evaluate_cuts(&profile, cuts, &SegmentColumnCache::new());
+        let n = p1.cuts.len();
+        (
+            (0..n).map(|ci| p1.cuts.cut(ci).collect()).collect(),
+            (0..n).map(|ci| p1.eval(ci)).collect(),
+        )
     }
 
     /// Pass 2's exact solves on their own: the SLO-binding cuts whose
@@ -353,7 +429,7 @@ impl Optimizer {
         Ok(sol
             .solved
             .iter()
-            .map(|&ci| shared.cuts[ci].clone())
+            .map(|&ci| shared.pass1.cuts.cut(ci).collect())
             .collect())
     }
 
@@ -365,7 +441,7 @@ impl Optimizer {
     /// only), so one `BatchShared` serves every SLO point of a sweep at
     /// this batch size.
     pub(crate) fn build_shared(&self, profile: Profile) -> Result<BatchShared, OptimizeError> {
-        let (ends, cuts) = enumerate_cut_slots(&profile, &self.cfg);
+        let cuts = enumerate_cut_set(&profile, &self.cfg);
         if cuts.is_empty() {
             return Err(OptimizeError::NoFeasibleCut);
         }
@@ -374,27 +450,26 @@ impl Optimizer {
         // cuts overwhelmingly share `(start, end)` segments, and a
         // segment's columns are a pure function of the profile/config.
         let cache = SegmentColumnCache::new();
-        let evals = self.evaluate_cuts(&profile, &ends, &cuts, &cache);
-        let mut ranked: Vec<(f64, usize)> = evals
+        let pass1 = self.evaluate_cuts(&profile, cuts, &cache);
+        let mut ranked: Vec<(f64, usize)> = pass1
+            .sums
             .iter()
-            .filter_map(|e| match e {
-                CutEval::Feasible(fe) => Some((fe.cost, fe.ci)),
-                CutEval::Infeasible => None,
-            })
+            .enumerate()
+            .filter_map(|(ci, s)| s.map(|s| (s.cost, ci)))
             .collect();
         if ranked.is_empty() {
             return Err(OptimizeError::NoFeasibleCut);
         }
-        // Stable sort by separable min cost, over compact `(cost, index)`
-        // keys rather than the evals themselves. A per-point SLO filter
-        // over this order yields exactly the sequence the cold per-point
-        // filter-then-sort produced (stable sort + filter commute).
-        ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        // Cost order with ties by index — the stable cost order — over
+        // compact `(cost, index)` keys. Costs are sums of finite dollars
+        // from `0.0`, never NaN or `-0.0`, so `total_cmp` orders them as
+        // `<` does. A per-point SLO filter over this order yields exactly
+        // the sequence a per-point filter-then-sort would.
+        ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let order = ranked.into_iter().map(|(_, ci)| ci).collect();
         Ok(BatchShared {
             profile,
-            cuts,
-            evals,
+            pass1,
             order,
             cache,
         })
@@ -420,51 +495,13 @@ impl Optimizer {
         track: Option<&CacheCounters>,
     ) -> Result<PointSolve, OptimizeError> {
         self.check_inputs()?;
-        // Per-point SLO filter: `min_time` is the fastest any memory mix
-        // can make the cut; cuts whose min_time violates the SLO are
-        // provably infeasible and never see a MIQP.
-        let fast: Vec<&FastEval> = shared
-            .order
-            .iter()
-            .filter_map(|&i| match &shared.evals[i] {
-                CutEval::Feasible(fe) if self.cfg.slo_s.is_none_or(|s| fe.min_time <= s + 1e-9) => {
-                    Some(fe)
-                }
-                _ => None,
-            })
-            .collect();
-        if fast.is_empty() {
-            return Err(OptimizeError::SloInfeasible);
-        }
-
-        // Classification is static: a cut whose separable min-cost mix
-        // already meets the SLO cannot be improved by the MIQP (that mix
-        // is the unconstrained cost optimum), so only binding cuts — where
-        // the SLO row actually constrains the mix — pay for a solve, up to
-        // a hard cap. Without an SLO no MIQP is ever needed.
-        let mut binding = 0usize;
-        let classes: Vec<CutClass> = fast
-            .iter()
-            .map(|fe| {
-                if self.cfg.slo_s.is_none_or(|s| fe.time <= s) {
-                    CutClass::Fast
-                } else if binding < MIQP_HARD_CAP {
-                    binding += 1;
-                    CutClass::Miqp(binding - 1)
-                } else {
-                    CutClass::Fallback
-                }
-            })
-            .collect();
-
         // Replay the sequential selection loop in rank order (see
         // `run_replay`), then fall back to an unseeded replay if the prior
         // turned out to be invalid for this point. Binding cuts are
         // memoized in rank order, so the rerun pays only for cuts the
         // seeded pass never reached or pruned.
-        let mut memo: Vec<Option<BindingCut>> = (0..binding).map(|_| None).collect();
-        let mut replay =
-            |prior: Option<f64>| self.run_replay(shared, &fast, &classes, &mut memo, prior, track);
+        let mut memo: Vec<Option<BindingCut>> = Vec::new();
+        let mut replay = |prior: Option<f64>| self.run_replay(shared, &mut memo, prior, track);
         let (mut candidates, mut miqps_pruned) = replay(prior);
         let mut seed_fallback = false;
         if let Some(b) = prior {
@@ -501,7 +538,7 @@ impl Optimizer {
         // filter; only non-finite costs could empty it.
         let budget = best_cost * (1.0 + self.tolerance());
         let Some(winner) = candidates
-            .iter()
+            .into_iter()
             .filter(|c| c.cost <= budget + 1e-15)
             .min_by(|a, b| {
                 a.time_s
@@ -511,11 +548,22 @@ impl Optimizer {
         else {
             return Err(OptimizeError::SloInfeasible);
         };
+        let p1 = &shared.pass1;
+        let winner = Candidate {
+            cut: p1.cuts.cut(winner.ci).collect(),
+            memories: match winner.mix {
+                Mix::MinCost => p1.mix(winner.ci, false).collect(),
+                Mix::MinTime => p1.mix(winner.ci, true).collect(),
+                Mix::Solved(mems) => mems,
+            },
+            time_s: winner.time_s,
+            cost: winner.cost,
+        };
 
         // Per-partition memory upgrades: spend the remaining tolerance on
         // the best time-per-dollar improvements (cost-efficiency with
         // timely response).
-        let upgraded = self.upgrade_memories(&shared.profile, winner, budget);
+        let upgraded = self.upgrade_memories(&shared.profile, &winner, budget);
 
         let plan = self.to_plan(graph, &shared.profile, upgraded);
         Ok(PointSolve {
@@ -528,12 +576,26 @@ impl Optimizer {
         })
     }
 
-    /// The deterministic sequential selection loop over ranked cuts. A
-    /// binding cut is prepared (knapsack form and LP bound) when the loop
-    /// first reaches its rank and solved only if its bound survives;
-    /// `memo` keeps both, and the outcome, for a rerun. The knapsack
-    /// returns only mixes within `slo + 1e-9`, the acceptance test every
-    /// candidate meets.
+    /// The deterministic sequential selection loop over ranked cuts.
+    ///
+    /// Only cuts whose separable `min_time` meets the SLO take part: it is
+    /// the fastest any memory mix can make the cut, so the rest are
+    /// provably infeasible and never see a MIQP. Each surviving cut is
+    /// classified as the loop reaches it, by a rule that depends only on
+    /// its rank among the survivors:
+    /// - its separable min-cost mix meets the SLO (or none is set): that
+    ///   mix is already the cut's cost optimum, so the MIQP cannot
+    ///   improve it;
+    /// - otherwise, among the first `MIQP_HARD_CAP` such SLO-binding cuts,
+    ///   the exact knapsack finds the cheapest mix meeting the SLO;
+    /// - a binding cut beyond the cap takes its separable min-time mix,
+    ///   which fits the SLO (the filter kept the cut).
+    ///
+    /// A binding cut is prepared (knapsack form and LP bound) when the
+    /// loop first reaches it and solved only if its bound survives; `memo`
+    /// (indexed by binding rank) keeps both, and the outcome, for a rerun.
+    /// The knapsack returns only mixes within `slo + 1e-9`, the acceptance
+    /// test every candidate meets.
     ///
     /// With `prior = Some(B)` every pruning threshold uses
     /// `min(best_so_far, B)` instead of `best_so_far`. When `B` really
@@ -546,68 +608,77 @@ impl Optimizer {
     fn run_replay(
         &self,
         shared: &BatchShared,
-        fast: &[&FastEval],
-        classes: &[CutClass],
-        memo: &mut [Option<BindingCut>],
+        memo: &mut Vec<Option<BindingCut>>,
         prior: Option<f64>,
         track: Option<&CacheCounters>,
-    ) -> (Vec<Candidate>, usize) {
+    ) -> (Vec<Kept>, usize) {
+        let p1 = &shared.pass1;
         let tol = self.tolerance();
-        let limit = self.cfg.slo_s.map_or(f64::INFINITY, |s| s + 1e-9);
+        let slo = self.cfg.slo_s;
+        let limit = slo.map_or(f64::INFINITY, |s| s + 1e-9);
         let cap = |best: f64| prior.map_or(best, |b| best.min(b));
-        let mut candidates: Vec<Candidate> = Vec::new();
+        let mut candidates: Vec<Kept> = Vec::new();
         let mut best_candidate_cost = f64::INFINITY;
         let mut miqps_pruned = 0usize;
-        for (rank, fe) in fast.iter().enumerate() {
-            if fe.cost > cap(best_candidate_cost) * (1.0 + tol) + 1e-15 && rank >= MIQP_TOP_CUTS {
+        let mut binding = 0usize;
+        let survivors = shared
+            .order
+            .iter()
+            .map(|&ci| (ci, p1.sums(ci)))
+            .filter(|(_, s)| slo.is_none_or(|slo| s.min_time <= slo + 1e-9));
+        for (rank, (ci, s)) in survivors.enumerate() {
+            if s.cost > cap(best_candidate_cost) * (1.0 + tol) + 1e-15 && rank >= MIQP_TOP_CUTS {
                 break; // no later cut can enter the tolerance set
             }
-            let cut = &shared.cuts[fe.ci];
-            let (memories, time_s, cost) = match classes[rank] {
-                CutClass::Fast => (fe.mems.clone(), fe.time, fe.cost),
-                CutClass::Miqp(slot) => {
-                    let bc = match &mut memo[slot] {
-                        Some(bc) => bc,
-                        entry => {
-                            let Some(cols) = shared.cache.columns_for_cut_tracked(
-                                &shared.profile,
-                                cut,
-                                &self.cfg,
-                                track,
-                            ) else {
-                                continue; // unreachable: the cut survived pass 1
-                            };
-                            let knapsack = CutKnapsack::new(&cols);
-                            let lower = knapsack.lower_bound(limit).max(fe.cost);
-                            entry.insert(BindingCut {
-                                ci: fe.ci,
-                                knapsack,
-                                lower,
-                                outcome: None,
-                            })
-                        }
-                    };
-                    // LP-bound prune: any candidate this cut yields costs
-                    // ≥ `lower` > the running tolerance budget, and the
-                    // budget only shrinks from here — the cut can neither
-                    // become the cost minimum nor enter the tolerance set.
-                    if bc.lower > cap(best_candidate_cost) * (1.0 + tol) + 1e-15 {
-                        miqps_pruned += 1;
-                        continue;
-                    }
-                    let outcome = bc.outcome.get_or_insert_with(|| bc.knapsack.solve(limit));
-                    let Some(mix) = outcome else { continue };
-                    mix.clone()
+            let (mix, time_s, cost) = if slo.is_none_or(|slo| s.time <= slo) {
+                (Mix::MinCost, s.time, s.cost)
+            } else if binding < MIQP_HARD_CAP {
+                binding += 1;
+                if memo.len() < binding {
+                    memo.push(None);
                 }
-                // SLO-binding cut beyond the MIQP cap: the cached fastest
-                // memory mix fits the SLO (the min-time filter kept this
-                // cut alive).
-                CutClass::Fallback => (fe.min_mems.clone(), fe.min_time, fe.min_cost),
+                let bc = match &mut memo[binding - 1] {
+                    Some(bc) => bc,
+                    entry => {
+                        let cut: Vec<usize> = p1.cuts.cut(ci).collect();
+                        let Some(cols) = shared.cache.columns_for_cut_tracked(
+                            &shared.profile,
+                            &cut,
+                            &self.cfg,
+                            track,
+                        ) else {
+                            continue; // unreachable: the cut survived pass 1
+                        };
+                        let knapsack = CutKnapsack::new(&cols);
+                        let lower = knapsack.lower_bound(limit).max(s.cost);
+                        entry.insert(BindingCut {
+                            ci,
+                            knapsack,
+                            lower,
+                            outcome: None,
+                        })
+                    }
+                };
+                // LP-bound prune: any candidate this cut yields costs
+                // ≥ `lower` > the running tolerance budget, and the
+                // budget only shrinks from here — the cut can neither
+                // become the cost minimum nor enter the tolerance set.
+                if bc.lower > cap(best_candidate_cost) * (1.0 + tol) + 1e-15 {
+                    miqps_pruned += 1;
+                    continue;
+                }
+                let outcome = bc.outcome.get_or_insert_with(|| bc.knapsack.solve(limit));
+                let Some((mems, time_s, cost)) = outcome else {
+                    continue;
+                };
+                (Mix::Solved(mems.clone()), *time_s, *cost)
+            } else {
+                (Mix::MinTime, s.min_time, s.min_cost)
             };
             best_candidate_cost = best_candidate_cost.min(cost);
-            candidates.push(Candidate {
-                cut: cut.clone(),
-                memories,
+            candidates.push(Kept {
+                ci,
+                mix,
                 time_s,
                 cost,
             });
@@ -633,77 +704,61 @@ impl Optimizer {
     }
 
     /// Pass-1 verdicts of all cuts, from a summary table of their distinct
-    /// segments. `ends` are the boundary slots the cuts draw from (see
-    /// [`enumerate_cut_slots`]). The first reference to a segment
-    /// evaluates its presolved columns through `cache` (a miss) and stores
-    /// its two separable picks in a dense `(start slot, end slot)` table;
-    /// every later reference reads the table (a hit). The separable
-    /// argmins over the presolved Pareto frontier equal those over the raw
-    /// grid (dominated columns are never argmins and exact duplicates keep
-    /// their smallest-memory copy), and each cut sums its picks left to
-    /// right from `0.0` — the order `separable_min_{cost,time}_cols` add
-    /// in — so every verdict is bit-identical to summing the cut's
-    /// columns directly. No SLO is consulted: the verdicts serve every
-    /// sweep point.
-    fn evaluate_cuts(
-        &self,
-        profile: &Profile,
-        ends: &[usize],
-        cuts: &[Vec<usize>],
-        cache: &SegmentColumnCache,
-    ) -> Vec<CutEval> {
-        let m = ends.len();
-        let mut slot = vec![0usize; profile.num_layers()];
-        for (j, &e) in ends.iter().enumerate() {
-            slot[e] = j;
-        }
+    /// segments. The first reference to a segment evaluates its presolved
+    /// columns through `cache` (a miss) and stores its two separable picks
+    /// in a dense `(start slot, end slot)` table; every later reference
+    /// reads the table (a hit). The separable argmins over the presolved
+    /// Pareto frontier equal those over the raw grid (dominated columns
+    /// are never argmins and exact duplicates keep their smallest-memory
+    /// copy), and each cut sums its picks left to right from `0.0` — the
+    /// order `separable_min_{cost,time}_cols` add in — so every verdict is
+    /// bit-identical to summing the cut's columns directly. A cut stops at
+    /// its first segment without a feasible column. No SLO is consulted:
+    /// the verdicts serve every sweep point.
+    fn evaluate_cuts(&self, profile: &Profile, cuts: CutSet, cache: &SegmentColumnCache) -> Pass1 {
+        let m = cuts.ends.len();
         // `None` = not referenced yet; `Some(None)` = no feasible column.
-        let mut table: Vec<Option<Option<(ColumnPick, ColumnPick)>>> = vec![None; m * m];
+        let mut table: Vec<Option<Option<SegmentPicks>>> = vec![None; m * m];
         let mut served = 0usize;
-        let evals = cuts
-            .iter()
-            .enumerate()
-            .map(|(ci, cut)| {
-                let mut fe = FastEval {
-                    ci,
-                    mems: Vec::with_capacity(cut.len()),
+        let sums = (0..cuts.len())
+            .map(|ci| {
+                let mut sums = CutSums {
                     time: 0.0,
                     cost: 0.0,
-                    min_mems: Vec::with_capacity(cut.len()),
                     min_time: 0.0,
                     min_cost: 0.0,
                 };
-                let (mut s, mut start) = (0usize, 0usize);
-                for &end in cut {
-                    let e = slot[end];
+                for (s, e) in cuts.segments(ci) {
                     let cell = &mut table[s * m + e];
                     let picks = match *cell {
                         Some(picks) => {
                             served += 1;
                             picks
                         }
-                        None => *cell.insert(
-                            cache
-                                .get_or_eval(profile, start, end, &self.cfg)
-                                .map(|cols| separable_picks(&cols)),
-                        ),
+                        None => {
+                            let (start, end) = (cuts.start_layer(s), cuts.ends[e]);
+                            *cell.insert(
+                                cache
+                                    .get_or_eval(profile, start, end, &self.cfg)
+                                    .map(|cols| separable_picks(&cols)),
+                            )
+                        }
                     };
-                    let Some(((mem, t, c), (min_mem, min_t, min_c))) = picks else {
-                        return CutEval::Infeasible;
-                    };
-                    fe.mems.push(mem);
-                    fe.time += t;
-                    fe.cost += c;
-                    fe.min_mems.push(min_mem);
-                    fe.min_time += min_t;
-                    fe.min_cost += min_c;
-                    (s, start) = (e + 1, end + 1);
+                    let ((_, t, c), (_, min_t, min_c)) = picks?;
+                    sums.time += t;
+                    sums.cost += c;
+                    sums.min_time += min_t;
+                    sums.min_cost += min_c;
                 }
-                CutEval::Feasible(fe)
+                Some(sums)
             })
             .collect();
         cache.add_hits(served);
-        evals
+        Pass1 {
+            cuts,
+            sums,
+            picks: table.into_iter().map(Option::flatten).collect(),
+        }
     }
 
     /// Greedy memory upgrades within the cost budget, over the *full*

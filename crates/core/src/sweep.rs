@@ -28,7 +28,7 @@
 use crate::colcache::CacheCounters;
 use crate::cuts::DagShared;
 use crate::optimizer::{
-    BatchShared, CutEval, DagSearchStats, OptimizeError, Optimizer, PointSolve, NAN_SLO, ZERO_BATCH,
+    BatchShared, DagSearchStats, OptimizeError, Optimizer, PointSolve, NAN_SLO, ZERO_BATCH,
 };
 use crate::plan::{DagPlan, ExecutionPlan, PartitionPlan, PipelinePlan};
 use ampsinf_model::LayerGraph;
@@ -477,7 +477,7 @@ impl Optimizer {
         SweepReport {
             points,
             pareto,
-            cuts_considered: ok_shared().map(|sh| sh.cuts.len()).sum(),
+            cuts_considered: ok_shared().map(|sh| sh.pass1.cuts.len()).sum(),
             cache_hits: ok_shared().map(|sh| sh.cache.hits()).sum(),
             cache_misses: ok_shared().map(|sh| sh.cache.misses()).sum(),
             pass1_time,
@@ -607,7 +607,7 @@ impl Optimizer {
             points,
             pareto,
             regions_considered: ok_shared().map(|(_, ds)| ds.regions.len()).sum(),
-            cuts_considered: ok_shared().map(|(sh, _)| sh.cuts.len()).sum(),
+            cuts_considered: ok_shared().map(|(sh, _)| sh.pass1.cuts.len()).sum(),
             cache_hits: ok_shared().map(|(sh, _)| sh.cache.hits()).sum(),
             cache_misses: ok_shared().map(|(sh, _)| sh.cache.misses()).sum(),
             node_memo_hits: ok_shared().map(|(sh, _)| sh.cache.node_hits()).sum(),
@@ -678,7 +678,7 @@ impl Optimizer {
 
         let cuts_considered: usize = shared_by_batch
             .iter()
-            .filter_map(|(_, s)| s.as_ref().ok().map(|sh| sh.cuts.len()))
+            .filter_map(|(_, s)| s.as_ref().ok().map(|sh| sh.pass1.cuts.len()))
             .sum();
 
         PipelineSweepReport {
@@ -707,17 +707,16 @@ impl Optimizer {
             return Err(NAN_SLO);
         }
         let cfg = self.config();
+        let p1 = &sh.pass1;
         // Pass A: the cost floor over SLO-feasible candidates.
         let mut floor = f64::INFINITY;
-        for &oi in &sh.order {
-            let CutEval::Feasible(fe) = &sh.evals[oi] else {
-                continue;
-            };
-            if fe.time <= slo + 1e-9 {
-                floor = floor.min(fe.cost);
+        for &ci in &sh.order {
+            let s = p1.sums(ci);
+            if s.time <= slo + 1e-9 {
+                floor = floor.min(s.cost);
             }
-            if fe.min_time <= slo + 1e-9 {
-                floor = floor.min(fe.min_cost);
+            if s.min_time <= slo + 1e-9 {
+                floor = floor.min(s.min_cost);
             }
         }
         if floor.is_infinite() {
@@ -727,26 +726,26 @@ impl Optimizer {
 
         // Pass B: among budget-feasible candidates, minimize the
         // bottleneck stage. Stage durations come from `quick_eval` — the
-        // same arithmetic pass 1 used for the totals.
+        // same arithmetic pass 1 used for the totals. Mixes are read back
+        // from pass 1; a plan is built only for a new best.
         let n = sh.profile.num_layers();
         let mut best: Option<PipelinePlan> = None;
-        for &oi in &sh.order {
-            let CutEval::Feasible(fe) = &sh.evals[oi] else {
-                continue;
-            };
-            let cut = &sh.cuts[fe.ci];
-            let mut mixes: Vec<(&[u32], f64, f64)> = vec![(&fe.mems, fe.time, fe.cost)];
-            if fe.min_mems != fe.mems {
-                mixes.push((&fe.min_mems, fe.min_time, fe.min_cost));
-            }
-            for (mems, time, cost) in mixes {
-                if time > slo + 1e-9 || cost > budget {
+        let mut stage_times: Vec<f64> = Vec::new();
+        for &ci in &sh.order {
+            let s = p1.sums(ci);
+            for fastest in [false, true] {
+                let (time, cost) = if fastest {
+                    (s.min_time, s.min_cost)
+                } else {
+                    (s.time, s.cost)
+                };
+                if time > slo + 1e-9 || cost > budget || (fastest && p1.one_mix(ci)) {
                     continue;
                 }
-                let mut stage_times = Vec::with_capacity(cut.len());
+                stage_times.clear();
                 let mut start = 0usize;
                 let mut ok = true;
-                for (i, (&end, &mem)) in cut.iter().zip(mems).enumerate() {
+                for (i, (end, mem)) in p1.cuts.cut(ci).zip(p1.mix(ci, fastest)).enumerate() {
                     match quick_eval(
                         &sh.profile,
                         start,
@@ -779,15 +778,15 @@ impl Optimizer {
                     }
                 };
                 if replace {
-                    let mut partitions = Vec::with_capacity(cut.len());
-                    let mut s = 0usize;
-                    for (&end, &mem) in cut.iter().zip(mems) {
+                    let mut partitions = Vec::with_capacity(stage_times.len());
+                    let mut start = 0usize;
+                    for (end, mem) in p1.cuts.cut(ci).zip(p1.mix(ci, fastest)) {
                         partitions.push(PartitionPlan {
-                            start: s,
+                            start,
                             end,
                             memory_mb: mem,
                         });
-                        s = end + 1;
+                        start = end + 1;
                     }
                     best = Some(PipelinePlan {
                         plan: ExecutionPlan {
@@ -796,7 +795,7 @@ impl Optimizer {
                             predicted_time_s: time,
                             predicted_cost: cost,
                         },
-                        stage_times_s: stage_times,
+                        stage_times_s: stage_times.clone(),
                         bottleneck_s: bottleneck,
                     });
                 }

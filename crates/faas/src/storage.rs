@@ -240,6 +240,18 @@ impl ObjectStore {
         base
     }
 
+    /// Keys interned or allocated so far (named and anonymous).
+    pub fn num_keys(&self) -> usize {
+        self.metas.len()
+    }
+
+    /// Reserves room for `additional` more keys, so a key table whose
+    /// final size is known up front grows in one allocation instead of
+    /// by repeated doubling.
+    pub fn reserve(&mut self, additional: usize) {
+        self.metas.reserve(additional);
+    }
+
     /// The name an [`ObjectKey`] was interned under (empty for anonymous
     /// keys from [`ObjectStore::fresh_key`]).
     pub fn name_of(&self, key: ObjectKey) -> &str {

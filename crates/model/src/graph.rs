@@ -515,15 +515,23 @@ impl LayerGraph {
     /// Aggregate statistics for the contiguous segment `[start, end]`
     /// (inclusive bounds over topological positions).
     pub fn segment(&self, start: usize, end: usize) -> CutAccounting {
+        self.segment_with(start, end, &self.boundary_transfer_bytes())
+    }
+
+    /// [`LayerGraph::segment`] reading the crossing bytes from a
+    /// [`LayerGraph::boundary_transfer_bytes`] table, so a caller
+    /// accounting many segments of one graph builds the table once.
+    pub fn segment_with(&self, start: usize, end: usize, boundary: &[u64]) -> CutAccounting {
         assert!(start <= end && end < self.nodes.len(), "bad segment bounds");
+        assert_eq!(boundary.len(), self.nodes.len(), "one entry per boundary");
         let params: u64 = self.nodes[start..=end].iter().map(|n| n.params).sum();
         let flops: u64 = self.nodes[start..=end].iter().map(|n| n.flops).sum();
         let in_bytes = if start == 0 {
             self.nodes[0].output_shape.bytes() // model input tensor
         } else {
-            self.cut_transfer_bytes(start - 1)
+            boundary[start - 1]
         };
-        let out_bytes = self.cut_transfer_bytes(end);
+        let out_bytes = boundary[end];
         // Peak temporary activations: sum of all outputs in the segment is a
         // safe over-approximation of what Keras keeps in memory while
         // executing the partition sequentially; large models' temp-storage

@@ -270,8 +270,10 @@ impl LoadSpec {
             }
         }
         // Bursts can overlap and tenant streams interleave; the serving
-        // engine expects the trace in arrival order.
-        out.sort_by(f64::total_cmp);
+        // engine expects the trace in arrival order. Values equal under
+        // `total_cmp` are bit-equal, so an unstable sort gives the same
+        // trace as a stable one.
+        out.sort_unstable_by(f64::total_cmp);
         out
     }
 }
@@ -389,7 +391,8 @@ fn report_from_trace(
         latencies.iter().all(|l| !l.is_nan()),
         "NaN latency in load run"
     );
-    latencies.sort_by(f64::total_cmp);
+    // Equal under `total_cmp` means bit-equal: unstable order is exact.
+    latencies.sort_unstable_by(f64::total_cmp);
     let makespan_s = trace.last_completion_s - arrivals.first().copied().unwrap_or(0.0);
     LoadReport {
         latencies_s: latencies,
@@ -446,7 +449,8 @@ pub fn run_open_loop(
 ) -> Result<LoadReport, String> {
     plan.validate(graph.num_layers())
         .map_err(|e| format!("invalid plan: {e}"))?;
-    let dag = DagPlan::from_chain(plan, |k| graph.cut_transfer_bytes(k));
+    let boundary = graph.boundary_transfer_bytes();
+    let dag = DagPlan::from_chain(plan, |k| boundary[k]);
     run_open_loop_dag(graph, &dag, cfg, load)
 }
 
@@ -527,6 +531,7 @@ pub fn run_adaptive_loop(
     load: &LoadSpec,
     adaptive: &AdaptiveSpec,
 ) -> Result<LoadReport, String> {
+    let boundary = graph.boundary_transfer_bytes();
     adaptive_loop(
         graph,
         cfg,
@@ -537,7 +542,7 @@ pub fn run_adaptive_loop(
             cache.seed_from_sweep(&graph.name, &sweep);
         },
         |cache, slo| cache.get_or_plan(graph, cfg, slo, cfg.batch_size).ok(),
-        |plan| DagPlan::from_chain(plan, |k| graph.cut_transfer_bytes(k)),
+        |plan| DagPlan::from_chain(plan, |k| boundary[k]),
     )
 }
 
@@ -567,6 +572,7 @@ pub fn run_adaptive_loop_dag(
     load: &LoadSpec,
     adaptive: &AdaptiveSpec,
 ) -> Result<LoadReport, String> {
+    let boundary = graph.boundary_transfer_bytes();
     adaptive_loop(
         graph,
         cfg,
@@ -581,7 +587,7 @@ pub fn run_adaptive_loop_dag(
                 .get_or_plan_effective(graph, cfg, slo, cfg.batch_size)
                 .ok()
         },
-        |plan| plan.to_dag(|k| graph.cut_transfer_bytes(k)),
+        |plan| plan.to_dag(|k| boundary[k]),
     )
 }
 
