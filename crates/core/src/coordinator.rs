@@ -1457,11 +1457,11 @@ impl Coordinator {
     /// request across [`AmpsConfig::serve_lanes`] warm-pool shards,
     /// executed by up to [`AmpsConfig::serve_threads`] workers (0 =
     /// auto; never more than the machine's available parallelism, since
-    /// surplus workers would only spin on the queue lock). Every lane is a self-contained task (shard platform, the
-    /// caller-built per-lane state `init(requests, platform)`, given the
-    /// lane's request indices and its shard platform — scratches, station
-    /// pools, reserved key tables, anything —, result buffer, progress
-    /// cursor) on a shared
+    /// surplus workers would only spin on the queue lock). Every lane is a
+    /// self-contained task (shard platform, the caller-built per-lane
+    /// state `init(requests, platform)` — given the lane's request indices
+    /// and its shard platform: scratches, station pools, reserved key
+    /// tables, anything —, result buffer, progress cursor) on a shared
     /// queue; workers pop a task, advance it one *chunk* of requests, and
     /// either requeue it or deposit it in its lane slot when exhausted.
     /// Chunking amortizes queue traffic while letting an idle worker steal

@@ -386,7 +386,7 @@ impl CutSet {
     }
 
     /// Cut `ci`'s end layers, ascending (the classic cut list).
-    pub(crate) fn cut(&self, ci: usize) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn cut(&self, ci: usize) -> impl ExactSizeIterator<Item = usize> + '_ {
         self.slots(ci).iter().map(|&e| self.ends[usize::from(e)])
     }
 
@@ -402,12 +402,15 @@ impl CutSet {
 
     /// Cut `ci`'s segments as `(start slot, end slot)` (see
     /// [`CutSet::start_layer`]); a segment ends at `ends[end slot]`.
-    pub(crate) fn segments(&self, ci: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.slots(ci).iter().scan(0usize, |s, &e| {
-            let e = usize::from(e);
-            let seg = (*s, e);
-            *s = e + 1;
-            Some(seg)
+    pub(crate) fn segments(&self, ci: usize) -> impl ExactSizeIterator<Item = (usize, usize)> + '_ {
+        let slots = self.slots(ci);
+        (0..slots.len()).map(move |i| {
+            let start = if i == 0 {
+                0
+            } else {
+                usize::from(slots[i - 1]) + 1
+            };
+            (start, usize::from(slots[i]))
         })
     }
 }

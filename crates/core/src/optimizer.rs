@@ -158,13 +158,13 @@ pub(crate) struct Pass1 {
 
 impl Pass1 {
     /// Feasible cut `ci`'s totals.
-    pub(crate) fn sums(&self, ci: usize) -> CutSums {
+    pub(crate) fn totals(&self, ci: usize) -> CutSums {
         self.sums[ci].expect("ranked cuts are feasible")
     }
 
     /// Feasible cut `ci`'s separable min-time mix (`fastest`) or min-cost
     /// mix, one memory per partition.
-    pub(crate) fn mix(&self, ci: usize, fastest: bool) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn mix(&self, ci: usize, fastest: bool) -> impl ExactSizeIterator<Item = u32> + '_ {
         let m = self.cuts.ends.len();
         self.cuts.segments(ci).map(move |(s, e)| {
             let (cost, time) = self.picks[s * m + e].expect("a feasible cut's segments have picks");
@@ -624,7 +624,7 @@ impl Optimizer {
         let survivors = shared
             .order
             .iter()
-            .map(|&ci| (ci, p1.sums(ci)))
+            .map(|&ci| (ci, p1.totals(ci)))
             .filter(|(_, s)| slo.is_none_or(|slo| s.min_time <= slo + 1e-9));
         for (rank, (ci, s)) in survivors.enumerate() {
             if s.cost > cap(best_candidate_cost) * (1.0 + tol) + 1e-15 && rank >= MIQP_TOP_CUTS {

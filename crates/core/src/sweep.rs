@@ -711,7 +711,7 @@ impl Optimizer {
         // Pass A: the cost floor over SLO-feasible candidates.
         let mut floor = f64::INFINITY;
         for &ci in &sh.order {
-            let s = p1.sums(ci);
+            let s = p1.totals(ci);
             if s.time <= slo + 1e-9 {
                 floor = floor.min(s.cost);
             }
@@ -732,7 +732,7 @@ impl Optimizer {
         let mut best: Option<PipelinePlan> = None;
         let mut stage_times: Vec<f64> = Vec::new();
         for &ci in &sh.order {
-            let s = p1.sums(ci);
+            let s = p1.totals(ci);
             for fastest in [false, true] {
                 let (time, cost) = if fastest {
                     (s.min_time, s.min_cost)
