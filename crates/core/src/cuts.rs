@@ -339,7 +339,7 @@ pub fn enumerate_cuts(profile: &Profile, cfg: &AmpsConfig) -> Vec<Vec<usize>> {
 /// layer 0, start slot 0) and ends at a later one, so `(start slot, end
 /// slot)` pairs index dense per-segment tables (see
 /// [`CutSet::segments`]).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub(crate) struct CutSet {
     /// Boundary slots: ascending end layers, the final layer last.
     pub(crate) ends: Vec<usize>,
