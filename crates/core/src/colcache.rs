@@ -18,8 +18,8 @@
 
 use crate::config::AmpsConfig;
 use crate::miqp_build::{evaluate_segment, presolve_dominated, PartitionColumns};
+use crate::FixedHashMap;
 use ampsinf_profiler::{quick_eval_node, Profile};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -121,10 +121,10 @@ type NodeSlot = Vec<(Box<[u64]>, Box<[u64]>, Arc<NodeColumns>)>;
 /// because the evaluation is pure).
 #[derive(Debug, Default)]
 pub struct SegmentColumnCache {
-    map: RwLock<HashMap<(usize, usize), CachedColumns>>,
+    map: RwLock<FixedHashMap<(usize, usize), CachedColumns>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
-    nodes: RwLock<HashMap<(usize, usize), NodeSlot>>,
+    nodes: RwLock<FixedHashMap<(usize, usize), NodeSlot>>,
     node_hits: AtomicUsize,
     node_misses: AtomicUsize,
 }

@@ -10,11 +10,11 @@
 //! solutions"), then enumerate combinations under a budget.
 
 use crate::config::AmpsConfig;
+use crate::FixedHashMap;
 use ampsinf_faas::runtime::{CODE_BYTES, DEPS_BYTES};
 use ampsinf_faas::MB;
 use ampsinf_model::{BranchRegion, LayerGraph, LayerOp};
 use ampsinf_profiler::Profile;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -165,7 +165,7 @@ pub fn branch_candidates(
 pub(crate) type SpineParts = Vec<(usize, usize, u32)>;
 
 /// The spine-span memo table (see [`DagShared::spines`]).
-type SpineMemo = RwLock<HashMap<(usize, usize), Option<Arc<SpineParts>>>>;
+type SpineMemo = RwLock<FixedHashMap<(usize, usize), Option<Arc<SpineParts>>>>;
 
 /// SLO-independent shared state of the DAG region search for one
 /// `(model, batch)`: the hostable fork/join regions, the thinned spine
@@ -195,7 +195,7 @@ pub(crate) struct DagShared {
     spine_solves: AtomicUsize,
     /// Per-region branch-node memo: the min-cost memory per branch, or
     /// `None` when some branch has no feasible evaluation.
-    branches: RwLock<HashMap<usize, Option<Arc<Vec<u32>>>>>,
+    branches: RwLock<FixedHashMap<usize, Option<Arc<Vec<u32>>>>>,
 }
 
 impl DagShared {
@@ -225,10 +225,10 @@ impl DagShared {
             cand,
             scatter,
             gather,
-            spines: RwLock::new(HashMap::new()),
+            spines: RwLock::default(),
             spine_hits: AtomicUsize::new(0),
             spine_solves: AtomicUsize::new(0),
-            branches: RwLock::new(HashMap::new()),
+            branches: RwLock::default(),
         }
     }
 

@@ -57,3 +57,33 @@ pub use sweep::{
     SweepPoint, SweepReport,
 };
 pub use trace::Timeline;
+
+/// A `HashMap` hashed with unkeyed SipHash instead of `RandomState`'s
+/// per-process random keys. The planner's memo tables and the plan cache
+/// iterate and drop their entries in hash order; with a fixed hasher that
+/// order, and so the heap layout and timing it leaves behind, is the same
+/// in every process instead of changing from one run to the next.
+pub(crate) type FixedHashMap<K, V> = std::collections::HashMap<
+    K,
+    V,
+    std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>,
+>;
+
+#[cfg(test)]
+mod tests {
+    use super::FixedHashMap;
+
+    #[test]
+    fn fixed_hash_maps_iterate_in_one_order() {
+        // `RandomState` keys every map differently, so two maps filled
+        // alike would almost surely iterate in different orders.
+        let fill = || {
+            (0..64usize)
+                .map(|i| (i, 3 * i))
+                .collect::<FixedHashMap<_, _>>()
+        };
+        let first: Vec<_> = fill().into_iter().collect();
+        let second: Vec<_> = fill().into_iter().collect();
+        assert_eq!(first, second);
+    }
+}

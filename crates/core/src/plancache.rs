@@ -14,14 +14,13 @@
 //! independent `optimize()` at that `(slo, batch)` point would return
 //! (the sweep guarantees that contract already).
 
-use std::collections::HashMap;
-
 use ampsinf_model::LayerGraph;
 
 use crate::config::AmpsConfig;
 use crate::optimizer::{OptimizeError, Optimizer};
 use crate::plan::{EffectivePlan, ExecutionPlan};
 use crate::sweep::{DagSweepReport, SweepReport};
+use crate::FixedHashMap;
 
 /// Cache key: model name, SLO bit pattern (`None` = unconstrained),
 /// batch size.
@@ -31,8 +30,8 @@ type PlanKey = (String, Option<u64>, u64);
 /// counters. See the module docs.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    entries: HashMap<PlanKey, Result<ExecutionPlan, OptimizeError>>,
-    effective: HashMap<PlanKey, Result<EffectivePlan, OptimizeError>>,
+    entries: FixedHashMap<PlanKey, Result<ExecutionPlan, OptimizeError>>,
+    effective: FixedHashMap<PlanKey, Result<EffectivePlan, OptimizeError>>,
     hits: u64,
     misses: u64,
 }

@@ -7,6 +7,7 @@
 
 use crate::ledger::{CostItem, CostLedger};
 use crate::pricing::PriceSheet;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
@@ -130,8 +131,10 @@ pub struct ObjectStore {
     /// keys — the serving hot path's entire per-request traffic — carry
     /// no entry at all, so allocating them never touches a string table.
     names: KeyMap<String>,
-    /// Name → interned key.
-    lookup: HashMap<String, ObjectKey>,
+    /// Name → interned key, hashed with unkeyed SipHash: a per-process
+    /// random hasher would drop the names in a different order, and so
+    /// leave a different heap layout, in every run.
+    lookup: HashMap<String, ObjectKey, BuildHasherDefault<DefaultHasher>>,
     /// Live object metadata, indexed by [`ObjectKey`] (`None` = never
     /// written). Settlement walks this table in intern order, which makes
     /// at-rest billing order deterministic (the former `HashMap` walk
@@ -194,7 +197,7 @@ impl ObjectStore {
         ObjectStore {
             kind,
             names: KeyMap::default(),
-            lookup: HashMap::new(),
+            lookup: HashMap::default(),
             metas: Vec::new(),
             history: Vec::new(),
             rng: RNG_SEED,
