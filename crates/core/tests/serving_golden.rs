@@ -10,6 +10,12 @@
 //! The per-node `TraceReport::dag_nodes` accounting is excluded: the
 //! chain engine had no node axis, so there is nothing to pin it against
 //! (it is checked for thread invariance in `serving_determinism.rs`).
+//!
+//! The `merged_pools_*` pins cover what a 64-lane trace leaves behind on
+//! the base platform once its shards are absorbed: the merged warm pools
+//! (through their instance counts, an idle settlement and a follow-up
+//! batch that reuses them), for a branch-parallel DAG and a faulted,
+//! pre-warmed chain. They were recorded with the lane-by-lane pool merge.
 
 use ampsinf_core::coordinator::{
     BatchReport, JobReport, PipelineReport, RequestSummary, ServeError, TraceReport,
@@ -439,4 +445,90 @@ fn serve_trace_golden_multi_tensor_cuts() {
         trace_digest(AmpsConfig::default(), &g, &plan),
         0xfdd2_8a9a_f72a_8ec4,
     );
+}
+
+/// `n` Poisson arrivals at `rate_rps` from a fixed seed.
+fn poisson_arrivals(n: usize, rate_rps: f64, seed: u64) -> Vec<f64> {
+    let mut rng = ampsinf_faas::SmallRng::seed_from_u64(seed);
+    let mut t = 0.0f64;
+    (0..n)
+        .map(|_| {
+            t += -rng.next_f64_open().ln() / rate_rps;
+            t
+        })
+        .collect()
+}
+
+/// Serves `arrivals` on 64 lanes, then pins the merged platform itself:
+/// every function's instance count and cold starts, a 100-request
+/// sequential follow-up and the bits of a warm-pool settlement after it.
+/// The follow-up starts mid-trace, while part of each merged pool is
+/// still busy, so which instances it finds free and reuses depends on
+/// the pool's order as well as its contents.
+fn merged_platform_digest(
+    cfg: AmpsConfig,
+    deploy: impl Fn(&Coordinator, &mut Platform) -> ampsinf_core::coordinator::Deployment,
+    arrivals: &[f64],
+) -> u64 {
+    let coord = Coordinator::new(cfg.with_serve_lanes(64).with_serve_threads(2));
+    let mut platform = coord.platform();
+    let dep = deploy(&coord, &mut platform);
+    let trace = coord.serve_trace(&mut platform, &dep, arrivals);
+    let mut d = Digest::new();
+    d.trace(&trace);
+    for &f in &dep.functions {
+        d.word(platform.instance_count(f) as u64);
+        d.word(platform.cold_starts(f) as u64);
+    }
+    let follow_up = coord.serve_sequential(&mut platform, &dep, 100, arrivals[arrivals.len() / 2]);
+    assert!(
+        follow_up
+            .jobs
+            .iter()
+            .any(|j| j.outcomes.iter().all(|o| o.warm)),
+        "the follow-up must reuse merged warm instances"
+    );
+    d.batch(&follow_up);
+    let (idle_s, idle_dollars) = platform.settle_warm_pool(trace.last_completion_s + 30.0);
+    d.f(idle_s);
+    d.f(idle_dollars);
+    d.books(&platform);
+    d.0
+}
+
+#[test]
+fn merged_pools_golden_inception_dag() {
+    let cfg = AmpsConfig {
+        batch_size: 64,
+        ..AmpsConfig::default()
+    };
+    let g = zoo::inception_v3();
+    let plan = Optimizer::new(cfg.clone())
+        .optimize_dag(&g)
+        .unwrap()
+        .dag
+        .expect("inception_v3 at batch 64 has a branch-parallel plan");
+    let digest = merged_platform_digest(
+        cfg,
+        |coord, platform| coord.deploy_dag(platform, &g, &plan).unwrap(),
+        &poisson_arrivals(1000, 100.0, 97),
+    );
+    assert_digest("merged pools inception DAG", digest, 0xd27a_80cf_1461_19c3);
+}
+
+#[test]
+fn merged_pools_golden_faulted_prewarmed_chain() {
+    let (g, plan) = chain2();
+    let digest = merged_platform_digest(
+        // A short billed keep-alive: whether the follow-up's pick is
+        // still warm depends on taking the latest free instance.
+        faulty().with_warm_pool(WarmPoolPolicy {
+            pre_warm: 96,
+            keep_alive_s: 2.0,
+            bill_idle: true,
+        }),
+        |coord, platform| coord.deploy(platform, &g, &plan).unwrap(),
+        &poisson_arrivals(2000, 200.0, 5),
+    );
+    assert_digest("merged pools faulted chain", digest, 0x694e_9525_0149_8bd7);
 }

@@ -1463,6 +1463,143 @@ mod tests {
         assert_eq!(base.total_cost(), serial.total_cost());
     }
 
+    /// The lane-by-lane merge that shard absorption must reproduce: for
+    /// each shard in lane order, a stable two-pointer merge of every
+    /// function's pool (ties keep the base's entry first), then counters,
+    /// ledger and store.
+    fn absorb_lane_by_lane(base: &mut Platform, shards: Vec<Platform>) {
+        for shard in shards {
+            for (mine, theirs) in base.functions.iter_mut().zip(shard.functions) {
+                let a = std::mem::take(&mut mine.instances);
+                let b = theirs.instances;
+                let mut merged = Vec::with_capacity(a.len() + b.len());
+                let (mut i, mut j) = (0, 0);
+                while i < a.len() && j < b.len() {
+                    if a[i].total_cmp(&b[j]).is_le() {
+                        merged.push(a[i]);
+                        i += 1;
+                    } else {
+                        merged.push(b[j]);
+                        j += 1;
+                    }
+                }
+                merged.extend_from_slice(&a[i..]);
+                merged.extend_from_slice(&b[j..]);
+                mine.instances = merged;
+                mine.cold_starts += theirs.cold_starts;
+                mine.pre_warmed += theirs.pre_warmed;
+                mine.idle_warm_s += theirs.idle_warm_s;
+                mine.idle_billed_until = mine.idle_billed_until.max(theirs.idle_billed_until);
+            }
+            base.invocations += shard.invocations;
+            base.ledger.absorb(shard.ledger);
+            base.store.absorb(shard.store);
+        }
+    }
+
+    /// A random warm pool in the sorted-free-time order every pool keeps:
+    /// duplicate free times, pre-warmed zeros and both signed zeros.
+    fn random_pool(rng: &mut crate::SmallRng) -> Vec<f64> {
+        let mut pool: Vec<f64> = (0..rng.below(12))
+            .map(|_| match rng.below(5) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => rng.below(4) as f64 * 0.5,
+                _ => rng.next_f64() * 100.0,
+            })
+            .collect();
+        pool.sort_by(f64::total_cmp);
+        pool
+    }
+
+    fn randomize(p: &mut Platform, rng: &mut crate::SmallRng, lane: usize) {
+        for f in &mut p.functions {
+            f.instances = random_pool(rng);
+            f.cold_starts = rng.below(50);
+            f.pre_warmed = rng.below(3);
+            f.idle_warm_s = rng.next_f64() * 30.0;
+            f.idle_billed_until = rng.next_f64() * 500.0;
+        }
+        p.invocations = rng.below(1000) as u64;
+        for item in [
+            CostItem::LambdaCompute,
+            CostItem::LambdaRequest,
+            CostItem::StoragePut,
+            CostItem::WarmPoolIdle,
+        ] {
+            p.ledger.charge(item, rng.next_f64() * 1e-3, "shard");
+        }
+        p.store.fresh_block(rng.below(6));
+        if rng.below(2) == 0 {
+            p.store.intern(&format!("lane{lane}/obj"));
+        }
+    }
+
+    /// Merges `shards` into `base` through the production path.
+    fn absorb_all(base: &mut Platform, shards: Vec<Platform>) {
+        for shard in shards {
+            base.absorb_shard(shard);
+        }
+    }
+
+    #[test]
+    fn shard_absorb_matches_lane_by_lane_merge() {
+        for seed in 0..40 {
+            let mut rng = crate::SmallRng::seed_from_u64(seed);
+            let mut base = Platform::aws_2020();
+            for mem in [512, 1024, 2048] {
+                base.deploy(spec(mem, 17)).unwrap();
+            }
+            let lanes = rng.range_inclusive(1, 9);
+            let shards: Vec<Platform> = (0..lanes)
+                .map(|lane| {
+                    let mut s = base.fork_empty();
+                    randomize(&mut s, &mut rng, lane);
+                    s
+                })
+                .collect();
+            randomize(&mut base, &mut rng, lanes);
+
+            let mut want = base.clone();
+            absorb_lane_by_lane(&mut want, shards.clone());
+            let mut got = base;
+            absorb_all(&mut got, shards);
+
+            for (w, g) in want.functions.iter().zip(&got.functions) {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&w.instances), bits(&g.instances), "seed {seed}: pool");
+                assert_eq!(w.cold_starts, g.cold_starts, "seed {seed}");
+                assert_eq!(w.pre_warmed, g.pre_warmed, "seed {seed}");
+                assert_eq!(
+                    w.idle_warm_s.to_bits(),
+                    g.idle_warm_s.to_bits(),
+                    "seed {seed}"
+                );
+                assert_eq!(
+                    w.idle_billed_until.to_bits(),
+                    g.idle_billed_until.to_bits(),
+                    "seed {seed}"
+                );
+            }
+            assert_eq!(want.invocations, got.invocations, "seed {seed}");
+            assert_eq!(want.total_cost().to_bits(), got.total_cost().to_bits());
+            for item in [
+                CostItem::LambdaCompute,
+                CostItem::LambdaRequest,
+                CostItem::StoragePut,
+                CostItem::WarmPoolIdle,
+            ] {
+                assert_eq!(
+                    want.ledger.total_of(item).to_bits(),
+                    got.ledger.total_of(item).to_bits(),
+                    "seed {seed}: {item:?}"
+                );
+            }
+            assert_eq!(want.ledger.len(), got.ledger.len(), "seed {seed}");
+            assert_eq!(want.store.num_keys(), got.store.num_keys(), "seed {seed}");
+        }
+    }
+
     #[test]
     fn begin_request_keys_fault_streams_by_request_index() {
         // The same request index draws the same fates regardless of what
