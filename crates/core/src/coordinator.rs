@@ -973,9 +973,7 @@ impl Coordinator {
                     self.serve_one_with(p, dep, start, scratch)
                 },
             );
-            for (shard, _) in shards {
-                platform.absorb_shard(shard);
-            }
+            platform.absorb_shards(shards.into_iter().map(|(shard, _)| shard).collect());
             results
         } else {
             let mut scratch = ServeScratch::for_deployment(dep);
@@ -1271,12 +1269,7 @@ impl Coordinator {
             idle_dollars += lane_idle_dollars;
             invocations += shard.invocation_count();
         }
-        platform
-            .store
-            .reserve(shards.iter().map(|s| s.store.num_keys()).sum());
-        for shard in shards {
-            platform.absorb_shard(shard);
-        }
+        platform.absorb_shards(shards);
         let mut fids: Vec<FunctionId> = functions.to_vec();
         fids.sort_by_key(|f| f.0);
         fids.dedup();

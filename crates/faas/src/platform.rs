@@ -487,7 +487,7 @@ impl Platform {
     /// performance law, warm-pool policy, fault plan, and deployed
     /// functions — but fresh (empty) warm pools, ledger, store, and
     /// counters. Shards simulate disjoint request slices and are merged
-    /// back with [`Platform::absorb_shard`].
+    /// back with [`Platform::absorb_shards`].
     ///
     /// Shard ledgers skip the itemized audit trail (totals still accrue
     /// and merge exactly) — the serving hot path charges several lines per
@@ -521,49 +521,54 @@ impl Platform {
         }
     }
 
-    /// Merges a shard produced by [`Platform::fork_empty`] back into this
-    /// platform: warm pools concatenate (re-sorted), cold-start and
-    /// invocation counters add, ledgers append, and stores merge by
-    /// re-interning (see [`ObjectStore::absorb`]). Absorbing shards in a
-    /// fixed order yields a deterministic merged state.
+    /// Merges one shard produced by [`Platform::fork_empty`] back into
+    /// this platform; see [`Platform::absorb_shards`].
     pub fn absorb_shard(&mut self, shard: Platform) {
-        assert_eq!(
-            self.functions.len(),
-            shard.functions.len(),
-            "shards must come from the same deployment"
-        );
-        for (mine, theirs) in self.functions.iter_mut().zip(shard.functions) {
-            // Both pools honor the sorted-free-time discipline, so a
-            // stable linear merge (ties keep `mine` first, matching the
-            // former extend-and-stable-sort) replaces the O(n log n) sort.
-            if mine.instances.is_empty() {
-                mine.instances = theirs.instances;
-            } else if !theirs.instances.is_empty() {
-                let a = std::mem::take(&mut mine.instances);
-                let b = theirs.instances;
-                let mut merged = Vec::with_capacity(a.len() + b.len());
-                let (mut i, mut j) = (0, 0);
-                while i < a.len() && j < b.len() {
-                    if a[i].total_cmp(&b[j]).is_le() {
-                        merged.push(a[i]);
-                        i += 1;
-                    } else {
-                        merged.push(b[j]);
-                        j += 1;
-                    }
-                }
-                merged.extend_from_slice(&a[i..]);
-                merged.extend_from_slice(&b[j..]);
-                mine.instances = merged;
-            }
-            mine.cold_starts += theirs.cold_starts;
-            mine.pre_warmed += theirs.pre_warmed;
-            mine.idle_warm_s += theirs.idle_warm_s;
-            mine.idle_billed_until = mine.idle_billed_until.max(theirs.idle_billed_until);
+        self.absorb_shards(vec![shard]);
+    }
+
+    /// Merges shards produced by [`Platform::fork_empty`] back into this
+    /// platform, in lane order: invocation counters add, ledgers append,
+    /// stores merge by re-interning (see [`ObjectStore::absorb`]), and
+    /// each function's warm pools concatenate and sort once, with its
+    /// cold-start, pre-warm and idle counters added lane by lane.
+    ///
+    /// One sort reproduces merging the shards one at a time: every pool
+    /// is sorted by `total_cmp`, and entries that compare equal under it
+    /// are bit-equal, so any sorted arrangement of the concatenation is
+    /// the same vector. Each shard's key table and pools are freed as soon
+    /// as they are copied, so the merge never holds two copies of them.
+    pub fn absorb_shards(&mut self, mut shards: Vec<Platform>) {
+        for shard in &shards {
+            assert_eq!(
+                self.functions.len(),
+                shard.functions.len(),
+                "shards must come from the same deployment"
+            );
         }
-        self.invocations += shard.invocations;
-        self.ledger.absorb(shard.ledger);
-        self.store.absorb(shard.store);
+        self.store
+            .reserve(shards.iter().map(|s| s.store.num_keys()).sum());
+        for shard in &mut shards {
+            self.invocations += shard.invocations;
+            self.ledger.absorb(std::mem::take(&mut shard.ledger));
+            let kind = shard.store.kind;
+            self.store
+                .absorb(std::mem::replace(&mut shard.store, ObjectStore::new(kind)));
+        }
+        for (f, mine) in self.functions.iter_mut().enumerate() {
+            let extra: usize = shards.iter().map(|s| s.functions[f].instances.len()).sum();
+            mine.instances.reserve(extra);
+            for shard in &mut shards {
+                let theirs = &mut shard.functions[f];
+                mine.instances
+                    .extend_from_slice(&std::mem::take(&mut theirs.instances));
+                mine.cold_starts += theirs.cold_starts;
+                mine.pre_warmed += theirs.pre_warmed;
+                mine.idle_warm_s += theirs.idle_warm_s;
+                mine.idle_billed_until = mine.idle_billed_until.max(theirs.idle_billed_until);
+            }
+            mine.instances.sort_unstable_by(f64::total_cmp);
+        }
     }
 
     /// Platform with lambda-level fault injection enabled.
@@ -1463,7 +1468,8 @@ mod tests {
         assert_eq!(base.total_cost(), serial.total_cost());
     }
 
-    /// The lane-by-lane merge that shard absorption must reproduce: for
+    /// The lane-by-lane merge [`Platform::absorb_shards`] replaced, kept
+    /// as the reference it must reproduce bit for bit: for
     /// each shard in lane order, a stable two-pointer merge of every
     /// function's pool (ties keep the base's entry first), then counters,
     /// ledger and store.
@@ -1535,13 +1541,6 @@ mod tests {
         }
     }
 
-    /// Merges `shards` into `base` through the production path.
-    fn absorb_all(base: &mut Platform, shards: Vec<Platform>) {
-        for shard in shards {
-            base.absorb_shard(shard);
-        }
-    }
-
     #[test]
     fn shard_absorb_matches_lane_by_lane_merge() {
         for seed in 0..40 {
@@ -1563,7 +1562,7 @@ mod tests {
             let mut want = base.clone();
             absorb_lane_by_lane(&mut want, shards.clone());
             let mut got = base;
-            absorb_all(&mut got, shards);
+            got.absorb_shards(shards);
 
             for (w, g) in want.functions.iter().zip(&got.functions) {
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
