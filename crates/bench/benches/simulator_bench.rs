@@ -127,6 +127,26 @@ fn bench_serving(b: &mut Bencher) {
         "DAG thread counts disagreed on dollars"
     );
 
+    // The same DAG at 4k requests: 64 lanes of ~60 requests each leave
+    // the merge of 64 shards' warm pools (47 functions, ~3k instances
+    // apiece) a large share of the trace, unlike the 100k rows above.
+    const DAG_REQUESTS: usize = 4_000;
+    let coord = Coordinator::new(dag_cfg.clone().with_serve_threads(1));
+    b.bench_items(
+        "open_loop_dag/inception_v3/4k/threads=1",
+        10,
+        DAG_REQUESTS,
+        || {
+            let mut platform = coord.platform();
+            let dep = coord
+                .deploy_dag(&mut platform, &inception, &dag_plan)
+                .unwrap();
+            coord
+                .serve_trace(&mut platform, &dep, &arrivals[..DAG_REQUESTS])
+                .last_completion_s
+        },
+    );
+
     // The key-interning / scratch-reuse win shows up serially: the same
     // engine, single lane, no threads — pure hot-path allocation savings.
     let seq_cfg = AmpsConfig::default();

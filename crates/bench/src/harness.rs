@@ -4,6 +4,9 @@
 //!
 //! Fast operations (µs-scale) are batched so each sample spans at least a
 //! millisecond; slow ones (the end-to-end optimizer) time single calls.
+//! Where `/proc/self/stat` is readable, each row also records the minor
+//! page faults per iteration, so a timing change can be told apart from a
+//! change in how the heap lays out.
 
 use ampsinf_model::json::Json;
 use std::hint::black_box;
@@ -27,6 +30,9 @@ pub struct BenchResult {
     /// Work items (e.g. simulated requests) each iteration processes;
     /// 0 when the benchmark has no natural item count.
     pub items: usize,
+    /// Minor page faults per timed iteration, process-wide; `None` when
+    /// `/proc/self/stat` is unreadable.
+    pub minflt_per_iter: Option<f64>,
 }
 
 impl BenchResult {
@@ -79,6 +85,7 @@ impl Bencher {
             1
         };
         let mut times = Vec::with_capacity(samples);
+        let faults_before = minor_faults();
         for _ in 0..samples {
             let t = Instant::now();
             for _ in 0..inner_iters {
@@ -86,6 +93,9 @@ impl Bencher {
             }
             times.push(t.elapsed().as_secs_f64() / inner_iters as f64);
         }
+        let minflt_per_iter = faults_before
+            .zip(minor_faults())
+            .map(|(before, after)| (after - before) as f64 / (samples * inner_iters) as f64);
         times.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let result = BenchResult {
             name: name.to_string(),
@@ -95,13 +105,18 @@ impl Bencher {
             median_s: times[times.len() / 2],
             mean_s: times.iter().sum::<f64>() / times.len() as f64,
             items,
+            minflt_per_iter,
         };
         let throughput = match result.throughput_req_s() {
             Some(t) => format!("  {:>10.0} req/s", t),
             None => String::new(),
         };
+        let faults = match result.minflt_per_iter {
+            Some(f) => format!("  {f:>8.1} flt/it"),
+            None => String::new(),
+        };
         println!(
-            "{:<44} min {:>10}  median {:>10}  mean {:>10}  ({} x {}){throughput}",
+            "{:<44} min {:>10}  median {:>10}  mean {:>10}  ({} x {}){throughput}{faults}",
             result.name,
             fmt_time(result.min_s),
             fmt_time(result.median_s),
@@ -134,6 +149,9 @@ impl Bencher {
                 if let Some(t) = r.throughput_req_s() {
                     fields.push(("items".into(), Json::from(r.items)));
                     fields.push(("throughput_req_s".into(), Json::Num(t)));
+                }
+                if let Some(f) = r.minflt_per_iter {
+                    fields.push(("minflt_per_iter".into(), Json::Num(f)));
                 }
                 Json::Obj(fields)
             })
@@ -202,6 +220,15 @@ impl Bencher {
     }
 }
 
+/// The process's minor page faults so far: field 10 of
+/// `/proc/self/stat`, counted after the parenthesized command name (which
+/// may itself hold spaces). `None` where the file is unreadable.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    let (_, fields) = stat.rsplit_once(')')?;
+    fields.split_whitespace().nth(7)?.parse().ok()
+}
+
 /// Human-friendly duration formatting.
 fn fmt_time(s: f64) -> String {
     if s < 1e-6 {
@@ -267,6 +294,23 @@ mod tests {
         assert!(b.compare_with_baseline(path.to_str().unwrap()));
         std::fs::remove_file(&path).ok();
         assert!(!b.compare_with_baseline("/nonexistent/baseline.json"));
+    }
+
+    #[test]
+    fn rows_record_minor_faults_when_proc_is_readable() {
+        let mut b = Bencher::new();
+        b.bench("faults", 2, || vec![1u8; 1 << 20].len());
+        let r = &b.results()[0];
+        match minor_faults() {
+            Some(_) => {
+                assert!(r.minflt_per_iter.is_some_and(|f| f >= 0.0));
+                assert!(b.to_json().contains("\"minflt_per_iter\""));
+            }
+            None => {
+                assert!(r.minflt_per_iter.is_none());
+                assert!(!b.to_json().contains("minflt_per_iter"));
+            }
+        }
     }
 
     #[test]

@@ -1450,14 +1450,15 @@ impl Coordinator {
     /// request across [`AmpsConfig::serve_lanes`] warm-pool shards,
     /// executed by up to [`AmpsConfig::serve_threads`] workers (0 =
     /// auto; never more than the machine's available parallelism, since
-    /// surplus workers would only spin on the queue lock). Every lane is a
+    /// surplus workers would only time-slice the same cores). Every lane is a
     /// self-contained task (shard platform, the caller-built per-lane
     /// state `init(requests, platform)` — given the lane's request indices
     /// and its shard platform: scratches, station pools, reserved key
     /// tables, anything —, result buffer, progress cursor) on a shared
     /// queue; workers pop a task, advance it one *chunk* of requests, and
-    /// either requeue it or deposit it in its lane slot when exhausted.
-    /// Chunking amortizes queue traffic while letting an idle worker steal
+    /// either requeue it or deposit it in its lane slot when exhausted; a
+    /// worker that finds the queue empty parks until a task is requeued or
+    /// the last lane finishes. Chunking amortizes queue traffic while letting an idle worker steal
     /// a heavy lane's remainder — under skewed per-request cost no worker
     /// sits idle watching one lane grind.
     ///
@@ -1488,8 +1489,8 @@ impl Coordinator {
     {
         let n = starts.len();
         let lanes = self.cfg.serve_lanes.max(1).min(n.max(1));
-        // More workers than cores only spin on the queue lock: an explicit
-        // thread count is capped at the machine's parallelism as well.
+        // More workers than cores only time-slice the same cores: an
+        // explicit thread count is capped at the machine's parallelism.
         let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
         let workers = match self.cfg.serve_threads {
             0 => cores,
@@ -1545,33 +1546,40 @@ impl Coordinator {
                 .collect()
         } else {
             use std::collections::VecDeque;
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            use std::sync::Mutex;
+            use std::sync::{Condvar, Mutex};
             const POISONED: &str = "a lane worker panicked";
-            let queue: Mutex<VecDeque<LaneTask<R, S>>> =
-                Mutex::new((0..lanes).map(new_task).collect());
-            let remaining = AtomicUsize::new(lanes);
+            // Pending tasks and the count of lanes not yet exhausted; an
+            // idle worker parks on `ready` until a task is requeued or the
+            // last lane finishes.
+            let queue: Mutex<(VecDeque<LaneTask<R, S>>, usize)> =
+                Mutex::new(((0..lanes).map(new_task).collect(), lanes));
+            let ready = Condvar::new();
             let slots: Mutex<Vec<LaneSlot<R, S>>> = Mutex::new((0..lanes).map(|_| None).collect());
             std::thread::scope(|s| {
                 for _ in 0..workers {
                     s.spawn(|| loop {
-                        let task = queue.lock().expect(POISONED).pop_front();
-                        match task {
-                            Some(mut task) => {
-                                if run_chunk(&mut task) {
-                                    slots.lock().expect(POISONED)[task.lane] =
-                                        Some((task.out, task.platform, task.state));
-                                    remaining.fetch_sub(1, Ordering::Release);
-                                } else {
-                                    queue.lock().expect(POISONED).push_back(task);
-                                }
+                        let mut q = queue.lock().expect(POISONED);
+                        let mut task = loop {
+                            if let Some(task) = q.0.pop_front() {
+                                break task;
                             }
-                            None => {
-                                if remaining.load(Ordering::Acquire) == 0 {
-                                    break;
-                                }
-                                std::thread::yield_now();
+                            if q.1 == 0 {
+                                return;
                             }
+                            q = ready.wait(q).expect(POISONED);
+                        };
+                        drop(q);
+                        if run_chunk(&mut task) {
+                            slots.lock().expect(POISONED)[task.lane] =
+                                Some((task.out, task.platform, task.state));
+                            let mut q = queue.lock().expect(POISONED);
+                            q.1 -= 1;
+                            if q.1 == 0 {
+                                ready.notify_all();
+                            }
+                        } else {
+                            queue.lock().expect(POISONED).0.push_back(task);
+                            ready.notify_one();
                         }
                     });
                 }
