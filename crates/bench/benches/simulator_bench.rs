@@ -134,7 +134,7 @@ fn bench_serving(b: &mut Bencher) {
     let coord = Coordinator::new(dag_cfg.clone().with_serve_threads(1));
     b.bench_items(
         "open_loop_dag/inception_v3/4k/threads=1",
-        10,
+        20,
         DAG_REQUESTS,
         || {
             let mut platform = coord.platform();
