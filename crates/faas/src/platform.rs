@@ -537,7 +537,7 @@ impl Platform {
     /// is sorted by `total_cmp`, and entries that compare equal under it
     /// are bit-equal, so any sorted arrangement of the concatenation is
     /// the same vector. Each shard's key table and pools are freed as soon
-    /// as they are copied, so the merge never holds two copies of them.
+    /// as they are copied, so no entry is ever held twice.
     pub fn absorb_shards(&mut self, mut shards: Vec<Platform>) {
         for shard in &shards {
             assert_eq!(
@@ -1469,10 +1469,9 @@ mod tests {
     }
 
     /// The lane-by-lane merge [`Platform::absorb_shards`] replaced, kept
-    /// as the reference it must reproduce bit for bit: for
-    /// each shard in lane order, a stable two-pointer merge of every
-    /// function's pool (ties keep the base's entry first), then counters,
-    /// ledger and store.
+    /// as the reference it must reproduce bit for bit: for each shard in
+    /// lane order, a stable two-pointer merge of every function's pool
+    /// (ties keep the base's entry first), then counters, ledger and store.
     fn absorb_lane_by_lane(base: &mut Platform, shards: Vec<Platform>) {
         for shard in shards {
             for (mine, theirs) in base.functions.iter_mut().zip(shard.functions) {
