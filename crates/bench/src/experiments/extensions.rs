@@ -185,7 +185,7 @@ pub fn ext_branches() -> Table {
 /// plans always span several partitions, so pipeline overlap is real;
 /// batch-aware plan, 10 batches of 10 images).
 pub fn ext_pipeline() -> Table {
-    use ampsinf_serving::batched::{run_batched_plan, run_pipelined_batches};
+    use super::{serve_batches, BatchMode};
     let g = zoo::resnet50();
     let cfg = AmpsConfig::default().with_batch(10);
     let plan = Optimizer::new(cfg.clone()).optimize(&g).unwrap().plan;
@@ -194,12 +194,14 @@ pub fn ext_pipeline() -> Table {
         "Batch execution modes over the same plan (100 images, 10 batches)",
         &["time (s)", "cost ($)"],
     );
-    let seq = run_batched_plan(&g, &plan, &cfg, 10, 10, false).unwrap();
-    t.row_all("sequential", &[seq.completion_s, seq.dollars]);
-    let pipe = run_pipelined_batches(&g, &plan, &cfg, 10, 10).unwrap();
-    t.row_all("pipelined", &[pipe.completion_s, pipe.dollars]);
-    let par = run_batched_plan(&g, &plan, &cfg, 10, 10, true).unwrap();
-    t.row_all("parallel", &[par.completion_s, par.dollars]);
+    for (label, mode) in [
+        ("sequential", BatchMode::Sequential),
+        ("pipelined", BatchMode::Pipelined),
+        ("parallel", BatchMode::Parallel),
+    ] {
+        let (time_s, dollars) = serve_batches(&g, &plan, &cfg, 10, 10, mode);
+        t.row_all(label, &[time_s, dollars]);
+    }
     t.notes = "Shape: pipelining overlaps batches across partition stages (steady-state \
                throughput = slowest stage) at sequential-mode cost; full parallelism is \
                fastest but pays a cold chain per batch. An execution-mode ladder beyond \

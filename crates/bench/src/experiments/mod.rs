@@ -10,6 +10,8 @@ mod sagemaker_cmp;
 mod sweep;
 
 use crate::Table;
+use ampsinf_core::{AmpsConfig, Coordinator, ExecutionPlan};
+use ampsinf_model::LayerGraph;
 
 /// An experiment id paired with the function that produces its table.
 pub type Experiment = (&'static str, fn() -> Table);
@@ -53,6 +55,51 @@ pub fn run(id: &str) -> Option<Table> {
         .into_iter()
         .find(|(eid, _)| *eid == id)
         .map(|(_, f)| f())
+}
+
+/// How a batch experiment serves its batches on the coordinator.
+#[derive(Debug, Clone, Copy)]
+enum BatchMode {
+    /// One batch after another (AMPS-Inf-Seq).
+    Sequential,
+    /// Every batch at once (AMPS-Inf's parallel mode).
+    Parallel,
+    /// Batches overlapping across the plan's stages.
+    Pipelined,
+}
+
+/// Deploys `plan` for batches of `batch` images on a fresh platform and
+/// serves `batches` of them in `mode`: `(completion_s, dollars)`, storage
+/// settled at the completion.
+fn serve_batches(
+    g: &LayerGraph,
+    plan: &ExecutionPlan,
+    cfg: &AmpsConfig,
+    batch: u64,
+    batches: usize,
+    mode: BatchMode,
+) -> (f64, f64) {
+    let coord = Coordinator::new(cfg.clone());
+    let mut platform = coord.platform();
+    let dep = coord.deploy_batch(&mut platform, g, plan, batch).unwrap();
+    let (completion_s, dollars) = match mode {
+        BatchMode::Sequential => {
+            let r = coord.serve_sequential(&mut platform, &dep, batches, 0.0);
+            (r.completion_s, r.dollars)
+        }
+        BatchMode::Parallel => {
+            let r = coord.serve_parallel(&mut platform, &dep, batches, 0.0);
+            (r.completion_s, r.dollars)
+        }
+        BatchMode::Pipelined => {
+            let r = coord.serve_pipelined(&mut platform, &dep, batches, 0.0);
+            (r.completion_s, r.dollars)
+        }
+    };
+    (
+        completion_s,
+        dollars + platform.settle_storage(completion_s),
+    )
 }
 
 #[cfg(test)]

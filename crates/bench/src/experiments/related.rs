@@ -1,11 +1,11 @@
 //! §5.3–5.4 related-system comparisons: Fig. 11 (SerFer), Table 5
 //! (10-image parallel batches vs SageMaker), Fig. 13 (BATCH).
 
+use super::{serve_batches, BatchMode};
 use crate::Table;
 use ampsinf_core::{AmpsConfig, Coordinator, Optimizer};
 use ampsinf_model::zoo;
 use ampsinf_serving::batch_baseline::run_batch_baseline;
-use ampsinf_serving::batched::run_batched_plan;
 use ampsinf_serving::sagemaker::{run_sagemaker, SageConfig, SageSetting};
 use ampsinf_serving::serfer::run_serfer;
 
@@ -106,13 +106,10 @@ pub fn fig13() -> Table {
         "BATCH",
         &[batch.completion_s, batch.dollars, 276.84, 0.0095],
     );
-    let seq = run_batched_plan(&g, &plan, &cfg, 10, 10, false).unwrap();
-    t.row_all(
-        "AMPS-Inf-Seq",
-        &[seq.completion_s, seq.dollars, 231.36, 0.0043],
-    );
-    let par = run_batched_plan(&g, &plan, &cfg, 10, 10, true).unwrap();
-    t.row_all("AMPS-Inf", &[par.completion_s, par.dollars, 42.61, 0.0042]);
+    let (seq_s, seq_dollars) = serve_batches(&g, &plan, &cfg, 10, 10, BatchMode::Sequential);
+    t.row_all("AMPS-Inf-Seq", &[seq_s, seq_dollars, 231.36, 0.0043]);
+    let (par_s, par_dollars) = serve_batches(&g, &plan, &cfg, 10, 10, BatchMode::Parallel);
+    t.row_all("AMPS-Inf", &[par_s, par_dollars, 42.61, 0.0042]);
     t.notes = "Shape: AMPS-Inf-Seq beats BATCH on both axes under the same sequential \
                batching policy (warm chain vs lambda-per-batch); parallel invocation then \
                collapses completion time by ~7×, still cheaper than BATCH. Deviation: our \

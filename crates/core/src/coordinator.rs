@@ -7,7 +7,8 @@
 //! Every plan is served as a DAG of partition lambdas. A branch-parallel
 //! [`DagPlan`] deploys as is ([`Coordinator::deploy_dag`]); the paper's
 //! chain ([`ExecutionPlan`]) is lowered through [`DagPlan::from_chain`]
-//! first ([`Coordinator::deploy`]), so a chain is simply a DAG whose every
+//! first ([`Coordinator::deploy`], or [`Coordinator::deploy_batch`] for
+//! requests of several images), so a chain is simply a DAG whose every
 //! node reads its predecessor's one object. Node `v` of a request starts
 //! at its *checkpoint-ready* instant — the latest completion among the
 //! producers of the objects it reads — and every batch, trace and
@@ -674,21 +675,42 @@ impl Coordinator {
         .with_warm_pool(self.cfg.warm_pool)
     }
 
-    /// Packages and deploys every partition of a chain `plan`: the chain
-    /// lowers through [`DagPlan::from_chain`] (one object per boundary,
-    /// carrying the cut's transfer bytes) into
-    /// [`deploy_dag`](Self::deploy_dag).
+    /// Packages and deploys every partition of a chain `plan` for one
+    /// image per request: [`deploy_batch`](Self::deploy_batch) at batch 1.
     pub fn deploy(
         &self,
         platform: &mut Platform,
         graph: &LayerGraph,
         plan: &ExecutionPlan,
     ) -> Result<Deployment, DeployError> {
+        self.deploy_batch(platform, graph, plan, 1)
+    }
+
+    /// Packages and deploys every partition of a chain `plan` for
+    /// requests of `batch` images each (paper §5.4): the chain lowers
+    /// through [`DagPlan::from_chain`] (one object per boundary, carrying
+    /// the cut's transfer bytes times `batch`) into the deploy path of
+    /// [`deploy_dag`](Self::deploy_dag), which scales every node's FLOPs,
+    /// activations and the root's input by `batch` while its weights stay
+    /// fixed — the same scaling as `Profile::batched`, so a plan made for
+    /// `batch` serves what it predicts. Every serving mode then runs
+    /// batches as its requests. A zero `batch` is
+    /// [`DeployError::InvalidPlan`].
+    pub fn deploy_batch(
+        &self,
+        platform: &mut Platform,
+        graph: &LayerGraph,
+        plan: &ExecutionPlan,
+        batch: u64,
+    ) -> Result<Deployment, DeployError> {
+        if batch == 0 {
+            return Err(DeployError::InvalidPlan("batch must be at least 1".into()));
+        }
         plan.validate(graph.num_layers())
             .map_err(DeployError::InvalidPlan)?;
         let boundary = graph.boundary_transfer_bytes();
-        let dag = DagPlan::from_chain(plan, |k| boundary[k]);
-        self.deploy_dag_with(platform, graph, &dag, &boundary)
+        let dag = DagPlan::from_chain(plan, |k| boundary[k] * batch);
+        self.deploy_dag_with(platform, graph, &dag, &boundary, batch)
     }
 
     /// Packages and deploys every node of a DAG `plan`.
@@ -701,32 +723,39 @@ impl Coordinator {
     /// a node's `/tmp` and resident footprint is the sum of the objects it
     /// reads (the root's image arrives with the trigger).
     ///
-    /// **Known batch fidelity gap.** Node work (FLOPs, activations, the
-    /// root's input) comes from the unbatched `graph.segment` and ignores
-    /// `cfg.batch_size`, while the planner's predictions and a DAG plan's
-    /// object bytes come from `Profile::batched`. At batch 1 served equals
-    /// predicted; above it the served run is cheaper and faster than the
-    /// plan says. At batch 64 ResNet-50's chain predicts 370.00 s /
-    /// $0.01493 and serves 31.70 s / $0.001184; Inception-v3's DAG predicts
-    /// 560.99 s / $0.02755 and serves 113.65 s / $0.005484.
+    /// **Known batch fidelity gap.** `deploy_dag` and
+    /// [`deploy`](Self::deploy) build node work (FLOPs, activations, the
+    /// root's input) for one image and ignore `cfg.batch_size`, while the
+    /// planner's predictions and a DAG plan's object bytes come from
+    /// `Profile::batched`. At batch 1 served equals predicted; above it
+    /// the served run is cheaper and faster than the plan says. At batch
+    /// 64 ResNet-50's chain predicts 370.00 s / $0.01493 and `deploy`
+    /// serves 31.70 s / $0.001184 (a chain deployed with
+    /// [`deploy_batch`](Self::deploy_batch) at 64 serves 370.00 s /
+    /// $0.01493); Inception-v3's DAG predicts 560.99 s / $0.02755 and
+    /// serves 113.65 s / $0.005484.
     pub fn deploy_dag(
         &self,
         platform: &mut Platform,
         graph: &LayerGraph,
         plan: &DagPlan,
     ) -> Result<Deployment, DeployError> {
-        self.deploy_dag_with(platform, graph, plan, &graph.boundary_transfer_bytes())
+        self.deploy_dag_with(platform, graph, plan, &graph.boundary_transfer_bytes(), 1)
     }
 
     /// [`deploy_dag`](Self::deploy_dag) with the graph's
     /// [`boundary_transfer_bytes`](LayerGraph::boundary_transfer_bytes)
-    /// table already built: every node's segment accounting reads it.
+    /// table already built (every node's segment accounting reads it), for
+    /// requests of `batch` images: each node's FLOPs, activation bytes and
+    /// the root's input bytes scale by `batch`; object bytes come from
+    /// `plan`.
     fn deploy_dag_with(
         &self,
         platform: &mut Platform,
         graph: &LayerGraph,
         plan: &DagPlan,
         boundary: &[u64],
+        batch: u64,
     ) -> Result<Deployment, DeployError> {
         plan.validate(graph.num_layers())
             .map_err(DeployError::InvalidPlan)?;
@@ -763,14 +792,16 @@ impl Coordinator {
             }
             writes_off.push(writes.len() as u32);
             let input_bytes = if reads.is_empty() {
-                work.seg.input_bytes
+                work.seg.input_bytes * batch
             } else {
                 reads.iter().map(|&o| plan.objects[o].bytes).sum()
             };
             scalars.push(NodeWork {
                 load_bytes: work.seg.weight_bytes,
-                flops: work.seg.flops,
-                resident_bytes: 2 * work.seg.weight_bytes + work.seg.activation_bytes + input_bytes,
+                flops: work.seg.flops * batch,
+                resident_bytes: 2 * work.seg.weight_bytes
+                    + work.seg.activation_bytes * batch
+                    + input_bytes,
                 tmp_bytes: work.seg.weight_bytes + input_bytes,
             });
         }

@@ -471,7 +471,7 @@ impl Optimizer {
         });
         let n = grid.slos.len();
         let mut points = grid_order(&groups, chains, n);
-        let pareto = mark_pareto(&mut points, grid.batches.len(), n);
+        let pareto = mark_frontier(&mut points, grid.batches.len(), n, true);
 
         let ok_shared = || shared_by_batch.iter().filter_map(|(_, s)| s.as_ref().ok());
         SweepReport {
@@ -655,7 +655,7 @@ impl Optimizer {
             }
         }
 
-        mark_pipeline_dominance(&mut points, grid.batches.len(), grid.slos.len());
+        mark_frontier(&mut points, grid.batches.len(), grid.slos.len(), false);
 
         // Grid-best: max steady throughput (min bottleneck), then min
         // cost, then earliest grid index.
@@ -928,23 +928,6 @@ fn mark_frontier<P: FrontierPoint>(
     pareto
 }
 
-/// Marks per-batch dominance over (bottleneck, cost) in place
-/// ([`mark_frontier`] without knees; exact ties keep the lower index).
-fn mark_pipeline_dominance(
-    points: &mut [PipelinePoint],
-    num_batches: usize,
-    slos_per_batch: usize,
-) {
-    mark_frontier(points, num_batches, slos_per_batch, false);
-}
-
-/// Marks per-batch dominance and knees in place; returns the ascending
-/// frontier indices ([`mark_frontier`] over the chain plans' (time,
-/// cost)).
-fn mark_pareto(points: &mut [SweepPoint], num_batches: usize, slos_per_batch: usize) -> Vec<usize> {
-    mark_frontier(points, num_batches, slos_per_batch, true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -999,7 +982,7 @@ mod tests {
             point(0.4, 1, 9.0, 1.7),
             point(0.5, 1, 9.5, 5.0), // dominated by (9.0, 1.7)? no: 9.5 > 9.0 and 5.0 > 1.7 → dominated
         ];
-        let pareto = mark_pareto(&mut pts, 1, 5);
+        let pareto = mark_frontier(&mut pts, 1, 5, true);
         assert_eq!(pareto, vec![0, 1, 2, 3]);
         assert!(pts[4].dominated);
         assert!(!pts[1].dominated);
@@ -1013,7 +996,7 @@ mod tests {
             point(0.1, 1, 1.0, 1.0),
             point(0.2, 1, 1.0, 1.0), // exact duplicate → dominated by index 0
         ];
-        let pareto = mark_pareto(&mut pts, 1, 2);
+        let pareto = mark_frontier(&mut pts, 1, 2, true);
         assert_eq!(pareto, vec![0]);
         assert!(!pts[0].dominated);
         assert!(pts[1].dominated);
@@ -1028,14 +1011,14 @@ mod tests {
             point(0.1, 8, 1.0, 1.0), // would dominate everything if global
             point(0.2, 8, 2.0, 2.0), // dominated within batch 8
         ];
-        let pareto = mark_pareto(&mut pts, 2, 2);
+        let pareto = mark_frontier(&mut pts, 2, 2, true);
         assert_eq!(pareto, vec![0, 2]);
     }
 
     #[test]
     fn short_frontier_has_no_knee() {
         let mut pts = vec![point(0.1, 1, 1.0, 2.0), point(0.2, 1, 2.0, 1.0)];
-        mark_pareto(&mut pts, 1, 2);
+        mark_frontier(&mut pts, 1, 2, true);
         assert!(pts.iter().all(|p| !p.knee));
     }
 
@@ -1043,7 +1026,7 @@ mod tests {
     fn infeasible_points_are_skipped_by_pareto() {
         let mut pts = vec![point(0.1, 1, 1.0, 1.0), point(0.2, 1, 2.0, 2.0)];
         pts[0].outcome = Err(OptimizeError::SloInfeasible);
-        let pareto = mark_pareto(&mut pts, 1, 2);
+        let pareto = mark_frontier(&mut pts, 1, 2, true);
         assert_eq!(pareto, vec![1]);
         assert!(!pts[1].dominated);
     }
@@ -1080,7 +1063,7 @@ mod tests {
             pipe_point(0.2, 8, 9.5, 9.5), // dominated within batch 8
             pipe_point(0.3, 8, 0.5, 9.9), // incomparable → kept
         ];
-        mark_pipeline_dominance(&mut pts, 2, 3);
+        mark_frontier(&mut pts, 2, 3, false);
         assert!(!pts[0].dominated);
         assert!(pts[1].dominated);
         assert!(!pts[2].dominated);

@@ -521,12 +521,6 @@ impl Platform {
         }
     }
 
-    /// Merges one shard produced by [`Platform::fork_empty`] back into
-    /// this platform; see [`Platform::absorb_shards`].
-    pub fn absorb_shard(&mut self, shard: Platform) {
-        self.absorb_shards(vec![shard]);
-    }
-
     /// Merges shards produced by [`Platform::fork_empty`] back into this
     /// platform, in lane order: invocation counters add, ledgers append,
     /// stores merge by re-interning (see [`ObjectStore::absorb`]), and
@@ -1460,8 +1454,8 @@ mod tests {
         let mut s2 = base.fork_empty();
         s1.invoke(idb, 0.0, &work).unwrap();
         s2.invoke(idb, 0.0, &work).unwrap();
-        base.absorb_shard(s1);
-        base.absorb_shard(s2);
+        base.absorb_shards(vec![s1]);
+        base.absorb_shards(vec![s2]);
         assert_eq!(base.cold_starts(idb), serial.cold_starts(id));
         assert_eq!(base.instance_count(idb), serial.instance_count(id));
         assert_eq!(base.invocation_count(), serial.invocation_count());

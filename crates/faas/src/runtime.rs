@@ -43,26 +43,6 @@ impl PartitionWork {
         }
     }
 
-    /// Work profiles for a list of contiguous partitions given by their
-    /// (inclusive) boundaries; `bounds` holds each partition's last layer
-    /// index, strictly increasing, ending at `num_layers()-1`.
-    pub fn chain(graph: &LayerGraph, bounds: &[usize]) -> Vec<Self> {
-        assert!(!bounds.is_empty(), "at least one partition required");
-        assert_eq!(
-            *bounds.last().unwrap(),
-            graph.num_layers() - 1,
-            "last partition must end at the final layer"
-        );
-        let mut start = 0usize;
-        let mut out = Vec::with_capacity(bounds.len());
-        for &end in bounds {
-            assert!(end >= start, "bounds must be strictly increasing");
-            out.push(Self::from_segment(graph, start, end));
-            start = end + 1;
-        }
-        out
-    }
-
     /// The unzipped deployment package for this partition: handler +
     /// dependency layer + weights layer (paper constraint (4) LHS:
     /// `y·e + D + F`).
@@ -97,29 +77,17 @@ impl PartitionWork {
         input_key: Option<ObjectKey>,
         output_key: Option<ObjectKey>,
     ) -> InvocationWork {
-        let mut work = InvocationWork::default();
-        self.invocation_into(&mut work, input_key, output_key);
-        work
-    }
-
-    /// Like [`invocation`](Self::invocation), but refills an existing
-    /// [`InvocationWork`] in place so serving loops can reuse one scratch
-    /// value per request instead of allocating fresh key vectors.
-    pub fn invocation_into(
-        &self,
-        work: &mut InvocationWork,
-        input_key: Option<ObjectKey>,
-        output_key: Option<ObjectKey>,
-    ) {
-        work.load_bytes = self.seg.weight_bytes;
-        work.flops = self.seg.flops;
-        work.resident_bytes = self.resident_bytes();
-        work.tmp_bytes = self.tmp_bytes();
-        work.reads.clear();
-        work.reads.extend(input_key);
-        work.writes.clear();
-        work.writes
-            .extend(output_key.map(|k| (k, self.seg.output_bytes)));
+        InvocationWork {
+            load_bytes: self.seg.weight_bytes,
+            flops: self.seg.flops,
+            resident_bytes: self.resident_bytes(),
+            tmp_bytes: self.tmp_bytes(),
+            reads: input_key.into_iter().collect(),
+            writes: output_key
+                .map(|k| (k, self.seg.output_bytes))
+                .into_iter()
+                .collect(),
+        }
     }
 }
 
@@ -255,8 +223,11 @@ mod tests {
     fn chain_bounds_partition_the_model() {
         let g = zoo::mobilenet_v1();
         let n = g.num_layers();
-        let parts = PartitionWork::chain(&g, &[30, 60, n - 1]);
-        assert_eq!(parts.len(), 3);
+        let parts = [
+            PartitionWork::from_segment(&g, 0, 30),
+            PartitionWork::from_segment(&g, 31, 60),
+            PartitionWork::from_segment(&g, 61, n - 1),
+        ];
         let total_w: u64 = parts.iter().map(|p| p.seg.weight_bytes).sum();
         assert_eq!(total_w, g.weight_bytes());
         // Adjacent boundary sizes agree.
@@ -267,7 +238,10 @@ mod tests {
     #[test]
     fn invocation_wiring() {
         let g = zoo::mobilenet_v1();
-        let parts = PartitionWork::chain(&g, &[40, g.num_layers() - 1]);
+        let parts = [
+            PartitionWork::from_segment(&g, 0, 40),
+            PartitionWork::from_segment(&g, 41, g.num_layers() - 1),
+        ];
         let mut store = crate::storage::ObjectStore::new(crate::storage::StoreKind::s3());
         let inter = store.intern("inter/0");
         let w0 = parts[0].invocation(None, Some(inter));
@@ -278,26 +252,18 @@ mod tests {
         assert_eq!(w1.reads, vec![inter]);
         assert!(w1.writes.is_empty());
         assert_eq!(w1.load_bytes, parts[1].seg.weight_bytes);
-        // The in-place variant refills scratch without reallocating keys.
-        let mut scratch = w0;
-        parts[1].invocation_into(&mut scratch, Some(inter), None);
-        assert_eq!(scratch, w1);
     }
 
     #[test]
     fn tmp_accounting_follows_constraint5() {
         let g = zoo::resnet50();
-        let parts = PartitionWork::chain(&g, &[80, g.num_layers() - 1]);
+        let parts = [
+            PartitionWork::from_segment(&g, 0, 80),
+            PartitionWork::from_segment(&g, 81, g.num_layers() - 1),
+        ];
         for p in &parts {
             assert_eq!(p.tmp_bytes(), p.seg.weight_bytes + p.seg.input_bytes);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "last partition must end")]
-    fn chain_requires_full_coverage() {
-        let g = zoo::mobilenet_v1();
-        PartitionWork::chain(&g, &[10, 20]);
     }
 
     #[test]

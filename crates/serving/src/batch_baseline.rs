@@ -5,10 +5,8 @@
 //! The paper's Fig. 13 setting: MobileNet, 100 images in 10 batches,
 //! 2,048 MB, sequential per-batch invocations.
 
-use crate::batched::batched_invocation;
-use ampsinf_core::AmpsConfig;
-use ampsinf_faas::platform::Platform;
-use ampsinf_faas::runtime::{whole_model, PartitionWork};
+use ampsinf_core::plan::{ExecutionPlan, PartitionPlan};
+use ampsinf_core::{AmpsConfig, Coordinator};
 use ampsinf_model::LayerGraph;
 
 /// Result of a BATCH run.
@@ -22,8 +20,8 @@ pub struct BatchBaselineReport {
     pub invocations: usize,
 }
 
-/// Runs BATCH: one single-function deployment, `num_batches` sequential
-/// invocations of `batch` images each at `memory_mb`.
+/// Runs BATCH: `num_batches` sequential invocations of `batch` images
+/// each, every one on its own single-function deployment at `memory_mb`.
 pub fn run_batch_baseline(
     graph: &LayerGraph,
     cfg: &AmpsConfig,
@@ -31,20 +29,32 @@ pub fn run_batch_baseline(
     batch: u64,
     num_batches: usize,
 ) -> Result<BatchBaselineReport, String> {
-    let mut platform = Platform::new(cfg.quotas, cfg.prices, cfg.perf, cfg.store);
-    let work: PartitionWork = whole_model(graph);
+    let coord = Coordinator::new(cfg.clone());
+    let mut platform = coord.platform();
+    let plan = ExecutionPlan {
+        model: graph.name.clone(),
+        partitions: vec![PartitionPlan {
+            start: 0,
+            end: graph.num_layers().saturating_sub(1),
+            memory_mb,
+        }],
+        predicted_time_s: 0.0,
+        predicted_cost: 0.0,
+    };
     // "BATCH sequentially invokes a lambda per batch" (paper §5.4): each
     // batch lands on a fresh function instance — no warm reuse — while
     // AMPS-Inf-Seq keeps re-invoking its deployed chain.
     let mut now = 0.0f64;
     let mut dollars = 0.0f64;
-    for b in 0..num_batches {
-        let spec = work.function_spec(format!("batch-{}-{b}", graph.name), memory_mb);
-        let (fid, _deploy) = platform.deploy(spec).map_err(|e| e.to_string())?;
-        let inv = batched_invocation(&work, batch, None, None);
-        let out = platform.invoke(fid, now, &inv).map_err(|e| e.to_string())?;
-        now = out.end;
-        dollars += out.dollars;
+    for _ in 0..num_batches {
+        let dep = coord
+            .deploy_batch(&mut platform, graph, &plan, batch)
+            .map_err(|e| e.to_string())?;
+        let r = coord
+            .serve_one(&mut platform, &dep, now, "batch")
+            .map_err(|e| e.to_string())?;
+        now += r.inference_s;
+        dollars += r.dollars;
     }
     Ok(BatchBaselineReport {
         completion_s: now,
@@ -56,9 +66,31 @@ pub fn run_batch_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batched::run_batched_plan;
     use ampsinf_core::Optimizer;
     use ampsinf_model::zoo;
+
+    /// AMPS-Inf over `plan`: ten batches of ten images, sequential or
+    /// parallel; `(completion_s, dollars)` with storage settled.
+    fn amps_batches(
+        g: &LayerGraph,
+        plan: &ExecutionPlan,
+        cfg: &AmpsConfig,
+        parallel: bool,
+    ) -> (f64, f64) {
+        let coord = Coordinator::new(cfg.clone());
+        let mut platform = coord.platform();
+        let dep = coord.deploy_batch(&mut platform, g, plan, 10).unwrap();
+        let r = if parallel {
+            coord.serve_parallel(&mut platform, &dep, 10, 0.0)
+        } else {
+            coord.serve_sequential(&mut platform, &dep, 10, 0.0)
+        };
+        assert_eq!(r.failed(), 0);
+        (
+            r.completion_s,
+            r.dollars + platform.settle_storage(r.completion_s),
+        )
+    }
 
     #[test]
     fn batch_rejects_unsplittable_models() {
@@ -81,16 +113,16 @@ mod tests {
         let cfg = AmpsConfig::default().with_batch(10);
         let batch = run_batch_baseline(&g, &cfg, 2048, 10, 10).unwrap();
         let plan = Optimizer::new(cfg.clone()).optimize(&g).unwrap().plan;
-        let seq = run_batched_plan(&g, &plan, &cfg, 10, 10, false).unwrap();
-        let par = run_batched_plan(&g, &plan, &cfg, 10, 10, true).unwrap();
+        let (seq_s, seq_dollars) = amps_batches(&g, &plan, &cfg, false);
+        let (par_s, _) = amps_batches(&g, &plan, &cfg, true);
         assert!(
-            seq.dollars < batch.dollars,
+            seq_dollars < batch.dollars,
             "seq ${} vs BATCH ${}",
-            seq.dollars,
+            seq_dollars,
             batch.dollars
         );
-        assert!(par.completion_s < seq.completion_s * 0.5);
-        assert!(par.completion_s < batch.completion_s * 0.5);
+        assert!(par_s < seq_s * 0.5);
+        assert!(par_s < batch.completion_s * 0.5);
     }
 
     #[test]

@@ -7,14 +7,17 @@
 //!   by Step Functions (≈15 s per state transition, paper footnote 2) with
 //!   an EC2 driver;
 //! * [`batch_baseline`] — BATCH \[23\]: single-lambda adaptive batching,
-//!   no model splitting;
-//! * [`batched`] — batched-chain execution used by both the BATCH
-//!   comparison and AMPS-Inf's own batch modes (§5.4);
+//!   no model splitting, one fresh lambda per batch;
 //! * [`loadgen`] — open-loop workloads over a deployed plan (chain or
 //!   branch-parallel DAG, both on the coordinator's one engine) with
 //!   seeded arrival shapes (Poisson, diurnal, flash crowd, bursts,
 //!   multi-tenant), warm-pool policy metrics, and an adaptive
 //!   plan-cache serving loop (the §2 "query load dynamics" scenario).
+//!
+//! AMPS-Inf's own batch modes (§5.4, Fig. 13) have no executor here
+//! either: `Coordinator::deploy_batch` deploys a plan for requests of
+//! `batch` images, and the coordinator's sequential, parallel and
+//! pipelined modes serve each batch as one request.
 //!
 //! Gillis-style weight slicing (§6's contrasted approach, which serves
 //! models whose single largest layer exceeds the deployment cap, such as
@@ -25,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod batch_baseline;
-pub mod batched;
 pub mod loadgen;
 pub mod sagemaker;
 pub mod serfer;

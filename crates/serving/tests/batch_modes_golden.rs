@@ -6,16 +6,18 @@
 //! BATCH \[23\] comparator. The expected `to_bits` of every run's
 //! deployment time, completion time and dollars (storage settled at the
 //! completion) were recorded from the dedicated batched-chain executors
-//! the coordinator's one engine replaced.
+//! that `Coordinator::deploy_batch` and the coordinator's serving modes
+//! replaced.
 //!
 //! Sequential, parallel and BATCH runs must match bit for bit. A
 //! pipelined run must match on its completion time; its dollars may
 //! differ by a few ulps, because the engine sums dollars per request
 //! before summing across requests.
 
-use ampsinf_core::{AmpsConfig, ExecutionPlan, Optimizer};
+use ampsinf_core::coordinator::Deployment;
+use ampsinf_core::{AmpsConfig, Coordinator, ExecutionPlan, Optimizer};
+use ampsinf_faas::platform::Platform;
 use ampsinf_model::{zoo, LayerGraph};
-use ampsinf_serving::batched::{run_batched_plan, run_pipelined_batches, BatchedRun};
 use ampsinf_serving::run_batch_baseline;
 
 /// How far apart a pipelined run's dollars may be, in ulps.
@@ -24,16 +26,8 @@ const PIPELINE_DOLLAR_ULPS: u64 = 4;
 /// `[deploy_s, completion_s, dollars]` as bits.
 type Bits = [u64; 3];
 
-fn bits(r: &BatchedRun) -> Bits {
-    [
-        r.deploy_s.to_bits(),
-        r.completion_s.to_bits(),
-        r.dollars.to_bits(),
-    ]
-}
-
 /// Sequential, parallel and pipelined runs of `batches` batches of
-/// `batch` images over `plan`.
+/// `batch` images over `plan`, each on a fresh platform.
 fn modes(
     graph: &LayerGraph,
     plan: &ExecutionPlan,
@@ -41,10 +35,35 @@ fn modes(
     batch: u64,
     batches: usize,
 ) -> [Bits; 3] {
-    let seq = run_batched_plan(graph, plan, cfg, batch, batches, false).unwrap();
-    let par = run_batched_plan(graph, plan, cfg, batch, batches, true).unwrap();
-    let pipe = run_pipelined_batches(graph, plan, cfg, batch, batches).unwrap();
-    [bits(&seq), bits(&par), bits(&pipe)]
+    let coord = Coordinator::new(cfg.clone());
+    let deployed = || {
+        let mut platform = coord.platform();
+        let dep = coord
+            .deploy_batch(&mut platform, graph, plan, batch)
+            .unwrap();
+        (platform, dep)
+    };
+    let bits = |mut platform: Platform, dep: &Deployment, completion_s: f64, dollars: f64| {
+        let dollars = dollars + platform.settle_storage(completion_s);
+        [
+            dep.deploy_s.to_bits(),
+            completion_s.to_bits(),
+            dollars.to_bits(),
+        ]
+    };
+    let (mut platform, dep) = deployed();
+    let seq = coord.serve_sequential(&mut platform, &dep, batches, 0.0);
+    assert_eq!(seq.failed(), 0);
+    let seq = bits(platform, &dep, seq.completion_s, seq.dollars);
+    let (mut platform, dep) = deployed();
+    let par = coord.serve_parallel(&mut platform, &dep, batches, 0.0);
+    assert_eq!(par.failed(), 0);
+    let par = bits(platform, &dep, par.completion_s, par.dollars);
+    let (mut platform, dep) = deployed();
+    let pipe = coord.serve_pipelined(&mut platform, &dep, batches, 0.0);
+    assert_eq!(pipe.failed, 0);
+    let pipe = bits(platform, &dep, pipe.completion_s, pipe.dollars);
+    [seq, par, pipe]
 }
 
 /// `[completion_s, dollars]` of BATCH at 2,048 MB as bits.

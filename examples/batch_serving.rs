@@ -8,7 +8,6 @@
 
 use amps_inf::prelude::*;
 use amps_inf::serving::batch_baseline::run_batch_baseline;
-use amps_inf::serving::batched::run_batched_plan;
 
 fn main() {
     let model = zoo::mobilenet_v1();
@@ -31,8 +30,25 @@ fn main() {
 
     let batch_sys =
         run_batch_baseline(&model, &cfg, 2048, batch, batches).expect("MobileNet fits one lambda");
-    let seq = run_batched_plan(&model, &plan, &cfg, batch, batches, false).unwrap();
-    let par = run_batched_plan(&model, &plan, &cfg, batch, batches, true).unwrap();
+    // AMPS-Inf deploys the plan for batches of `batch` images and serves
+    // each batch as one request of the coordinator's sequential and
+    // parallel modes.
+    let coord = Coordinator::new(cfg.clone());
+    let serve = |parallel: bool| {
+        let mut platform = coord.platform();
+        let dep = coord
+            .deploy_batch(&mut platform, &model, &plan, batch)
+            .unwrap();
+        let r = if parallel {
+            coord.serve_parallel(&mut platform, &dep, batches, 0.0)
+        } else {
+            coord.serve_sequential(&mut platform, &dep, batches, 0.0)
+        };
+        let dollars = r.dollars + platform.settle_storage(r.completion_s);
+        (r.completion_s, dollars)
+    };
+    let (seq_s, seq_dollars) = serve(false);
+    let (par_s, par_dollars) = serve(true);
 
     println!("{:<22} {:>12} {:>12}", "system", "time (s)", "cost ($)");
     println!(
@@ -41,11 +57,11 @@ fn main() {
     );
     println!(
         "{:<22} {:>12.2} {:>12.5}",
-        "AMPS-Inf-Seq", seq.completion_s, seq.dollars
+        "AMPS-Inf-Seq", seq_s, seq_dollars
     );
     println!(
         "{:<22} {:>12.2} {:>12.5}",
-        "AMPS-Inf (parallel)", par.completion_s, par.dollars
+        "AMPS-Inf (parallel)", par_s, par_dollars
     );
 
     println!(
