@@ -1413,6 +1413,87 @@ mod tests {
         assert_eq!(faulty, 0x8954_16cd_fb5d_f784, "disturbed {faulty:#018x}");
     }
 
+    /// ResNet-50 at batch 64 with tiers {1.0, 1.2, 1.5} × the chain's
+    /// unconstrained time: a chain at the tight tier, branch-parallel
+    /// plans above it.
+    fn resnet_dag_tiers() -> (LayerGraph, AmpsConfig, Vec<f64>) {
+        let g = zoo::resnet50();
+        let cfg = AmpsConfig {
+            batch_size: 64,
+            ..Default::default()
+        };
+        let free = Optimizer::new(cfg.clone())
+            .optimize(&g)
+            .unwrap()
+            .plan
+            .predicted_time_s;
+        (g, cfg, vec![free, free * 1.2, free * 1.5])
+    }
+
+    #[test]
+    fn dag_adaptive_loop_golden() {
+        let (g, cfg, tiers) = resnet_dag_tiers();
+        let grid = SweepGrid::from_slos(tiers.clone()).with_batches(vec![64]);
+        let sweep = Optimizer::new(cfg.clone()).optimize_dag_sweep(&g, &grid);
+        let dag_wins: Vec<bool> = sweep.points.iter().map(|p| p.dag.is_some()).collect();
+        assert_eq!(
+            dag_wins,
+            [false, true, true],
+            "DAG must win above the tight tier"
+        );
+        let adaptive = AdaptiveSpec::new(8, tiers);
+        let load = LoadSpec::poisson(2.0, 48, 33).with_shape(ArrivalShape::flash_crowd());
+        let run = |cfg: &AmpsConfig| {
+            let r = run_adaptive_loop_dag(&g, cfg, &load, &adaptive).unwrap();
+            // Only the tight tier is a chain, so a re-plan serves a DAG.
+            assert!(r.replans >= 1, "the flash crowd must force a re-plan");
+            r
+        };
+        let clean = golden(&cfg.clone().with_serve_lanes(4), run);
+        assert_eq!(clean, 0x665c_ac3a_e59c_eea8, "clean {clean:#018x}");
+        let faulty = golden(&disturbed(cfg), run);
+        assert_eq!(faulty, 0x9c66_9ee2_7fdf_d2f2, "disturbed {faulty:#018x}");
+    }
+
+    #[test]
+    fn adaptive_loop_falls_back_to_unconstrained_when_every_tier_fails() {
+        // 1 µs is infeasible: each of the 3 epochs probes the tier (a hit)
+        // and then the unconstrained plan, solved once (the one miss) and
+        // reused by the later epochs (2 more hits).
+        let (g, _plan, cfg) = setup();
+        let adaptive = AdaptiveSpec::new(4, vec![1e-6]);
+        let load = LoadSpec::poisson(2.0, 12, 5);
+        for r in [
+            run_adaptive_loop(&g, &cfg, &load, &adaptive).unwrap(),
+            run_adaptive_loop_dag(&g, &cfg, &load, &adaptive).unwrap(),
+        ] {
+            assert_eq!(r.latencies_s.len(), 12);
+            assert_eq!(r.plan_hits, 5);
+            assert_eq!(r.plan_misses, 1);
+            assert_eq!(r.replans, 0);
+        }
+    }
+
+    #[test]
+    fn duplicate_tiers_share_one_deployment() {
+        // Tiers 0 and 1 carry bit-equal SLOs and must deploy once.
+        let (g, plan, cfg) = setup();
+        let free = plan.predicted_time_s;
+        let adaptive = AdaptiveSpec::new(6, vec![free * 1.05, free * 1.05, free * 4.0]);
+        let load = LoadSpec::poisson(2.0, 48, 33).with_shape(ArrivalShape::flash_crowd());
+        let cfg = disturbed(cfg);
+        let chain = golden(&cfg, |cfg| {
+            run_adaptive_loop(&g, cfg, &load, &adaptive).unwrap()
+        });
+        assert_eq!(chain, 0xe30d_b40c_1ca2_fd4e, "chain {chain:#018x}");
+        // MobileNet has no branches, so the DAG controller serves the
+        // same chains.
+        let dag = golden(&cfg, |cfg| {
+            run_adaptive_loop_dag(&g, cfg, &load, &adaptive).unwrap()
+        });
+        assert_eq!(dag, chain, "dag {dag:#018x}");
+    }
+
     #[test]
     fn adaptive_loop_is_thread_invariant() {
         let (g, plan, cfg) = setup();

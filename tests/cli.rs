@@ -159,6 +159,25 @@ fn serve_dag_runs_every_serving_mode() {
 }
 
 #[test]
+fn adaptive_fallback_solves_the_unconstrained_plan_once() {
+    // No plan meets 1 ns: both epochs probe the tier (hits), then fall
+    // back to the unconstrained plan, solved on the first probe only.
+    for dag in [false, true] {
+        let mut args = vec!["serve", "mobilenet", "--requests", "10", "--rate", "2"];
+        args.extend(["--adaptive", "--slo-tiers", "1e-9"]);
+        if dag {
+            args.push("--dag");
+        }
+        let (stdout, stderr, ok) = run(&args);
+        assert!(ok, "--dag {dag}: {stderr}");
+        assert!(
+            stdout.contains("plan cache: 1 hit(s), 1 miss(es), 0 re-plan(s)"),
+            "--dag {dag}: {stdout}"
+        );
+    }
+}
+
+#[test]
 fn in_range_planning_flags_still_plan() {
     for (flag, value) in [("--tolerance", "0"), ("--batch", "2"), ("--slo", "30")] {
         let (stdout, stderr, ok) = run(&["plan", "mobilenet", flag, value]);
