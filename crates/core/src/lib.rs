@@ -23,8 +23,6 @@
 //! * [`coordinator`] — the Coordinator component: package partitions,
 //!   deploy, run every plan (chains lowered to DAGs) as invocations that
 //!   hand tensors over through storage, return predictions;
-//! * [`plancache`] — the online `(model, SLO, batch) → plan` cache the
-//!   adaptive serving loop consults when load shifts SLO pressure;
 //! * [`plan`] — serializable execution/provisioning plans.
 
 #![warn(missing_docs)]
@@ -37,7 +35,6 @@ pub mod cuts;
 pub mod miqp_build;
 pub mod optimizer;
 pub mod plan;
-pub mod plancache;
 mod polish;
 pub mod sweep;
 pub mod trace;
@@ -48,10 +45,7 @@ pub use coordinator::{
     PipelineStats, RequestSummary, RetryRecord, ServeError, TraceReport,
 };
 pub use optimizer::{DagReport, DagSearchStats, OptimizeError, Optimizer};
-pub use plan::{
-    DagNode, DagObject, DagPlan, EffectivePlan, ExecutionPlan, PartitionPlan, PipelinePlan,
-};
-pub use plancache::PlanCache;
+pub use plan::{DagNode, DagObject, DagPlan, ExecutionPlan, PartitionPlan, PipelinePlan};
 pub use sweep::{
     DagSweepPoint, DagSweepReport, PipelinePoint, PipelineSweepReport, PointStats, SweepGrid,
     SweepPoint, SweepReport,
@@ -59,10 +53,10 @@ pub use sweep::{
 pub use trace::Timeline;
 
 /// A `HashMap` hashed with unkeyed SipHash instead of `RandomState`'s
-/// per-process random keys. The planner's memo tables and the plan cache
-/// iterate and drop their entries in hash order; with a fixed hasher that
-/// order, and so the heap layout and timing it leaves behind, is the same
-/// in every process instead of changing from one run to the next.
+/// per-process random keys. The planner's memo tables iterate and drop
+/// their entries in hash order; with a fixed hasher that order, and so
+/// the heap layout and timing it leaves behind, is the same in every
+/// process instead of changing from one run to the next.
 pub(crate) type FixedHashMap<K, V> = std::collections::HashMap<
     K,
     V,

@@ -489,58 +489,6 @@ impl std::fmt::Display for DagPlan {
     }
 }
 
-/// The plan the optimizer actually recommends deploying at a point:
-/// the branch-parallel [`DagPlan`] when the DAG search beat the chain
-/// under the twin objectives, otherwise the chain [`ExecutionPlan`]
-/// incumbent. [`crate::PlanCache`] stores these so an adaptive DAG
-/// serving loop can hold chain and DAG tiers side by side and deploy
-/// either through the coordinator's one engine (chains via
-/// [`DagPlan::from_chain`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum EffectivePlan {
-    /// The chain incumbent stands at this point.
-    Chain(ExecutionPlan),
-    /// A branch-parallel plan beat the chain at this point.
-    Dag(DagPlan),
-}
-
-impl EffectivePlan {
-    /// Predicted end-to-end latency, seconds (critical path for DAGs).
-    pub fn predicted_time_s(&self) -> f64 {
-        match self {
-            EffectivePlan::Chain(p) => p.predicted_time_s,
-            EffectivePlan::Dag(p) => p.predicted_time_s,
-        }
-    }
-
-    /// Predicted per-inference dollars.
-    pub fn predicted_cost(&self) -> f64 {
-        match self {
-            EffectivePlan::Chain(p) => p.predicted_cost,
-            EffectivePlan::Dag(p) => p.predicted_cost,
-        }
-    }
-
-    /// Lambdas the plan provisions.
-    pub fn num_lambdas(&self) -> usize {
-        match self {
-            EffectivePlan::Chain(p) => p.num_lambdas(),
-            EffectivePlan::Dag(p) => p.num_lambdas(),
-        }
-    }
-
-    /// The plan as a [`DagPlan`] ready for `deploy_dag`: DAGs pass
-    /// through, chains wrap via [`DagPlan::from_chain`] with
-    /// `boundary_bytes` supplying each cut's transfer size (typically
-    /// `|k| graph.cut_transfer_bytes(k)`).
-    pub fn to_dag(&self, boundary_bytes: impl Fn(usize) -> u64) -> DagPlan {
-        match self {
-            EffectivePlan::Chain(p) => DagPlan::from_chain(p, boundary_bytes),
-            EffectivePlan::Dag(p) => p.clone(),
-        }
-    }
-}
-
 /// An [`ExecutionPlan`] annotated with its pipelined stage timing — the
 /// joint batch–partition planner's output (DESIGN.md §6e). Under
 /// pipelined execution throughput is bound by the *bottleneck* stage, not

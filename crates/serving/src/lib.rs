@@ -12,7 +12,8 @@
 //!   branch-parallel DAG, both on the coordinator's one engine) with
 //!   seeded arrival shapes (Poisson, diurnal, flash crowd, bursts,
 //!   multi-tenant), warm-pool policy metrics, and an adaptive
-//!   plan-cache serving loop (the §2 "query load dynamics" scenario).
+//!   controller that switches between SLO tiers planned up front by one
+//!   sweep (the §2 "query load dynamics" scenario).
 //!
 //! AMPS-Inf's own batch modes (§5.4, Fig. 13) have no executor here
 //! either: `Coordinator::deploy_batch` deploys a plan for requests of

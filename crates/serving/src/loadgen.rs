@@ -1,4 +1,4 @@
-//! Open-loop load generation over a deployed AMPS-Inf chain.
+//! Open-loop load generation over a deployed AMPS-Inf plan.
 //!
 //! The paper motivates serverless serving with its ability "to quickly
 //! adapt to the query load dynamics" (§2). This module exercises exactly
@@ -11,19 +11,17 @@
 //! cost and dollars — the numbers an operator would use to pick an SLO
 //! and a provisioning policy for the optimizer.
 //!
-//! [`run_adaptive_loop`] closes the loop: an online plan cache
-//! ([`PlanCache`], seeded from one amortized sweep) lets the coordinator
-//! re-plan between load epochs when the arrival rate shifts the SLO
-//! pressure, switching chains mid-run without ever solving on the
-//! serving path more than once per `(SLO, batch)` point.
+//! [`run_adaptive_loop`] closes the loop: one amortized sweep plans every
+//! SLO tier up front, and the coordinator re-plans between load epochs
+//! when the arrival rate shifts the SLO pressure, switching plans mid-run
+//! without solving on the serving path — except for the unconstrained
+//! fallback when every tier is infeasible, solved once.
 
 use std::collections::HashMap;
 
 use ampsinf_core::plan::{DagPlan, ExecutionPlan};
 use ampsinf_core::sweep::SweepGrid;
-use ampsinf_core::{
-    AmpsConfig, Coordinator, DagNodeStats, Deployment, Optimizer, PlanCache, TraceReport,
-};
+use ampsinf_core::{AmpsConfig, Coordinator, DagNodeStats, Deployment, Optimizer, TraceReport};
 use ampsinf_faas::SmallRng;
 use ampsinf_model::LayerGraph;
 
@@ -312,9 +310,12 @@ pub struct LoadReport {
     /// Dollars billed for that idle time (0 unless the policy bills
     /// provisioned capacity; included in [`dollars`](Self::dollars)).
     pub idle_dollars: f64,
-    /// Plan-cache lookups served without solving (adaptive runs only).
+    /// Controller plan probes answered without solving: every SLO-tier
+    /// probe (the tier sweep planned them all), plus every probe of the
+    /// unconstrained fallback after its first (adaptive runs only).
     pub plan_hits: u64,
-    /// Plan-cache lookups that ran the optimizer (adaptive runs only).
+    /// Controller plan probes that ran the optimizer: 1 when the
+    /// unconstrained fallback was solved, else 0 (adaptive runs only).
     pub plan_misses: u64,
     /// Epoch boundaries where the adaptive controller switched to a
     /// different plan (adaptive runs only).
@@ -521,8 +522,8 @@ impl AdaptiveSpec {
 /// Runs an open-loop workload with online re-planning between epochs,
 /// over chain plans.
 ///
-/// The plan cache is seeded by one amortized [`Optimizer::optimize_sweep`]
-/// over the spec's SLO tiers; each tier's chain is lowered through
+/// One amortized [`Optimizer::optimize_sweep`] over the spec's SLO tiers
+/// plans every tier; each tier's chain is lowered through
 /// [`DagPlan::from_chain`]. See [`run_adaptive_loop_dag`] for the
 /// controller itself.
 pub fn run_adaptive_loop(
@@ -531,35 +532,34 @@ pub fn run_adaptive_loop(
     load: &LoadSpec,
     adaptive: &AdaptiveSpec,
 ) -> Result<LoadReport, String> {
+    let arrivals = adaptive_arrivals(cfg, load)?;
     let boundary = graph.boundary_transfer_bytes();
-    adaptive_loop(
-        graph,
-        cfg,
-        load,
-        adaptive,
-        |cache, grid| {
-            let sweep = Optimizer::new(cfg.clone()).optimize_sweep(graph, grid);
-            cache.seed_from_sweep(&graph.name, &sweep);
-        },
-        |cache, slo| cache.get_or_plan(graph, cfg, slo, cfg.batch_size).ok(),
-        |plan| DagPlan::from_chain(plan, |k| boundary[k]),
-    )
+    let lower = |plan: &ExecutionPlan| DagPlan::from_chain(plan, |k| boundary[k]);
+    let sweep = Optimizer::new(cfg.clone()).optimize_sweep(graph, &tier_grid(cfg, adaptive));
+    let tiers = sweep
+        .points
+        .iter()
+        .map(|p| p.outcome.as_ref().ok().map(lower))
+        .collect();
+    let unconstrained = || {
+        let r = Optimizer::new(unconstrained_cfg(cfg)).optimize(graph);
+        r.ok().map(|r| lower(&r.plan))
+    };
+    adaptive_loop(graph, cfg, load, adaptive, &arrivals, tiers, unconstrained)
 }
 
-/// Runs an open-loop workload with online re-planning over *effective*
-/// plans — chain or branch-parallel DAG, whichever the twin-objective
-/// search recommends per SLO tier.
+/// Runs an open-loop workload with online re-planning over the plans the
+/// chain-vs-DAG planner recommends — the branch-parallel plan where it
+/// beats the chain, the chain (lowered through [`DagPlan::from_chain`])
+/// elsewhere.
 ///
-/// The cache is seeded by one amortized [`Optimizer::optimize_dag_sweep`]
-/// over the spec's tiers, so each tier resolves to an
-/// [`EffectivePlan`](ampsinf_core::EffectivePlan)
-/// without ever solving on the serving path. The controller then walks
+/// One amortized [`Optimizer::optimize_dag_sweep`] over the spec's tiers
+/// plans every tier before the first request. The controller then walks
 /// the arrival trace in epochs of [`AdaptiveSpec::epoch_requests`]: each
 /// epoch's observed arrival rate maps to a pressure in `(0, 1)` against
 /// the spec's mean rate, the pressure picks an SLO tier (hot epochs →
-/// tight tiers), and the tier's plan comes from the cache — solving at
-/// most once per `(SLO, batch)` point, with infeasible tiers falling
-/// back loose-ward and finally to an unconstrained plan. Each distinct
+/// tight tiers), and infeasible tiers fall back loose-ward and finally to
+/// an unconstrained plan, solved on its first use only. Each distinct
 /// plan is deployed once; requests then run on
 /// [`Coordinator::serve_trace_assigned`] with a per-epoch assignment that
 /// is a pure function of the request index, so the report stays
@@ -572,39 +572,25 @@ pub fn run_adaptive_loop_dag(
     load: &LoadSpec,
     adaptive: &AdaptiveSpec,
 ) -> Result<LoadReport, String> {
+    let arrivals = adaptive_arrivals(cfg, load)?;
     let boundary = graph.boundary_transfer_bytes();
-    adaptive_loop(
-        graph,
-        cfg,
-        load,
-        adaptive,
-        |cache, grid| {
-            let sweep = Optimizer::new(cfg.clone()).optimize_dag_sweep(graph, grid);
-            cache.seed_from_dag_sweep(&graph.name, &sweep);
-        },
-        |cache, slo| {
-            cache
-                .get_or_plan_effective(graph, cfg, slo, cfg.batch_size)
-                .ok()
-        },
-        |plan| plan.to_dag(|k| boundary[k]),
-    )
+    let lower = |plan: &ExecutionPlan| DagPlan::from_chain(plan, |k| boundary[k]);
+    let sweep = Optimizer::new(cfg.clone()).optimize_dag_sweep(graph, &tier_grid(cfg, adaptive));
+    let tiers = sweep
+        .points
+        .into_iter()
+        .map(|p| p.dag.or_else(|| p.outcome.as_ref().ok().map(lower)))
+        .collect();
+    let unconstrained = || {
+        let r = Optimizer::new(unconstrained_cfg(cfg)).optimize_dag(graph);
+        r.ok()
+            .map(|r| r.dag.unwrap_or_else(|| lower(&r.chain.plan)))
+    };
+    adaptive_loop(graph, cfg, load, adaptive, &arrivals, tiers, unconstrained)
 }
 
-/// The adaptive controller both entry points share: `seed` fills the
-/// plan cache from one sweep over the tier grid, `resolve` looks a tier
-/// (`None` = unconstrained) up in it (`None` when the tier is
-/// infeasible), and `lower` turns a tier's plan into the DAG deployed the
-/// first time the tier is chosen.
-fn adaptive_loop<P>(
-    graph: &LayerGraph,
-    cfg: &AmpsConfig,
-    load: &LoadSpec,
-    adaptive: &AdaptiveSpec,
-    seed: impl FnOnce(&mut PlanCache, &SweepGrid),
-    mut resolve: impl FnMut(&mut PlanCache, Option<f64>) -> Option<P>,
-    lower: impl Fn(&P) -> DagPlan,
-) -> Result<LoadReport, String> {
+/// The arrival trace of an adaptive run, or why the run cannot start.
+fn adaptive_arrivals(cfg: &AmpsConfig, load: &LoadSpec) -> Result<Vec<f64>, String> {
     let arrivals = checked_arrivals(load)?;
     if arrivals.is_empty() {
         return Err("adaptive run needs at least one request".into());
@@ -617,14 +603,41 @@ fn adaptive_loop<P>(
                 .into(),
         );
     }
+    Ok(arrivals)
+}
+
+/// The spec's tiers at the config's batch: grid point `i` is tier `i`.
+fn tier_grid(cfg: &AmpsConfig, adaptive: &AdaptiveSpec) -> SweepGrid {
+    SweepGrid::from_slos(adaptive.slo_tiers.clone()).with_batches(vec![cfg.batch_size])
+}
+
+/// `cfg` without an SLO: the controller's last resort.
+fn unconstrained_cfg(cfg: &AmpsConfig) -> AmpsConfig {
+    AmpsConfig {
+        slo_s: None,
+        ..cfg.clone()
+    }
+}
+
+/// The adaptive controller both entry points share. `tiers[i]` is tier
+/// `i`'s deployable plan (`None` when the tier is infeasible);
+/// `unconstrained` solves the no-SLO fallback, called at most once. Every
+/// tier probe counts as a plan hit; the fallback's solve is the one miss
+/// and its later probes are hits.
+fn adaptive_loop(
+    graph: &LayerGraph,
+    cfg: &AmpsConfig,
+    load: &LoadSpec,
+    adaptive: &AdaptiveSpec,
+    arrivals: &[f64],
+    tiers: Vec<Option<DagPlan>>,
+    unconstrained: impl Fn() -> Option<DagPlan>,
+) -> Result<LoadReport, String> {
     let n_tiers = adaptive.slo_tiers.len();
-
-    let mut cache = PlanCache::new();
-    let grid = SweepGrid::from_slos(adaptive.slo_tiers.clone()).with_batches(vec![cfg.batch_size]);
-    seed(&mut cache, &grid);
-
     let coord = Coordinator::new(cfg.clone());
     let mut platform = coord.platform();
+    let mut fallback: Option<Option<DagPlan>> = None;
+    let mut probes = 0u64;
     let mut deps: Vec<Deployment> = Vec::new();
     let mut dep_of_tier: HashMap<Option<u64>, usize> = HashMap::new();
     let mut epoch_dep: Vec<usize> = Vec::new();
@@ -641,21 +654,26 @@ fn adaptive_loop<P>(
         let tier = (((1.0 - pressure) * n_tiers as f64) as usize).min(n_tiers - 1);
 
         // Tier → plan, falling back loose-ward, then unconstrained.
-        let Some((slo, plan)) = adaptive.slo_tiers[tier..]
+        let feasible = adaptive.slo_tiers[tier..]
             .iter()
-            .copied()
-            .map(Some)
-            .chain([None])
-            .find_map(|slo| Some((slo, resolve(&mut cache, slo)?)))
-        else {
-            return Err("no feasible plan at any SLO tier".into());
+            .zip(&tiers[tier..])
+            .find_map(|(slo, plan)| {
+                probes += 1;
+                Some((Some(slo.to_bits()), plan.as_ref()?))
+            });
+        let (key, plan) = match feasible {
+            Some(chosen) => chosen,
+            None => {
+                probes += 1;
+                let plan = fallback.get_or_insert_with(&unconstrained).as_ref();
+                (None, plan.ok_or("no feasible plan at any SLO tier")?)
+            }
         };
-        let key = slo.map(f64::to_bits);
         let dep_idx = match dep_of_tier.get(&key) {
             Some(&i) => i,
             None => {
                 let dep = coord
-                    .deploy_dag(&mut platform, graph, &lower(&plan))
+                    .deploy_dag(&mut platform, graph, plan)
                     .map_err(|e| e.to_string())?;
                 deps.push(dep);
                 dep_of_tier.insert(key, deps.len() - 1);
@@ -673,11 +691,11 @@ fn adaptive_loop<P>(
         &mut platform,
         &deps,
         &|i| epoch_dep[i / epoch_requests],
-        &arrivals,
+        arrivals,
     );
-    let mut report = report_from_trace(&trace, &arrivals, load, cfg);
-    report.plan_hits = cache.hits();
-    report.plan_misses = cache.misses();
+    let mut report = report_from_trace(&trace, arrivals, load, cfg);
+    report.plan_misses = u64::from(fallback.is_some());
+    report.plan_hits = probes - report.plan_misses;
     report.replans = replans;
     Ok(report)
 }

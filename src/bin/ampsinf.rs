@@ -34,6 +34,9 @@ fn run(args: &[String]) -> i32 {
         usage();
         return 2;
     };
+    if let Err(e) = check_flags(&args[1..]) {
+        return fail(&e);
+    }
     match cmd.as_str() {
         "models" => {
             for name in [
@@ -1017,9 +1020,9 @@ fn usage() {
            --pipe-depth <n>     stations per stage per lane (default 1; n\n\
                                 requests may occupy one stage concurrently,\n\
                                 requires --pipeline)\n\
-           --adaptive           load mode: re-plan between epochs from an\n\
-                                online (SLO, batch) plan cache seeded by an\n\
-                                amortized sweep (requires --slo-tiers)\n\
+           --adaptive           load mode: re-plan between epochs over the\n\
+                                SLO tiers, every tier planned up front by\n\
+                                one amortized sweep (requires --slo-tiers)\n\
            --slo-tiers <a,b,..> adaptive SLO tiers in seconds, tight to loose\n\
            --epoch <n>          requests per adaptive control epoch\n\
                                 (default 64)\n\
@@ -1094,6 +1097,30 @@ fn print_dag_search_stats(s: &amps_inf::core::DagSearchStats) {
         s.spine_spans_solved,
         s.search_time
     );
+}
+
+/// The flags `usage()` documents: switches, and flags that take a value.
+const SWITCHES: &str = "--adaptive --dag --no-seed --parallel --pipeline --quota-2021 --verbose";
+const VALUE_FLAGS: &str = "--backoff --batch --batches --epoch --fault-seed --flaky-store \
+    --images --inject-faults --json --lanes --pipe-depth --points --policy --quantize --rate \
+    --requests --retries --shape --slo --slo-from --slo-tiers --slo-to --threads --tolerance";
+
+/// Rejects an unknown `--` flag, and a value flag with no value after it.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        let listed = |table: &str| table.split_whitespace().any(|f| f == a);
+        if !a.starts_with("--") || listed(SWITCHES) {
+            continue;
+        }
+        if !listed(VALUE_FLAGS) {
+            return Err(format!("unknown flag {a} (run `ampsinf` for usage)"));
+        }
+        if rest.next().is_none() {
+            return Err(format!("{a} needs a value"));
+        }
+    }
+    Ok(())
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {

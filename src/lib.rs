@@ -56,8 +56,8 @@ pub use ampsinf_solver as solver;
 /// One-line imports for applications.
 pub mod prelude {
     pub use ampsinf_core::{
-        AmpsConfig, BatchReport, Coordinator, DagNodeStats, DagPlan, DagReport, EffectivePlan,
-        ExecutionPlan, Optimizer, PartitionPlan, ServeError,
+        AmpsConfig, BatchReport, Coordinator, DagNodeStats, DagPlan, DagReport, ExecutionPlan,
+        Optimizer, PartitionPlan, ServeError,
     };
     pub use ampsinf_faas::{FaultPlan, PerfModel, Platform, PriceSheet, Quotas, StoreKind};
     pub use ampsinf_model::{zoo, LayerGraph, LayerOp, TensorShape};

@@ -85,6 +85,28 @@ fn bad_flag_value_fails_cleanly() {
 }
 
 #[test]
+fn unknown_and_valueless_flags_fail_cleanly() {
+    // Each of these used to exit 0 with the flag ignored.
+    let serve = ["serve", "mobilenet", "--requests", "10", "--rate", "2"];
+    let flaky = [&serve[..], &["--flaky", "1.5"]].concat();
+    let cases: [(&[&str], &str); 3] = [
+        (&["plan", "mobilenet", "--sol", "5"], "unknown flag --sol"),
+        (&["plan", "mobilenet", "--batch"], "--batch needs a value"),
+        (&flaky, "unknown flag --flaky"),
+    ];
+    for (args, msg) in cases {
+        let (stdout, stderr, ok) = run(args);
+        let label = args.join(" ");
+        assert!(!ok, "{label} should fail");
+        assert!(
+            stderr.contains(&format!("error: {msg}")),
+            "{label}: {stderr}"
+        );
+        assert!(stdout.is_empty(), "{label}: {stdout}");
+    }
+}
+
+#[test]
 fn out_of_range_planning_flags_fail_cleanly() {
     // Each of these used to reach a library assert or an empty winner
     // set and panic; they must be rejected up front with a clear error.
