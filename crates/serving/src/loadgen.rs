@@ -1255,11 +1255,11 @@ mod tests {
 
     #[test]
     fn dag_adaptive_loop_swaps_effective_plans_and_stays_thread_invariant() {
-        // The effective-plan controller on a chain model: every tier's
-        // effective plan is the chain incumbent wrapped as a degenerate
-        // DAG, deployed through the one DAG engine. The flash crowd must
-        // force a re-plan, the seeded cache must serve every epoch, and
-        // the report must be bit-identical at every thread count.
+        // The DAG controller on a chain model: every tier's plan is the
+        // chain incumbent wrapped as a degenerate DAG, deployed through
+        // the one DAG engine. The flash crowd must force a re-plan, the
+        // tier sweep must serve every epoch, and the report must be
+        // bit-identical at every thread count.
         let (g, plan, cfg) = setup();
         let free = plan.predicted_time_s;
         let adaptive = AdaptiveSpec::new(8, vec![free * 1.05, free * 4.0]);
@@ -1268,8 +1268,8 @@ mod tests {
         let base = run_adaptive_loop_dag(&g, &cfg.clone().with_serve_threads(1), &load, &adaptive)
             .unwrap();
         assert_eq!(base.latencies_s.len() + base.failures, 48);
-        assert!(base.plan_hits > 0, "seeded cache must serve the controller");
-        assert_eq!(base.plan_misses, 0, "seeded tiers must not re-solve");
+        assert!(base.plan_hits > 0, "swept tiers must serve the controller");
+        assert_eq!(base.plan_misses, 0, "swept tiers must not re-solve");
         assert!(base.replans >= 1, "the flash crowd must force a re-plan");
         assert!(
             base.dag_nodes.is_none(),
@@ -1317,9 +1317,9 @@ mod tests {
         let load = LoadSpec::poisson(2.0, 48, 33).with_shape(ArrivalShape::flash_crowd());
         let r = run_adaptive_loop(&g, &cfg, &load, &adaptive).unwrap();
         assert_eq!(r.latencies_s.len() + r.failures, 48);
-        // The sweep seeded both tiers, so every epoch lookup is a hit.
-        assert!(r.plan_hits > 0, "plan cache must serve the controller");
-        assert_eq!(r.plan_misses, 0, "seeded tiers must not re-solve");
+        // The sweep planned both tiers, so every epoch probe is a hit.
+        assert!(r.plan_hits > 0, "swept tiers must serve the controller");
+        assert_eq!(r.plan_misses, 0, "swept tiers must not re-solve");
         assert!(
             r.replans >= 1,
             "the flash crowd must force at least one re-plan"
