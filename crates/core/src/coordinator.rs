@@ -12,8 +12,9 @@
 //! node reads its predecessor's one object. Node `v` of a request starts
 //! at its *checkpoint-ready* instant — the latest completion among the
 //! producers of the objects it reads — and every batch, trace and
-//! pipelined mode runs on that one recurrence, one invoke/retry loop and
-//! one lane runner.
+//! pipelined mode, and SerFer's transition-delayed requests, run on one
+//! per-request body (that recurrence, one invoke/retry loop and one
+//! dollar/waste accounting) and one lane runner.
 //!
 //! # Sharded serving
 //!
@@ -351,8 +352,6 @@ struct ServeScratch {
     nodes: Vec<NodeSlot>,
     keys: Vec<ObjectKey>,
     buf: String,
-    /// The named batch modes' per-image tag buffer.
-    tag: String,
     /// Whether `works` already holds the deployment's profiles, so a
     /// request only patches its keys in.
     primed: bool,
@@ -367,7 +366,6 @@ impl ServeScratch {
             nodes: vec![NodeSlot::default(); k],
             keys: Vec::with_capacity(dep.num_objects()),
             buf: String::new(),
-            tag: String::new(),
             primed: false,
         }
     }
@@ -608,14 +606,25 @@ pub struct TraceReport {
 }
 
 /// How a node's invocation is admitted once its inputs are checkpointed:
-/// at once (`()`, the scale-out engine), or through the node's bounded
-/// station pool (one [`StationPool`] per node, the pipelined engine). A station stays occupied through every retry and backoff
-/// until the node's attempt chain resolves.
+/// at once (`()`, the scale-out engine), through the node's bounded
+/// station pool (one [`StationPool`] per node, the pipelined engine), or
+/// a fixed delay later while keeping every attempt ([`Recorder`], the
+/// named modes). A station stays occupied through every retry and
+/// backoff until the node's attempt chain resolves.
 trait Admission {
     /// Station and start instant for node `v`, ready at `ready`.
     fn admit(&mut self, v: usize, ready: f64) -> (usize, f64);
     /// Frees node `v`'s `station`, occupied from `start` to `end`.
     fn release(&mut self, v: usize, station: usize, start: f64, end: f64);
+    /// Node `v` succeeded with `out`.
+    #[inline(always)]
+    fn succeeded(&mut self, _v: usize, _out: InvocationOutcome) {}
+    /// Node `v` failed with `failed` and is retried after `backoff_s`.
+    #[inline(always)]
+    fn retried(&mut self, _v: usize, _failed: FailedInvocation, _backoff_s: f64) {}
+    /// Node `v` exhausted its retry budget with `failed`.
+    #[inline(always)]
+    fn gave_up(&mut self, _v: usize, _failed: FailedInvocation) {}
 }
 
 impl Admission for () {
@@ -637,6 +646,43 @@ impl Admission for Vec<StationPool> {
     #[inline]
     fn release(&mut self, v: usize, station: usize, start: f64, end: f64) {
         self[v].release(station, start, end);
+    }
+}
+
+/// The named modes' admission: node `v` starts `delay_s` after its inputs
+/// are checkpointed (0 for AMPS-Inf; a workflow's state transition for
+/// SerFer), and every outcome and failed attempt is kept for the
+/// [`JobReport`] or [`ServeError`].
+struct Recorder {
+    delay_s: f64,
+    outcomes: Vec<InvocationOutcome>,
+    retries: Vec<RetryRecord>,
+    failure: Option<(usize, FailedInvocation)>,
+}
+
+impl Admission for Recorder {
+    #[inline]
+    fn admit(&mut self, _v: usize, ready: f64) -> (usize, f64) {
+        (0, ready + self.delay_s)
+    }
+
+    #[inline]
+    fn release(&mut self, _v: usize, _station: usize, _start: f64, _end: f64) {}
+
+    fn succeeded(&mut self, _v: usize, out: InvocationOutcome) {
+        self.outcomes.push(out);
+    }
+
+    fn retried(&mut self, lambda: usize, failed: FailedInvocation, backoff_s: f64) {
+        self.retries.push(RetryRecord {
+            lambda,
+            failed,
+            backoff_s,
+        });
+    }
+
+    fn gave_up(&mut self, v: usize, failed: FailedInvocation) {
+        self.failure = Some((v, failed));
     }
 }
 
@@ -843,9 +889,71 @@ impl Coordinator {
         t0: f64,
         tag: &str,
     ) -> Result<JobReport, ServeError> {
+        self.serve_one_delayed(platform, dep, t0, tag, 0.0)
+    }
+
+    /// [`serve_one`](Self::serve_one) with every node started `delay_s`
+    /// after its inputs are checkpointed — the root `delay_s` after `t0`.
+    /// That is a workflow engine's state transition in front of each
+    /// partition: SerFer's Step Functions take ~15 s per transition (paper
+    /// footnote 2).
+    pub fn serve_one_delayed(
+        &self,
+        platform: &mut Platform,
+        dep: &Deployment,
+        t0: f64,
+        tag: &str,
+        delay_s: f64,
+    ) -> Result<JobReport, ServeError> {
         let mut scratch = ServeScratch::for_deployment(dep);
+        self.serve_recorded(platform, dep, t0, tag, delay_s, &mut scratch)
+    }
+
+    /// [`serve_one_delayed`](Self::serve_one_delayed) on `scratch`, which
+    /// the named batch modes reuse across their images.
+    fn serve_recorded(
+        &self,
+        platform: &mut Platform,
+        dep: &Deployment,
+        t0: f64,
+        tag: &str,
+        delay_s: f64,
+        scratch: &mut ServeScratch,
+    ) -> Result<JobReport, ServeError> {
         scratch.prepare(platform, dep, tag);
-        self.serve_one_with(platform, dep, t0, &mut scratch)
+        let mut rec = Recorder {
+            delay_s,
+            outcomes: Vec::with_capacity(dep.functions.len()),
+            retries: Vec::new(),
+            failure: None,
+        };
+        let summary = self.serve_lite(platform, dep, t0, scratch, &mut rec);
+        if let Some((lambda, failed)) = rec.failure {
+            let retried = rec.retries.iter().filter(|r| r.lambda == lambda).count();
+            let wasted = rec.retries.iter().map(|r| r.failed.dollars).sum::<f64>() + failed.dollars;
+            return Err(ServeError {
+                reason: failed.reason,
+                lambda,
+                attempts: retried as u32 + 1,
+                elapsed_s: summary.latency_s,
+                dollars: rec.outcomes.iter().map(|o| o.dollars).sum::<f64>() + wasted,
+            });
+        }
+        let phase = |f: fn(&InvocationOutcome) -> f64| rec.outcomes.iter().map(f).sum();
+        Ok(JobReport {
+            deploy_s: dep.deploy_s,
+            load_s: phase(|o| o.breakdown.load_s),
+            import_s: phase(|o| o.breakdown.import_s),
+            predict_s: phase(|o| o.breakdown.compute_s),
+            // Critical path, not sum: concurrent branches overlap.
+            inference_s: summary.latency_s,
+            e2e_s: dep.deploy_s + summary.latency_s,
+            dollars: summary.dollars,
+            outcomes: rec.outcomes,
+            retries: rec.retries,
+            wasted_s: summary.wasted_s,
+            wasted_dollars: summary.wasted_dollars,
+        })
     }
 
     /// Invokes `fid` at `start` and retries transient failures up to
@@ -881,97 +989,6 @@ impl Coordinator {
         }
     }
 
-    /// [`serve_one`](Self::serve_one) over prepared scratch — the
-    /// allocation-light body of the named batch modes. `scratch` must
-    /// have been [`prepare`](ServeScratch::prepare)d for this request's
-    /// tag on this platform.
-    fn serve_one_with(
-        &self,
-        platform: &mut Platform,
-        dep: &Deployment,
-        t0: f64,
-        scratch: &mut ServeScratch,
-    ) -> Result<JobReport, ServeError> {
-        let k = dep.functions.len();
-        let mut outcomes: Vec<InvocationOutcome> = Vec::with_capacity(k);
-        let mut retries: Vec<RetryRecord> = Vec::new();
-        let mut done = t0;
-        for v in 0..k {
-            let mut ready = t0;
-            for &p in dep.producers_of(v) {
-                ready = ready.max(scratch.nodes[p as usize].finish);
-            }
-            let mut attempts = 1;
-            let on_retry = |failed, backoff_s| {
-                attempts += 1;
-                retries.push(RetryRecord {
-                    lambda: v,
-                    failed,
-                    backoff_s,
-                })
-            };
-            let out = match self.invoke_retrying(
-                platform,
-                dep.functions[v],
-                ready,
-                &scratch.works[v],
-                on_retry,
-            ) {
-                Ok(out) => out,
-                Err(failed) => {
-                    let wasted: f64 =
-                        retries.iter().map(|r| r.failed.dollars).sum::<f64>() + failed.dollars;
-                    let spent: f64 = outcomes.iter().map(|o| o.dollars).sum::<f64>() + wasted;
-                    return Err(ServeError {
-                        reason: failed.reason,
-                        lambda: v,
-                        attempts,
-                        elapsed_s: failed.end - t0,
-                        dollars: spent,
-                    });
-                }
-            };
-            scratch.nodes[v].finish = out.end;
-            done = done.max(out.end);
-            outcomes.push(out);
-        }
-        let load_s: f64 = outcomes.iter().map(|o| o.breakdown.load_s).sum();
-        let import_s: f64 = outcomes.iter().map(|o| o.breakdown.import_s).sum();
-        let predict_s: f64 = outcomes.iter().map(|o| o.breakdown.compute_s).sum();
-        let retry_dollars: f64 = retries.iter().map(|r| r.failed.dollars).sum();
-        let retry_s: f64 = retries
-            .iter()
-            .map(|r| r.failed.duration() + r.backoff_s)
-            .sum();
-        let stall_s: f64 = outcomes.iter().map(|o| o.storage_retry_s).sum();
-        // Marginal GB-seconds the storage stalls billed inside the
-        // otherwise-successful invocations (attribution, not a new charge).
-        let stall_dollars: f64 = outcomes
-            .iter()
-            .zip(&dep.functions)
-            .map(|(o, fid)| {
-                let mem = platform.spec(*fid).map_or(0, |s| s.memory_mb);
-                self.cfg.prices.lambda_compute_cost(o.storage_retry_s, mem)
-            })
-            .sum();
-        let dollars: f64 = outcomes.iter().map(|o| o.dollars).sum::<f64>() + retry_dollars;
-        // Critical path, not sum: concurrent branches overlap.
-        let inference_s = done - t0;
-        Ok(JobReport {
-            deploy_s: dep.deploy_s,
-            load_s,
-            import_s,
-            predict_s,
-            inference_s,
-            e2e_s: dep.deploy_s + inference_s,
-            dollars,
-            outcomes,
-            retries,
-            wasted_s: retry_s + stall_s,
-            wasted_dollars: retry_dollars + stall_dollars,
-        })
-    }
-
     /// Serves `images` requests in parallel (paper Table 5): all requests
     /// start at `t0`; completion is the slowest one. One dead image no
     /// longer poisons the batch — it degrades into
@@ -996,25 +1013,17 @@ impl Coordinator {
                 &starts,
                 |_, _| ServeScratch::for_deployment(dep),
                 |p, scratch: &mut ServeScratch, idx, start| {
-                    let mut tag = std::mem::take(&mut scratch.tag);
-                    tag.clear();
-                    let _ = write!(tag, "img{idx}");
-                    scratch.prepare(p, dep, &tag);
-                    scratch.tag = tag;
-                    self.serve_one_with(p, dep, start, scratch)
+                    self.serve_recorded(p, dep, start, &format!("img{idx}"), 0.0, scratch)
                 },
             );
             platform.absorb_shards(shards.into_iter().map(|(shard, _)| shard).collect());
             results
         } else {
             let mut scratch = ServeScratch::for_deployment(dep);
-            let mut tag = String::new();
             (0..images)
                 .map(|img| {
-                    tag.clear();
-                    let _ = write!(tag, "img{img}");
-                    scratch.prepare(platform, dep, &tag);
-                    self.serve_one_with(platform, dep, t0, &mut scratch)
+                    let tag = format!("img{img}");
+                    self.serve_recorded(platform, dep, t0, &tag, 0.0, &mut scratch)
                 })
                 .collect()
         };
@@ -1048,13 +1057,10 @@ impl Coordinator {
     ) -> BatchReport {
         let mut batch = Self::empty_batch(dep, images);
         let mut scratch = ServeScratch::for_deployment(dep);
-        let mut tag = String::new();
         let mut now = t0;
         for img in 0..images {
-            tag.clear();
-            let _ = write!(tag, "img{img}");
-            scratch.prepare(platform, dep, &tag);
-            match self.serve_one_with(platform, dep, now, &mut scratch) {
+            let tag = format!("img{img}");
+            match self.serve_recorded(platform, dep, now, &tag, 0.0, &mut scratch) {
                 Ok(r) => {
                     now += r.inference_s;
                     Self::absorb_job(&mut batch, r);
@@ -1327,12 +1333,14 @@ impl Coordinator {
         }
     }
 
-    /// [`serve_one_with`](Self::serve_one_with) reduced to the scalars a
-    /// [`RequestSummary`] carries — the trace engines' hot path: the same
-    /// ready recurrence, retry loop and accounting, but no per-outcome or
-    /// per-retry allocation. Each node is admitted through `admission`
-    /// once ready, and its busy/stall seconds accumulate on `scratch`; a
-    /// successful request's critical path accumulates too.
+    /// The engine's one per-request body: the ready recurrence, the
+    /// invoke/retry loop and the dollar and waste accounting of a
+    /// [`RequestSummary`]. Each node is admitted through `admission` once
+    /// ready, and its busy/stall seconds accumulate on `scratch`; a
+    /// successful request's critical path accumulates too. The trace
+    /// engines' admissions record nothing, so their hot path allocates
+    /// nothing per outcome or retry; the named modes' [`Recorder`] keeps
+    /// every attempt through the admission's hooks.
     #[inline(always)]
     fn serve_lite<A: Admission>(
         &self,
@@ -1374,6 +1382,7 @@ impl Coordinator {
                 n_retries += 1;
                 retry_dollars += failed.dollars;
                 retry_s += failed.duration() + backoff_s;
+                admission.retried(v, failed, backoff_s);
             };
             let fid = dep.functions[v];
             let out = match self.invoke_retrying(platform, fid, start, &works[v], on_retry) {
@@ -1384,12 +1393,14 @@ impl Coordinator {
                     // the final attempt ended.
                     admission.release(v, station, start, failed.end);
                     let spent = dollars + retry_dollars + failed.dollars;
+                    let latency_s = failed.end - t0;
+                    admission.gave_up(v, failed);
                     return RequestSummary {
                         arrival_s: t0,
-                        latency_s: failed.end - t0,
+                        latency_s,
                         dollars: spent,
                         retries: n_retries,
-                        wasted_s: failed.end - t0,
+                        wasted_s: latency_s,
                         wasted_dollars: spent,
                         ok: false,
                     };
@@ -1417,6 +1428,7 @@ impl Coordinator {
                     .prices
                     .lambda_compute_cost(out.storage_retry_s, mem);
             }
+            admission.succeeded(v, out);
         }
         Self::accumulate_critical_path(dep, scratch, last);
         RequestSummary {

@@ -21,7 +21,11 @@
 //! (price sheets), [`perf`] (the Lambda performance law), [`storage`]
 //! (S3-like object store), [`vm`] (EC2/SageMaker instances), [`ledger`]
 //! (itemized cost accounting), [`platform`] (deploy/invoke API enforcing
-//! quotas), [`runtime`] (symbolic execution of model partitions).
+//! quotas), [`runtime`] (symbolic execution of model partitions),
+//! [`fault`] (seeded fault injection), [`rng`] (the simulator's seeded
+//! generator). Workflow orchestration is not a substrate here: SerFer's
+//! Step-Functions transitions are a delay the coordinator puts in front
+//! of each invocation (`ampsinf_serving::serfer`).
 //!
 //! # Example: deploy and invoke one function
 //!
@@ -62,7 +66,6 @@ pub mod pricing;
 pub mod quotas;
 pub mod rng;
 pub mod runtime;
-pub mod stepfn;
 pub mod storage;
 pub mod vm;
 
@@ -77,7 +80,6 @@ pub use pricing::PriceSheet;
 pub use quotas::Quotas;
 pub use rng::SmallRng;
 pub use runtime::{PartitionWork, StationPool, WorkPhases};
-pub use stepfn::{StepExecution, StepFunction, StepState};
 pub use storage::{ObjectKey, ObjectStore, StoreKind};
 pub use vm::{VmInstance, VmType};
 

@@ -3,9 +3,10 @@
 //! * [`sagemaker`] — Amazon SageMaker in the paper's two settings: Sage 1
 //!   (notebook-instance serving on `ml.t2.medium`) and Sage 2 (notebook
 //!   submission + `ml.m4.xlarge` hosting endpoint);
-//! * [`serfer`] — SerFer \[42\]: the same partitions as AMPS-Inf but driven
-//!   by Step Functions (≈15 s per state transition, paper footnote 2) with
-//!   an EC2 driver;
+//! * [`serfer`] — SerFer \[42\]: the same partitions as AMPS-Inf, served
+//!   on the coordinator's one engine, but driven by Step Functions (≈15 s
+//!   per state transition, paper footnote 2: a fixed delay in front of
+//!   every partition plus one on exit) with an EC2 driver;
 //! * [`batch_baseline`] — BATCH \[23\]: single-lambda adaptive batching,
 //!   no model splitting, one fresh lambda per batch;
 //! * [`loadgen`] — open-loop workloads over a deployed plan (chain or

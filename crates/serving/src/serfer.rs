@@ -4,15 +4,23 @@
 //! driver, and requires manual model splitting. The paper gives it the
 //! *same* partitions and memory configuration as AMPS-Inf; the differences
 //! are (a) the Step-Function state machine — each transition "takes nearly
-//! 15 s" (footnote 2) — and (b) the driver instance. The workflow runs on
-//! the real [`StepFunction`] substrate in `ampsinf-faas`.
+//! 15 s" (footnote 2) — and (b) the driver instance. The partitions run on
+//! the coordinator's engine like AMPS-Inf's own (faults and retries
+//! included); a transition is a delay in front of each partition
+//! ([`Coordinator::serve_one_delayed`]) plus one on exit, each billed one
+//! transition fee.
 
 use ampsinf_core::plan::ExecutionPlan;
 use ampsinf_core::{AmpsConfig, Coordinator};
-use ampsinf_faas::runtime::PartitionWork;
 use ampsinf_faas::vm::{VmInstance, VmType};
-use ampsinf_faas::{StepFunction, StepState};
+use ampsinf_faas::CostLedger;
 use ampsinf_model::LayerGraph;
+
+/// Step Functions' state-transition latency (paper footnote 2: "nearly
+/// 15 s").
+const TRANSITION_LATENCY_S: f64 = 15.0;
+/// AWS Standard Workflows price per state transition ($0.025 / 1,000).
+const TRANSITION_COST: f64 = 0.000_025;
 
 /// Result of a SerFer run.
 #[derive(Debug, Clone, Copy)]
@@ -31,7 +39,10 @@ pub struct SerferReport {
 /// stages it before starting the workflow.
 const DRIVER_SPLIT_OVERHEAD_S: f64 = 2.0;
 
-/// Runs SerFer with AMPS-Inf's plan (the paper's setup for Fig. 11).
+/// Runs SerFer with AMPS-Inf's plan (the paper's setup for Fig. 11): one
+/// Task state per partition, chained through storage exactly like
+/// AMPS-Inf's coordinator, with a transition on workflow entry, between
+/// states and on exit.
 pub fn run_serfer(
     graph: &LayerGraph,
     plan: &ExecutionPlan,
@@ -42,46 +53,31 @@ pub fn run_serfer(
     let dep = coord
         .deploy(&mut platform, graph, plan)
         .map_err(|e| e.to_string())?;
-
-    // Build the state machine: one Task state per partition, chained
-    // through storage exactly like AMPS-Inf's coordinator.
-    let k = dep.functions.len();
-    let states: Vec<StepState> = (0..k)
-        .map(|i| {
-            let input_key = (i > 0).then(|| platform.store.intern(&format!("serfer/b{}", i - 1)));
-            let output_key = (i + 1 < k).then(|| platform.store.intern(&format!("serfer/b{i}")));
-            let p = &plan.partitions[i];
-            let work = PartitionWork::from_segment(graph, p.start, p.end);
-            StepState {
-                name: format!("partition{i}"),
-                function: dep.functions[i],
-                work: work.invocation(input_key, output_key),
-            }
-        })
-        .collect();
-    let sf = StepFunction::standard(format!("serfer-{}", plan.model), states);
-
     let driver = VmInstance::start(VmType::ec2_driver(), 0.0);
-    let exec = sf
-        .execute(&mut platform, DRIVER_SPLIT_OVERHEAD_S)
+    let t0 = DRIVER_SPLIT_OVERHEAD_S;
+    let job = coord
+        .serve_one_delayed(&mut platform, &dep, t0, "serfer", TRANSITION_LATENCY_S)
         .map_err(|e| e.to_string())?;
-    let mut dollars = exec.dollars + platform.settle_storage(exec.end);
-    let completion_s = exec.end;
-    let mut ledger = ampsinf_faas::CostLedger::new();
-    dollars += driver.stop(completion_s, &mut ledger);
-
+    // The last partition's completion plus the workflow's exit transition.
+    let completion_s = t0 + job.inference_s + TRANSITION_LATENCY_S;
+    let transitions = dep.functions.len() + 1;
+    let mut dollars = job.dollars + transitions as f64 * TRANSITION_COST;
+    dollars += platform.settle_storage(completion_s);
+    dollars += driver.stop(completion_s, &mut CostLedger::new());
     Ok(SerferReport {
         completion_s,
         dollars,
-        transition_s: exec.transition_time_s,
-        transitions: exec.transitions,
+        transition_s: transitions as f64 * TRANSITION_LATENCY_S,
+        transitions,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ampsinf_core::plan::PartitionPlan;
     use ampsinf_core::Optimizer;
+    use ampsinf_faas::FaultPlan;
     use ampsinf_model::zoo;
 
     #[test]
@@ -110,16 +106,51 @@ mod tests {
 
     #[test]
     fn transition_overhead_scales_with_partitions() {
+        let cfg = AmpsConfig::default();
+        let g = zoo::resnet50();
+        let resnet = Optimizer::new(cfg.clone()).optimize(&g).unwrap().plan;
+        // MobileNet cut into 10 equal partitions: the paper's footnote-2
+        // workflow of ~10 states.
+        let m = zoo::mobilenet_v1();
+        let n = m.num_layers();
+        let ten = ExecutionPlan {
+            model: m.name.clone(),
+            partitions: (0..10)
+                .map(|i| PartitionPlan {
+                    start: i * n / 10,
+                    end: (i + 1) * n / 10 - 1,
+                    memory_mb: 2048,
+                })
+                .collect(),
+            predicted_time_s: 0.0,
+            predicted_cost: 0.0,
+        };
+        for (graph, plan) in [(&g, &resnet), (&m, &ten)] {
+            let r = run_serfer(graph, plan, &cfg).unwrap();
+            assert_eq!(r.transitions, plan.num_lambdas() + 1);
+            assert_eq!(r.transition_s, r.transitions as f64 * TRANSITION_LATENCY_S);
+            assert!(r.completion_s > r.transition_s);
+        }
+        // Footnote 2: ~11 transitions of ~15 s dominate such a workflow.
+        let r = run_serfer(&m, &ten, &cfg).unwrap();
+        assert!(r.transition_s >= 150.0, "{}", r.transition_s);
+    }
+
+    #[test]
+    fn crashed_state_is_retried() {
+        // SerFer's partitions get the engine's retries like every other
+        // mode: the first invocation crashes, its retry completes.
         let g = zoo::resnet50();
         let cfg = AmpsConfig::default();
         let plan = Optimizer::new(cfg.clone()).optimize(&g).unwrap().plan;
-        let r = run_serfer(&g, &plan, &cfg).unwrap();
-        assert_eq!(r.transitions, plan.num_lambdas() + 1);
-        assert!(
-            (r.transition_s
-                - r.transitions as f64 * ampsinf_faas::stepfn::DEFAULT_TRANSITION_LATENCY_S)
-                .abs()
-                < 1e-9
-        );
+        let clean = run_serfer(&g, &plan, &cfg).unwrap();
+        let crash = FaultPlan {
+            crash_invocations: vec![0],
+            ..FaultPlan::none()
+        };
+        let r = run_serfer(&g, &plan, &cfg.clone().with_faults(crash)).unwrap();
+        assert_eq!(r.transitions, clean.transitions);
+        assert!(r.completion_s > clean.completion_s);
+        assert!(r.dollars > clean.dollars);
     }
 }

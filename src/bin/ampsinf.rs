@@ -1248,7 +1248,10 @@ fn parse_cfg(args: &[String]) -> Result<(AmpsConfig, Option<u64>, Option<String>
         }
     }
     let quantize = match flag_value(args, "--quantize") {
-        Some(v) => Some(v.parse().map_err(|_| format!("bad --quantize value {v}"))?),
+        Some(v) => match v.parse::<u64>() {
+            Ok(bytes @ 1..=4) => Some(bytes),
+            _ => return Err(format!("bad --quantize value {v} (need 1 to 4 bytes)")),
+        },
         None => None,
     };
     let json_out = flag_value(args, "--json").map(|s| s.to_string());

@@ -122,6 +122,8 @@ fn out_of_range_planning_flags_fail_cleanly() {
         ("--backoff", "nan"),
         ("--backoff", "-5"),
         ("--backoff", "inf"),
+        ("--quantize", "0"),
+        ("--quantize", "5"),
     ];
     for cmd in ["plan", "serve"] {
         for (flag, value) in cases {
