@@ -127,9 +127,11 @@ fn bench_serving(b: &mut Bencher) {
         "DAG thread counts disagreed on dollars"
     );
 
-    // The same DAG at 4k requests: 64 lanes of ~60 requests each leave
-    // the merge of 64 shards' warm pools (47 functions, ~3k instances
-    // apiece) a large share of the trace, unlike the 100k rows above.
+    // The same DAG at 4k requests: 64 lanes of ~60 requests each, so the
+    // per-trace costs (forking 64 shards, appending their warm pools —
+    // 47 functions, ~3k instances apiece — into the base platform) weigh
+    // more than in the 100k rows above. The merged pools are ordered on
+    // first use and nothing here reads them, so the row times no sort.
     const DAG_REQUESTS: usize = 4_000;
     let coord = Coordinator::new(dag_cfg.clone().with_serve_threads(1));
     b.bench_items(

@@ -24,6 +24,12 @@ pub struct Table {
     /// Shape-fidelity notes: what must hold, and how it compares to the
     /// paper's numbers.
     pub notes: String,
+    /// Wall-clock measurements (solve or call times). [`Table::render`]
+    /// prints them; [`Table::markdown`] leaves them out, so
+    /// `EXPERIMENTS.md` holds only deterministic output.
+    pub timing: String,
+    /// Indices of the columns that hold counts, rendered as integers.
+    pub count_columns: Vec<usize>,
 }
 
 impl Table {
@@ -35,6 +41,8 @@ impl Table {
             columns: columns.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
             notes: String::new(),
+            timing: String::new(),
+            count_columns: Vec::new(),
         }
     }
 
@@ -68,20 +76,16 @@ impl Table {
         let _ = writeln!(s);
         for (label, vals) in &self.rows {
             let _ = write!(s, "{label:<label_w$}");
-            for v in vals {
-                match v {
-                    Some(x) => {
-                        let _ = write!(s, " {:>14}", fmt_value(*x));
-                    }
-                    None => {
-                        let _ = write!(s, " {:>14}", "-");
-                    }
-                }
+            for (col, v) in vals.iter().enumerate() {
+                let _ = write!(s, " {:>14}", self.cell(col, *v));
             }
             let _ = writeln!(s);
         }
         if !self.notes.is_empty() {
             let _ = writeln!(s, "-- {}", self.notes);
+        }
+        if !self.timing.is_empty() {
+            let _ = writeln!(s, "-- measured: {}", self.timing);
         }
         s
     }
@@ -103,15 +107,8 @@ impl Table {
         let _ = writeln!(s);
         for (label, vals) in &self.rows {
             let _ = write!(s, "| {label} |");
-            for v in vals {
-                match v {
-                    Some(x) => {
-                        let _ = write!(s, " {} |", fmt_value(*x));
-                    }
-                    None => {
-                        let _ = write!(s, " - |");
-                    }
-                }
+            for (col, v) in vals.iter().enumerate() {
+                let _ = write!(s, " {} |", self.cell(col, *v));
             }
             let _ = writeln!(s);
         }
@@ -119,6 +116,18 @@ impl Table {
             let _ = writeln!(s, "\n{}\n", self.notes);
         }
         s
+    }
+}
+
+impl Table {
+    /// One cell's text: `-` for a missing value, an integer in a count
+    /// column, [`fmt_value`] otherwise.
+    fn cell(&self, col: usize, v: Option<f64>) -> String {
+        match v {
+            None => "-".into(),
+            Some(x) if self.count_columns.contains(&col) => format!("{x:.0}"),
+            Some(x) => fmt_value(x),
+        }
     }
 }
 
@@ -157,6 +166,19 @@ mod tests {
         let m = t.markdown();
         assert!(m.starts_with("### `fig0`"));
         assert!(m.contains("| Lambda | 22.03 | 0.000180 |"));
+    }
+
+    #[test]
+    fn counts_render_as_integers_and_timing_stays_out_of_markdown() {
+        let mut t = Table::new("x", "y", &["cuts", "time (s)"]);
+        t.count_columns = vec![0];
+        t.row_all("m", &[20000.0, 123.0]);
+        t.timing = "solve took 3 ms".into();
+        assert!(t.render().contains("20000") && !t.render().contains("20000.0"));
+        assert!(t.render().contains("-- measured: solve took 3 ms"));
+        let m = t.markdown();
+        assert!(m.contains("| m | 20000 | 123.0 |"), "{m}");
+        assert!(!m.contains("solve took"));
     }
 
     #[test]

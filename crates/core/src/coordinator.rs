@@ -169,7 +169,9 @@ impl BatchReport {
 }
 
 /// Per-node invocation scalars of a deployed node, precomputed at deploy
-/// time so the serving hot path only patches storage keys.
+/// time (by [`PartitionWork::batch_work`]) so the serving hot path only
+/// patches storage keys. Kept to the four scalars rather than a keyless
+/// [`InvocationWork`], which would carry two empty `Vec` headers per node.
 #[derive(Debug, Clone, Copy)]
 struct NodeWork {
     load_bytes: u64,
@@ -842,13 +844,12 @@ impl Coordinator {
             } else {
                 reads.iter().map(|&o| plan.objects[o].bytes).sum()
             };
+            let w = work.batch_work(batch, input_bytes);
             scalars.push(NodeWork {
-                load_bytes: work.seg.weight_bytes,
-                flops: work.seg.flops * batch,
-                resident_bytes: 2 * work.seg.weight_bytes
-                    + work.seg.activation_bytes * batch
-                    + input_bytes,
-                tmp_bytes: work.seg.weight_bytes + input_bytes,
+                load_bytes: w.load_bytes,
+                flops: w.flops,
+                resident_bytes: w.resident_bytes,
+                tmp_bytes: w.tmp_bytes,
             });
         }
         Ok(Deployment {
@@ -1684,6 +1685,58 @@ mod tests {
         let cfg = AmpsConfig::default();
         let plan = Optimizer::new(cfg.clone()).optimize(graph).unwrap().plan;
         (Coordinator::new(cfg), plan)
+    }
+
+    #[test]
+    fn chain_node_work_is_the_partition_invocation() {
+        // A batch-1 chain deployment's per-node scalars must equal what
+        // `PartitionWork::invocation` builds for the same segments: both
+        // come from `PartitionWork::batch_work`, and a chain node's staged
+        // input (its one object) is its segment's input bytes.
+        for g in [zoo::mobilenet_v1(), zoo::resnet50(), zoo::inception_v3()] {
+            let (coord, optimal) = optimized(&g);
+            let n = g.num_layers();
+            let parts = 6;
+            let even = ExecutionPlan {
+                model: g.name.clone(),
+                partitions: (0..parts)
+                    .map(|i| crate::plan::PartitionPlan {
+                        start: i * n / parts,
+                        end: (i + 1) * n / parts - 1,
+                        memory_mb: 1024,
+                    })
+                    .collect(),
+                predicted_time_s: 0.0,
+                predicted_cost: 0.0,
+            };
+            for plan in [optimal, even] {
+                let mut platform = coord.platform();
+                let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
+                assert_eq!(dep.scalars.len(), plan.partitions.len());
+                for (node, p) in dep.scalars.iter().zip(&plan.partitions) {
+                    let want =
+                        PartitionWork::from_segment(&g, p.start, p.end).invocation(None, None);
+                    assert_eq!(
+                        (
+                            node.load_bytes,
+                            node.flops,
+                            node.resident_bytes,
+                            node.tmp_bytes
+                        ),
+                        (
+                            want.load_bytes,
+                            want.flops,
+                            want.resident_bytes,
+                            want.tmp_bytes
+                        ),
+                        "{} layers {}..={}",
+                        g.name,
+                        p.start,
+                        p.end
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -51,8 +51,8 @@
 //!     .unwrap();
 //! assert!(out.duration() > 0.0);
 //! // The 2020 pricing identity the paper's Table 2 exhibits:
-//! let expect = platform.prices.lambda_compute_cost(out.duration(), 1024)
-//!     + platform.prices.lambda_request;
+//! let expect = platform.prices().lambda_compute_cost(out.duration(), 1024)
+//!     + platform.prices().lambda_request;
 //! assert!((out.dollars - expect).abs() < 1e-12);
 //! ```
 

@@ -273,17 +273,25 @@ impl InvocationOutcome {
 #[derive(Debug, Clone)]
 struct DeployedFunction {
     spec: FunctionSpec,
-    /// `spec.package_bytes()` precomputed at deploy time — the invoke hot
-    /// path needs it for cold-start sizing without walking `layer_bytes`.
-    package_bytes: u64,
-    /// Warm container pool: `busy_until` per live instance, kept sorted
-    /// ascending (a free-list ordered by idle-since time). Lambda scales
-    /// out under concurrency — a request arriving while all instances are
-    /// busy gets a fresh (cold) instance; an idle instance within the
-    /// keep-alive window is reused warm. The sort order makes warm-slot
-    /// selection a binary search instead of a linear scan: the candidate
-    /// is always the largest `busy_until` ≤ the request start.
+    /// Cold-start seconds for `spec`'s package, computed at deploy time:
+    /// they depend only on the package size and the platform's fixed
+    /// performance law.
+    cold_s: f64,
+    /// Warm container pool: `busy_until` per live instance, ascending
+    /// once ordered (a free-list ordered by idle-since time). Lambda
+    /// scales out under concurrency — a request arriving while all
+    /// instances are busy gets a fresh (cold) instance; an idle instance
+    /// within the keep-alive window is reused warm. The sort order makes
+    /// warm-slot selection a binary search instead of a linear scan: the
+    /// candidate is always the largest `busy_until` ≤ the request start.
     instances: Vec<f64>,
+    /// Whether `instances` is sorted. [`Platform::absorb_shards`] and
+    /// [`Platform::pre_warm`] only append and clear this; the first
+    /// reader sorts ([`DeployedFunction::order_pool`]), so a merged pool
+    /// nothing reads is never sorted.
+    ordered: bool,
+    /// Perf-model phases of the last work this function ran.
+    phases: Option<Phases>,
     /// Total cold starts observed (metrics).
     cold_starts: usize,
     /// Instances created by [`Platform::pre_warm`] (metrics).
@@ -299,13 +307,82 @@ struct DeployedFunction {
 }
 
 impl DeployedFunction {
+    /// A freshly deployed function with an empty pool.
+    fn new(spec: FunctionSpec, cold_s: f64, phases: Option<Phases>) -> Self {
+        DeployedFunction {
+            spec,
+            cold_s,
+            instances: Vec::new(),
+            ordered: true,
+            phases,
+            cold_starts: 0,
+            pre_warmed: 0,
+            idle_warm_s: 0.0,
+            idle_billed_until: 0.0,
+        }
+    }
+
+    /// Sorts the pool by `total_cmp` if an append left it unordered.
+    /// Entries equal under `total_cmp` are bit-equal, so the sorted pool
+    /// is the same vector however its entries arrived.
+    fn order_pool(&mut self) {
+        if !self.ordered {
+            self.instances.sort_unstable_by(f64::total_cmp);
+            self.ordered = true;
+        }
+    }
+
     /// Returns a sandbox to the pool at `busy_until`, preserving the sort;
     /// a fresh (cold) sandbox also counts toward `cold_starts`.
     fn pool_insert(&mut self, busy_until: f64, warm: bool) {
+        self.order_pool();
         let at = self.instances.partition_point(|&b| b <= busy_until);
         self.instances.insert(at, busy_until);
         if !warm {
             self.cold_starts += 1;
+        }
+    }
+
+    /// The phases of `work` on this function: the last work's record when
+    /// its key matches, else freshly computed under `perf` and kept.
+    fn phases(&mut self, perf: &PerfModel, work: &InvocationWork) -> Phases {
+        let key = (work.load_bytes, work.flops, work.resident_bytes);
+        match self.phases {
+            Some(p) if p.key == key => p,
+            _ => {
+                let p = Phases::of(perf, self.spec.memory_mb, key);
+                self.phases = Some(p);
+                p
+            }
+        }
+    }
+}
+
+/// What [`Platform::invoke`] derives from a work's `(load_bytes, flops,
+/// resident_bytes)` on one memory block: the resident footprint, the OOM
+/// verdict and the CPU-bound phase seconds (compute at full length).
+#[derive(Debug, Clone, Copy)]
+struct Phases {
+    key: (u64, u64, u64),
+    footprint_mb: f64,
+    oom: bool,
+    import_s: f64,
+    load_s: f64,
+    compute_s: f64,
+}
+
+impl Phases {
+    fn of(perf: &PerfModel, memory_mb: u32, key: (u64, u64, u64)) -> Self {
+        let (load_bytes, flops, resident_bytes) = key;
+        let law = LambdaPerf::new(perf, memory_mb);
+        let footprint_mb = perf.runtime_footprint_mb + resident_bytes as f64 / MB as f64;
+        Phases {
+            key,
+            footprint_mb,
+            oom: law.is_oom(footprint_mb),
+            import_s: law.cpu_time(law.import_work(), footprint_mb),
+            load_s: law.cpu_time(law.load_work(load_bytes), footprint_mb),
+            compute_s: law.cpu_time(law.compute_work(flops), footprint_mb),
         }
     }
 }
@@ -400,11 +477,12 @@ impl std::fmt::Display for WarmPoolPolicy {
 #[derive(Debug, Clone)]
 pub struct Platform {
     /// Active quota preset.
-    pub quotas: Quotas,
+    quotas: Quotas,
     /// Active price sheet.
-    pub prices: PriceSheet,
-    /// Performance-law constants.
-    pub perf: PerfModel,
+    prices: PriceSheet,
+    /// Performance-law constants. Fixed at construction: every deployed
+    /// function's cold-start seconds and phase record are derived from it.
+    perf: PerfModel,
     /// Intermediate object storage.
     pub store: ObjectStore,
     /// Itemized cost ledger.
@@ -463,6 +541,21 @@ impl Platform {
         self.warm_pool
     }
 
+    /// The active quota preset.
+    pub fn quotas(&self) -> &Quotas {
+        &self.quotas
+    }
+
+    /// The active price sheet.
+    pub fn prices(&self) -> &PriceSheet {
+        &self.prices
+    }
+
+    /// The performance-law constants.
+    pub fn perf(&self) -> &PerfModel {
+        &self.perf
+    }
+
     /// Marks the start of one served request with global index
     /// `request_index`, re-keying every per-request randomness source to
     /// that index: the fault-injector stream, the storage failure stream,
@@ -504,15 +597,7 @@ impl Platform {
             functions: self
                 .functions
                 .iter()
-                .map(|f| DeployedFunction {
-                    spec: f.spec.clone(),
-                    package_bytes: f.package_bytes,
-                    instances: Vec::new(),
-                    cold_starts: 0,
-                    pre_warmed: 0,
-                    idle_warm_s: 0.0,
-                    idle_billed_until: 0.0,
-                })
+                .map(|f| DeployedFunction::new(f.spec.clone(), f.cold_s, f.phases))
                 .collect(),
             warm_pool: self.warm_pool,
             faults: FaultInjector::new(self.faults.plan().clone()),
@@ -524,14 +609,17 @@ impl Platform {
     /// Merges shards produced by [`Platform::fork_empty`] back into this
     /// platform, in lane order: invocation counters add, ledgers append,
     /// stores merge by re-interning (see [`ObjectStore::absorb`]), and
-    /// each function's warm pools concatenate and sort once, with its
-    /// cold-start, pre-warm and idle counters added lane by lane.
+    /// each function's warm pools concatenate, with its cold-start,
+    /// pre-warm and idle counters added lane by lane.
     ///
-    /// One sort reproduces merging the shards one at a time: every pool
-    /// is sorted by `total_cmp`, and entries that compare equal under it
-    /// are bit-equal, so any sorted arrangement of the concatenation is
-    /// the same vector. Each shard's key table and pools are freed as soon
-    /// as they are copied, so no entry is ever held twice.
+    /// A merged pool is left unordered and sorted once by its first
+    /// reader (an invocation or [`Platform::settle_warm_pool`]), so a
+    /// platform dropped after the merge never pays for the sort. That sort reproduces merging the shards
+    /// one at a time: every pool is sorted by `total_cmp`, and entries
+    /// that compare equal under it are bit-equal, so any sorted
+    /// arrangement of the concatenation is the same vector. Each shard's
+    /// key table and pools are freed as soon as they are copied, so no
+    /// entry is ever held twice.
     pub fn absorb_shards(&mut self, mut shards: Vec<Platform>) {
         for shard in &shards {
             assert_eq!(
@@ -561,7 +649,7 @@ impl Platform {
                 mine.idle_warm_s += theirs.idle_warm_s;
                 mine.idle_billed_until = mine.idle_billed_until.max(theirs.idle_billed_until);
             }
-            mine.instances.sort_unstable_by(f64::total_cmp);
+            mine.ordered &= extra == 0;
         }
     }
 
@@ -609,16 +697,9 @@ impl Platform {
         let duration =
             self.perf.deploy_fixed_s + uploaded as f64 / (self.perf.deploy_upload_mbps * 1e6);
         let id = FunctionId(self.functions.len());
-        let package_bytes = spec.package_bytes();
-        self.functions.push(DeployedFunction {
-            spec,
-            package_bytes,
-            instances: Vec::new(),
-            cold_starts: 0,
-            pre_warmed: 0,
-            idle_warm_s: 0.0,
-            idle_billed_until: 0.0,
-        });
+        let cold_s = LambdaPerf::new(&self.perf, spec.memory_mb).cold_start(spec.package_bytes());
+        self.functions
+            .push(DeployedFunction::new(spec, cold_s, None));
         Ok((id, duration))
     }
 
@@ -633,7 +714,7 @@ impl Platform {
         }
         for f in &mut self.functions {
             f.instances.extend(std::iter::repeat_n(0.0, count));
-            f.instances.sort_by(f64::total_cmp);
+            f.ordered = false;
             f.pre_warmed += count;
         }
     }
@@ -657,6 +738,8 @@ impl Platform {
         let mut dollars = 0.0;
         let mut charges: Vec<(FunctionId, f64)> = Vec::new();
         for (i, f) in self.functions.iter_mut().enumerate() {
+            // The idle sum runs in pool order, so its bits need the sort.
+            f.order_pool();
             let mut idle = std::mem::take(&mut f.idle_warm_s);
             for &busy_until in &f.instances {
                 let warm_until = if policy.keep_alive_s.is_finite() {
@@ -720,8 +803,12 @@ impl Platform {
     ///
     /// Sequencing inside the invocation: cold start → import → weight load
     /// → storage reads → compute → storage writes → response. Warm
-    /// containers (< 10 min since last finish) skip cold/import/load, as a
-    /// kept-alive Lambda sandbox with a cached model would.
+    /// containers (idle no longer than the warm-pool policy's
+    /// `keep_alive_s`) skip cold/import/load, as a kept-alive Lambda
+    /// sandbox with a cached model would. The perf-model phases come from
+    /// the function's record of its last work when `work`'s
+    /// `(load_bytes, flops, resident_bytes)` match it, and are computed
+    /// (and recorded) otherwise; the `/tmp` check runs on every call.
     ///
     /// Failures are billed like real Lambda bills them: the returned
     /// [`FailedInvocation`] charges GB-seconds for the time the sandbox
@@ -743,7 +830,8 @@ impl Platform {
         // Scalars the rest of the invocation needs, copied out so the hot
         // path never clones the spec (name + layer vector allocations).
         let memory_mb = func.spec.memory_mb;
-        let package_bytes = func.package_bytes;
+        let cold_s = func.cold_s;
+        let phases = func.phases(&self.perf, work);
         let keep_alive_s = self.warm_pool.keep_alive_s;
         // Instance selection: reuse the most-recently-idle warm instance
         // that is free at `start` and within keep-alive; otherwise a fresh
@@ -752,6 +840,7 @@ impl Platform {
         // entry ≤ `start` — one binary search, no linear scan. The chosen
         // sandbox leaves the pool here and rejoins at its new `busy_until`
         // when the invocation resolves.
+        func.order_pool();
         let idle = func.instances.partition_point(|&b| b <= start);
         let warm = idle > 0 && start - func.instances[idle - 1] <= keep_alive_s;
         if warm {
@@ -774,11 +863,9 @@ impl Platform {
         self.invocations += 1;
         let fault = self.faults.draw(seq, !warm);
 
-        let perf = LambdaPerf::new(&self.perf, memory_mb);
-        let footprint_mb = self.perf.runtime_footprint_mb + work.resident_bytes as f64 / MB as f64;
         let mut b = DurationBreakdown::default();
         if !warm {
-            b.cold_s = perf.cold_start(package_bytes);
+            b.cold_s = cold_s;
         }
         if fault == Some(FaultKind::ColdStartFailure) {
             // The sandbox dies during creation: nothing joins the pool and
@@ -796,11 +883,11 @@ impl Platform {
                 InvokeError::ColdStartFailed,
             ));
         }
-        if perf.is_oom(footprint_mb) {
+        if phases.oom {
             // Dies loading the model graph into memory: the cold phases ran.
             if !warm {
-                b.import_s = perf.cpu_time(perf.import_work(), footprint_mb);
-                b.load_s = perf.cpu_time(perf.load_work(work.load_bytes), footprint_mb);
+                b.import_s = phases.import_s;
+                b.load_s = phases.load_s;
             }
             let consumed = b.total();
             return Err(self.fail(
@@ -813,7 +900,7 @@ impl Platform {
                 true,
                 0.0,
                 InvokeError::OutOfMemory {
-                    footprint_mb,
+                    footprint_mb: phases.footprint_mb,
                     memory_mb,
                 },
             ));
@@ -822,7 +909,7 @@ impl Platform {
         if work.tmp_bytes > tmp_limit {
             // Dies staging weight files to /tmp, before the load finishes.
             if !warm {
-                b.import_s = perf.cpu_time(perf.import_work(), footprint_mb);
+                b.import_s = phases.import_s;
             }
             let consumed = b.total();
             return Err(self.fail(
@@ -841,8 +928,8 @@ impl Platform {
             ));
         }
         if !warm {
-            b.import_s = perf.cpu_time(perf.import_work(), footprint_mb);
-            b.load_s = perf.cpu_time(perf.load_work(work.load_bytes), footprint_mb);
+            b.import_s = phases.import_s;
+            b.load_s = phases.load_s;
         }
         // Storage reads (charged fees; missing keys abort, having consumed
         // everything up to and including the failed lookups).
@@ -866,11 +953,10 @@ impl Platform {
                 }
             }
         }
-        let full_compute = perf.cpu_time(perf.compute_work(work.flops), footprint_mb);
         match fault {
             Some(FaultKind::Crash { compute_fraction }) => {
                 // The handler crashes mid-compute; no writes happen.
-                b.compute_s = full_compute * compute_fraction;
+                b.compute_s = phases.compute_s * compute_fraction;
                 let consumed = b.total();
                 return Err(self.fail(
                     id,
@@ -905,7 +991,7 @@ impl Platform {
                     },
                 ));
             }
-            _ => b.compute_s = full_compute,
+            _ => b.compute_s = phases.compute_s,
         }
         // Storage writes happen after compute; objects become visible at
         // the write-completion instant.
@@ -1557,7 +1643,10 @@ mod tests {
             let mut got = base;
             got.absorb_shards(shards);
 
-            for (w, g) in want.functions.iter().zip(&got.functions) {
+            for (w, g) in want.functions.iter().zip(&mut got.functions) {
+                // The merged pool is read through the ordering step every
+                // reader (`invoke`, `settle_warm_pool`, ...) runs first.
+                g.order_pool();
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&w.instances), bits(&g.instances), "seed {seed}: pool");
                 assert_eq!(w.cold_starts, g.cold_starts, "seed {seed}");
@@ -1590,6 +1679,225 @@ mod tests {
             assert_eq!(want.ledger.len(), got.ledger.len(), "seed {seed}");
             assert_eq!(want.store.num_keys(), got.store.num_keys(), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn deferred_pool_order_matches_sorting_at_absorb() {
+        // Settling and invoking on a merged platform whose pools are
+        // sorted on first use must give the bits of a copy whose pools
+        // were sorted right at the merge.
+        let work = InvocationWork {
+            load_bytes: 17 * MB,
+            flops: 1_000_000_000,
+            resident_bytes: 40 * MB,
+            ..Default::default()
+        };
+        let mut deferred = 0;
+        for seed in 0..40 {
+            let mut rng = crate::SmallRng::seed_from_u64(seed);
+            let policy = match seed % 3 {
+                0 => WarmPoolPolicy::lambda_default(),
+                1 => WarmPoolPolicy::provisioned(1),
+                _ => WarmPoolPolicy::keep_alive(30.0),
+            };
+            let mut lazy = Platform::aws_2020().with_warm_pool(policy);
+            for mem in [512, 1024, 2048] {
+                lazy.deploy(spec(mem, 17)).unwrap();
+            }
+            let lanes = rng.range_inclusive(1, 9);
+            let shards: Vec<Platform> = (0..lanes)
+                .map(|lane| {
+                    let mut s = lazy.fork_empty();
+                    randomize(&mut s, &mut rng, lane);
+                    s
+                })
+                .collect();
+            randomize(&mut lazy, &mut rng, lanes);
+            lazy.absorb_shards(shards);
+            deferred += lazy.functions.iter().filter(|f| !f.ordered).count();
+            let mut eager = lazy.clone();
+            for f in &mut eager.functions {
+                f.instances.sort_unstable_by(f64::total_cmp);
+                f.ordered = true;
+            }
+
+            let settle_at = rng.next_f64() * 200.0;
+            let calls: Vec<(FunctionId, f64)> = (0..30)
+                .map(|_| (FunctionId(rng.below(3)), rng.next_f64() * 300.0))
+                .collect();
+            let run = |p: &mut Platform| {
+                let mut bits = Vec::new();
+                let settle = |p: &mut Platform, bits: &mut Vec<u64>| {
+                    let (idle, dollars) = p.settle_warm_pool(settle_at);
+                    bits.extend([idle.to_bits(), dollars.to_bits()]);
+                };
+                if seed % 2 == 0 {
+                    settle(p, &mut bits);
+                }
+                for &(id, t) in &calls {
+                    let out = p.invoke(id, t, &work).unwrap();
+                    bits.extend([
+                        out.end.to_bits(),
+                        out.dollars.to_bits(),
+                        u64::from(out.warm),
+                    ]);
+                }
+                settle(p, &mut bits);
+                bits.push(p.total_cost().to_bits());
+                for f in &p.functions {
+                    bits.extend(f.instances.iter().map(|x| x.to_bits()));
+                }
+                bits
+            };
+            assert_eq!(run(&mut lazy), run(&mut eager), "seed {seed}");
+        }
+        assert!(deferred > 0, "no merged pool was left for its first reader");
+    }
+
+    fn breakdown_bits(b: &DurationBreakdown) -> [u64; 6] {
+        [
+            b.cold_s,
+            b.import_s,
+            b.load_s,
+            b.compute_s,
+            b.transfer_s,
+            b.fixed_s,
+        ]
+        .map(f64::to_bits)
+    }
+
+    #[test]
+    fn phase_record_matches_the_perf_law_across_work_switches() {
+        // One function alternates works with different perf-model phases,
+        // so each switch misses the record: a normal work and, each
+        // differing from it in one key field, one that runs out of memory
+        // (resident bytes), one over the /tmp limit (load bytes) and a
+        // heavier one (FLOPs); plus one with the normal work's key but
+        // over the /tmp limit (a record hit that must still fail). Every
+        // outcome must carry the law's bits for its work.
+        let mem = 1024;
+        let perf = PerfModel::default();
+        let prices = PriceSheet::aws_2020();
+        let law = LambdaPerf::new(&perf, mem);
+        let normal = InvocationWork {
+            load_bytes: 17 * MB,
+            flops: 1_140_000_000,
+            resident_bytes: 40 * MB,
+            tmp_bytes: 20 * MB,
+            ..Default::default()
+        };
+        let works = [
+            normal.clone(),
+            InvocationWork {
+                resident_bytes: 4000 * MB,
+                ..normal.clone()
+            },
+            InvocationWork {
+                load_bytes: 60 * MB,
+                tmp_bytes: 600 * MB,
+                ..normal.clone()
+            },
+            InvocationWork {
+                flops: 3_000_000_000,
+                ..normal.clone()
+            },
+            InvocationWork {
+                tmp_bytes: 600 * MB,
+                ..normal
+            },
+        ];
+        let runs = [true, false, false, true, false];
+        let mut seen = [[false; 2]; 5];
+        let mut misses = 0;
+        for seed in 0..20 {
+            let mut rng = crate::SmallRng::seed_from_u64(seed);
+            let mut p = Platform::aws_2020();
+            let (id, _) = p.deploy(spec(mem, 17)).unwrap();
+            let tmp_limit = u64::from(p.quotas().tmp_limit_mb) * MB;
+            let keep_alive_s = p.warm_pool().keep_alive_s;
+            let cold_s = law.cold_start(p.spec(id).unwrap().package_bytes());
+            let (mut t, mut prev) = (0.0, usize::MAX);
+            for _ in 0..60 {
+                let k = rng.below(works.len());
+                let w = &works[k];
+                let key = |w: &InvocationWork| (w.load_bytes, w.flops, w.resident_bytes);
+                if prev != usize::MAX && key(&works[prev]) != key(w) {
+                    misses += 1;
+                }
+                prev = k;
+                // Mostly inside the keep-alive (warm when a sandbox is
+                // free), sometimes past it.
+                t += if rng.below(4) == 0 {
+                    2.0 * keep_alive_s
+                } else {
+                    rng.next_f64() * 40.0
+                };
+                let footprint_mb = perf.runtime_footprint_mb + w.resident_bytes as f64 / MB as f64;
+                let import_s = law.cpu_time(law.import_work(), footprint_mb);
+                let load_s = law.cpu_time(law.load_work(w.load_bytes), footprint_mb);
+                match p.invoke(id, t, w) {
+                    Ok(out) => {
+                        assert!(runs[k], "seed {seed}: work {k} must fail");
+                        seen[k][usize::from(out.warm)] = true;
+                        let mut b = DurationBreakdown {
+                            compute_s: law.cpu_time(law.compute_work(w.flops), footprint_mb),
+                            fixed_s: perf.fixed_overhead_s,
+                            ..Default::default()
+                        };
+                        if !out.warm {
+                            b.cold_s = cold_s;
+                            b.import_s = import_s;
+                            b.load_s = load_s;
+                        }
+                        let d = b.total();
+                        assert_eq!(breakdown_bits(&out.breakdown), breakdown_bits(&b));
+                        assert_eq!(out.end.to_bits(), (t + d).to_bits());
+                        assert_eq!(out.billed_s.to_bits(), prices.billed_duration(d).to_bits());
+                        let dollars =
+                            prices.lambda_compute_cost(d, mem) + prices.lambda_request + 0.0;
+                        assert_eq!(out.dollars.to_bits(), dollars.to_bits(), "seed {seed}");
+                    }
+                    Err(f) => {
+                        seen[k][usize::from(f.warm)] = true;
+                        let mut b = DurationBreakdown::default();
+                        if !f.warm {
+                            b.cold_s = cold_s;
+                            b.import_s = import_s;
+                        }
+                        let reason = if law.is_oom(footprint_mb) {
+                            if !f.warm {
+                                b.load_s = load_s;
+                            }
+                            InvokeError::OutOfMemory {
+                                footprint_mb,
+                                memory_mb: mem,
+                            }
+                        } else {
+                            assert!(!runs[k] && w.tmp_bytes > tmp_limit, "seed {seed}: work {k}");
+                            InvokeError::TmpExceeded {
+                                got: w.tmp_bytes,
+                                limit: tmp_limit,
+                            }
+                        };
+                        // Debug prints each f64 round-trip exact, so equal
+                        // text means bit-equal footprints.
+                        assert_eq!(format!("{:?}", f.reason), format!("{reason:?}"));
+                        let consumed = b.total();
+                        assert_eq!(breakdown_bits(&f.breakdown), breakdown_bits(&b));
+                        assert_eq!(f.end.to_bits(), (t + consumed).to_bits());
+                        assert_eq!(
+                            f.billed_s.to_bits(),
+                            prices.billed_duration(consumed).to_bits()
+                        );
+                        let dollars =
+                            prices.lambda_compute_cost(consumed, mem) + prices.lambda_request + 0.0;
+                        assert_eq!(f.dollars.to_bits(), dollars.to_bits(), "seed {seed}");
+                    }
+                }
+            }
+        }
+        assert_eq!(seen, [[true; 2]; 5], "every work both cold and warm");
+        assert!(misses > 100, "only {misses} record misses");
     }
 
     #[test]

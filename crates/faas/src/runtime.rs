@@ -55,16 +55,34 @@ impl PartitionWork {
         }
     }
 
-    /// Resident footprint beyond the runtime: weights twice (file +
-    /// in-memory graph) plus materialized activations plus staged input.
-    pub fn resident_bytes(&self) -> u64 {
-        2 * self.seg.weight_bytes + self.seg.activation_bytes + self.seg.input_bytes
+    /// The invocation scalars for requests of `batch` images whose staged
+    /// input totals `input_bytes`, with no storage keys: FLOPs and
+    /// activations scale by `batch`, weights stay fixed. Resident bytes
+    /// (beyond the runtime) are weights twice (file + in-memory graph)
+    /// plus activations plus the staged input; `/tmp` holds the weight
+    /// files plus the staged input (paper constraint (5) LHS:
+    /// `y·z + p_{i-1}`).
+    pub fn batch_work(&self, batch: u64, input_bytes: u64) -> InvocationWork {
+        let w = self.seg.weight_bytes;
+        InvocationWork {
+            load_bytes: w,
+            flops: self.seg.flops * batch,
+            resident_bytes: 2 * w + self.seg.activation_bytes * batch + input_bytes,
+            tmp_bytes: w + input_bytes,
+            ..Default::default()
+        }
     }
 
-    /// `/tmp` usage: weight files plus the previous partition's output
-    /// staged as a file (paper constraint (5) LHS: `y·z + p_{i-1}`).
+    /// Resident footprint beyond the runtime for one image
+    /// ([`batch_work`](Self::batch_work) at batch 1).
+    pub fn resident_bytes(&self) -> u64 {
+        self.batch_work(1, self.seg.input_bytes).resident_bytes
+    }
+
+    /// `/tmp` usage for one image ([`batch_work`](Self::batch_work) at
+    /// batch 1): weight files plus the previous partition's output.
     pub fn tmp_bytes(&self) -> u64 {
-        self.seg.weight_bytes + self.seg.input_bytes
+        self.batch_work(1, self.seg.input_bytes).tmp_bytes
     }
 
     /// Invocation work, wiring the storage keys: reads `input_key` (None
@@ -78,15 +96,12 @@ impl PartitionWork {
         output_key: Option<ObjectKey>,
     ) -> InvocationWork {
         InvocationWork {
-            load_bytes: self.seg.weight_bytes,
-            flops: self.seg.flops,
-            resident_bytes: self.resident_bytes(),
-            tmp_bytes: self.tmp_bytes(),
             reads: input_key.into_iter().collect(),
             writes: output_key
                 .map(|k| (k, self.seg.output_bytes))
                 .into_iter()
                 .collect(),
+            ..self.batch_work(1, self.seg.input_bytes)
         }
     }
 }
