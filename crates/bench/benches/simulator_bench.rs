@@ -8,7 +8,7 @@ use ampsinf_faas::platform::Platform;
 use ampsinf_faas::runtime::whole_model;
 use ampsinf_faas::{SmallRng, WarmPoolPolicy};
 use ampsinf_model::zoo;
-use ampsinf_profiler::{quick_eval, Profile};
+use ampsinf_profiler::{quick_eval_node, Profile};
 use ampsinf_serving::{ArrivalShape, LoadSpec};
 
 /// The paper's multi-partition workhorse on the open-loop engine: same
@@ -186,8 +186,9 @@ fn main() {
     let profile = Profile::of(&g);
     let cfg = AmpsConfig::default();
     let n = g.num_layers();
+    let (reads, writes) = profile.chain_io(n / 3, 2 * n / 3);
     b.bench("quick_eval/resnet_mid_segment", 20, || {
-        quick_eval(
+        quick_eval_node(
             &profile,
             n / 3,
             2 * n / 3,
@@ -196,8 +197,8 @@ fn main() {
             &cfg.prices,
             &cfg.perf,
             &cfg.store,
-            false,
-            false,
+            reads,
+            writes,
         )
     });
 

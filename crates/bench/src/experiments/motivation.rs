@@ -9,7 +9,7 @@ use ampsinf_core::{AmpsConfig, Coordinator};
 use ampsinf_faas::runtime::whole_model;
 use ampsinf_model::zoo;
 use ampsinf_model::LayerGraph;
-use ampsinf_profiler::{quick_eval, Profile};
+use ampsinf_profiler::{quick_eval_node, Profile};
 use ampsinf_serving::sagemaker::{run_sagemaker, SageConfig, SageSetting};
 
 /// Single-lambda whole-model end-to-end (deploy + invoke), as in §2.2.1's
@@ -79,12 +79,13 @@ pub fn fig1() -> Table {
         "MobileNet 1-image completion time and cost vs memory block",
         &["time (s)", "cost ($)"],
     );
+    let (reads, writes) = profile.chain_io(0, n - 1);
     for mem in cfg.quotas.memory_blocks() {
         if mem < 256 {
             // The paper's x-axis starts at 256 MB: 128 MB cannot finish.
             continue;
         }
-        match quick_eval(
+        match quick_eval_node(
             &profile,
             0,
             n - 1,
@@ -93,8 +94,8 @@ pub fn fig1() -> Table {
             &cfg.prices,
             &cfg.perf,
             &cfg.store,
-            true,
-            true,
+            reads,
+            writes,
         ) {
             Ok(e) => t.row_all(format!("{mem} MB"), &[e.duration_s, e.dollars]),
             Err(_) => t.row(format!("{mem} MB"), vec![None, None]),
@@ -127,8 +128,9 @@ pub fn table2() -> Table {
         (2048, 6.38, 0.00021),
         (3008, 6.32, 0.00031),
     ];
+    let (reads, writes) = profile.chain_io(0, n - 1);
     for (mem, pt, pc) in paper {
-        let e = quick_eval(
+        let e = quick_eval_node(
             &profile,
             0,
             n - 1,
@@ -137,8 +139,8 @@ pub fn table2() -> Table {
             &cfg.prices,
             &cfg.perf,
             &cfg.store,
-            true,
-            true,
+            reads,
+            writes,
         )
         .expect("MobileNet runs at these blocks");
         t.row_all(format!("{mem} MB"), &[e.duration_s, e.dollars, pt, pc]);

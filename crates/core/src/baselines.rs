@@ -21,38 +21,20 @@ use crate::plan::{DagPlan, ExecutionPlan, PartitionPlan};
 use crate::polish::dag_schedule;
 use ampsinf_faas::SmallRng;
 use ampsinf_model::LayerGraph;
-use ampsinf_profiler::{quick_eval, quick_eval_node, Profile};
+use ampsinf_profiler::{quick_eval_node, Profile};
 
 /// Evaluates a complete plan's predicted chain time and cost (cold chain,
-/// same arithmetic as the optimizer / platform).
+/// same arithmetic as the optimizer / platform). The chain is priced as
+/// the DAG it deploys as ([`DagPlan::from_chain`]): each partition reads
+/// its predecessor's boundary object, so the critical path is the sum of
+/// the partitions' durations.
 pub fn predict(profile: &Profile, plan: &mut ExecutionPlan, cfg: &AmpsConfig) -> bool {
-    let n = profile.num_layers();
-    let mut time = 0.0;
-    let mut cost = 0.0;
-    for (i, p) in plan.partitions.iter().enumerate() {
-        let is_first = i == 0;
-        let is_last = p.end == n - 1;
-        match quick_eval(
-            profile,
-            p.start,
-            p.end,
-            p.memory_mb,
-            &cfg.quotas,
-            &cfg.prices,
-            &cfg.perf,
-            &cfg.store,
-            is_first,
-            is_last,
-        ) {
-            Ok(e) => {
-                time += e.duration_s;
-                cost += e.dollars;
-            }
-            Err(_) => return false,
-        }
+    let mut dag = DagPlan::from_chain(plan, |k| profile.output_bytes(k));
+    if !predict_dag(profile, &mut dag, cfg) {
+        return false;
     }
-    plan.predicted_time_s = time;
-    plan.predicted_cost = cost;
+    plan.predicted_time_s = dag.predicted_time_s;
+    plan.predicted_cost = dag.predicted_cost;
     true
 }
 
@@ -84,16 +66,7 @@ pub fn dag_node_times(profile: &Profile, plan: &DagPlan, cfg: &AmpsConfig) -> Op
 fn dag_evals(profile: &Profile, plan: &DagPlan, cfg: &AmpsConfig) -> Option<Vec<(f64, f64)>> {
     let mut evals = Vec::with_capacity(plan.nodes.len());
     for (v, node) in plan.nodes.iter().enumerate() {
-        let reads: Vec<u64> = plan
-            .inputs_of(v)
-            .into_iter()
-            .map(|o| plan.objects[o].bytes)
-            .collect();
-        let writes: Vec<u64> = plan
-            .outputs_of(v)
-            .into_iter()
-            .map(|o| plan.objects[o].bytes)
-            .collect();
+        let (reads, writes) = plan.node_io_bytes(v);
         let e = quick_eval_node(
             profile,
             node.start,
@@ -226,10 +199,9 @@ pub fn b3_optimal(graph: &LayerGraph, cfg: &AmpsConfig) -> Option<ExecutionPlan>
             if cost_from[e + 1].is_infinite() {
                 continue;
             }
-            let is_first = s == 0;
-            let is_last = e == n - 1;
+            let (reads, writes) = profile.chain_io(s, e);
             for mem in profile.feasible_memories(s, e, &cfg.quotas, &cfg.perf) {
-                if let Ok(eval) = quick_eval(
+                if let Ok(eval) = quick_eval_node(
                     &profile,
                     s,
                     e,
@@ -238,8 +210,8 @@ pub fn b3_optimal(graph: &LayerGraph, cfg: &AmpsConfig) -> Option<ExecutionPlan>
                     &cfg.prices,
                     &cfg.perf,
                     &cfg.store,
-                    is_first,
-                    is_last,
+                    reads,
+                    writes,
                 ) {
                     let total = eval.dollars + cost_from[e + 1];
                     if best_here.is_none_or(|(c, _, _)| total < c) {
@@ -275,31 +247,6 @@ pub fn b3_optimal(graph: &LayerGraph, cfg: &AmpsConfig) -> Option<ExecutionPlan>
     predict(&profile, &mut plan, cfg).then_some(plan)
 }
 
-/// Per-stage predicted durations for a complete plan (the same arithmetic
-/// as [`predict`], reported per partition instead of summed). `None` when
-/// any partition cannot run in its configuration.
-pub fn stage_times(profile: &Profile, plan: &ExecutionPlan, cfg: &AmpsConfig) -> Option<Vec<f64>> {
-    let n = profile.num_layers();
-    let mut times = Vec::with_capacity(plan.partitions.len());
-    for (i, p) in plan.partitions.iter().enumerate() {
-        let e = quick_eval(
-            profile,
-            p.start,
-            p.end,
-            p.memory_mb,
-            &cfg.quotas,
-            &cfg.prices,
-            &cfg.perf,
-            &cfg.store,
-            i == 0,
-            p.end == n - 1,
-        )
-        .ok()?;
-        times.push(e.duration_s);
-    }
-    Some(times)
-}
-
 /// Baseline 4 (PipeServe): backward bucket-scan toward `stages` partitions
 /// of equal per-layer time, maximum memory everywhere.
 ///
@@ -324,7 +271,8 @@ pub fn b4_bucket_scan(
     // handoff overheads cancel in the balance comparison).
     let mut w = Vec::with_capacity(n);
     for i in 0..n {
-        let e = quick_eval(
+        let (reads, writes) = profile.chain_io(i, i);
+        let e = quick_eval_node(
             &profile,
             i,
             i,
@@ -333,8 +281,8 @@ pub fn b4_bucket_scan(
             &cfg.prices,
             &cfg.perf,
             &cfg.store,
-            i == 0,
-            i == n - 1,
+            reads,
+            writes,
         )
         .ok()?;
         w.push(e.duration_s);
@@ -480,7 +428,8 @@ mod tests {
         b4.validate(g.num_layers()).unwrap();
         assert!(b4.memories().iter().all(|&m| m == cfg.quotas.memory_max_mb));
         let bottleneck = |p: &ExecutionPlan| {
-            stage_times(&profile, p, &cfg)
+            let dag = DagPlan::from_chain(p, |k| profile.output_bytes(k));
+            dag_node_times(&profile, &dag, &cfg)
                 .unwrap()
                 .into_iter()
                 .fold(0.0f64, f64::max)
@@ -510,31 +459,39 @@ mod tests {
     }
 
     #[test]
-    fn stage_times_sum_to_predicted_chain() {
+    fn chain_node_times_sum_to_predicted_chain() {
+        // A chain's prediction is its segments priced one by one and
+        // summed in order, bit for bit.
         let g = zoo::resnet50();
         let cfg = AmpsConfig::default();
         let profile = Profile::of(&g);
         let plan = b2_greedy_max(&g, &cfg).unwrap();
-        let times = stage_times(&profile, &plan, &cfg).unwrap();
+        let dag = DagPlan::from_chain(&plan, |k| profile.output_bytes(k));
+        let times = dag_node_times(&profile, &dag, &cfg).unwrap();
         assert_eq!(times.len(), plan.num_lambdas());
-        let sum: f64 = times.iter().sum();
-        assert!((sum - plan.predicted_time_s).abs() < 1e-9);
-    }
-
-    #[test]
-    fn predict_dag_matches_predict_on_chain_shape() {
-        // Degenerate DAG ≡ chain: same time and cost, bit for bit.
-        let g = zoo::resnet50();
-        let cfg = AmpsConfig::default();
-        let profile = Profile::of(&g);
-        let chain = b2_greedy_max(&g, &cfg).unwrap();
-        let mut dag = DagPlan::from_chain(&chain, |end| profile.output_bytes(end));
-        assert!(predict_dag(&profile, &mut dag, &cfg));
-        assert_eq!(
-            dag.predicted_time_s.to_bits(),
-            chain.predicted_time_s.to_bits()
-        );
-        assert_eq!(dag.predicted_cost.to_bits(), chain.predicted_cost.to_bits());
+        let mut time = 0.0;
+        let mut cost = 0.0;
+        for (p, t) in plan.partitions.iter().zip(&times) {
+            let (reads, writes) = profile.chain_io(p.start, p.end);
+            let e = quick_eval_node(
+                &profile,
+                p.start,
+                p.end,
+                p.memory_mb,
+                &cfg.quotas,
+                &cfg.prices,
+                &cfg.perf,
+                &cfg.store,
+                reads,
+                writes,
+            )
+            .unwrap();
+            assert_eq!(e.duration_s.to_bits(), t.to_bits());
+            time += e.duration_s;
+            cost += e.dollars;
+        }
+        assert_eq!(time.to_bits(), plan.predicted_time_s.to_bits());
+        assert_eq!(cost.to_bits(), plan.predicted_cost.to_bits());
     }
 
     #[test]

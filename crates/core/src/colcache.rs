@@ -3,10 +3,10 @@
 //! A cut is a list of segment boundaries, and adjacent cuts overwhelmingly
 //! share segments: enumerating cuts of a model re-derives the same
 //! `(start, end)` column evaluations thousands of times. A segment's
-//! columns are a pure function of `(profile, start, end, config)` — the
-//! first/last flags that `quick_eval` needs are implied by
-//! `start == 0` / `end == last layer` — so one optimize call shares a
-//! single memo table across both passes and every worker thread.
+//! columns are a pure function of `(profile, start, end, config)` — its
+//! storage objects are [`Profile::chain_io`]'s, fixed by `start` and
+//! `end` — so one optimize call shares a single memo table across both
+//! passes and every worker thread.
 //!
 //! The cache stores the **post-`presolve_dominated`** Pareto frontier: it
 //! is what every consumer (the separable fast paths and the MIQP assembly)

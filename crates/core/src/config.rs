@@ -94,16 +94,6 @@ pub struct AmpsConfig {
     /// **model** parameter: results depend on it, never on thread count
     /// (stations admit strictly in request-index order).
     pub pipeline_depth: usize,
-    /// Sweep-mode cross-point seeding: completed tighter-SLO points feed
-    /// their optimal cost into looser points as a pruning upper bound
-    /// (replay LP-bound prunes and tolerance break). Like
-    /// `serve_threads`, this is an **execution** parameter — a per-point
-    /// cold fallback guarantees every plan stays bit-identical to an
-    /// independent `optimize()` whether seeding is on or off; only solve
-    /// counts and wall-clock change. `false` disables the sharing (each
-    /// grid point solves fully cold), which the equivalence tests use to
-    /// prove the invariance.
-    pub sweep_seed_bounds: bool,
 }
 
 impl Default for AmpsConfig {
@@ -129,7 +119,6 @@ impl Default for AmpsConfig {
             serve_threads: 0,
             warm_pool: WarmPoolPolicy::default(),
             pipeline_depth: 0,
-            sweep_seed_bounds: true,
         }
     }
 }
@@ -205,13 +194,6 @@ impl AmpsConfig {
     pub fn with_pipeline(mut self, depth: usize) -> Self {
         assert!(depth >= 1, "pipeline depth must be at least 1");
         self.pipeline_depth = depth;
-        self
-    }
-
-    /// Config with sweep cross-point bound seeding toggled (never changes
-    /// plans, only how much work a sweep skips).
-    pub fn with_sweep_seeding(mut self, on: bool) -> Self {
-        self.sweep_seed_bounds = on;
         self
     }
 }

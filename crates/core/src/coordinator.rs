@@ -1836,13 +1836,10 @@ mod tests {
         // bucket-scan baseline at 4 stages, unconstrained by cost).
         let plan = crate::baselines::b4_bucket_scan(&g, &cfg, 4).unwrap();
         assert!(plan.num_lambdas() >= 3, "need a multi-stage plan: {plan}");
+        let profile = ampsinf_profiler::Profile::of(&g);
+        let lowered = DagPlan::from_chain(&plan, |k| profile.output_bytes(k));
         let pp = crate::plan::PipelinePlan {
-            stage_times_s: crate::baselines::stage_times(
-                &ampsinf_profiler::Profile::of(&g),
-                &plan,
-                &cfg,
-            )
-            .unwrap(),
+            stage_times_s: crate::baselines::dag_node_times(&profile, &lowered, &cfg).unwrap(),
             bottleneck_s: 0.0,
             plan,
         };

@@ -15,7 +15,7 @@
 
 use crate::config::AmpsConfig;
 use ampsinf_linalg::Matrix;
-use ampsinf_profiler::{quick_eval, Profile, SegmentEval};
+use ampsinf_profiler::{quick_eval_node, Profile, SegmentEval};
 use ampsinf_solver::knapsack::{self, Item};
 use ampsinf_solver::{MiqpProblem, VarKind};
 
@@ -47,21 +47,21 @@ pub struct CutMiqp {
 /// segment has no feasible memory/evaluation at all.
 ///
 /// `(start, end)` fully determines the result for a given profile and
-/// config: `quick_eval`'s first/last flags are implied by `start == 0` and
-/// `end == last layer`. That is what makes segment columns shareable
-/// across cuts (see [`crate::colcache::SegmentColumnCache`]).
+/// config: the segment's storage objects are [`Profile::chain_io`]'s, one
+/// boundary read and one written except at the model's ends. That is
+/// what makes segment columns shareable across cuts (see
+/// [`crate::colcache::SegmentColumnCache`]).
 pub fn evaluate_segment(
     profile: &Profile,
     start: usize,
     end: usize,
     cfg: &AmpsConfig,
 ) -> Option<PartitionColumns> {
-    let is_first = start == 0;
-    let is_last = end == profile.num_layers() - 1;
+    let (reads, writes) = profile.chain_io(start, end);
     let mut memories = Vec::new();
     let mut evals = Vec::new();
     for mem in profile.feasible_memories(start, end, &cfg.quotas, &cfg.perf) {
-        if let Ok(eval) = quick_eval(
+        if let Ok(eval) = quick_eval_node(
             profile,
             start,
             end,
@@ -70,8 +70,8 @@ pub fn evaluate_segment(
             &cfg.prices,
             &cfg.perf,
             &cfg.store,
-            is_first,
-            is_last,
+            reads,
+            writes,
         ) {
             memories.push(mem);
             evals.push(eval);

@@ -14,7 +14,7 @@
 //!    tightens the replay's LP-bound prunes and its tolerance break. A
 //!    per-point cold-fallback guard keeps the bound *advisory*: plans are
 //!    **always** bit-identical to independent cold solves, at every
-//!    thread count, seeding on or off.
+//!    thread count.
 //! 3. **Parallel batch chains** — each batch's points form a sequential
 //!    tight-to-loose chain (so seeds are deterministic); distinct batch
 //!    chains run concurrently on scoped threads, and in a DAG sweep the
@@ -32,7 +32,7 @@ use crate::optimizer::{
 };
 use crate::plan::{DagPlan, ExecutionPlan, PartitionPlan, PipelinePlan};
 use ampsinf_model::LayerGraph;
-use ampsinf_profiler::{batched_unique, quick_eval, Profile};
+use ampsinf_profiler::{batched_unique, quick_eval_node, Profile};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -432,8 +432,7 @@ impl Optimizer {
     /// Plans every point of `grid` in one call. See the module docs for
     /// what is shared across points; the contract is that every returned
     /// plan is bit-identical to an independent [`Optimizer::optimize`]
-    /// call at that point's `(slo, batch)` — at every thread count, with
-    /// seeding on or off.
+    /// call at that point's `(slo, batch)`, at every thread count.
     pub fn optimize_sweep(&self, graph: &LayerGraph, grid: &SweepGrid) -> SweepReport {
         let t0 = Instant::now();
         let threads = self.resolve_threads();
@@ -501,7 +500,7 @@ impl Optimizer {
         let mut cfg = self.config().clone();
         cfg.batch_size = batch;
         cfg.slo_s = Some(slo);
-        let seed = if cfg.sweep_seed_bounds { *bound } else { None };
+        let seed = *bound;
         let opt = Optimizer::new(cfg);
         let counters = CacheCounters::new();
         let solve = shared
@@ -541,8 +540,8 @@ impl Optimizer {
     /// warmed further by every point of the batch. The contract matches
     /// `optimize_sweep`'s: every point's chain plan *and* DAG verdict are
     /// bit-identical to an independent [`Optimizer::optimize_dag`] call at
-    /// that `(slo, batch)` — at every thread count, seeding on or off —
-    /// because every memoized value is a pure function of its key.
+    /// that `(slo, batch)` — at every thread count — because every
+    /// memoized value is a pure function of its key.
     pub fn optimize_dag_sweep(&self, graph: &LayerGraph, grid: &SweepGrid) -> DagSweepReport {
         let t0 = Instant::now();
         let threads = self.resolve_threads();
@@ -725,10 +724,9 @@ impl Optimizer {
         let budget = floor * (1.0 + self.tolerance()) + 1e-15;
 
         // Pass B: among budget-feasible candidates, minimize the
-        // bottleneck stage. Stage durations come from `quick_eval` — the
-        // same arithmetic pass 1 used for the totals. Mixes are read back
-        // from pass 1; a plan is built only for a new best.
-        let n = sh.profile.num_layers();
+        // bottleneck stage. Stage durations come from `quick_eval_node` —
+        // the same arithmetic pass 1 used for the totals. Mixes are read
+        // back from pass 1; a plan is built only for a new best.
         let mut best: Option<PipelinePlan> = None;
         let mut stage_times: Vec<f64> = Vec::new();
         for &ci in &sh.order {
@@ -745,8 +743,9 @@ impl Optimizer {
                 stage_times.clear();
                 let mut start = 0usize;
                 let mut ok = true;
-                for (i, (end, mem)) in p1.cuts.cut(ci).zip(p1.mix(ci, fastest)).enumerate() {
-                    match quick_eval(
+                for (end, mem) in p1.cuts.cut(ci).zip(p1.mix(ci, fastest)) {
+                    let (reads, writes) = sh.profile.chain_io(start, end);
+                    match quick_eval_node(
                         &sh.profile,
                         start,
                         end,
@@ -755,8 +754,8 @@ impl Optimizer {
                         &cfg.prices,
                         &cfg.perf,
                         &cfg.store,
-                        i == 0,
-                        end == n - 1,
+                        reads,
+                        writes,
                     ) {
                         Ok(e) => stage_times.push(e.duration_s),
                         Err(_) => {

@@ -10,33 +10,15 @@
 //! change to the search or the polish that moves a single accepted
 //! upgrade, memory or predicted bit shows up here.
 
+mod common;
+
 use ampsinf_core::optimizer::Optimizer;
 use ampsinf_core::sweep::SweepGrid;
 use ampsinf_core::{AmpsConfig, DagPlan, OptimizeError};
 use ampsinf_model::{zoo, LayerGraph};
-
-/// FNV-1a over 64-bit words.
-struct Digest(u64);
+use common::Digest;
 
 impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn text(&mut self, s: &str) {
-        self.word(s.len() as u64);
-        for b in s.bytes() {
-            self.word(u64::from(b));
-        }
-    }
-
     fn dag(&mut self, d: Option<&DagPlan>) {
         let Some(d) = d else {
             self.word(0);

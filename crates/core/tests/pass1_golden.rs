@@ -8,34 +8,14 @@
 //! per-cut sums flat; a change to the cut walk, its order, the summary
 //! table or the order the sums are added in shows up here.
 
+mod common;
+
 use ampsinf_core::cuts::enumerate_cuts;
 use ampsinf_core::optimizer::{CutEval, Optimizer};
 use ampsinf_core::AmpsConfig;
 use ampsinf_model::{zoo, LayerGraph};
 use ampsinf_profiler::Profile;
-
-/// FNV-1a over 64-bit words.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn list<T: Copy + Into<u64>>(&mut self, xs: &[T]) {
-        self.word(xs.len() as u64);
-        for &x in xs {
-            self.word(x.into());
-        }
-    }
-}
+use common::Digest;
 
 fn cuts_digest(cuts: &[Vec<usize>]) -> u64 {
     let mut d = Digest::new();

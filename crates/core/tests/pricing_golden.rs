@@ -20,10 +20,10 @@
 mod common;
 
 use ampsinf_core::baselines::{self, b1_random, b2_greedy_max, b3_optimal, b4_bucket_scan};
-use ampsinf_core::{AmpsConfig, ExecutionPlan, Optimizer};
+use ampsinf_core::{AmpsConfig, DagPlan, ExecutionPlan, Optimizer};
 use ampsinf_faas::StoreKind;
 use ampsinf_model::{zoo, LayerGraph};
-use ampsinf_profiler::{quick_eval, EvalError, Profile, SegmentEval};
+use ampsinf_profiler::{quick_eval_node, EvalError, Profile, SegmentEval};
 use common::Digest;
 
 /// Segment `[start, end]` at `memory_mb`, priced with an explicit
@@ -39,7 +39,9 @@ fn wired_eval(
     first: bool,
     last: bool,
 ) -> Result<SegmentEval, EvalError> {
-    quick_eval(
+    let read = [profile.input_bytes(start)];
+    let write = [profile.output_bytes(end)];
+    quick_eval_node(
         profile,
         start,
         end,
@@ -48,14 +50,16 @@ fn wired_eval(
         &cfg.prices,
         &cfg.perf,
         &cfg.store,
-        first,
-        last,
+        if first { &[] } else { &read },
+        if last { &[] } else { &write },
     )
 }
 
-/// Per-stage predicted durations of a chain plan.
+/// Per-stage predicted durations of a chain plan: the node times of the
+/// DAG it deploys as.
 fn stage_times(profile: &Profile, plan: &ExecutionPlan, cfg: &AmpsConfig) -> Option<Vec<f64>> {
-    baselines::stage_times(profile, plan, cfg)
+    let dag = DagPlan::from_chain(plan, |k| profile.output_bytes(k));
+    baselines::dag_node_times(profile, &dag, cfg)
 }
 
 impl Digest {

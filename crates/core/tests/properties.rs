@@ -7,7 +7,7 @@ use ampsinf_core::cuts::{enumerate_cuts, segment_feasible};
 use ampsinf_core::plan::{ExecutionPlan, PartitionPlan};
 use ampsinf_core::AmpsConfig;
 use ampsinf_model::zoo;
-use ampsinf_profiler::{quick_eval, Profile};
+use ampsinf_profiler::{quick_eval_node, Profile};
 
 #[test]
 fn chain_cut_count_is_compositions() {
@@ -83,8 +83,9 @@ fn predict_is_additive_over_partitions() {
             checked += 1;
             let mut t_sum = 0.0;
             let mut c_sum = 0.0;
-            for (i, p) in partitions.iter().enumerate() {
-                let e = quick_eval(
+            for p in &partitions {
+                let (reads, writes) = profile.chain_io(p.start, p.end);
+                let e = quick_eval_node(
                     &profile,
                     p.start,
                     p.end,
@@ -93,8 +94,8 @@ fn predict_is_additive_over_partitions() {
                     &cfg.prices,
                     &cfg.perf,
                     &cfg.store,
-                    i == 0,
-                    p.end == n - 1,
+                    reads,
+                    writes,
                 )
                 .unwrap();
                 t_sum += e.duration_s;
@@ -131,32 +132,24 @@ fn memory_monotonicity_per_segment() {
     let profile = Profile::of(&g);
     let cfg = AmpsConfig::default();
     let n = g.num_layers();
+    let (reads, writes) = profile.chain_io(0, n / 2);
     for lo in [512u32, 1024, 2048] {
         let hi = 3008u32;
-        let a = quick_eval(
-            &profile,
-            0,
-            n / 2,
-            lo,
-            &cfg.quotas,
-            &cfg.prices,
-            &cfg.perf,
-            &cfg.store,
-            true,
-            false,
-        );
-        let b = quick_eval(
-            &profile,
-            0,
-            n / 2,
-            hi,
-            &cfg.quotas,
-            &cfg.prices,
-            &cfg.perf,
-            &cfg.store,
-            true,
-            false,
-        );
+        let eval = |mem| {
+            quick_eval_node(
+                &profile,
+                0,
+                n / 2,
+                mem,
+                &cfg.quotas,
+                &cfg.prices,
+                &cfg.perf,
+                &cfg.store,
+                reads,
+                writes,
+            )
+        };
+        let (a, b) = (eval(lo), eval(hi));
         if let (Ok(a), Ok(b)) = (a, b) {
             assert!(b.duration_s <= a.duration_s + 1e-9);
         }

@@ -17,6 +17,8 @@
 //! batch that reuses them), for a branch-parallel DAG and a faulted,
 //! pre-warmed chain. They were recorded with the lane-by-lane pool merge.
 
+mod common;
+
 use ampsinf_core::coordinator::{
     BatchReport, JobReport, PipelineReport, RequestSummary, ServeError, TraceReport,
 };
@@ -25,33 +27,9 @@ use ampsinf_faas::perf::DurationBreakdown;
 use ampsinf_faas::platform::{FailedInvocation, Platform};
 use ampsinf_faas::{FaultPlan, InvocationOutcome, StoreKind, WarmPoolPolicy};
 use ampsinf_model::{zoo, LayerGraph};
-
-/// FNV-1a over 64-bit words.
-struct Digest(u64);
+use common::Digest;
 
 impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn f(&mut self, x: f64) {
-        self.word(x.to_bits());
-    }
-
-    fn text(&mut self, s: &str) {
-        self.word(s.len() as u64);
-        for b in s.bytes() {
-            self.word(u64::from(b));
-        }
-    }
-
     fn breakdown(&mut self, b: &DurationBreakdown) {
         for x in [
             b.cold_s,

@@ -6,15 +6,19 @@
 //! footprint `z_i`, workload `d_i`, boundary transfer sizes `p_i`, and the
 //! unit execution times `u_{j,i}` over the platform's memory blocks.
 //!
-//! Two layers of API:
+//! Three layers of API:
 //!
 //! * [`Profile`] — prefix-summed per-layer tables for O(1) segment
 //!   aggregation and constraint pruning (paper constraints (4)–(7));
-//! * [`evaluate_segment`] — the ground-truth (time, cost) of running one
-//!   partition at one memory size. To keep the optimizer's objective
-//!   *identical* to the simulator's behaviour, this literally deploys and
-//!   invokes the partition on a scratch [`Platform`] instance — the paper's
-//!   profiling runs, compressed.
+//! * [`quick_eval_node`] — the (time, cost) of running one partition at
+//!   one memory size with explicit storage objects, in closed form. The
+//!   optimizer, the baselines and the sweeps price every chain segment
+//!   ([`Profile::chain_io`]) and every DAG node with it;
+//! * [`evaluate_segment`] — the platform-backed reference it is tested
+//!   against: it literally deploys and invokes the partition on a scratch
+//!   [`Platform`] instance — the paper's profiling runs, compressed — so
+//!   the optimizer's objective stays *identical* to the simulator's
+//!   behaviour.
 
 #![warn(missing_docs)]
 
@@ -128,6 +132,26 @@ impl Profile {
     /// Bytes leaving a segment ending at `end` (`p_i`).
     pub fn output_bytes(&self, end: usize) -> u64 {
         self.boundary_bytes[end]
+    }
+
+    /// The storage objects of chain segment `[start, end]`, as the
+    /// explicit read and write lists [`quick_eval_node`] takes: one read
+    /// of the boundary before `start` and one write of the boundary after
+    /// `end` — none at the model's first layer (the image arrives with
+    /// the trigger) or last layer (the prediction returns in the
+    /// response).
+    pub fn chain_io(&self, start: usize, end: usize) -> (&[u64], &[u64]) {
+        let reads = if start == 0 {
+            &[][..]
+        } else {
+            &self.boundary_bytes[start - 1..start]
+        };
+        let writes = if end + 1 == self.num_layers() {
+            &[][..]
+        } else {
+            &self.boundary_bytes[end..=end]
+        };
+        (reads, writes)
     }
 
     /// Deployment-size feasibility of a segment (paper constraint (4)):
@@ -281,93 +305,23 @@ pub fn evaluate_segment(
     })
 }
 
-/// Closed-form twin of [`evaluate_segment`]: the same arithmetic the
-/// platform performs, without constructing a platform. Used by the
-/// exhaustive searches (Baseline 3 sweeps hundreds of thousands of
-/// segment × memory points). `tests::quick_eval_equals_platform` pins the
-/// two paths to bit-equal results.
-#[allow(clippy::too_many_arguments)]
-pub fn quick_eval(
-    profile: &Profile,
-    start: usize,
-    end: usize,
-    memory_mb: u32,
-    quotas: &Quotas,
-    prices: &PriceSheet,
-    perf: &PerfModel,
-    store: &StoreKind,
-    is_first: bool,
-    is_last: bool,
-) -> Result<SegmentEval, EvalError> {
-    use ampsinf_faas::perf::LambdaPerf;
-
-    if !quotas.is_valid_memory(memory_mb) {
-        return Err(EvalError::Deploy(format!("invalid memory {memory_mb}")));
-    }
-    let weights = profile.weights(start, end);
-    let package = CODE_BYTES + DEPS_BYTES + weights;
-    if package > u64::from(quotas.deploy_limit_mb) * MB {
-        return Err(EvalError::Deploy("package too large".into()));
-    }
-    let input_bytes = profile.input_bytes(start);
-    let tmp = weights + input_bytes;
-    if tmp > u64::from(quotas.tmp_limit_mb) * MB {
-        return Err(EvalError::Invoke("tmp exceeded".into()));
-    }
-    let resident = 2 * weights + profile.activations(start, end) + input_bytes;
-    let footprint_mb = perf.runtime_footprint_mb + resident as f64 / MB as f64;
-    let lp = LambdaPerf::new(perf, memory_mb);
-    if lp.is_oom(footprint_mb) {
-        return Err(EvalError::Invoke("out of memory".into()));
-    }
-
-    let mut b = DurationBreakdown {
-        cold_s: lp.cold_start(package),
-        import_s: lp.cpu_time(lp.import_work(), footprint_mb),
-        load_s: lp.cpu_time(lp.load_work(weights), footprint_mb),
-        compute_s: lp.cpu_time(lp.compute_work(profile.flops(start, end)), footprint_mb),
-        transfer_s: 0.0,
-        fixed_s: perf.fixed_overhead_s,
-    };
-    let mut fees = 0.0;
-    let xfer = |bytes: u64| bytes as f64 / (store.bandwidth_mbps * 1e6) + store.request_latency_s;
-    if !is_first {
-        b.transfer_s += xfer(input_bytes);
-        if store.billed_requests {
-            fees += prices.s3_get_request;
-        }
-    }
-    if !is_last {
-        b.transfer_s += xfer(profile.output_bytes(end));
-        if store.billed_requests {
-            fees += prices.s3_put_request;
-        }
-    }
-    let duration = b.total();
-    if duration > quotas.timeout_s {
-        return Err(EvalError::Invoke("timeout".into()));
-    }
-    let dollars = prices.lambda_compute_cost(duration, memory_mb) + prices.lambda_request + fees;
-    Ok(SegmentEval {
-        duration_s: duration,
-        dollars,
-        breakdown: b,
-    })
-}
-
-/// Closed-form evaluation of one *DAG partition node*: the same
-/// arithmetic as [`quick_eval`], but with explicit storage objects
-/// instead of the chain's implicit one-in/one-out wiring — `read_bytes`
-/// carries one entry per input object (one GET + fee each), `write_bytes`
-/// one per output object (one PUT + fee each). A scatter consumer reads
-/// its branch input as one object; a gather node reads one object per
-/// branch. The staged input (which feeds `/tmp` and the resident
-/// footprint exactly as in the chain) is the sum of `read_bytes`, or the
-/// model input size for the root node (whose image arrives with the
-/// trigger — no GET, like the chain's first partition).
+/// Closed-form evaluation of one partition at one memory size: the same
+/// arithmetic the platform performs when [`evaluate_segment`] deploys and
+/// invokes it, without constructing a platform. This is the one pricing
+/// function of the optimizer, the baselines and the sweeps; the
+/// exhaustive searches call it hundreds of thousands of times.
 ///
-/// For a chain-shaped node list this is bit-equal to [`quick_eval`]:
-/// `tests::quick_eval_node_matches_quick_eval_on_chain` pins it.
+/// Storage objects are explicit: `read_bytes` carries one entry per input
+/// object (one GET + fee each), `write_bytes` one per output object (one
+/// PUT + fee each). A chain segment reads and writes at most one object
+/// each ([`Profile::chain_io`]); a scatter consumer reads its branch
+/// input as one object; a gather node reads one object per branch. The
+/// staged input (which feeds `/tmp` and the resident footprint) is the
+/// sum of `read_bytes`, or the model input size for the root node (whose
+/// image arrives with the trigger — no GET).
+///
+/// `tests::quick_eval_node_equals_platform` pins chain segments to
+/// [`evaluate_segment`].
 #[allow(clippy::too_many_arguments)]
 pub fn quick_eval_node(
     profile: &Profile,
@@ -636,20 +590,20 @@ mod tests {
     }
 
     #[test]
-    fn quick_eval_equals_platform() {
+    fn quick_eval_node_equals_platform() {
         // The optimizer objective must equal simulator behaviour exactly.
         let (q, pr, pe) = defaults();
         for g in [zoo::mobilenet_v1(), zoo::resnet50()] {
             let prof = Profile::of(&g);
             let n = g.num_layers();
-            let cases = [
-                (0usize, n / 3, true, false),
-                (n / 3 + 1, 2 * n / 3, false, false),
-                (2 * n / 3 + 1, n - 1, false, true),
-            ];
-            for (s, e, first, last) in cases {
+            for (s, e) in [
+                (0usize, n / 3),
+                (n / 3 + 1, 2 * n / 3),
+                (2 * n / 3 + 1, n - 1),
+            ] {
+                let (reads, writes) = prof.chain_io(s, e);
                 for mem in [512u32, 1024, 2048, 3008] {
-                    let quick = quick_eval(
+                    let quick = quick_eval_node(
                         &prof,
                         s,
                         e,
@@ -658,11 +612,21 @@ mod tests {
                         &pr,
                         &pe,
                         &StoreKind::s3(),
-                        first,
-                        last,
+                        reads,
+                        writes,
                     );
-                    let full =
-                        evaluate_segment(&g, s, e, mem, &q, &pr, &pe, StoreKind::s3(), first, last);
+                    let full = evaluate_segment(
+                        &g,
+                        s,
+                        e,
+                        mem,
+                        &q,
+                        &pr,
+                        &pe,
+                        StoreKind::s3(),
+                        s == 0,
+                        e == n - 1,
+                    );
                     match (quick, full) {
                         (Ok(a), Ok(b)) => {
                             assert!(
@@ -683,43 +647,18 @@ mod tests {
     }
 
     #[test]
-    fn quick_eval_node_matches_quick_eval_on_chain() {
-        // A chain-shaped node (one read, one write, chain cut bytes) must
-        // be bit-equal to the chain evaluator — the degenerate-DAG
-        // invariant the serving engines rely on.
-        let (q, pr, pe) = defaults();
+    fn chain_io_reads_and_writes_one_boundary_between_the_ends() {
         let g = zoo::resnet50();
-        let prof = Profile::of(&g);
+        let p = Profile::of(&g);
         let n = g.num_layers();
-        let s3 = StoreKind::s3();
-        for (s, e, first, last) in [
-            (0usize, n / 3, true, false),
-            (n / 3 + 1, 2 * n / 3, false, false),
-            (2 * n / 3 + 1, n - 1, false, true),
-        ] {
-            for mem in [1024u32, 2048] {
-                let reads: Vec<u64> = if first {
-                    vec![]
-                } else {
-                    vec![prof.input_bytes(s)]
-                };
-                let writes: Vec<u64> = if last {
-                    vec![]
-                } else {
-                    vec![prof.output_bytes(e)]
-                };
-                let node = quick_eval_node(&prof, s, e, mem, &q, &pr, &pe, &s3, &reads, &writes);
-                let chain = quick_eval(&prof, s, e, mem, &q, &pr, &pe, &s3, first, last);
-                match (node, chain) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.duration_s.to_bits(), b.duration_s.to_bits());
-                        assert_eq!(a.dollars.to_bits(), b.dollars.to_bits());
-                    }
-                    (Err(_), Err(_)) => {}
-                    (a, b) => panic!("[{s},{e}]@{mem}: {a:?} vs {b:?}"),
-                }
-            }
-        }
+        let empty: &[u64] = &[];
+        assert_eq!(p.chain_io(0, n - 1), (empty, empty));
+        assert_eq!(p.chain_io(0, 10), (empty, &[p.output_bytes(10)][..]));
+        assert_eq!(p.chain_io(11, n - 1), (&[p.input_bytes(11)][..], empty));
+        assert_eq!(
+            p.chain_io(11, 40),
+            (&[p.input_bytes(11)][..], &[p.output_bytes(40)][..])
+        );
     }
 
     #[test]

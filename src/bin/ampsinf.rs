@@ -112,7 +112,8 @@ fn run(args: &[String]) -> i32 {
                         let profile = Profile::of(&g);
                         if let Some(b4) = baselines::b4_bucket_scan(&g, &cfg, r.plan.num_lambdas())
                         {
-                            let bottleneck = baselines::stage_times(&profile, &b4, &cfg)
+                            let lowered = DagPlan::from_chain(&b4, |k| profile.output_bytes(k));
+                            let bottleneck = baselines::dag_node_times(&profile, &lowered, &cfg)
                                 .map(|t| t.into_iter().fold(0.0f64, f64::max))
                                 .unwrap_or(f64::NAN);
                             println!(
@@ -758,11 +759,6 @@ fn run_sweep(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
         Ok(g) => g,
         Err(e) => return fail(&e),
     };
-    let cfg = if args.iter().any(|a| a == "--no-seed") {
-        cfg.with_sweep_seeding(false)
-    } else {
-        cfg
-    };
 
     let verbose = args.iter().any(|a| a == "--verbose");
     let report = Optimizer::new(cfg).optimize_sweep(g, &grid);
@@ -843,11 +839,6 @@ fn run_dag_sweep(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
     let grid = match parse_grid(args) {
         Ok(g) => g,
         Err(e) => return fail(&e),
-    };
-    let cfg = if args.iter().any(|a| a == "--no-seed") {
-        cfg.with_sweep_seeding(false)
-    } else {
-        cfg
     };
     let verbose = args.iter().any(|a| a == "--verbose");
     let report = Optimizer::new(cfg).optimize_dag_sweep(g, &grid);
@@ -989,7 +980,6 @@ fn usage() {
            --slo-to <s>         sweep: loosest SLO of the grid (required)\n\
            --points <n>         sweep: number of SLO grid points (required)\n\
            --batches <a,b,...>  sweep: batch sizes to cross with the SLO axis\n\
-           --no-seed            sweep: disable cross-point bound seeding\n\
            --parallel           serve images concurrently (serve only)\n\
            --requests <n>       open-loop load mode: request count (serve\n\
                                 only; prints throughput/percentiles)\n\
@@ -1100,7 +1090,7 @@ fn print_dag_search_stats(s: &amps_inf::core::DagSearchStats) {
 }
 
 /// The flags `usage()` documents: switches, and flags that take a value.
-const SWITCHES: &str = "--adaptive --dag --no-seed --parallel --pipeline --quota-2021 --verbose";
+const SWITCHES: &str = "--adaptive --dag --parallel --pipeline --quota-2021 --verbose";
 const VALUE_FLAGS: &str = "--backoff --batch --batches --epoch --fault-seed --flaky-store \
     --images --inject-faults --json --lanes --pipe-depth --points --policy --quantize --rate \
     --requests --retries --shape --slo --slo-from --slo-tiers --slo-to --threads --tolerance";
