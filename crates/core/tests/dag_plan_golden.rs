@@ -122,10 +122,9 @@ fn resnet50_batch64_dag_plans_are_pinned() {
 #[test]
 fn inception_v3_dag_sweep_is_pinned() {
     let g = zoo::inception_v3();
-    let cfg = base(0.1);
-    let t = chain_time(&g, &cfg);
-    let report =
-        Optimizer::new(cfg).optimize_dag_sweep(&g, &SweepGrid::slo_range(t * 0.9, t * 1.5, 8));
+    let t = f64::from_bits(INCEPTION_V3_SWEEP_ANCHOR);
+    let report = Optimizer::new(base(0.1))
+        .optimize_dag_sweep(&g, &SweepGrid::slo_range(t * 0.9, t * 1.5, 8));
     let got: Vec<u64> = report
         .points
         .iter()
@@ -182,6 +181,11 @@ const RESNET50: [u64; 15] = [
     0x05e723b2d47efa81,
     0x05e723b2d47efa81,
 ];
+/// The sweep's SLO anchor: the free chain optimum's predicted time at
+/// tolerance 0.1 (636.4871937588348 s) when the table was recorded, kept
+/// as a constant so a change to the chain's predicted bits cannot move
+/// the grid the sweep is checked on.
+const INCEPTION_V3_SWEEP_ANCHOR: u64 = 0x4083e3e5c5d76816;
 const INCEPTION_V3_SWEEP: [u64; 8] = [
     0xd4c4df581a7f5ad5,
     0xa7574e64270345c9,

@@ -4,11 +4,16 @@
 //! planner produced them. The exact pick-one knapsack must reproduce every
 //! point bit for bit, except the points listed in [`IMPROVED`], which must
 //! come out strictly better under the planner's own objective: cheaper,
-//! or equal-cost and faster.
+//! or equal-cost and faster. Every point's cut and memories are pinned on
+//! their own in [`PLANS`], so a change that may only move predicted bits
+//! shows that it moved no plan.
+
+mod common;
 
 use ampsinf_core::optimizer::Optimizer;
-use ampsinf_core::AmpsConfig;
+use ampsinf_core::{AmpsConfig, ExecutionPlan};
 use ampsinf_model::{zoo, LayerGraph};
+use common::Digest;
 
 /// Models with the SLO factors each is planned at. Xception has no
 /// feasible plan at 0.9×.
@@ -27,8 +32,21 @@ fn model(name: &str) -> LayerGraph {
     }
 }
 
-/// `(model, factor, time bits, cost bits)` of every point, in table order.
-fn plan_points() -> Vec<(&'static str, f64, u64, u64)> {
+/// Digest of a plan's cut and memories: each partition's span and block.
+fn mix_digest(plan: &ExecutionPlan) -> u64 {
+    let mut d = Digest::new();
+    d.word(plan.partitions.len() as u64);
+    for p in &plan.partitions {
+        d.word(p.start as u64);
+        d.word(p.end as u64);
+        d.word(u64::from(p.memory_mb));
+    }
+    d.0
+}
+
+/// `(model, factor, time bits, cost bits, mix digest)` of every point, in
+/// table order.
+fn plan_points() -> Vec<(&'static str, f64, u64, u64, u64)> {
     let mut out = Vec::new();
     for (name, factors) in CHAIN_POINTS {
         let g = model(name);
@@ -48,6 +66,7 @@ fn plan_points() -> Vec<(&'static str, f64, u64, u64)> {
                 f,
                 plan.predicted_time_s.to_bits(),
                 plan.predicted_cost.to_bits(),
+                mix_digest(&plan),
             ));
         }
     }
@@ -98,7 +117,7 @@ const IMPROVED: [(&str, f64); 1] = [("bert-w8", 0.9)];
 fn slo_bound_chain_plans_match_golden_values() {
     let points = plan_points();
     assert_eq!(points.len(), GOLDEN.len());
-    for ((name, f, t, c), &(gname, gf, gt, gc)) in points.into_iter().zip(&GOLDEN) {
+    for ((name, f, t, c, _), &(gname, gf, gt, gc)) in points.into_iter().zip(&GOLDEN) {
         assert_eq!((name, f), (gname, gf), "table order");
         let label = format!("{name} at {f}x");
         let (time, cost) = (f64::from_bits(t), f64::from_bits(c));
@@ -116,4 +135,51 @@ fn slo_bound_chain_plans_match_golden_values() {
             );
         }
     }
+}
+
+/// `(model, factor, mix digest)` of every point: its cut and memories.
+#[rustfmt::skip]
+const PLANS: [(&str, f64, u64); 29] = [
+    ("mobilenet", 0.9, 0xc68433a3f0a27e24),
+    ("mobilenet", 0.95, 0x8535f5e6ac750664),
+    ("mobilenet", 1.0, 0x07d2716134cff5e4),
+    ("mobilenet", 1.1, 0x0131b8199eceab49),
+    ("mobilenet", 1.25, 0x83ce339427299ac9),
+    ("mobilenet", 1.5, 0x83ce339427299ac9),
+    ("resnet50", 0.9, 0x466eec24435aa263),
+    ("resnet50", 0.95, 0x078e1602fd4ccad2),
+    ("resnet50", 1.0, 0xdbeaf613f8a01165),
+    ("resnet50", 1.1, 0x153b3ed206053c15),
+    ("resnet50", 1.25, 0x87cdd30ed8274cff),
+    ("resnet50", 1.5, 0xeebcb22fc018d575),
+    ("inception_v3", 0.9, 0xe4cede9038320bd0),
+    ("inception_v3", 0.95, 0xe7bc3e19b18cf37b),
+    ("inception_v3", 1.0, 0x4b8ff4b5d29d7d23),
+    ("inception_v3", 1.1, 0xccf8719068984072),
+    ("inception_v3", 1.25, 0x94c82560bb0ee0d4),
+    ("inception_v3", 1.5, 0x2e72b17bf9c5d61e),
+    ("xception", 0.95, 0xa19aef2a29845ec5),
+    ("xception", 1.0, 0x7e309108e0c61ce5),
+    ("xception", 1.1, 0xecee79006bdef902),
+    ("xception", 1.25, 0xb552073b55f0fd39),
+    ("xception", 1.5, 0x8b22a97d94740f19),
+    ("bert-w8", 0.9, 0x90dc25d00e0d4d97),
+    ("bert-w8", 0.95, 0x53057cd094e85cbf),
+    ("bert-w8", 1.0, 0x8af5b9bc531a2a49),
+    ("bert-w8", 1.1, 0x14a134c68d05a304),
+    ("bert-w8", 1.25, 0x1e31c76dee919677),
+    ("bert-w8", 1.5, 0x8d0234db44f30914),
+];
+
+#[test]
+fn slo_bound_chain_plans_keep_their_cuts_and_memories() {
+    let got: Vec<(&str, f64, u64)> = plan_points()
+        .into_iter()
+        .map(|(name, f, _, _, mix)| (name, f, mix))
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(name, f, mix)| format!("    (\"{name}\", {f:?}, {mix:#018x}),\n"))
+        .collect();
+    assert_eq!(got, PLANS, "cuts or memories moved; now:\n{table}");
 }
