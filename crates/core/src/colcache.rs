@@ -280,6 +280,20 @@ impl SegmentColumnCache {
         cols
     }
 
+    /// The node columns of chain segment `[start, end]`: the node
+    /// `DagPlan::from_chain` deploys it as, which reads and writes
+    /// [`Profile::chain_io`]'s objects.
+    pub(crate) fn chain_node_columns(
+        &self,
+        profile: &Profile,
+        start: usize,
+        end: usize,
+        cfg: &AmpsConfig,
+    ) -> Arc<NodeColumns> {
+        let (reads, writes) = profile.chain_io(start, end);
+        self.node_columns_tracked(profile, start, end, reads, writes, cfg, None)
+    }
+
     /// Tallies `n` segment references served by a memo layered over this
     /// cache (the optimizer's pass-1 summary table), so a hit keeps
     /// meaning "a reference that did not evaluate its segment".

@@ -90,6 +90,8 @@ pub fn evaluate_segment(
 
 /// Evaluates every (partition × feasible memory) cell of a cut. Returns
 /// `None` when some partition has no feasible memory/evaluation at all.
+/// Only the reference MIQP [`build`] uses it; the planner reads segment
+/// and node columns from [`crate::colcache::SegmentColumnCache`].
 pub fn evaluate_columns(
     profile: &Profile,
     cut: &[usize],

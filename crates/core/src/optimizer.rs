@@ -11,7 +11,7 @@ use crate::baselines::predict_dag;
 use crate::colcache::{CacheCounters, NodeColumns, SegmentColumnCache};
 use crate::config::AmpsConfig;
 use crate::cuts::{enumerate_cut_set, insert_region_sorted, segment_feasible, CutSet, DagShared};
-use crate::miqp_build::{evaluate_columns, separable_picks, ColumnPick, CutKnapsack};
+use crate::miqp_build::{separable_picks, ColumnPick, CutKnapsack};
 use crate::plan::{DagNode, DagObject, DagPlan, ExecutionPlan, PartitionPlan};
 use crate::polish::{dag_schedule, Polish};
 use ampsinf_model::LayerGraph;
@@ -53,17 +53,8 @@ pub(crate) const ZERO_BATCH: OptimizeError =
 /// The [`OptimizeError::InvalidInput`] of a NaN SLO.
 pub(crate) const NAN_SLO: OptimizeError = OptimizeError::InvalidInput("SLO is NaN");
 
-/// A fully evaluated candidate configuration.
-#[derive(Debug, Clone)]
-struct Candidate {
-    cut: Vec<usize>,
-    memories: Vec<u32>,
-    time_s: f64,
-    cost: f64,
-}
-
 /// A candidate as the replay keeps it: the cut by index and its memory
-/// mix by source. Only the winner becomes a [`Candidate`].
+/// mix by source. Only the winner becomes a plan.
 struct Kept {
     ci: usize,
     mix: Mix,
@@ -549,23 +540,41 @@ impl Optimizer {
             return Err(OptimizeError::SloInfeasible);
         };
         let p1 = &shared.pass1;
-        let winner = Candidate {
-            cut: p1.cuts.cut(winner.ci).collect(),
-            memories: match winner.mix {
-                Mix::MinCost => p1.mix(winner.ci, false).collect(),
-                Mix::MinTime => p1.mix(winner.ci, true).collect(),
-                Mix::Solved(mems) => mems,
-            },
-            time_s: winner.time_s,
-            cost: winner.cost,
+        let memories: Vec<u32> = match winner.mix {
+            Mix::MinCost => p1.mix(winner.ci, false).collect(),
+            Mix::MinTime => p1.mix(winner.ci, true).collect(),
+            Mix::Solved(mems) => mems,
         };
 
-        // Per-partition memory upgrades: spend the remaining tolerance on
-        // the best time-per-dollar improvements (cost-efficiency with
-        // timely response).
-        let upgraded = self.upgrade_memories(&shared.profile, &winner, budget);
-
-        let plan = self.to_plan(graph, &shared.profile, upgraded);
+        // Timely response: spend the rest of the budget on the best
+        // time-per-dollar memory upgrades, with the DAG planner's polish
+        // on a block chain of one partition per block. Each partition's
+        // grid is its deployed node's entry in the node memo, and the
+        // polish's fold is `predict`'s arithmetic, so its time and cost
+        // are the plan's prediction.
+        let mut start = 0usize;
+        let cols: Vec<Arc<NodeColumns>> = p1
+            .cuts
+            .cut(winner.ci)
+            .map(|end| {
+                let grid = shared
+                    .cache
+                    .chain_node_columns(&shared.profile, start, end, &self.cfg);
+                start = end + 1;
+                grid
+            })
+            .collect();
+        let bounds: Vec<usize> = (0..=cols.len()).collect();
+        let mut polish = Polish::new(&cols, &bounds, memories)
+            .expect("a winning mix picks feasible grid points");
+        while polish.upgrade_step(Some(budget)) {}
+        let plan = self.to_plan(
+            graph,
+            p1.cuts.cut(winner.ci),
+            polish.mems,
+            polish.time,
+            polish.cost,
+        );
         Ok(PointSolve {
             plan,
             best_cost,
@@ -761,62 +770,35 @@ impl Optimizer {
         }
     }
 
-    /// Greedy memory upgrades within the cost budget, over the *full*
-    /// memory grid.
-    fn upgrade_memories(&self, profile: &Profile, base: &Candidate, budget: f64) -> Candidate {
-        let Some(parts) = evaluate_columns(profile, &base.cut, &self.cfg) else {
-            return base.clone();
-        };
-        let mut current = base.clone();
-        loop {
-            // Best (Δtime saved)/(Δcost) single-partition upgrade that
-            // stays within budget.
-            let mut best: Option<(usize, usize, f64, f64)> = None; // part, col, dt, dc
-            for (i, p) in parts.iter().enumerate() {
-                let cur_j = p
-                    .memories
-                    .iter()
-                    .position(|&m| m == current.memories[i])
-                    .expect("current memory is a column");
-                for j in 0..p.memories.len() {
-                    let dt = p.evals[cur_j].duration_s - p.evals[j].duration_s;
-                    let dc = p.evals[j].dollars - p.evals[cur_j].dollars;
-                    if dt <= 1e-9 {
-                        continue;
-                    }
-                    if current.cost + dc > budget + 1e-15 {
-                        continue;
-                    }
-                    let ratio = dt / dc.max(1e-12);
-                    if best.is_none_or(|(_, _, bdt, bdc)| ratio > bdt / bdc.max(1e-12)) {
-                        best = Some((i, j, dt, dc));
-                    }
-                }
-            }
-            let Some((i, j, dt, dc)) = best else { break };
-            current.memories[i] = parts[i].memories[j];
-            current.time_s -= dt;
-            current.cost += dc;
-        }
-        current
-    }
-
-    fn to_plan(&self, graph: &LayerGraph, _profile: &Profile, c: Candidate) -> ExecutionPlan {
-        let mut partitions = Vec::with_capacity(c.cut.len());
+    /// The chain plan that cuts after each layer of `cut`, with one
+    /// memory per partition and the given prediction.
+    pub(crate) fn to_plan(
+        &self,
+        graph: &LayerGraph,
+        cut: impl IntoIterator<Item = usize>,
+        memories: impl IntoIterator<Item = u32>,
+        time_s: f64,
+        cost: f64,
+    ) -> ExecutionPlan {
         let mut start = 0usize;
-        for (i, &end) in c.cut.iter().enumerate() {
-            partitions.push(PartitionPlan {
-                start,
-                end,
-                memory_mb: c.memories[i],
-            });
-            start = end + 1;
-        }
+        let partitions = cut
+            .into_iter()
+            .zip(memories)
+            .map(|(end, memory_mb)| {
+                let part = PartitionPlan {
+                    start,
+                    end,
+                    memory_mb,
+                };
+                start = end + 1;
+                part
+            })
+            .collect();
         ExecutionPlan {
             model: graph.name.clone(),
             partitions,
-            predicted_time_s: c.time_s,
-            predicted_cost: c.cost,
+            predicted_time_s: time_s,
+            predicted_cost: cost,
         }
     }
 
@@ -1236,11 +1218,11 @@ impl Optimizer {
         self.polish_dag(sh, plan, &bounds, track)
     }
 
-    /// Memory polish for a freshly built min-cost DAG, mirroring the
-    /// chain's treatment: first repair the SLO with the best
-    /// time-per-dollar single-node upgrades (the MIQP's "cheapest mix
-    /// meeting the deadline" role), then spend the `cost_tolerance`
-    /// budget on further upgrades. Every candidate's full-plan effect is
+    /// Memory polish for a freshly built min-cost DAG: first repair the
+    /// SLO with the best time-per-dollar single-node upgrades (the chain
+    /// knapsack's "cheapest mix meeting the deadline" role), then spend
+    /// the `cost_tolerance` budget on further upgrades, as the chain
+    /// winner does. Every candidate's full-plan effect is
     /// still measured exactly (so upgrades off the critical path, which
     /// buy no latency, are never taken) — but the evaluations come from
     /// the shared node-column memo, and each candidate is priced on the

@@ -30,9 +30,9 @@ use crate::cuts::DagShared;
 use crate::optimizer::{
     BatchShared, DagSearchStats, OptimizeError, Optimizer, PointSolve, NAN_SLO, ZERO_BATCH,
 };
-use crate::plan::{DagPlan, ExecutionPlan, PartitionPlan, PipelinePlan};
+use crate::plan::{DagPlan, ExecutionPlan, PipelinePlan};
 use ampsinf_model::LayerGraph;
-use ampsinf_profiler::{batched_unique, quick_eval_node, Profile};
+use ampsinf_profiler::{batched_unique, Profile};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -724,9 +724,10 @@ impl Optimizer {
         let budget = floor * (1.0 + self.tolerance()) + 1e-15;
 
         // Pass B: among budget-feasible candidates, minimize the
-        // bottleneck stage. Stage durations come from `quick_eval_node` —
-        // the same arithmetic pass 1 used for the totals. Mixes are read
-        // back from pass 1; a plan is built only for a new best.
+        // bottleneck stage. Stage seconds come from the shared node memo,
+        // which evaluates each stage exactly as the chain's polish and
+        // `predict` do. Mixes are read back from pass 1; a plan is built
+        // only for a new best.
         let mut best: Option<PipelinePlan> = None;
         let mut stage_times: Vec<f64> = Vec::new();
         for &ci in &sh.order {
@@ -742,29 +743,13 @@ impl Optimizer {
                 }
                 stage_times.clear();
                 let mut start = 0usize;
-                let mut ok = true;
-                for (end, mem) in p1.cuts.cut(ci).zip(p1.mix(ci, fastest)) {
-                    let (reads, writes) = sh.profile.chain_io(start, end);
-                    match quick_eval_node(
-                        &sh.profile,
-                        start,
-                        end,
-                        mem,
-                        &cfg.quotas,
-                        &cfg.prices,
-                        &cfg.perf,
-                        &cfg.store,
-                        reads,
-                        writes,
-                    ) {
-                        Ok(e) => stage_times.push(e.duration_s),
-                        Err(_) => {
-                            ok = false;
-                            break;
-                        }
-                    }
+                let ok = p1.cuts.cut(ci).zip(p1.mix(ci, fastest)).all(|(end, mem)| {
+                    let grid = sh.cache.chain_node_columns(&sh.profile, start, end, cfg);
                     start = end + 1;
-                }
+                    grid.eval_at(mem)
+                        .map(|(t, _)| stage_times.push(t))
+                        .is_some()
+                });
                 if !ok {
                     continue;
                 }
@@ -777,23 +762,8 @@ impl Optimizer {
                     }
                 };
                 if replace {
-                    let mut partitions = Vec::with_capacity(stage_times.len());
-                    let mut start = 0usize;
-                    for (end, mem) in p1.cuts.cut(ci).zip(p1.mix(ci, fastest)) {
-                        partitions.push(PartitionPlan {
-                            start,
-                            end,
-                            memory_mb: mem,
-                        });
-                        start = end + 1;
-                    }
                     best = Some(PipelinePlan {
-                        plan: ExecutionPlan {
-                            model: graph.name.clone(),
-                            partitions,
-                            predicted_time_s: time,
-                            predicted_cost: cost,
-                        },
+                        plan: self.to_plan(graph, p1.cuts.cut(ci), p1.mix(ci, fastest), time, cost),
                         stage_times_s: stage_times.clone(),
                         bottleneck_s: bottleneck,
                     });

@@ -74,7 +74,11 @@ fn plan_points() -> Vec<(&'static str, f64, u64, u64, u64)> {
 }
 
 /// `(model, factor, time bits, cost bits)` of every point as the
-/// branch-and-bound planner predicted it.
+/// branch-and-bound planner predicted it. Rows whose prediction differs
+/// only by rounding were re-recorded (1–2 ulps, plans unchanged) when the
+/// chain's tolerance spending moved onto the block-chain polish, whose
+/// fold is `baselines::predict`'s arithmetic; the [`IMPROVED`] row keeps
+/// its branch-and-bound value.
 #[rustfmt::skip]
 const GOLDEN: [(&str, f64, u64, u64); 29] = [
     ("mobilenet", 0.9, 0x4019ada587db3418, 0x3f20e35b7dabdca6), // 6.419576761964912 s, $0.00012884609062500002
@@ -83,28 +87,28 @@ const GOLDEN: [(&str, f64, u64, u64); 29] = [
     ("mobilenet", 1.1, 0x401d7ba1edb42b6e, 0x3f1e5ce652326680), // 7.370734895822222 s, $0.00011582523125000001
     ("mobilenet", 1.25, 0x402021b21c10bedb, 0x3f1cce70a4cf75ff), // 8.065811993641026 s, $0.00010988771937500001
     ("mobilenet", 1.5, 0x402021b21c10bedb, 0x3f1cce70a4cf75ff), // 8.065811993641026 s, $0.00010988771937500001
-    ("resnet50", 0.9, 0x4032be9d635918dc, 0x3f4193de31e4aa97), // 18.744589051487182 s, $0.0005364260612500002
+    ("resnet50", 0.9, 0x4032be9d635918dc, 0x3f4193de31e4aa96), // 18.744589051487182 s, $0.0005364260612500001
     ("resnet50", 0.95, 0x40338730b823c3cd, 0x3f41381e0ba725bc), // 19.52808714745679 s, $0.0005254885393750001
     ("resnet50", 1.0, 0x4034a571782fb702, 0x3f40c4c61617fb10), // 20.64626265683092 s, $0.0005117385118750001
-    ("resnet50", 1.1, 0x40355f087ee0d3d0, 0x3f406905efda7634), // 21.37122338284445 s, $0.00050080099
+    ("resnet50", 1.1, 0x40355f087ee0d3cf, 0x3f406905efda7635), // 21.371223382844445 s, $0.0005008009900000001
     ("resnet50", 1.25, 0x403651c37cf29fa0, 0x3f3fc16a84057048), // 22.319389161333334 s, $0.0004845509575000001
-    ("resnet50", 1.5, 0x403848601c354de1, 0x3f3eb7c6bb18cff1), // 24.28271652509091 s, $0.0004687175925000001
+    ("resnet50", 1.5, 0x403848601c354de1, 0x3f3eb7c6bb18cff0), // 24.28271652509091 s, $0.0004687175925
     ("inception_v3", 0.9, 0x40348dd3858fdeda, 0x3f439ca96799a190), // 20.554008815407407 s, $0.0005985095187500001
     ("inception_v3", 0.95, 0x40357049abd6615c, 0x3f4357a15e55670e), // 21.438624133910125 s, $0.0005902803356250001
-    ("inception_v3", 1.0, 0x4036065b3716a5ec, 0x3f431458b9c1e37e), // 22.02482933333333 s, $0.00058225948625
+    ("inception_v3", 1.0, 0x4036065b3716a5ed, 0x3f431458b9c1e37e), // 22.024829333333333 s, $0.00058225948625
     ("inception_v3", 1.1, 0x4037233d390b330c, 0x3f42a100c432b8d2), // 23.13765293620513 s, $0.00056850945875
-    ("inception_v3", 1.25, 0x40368cb81d92c811, 0x3f4226ab3be0b25a), // 22.549684379897432 s, $0.0005539260962500001
-    ("inception_v3", 1.5, 0x40398d5c473db2e2, 0x3f41a398bc1b1922), // 25.55218930488889 s, $0.0005383010650000001
-    ("xception", 0.95, 0x4037bfba71def31c, 0x3f46efc1f3c5aa02), // 23.748938671999994 s, $0.000699968055
+    ("inception_v3", 1.25, 0x40368cb81d92c812, 0x3f4226ab3be0b25a), // 22.549684379897435 s, $0.0005539260962500001
+    ("inception_v3", 1.5, 0x40398d5c473db2e2, 0x3f41a398bc1b1921), // 25.55218930488889 s, $0.000538301065
+    ("xception", 0.95, 0x4037bfba71def31d, 0x3f46efc1f3c5aa02), // 23.748938671999998 s, $0.000699968055
     ("xception", 1.0, 0x4037bfba71def31e, 0x3f46efc1f3c5aa02), // 23.748938672 s, $0.000699968055
-    ("xception", 1.1, 0x4038381b259bad7b, 0x3f46c4111e83cc46), // 24.219164228923074 s, $0.0006947597112500002
+    ("xception", 1.1, 0x4038381b259bad7c, 0x3f46c4111e83cc46), // 24.219164228923077 s, $0.0006947597112500002
     ("xception", 1.25, 0x4039345920ca41a0, 0x3f4621898a5155f6), // 25.20448498666667 s, $0.0006753846725000001
-    ("xception", 1.5, 0x403affd727637124, 0x3f459938dc7997e4), // 26.99937673738272 s, $0.0006591346400000001
+    ("xception", 1.5, 0x403affd727637123, 0x3f459938dc7997e4), // 26.999376737382715 s, $0.0006591346400000001
     ("bert-w8", 0.9, 0x403c7e2c93edef42, 0x3f4b862a43a5e824), // 28.492867704 s, $0.0008399683350000004
-    ("bert-w8", 0.95, 0x403c7e2c93edef44, 0x3f4b862a43a5e823), // 28.492867704000005 s, $0.0008399683350000003
+    ("bert-w8", 0.95, 0x403c7e2c93edef42, 0x3f4b862a43a5e822), // 28.492867704 s, $0.0008399683350000001
     ("bert-w8", 1.0, 0x403c7e2c93edef42, 0x3f4b862a43a5e822), // 28.492867704 s, $0.0008399683350000001
     ("bert-w8", 1.1, 0x403cbe7a1487e62c, 0x3f4b5df837c5784c), // 28.744050295999998 s, $0.0008351766587500003
-    ("bert-w8", 1.25, 0x403e7e693780c79e, 0x3f4adae5b7ffdf12), // 30.4937929810909 s, $0.0008195516275000001
+    ("bert-w8", 1.25, 0x403e7e693780c7a0, 0x3f4adae5b7ffdf12), // 30.493792981090905 s, $0.0008195516275000001
     ("bert-w8", 1.5, 0x404795483c35ea74, 0x3f4a4ee08ab231aa), // 47.16626694328889 s, $0.0008028599162500001
 ];
 

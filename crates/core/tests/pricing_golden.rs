@@ -207,16 +207,20 @@ fn segment_evaluations_match_golden_digests() {
     check("segment evaluation", &got, &SEGMENT_GOLDEN);
 }
 
+/// Re-recorded when the chain's tolerance spending moved onto the
+/// block-chain polish: every plan and re-priced value is unchanged, and
+/// the optimizer's own prediction moved by 1–3 ulps on five rows, to
+/// `predict`'s bits.
 const PREDICT_GOLDEN: [(&str, u64); 9] = [
     ("mobilenet/1", 0xf940956de8f23544),
     ("mobilenet/8", 0x3b13784dc1fa9c8e),
     ("mobilenet/64", 0x1049b4484a751d29),
-    ("resnet50/1", 0xe6dbb4256baf78fb),
-    ("resnet50/8", 0xec4fd8bc6807676c),
+    ("resnet50/1", 0xc789ef4bd025d717),
+    ("resnet50/8", 0x5ade82ee05164284),
     ("resnet50/64", 0x11dab681ea5b0d86),
-    ("inception_v3/1", 0xe107e3c024fe06af),
-    ("inception_v3/8", 0xc4792a009d73bcf6),
-    ("inception_v3/64", 0x90c42fb5c9d3565b),
+    ("inception_v3/1", 0x85a7e1b156e28e1f),
+    ("inception_v3/8", 0x2c7af0a0dce4d65a),
+    ("inception_v3/64", 0x59941a328f0fc821),
 ];
 
 /// The optimizer plans each model at batch 1, 8 and 64; every plan is
