@@ -34,7 +34,8 @@ fn run(args: &[String]) -> i32 {
         usage();
         return 2;
     };
-    if let Err(e) = check_flags(&args[1..]) {
+    // Every command but `models` takes one model argument.
+    if let Err(e) = check_flags(&args[1..], usize::from(cmd != "models")) {
         return fail(&e);
     }
     match cmd.as_str() {
@@ -928,104 +929,106 @@ fn run_dag_sweep(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
     0
 }
 
+/// The text `ampsinf` prints when run without a command.
+const USAGE: &str = "\
+usage: ampsinf <command>
+
+commands:
+  models                      list built-in models
+  summary <model|file.json>   Keras-style model summary
+  plan    <model|file.json>   compute the optimal deployment plan
+  sweep   <model|file.json>   plan an SLO grid, print the Pareto frontier
+  serve   <model|file.json>   plan + deploy + serve on the simulator
+
+options (plan/serve):
+  --slo <seconds>      response-time SLO
+  --batch <n>          optimize for n-image batches
+  --tolerance <f>      cost tolerance spent on speed (default 0.1)
+  --threads <n>        optimizer worker threads (0 = auto, 1 = sequential)
+  --quota-2021         10,240 MB / 1 MB-step quota preset
+  --dag                branch-parallel planning/serving: on fork/join
+                       regions (Inception blocks, residual forks) the
+                       plan may fan out into concurrent Lambda nodes
+                       and fan back in at the join, with scatter
+                       (1 put, k gets) and gather (k puts, 1 get)
+                       checkpoint traffic billed per object. A DAG is
+                       selected only when it beats the best chain
+                       under the same SLO/cost objective. Accepted
+                       combinations: plan --dag with --slo/--batch/
+                       --tolerance/--quantize/--json/--verbose;
+                       sweep --dag with the sweep grid options
+                       (amortized chain-vs-DAG verdicts per point,
+                       frontier marked on the effective plans);
+                       serve --dag: --dag only picks the planner;
+                       the chosen plan (or the chain incumbent)
+                       serves on the one engine exactly as serve
+                       does without it: one image, --images N one
+                       after another, --parallel, --pipeline/
+                       --pipe-depth, the reliability options, and
+                       the open-loop load mode (--requests/--rate/
+                       --shape/--policy/--lanes/--threads), where
+                       --adaptive swaps effective plans (chain or
+                       DAG per SLO tier) between epochs off one
+                       amortized DAG sweep.
+                       Rejected: plan/sweep --dag with --pipeline
+  --verbose            print solver statistics (plan only); in
+                       serve load mode, print the per-node
+                       busy/stall/occupancy/critical-path table
+  --quantize <bytes>   weight width 1..4 (plan only)
+  --json <path>        write the plan as JSON (plan only)
+  --images <n>         requests to serve (serve only)
+  --slo-from <s>       sweep: tightest SLO of the grid (required)
+  --slo-to <s>         sweep: loosest SLO of the grid (required)
+  --points <n>         sweep: number of SLO grid points (required)
+  --batches <a,b,...>  sweep: batch sizes to cross with the SLO axis
+  --parallel           serve images concurrently (serve only)
+  --requests <n>       open-loop load mode: request count (serve
+                       only; prints throughput/percentiles)
+  --rate <rps>         mean arrival rate for --requests (default 1;
+                       positive and finite)
+  --shape <name>       arrival shape for load mode: constant,
+                       diurnal, spike, bursts or mix (default
+                       constant-rate Poisson)
+  --policy <spec>      warm-pool policy for load mode: default,
+                       zero, prewarm:N, provisioned:N (pre-warmed
+                       and billed while idle) or keepalive:S
+  --lanes <n>          warm-pool shards for load mode (default 64;
+                       must be >= 1). --threads also sets the
+                       serving workers; workers are clamped to the
+                       lane count (a lane never splits across
+                       threads), so --threads > --lanes is rejected
+  --pipeline           overlap partition stages across requests:
+                       stage i of request k runs concurrently with
+                       stage i-1 of request k+1. Each stage owns a
+                       fixed set of stations (warm-instance slots)
+                       per lane; a request occupies one station of
+                       each stage in turn and admission is strictly
+                       FIFO by arrival, so reports stay bit-identical
+                       at every thread count. With plan: choose the
+                       cut jointly against the pipelined (bottleneck-
+                       bound) makespan. Excludes --parallel and
+                       --adaptive
+  --pipe-depth <n>     stations per stage per lane (default 1; n
+                       requests may occupy one stage concurrently,
+                       requires --pipeline)
+  --adaptive           load mode: re-plan between epochs over the
+                       SLO tiers, every tier planned up front by
+                       one amortized sweep (requires --slo-tiers)
+  --slo-tiers <a,b,..> adaptive SLO tiers in seconds, tight to loose
+  --epoch <n>          requests per adaptive control epoch
+                       (default 64)
+
+reliability options (plan/serve):
+  --inject-faults <p>  inject crash/timeout/cold-start faults, each
+                       with per-invocation probability p
+  --fault-seed <n>     seed of the deterministic fault stream
+  --flaky-store <p>    storage 5xx probability per request
+  --retries <n>        per-partition retry budget (default 2)
+  --backoff <s>        exponential-backoff base seconds (default 0.1;
+                       finite, >= 0)";
+
 fn usage() {
-    eprintln!(
-        "usage: ampsinf <command>\n\
-         \n\
-         commands:\n\
-           models                      list built-in models\n\
-           summary <model|file.json>   Keras-style model summary\n\
-           plan    <model|file.json>   compute the optimal deployment plan\n\
-           sweep   <model|file.json>   plan an SLO grid, print the Pareto frontier\n\
-           serve   <model|file.json>   plan + deploy + serve on the simulator\n\
-         \n\
-         options (plan/serve):\n\
-           --slo <seconds>      response-time SLO\n\
-           --batch <n>          optimize for n-image batches\n\
-           --tolerance <f>      cost tolerance spent on speed (default 0.1)\n\
-           --threads <n>        optimizer worker threads (0 = auto, 1 = sequential)\n\
-           --quota-2021         10,240 MB / 1 MB-step quota preset\n\
-           --dag                branch-parallel planning/serving: on fork/join\n\
-                                regions (Inception blocks, residual forks) the\n\
-                                plan may fan out into concurrent Lambda nodes\n\
-                                and fan back in at the join, with scatter\n\
-                                (1 put, k gets) and gather (k puts, 1 get)\n\
-                                checkpoint traffic billed per object. A DAG is\n\
-                                selected only when it beats the best chain\n\
-                                under the same SLO/cost objective. Accepted\n\
-                                combinations: plan --dag with --slo/--batch/\n\
-                                --tolerance/--quantize/--json/--verbose;\n\
-                                sweep --dag with the sweep grid options\n\
-                                (amortized chain-vs-DAG verdicts per point,\n\
-                                frontier marked on the effective plans);\n\
-                                serve --dag: --dag only picks the planner;\n\
-                                the chosen plan (or the chain incumbent)\n\
-                                serves on the one engine exactly as serve\n\
-                                does without it: one image, --images N one\n\
-                                after another, --parallel, --pipeline/\n\
-                                --pipe-depth, the reliability options, and\n\
-                                the open-loop load mode (--requests/--rate/\n\
-                                --shape/--policy/--lanes/--threads), where\n\
-                                --adaptive swaps effective plans (chain or\n\
-                                DAG per SLO tier) between epochs off one\n\
-                                amortized DAG sweep.\n\
-                                Rejected: plan/sweep --dag with --pipeline\n\
-           --verbose            print solver statistics (plan only); in\n\
-                                serve load mode, print the per-node\n\
-                                busy/stall/occupancy/critical-path table\n\
-           --quantize <bytes>   weight width 1..4 (plan only)\n\
-           --json <path>        write the plan as JSON (plan only)\n\
-           --images <n>         requests to serve (serve only)\n\
-           --slo-from <s>       sweep: tightest SLO of the grid (required)\n\
-           --slo-to <s>         sweep: loosest SLO of the grid (required)\n\
-           --points <n>         sweep: number of SLO grid points (required)\n\
-           --batches <a,b,...>  sweep: batch sizes to cross with the SLO axis\n\
-           --parallel           serve images concurrently (serve only)\n\
-           --requests <n>       open-loop load mode: request count (serve\n\
-                                only; prints throughput/percentiles)\n\
-           --rate <rps>         mean arrival rate for --requests (default 1;\n\
-                                positive and finite)\n\
-           --shape <name>       arrival shape for load mode: constant,\n\
-                                diurnal, spike, bursts or mix (default\n\
-                                constant-rate Poisson)\n\
-           --policy <spec>      warm-pool policy for load mode: default,\n\
-                                zero, prewarm:N, provisioned:N (pre-warmed\n\
-                                and billed while idle) or keepalive:S\n\
-           --lanes <n>          warm-pool shards for load mode (default 64;\n\
-                                must be >= 1). --threads also sets the\n\
-                                serving workers; workers are clamped to the\n\
-                                lane count (a lane never splits across\n\
-                                threads), so --threads > --lanes is rejected\n\
-           --pipeline           overlap partition stages across requests:\n\
-                                stage i of request k runs concurrently with\n\
-                                stage i-1 of request k+1. Each stage owns a\n\
-                                fixed set of stations (warm-instance slots)\n\
-                                per lane; a request occupies one station of\n\
-                                each stage in turn and admission is strictly\n\
-                                FIFO by arrival, so reports stay bit-identical\n\
-                                at every thread count. With plan: choose the\n\
-                                cut jointly against the pipelined (bottleneck-\n\
-                                bound) makespan. Excludes --parallel and\n\
-                                --adaptive\n\
-           --pipe-depth <n>     stations per stage per lane (default 1; n\n\
-                                requests may occupy one stage concurrently,\n\
-                                requires --pipeline)\n\
-           --adaptive           load mode: re-plan between epochs over the\n\
-                                SLO tiers, every tier planned up front by\n\
-                                one amortized sweep (requires --slo-tiers)\n\
-           --slo-tiers <a,b,..> adaptive SLO tiers in seconds, tight to loose\n\
-           --epoch <n>          requests per adaptive control epoch\n\
-                                (default 64)\n\
-         \n\
-         reliability options (plan/serve):\n\
-           --inject-faults <p>  inject crash/timeout/cold-start faults, each\n\
-                                with per-invocation probability p\n\
-           --fault-seed <n>     seed of the deterministic fault stream\n\
-           --flaky-store <p>    storage 5xx probability per request\n\
-           --retries <n>        per-partition retry budget (default 2)\n\
-           --backoff <s>        exponential-backoff base seconds (default 0.1;\n\
-                                finite, >= 0)"
-    );
+    eprintln!("{USAGE}");
 }
 
 fn fail(msg: &str) -> i32 {
@@ -1095,18 +1098,31 @@ const VALUE_FLAGS: &str = "--backoff --batch --batches --epoch --fault-seed --fl
     --images --inject-faults --json --lanes --pipe-depth --points --policy --quantize --rate \
     --requests --retries --shape --slo --slo-from --slo-tiers --slo-to --threads --tolerance";
 
-/// Rejects an unknown `--` flag, and a value flag with no value after it.
-fn check_flags(args: &[String]) -> Result<(), String> {
+/// Rejects an unknown `--` flag, a value flag with no value after it, a
+/// flag given twice, and any argument past the first `positionals` that
+/// is neither a flag nor a flag's value.
+fn check_flags(args: &[String], positionals: usize) -> Result<(), String> {
+    let mut seen: Vec<&str> = Vec::new();
+    let mut bare = 0usize;
     let mut rest = args.iter();
     while let Some(a) = rest.next() {
-        let listed = |table: &str| table.split_whitespace().any(|f| f == a);
-        if !a.starts_with("--") || listed(SWITCHES) {
+        if !a.starts_with("--") {
+            bare += 1;
+            if bare > positionals {
+                return Err(format!("unexpected argument {a} (run `ampsinf` for usage)"));
+            }
             continue;
         }
-        if !listed(VALUE_FLAGS) {
+        let listed = |table: &str| table.split_whitespace().any(|f| f == a);
+        let switch = listed(SWITCHES);
+        if !switch && !listed(VALUE_FLAGS) {
             return Err(format!("unknown flag {a} (run `ampsinf` for usage)"));
         }
-        if rest.next().is_none() {
+        if seen.contains(&a.as_str()) {
+            return Err(format!("{a} given more than once"));
+        }
+        seen.push(a);
+        if !switch && rest.next().is_none() {
             return Err(format!("{a} needs a value"));
         }
     }

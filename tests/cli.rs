@@ -89,10 +89,17 @@ fn unknown_and_valueless_flags_fail_cleanly() {
     // Each of these used to exit 0 with the flag ignored.
     let serve = ["serve", "mobilenet", "--requests", "10", "--rate", "2"];
     let flaky = [&serve[..], &["--flaky", "1.5"]].concat();
-    let cases: [(&[&str], &str); 3] = [
+    let stray = [&serve[..], &["bogus"]].concat();
+    let cases: [(&[&str], &str); 6] = [
         (&["plan", "mobilenet", "--sol", "5"], "unknown flag --sol"),
         (&["plan", "mobilenet", "--batch"], "--batch needs a value"),
         (&flaky, "unknown flag --flaky"),
+        (&stray, "unexpected argument bogus"),
+        (&["plan", "mobilenet", "extra"], "unexpected argument extra"),
+        (
+            &["plan", "mobilenet", "--slo", "5", "--slo", "9"],
+            "--slo given more than once",
+        ),
     ];
     for (args, msg) in cases {
         let (stdout, stderr, ok) = run(args);
@@ -215,6 +222,24 @@ fn no_args_prints_usage() {
     let (_, stderr, ok) = run(&[]);
     assert!(!ok);
     assert!(stderr.contains("usage:"));
+    // Options sit two columns in, and a wrapped description continues
+    // under its first line's description column.
+    let lines: Vec<&str> = stderr.lines().collect();
+    let slo = lines
+        .iter()
+        .position(|l| l.starts_with("  --slo <seconds>"))
+        .unwrap_or_else(|| panic!("--slo is not indented:\n{stderr}"));
+    let dag = lines
+        .iter()
+        .position(|l| l.starts_with("  --dag "))
+        .unwrap_or_else(|| panic!("--dag is not indented:\n{stderr}"));
+    let column = lines[dag].rfind("  ").map(|i| i + 2).expect("description");
+    let next = lines[dag + 1];
+    assert!(
+        next.len() > column && next[..column].trim().is_empty() && !next[column..].starts_with(' '),
+        "continuation {next:?} does not line up under column {column}:\n{stderr}"
+    );
+    assert!(lines[slo].find("response-time SLO") == Some(column));
 }
 
 #[test]
