@@ -100,10 +100,10 @@ fn main() {
         }
     }
 
-    // Amortized grid planning vs N cold solves (ISSUE acceptance target:
-    // the 16-point ResNet-50 sweep must beat 16 independent optimize()
-    // calls by >= 3x). Both rows run at 1 thread so the ratio isolates
-    // the pass-1 sharing + bound seeding, not parallelism.
+    // Amortized grid planning vs N cold solves: the 16-point ResNet-50
+    // sweep against 16 independent optimize() calls. Both rows run at 1
+    // thread so the ratio isolates the shared pass 1, not parallelism;
+    // each sweep point runs the same pass 2 as its cold call.
     let g = zoo::resnet50();
     let free = Optimizer::new(AmpsConfig::default().with_threads(1))
         .optimize(&g)

@@ -60,9 +60,9 @@ pub fn ext_sweep() -> Table {
     let speedup = cold_time.as_secs_f64() / sweep_time.as_secs_f64().max(1e-9);
     t.notes = "Shape: cost is monotone non-increasing as the SLO loosens (every plan \
                bit-identical to an independent solve); the knee marks where extra latency \
-               stops buying savings. Amortization: one sweep call shares pass-1 state and \
-               cross-point bound seeding across the 12 points (`repro ext-sweep` prints its \
-               time against 12 cold solves)."
+               stops buying savings. Amortization: one sweep call shares pass-1 state across \
+               the 12 points, and each point runs a cold solve's pass 2 (`repro ext-sweep` \
+               prints its time against 12 cold solves)."
         .into();
     t.timing = format!(
         "one sweep call took {:.0} ms vs {:.0} ms for 12 cold solves ({speedup:.1}x)",

@@ -104,23 +104,6 @@ pub enum CutEval {
     Feasible(FastEval),
 }
 
-/// One SLO-binding cut's pass-2 state, filled as the replay first reaches
-/// its rank and reused by a cold-fallback replay of the same point.
-struct BindingCut {
-    /// Index of the cut in the enumerated cut list.
-    ci: usize,
-    /// The cut's MIQP in knapsack form.
-    knapsack: CutKnapsack,
-    /// `max(separable min cost, LP-relaxation bound at the SLO)`: every
-    /// SLO-feasible mix of this cut costs at least this much, so a cut
-    /// whose `lower` exceeds the running tolerance budget is pruned
-    /// without a solve.
-    lower: f64,
-    /// The exact solve's `(memories, time, cost)` (`Some(None)`: no mix
-    /// meets the SLO), once solved.
-    outcome: Option<Option<(Vec<u32>, f64, f64)>>,
-}
-
 /// One feasible cut's pass-1 totals: the seconds and dollars of its
 /// separable min-cost mix and of its separable min-time mix, each summed
 /// left to right from `0.0` over the cut's segments.
@@ -207,17 +190,10 @@ pub(crate) struct BatchShared {
 /// Result of solving one grid point against a [`BatchShared`].
 pub(crate) struct PointSolve {
     pub(crate) plan: ExecutionPlan,
-    /// Minimum candidate cost before tolerance upgrades — the value a
-    /// looser-SLO point may use as its `prior` bound.
-    pub(crate) best_cost: f64,
     /// Indices of the binding cuts whose knapsack was solved, in rank
     /// order (`miqps_solved` of them).
     pub(crate) solved: Vec<usize>,
     pub(crate) miqps_pruned: usize,
-    /// A prior bound was threaded into this solve.
-    pub(crate) seeded: bool,
-    /// The prior proved invalid and the replay reran unseeded.
-    pub(crate) seed_fallback: bool,
 }
 
 /// Optimizer statistics for the paper's overhead discussion (§5.4: "within
@@ -364,7 +340,7 @@ impl Optimizer {
         let shared = self.build_shared(Profile::batched(graph, self.cfg.batch_size))?;
         let pass1_time = t0.elapsed();
         let p2 = Instant::now();
-        let sol = self.solve_point(graph, &shared, None, None)?;
+        let sol = self.solve_point(graph, &shared, None)?;
         let pass2_time = p2.elapsed();
         let report = OptimizerReport {
             plan: sol.plan,
@@ -416,7 +392,7 @@ impl Optimizer {
     pub fn solved_cuts(&self, graph: &LayerGraph) -> Result<Vec<Vec<usize>>, OptimizeError> {
         self.check_inputs()?;
         let shared = self.build_shared(Profile::batched(graph, self.cfg.batch_size))?;
-        let sol = self.solve_point(graph, &shared, None, None)?;
+        let sol = self.solve_point(graph, &shared, None)?;
         Ok(sol
             .solved
             .iter()
@@ -468,55 +444,19 @@ impl Optimizer {
 
     /// Pass 2 for one grid point (`self.cfg` carries the point's SLO and
     /// batch): classify the surviving cuts, solve the SLO-binding ones
-    /// exactly, and select the plan.
-    ///
-    /// `prior`, when given, is an upper bound on this point's optimal
-    /// candidate cost (a completed tighter-SLO point's optimum) that the
-    /// replay prunes and breaks against. A cold-fallback guard makes the
-    /// bound *advisory*: if the seeded replay's best cost ever exceeds the
-    /// prior (possible only when the prior was invalid — the capped/
-    /// fallback heuristics are not perfectly monotone), the replay reruns
-    /// unseeded, so the returned plan is **always** bit-identical to
-    /// `prior = None` (an independent `optimize()` call).
+    /// exactly, and select the plan. A sweep point runs exactly the pass 2
+    /// a cold [`Optimizer::optimize`] runs, against its batch's `shared`.
     pub(crate) fn solve_point(
         &self,
         graph: &LayerGraph,
         shared: &BatchShared,
-        prior: Option<f64>,
         track: Option<&CacheCounters>,
     ) -> Result<PointSolve, OptimizeError> {
         self.check_inputs()?;
-        // Replay the sequential selection loop in rank order (see
-        // `run_replay`), then fall back to an unseeded replay if the prior
-        // turned out to be invalid for this point. Binding cuts are
-        // memoized in rank order, so the rerun pays only for cuts the
-        // seeded pass never reached or pruned.
-        let mut memo: Vec<Option<BindingCut>> = Vec::new();
-        let mut replay = |prior: Option<f64>| self.run_replay(shared, &mut memo, prior, track);
-        let (mut candidates, mut miqps_pruned) = replay(prior);
-        let mut seed_fallback = false;
-        if let Some(b) = prior {
-            let seeded_best = candidates
-                .iter()
-                .map(|c| c.cost)
-                .fold(f64::INFINITY, f64::min);
-            // If the prior really bounds this point's optimum, the seeded
-            // replay provably found it (see DESIGN.md §5e) and its best
-            // cost is ≤ the prior. Otherwise rerun cold.
-            if candidates.is_empty() || seeded_best > b {
-                seed_fallback = true;
-                (candidates, miqps_pruned) = replay(None);
-            }
-        }
+        let (candidates, solved, miqps_pruned) = self.run_replay(shared, track);
         if candidates.is_empty() {
             return Err(OptimizeError::SloInfeasible);
         }
-        let solved = memo
-            .iter()
-            .flatten()
-            .filter(|bc| bc.outcome.is_some())
-            .map(|bc| bc.ci)
-            .collect();
 
         // Selection: min cost, then timely-response upgrades within the
         // cost tolerance.
@@ -577,11 +517,8 @@ impl Optimizer {
         );
         Ok(PointSolve {
             plan,
-            best_cost,
             solved,
             miqps_pruned,
-            seeded: prior.is_some(),
-            seed_fallback,
         })
     }
 
@@ -600,33 +537,22 @@ impl Optimizer {
     /// - a binding cut beyond the cap takes its separable min-time mix,
     ///   which fits the SLO (the filter kept the cut).
     ///
-    /// A binding cut is prepared (knapsack form and LP bound) when the
-    /// loop first reaches it and solved only if its bound survives; `memo`
-    /// (indexed by binding rank) keeps both, and the outcome, for a rerun.
-    /// The knapsack returns only mixes within `slo + 1e-9`, the acceptance
-    /// test every candidate meets.
-    ///
-    /// With `prior = Some(B)` every pruning threshold uses
-    /// `min(best_so_far, B)` instead of `best_so_far`. When `B` really
-    /// bounds this point's optimal candidate cost `b*`, this is provably
-    /// plan-neutral: the `b*` cut is never pruned or broken past (its
-    /// separable floor and LP bound are ≤ `b*` ≤ every threshold), and
-    /// every candidate the tighter thresholds drop costs more than
-    /// `b*(1+tol) + 1e-15` — outside the final winner filter anyway.
-    /// Returns `(candidates, replay prunes)`.
+    /// A binding cut's knapsack is built and LP-bounded when the loop
+    /// reaches it, then pruned or solved on the spot. The knapsack returns
+    /// only mixes within `slo + 1e-9`, the acceptance test every candidate
+    /// meets. Returns `(candidates, solved binding cuts in rank order,
+    /// replay prunes)`.
     fn run_replay(
         &self,
         shared: &BatchShared,
-        memo: &mut Vec<Option<BindingCut>>,
-        prior: Option<f64>,
         track: Option<&CacheCounters>,
-    ) -> (Vec<Kept>, usize) {
+    ) -> (Vec<Kept>, Vec<usize>, usize) {
         let p1 = &shared.pass1;
         let tol = self.tolerance();
         let slo = self.cfg.slo_s;
         let limit = slo.map_or(f64::INFINITY, |s| s + 1e-9);
-        let cap = |best: f64| prior.map_or(best, |b| best.min(b));
         let mut candidates: Vec<Kept> = Vec::new();
+        let mut solved = Vec::new();
         let mut best_candidate_cost = f64::INFINITY;
         let mut miqps_pruned = 0usize;
         let mut binding = 0usize;
@@ -636,51 +562,37 @@ impl Optimizer {
             .map(|&ci| (ci, p1.totals(ci)))
             .filter(|(_, s)| slo.is_none_or(|slo| s.min_time <= slo + 1e-9));
         for (rank, (ci, s)) in survivors.enumerate() {
-            if s.cost > cap(best_candidate_cost) * (1.0 + tol) + 1e-15 && rank >= MIQP_TOP_CUTS {
+            if s.cost > best_candidate_cost * (1.0 + tol) + 1e-15 && rank >= MIQP_TOP_CUTS {
                 break; // no later cut can enter the tolerance set
             }
             let (mix, time_s, cost) = if slo.is_none_or(|slo| s.time <= slo) {
                 (Mix::MinCost, s.time, s.cost)
             } else if binding < MIQP_HARD_CAP {
                 binding += 1;
-                if memo.len() < binding {
-                    memo.push(None);
-                }
-                let bc = match &mut memo[binding - 1] {
-                    Some(bc) => bc,
-                    entry => {
-                        let cut: Vec<usize> = p1.cuts.cut(ci).collect();
-                        let Some(cols) = shared.cache.columns_for_cut_tracked(
-                            &shared.profile,
-                            &cut,
-                            &self.cfg,
-                            track,
-                        ) else {
-                            continue; // unreachable: the cut survived pass 1
-                        };
-                        let knapsack = CutKnapsack::new(&cols);
-                        let lower = knapsack.lower_bound(limit).max(s.cost);
-                        entry.insert(BindingCut {
-                            ci,
-                            knapsack,
-                            lower,
-                            outcome: None,
-                        })
-                    }
+                let cut: Vec<usize> = p1.cuts.cut(ci).collect();
+                let Some(cols) =
+                    shared
+                        .cache
+                        .columns_for_cut_tracked(&shared.profile, &cut, &self.cfg, track)
+                else {
+                    continue; // unreachable: the cut survived pass 1
                 };
-                // LP-bound prune: any candidate this cut yields costs
-                // ≥ `lower` > the running tolerance budget, and the
-                // budget only shrinks from here — the cut can neither
-                // become the cost minimum nor enter the tolerance set.
-                if bc.lower > cap(best_candidate_cost) * (1.0 + tol) + 1e-15 {
+                let knapsack = CutKnapsack::new(&cols);
+                // LP-bound prune: every SLO-feasible mix of this cut costs
+                // at least `max(separable min cost, LP bound)`. When that
+                // exceeds the running tolerance budget, which only shrinks
+                // from here, the cut can neither become the cost minimum
+                // nor enter the tolerance set.
+                let lower = knapsack.lower_bound(limit).max(s.cost);
+                if lower > best_candidate_cost * (1.0 + tol) + 1e-15 {
                     miqps_pruned += 1;
                     continue;
                 }
-                let outcome = bc.outcome.get_or_insert_with(|| bc.knapsack.solve(limit));
-                let Some((mems, time_s, cost)) = outcome else {
+                solved.push(ci);
+                let Some((mems, time_s, cost)) = knapsack.solve(limit) else {
                     continue;
                 };
-                (Mix::Solved(mems.clone()), *time_s, *cost)
+                (Mix::Solved(mems), time_s, cost)
             } else {
                 (Mix::MinTime, s.min_time, s.min_cost)
             };
@@ -692,7 +604,7 @@ impl Optimizer {
                 cost,
             });
         }
-        (candidates, miqps_pruned)
+        (candidates, solved, miqps_pruned)
     }
 
     /// The cost tolerance the selection rules spend: `cfg.cost_tolerance`,

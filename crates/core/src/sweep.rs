@@ -2,24 +2,19 @@
 //! grid (the paper's whole evaluation is such a family — cost-vs-SLO
 //! curves, batch tables; §5, Figs. 7–8).
 //!
-//! Three amortizations over N independent [`Optimizer::optimize`] calls:
+//! What a sweep shares over N independent [`Optimizer::optimize`] calls:
 //!
-//! 1. **Pass-1 sharing** — the profile, the cut enumeration, every cut's
-//!    column evaluation, and the segment-column memo cache are functions
-//!    of `(model, batch)` only, so they are built once per distinct batch
-//!    and reused by every SLO point ([`crate::optimizer`]'s `BatchShared`).
-//! 2. **Cross-point bound seeding** — the optimal cost is monotone
-//!    non-increasing as the SLO loosens, so a completed tighter-SLO
-//!    point's optimum is an upper bound for every looser point: it
-//!    tightens the replay's LP-bound prunes and its tolerance break. A
-//!    per-point cold-fallback guard keeps the bound *advisory*: plans are
-//!    **always** bit-identical to independent cold solves, at every
-//!    thread count.
-//! 3. **Parallel batch chains** — each batch's points form a sequential
-//!    tight-to-loose chain (so seeds are deterministic); distinct batch
-//!    chains run concurrently on scoped threads, and in a DAG sweep the
-//!    remaining threads fan out each point's region trials. Results merge
-//!    in grid order.
+//! - **Pass 1, once per batch.** The profile, the cut enumeration, every
+//!   cut's column evaluation, and the segment-column memo cache are
+//!   functions of `(model, batch)` only, so they are built once per
+//!   distinct batch and reused by every SLO point ([`crate::optimizer`]'s
+//!   `BatchShared`). Each point then runs exactly the pass 2 a cold
+//!   `optimize()` runs, so its plan and its solve/prune counters equal
+//!   the cold call's.
+//! - **Parallel batches.** A batch's points run in grid order on one
+//!   thread; distinct batches run concurrently on scoped threads, and in
+//!   a DAG sweep the remaining threads fan out each point's region
+//!   trials. Results come back in grid order.
 //!
 //! The report marks the per-batch Pareto frontier over (time, cost) with
 //! the knee point flagged — the grid point a cost/latency trade-off
@@ -37,8 +32,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// The SLO × batch grid a sweep plans. The grid is the cross product of
-/// `slos` and `batches`; points are reported batch-major in the order
-/// given here (execution may reorder, results never do).
+/// `slos` and `batches`; points are planned and reported batch-major in
+/// the order given here.
 #[derive(Debug, Clone)]
 pub struct SweepGrid {
     /// SLO values in seconds (any order; duplicates allowed).
@@ -113,11 +108,6 @@ pub struct PointStats {
     /// Segment-column cache misses attributed to this point's pass 2
     /// (zero once the shared pass 1 has warmed the cache).
     pub cache_misses: usize,
-    /// A tighter point's optimum seeded this solve.
-    pub seeded: bool,
-    /// The seed proved invalid and the replay reran cold (rare; the plan
-    /// is cold-identical either way).
-    pub seed_fallback: bool,
     /// Wall-clock spent solving this point.
     pub solve_time: Duration,
 }
@@ -299,37 +289,15 @@ impl PipelineSweepReport {
     }
 }
 
-/// One batch group awaiting execution: the shared pass-1 state (or the
-/// error every point inherits) plus the SLO indices in tight-to-loose
-/// execution order.
-struct BatchGroup<'a, S> {
-    bi: usize,
-    batch: u64,
-    shared: &'a Result<S, OptimizeError>,
-    /// Indices into `grid.slos`, ascending by SLO value (stable on ties).
-    exec_order: Vec<usize>,
-}
-
-/// One [`BatchGroup`] per grid batch, over the per-distinct-batch state.
+/// Each grid batch, in grid order, with the shared pass-1 state built for
+/// it (or the error every point at it inherits).
 fn batch_groups<'a, S>(
     grid: &SweepGrid,
     shared_by_batch: &'a [(u64, Result<S, OptimizeError>)],
-) -> Vec<BatchGroup<'a, S>> {
-    let mut exec_order: Vec<usize> = (0..grid.slos.len()).collect();
-    exec_order.sort_by(|&a, &c| {
-        grid.slos[a]
-            .partial_cmp(&grid.slos[c])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+) -> Vec<(u64, &'a Result<S, OptimizeError>)> {
     grid.batches
         .iter()
-        .enumerate()
-        .map(|(bi, &b)| BatchGroup {
-            bi,
-            batch: b,
-            shared: shared_of(shared_by_batch, b),
-            exec_order: exec_order.clone(),
-        })
+        .map(|&b| (b, shared_of(shared_by_batch, b)))
         .collect()
 }
 
@@ -375,7 +343,7 @@ fn run_groups<G: Sync, P: Send>(
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("sweep chain worker panicked"))
+            .map(|h| h.join().expect("sweep batch worker panicked"))
             .collect()
     });
     let mut slots: Vec<Option<P>> = (0..groups.len()).map(|_| None).collect();
@@ -384,22 +352,7 @@ fn run_groups<G: Sync, P: Send>(
     }
     slots
         .into_iter()
-        .map(|s| s.expect("every chain ran exactly once"))
-        .collect()
-}
-
-/// Scatters each group's chain (points in its execution order) into
-/// batch-major grid order.
-fn grid_order<S, P>(groups: &[BatchGroup<'_, S>], chains: Vec<Vec<P>>, per_batch: usize) -> Vec<P> {
-    let mut points: Vec<Option<P>> = (0..groups.len() * per_batch).map(|_| None).collect();
-    for (g, chain) in groups.iter().zip(chains) {
-        for (&si, point) in g.exec_order.iter().zip(chain) {
-            points[g.bi * per_batch + si] = Some(point);
-        }
-    }
-    points
-        .into_iter()
-        .map(|p| p.expect("every grid point planned exactly once"))
+        .map(|s| s.expect("every batch ran exactly once"))
         .collect()
 }
 
@@ -443,33 +396,31 @@ impl Optimizer {
             self.shared_per_batch(graph, &grid.batches, |opt, p| opt.build_shared(p));
         let pass1_time = p1.elapsed();
 
-        // Batch chains run concurrently; the split depends only on the
-        // grid shape and `threads`, never on interleaving.
+        // Batches run concurrently; the split depends only on the grid
+        // shape and `threads`, never on interleaving.
         let groups = batch_groups(grid, &shared_by_batch);
         let workers = threads.min(groups.len()).max(1);
-        let chains = run_groups(&groups, workers, |g| {
-            let mut bound = None;
-            g.exec_order
+        let per_batch = run_groups(&groups, workers, |&(batch, shared)| {
+            grid.slos
                 .iter()
-                .map(|&si| {
+                .map(|&slo| {
                     let t = Instant::now();
-                    let slo = grid.slos[si];
                     let (_, solve, mut stats) =
-                        self.sweep_point(graph, g.shared.as_ref(), g.batch, slo, &mut bound);
+                        self.sweep_point(graph, shared.as_ref(), batch, slo);
                     stats.solve_time = t.elapsed();
                     SweepPoint {
                         slo_s: slo,
-                        batch: g.batch,
+                        batch,
                         outcome: solve.map(|ps| ps.plan),
                         stats,
                         dominated: false,
                         knee: false,
                     }
                 })
-                .collect()
+                .collect::<Vec<_>>()
         });
         let n = grid.slos.len();
-        let mut points = grid_order(&groups, chains, n);
+        let mut points: Vec<SweepPoint> = per_batch.into_iter().flatten().collect();
         let pareto = mark_frontier(&mut points, grid.batches.len(), n, true);
 
         let ok_shared = || shared_by_batch.iter().filter_map(|(_, s)| s.as_ref().ok());
@@ -485,44 +436,33 @@ impl Optimizer {
         }
     }
 
-    /// Solves one grid point of a batch chain at `(batch, slo)`, seeded
-    /// with the chain's running `bound` (tightened when the point solves).
-    /// Returns the point's optimizer, its solve, and its stats (with
-    /// `solve_time` left for the caller to stamp).
+    /// Solves one grid point at `(batch, slo)` against its batch's shared
+    /// pass 1. Returns the point's optimizer, its solve, and its stats
+    /// (with `solve_time` left for the caller to stamp).
     fn sweep_point(
         &self,
         graph: &LayerGraph,
         shared: Result<&BatchShared, &OptimizeError>,
         batch: u64,
         slo: f64,
-        bound: &mut Option<f64>,
     ) -> (Optimizer, Result<PointSolve, OptimizeError>, PointStats) {
         let mut cfg = self.config().clone();
         cfg.batch_size = batch;
         cfg.slo_s = Some(slo);
-        let seed = *bound;
         let opt = Optimizer::new(cfg);
         let counters = CacheCounters::new();
         let solve = shared
             .map_err(Clone::clone)
-            .and_then(|sh| opt.solve_point(graph, sh, seed, Some(&counters)));
+            .and_then(|sh| opt.solve_point(graph, sh, Some(&counters)));
         let stats = match &solve {
-            Ok(ps) => {
-                *bound = Some(bound.map_or(ps.best_cost, |b| b.min(ps.best_cost)));
-                PointStats {
-                    miqps_solved: ps.solved.len(),
-                    miqps_pruned: ps.miqps_pruned,
-                    cache_hits: counters.hits(),
-                    cache_misses: counters.misses(),
-                    seeded: ps.seeded,
-                    seed_fallback: ps.seed_fallback,
-                    solve_time: Duration::ZERO,
-                }
-            }
-            Err(_) => PointStats {
-                seeded: shared.is_ok() && seed.is_some(),
-                ..PointStats::default()
+            Ok(ps) => PointStats {
+                miqps_solved: ps.solved.len(),
+                miqps_pruned: ps.miqps_pruned,
+                cache_hits: counters.hits(),
+                cache_misses: counters.misses(),
+                solve_time: Duration::ZERO,
             },
+            Err(_) => PointStats::default(),
         };
         (opt, solve, stats)
     }
@@ -532,8 +472,7 @@ impl Optimizer {
     /// *and* the greedy fork/join region search against it.
     ///
     /// Reuses [`Optimizer::optimize_sweep`]'s amortization for the chain
-    /// side (shared pass 1, tight-to-loose bound seeding, parallel batch
-    /// chains) and adds the DAG side's own sharing: the region
+    /// side (shared pass 1, parallel batches) and adds the DAG side's own sharing: the region
     /// candidates, scatter/gather byte tables, spine-span memo, and
     /// node-evaluation memo are built once per distinct batch (the
     /// region tables and memos are SLO-independent) and
@@ -556,23 +495,20 @@ impl Optimizer {
         });
         let pass1_time = p1.elapsed();
 
-        // Same deterministic thread split as `optimize_sweep`: batch
-        // chains concurrently, leftover threads fan out each point's
-        // region trials.
+        // Same deterministic thread split as `optimize_sweep`: batches
+        // concurrently, leftover threads fan out each point's region
+        // trials.
         let groups = batch_groups(grid, &shared_by_batch);
         let workers = threads.min(groups.len()).max(1);
         let inner = (threads / workers).max(1);
-        let chains = run_groups(&groups, workers, |g| {
-            let mut bound = None;
-            g.exec_order
+        let per_batch = run_groups(&groups, workers, |&(batch, shared)| {
+            grid.slos
                 .iter()
-                .map(|&si| {
+                .map(|&slo| {
                     let t = Instant::now();
-                    let slo = grid.slos[si];
-                    let chain = g.shared.as_ref().map(|(sh, _)| sh);
-                    let (opt, solve, mut stats) =
-                        self.sweep_point(graph, chain, g.batch, slo, &mut bound);
-                    let (dag, regions_used, search) = match (&solve, g.shared) {
+                    let chain = shared.as_ref().map(|(sh, _)| sh);
+                    let (opt, solve, mut stats) = self.sweep_point(graph, chain, batch, slo);
+                    let (dag, regions_used, search) = match (&solve, shared) {
                         (Ok(ps), Ok((sh, ds))) => {
                             let s0 = Instant::now();
                             let (dag, used, mut search) =
@@ -585,7 +521,7 @@ impl Optimizer {
                     stats.solve_time = t.elapsed();
                     DagSweepPoint {
                         slo_s: slo,
-                        batch: g.batch,
+                        batch,
                         outcome: solve.map(|ps| ps.plan),
                         dag,
                         regions_used,
@@ -595,10 +531,10 @@ impl Optimizer {
                         knee: false,
                     }
                 })
-                .collect()
+                .collect::<Vec<_>>()
         });
         let n = grid.slos.len();
-        let mut points = grid_order(&groups, chains, n);
+        let mut points: Vec<DagSweepPoint> = per_batch.into_iter().flatten().collect();
         let pareto = mark_frontier(&mut points, grid.batches.len(), n, true);
 
         let ok_shared = || shared_by_batch.iter().filter_map(|(_, s)| s.as_ref().ok());

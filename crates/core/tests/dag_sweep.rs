@@ -76,7 +76,7 @@ fn dag_key(d: &DagPlan) -> DagKey {
     )
 }
 
-/// The thread/seed-invariant projection of a DAG report.
+/// The thread-invariant projection of a DAG report.
 fn report_key(r: &DagReport) -> (ChainKey, Option<DagKey>, usize, usize) {
     (
         chain_key(&r.chain.plan),
@@ -86,7 +86,7 @@ fn report_key(r: &DagReport) -> (ChainKey, Option<DagKey>, usize, usize) {
     )
 }
 
-/// The thread/seed-invariant projection of a DAG sweep: per-point chain
+/// The thread-invariant projection of a DAG sweep: per-point chain
 /// outcome, DAG verdict, regions used, dominance, knee, plus the
 /// frontier.
 #[allow(clippy::type_complexity)]

@@ -1,15 +1,15 @@
 //! Sweep-engine contracts (DESIGN.md §5e, "Amortized sweeps"):
 //!
-//! 1. **Sweep ≡ cold** — every grid point's plan is bit-identical to an
-//!    independent `optimize()` call at that `(slo, batch)`, at every
-//!    thread count, although cross-point seeding prunes with bounds that
-//!    cold solves never see.
+//! 1. **Sweep ≡ cold** — every grid point's plan, and its knapsack solve
+//!    and LP-prune counts, equal an independent `optimize()` call's at
+//!    that `(slo, batch)`, at every thread count: a point runs the cold
+//!    call's pass 2 against its batch's shared pass 1.
 //! 2. **Thread invariance** — the deterministic projection of a
 //!    `SweepReport` (plans, errors, Pareto marks, knees) is identical at
 //!    threads = 1 and threads = many.
 //! 3. **Monotonicity** — along a loosening SLO grid at zero cost
 //!    tolerance, optimal cost never increases and optimal time never
-//!    decreases (the structure the seeding exploits).
+//!    decreases (the paper's cost-vs-SLO curve).
 //! 4. **Amortization is observable** — per-point cache misses are zero
 //!    once the shared pass 1 has warmed the cache.
 
@@ -58,7 +58,8 @@ fn assert_plans_bitwise_equal(a: &ExecutionPlan, b: &ExecutionPlan, label: &str)
 }
 
 /// Every sweep point must equal an independent cold `optimize()` at the
-/// point's `(slo, batch)` — including the error kind on infeasible points.
+/// point's `(slo, batch)` — including the error kind on infeasible points
+/// and, on solved ones, the knapsack solve and LP-prune counts.
 fn assert_sweep_equals_cold(
     graph: &LayerGraph,
     cfg: &AmpsConfig,
@@ -72,7 +73,14 @@ fn assert_sweep_equals_cold(
         let cold = Optimizer::new(pcfg).optimize(graph);
         let plabel = format!("{label}/point[{i}] slo={} batch={}", p.slo_s, p.batch);
         match (&p.outcome, &cold) {
-            (Ok(swept), Ok(cold)) => assert_plans_bitwise_equal(swept, &cold.plan, &plabel),
+            (Ok(swept), Ok(cold)) => {
+                assert_plans_bitwise_equal(swept, &cold.plan, &plabel);
+                assert_eq!(
+                    (p.stats.miqps_solved, p.stats.miqps_pruned),
+                    (cold.miqps_solved, cold.miqps_pruned),
+                    "{plabel}: (solved, pruned) diverge"
+                );
+            }
             (Err(es), Err(ec)) => assert_eq!(es, ec, "{plabel}: error kind diverges"),
             (s, c) => panic!("{plabel}: outcome diverges: {s:?} vs {c:?}"),
         }
@@ -82,7 +90,7 @@ fn assert_sweep_equals_cold(
 /// Bit-level plan key: partition bounds/memories plus exact time/cost.
 type PlanKey = (Vec<u64>, u64, u64);
 
-/// The thread/seed-invariant projection of a report: per-point outcome
+/// The thread-invariant projection of a report: per-point outcome
 /// (plan or error), dominance, knee, plus the frontier index list.
 fn projection(r: &SweepReport) -> Vec<(Option<PlanKey>, bool, bool)> {
     let key = |p: &SweepPoint| {
@@ -116,12 +124,36 @@ fn sweep_points_equal_cold_solves_at_every_thread_count() {
 }
 
 #[test]
+fn sweep_counters_equal_cold_on_inception_v3_at_zero_tolerance() {
+    // At tolerance 0 this grid's binding cuts sit close to the prune
+    // threshold, so any bound carried from one point to the next shows
+    // in the solve counts.
+    let g = zoo::inception_v3();
+    let cfg = AmpsConfig {
+        cost_tolerance: 0.0,
+        ..Default::default()
+    };
+    let t = Optimizer::new(cfg.clone().with_threads(1))
+        .optimize(&g)
+        .expect("unconstrained run is feasible")
+        .plan
+        .predicted_time_s;
+    let grid = SweepGrid::slo_range(t * 0.9, t * 1.5, 16);
+    let report = Optimizer::new(cfg.clone().with_threads(1)).optimize_sweep(&g, &grid);
+    assert_sweep_equals_cold(&g, &cfg, &report, "inception_v3/tol=0");
+}
+
+#[test]
 fn sweep_with_batches_equals_cold_solves() {
     let g = zoo::tiny_cnn();
     let cfg = AmpsConfig::default();
-    let grid = grid_around_free(&g, &cfg, 4).with_batches(vec![1, 4]);
+    // Loose to tight, with one SLO twice: points run in grid order.
+    let mut slos = grid_around_free(&g, &cfg, 4).slos;
+    slos.reverse();
+    slos.insert(2, slos[1]);
+    let grid = SweepGrid::from_slos(slos).with_batches(vec![1, 4]);
     let report = Optimizer::new(cfg.clone().with_threads(2)).optimize_sweep(&g, &grid);
-    assert_eq!(report.points.len(), 8);
+    assert_eq!(report.points.len(), 10);
     // Grid order is batch-major and preserves the slo axis order.
     for (i, p) in report.points.iter().enumerate() {
         assert_eq!(p.batch, grid.batches[i / grid.slos.len()]);
@@ -152,25 +184,8 @@ fn sweep_projection_is_thread_invariant() {
 }
 
 #[test]
-fn seeding_never_changes_plans() {
-    let g = zoo::mobilenet_v1();
-    let cfg = slim();
-    let grid = grid_around_free(&g, &cfg, 6);
-    for threads in [1usize, 4] {
-        let seeded = Optimizer::new(cfg.clone().with_threads(threads)).optimize_sweep(&g, &grid);
-        assert_sweep_equals_cold(&g, &cfg, &seeded, &format!("seeded/threads={threads}"));
-        // Past the tightest feasible point the sweep threads its bound
-        // through, so the comparison above covers seeded points.
-        assert!(
-            seeded.points.iter().any(|p| p.stats.seeded),
-            "no point ever received a seed at threads={threads}"
-        );
-    }
-}
-
-#[test]
 fn cost_monotone_and_time_monotone_across_loosening_slo() {
-    // The paper-level property the seeding exploits: at zero cost
+    // The paper-level property behind the cost-vs-SLO curve: at zero cost
     // tolerance the optimizer is a pure cost minimizer, so loosening the
     // SLO can only reveal cheaper (and, among cheapest, slower) plans.
     for (g, points) in [(zoo::resnet50(), 8), (zoo::mobilenet_v1(), 8)] {

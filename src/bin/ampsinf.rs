@@ -8,6 +8,7 @@
 //! ampsinf plan resnet50 [--slo 20] [--batch 10] [--quota-2021]
 //!                       [--tolerance 0.1] [--quantize 2] [--json out.json]
 //! ampsinf sweep resnet50 --slo-from 10 --slo-to 40 --points 16 [--batches 1,8,32]
+//!                        [--batch 8] [--quantize 1]
 //! ampsinf serve resnet50 [--images 10] [--parallel] [--slo 20]
 //! ampsinf serve resnet50 --requests 1000 --rate 50 --threads 8
 //! ampsinf plan model.json          # any serialized LayerGraph file
@@ -69,14 +70,7 @@ fn run(args: &[String]) -> i32 {
         },
         "plan" => match (load_model(args.get(1)), parse_cfg(&args[1..])) {
             (Ok(mut g), Ok((cfg, quantize, json_out))) => {
-                if let Some(bytes) = quantize {
-                    g = g.quantized(bytes);
-                    println!(
-                        "quantized weights to {} bits: {:.1} MB",
-                        bytes * 8,
-                        g.weight_bytes() as f64 / 1024.0 / 1024.0
-                    );
-                }
+                quantize_model(&mut g, quantize);
                 if args.iter().any(|a| a == "--dag") {
                     if cfg.pipeline_depth > 0 {
                         return fail(
@@ -166,15 +160,18 @@ fn run(args: &[String]) -> i32 {
             (Err(e), _) | (_, Err(e)) => fail(&e),
         },
         "sweep" => match (load_model(args.get(1)), parse_cfg(&args[1..])) {
-            (Ok(g), Ok((cfg, _, _))) => {
+            (Ok(mut g), Ok((cfg, quantize, _))) => {
+                if cfg.pipeline_depth > 0 {
+                    return fail(
+                        "sweep plans no pipelined grid; plan --pipeline chooses one \
+                         pipelined plan at one SLO",
+                    );
+                }
+                if cfg.slo_s.is_some() {
+                    return fail("sweep takes its SLOs from --slo-from/--slo-to, not --slo");
+                }
+                quantize_model(&mut g, quantize);
                 if args.iter().any(|a| a == "--dag") {
-                    if cfg.pipeline_depth > 0 {
-                        return fail(
-                            "--dag and --pipeline are incompatible in sweep mode: the \
-                             pipelined sweep balances chain stages while --dag fans \
-                             branch regions out as concurrent nodes; pick one",
-                        );
-                    }
                     return run_dag_sweep(&g, cfg, args);
                 }
                 run_sweep(&g, cfg, args)
@@ -189,6 +186,19 @@ fn run(args: &[String]) -> i32 {
             usage();
             2
         }
+    }
+}
+
+/// Narrows the model's weights to `bytes` per parameter (`--quantize`), if
+/// given, and says so.
+fn quantize_model(g: &mut LayerGraph, quantize: Option<u64>) {
+    if let Some(bytes) = quantize {
+        *g = g.quantized(bytes);
+        println!(
+            "quantized weights to {} bits: {:.1} MB",
+            bytes * 8,
+            g.weight_bytes() as f64 / 1024.0 / 1024.0
+        );
     }
 }
 
@@ -717,8 +727,9 @@ fn serve_load(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
 }
 
 /// Parses the grid flags shared by `sweep` and `sweep --dag`:
-/// `--slo-from`, `--slo-to`, `--points` (all required) and `--batches`.
-fn parse_grid(args: &[String]) -> Result<SweepGrid, String> {
+/// `--slo-from`, `--slo-to`, `--points` (all required) and `--batches`
+/// (default: `batch`, the `--batch` value).
+fn parse_grid(args: &[String], batch: u64) -> Result<SweepGrid, String> {
     let from = match flag_value(args, "--slo-from").map(str::parse::<f64>) {
         Some(Ok(v)) if v.is_finite() && v > 0.0 => v,
         Some(_) => return Err("bad --slo-from value (need a positive number of seconds)".into()),
@@ -747,7 +758,7 @@ fn parse_grid(args: &[String]) -> Result<SweepGrid, String> {
                 }
             }
         }
-        None => vec![1],
+        None => vec![batch],
     };
     Ok(SweepGrid::slo_range(from, to, points).with_batches(batches))
 }
@@ -756,7 +767,7 @@ fn parse_grid(args: &[String]) -> Result<SweepGrid, String> {
 /// and print the per-batch Pareto frontier (knee flagged) plus the cache
 /// amortization summary.
 fn run_sweep(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
-    let grid = match parse_grid(args) {
+    let grid = match parse_grid(args, cfg.batch_size) {
         Ok(g) => g,
         Err(e) => return fail(&e),
     };
@@ -801,22 +812,11 @@ fn run_sweep(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
         }
         if verbose {
             println!(
-                "      solver: {} knapsack solve(s), {} LP-pruned, seeded={} fallback={}, {:?}",
-                p.stats.miqps_solved,
-                p.stats.miqps_pruned,
-                p.stats.seeded,
-                p.stats.seed_fallback,
-                p.stats.solve_time
+                "      solver: {} knapsack solve(s), {} LP-pruned, {:?}",
+                p.stats.miqps_solved, p.stats.miqps_pruned, p.stats.solve_time
             );
         }
     }
-    let seeded = report.points.iter().filter(|p| p.stats.seeded).count();
-    let fallbacks = report
-        .points
-        .iter()
-        .filter(|p| p.stats.seed_fallback)
-        .count();
-    println!("seeding: {seeded} point(s) bound-seeded, {fallbacks} cold fallback(s)");
     println!(
         "columns: {} cache hits, {} misses cumulative (shared pass 1: {:?})",
         report.cache_hits, report.cache_misses, report.pass1_time
@@ -837,7 +837,7 @@ fn run_sweep(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
 /// prints both verdicts per point, and the frontier/knee marks apply to
 /// each point's *effective* plan (the DAG when it won, else the chain).
 fn run_dag_sweep(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
-    let grid = match parse_grid(args) {
+    let grid = match parse_grid(args, cfg.batch_size) {
         Ok(g) => g,
         Err(e) => return fail(&e),
     };
@@ -941,8 +941,10 @@ commands:
   serve   <model|file.json>   plan + deploy + serve on the simulator
 
 options (plan/serve):
-  --slo <seconds>      response-time SLO
-  --batch <n>          optimize for n-image batches
+  --slo <seconds>      response-time SLO (rejected by sweep, which
+                       takes --slo-from/--slo-to)
+  --batch <n>          optimize for n-image batches (sweep: the
+                       grid's batch when --batches is absent)
   --tolerance <f>      cost tolerance spent on speed (default 0.1)
   --threads <n>        optimizer worker threads (0 = auto, 1 = sequential)
   --quota-2021         10,240 MB / 1 MB-step quota preset
@@ -970,11 +972,11 @@ options (plan/serve):
                        --adaptive swaps effective plans (chain or
                        DAG per SLO tier) between epochs off one
                        amortized DAG sweep.
-                       Rejected: plan/sweep --dag with --pipeline
-  --verbose            print solver statistics (plan only); in
+                       Rejected: plan --dag with --pipeline
+  --verbose            print solver statistics (plan, sweep); in
                        serve load mode, print the per-node
                        busy/stall/occupancy/critical-path table
-  --quantize <bytes>   weight width 1..4 (plan only)
+  --quantize <bytes>   weight width 1..4 (plan and sweep)
   --json <path>        write the plan as JSON (plan only)
   --images <n>         requests to serve (serve only)
   --slo-from <s>       sweep: tightest SLO of the grid (required)
@@ -1007,7 +1009,7 @@ options (plan/serve):
                        at every thread count. With plan: choose the
                        cut jointly against the pipelined (bottleneck-
                        bound) makespan. Excludes --parallel and
-                       --adaptive
+                       --adaptive; rejected by sweep
   --pipe-depth <n>     stations per stage per lane (default 1; n
                        requests may occupy one stage concurrently,
                        requires --pipeline)

@@ -90,7 +90,11 @@ fn unknown_and_valueless_flags_fail_cleanly() {
     let serve = ["serve", "mobilenet", "--requests", "10", "--rate", "2"];
     let flaky = [&serve[..], &["--flaky", "1.5"]].concat();
     let stray = [&serve[..], &["bogus"]].concat();
-    let cases: [(&[&str], &str); 6] = [
+    let sweep = ["sweep", "mobilenet", "--slo-from", "2", "--slo-to", "20"];
+    let sweep_pipelined = [&sweep[..], &["--points", "2", "--pipeline"]].concat();
+    let sweep_dag_pipelined = [&sweep_pipelined[..], &["--dag"]].concat();
+    let sweep_slo = [&sweep[..], &["--points", "2", "--slo", "5"]].concat();
+    let cases: [(&[&str], &str); 9] = [
         (&["plan", "mobilenet", "--sol", "5"], "unknown flag --sol"),
         (&["plan", "mobilenet", "--batch"], "--batch needs a value"),
         (&flaky, "unknown flag --flaky"),
@@ -100,6 +104,15 @@ fn unknown_and_valueless_flags_fail_cleanly() {
             &["plan", "mobilenet", "--slo", "5", "--slo", "9"],
             "--slo given more than once",
         ),
+        (
+            &sweep_pipelined,
+            "sweep plans no pipelined grid; plan --pipeline",
+        ),
+        (
+            &sweep_dag_pipelined,
+            "sweep plans no pipelined grid; plan --pipeline",
+        ),
+        (&sweep_slo, "sweep takes its SLOs from --slo-from/--slo-to"),
     ];
     for (args, msg) in cases {
         let (stdout, stderr, ok) = run(args);
@@ -336,7 +349,49 @@ fn sweep_prints_frontier_table() {
         "{stdout}"
     );
     assert!(stdout.contains("cache hits"), "{stdout}");
-    assert!(stdout.contains("bound-seeded"), "{stdout}");
+
+    // `--batch` is the grid's batch when `--batches` is absent.
+    let (stdout, stderr, ok) = run(&[
+        "sweep",
+        "mobilenet",
+        "--batch",
+        "8",
+        "--slo-from",
+        "20",
+        "--slo-to",
+        "60",
+        "--points",
+        "2",
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    let rows: Vec<Vec<&str>> = stdout
+        .lines()
+        .map(|l| l.split_whitespace().collect::<Vec<_>>())
+        .filter(|w| w.len() > 2 && w[0].parse::<usize>().is_ok())
+        .collect();
+    assert_eq!(rows.len(), 2, "{stdout}");
+    assert!(rows.iter().all(|w| w[1] == "8"), "{stdout}");
+
+    // `--quantize` plans the narrowed model: fp32 BERT-Base fits no
+    // lambda, its int8 form does.
+    let (stdout, stderr, ok) = run(&[
+        "sweep",
+        "bert_base",
+        "--quantize",
+        "1",
+        "--slo-from",
+        "40",
+        "--slo-to",
+        "40",
+        "--points",
+        "1",
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.contains("quantized weights to 8 bits"), "{stdout}");
+    assert!(
+        stdout.contains("sweep: 1 point(s) (1 SLO x 1 batch), 1 solved"),
+        "{stdout}"
+    );
 }
 
 #[test]
