@@ -2,13 +2,14 @@
 //!
 //! Every case plans one `(model, tolerance, SLO)` point at batch 64 with
 //! [`Optimizer::optimize_dag`] (plus one [`Optimizer::optimize_dag_sweep`]
-//! grid) and folds every field of the returned [`DagPlan`] — node spans
-//! and memories, object wiring and bytes, the `to_bits` of the predicted
-//! time and cost — together with `regions_used` and `trials_evaluated`
-//! into a 64-bit FNV-1a digest. The digests were recorded before the
-//! polish step priced its candidates on the fork/join block chain; any
-//! change to the search or the polish that moves a single accepted
-//! upgrade, memory or predicted bit shows up here.
+//! grid, planned at batch 1 and at batch 64) and folds every field of the
+//! returned [`DagPlan`] — node spans and memories, object wiring and
+//! bytes, the `to_bits` of the predicted time and cost — together with
+//! `regions_used` and `trials_evaluated` into a 64-bit FNV-1a digest.
+//! The digests were recorded before the polish step priced its
+//! candidates on the fork/join block chain; any change to the search or
+//! the polish that moves a single accepted upgrade, memory or predicted
+//! bit shows up here.
 
 mod common;
 
@@ -111,13 +112,14 @@ fn resnet50_batch64_dag_plans_are_pinned() {
     check("resnet50", &got, &RESNET50);
 }
 
-#[test]
-fn inception_v3_dag_sweep_is_pinned() {
+/// One digest per point of the 8-point Inception-v3 DAG sweep at
+/// tolerance 0.1 around the sweep anchor, planned at `batch`.
+fn dag_sweep_digests(batch: u64) -> Vec<u64> {
     let g = zoo::inception_v3();
     let t = f64::from_bits(INCEPTION_V3_SWEEP_ANCHOR);
-    let report = Optimizer::new(base(0.1))
-        .optimize_dag_sweep(&g, &SweepGrid::slo_range(t * 0.9, t * 1.5, 8));
-    let got: Vec<u64> = report
+    let grid = SweepGrid::slo_range(t * 0.9, t * 1.5, 8).with_batches(vec![batch]);
+    let report = Optimizer::new(base(0.1)).optimize_dag_sweep(&g, &grid);
+    report
         .points
         .iter()
         .map(|p| {
@@ -134,8 +136,25 @@ fn inception_v3_dag_sweep_is_pinned() {
             }
             d.0
         })
-        .collect();
-    check("inception_v3 sweep", &got, &INCEPTION_V3_SWEEP);
+        .collect()
+}
+
+#[test]
+fn inception_v3_dag_sweep_is_pinned() {
+    check(
+        "inception_v3 sweep",
+        &dag_sweep_digests(1),
+        &INCEPTION_V3_SWEEP,
+    );
+}
+
+#[test]
+fn inception_v3_batch64_dag_sweep_is_pinned() {
+    check(
+        "inception_v3 batch-64 sweep",
+        &dag_sweep_digests(64),
+        &INCEPTION_V3_SWEEP_B64,
+    );
 }
 
 /// The SLO anchors, one per `TOLERANCES` entry: the free chain optimum's
@@ -202,4 +221,16 @@ const INCEPTION_V3_SWEEP: [u64; 8] = [
     0xb17237b316c75b6f,
     0x8e4b49af527e6be7,
     0xab9f764e3f643483,
+];
+/// The same grid planned at batch 64, where the SLOs bracket the free
+/// chain's time and the DAG search has work to do.
+const INCEPTION_V3_SWEEP_B64: [u64; 8] = [
+    0xa621073d9f1f5e31,
+    0x7eae4295923e5bad,
+    0x3c5a9c755cc2870b,
+    0xcb8f01c6c4a4a69c,
+    0xbf3e737074e65283,
+    0xc3e5bcf69e9d8ea1,
+    0xdba9d4eb9ff17269,
+    0x4f1765bcdb1fe37d,
 ];
