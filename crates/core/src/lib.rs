@@ -63,6 +63,49 @@ pub(crate) type FixedHashMap<K, V> = std::collections::HashMap<
     std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>,
 >;
 
+/// Maps `f` over `items` on up to `threads` scoped workers that claim
+/// items in turn, and returns the results in item order, whichever worker
+/// ran each. With at most one worker (`threads.min(items.len()) <= 1`) it
+/// is the plain sequential iterator.
+pub(crate) fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = threads.min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        local.push((i, f(item)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("parallel map worker panicked"))
+            .collect()
+    });
+    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    for (i, r) in parts.into_iter().flatten() {
+        slots[i] = Some(r);
+    }
+    slots
+        .into_iter()
+        .map(|r| r.expect("every item ran exactly once"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::FixedHashMap;

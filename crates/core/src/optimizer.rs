@@ -784,46 +784,9 @@ impl Optimizer {
                 break;
             }
             trials_evaluated += work.len();
-            let plans: Vec<Option<DagPlan>> = if threads > 1 && work.len() > 1 {
-                let next = AtomicUsize::new(0);
-                let parts: Vec<(usize, Option<DagPlan>)> = std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..threads.min(work.len()))
-                        .map(|_| {
-                            s.spawn(|| {
-                                let mut local = Vec::new();
-                                loop {
-                                    let wi = next.fetch_add(1, Ordering::Relaxed);
-                                    if wi >= work.len() {
-                                        break;
-                                    }
-                                    local.push((
-                                        wi,
-                                        self.build_dag(graph, sh, ds, &work[wi].1, &track),
-                                    ));
-                                }
-                                local
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("dag trial worker panicked"))
-                        .collect()
-                });
-                let mut slots: Vec<Option<Option<DagPlan>>> =
-                    (0..work.len()).map(|_| None).collect();
-                for (wi, p) in parts {
-                    slots[wi] = Some(p);
-                }
-                slots
-                    .into_iter()
-                    .map(|s| s.expect("every trial ran exactly once"))
-                    .collect()
-            } else {
-                work.iter()
-                    .map(|(_, t)| self.build_dag(graph, sh, ds, t, &track))
-                    .collect()
-            };
+            let plans = crate::par_map(&work, threads, |(_, t)| {
+                self.build_dag(graph, sh, ds, t, &track)
+            });
             // Deterministic replay of the acceptance scan in region
             // order. A trial must beat the round's incumbent *and* stay a
             // winner against the chain anchor — without the second test,

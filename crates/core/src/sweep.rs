@@ -25,10 +25,10 @@ use crate::cuts::DagShared;
 use crate::optimizer::{
     BatchShared, DagSearchStats, OptimizeError, Optimizer, PointSolve, NAN_SLO, ZERO_BATCH,
 };
+use crate::par_map;
 use crate::plan::{DagPlan, ExecutionPlan, PipelinePlan};
 use ampsinf_model::LayerGraph;
 use ampsinf_profiler::{batched_unique, Profile};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// The SLO × batch grid a sweep plans. The grid is the cross product of
@@ -38,12 +38,13 @@ use std::time::{Duration, Instant};
 pub struct SweepGrid {
     /// SLO values in seconds (any order; duplicates allowed).
     pub slos: Vec<f64>,
-    /// Batch sizes (images per request). Defaults to `[1]`.
+    /// Batch sizes (images per request). Empty, as the constructors
+    /// leave it, plans at the optimizer's `AmpsConfig::batch_size`.
     pub batches: Vec<u64>,
 }
 
 impl SweepGrid {
-    /// Grid over explicit SLO values at batch 1.
+    /// Grid over explicit SLO values at the optimizer's batch.
     pub fn from_slos(slos: Vec<f64>) -> Self {
         assert!(!slos.is_empty(), "at least one SLO required");
         assert!(
@@ -52,7 +53,7 @@ impl SweepGrid {
         );
         SweepGrid {
             slos,
-            batches: vec![1],
+            batches: Vec::new(),
         }
     }
 
@@ -84,9 +85,9 @@ impl SweepGrid {
         self
     }
 
-    /// Total number of grid points.
+    /// Total number of grid points (an empty batch axis is one batch).
     pub fn len(&self) -> usize {
-        self.slos.len() * self.batches.len()
+        self.slos.len() * self.batches.len().max(1)
     }
 
     /// Whether the grid is empty (never, given the constructors' checks).
@@ -313,49 +314,6 @@ fn shared_of<S>(
         .1
 }
 
-/// Runs `run` over every batch group — on up to `workers` scoped threads
-/// claiming groups in turn when there are several — and returns the
-/// results in group order, whichever thread ran each.
-fn run_groups<G: Sync, P: Send>(
-    groups: &[G],
-    workers: usize,
-    run: impl Fn(&G) -> P + Sync,
-) -> Vec<P> {
-    if workers <= 1 {
-        return groups.iter().map(run).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let parts: Vec<Vec<(usize, P)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let gi = next.fetch_add(1, Ordering::Relaxed);
-                        if gi >= groups.len() {
-                            break;
-                        }
-                        local.push((gi, run(&groups[gi])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep batch worker panicked"))
-            .collect()
-    });
-    let mut slots: Vec<Option<P>> = (0..groups.len()).map(|_| None).collect();
-    for (gi, p) in parts.into_iter().flatten() {
-        slots[gi] = Some(p);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every batch ran exactly once"))
-        .collect()
-}
-
 impl Optimizer {
     /// Per-distinct-batch shared state: `build` runs on the batch's profile
     /// with an optimizer configured for that batch. A zero batch gets
@@ -382,11 +340,21 @@ impl Optimizer {
         out
     }
 
+    /// `grid` with an empty batch axis replaced by this optimizer's batch.
+    fn batch_axis(&self, grid: &SweepGrid) -> SweepGrid {
+        let mut grid = grid.clone();
+        if grid.batches.is_empty() {
+            grid.batches = vec![self.config().batch_size];
+        }
+        grid
+    }
+
     /// Plans every point of `grid` in one call. See the module docs for
     /// what is shared across points; the contract is that every returned
     /// plan is bit-identical to an independent [`Optimizer::optimize`]
     /// call at that point's `(slo, batch)`, at every thread count.
     pub fn optimize_sweep(&self, graph: &LayerGraph, grid: &SweepGrid) -> SweepReport {
+        let grid = &self.batch_axis(grid);
         let t0 = Instant::now();
         let threads = self.resolve_threads();
 
@@ -399,8 +367,7 @@ impl Optimizer {
         // Batches run concurrently; the split depends only on the grid
         // shape and `threads`, never on interleaving.
         let groups = batch_groups(grid, &shared_by_batch);
-        let workers = threads.min(groups.len()).max(1);
-        let per_batch = run_groups(&groups, workers, |&(batch, shared)| {
+        let per_batch = par_map(&groups, threads, |&(batch, shared)| {
             grid.slos
                 .iter()
                 .map(|&slo| {
@@ -482,6 +449,7 @@ impl Optimizer {
     /// that `(slo, batch)` — at every thread count — because every
     /// memoized value is a pure function of its key.
     pub fn optimize_dag_sweep(&self, graph: &LayerGraph, grid: &SweepGrid) -> DagSweepReport {
+        let grid = &self.batch_axis(grid);
         let t0 = Instant::now();
         let threads = self.resolve_threads();
 
@@ -501,7 +469,7 @@ impl Optimizer {
         let groups = batch_groups(grid, &shared_by_batch);
         let workers = threads.min(groups.len()).max(1);
         let inner = (threads / workers).max(1);
-        let per_batch = run_groups(&groups, workers, |&(batch, shared)| {
+        let per_batch = par_map(&groups, threads, |&(batch, shared)| {
             grid.slos
                 .iter()
                 .map(|&slo| {
@@ -569,6 +537,7 @@ impl Optimizer {
     /// cut enumeration, and every cut's separable column optima are built
     /// once per distinct batch and shared by every SLO point.
     pub fn optimize_pipelined(&self, graph: &LayerGraph, grid: &SweepGrid) -> PipelineSweepReport {
+        let grid = &self.batch_axis(grid);
         let t0 = Instant::now();
         let shared_by_batch =
             self.shared_per_batch(graph, &grid.batches, |opt, p| opt.build_shared(p));

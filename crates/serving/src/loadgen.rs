@@ -535,7 +535,8 @@ pub fn run_adaptive_loop(
     let arrivals = adaptive_arrivals(cfg, load)?;
     let boundary = graph.boundary_transfer_bytes();
     let lower = |plan: &ExecutionPlan| DagPlan::from_chain(plan, |k| boundary[k]);
-    let sweep = Optimizer::new(cfg.clone()).optimize_sweep(graph, &tier_grid(cfg, adaptive));
+    let sweep = Optimizer::new(cfg.clone())
+        .optimize_sweep(graph, &SweepGrid::from_slos(adaptive.slo_tiers.clone()));
     let tiers = sweep
         .points
         .iter()
@@ -575,7 +576,8 @@ pub fn run_adaptive_loop_dag(
     let arrivals = adaptive_arrivals(cfg, load)?;
     let boundary = graph.boundary_transfer_bytes();
     let lower = |plan: &ExecutionPlan| DagPlan::from_chain(plan, |k| boundary[k]);
-    let sweep = Optimizer::new(cfg.clone()).optimize_dag_sweep(graph, &tier_grid(cfg, adaptive));
+    let sweep = Optimizer::new(cfg.clone())
+        .optimize_dag_sweep(graph, &SweepGrid::from_slos(adaptive.slo_tiers.clone()));
     let tiers = sweep
         .points
         .into_iter()
@@ -604,11 +606,6 @@ fn adaptive_arrivals(cfg: &AmpsConfig, load: &LoadSpec) -> Result<Vec<f64>, Stri
         );
     }
     Ok(arrivals)
-}
-
-/// The spec's tiers at the config's batch: grid point `i` is tier `i`.
-fn tier_grid(cfg: &AmpsConfig, adaptive: &AdaptiveSpec) -> SweepGrid {
-    SweepGrid::from_slos(adaptive.slo_tiers.clone()).with_batches(vec![cfg.batch_size])
 }
 
 /// `cfg` without an SLO: the controller's last resort.

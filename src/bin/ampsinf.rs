@@ -13,9 +13,13 @@
 //! ampsinf serve resnet50 --requests 1000 --rate 50 --threads 8
 //! ampsinf plan model.json          # any serialized LayerGraph file
 //! ```
+//!
+//! Which command reads which flag is one table, [`TABLE`]; a flag outside
+//! the command's row is an error, never silently ignored.
 
 use amps_inf::core::baselines;
 use amps_inf::core::sweep::SweepGrid;
+use amps_inf::core::{OptimizeError, PipelinePlan};
 use amps_inf::faas::WarmPoolPolicy;
 use amps_inf::model::summary::ModelSummary;
 use amps_inf::prelude::*;
@@ -23,6 +27,16 @@ use amps_inf::serving::{
     run_adaptive_loop, run_adaptive_loop_dag, run_open_loop_dag, AdaptiveSpec, ArrivalShape,
     LoadSpec,
 };
+use std::io::Write;
+use std::str::FromStr;
+
+/// Shadows std's `println!` for this whole binary, so every line of
+/// output goes through [`emit`]'s closed-pipe handling.
+macro_rules! println {
+    ($($arg:tt)*) => {
+        emit(writeln!(std::io::stdout(), $($arg)*))
+    };
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -32,174 +46,105 @@ fn main() {
 
 fn run(args: &[String]) -> i32 {
     let Some(cmd) = args.first() else {
-        usage();
-        return 2;
+        return usage();
     };
-    // Every command but `models` takes one model argument.
-    if let Err(e) = check_flags(&args[1..], usize::from(cmd != "models")) {
-        return fail(&e);
-    }
-    match cmd.as_str() {
-        "models" => {
-            for name in [
-                "mobilenet",
-                "resnet50",
-                "inception_v3",
-                "xception",
-                "vgg16",
-                "vgg19",
-                "bert_base",
-            ] {
-                let g = zoo::by_name(name).expect("zoo model");
-                println!(
-                    "{:<14} {:>10} params  {:>7.1} MB  {:>4} layers",
-                    name,
-                    g.total_params(),
-                    g.weight_bytes() as f64 / 1024.0 / 1024.0,
-                    g.num_layers()
-                );
-            }
-            0
-        }
-        "summary" => match load_model(args.get(1)) {
-            Ok(g) => {
-                print!("{}", ModelSummary::of(&g).render());
-                0
-            }
-            Err(e) => fail(&e),
-        },
-        "plan" => match (load_model(args.get(1)), parse_cfg(&args[1..])) {
-            (Ok(mut g), Ok((cfg, quantize, json_out))) => {
-                quantize_model(&mut g, quantize);
-                if args.iter().any(|a| a == "--dag") {
-                    if cfg.pipeline_depth > 0 {
-                        return fail(
-                            "--dag and --pipeline are incompatible in plan mode: the joint \
-                             pipelined planner balances the stages of a chain, while --dag \
-                             fans branch regions out as concurrent nodes; pick one",
-                        );
-                    }
-                    return plan_dag(&g, cfg, args, json_out);
-                }
-                let verbose = args.iter().any(|a| a == "--verbose");
-                match Optimizer::new(cfg.clone()).optimize(&g) {
-                    Ok(r) => {
-                        println!("{}", r.plan);
-                        print_fault_plan(&cfg);
-                        println!(
-                            "searched {} cuts, {} MIQPs, {:?} ({} threads: eval {:?}, miqp {:?})",
-                            r.cuts_considered,
-                            r.miqps_solved,
-                            r.solve_time,
-                            r.threads_used,
-                            r.pass1_time,
-                            r.pass2_time
-                        );
-                        if verbose {
-                            print_solver_stats(&r);
-                        }
-                        if let Some(b3) = baselines::b3_optimal(&g, &cfg) {
-                            println!(
-                                "exhaustive optimum for reference: {:.2}s ${:.6}",
-                                b3.predicted_time_s, b3.predicted_cost
-                            );
-                        }
-                        let profile = Profile::of(&g);
-                        if let Some(b4) = baselines::b4_bucket_scan(&g, &cfg, r.plan.num_lambdas())
-                        {
-                            let lowered = DagPlan::from_chain(&b4, |k| profile.output_bytes(k));
-                            let bottleneck = baselines::dag_node_times(&profile, &lowered, &cfg)
-                                .map(|t| t.into_iter().fold(0.0f64, f64::max))
-                                .unwrap_or(f64::NAN);
-                            println!(
-                                "pipeserve bucket-scan for reference: {} stage(s), {:.2}s \
-                                 ${:.6}, bottleneck {:.3}s",
-                                b4.num_lambdas(),
-                                b4.predicted_time_s,
-                                b4.predicted_cost,
-                                bottleneck
-                            );
-                        }
-                        if cfg.pipeline_depth > 0 {
-                            // Joint batch–partition planning against the
-                            // pipelined (bottleneck-bound) makespan.
-                            let slo = cfg.slo_s.unwrap_or(1e9);
-                            let grid =
-                                SweepGrid::from_slos(vec![slo]).with_batches(vec![cfg.batch_size]);
-                            let rep = Optimizer::new(cfg.clone()).optimize_pipelined(&g, &grid);
-                            match &rep.points[0].outcome {
-                                Ok(pp) => {
-                                    println!("pipelined plan: {pp}");
-                                    let stages: Vec<String> = pp
-                                        .stage_times_s
-                                        .iter()
-                                        .map(|t| format!("{t:.3}s"))
-                                        .collect();
-                                    println!(
-                                        "  stage times: [{}] (fill {:.2}s, steady-state \
-                                         makespan(n) = fill + (n-1) x {:.3}s)",
-                                        stages.join(", "),
-                                        pp.stage_times_s.iter().sum::<f64>(),
-                                        pp.bottleneck_s
-                                    );
-                                }
-                                Err(e) => println!("pipelined plan: {e}"),
-                            }
-                        }
-                        if let Some(path) = json_out {
-                            if let Err(e) = std::fs::write(&path, r.plan.to_json()) {
-                                return fail(&format!("writing {path}: {e}"));
-                            }
-                            println!("plan written to {path}");
-                        }
-                        0
-                    }
-                    Err(e) => fail(&format!("optimization failed: {e}")),
-                }
-            }
-            (Err(e), _) | (_, Err(e)) => fail(&e),
-        },
-        "sweep" => match (load_model(args.get(1)), parse_cfg(&args[1..])) {
-            (Ok(mut g), Ok((cfg, quantize, _))) => {
-                if cfg.pipeline_depth > 0 {
-                    return fail(
-                        "sweep plans no pipelined grid; plan --pipeline chooses one \
-                         pipelined plan at one SLO",
-                    );
-                }
-                if cfg.slo_s.is_some() {
-                    return fail("sweep takes its SLOs from --slo-from/--slo-to, not --slo");
-                }
-                quantize_model(&mut g, quantize);
-                if args.iter().any(|a| a == "--dag") {
-                    return run_dag_sweep(&g, cfg, args);
-                }
-                run_sweep(&g, cfg, args)
-            }
-            (Err(e), _) | (_, Err(e)) => fail(&e),
-        },
-        "serve" => match (load_model(args.get(1)), parse_cfg(&args[1..])) {
-            (Ok(g), Ok((cfg, _, _))) => serve(&g, cfg, args),
-            (Err(e), _) | (_, Err(e)) => fail(&e),
-        },
-        _ => {
-            usage();
-            2
-        }
+    let a = match check_flags(cmd, &args[1..]) {
+        Ok(Some(a)) => a,
+        Ok(None) => return usage(),
+        Err(e) => return fail(&e),
+    };
+    let done = match cmd.as_str() {
+        "models" => models(),
+        "summary" => load_model(a.model)
+            .map(|g| emit(std::io::stdout().write_all(ModelSummary::of(&g).render().as_bytes()))),
+        "plan" => plan(&a),
+        "sweep" => sweep(&a),
+        _ => serve(&a), // the table has rows for no other command
+    };
+    match done {
+        Ok(()) => 0,
+        Err(e) => fail(&e),
     }
 }
 
-/// Narrows the model's weights to `bytes` per parameter (`--quantize`), if
-/// given, and says so.
-fn quantize_model(g: &mut LayerGraph, quantize: Option<u64>) {
-    if let Some(bytes) = quantize {
-        *g = g.quantized(bytes);
+/// `models`: the built-in models with their sizes.
+fn models() -> Result<(), String> {
+    for name in [
+        "mobilenet",
+        "resnet50",
+        "inception_v3",
+        "xception",
+        "vgg16",
+        "vgg19",
+        "bert_base",
+    ] {
+        let g = zoo::by_name(name).expect("zoo model");
         println!(
-            "quantized weights to {} bits: {:.1} MB",
-            bytes * 8,
-            g.weight_bytes() as f64 / 1024.0 / 1024.0
+            "{:<14} {:>10} params  {:>7.1} MB  {:>4} layers",
+            name,
+            g.total_params(),
+            g.weight_bytes() as f64 / 1024.0 / 1024.0,
+            g.num_layers()
         );
     }
+    Ok(())
+}
+
+/// `plan`: the chain optimum with its solver stats and reference
+/// baselines, and under `--pipeline` the joint planner's pipelined plan;
+/// `--dag` plans chain-vs-DAG instead ([`plan_dag`]).
+fn plan(a: &Args) -> Result<(), String> {
+    let cfg = config(a)?;
+    let g = model(a)?;
+    if a.has("--dag") {
+        return plan_dag(&g, &cfg, a);
+    }
+    let r = Optimizer::new(cfg.clone()).optimize(&g).map_err(failed)?;
+    println!("{}", r.plan);
+    print_fault_plan(&cfg);
+    println!(
+        "searched {} cuts, {} MIQPs, {:?} ({} threads: eval {:?}, miqp {:?})",
+        r.cuts_considered, r.miqps_solved, r.solve_time, r.threads_used, r.pass1_time, r.pass2_time
+    );
+    if a.has("--verbose") {
+        print_solver_stats(&r);
+    }
+    if let Some(b3) = baselines::b3_optimal(&g, &cfg) {
+        println!(
+            "exhaustive optimum for reference: {:.2}s ${:.6}",
+            b3.predicted_time_s, b3.predicted_cost
+        );
+    }
+    let profile = Profile::of(&g);
+    if let Some(b4) = baselines::b4_bucket_scan(&g, &cfg, r.plan.num_lambdas()) {
+        let lowered = DagPlan::from_chain(&b4, |k| profile.output_bytes(k));
+        let bottleneck = baselines::dag_node_times(&profile, &lowered, &cfg)
+            .map(|t| t.into_iter().fold(0.0f64, f64::max))
+            .unwrap_or(f64::NAN);
+        println!(
+            "pipeserve bucket-scan for reference: {} stage(s), {:.2}s ${:.6}, bottleneck {:.3}s",
+            b4.num_lambdas(),
+            b4.predicted_time_s,
+            b4.predicted_cost,
+            bottleneck
+        );
+    }
+    if cfg.pipeline_depth > 0 {
+        match pipelined_plan(&g, &cfg) {
+            Ok(pp) => {
+                println!("pipelined plan: {pp}");
+                println!(
+                    "  stage times: [{}] (fill {:.2}s, steady-state \
+                     makespan(n) = fill + (n-1) x {:.3}s)",
+                    joined(&pp.stage_times_s, |t| format!("{t:.3}s")),
+                    pp.stage_times_s.iter().sum::<f64>(),
+                    pp.bottleneck_s
+                );
+            }
+            Err(e) => println!("pipelined plan: {e}"),
+        }
+    }
+    write_json(a, || r.plan.to_json())
 }
 
 /// `plan --dag`: chain-vs-DAG comparison. Runs the standard chain
@@ -207,72 +152,80 @@ fn quantize_model(g: &mut LayerGraph, quantize: Option<u64>) {
 /// graph's fork/join regions with every scatter/gather request fee and
 /// storage lifetime billed; a DAG is reported only when it beats the
 /// chain incumbent under the paper's selection rule.
-fn plan_dag(g: &LayerGraph, cfg: AmpsConfig, args: &[String], json_out: Option<String>) -> i32 {
-    let verbose = args.iter().any(|a| a == "--verbose");
-    match Optimizer::new(cfg.clone()).optimize_dag(g) {
-        Ok(r) => {
-            let chain = &r.chain.plan;
-            println!("chain incumbent: {chain}");
-            print_fault_plan(&cfg);
-            println!(
-                "searched {} cuts, {} MIQPs, {:?} ({} threads); {} branch region(s) considered",
-                r.chain.cuts_considered,
-                r.chain.miqps_solved,
-                r.chain.solve_time,
-                r.chain.threads_used,
-                r.regions_considered
-            );
-            if verbose {
-                print_solver_stats(&r.chain);
-                print_dag_search_stats(&r.search);
-            }
-            match &r.dag {
-                Some(dag) => {
-                    println!("dag plan: {dag}");
-                    let bytes: u64 = dag.objects.iter().map(|o| o.bytes).sum();
-                    let gets: usize = dag.objects.iter().map(|o| o.consumers.len()).sum();
-                    println!(
-                        "  {} of {} region(s) parallelized, width {}; {} checkpoint \
-                         object(s) ({:.1} MB): {} put(s), {} get(s) billed per request",
-                        r.regions_used,
-                        r.regions_considered,
-                        dag.width(),
-                        dag.objects.len(),
-                        bytes as f64 / 1024.0 / 1024.0,
-                        dag.objects.len(),
-                        gets
-                    );
-                    println!(
-                        "  critical path {:.4}s vs chain {:.4}s ({:+.2}%); \
-                         cost ${:.6} vs ${:.6} ({:+.2}%)",
-                        dag.predicted_time_s,
-                        chain.predicted_time_s,
-                        100.0 * (dag.predicted_time_s / chain.predicted_time_s - 1.0),
-                        dag.predicted_cost,
-                        chain.predicted_cost,
-                        100.0 * (dag.predicted_cost / chain.predicted_cost - 1.0)
-                    );
-                }
-                None => println!(
-                    "no branch plan beats the chain at this SLO/batch point \
-                     ({} region(s) considered); the chain incumbent stands",
-                    r.regions_considered
-                ),
-            }
-            if let Some(path) = json_out {
-                let json = match &r.dag {
-                    Some(d) => d.to_json(),
-                    None => chain.to_json(),
-                };
-                if let Err(e) = std::fs::write(&path, json) {
-                    return fail(&format!("writing {path}: {e}"));
-                }
-                println!("plan written to {path}");
-            }
-            0
-        }
-        Err(e) => fail(&format!("optimization failed: {e}")),
+fn plan_dag(g: &LayerGraph, cfg: &AmpsConfig, a: &Args) -> Result<(), String> {
+    let r = Optimizer::new(cfg.clone())
+        .optimize_dag(g)
+        .map_err(failed)?;
+    let chain = &r.chain.plan;
+    println!("chain incumbent: {chain}");
+    print_fault_plan(cfg);
+    println!(
+        "searched {} cuts, {} MIQPs, {:?} ({} threads); {} branch region(s) considered",
+        r.chain.cuts_considered,
+        r.chain.miqps_solved,
+        r.chain.solve_time,
+        r.chain.threads_used,
+        r.regions_considered
+    );
+    if a.has("--verbose") {
+        print_solver_stats(&r.chain);
+        print_dag_search_stats(&r.search);
     }
+    match &r.dag {
+        Some(dag) => {
+            println!("dag plan: {dag}");
+            let bytes: u64 = dag.objects.iter().map(|o| o.bytes).sum();
+            let gets: usize = dag.objects.iter().map(|o| o.consumers.len()).sum();
+            println!(
+                "  {} of {} region(s) parallelized, width {}; {} checkpoint \
+                 object(s) ({:.1} MB): {} put(s), {} get(s) billed per request",
+                r.regions_used,
+                r.regions_considered,
+                dag.width(),
+                dag.objects.len(),
+                bytes as f64 / 1024.0 / 1024.0,
+                dag.objects.len(),
+                gets
+            );
+            println!(
+                "  critical path {:.4}s vs chain {:.4}s ({:+.2}%); \
+                 cost ${:.6} vs ${:.6} ({:+.2}%)",
+                dag.predicted_time_s,
+                chain.predicted_time_s,
+                100.0 * (dag.predicted_time_s / chain.predicted_time_s - 1.0),
+                dag.predicted_cost,
+                chain.predicted_cost,
+                100.0 * (dag.predicted_cost / chain.predicted_cost - 1.0)
+            );
+        }
+        None => println!(
+            "no branch plan beats the chain at this SLO/batch point \
+             ({} region(s) considered); the chain incumbent stands",
+            r.regions_considered
+        ),
+    }
+    write_json(a, || match &r.dag {
+        Some(d) => d.to_json(),
+        None => chain.to_json(),
+    })
+}
+
+/// Writes the plan `json` builds to the `--json` path, if one was given.
+fn write_json(a: &Args, json: impl FnOnce() -> String) -> Result<(), String> {
+    if let Some(path) = a.value("--json") {
+        std::fs::write(path, json()).map_err(|e| format!("writing {path}: {e}"))?;
+        println!("plan written to {path}");
+    }
+    Ok(())
+}
+
+/// The joint planner's one-point pipelined plan at `cfg`'s SLO (none:
+/// 1e9 s) and batch: the minimum bottleneck within `cost_tolerance` of
+/// the sequential cost floor.
+fn pipelined_plan(g: &LayerGraph, cfg: &AmpsConfig) -> Result<PipelinePlan, OptimizeError> {
+    let grid = SweepGrid::from_slos(vec![cfg.slo_s.unwrap_or(1e9)]);
+    let mut rep = Optimizer::new(cfg.clone()).optimize_pipelined(g, &grid);
+    rep.points.remove(0).outcome
 }
 
 /// `serve`: plan, deploy and serve on the one engine. `--requests` runs
@@ -280,41 +233,27 @@ fn plan_dag(g: &LayerGraph, cfg: AmpsConfig, args: &[String], json_out: Option<S
 /// as a batch — one request, `--parallel` (all at t = 0), `--pipeline`
 /// (stage-overlapped stations) or one after another. `--dag` only picks
 /// the planner ([`plan_for_serving`]).
-fn serve(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
-    let parallel = args.iter().any(|a| a == "--parallel");
-    if cfg.pipeline_depth > 0 && parallel {
-        return fail(
-            "--pipeline and --parallel are mutually exclusive: --parallel \
-             fans whole requests out with unbounded concurrency, --pipeline \
-             overlaps stages under per-stage station budgets; pick one",
-        );
+fn serve(a: &Args) -> Result<(), String> {
+    if let Some(requests) = a.num("--requests", "a positive integer", at_least_one)? {
+        return serve_load(a, requests);
     }
-    if flag_value(args, "--requests").is_some() {
-        return serve_load(g, cfg, args);
-    }
-    let images = match flag_value(args, "--images") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => return fail(&format!("bad --images value {v} (need a positive integer)")),
-        },
-        None => 1,
-    };
-    let plan = match plan_for_serving(g, &cfg, args) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
+    let images = a
+        .num("--images", "a positive integer", at_least_one)?
+        .unwrap_or(1);
+    let parallel = a.has("--parallel");
+    let cfg = config(a)?;
+    let g = model(a)?;
+    let plan = plan_for_serving(&g, &cfg, a.has("--dag"))?;
     print_fault_plan(&cfg);
     let coord = Coordinator::new(cfg);
     let mut platform = coord.platform();
-    let dep = match coord.deploy_dag(&mut platform, g, &plan) {
-        Ok(d) => d,
-        Err(e) => return fail(&format!("deploy: {e}")),
-    };
+    let dep = coord
+        .deploy_dag(&mut platform, &g, &plan)
+        .map_err(|e| format!("deploy: {e}"))?;
     let (time, mut dollars) = if images == 1 {
-        let job = match coord.serve_one(&mut platform, &dep, 0.0, "cli") {
-            Ok(j) => j,
-            Err(e) => return fail(&format!("serve: {e}")),
-        };
+        let job = coord
+            .serve_one(&mut platform, &dep, 0.0, "cli")
+            .map_err(|e| format!("serve: {e}"))?;
         println!(
             "deploy {:.2}s  load {:.2}s  predict {:.2}s  {} {:.2}s",
             job.deploy_s,
@@ -337,16 +276,10 @@ fn serve(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
             p.failed,
             p.stats.stations_per_stage
         );
-        let utils: Vec<String> = p
-            .stats
-            .stage_utilization()
-            .iter()
-            .map(|u| format!("{:.0}%", u * 100.0))
-            .collect();
         println!(
             "pipeline: utilization {:.1}% [{}], stall {:.2}s, warm idle {:.2}s",
             p.stats.utilization() * 100.0,
-            utils.join(", "),
+            joined(&p.stats.stage_utilization(), percent),
             p.stats.stall_s(),
             p.warm_idle_s
         );
@@ -373,19 +306,45 @@ fn serve(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
         time,
         dollars
     );
-    0
+    Ok(())
 }
 
-/// The plan `serve` deploys, printed: with `--dag`, [`plan_dag`]'s
+/// A utilization fraction as a whole percentage.
+fn percent(u: f64) -> String {
+    format!("{:.0}%", u * 100.0)
+}
+
+/// `values`, each formatted by `show`, joined by `", "`.
+fn joined(values: &[f64], show: impl Fn(f64) -> String) -> String {
+    values
+        .iter()
+        .map(|&v| show(v))
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+/// The plan `serve` deploys, printed: with `dag`, [`plan_dag`]'s
 /// chain-vs-DAG objective (the chain incumbent when no branch plan
 /// wins); otherwise the chain optimum, or under `--pipeline` the joint
-/// planner's stage-balanced chain. Chains lower through
-/// [`DagPlan::from_chain`].
-fn plan_for_serving(g: &LayerGraph, cfg: &AmpsConfig, args: &[String]) -> Result<DagPlan, String> {
-    let failed = |e| format!("optimization failed: {e}");
-    if !args.iter().any(|a| a == "--dag") {
-        let planned = Optimizer::new(cfg.clone()).optimize(g).map_err(failed)?;
-        let plan = pipeline_plan_or(g, cfg, planned.plan)?;
+/// planner's stage-balanced chain ([`pipelined_plan`]). Chains lower
+/// through [`DagPlan::from_chain`].
+fn plan_for_serving(g: &LayerGraph, cfg: &AmpsConfig, dag: bool) -> Result<DagPlan, String> {
+    if !dag {
+        let mut plan = Optimizer::new(cfg.clone())
+            .optimize(g)
+            .map_err(failed)?
+            .plan;
+        if cfg.pipeline_depth > 0 {
+            let pp =
+                pipelined_plan(g, cfg).map_err(|e| format!("pipelined planning failed: {e}"))?;
+            println!(
+                "pipelined planning: bottleneck {:.3}s, imbalance {:.2} \
+                 (stage-balanced within cost tolerance of the sequential optimum)",
+                pp.bottleneck_s,
+                pp.imbalance()
+            );
+            plan = pp.plan;
+        }
         println!("{plan}");
         return Ok(DagPlan::from_chain(&plan, |e| g.cut_transfer_bytes(e)));
     }
@@ -461,32 +420,20 @@ fn print_dag_node_stats(stats: &DagNodeStats, plan: &DagPlan) {
 /// `provisioned:N` or `keepalive:SECONDS`.
 fn parse_policy(spec: &str) -> Result<WarmPoolPolicy, String> {
     let lower = spec.to_ascii_lowercase();
-    let (name, arg) = match lower.split_once(':') {
-        Some((n, a)) => (n, Some(a)),
-        None => (lower.as_str(), None),
-    };
-    let count = |a: Option<&str>| -> Result<usize, String> {
-        a.ok_or_else(|| format!("--policy {name} needs a count, e.g. {name}:4"))?
-            .parse::<usize>()
-            .map_err(|_| format!("bad --policy count in '{spec}'"))
-    };
+    let (name, arg) = lower.split_once(':').unwrap_or((&lower, ""));
+    let need = |what| bad("--policy", spec, &format!("{name}:<{what}>"));
+    let count = || parsed::<usize>(arg, |_| true).ok_or_else(|| need("count"));
     match name {
         "default" | "lambda" => Ok(WarmPoolPolicy::lambda_default()),
         "zero" | "scale-to-zero" => Ok(WarmPoolPolicy::scale_to_zero()),
         "prewarm" | "pre-warm" => {
             let mut p = WarmPoolPolicy::lambda_default();
-            p.pre_warm = count(arg)?;
+            p.pre_warm = count()?;
             Ok(p)
         }
-        "provisioned" => Ok(WarmPoolPolicy::provisioned(count(arg)?)),
+        "provisioned" => Ok(WarmPoolPolicy::provisioned(count()?)),
         "keepalive" | "keep-alive" => {
-            let s: f64 = arg
-                .ok_or_else(|| "--policy keepalive needs seconds, e.g. keepalive:60".to_string())?
-                .parse()
-                .map_err(|_| format!("bad --policy keep-alive seconds in '{spec}'"))?;
-            if s.is_nan() || s < 0.0 {
-                return Err(format!("--policy keep-alive seconds must be >= 0, got {s}"));
-            }
+            let s = parsed(arg, |s: &f64| *s >= 0.0).ok_or_else(|| need("seconds >= 0"))?;
             Ok(WarmPoolPolicy::keep_alive(s))
         }
         _ => Err(format!(
@@ -496,158 +443,72 @@ fn parse_policy(spec: &str) -> Result<WarmPoolPolicy, String> {
     }
 }
 
-/// Under `--pipeline`, replace the sequential optimum with the joint
-/// planner's stage-balanced plan (minimum bottleneck within
-/// `cost_tolerance` of the sequential cost floor); otherwise keep `seq`.
-fn pipeline_plan_or(
-    g: &LayerGraph,
-    cfg: &AmpsConfig,
-    seq: ExecutionPlan,
-) -> Result<ExecutionPlan, String> {
-    if cfg.pipeline_depth == 0 {
-        return Ok(seq);
-    }
-    let grid =
-        SweepGrid::from_slos(vec![cfg.slo_s.unwrap_or(1e9)]).with_batches(vec![cfg.batch_size]);
-    let rep = Optimizer::new(cfg.clone()).optimize_pipelined(g, &grid);
-    match rep.points.into_iter().next().map(|p| p.outcome) {
-        Some(Ok(pp)) => {
-            println!(
-                "pipelined planning: bottleneck {:.3}s, imbalance {:.2} \
-                 (stage-balanced within cost tolerance of the sequential optimum)",
-                pp.bottleneck_s,
-                pp.imbalance()
-            );
-            Ok(pp.plan)
-        }
-        Some(Err(e)) => Err(format!("pipelined planning failed: {e}")),
-        None => Ok(seq),
-    }
-}
-
 /// Open-loop load mode (`serve --requests M --rate R`): shaped arrivals
 /// against the planned deployment on the work-stealing serving engine,
 /// with a throughput / percentile summary instead of per-image reports.
 /// `--adaptive` swaps plans between epochs (chains, or with `--dag`
 /// *effective* plans: chain or DAG per SLO tier), and `--verbose` prints
 /// the per-node busy/stall/occupancy/critical-path table.
-fn serve_load(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
-    let requests = match flag_value(args, "--requests").unwrap().parse::<usize>() {
-        Ok(n) if n > 0 => n,
-        _ => return fail("bad --requests value (need a positive integer)"),
-    };
-    let rate = match flag_value(args, "--rate") {
-        Some(v) => match v.parse::<f64>() {
-            Ok(r) if r > 0.0 && r.is_finite() => r,
-            _ => {
-                return fail(&format!(
-                    "bad --rate value {v} (need a positive, finite number of requests per second)"
-                ))
-            }
-        },
-        None => 1.0,
-    };
-    let lanes = match flag_value(args, "--lanes") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            Ok(_) => {
-                return fail(
-                    "--lanes 0 is invalid: the serving engine needs at least one \
-                     warm-pool shard (lanes are a model parameter; see --help)",
-                )
-            }
-            Err(_) => return fail(&format!("bad --lanes value {v}")),
-        },
-        None => 64,
-    };
+fn serve_load(a: &Args, requests: usize) -> Result<(), String> {
+    let rate = a
+        .num(
+            "--rate",
+            "a positive, finite number of requests per second",
+            positive,
+        )?
+        .unwrap_or(1.0);
+    let lanes = a
+        .num("--lanes", "at least 1 warm-pool shard", at_least_one)?
+        .unwrap_or(64);
+    let shape = a
+        .value("--shape")
+        .map_or(Ok(ArrivalShape::Constant), ArrivalShape::parse)?;
+    let policy = a
+        .value("--policy")
+        .map_or(Ok(WarmPoolPolicy::lambda_default()), parse_policy)?;
+    let epoch = a
+        .num("--epoch", "a positive integer", at_least_one)?
+        .unwrap_or(64);
+    // The flag table gives `--slo-tiers` exactly when `--adaptive` is on.
+    let adaptive = a
+        .list("--slo-tiers", "comma-separated positive seconds", positive)?
+        .map(|tiers| AdaptiveSpec::new(epoch, tiers));
+    let verbose = a.has("--verbose");
+    let cfg = config(a)?;
     // `--threads` drives both the optimizer and the serving workers here;
     // serving results are thread-invariant either way (DESIGN.md §6c).
     let threads = cfg.threads;
     if threads > lanes {
-        return fail(&format!(
+        return Err(format!(
             "--threads {threads} exceeds --lanes {lanes}: a lane never splits \
              across threads, so workers are clamped to the lane count and the \
              extra threads would sit idle; lower --threads or raise --lanes"
         ));
     }
-    let shape = match flag_value(args, "--shape") {
-        Some(v) => match ArrivalShape::parse(v) {
-            Ok(s) => s,
-            Err(e) => return fail(&e),
-        },
-        None => ArrivalShape::Constant,
-    };
-    let policy = match flag_value(args, "--policy") {
-        Some(v) => match parse_policy(v) {
-            Ok(p) => p,
-            Err(e) => return fail(&e),
-        },
-        None => WarmPoolPolicy::lambda_default(),
-    };
-    let verbose = args.iter().any(|a| a == "--verbose");
+    let g = model(a)?;
     let cfg = cfg
         .with_serve_lanes(lanes)
         .with_serve_threads(threads)
         .with_warm_pool(policy);
     let load = LoadSpec::poisson(rate, requests, 0).with_shape(shape);
 
-    if cfg.pipeline_depth > 0 && args.iter().any(|a| a == "--adaptive") {
-        return fail(
-            "--pipeline and --adaptive are mutually exclusive: pipeline stations \
-             are bound to one plan's stages, and the adaptive controller switches \
-             plans between epochs; drop one of the flags",
-        );
-    }
-    let adaptive = if args.iter().any(|a| a == "--adaptive") {
-        let tiers = match flag_value(args, "--slo-tiers") {
-            Some(v) => {
-                let parsed: Result<Vec<f64>, _> =
-                    v.split(',').map(|s| s.trim().parse::<f64>()).collect();
-                match parsed {
-                    Ok(t) if !t.is_empty() && t.iter().all(|s| s.is_finite() && *s > 0.0) => t,
-                    _ => {
-                        return fail(&format!(
-                            "bad --slo-tiers value {v} \
-                             (need comma-separated positive seconds)"
-                        ))
-                    }
-                }
-            }
-            None => return fail("--adaptive requires --slo-tiers <s1,s2,...>"),
-        };
-        let epoch = match flag_value(args, "--epoch") {
-            Some(v) => match v.parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => return fail(&format!("bad --epoch value {v} (need a positive integer)")),
-            },
-            None => 64,
-        };
-        Some(AdaptiveSpec::new(epoch, tiers))
-    } else {
-        None
-    };
-
-    let dag = args.iter().any(|a| a == "--dag");
+    let dag = a.has("--dag");
     let mut plan = None;
-    let run = match &adaptive {
-        Some(adaptive) if dag => run_adaptive_loop_dag(g, &cfg, &load, adaptive),
-        Some(adaptive) => run_adaptive_loop(g, &cfg, &load, adaptive),
+    let rep = match &adaptive {
+        Some(adaptive) if dag => run_adaptive_loop_dag(&g, &cfg, &load, adaptive),
+        Some(adaptive) => run_adaptive_loop(&g, &cfg, &load, adaptive),
         None => {
-            let p = match plan_for_serving(g, &cfg, args) {
-                Ok(p) => p,
-                Err(e) => return fail(&e),
-            };
+            let p = plan_for_serving(&g, &cfg, dag)?;
             print_fault_plan(&cfg);
-            let run = run_open_loop_dag(g, &p, &cfg, &load);
+            let run = run_open_loop_dag(&g, &p, &cfg, &load);
             plan = Some(p);
             run
         }
-    };
-    let rep = match run {
-        Ok(r) => r,
-        Err(e) if adaptive.is_some() => return fail(&format!("adaptive load run: {e}")),
-        Err(e) => return fail(&format!("load run: {e}")),
-    };
+    }
+    .map_err(|e| match adaptive {
+        Some(_) => format!("adaptive load run: {e}"),
+        None => format!("load run: {e}"),
+    })?;
 
     println!(
         "load: {requests} request(s) at {rate:.1} rps ({} arrivals) over {lanes} lane(s), \
@@ -690,17 +551,12 @@ fn serve_load(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
         rep.policy, rep.pre_warmed, rep.idle_s, rep.idle_dollars
     );
     if cfg.pipeline_depth > 0 {
-        let utils: Vec<String> = rep
-            .stage_utilization
-            .iter()
-            .map(|u| format!("{:.0}%", u * 100.0))
-            .collect();
         println!(
             "pipeline: depth {} station(s)/stage/lane, utilization {:.1}% [{}], \
              stall {:.2}s",
             cfg.pipeline_depth,
             rep.pipeline_utilization * 100.0,
-            utils.join(", "),
+            joined(&rep.stage_utilization, percent),
             rep.stall_s
         );
     }
@@ -723,63 +579,70 @@ fn serve_load(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
         );
     }
     println!("total ${:.6}", rep.dollars);
-    0
+    Ok(())
 }
 
-/// Parses the grid flags shared by `sweep` and `sweep --dag`:
-/// `--slo-from`, `--slo-to`, `--points` (all required) and `--batches`
-/// (default: `batch`, the `--batch` value).
-fn parse_grid(args: &[String], batch: u64) -> Result<SweepGrid, String> {
-    let from = match flag_value(args, "--slo-from").map(str::parse::<f64>) {
-        Some(Ok(v)) if v.is_finite() && v > 0.0 => v,
-        Some(_) => return Err("bad --slo-from value (need a positive number of seconds)".into()),
-        None => return Err("sweep requires --slo-from <seconds>".into()),
-    };
-    let to = match flag_value(args, "--slo-to").map(str::parse::<f64>) {
-        Some(Ok(v)) if v.is_finite() && v >= from => v,
-        Some(_) => return Err("bad --slo-to value (need seconds >= --slo-from)".into()),
-        None => return Err("sweep requires --slo-to <seconds>".into()),
-    };
-    let points = match flag_value(args, "--points").map(str::parse::<usize>) {
-        Some(Ok(n)) if n >= 1 => n,
-        Some(_) => return Err("bad --points value (need a positive integer)".into()),
-        None => return Err("sweep requires --points <n>".into()),
-    };
-    let batches = match flag_value(args, "--batches") {
-        Some(v) => {
-            let parsed: Result<Vec<u64>, _> =
-                v.split(',').map(|s| s.trim().parse::<u64>()).collect();
-            match parsed {
-                Ok(b) if !b.is_empty() && b.iter().all(|&x| x >= 1) => b,
-                _ => {
-                    return Err(format!(
-                        "bad --batches value {v} (need comma-separated positive integers)"
-                    ))
-                }
-            }
-        }
-        None => vec![batch],
-    };
-    Ok(SweepGrid::slo_range(from, to, points).with_batches(batches))
+/// `sweep`: plans the SLO × batch grid in one amortized call, chain-only
+/// ([`run_sweep`]) or chain-vs-DAG under `--dag` ([`run_dag_sweep`]).
+fn sweep(a: &Args) -> Result<(), String> {
+    let grid = parse_grid(a)?;
+    let cfg = config(a)?;
+    let g = model(a)?;
+    if a.has("--dag") {
+        run_dag_sweep(&g, cfg, &grid, a.has("--verbose"));
+    } else {
+        run_sweep(&g, cfg, &grid, a.has("--verbose"));
+    }
+    Ok(())
+}
+
+/// Parses the grid flags: `--slo-from`, `--slo-to`, `--points` (all
+/// required) and `--batches` (default: the optimizer's `--batch`).
+fn parse_grid(a: &Args) -> Result<SweepGrid, String> {
+    let from = a
+        .num("--slo-from", "a positive number of seconds", positive)?
+        .ok_or("sweep requires --slo-from <seconds>")?;
+    let to = a
+        .num("--slo-to", "seconds >= --slo-from", |t: &f64| {
+            t.is_finite() && *t >= from
+        })?
+        .ok_or("sweep requires --slo-to <seconds>")?;
+    let points = a
+        .num("--points", "a positive integer", at_least_one)?
+        .ok_or("sweep requires --points <n>")?;
+    let grid = SweepGrid::slo_range(from, to, points);
+    let batches = a.list(
+        "--batches",
+        "comma-separated positive integers",
+        at_least_one,
+    )?;
+    Ok(match batches {
+        Some(b) => grid.with_batches(b),
+        None => grid,
+    })
+}
+
+/// Pareto-frontier mark of a sweep point.
+fn frontier_marker(knee: bool, dominated: bool) -> &'static str {
+    if knee {
+        "knee *"
+    } else if dominated {
+        "dominated"
+    } else {
+        "pareto"
+    }
 }
 
 /// `sweep` mode: plan an entire SLO × batch grid in one amortized call
 /// and print the per-batch Pareto frontier (knee flagged) plus the cache
 /// amortization summary.
-fn run_sweep(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
-    let grid = match parse_grid(args, cfg.batch_size) {
-        Ok(g) => g,
-        Err(e) => return fail(&e),
-    };
-
-    let verbose = args.iter().any(|a| a == "--verbose");
-    let report = Optimizer::new(cfg).optimize_sweep(g, &grid);
-
+fn run_sweep(g: &LayerGraph, cfg: AmpsConfig, grid: &SweepGrid, verbose: bool) {
+    let report = Optimizer::new(cfg).optimize_sweep(g, grid);
     println!(
         "sweep: {} point(s) ({} SLO x {} batch), {} solved",
         report.points.len(),
         grid.slos.len(),
-        grid.batches.len(),
+        grid.len() / grid.slos.len(),
         report.solved()
     );
     println!(
@@ -788,26 +651,17 @@ fn run_sweep(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
     );
     for (i, p) in report.points.iter().enumerate() {
         match &p.outcome {
-            Ok(plan) => {
-                let marker = if p.knee {
-                    "knee *"
-                } else if p.dominated {
-                    "dominated"
-                } else {
-                    "pareto"
-                };
-                println!(
-                    "{i:>3} {:>6} {:>10.3} {:>10.3} {:>12.6} {:>4}  {:<10} {:>5}/{}",
-                    p.batch,
-                    p.slo_s,
-                    plan.predicted_time_s,
-                    plan.predicted_cost,
-                    plan.num_lambdas(),
-                    marker,
-                    p.stats.cache_hits,
-                    p.stats.cache_misses
-                );
-            }
+            Ok(plan) => println!(
+                "{i:>3} {:>6} {:>10.3} {:>10.3} {:>12.6} {:>4}  {:<10} {:>5}/{}",
+                p.batch,
+                p.slo_s,
+                plan.predicted_time_s,
+                plan.predicted_cost,
+                plan.num_lambdas(),
+                frontier_marker(p.knee, p.dominated),
+                p.stats.cache_hits,
+                p.stats.cache_misses
+            ),
             Err(e) => println!("{i:>3} {:>6} {:>10.3}  {e}", p.batch, p.slo_s),
         }
         if verbose {
@@ -828,7 +682,6 @@ fn run_sweep(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
         report.total_time,
         report.threads_used
     );
-    0
 }
 
 /// `sweep --dag` mode: amortized chain-vs-DAG planning over the SLO ×
@@ -836,20 +689,14 @@ fn run_sweep(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
 /// node/spine memos are shared across every point of a batch; the table
 /// prints both verdicts per point, and the frontier/knee marks apply to
 /// each point's *effective* plan (the DAG when it won, else the chain).
-fn run_dag_sweep(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
-    let grid = match parse_grid(args, cfg.batch_size) {
-        Ok(g) => g,
-        Err(e) => return fail(&e),
-    };
-    let verbose = args.iter().any(|a| a == "--verbose");
-    let report = Optimizer::new(cfg).optimize_dag_sweep(g, &grid);
-
+fn run_dag_sweep(g: &LayerGraph, cfg: AmpsConfig, grid: &SweepGrid, verbose: bool) {
+    let report = Optimizer::new(cfg).optimize_dag_sweep(g, grid);
     println!(
         "dag sweep: {} point(s) ({} SLO x {} batch), {} solved, {} DAG win(s) \
          over {} branch region(s)",
         report.points.len(),
         grid.slos.len(),
-        grid.batches.len(),
+        grid.len() / grid.slos.len(),
         report.solved(),
         report.dag_wins(),
         report.regions_considered
@@ -861,13 +708,7 @@ fn run_dag_sweep(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
     for (i, p) in report.points.iter().enumerate() {
         match &p.outcome {
             Ok(plan) => {
-                let marker = if p.knee {
-                    "knee *"
-                } else if p.dominated {
-                    "dominated"
-                } else {
-                    "pareto"
-                };
+                let marker = frontier_marker(p.knee, p.dominated);
                 match &p.dag {
                     Some(d) => println!(
                         "{i:>3} {:>6} {:>10.3} {:>10.3} {:>12.6} {:>10.3} {:>12.6} {:>5}  {marker}",
@@ -926,7 +767,6 @@ fn run_dag_sweep(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
         report.total_time,
         report.threads_used
     );
-    0
 }
 
 /// The text `ampsinf` prints when run without a command.
@@ -940,7 +780,7 @@ commands:
   sweep   <model|file.json>   plan an SLO grid, print the Pareto frontier
   serve   <model|file.json>   plan + deploy + serve on the simulator
 
-options (plan/serve):
+options (each command rejects those it does not read):
   --slo <seconds>      response-time SLO (rejected by sweep, which
                        takes --slo-from/--slo-to)
   --batch <n>          optimize for n-image batches (sweep: the
@@ -955,35 +795,23 @@ options (plan/serve):
                        (1 put, k gets) and gather (k puts, 1 get)
                        checkpoint traffic billed per object. A DAG is
                        selected only when it beats the best chain
-                       under the same SLO/cost objective. Accepted
-                       combinations: plan --dag with --slo/--batch/
-                       --tolerance/--quantize/--json/--verbose;
-                       sweep --dag with the sweep grid options
-                       (amortized chain-vs-DAG verdicts per point,
-                       frontier marked on the effective plans);
-                       serve --dag: --dag only picks the planner;
-                       the chosen plan (or the chain incumbent)
-                       serves on the one engine exactly as serve
-                       does without it: one image, --images N one
-                       after another, --parallel, --pipeline/
-                       --pipe-depth, the reliability options, and
-                       the open-loop load mode (--requests/--rate/
-                       --shape/--policy/--lanes/--threads), where
-                       --adaptive swaps effective plans (chain or
-                       DAG per SLO tier) between epochs off one
-                       amortized DAG sweep.
+                       under the same SLO/cost objective. sweep
+                       --dag gives chain-vs-DAG verdicts per point;
+                       serve --dag serves the chosen plan (or the
+                       chain incumbent) in every serve mode, and
+                       --adaptive swaps effective plans per SLO tier.
                        Rejected: plan --dag with --pipeline
   --verbose            print solver statistics (plan, sweep); in
                        serve load mode, print the per-node
                        busy/stall/occupancy/critical-path table
-  --quantize <bytes>   weight width 1..4 (plan and sweep)
+  --quantize <bytes>   weight width 1..4 (plan, sweep and serve)
   --json <path>        write the plan as JSON (plan only)
-  --images <n>         requests to serve (serve only)
+  --images <n>         requests to serve (batch mode: no --requests)
   --slo-from <s>       sweep: tightest SLO of the grid (required)
   --slo-to <s>         sweep: loosest SLO of the grid (required)
   --points <n>         sweep: number of SLO grid points (required)
   --batches <a,b,...>  sweep: batch sizes to cross with the SLO axis
-  --parallel           serve images concurrently (serve only)
+  --parallel           serve images concurrently (batch mode)
   --requests <n>       open-loop load mode: request count (serve
                        only; prints throughput/percentiles)
   --rate <rps>         mean arrival rate for --requests (default 1;
@@ -1010,15 +838,16 @@ options (plan/serve):
                        cut jointly against the pipelined (bottleneck-
                        bound) makespan. Excludes --parallel and
                        --adaptive; rejected by sweep
-  --pipe-depth <n>     stations per stage per lane (default 1; n
-                       requests may occupy one stage concurrently,
+  --pipe-depth <n>     stations per stage per lane (serve; default 1;
+                       n requests may occupy one stage concurrently,
                        requires --pipeline)
   --adaptive           load mode: re-plan between epochs over the
                        SLO tiers, every tier planned up front by
                        one amortized sweep (requires --slo-tiers)
   --slo-tiers <a,b,..> adaptive SLO tiers in seconds, tight to loose
+                       (requires --adaptive)
   --epoch <n>          requests per adaptive control epoch
-                       (default 64)
+                       (default 64; requires --adaptive)
 
 reliability options (plan/serve):
   --inject-faults <p>  inject crash/timeout/cold-start faults, each
@@ -1029,13 +858,31 @@ reliability options (plan/serve):
   --backoff <s>        exponential-backoff base seconds (default 0.1;
                        finite, >= 0)";
 
-fn usage() {
+fn usage() -> i32 {
     eprintln!("{USAGE}");
+    2
 }
 
 fn fail(msg: &str) -> i32 {
     eprintln!("error: {msg}");
     1
+}
+
+fn failed(e: OptimizeError) -> String {
+    format!("optimization failed: {e}")
+}
+
+/// Settles one write to stdout. A closed pipe (`ampsinf models | head -1`)
+/// ends the process quietly with exit 0, where std's `println!` would
+/// panic.
+fn emit(written: std::io::Result<()>) {
+    if let Err(e) = written {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: writing stdout: {e}");
+            std::process::exit(1);
+        }
+        std::process::exit(0);
+    }
 }
 
 /// Configured fault-injection summary (printed when injection is active).
@@ -1094,48 +941,252 @@ fn print_dag_search_stats(s: &amps_inf::core::DagSearchStats) {
     );
 }
 
-/// The flags `usage()` documents: switches, and flags that take a value.
-const SWITCHES: &str = "--adaptive --dag --parallel --pipeline --quota-2021 --verbose";
-const VALUE_FLAGS: &str = "--backoff --batch --batches --epoch --fault-seed --flaky-store \
-    --images --inject-faults --json --lanes --pipe-depth --points --policy --quantize --rate \
-    --requests --retries --shape --slo --slo-from --slo-tiers --slo-to --threads --tolerance";
+/// Planning flags every command that plans reads.
+const PLANNING: &str = "--batch= --tolerance= --threads= --quota-2021 --quantize= --dag";
+/// Flags of the commands that plan one point: `plan` and both `serve` modes.
+const ONE_POINT: &str =
+    "--slo= --pipeline --inject-faults= --fault-seed= --flaky-store= --retries= --backoff=";
+/// `sweep`'s grid.
+const GRID: &str = "--slo-from= --slo-to= --points= --batches= --verbose";
+/// `serve`'s batch mode.
+const BATCH: &str = "--pipe-depth= --images= --parallel";
+/// `serve`'s open-loop load mode.
+const LOAD: &str = "--pipe-depth= --requests= --rate= --shape= --policy= --lanes= --adaptive \
+    --slo-tiers= --epoch= --verbose";
 
-/// Rejects an unknown `--` flag, a value flag with no value after it, a
-/// flag given twice, and any argument past the first `positionals` that
-/// is neither a flag nor a flag's value.
-fn check_flags(args: &[String], positionals: usize) -> Result<(), String> {
-    let mut seen: Vec<&str> = Vec::new();
-    let mut bare = 0usize;
+/// Which command reads which flag: one row per command, `serve` split
+/// into its two modes, each row a list of space-separated flag groups.
+/// A trailing `=` marks a flag that takes a value.
+const TABLE: [(&str, &[&str]); 6] = [
+    ("models", &[]),
+    ("summary", &[]),
+    ("plan", &[PLANNING, ONE_POINT, "--verbose --json="]),
+    ("sweep", &[PLANNING, GRID]),
+    ("serve without --requests", &[PLANNING, ONE_POINT, BATCH]),
+    ("serve --requests", &[PLANNING, ONE_POINT, LOAD]),
+];
+
+/// Flag sets a row refuses when all of them are given, before it checks
+/// its own flags: `(row, flags, why)`.
+const REFUSED: [(&str, &str, &str); 5] = [
+    (
+        "plan",
+        "--dag --pipeline",
+        "--dag and --pipeline are incompatible in plan mode: the joint pipelined planner \
+         balances the stages of a chain, while --dag fans branch regions out as concurrent \
+         nodes; pick one",
+    ),
+    (
+        "sweep",
+        "--pipeline",
+        "sweep plans no pipelined grid; plan --pipeline chooses one pipelined plan at one SLO",
+    ),
+    (
+        "sweep",
+        "--slo",
+        "sweep takes its SLOs from --slo-from/--slo-to, not --slo",
+    ),
+    (
+        "serve without --requests",
+        "--pipeline --parallel",
+        "--pipeline and --parallel are mutually exclusive: --parallel fans whole requests \
+         out with unbounded concurrency, --pipeline overlaps stages under per-stage station \
+         budgets; pick one",
+    ),
+    (
+        "serve --requests",
+        "--pipeline --adaptive",
+        "--pipeline and --adaptive are mutually exclusive: pipeline stations are bound to \
+         one plan's stages, and the adaptive controller switches plans between epochs; drop \
+         one of the flags",
+    ),
+];
+
+/// Flags that mean nothing without another: `(flag, needed, why)`.
+const NEEDS: [(&str, &str, &str); 4] = [
+    ("--pipe-depth", "--pipeline", ""),
+    ("--slo-tiers", "--adaptive", ""),
+    ("--epoch", "--adaptive", ""),
+    ("--adaptive", "--slo-tiers", " <s1,s2,...>"),
+];
+
+/// Every flag word of a table row, `=` marker included.
+fn words(groups: &'static [&'static str]) -> impl Iterator<Item = &'static str> {
+    groups.iter().flat_map(|group| group.split_whitespace())
+}
+
+/// Every flag word of the table.
+fn all_words() -> impl Iterator<Item = &'static str> {
+    TABLE.iter().flat_map(|(_, groups)| words(groups))
+}
+
+/// Whether the table word `word` names `flag`.
+fn names(word: &str, flag: &str) -> bool {
+    word.strip_suffix('=').unwrap_or(word) == flag
+}
+
+/// A command line checked against the flag table.
+#[derive(Default)]
+struct Args<'a> {
+    /// The model argument, if given.
+    model: Option<&'a String>,
+    /// Each flag given, with its value if it takes one.
+    flags: Vec<(&'a str, Option<&'a str>)>,
+}
+
+impl<'a> Args<'a> {
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.flags.iter().find(|(f, _)| *f == flag)?.1
+    }
+
+    /// `flag`'s value as a `T` that passes `ok`, if given.
+    fn num<T: FromStr>(&self, flag: &str, need: &str, ok: impl Fn(&T) -> bool) -> Parsed<T> {
+        let one = |v| parsed(v, &ok).ok_or_else(|| bad(flag, v, need));
+        self.value(flag).map(one).transpose()
+    }
+
+    /// `flag`'s comma-separated value as `T`s that each pass `ok`, if given.
+    fn list<T: FromStr>(&self, flag: &str, need: &str, ok: impl Fn(&T) -> bool) -> Parsed<Vec<T>> {
+        let items = |v: &str| {
+            v.split(',')
+                .map(|s| parsed(s.trim(), &ok))
+                .collect::<Option<_>>()
+        };
+        let all = |v| items(v).ok_or_else(|| bad(flag, v, need));
+        self.value(flag).map(all).transpose()
+    }
+}
+
+/// `v` as a `T` that passes `ok`, if it is one.
+fn parsed<T: FromStr>(v: &str, ok: impl Fn(&T) -> bool) -> Option<T> {
+    v.parse().ok().filter(ok)
+}
+
+/// The error for a flag's value: `bad <flag> value <v> (need <need>)`.
+fn bad(flag: &str, v: &str, need: &str) -> String {
+    format!("bad {flag} value {v} (need {need})")
+}
+
+/// A flag's checked value, if the flag was given.
+type Parsed<T> = Result<Option<T>, String>;
+
+/// Checks the arguments after the command `cmd` against the flag table:
+/// an unknown flag, a value flag with no value, a flag given twice, a
+/// word besides the model, a flag outside the command's row, a set the
+/// row refuses and a flag missing its [`NEEDS`] partner are errors.
+/// `None`: `cmd` is no command.
+fn check_flags<'a>(cmd: &str, args: &'a [String]) -> Result<Option<Args<'a>>, String> {
+    let mut given = Args::default();
     let mut rest = args.iter();
     while let Some(a) = rest.next() {
         if !a.starts_with("--") {
-            bare += 1;
-            if bare > positionals {
+            if given.model.is_some() || cmd == "models" {
                 return Err(format!("unexpected argument {a} (run `ampsinf` for usage)"));
             }
+            given.model = Some(a);
             continue;
         }
-        let listed = |table: &str| table.split_whitespace().any(|f| f == a);
-        let switch = listed(SWITCHES);
-        if !switch && !listed(VALUE_FLAGS) {
+        let Some(word) = all_words().find(|w| names(w, a)) else {
             return Err(format!("unknown flag {a} (run `ampsinf` for usage)"));
-        }
-        if seen.contains(&a.as_str()) {
+        };
+        if given.has(a) {
             return Err(format!("{a} given more than once"));
         }
-        seen.push(a);
-        if !switch && rest.next().is_none() {
-            return Err(format!("{a} needs a value"));
-        }
+        let value = match word.ends_with('=') {
+            true => Some(rest.next().ok_or_else(|| format!("{a} needs a value"))?),
+            false => None,
+        };
+        given.flags.push((a, value.map(String::as_str)));
     }
-    Ok(())
+    let name = match cmd {
+        "serve" if given.has("--requests") => "serve --requests",
+        "serve" => "serve without --requests",
+        _ => cmd,
+    };
+    let Some((_, groups)) = TABLE.iter().find(|(row, _)| *row == name) else {
+        return Ok(None);
+    };
+    let refused = |(row, set, _): &&(&str, &str, &str)| {
+        *row == name && set.split_whitespace().all(|f| given.has(f))
+    };
+    if let Some((_, _, why)) = REFUSED.iter().find(refused) {
+        return Err(why.to_string());
+    }
+    let outside = |(f, _): &&(&str, Option<&str>)| !words(groups).any(|w| names(w, f));
+    if let Some((f, _)) = given.flags.iter().find(outside) {
+        return Err(format!(
+            "{f} does not apply to {name} (run `ampsinf` for usage)"
+        ));
+    }
+    if let Some((f, needed, why)) = NEEDS.iter().find(|(f, n, _)| given.has(f) && !given.has(n)) {
+        return Err(format!("{f} requires {needed}{why}"));
+    }
+    Ok(Some(given))
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str())
+fn at_least_one<T: From<u8> + PartialOrd>(n: &T) -> bool {
+    *n >= T::from(1)
+}
+
+fn positive(x: &f64) -> bool {
+    x.is_finite() && *x > 0.0
+}
+
+fn non_negative(x: &f64) -> bool {
+    x.is_finite() && *x >= 0.0
+}
+
+/// The planning config the flags describe, every value checked.
+fn config(a: &Args) -> Result<AmpsConfig, String> {
+    let mut cfg = AmpsConfig::default();
+    if a.has("--quota-2021") {
+        cfg = cfg.lambda_2021();
+    }
+    cfg.slo_s = a.num("--slo", "a positive number of seconds", positive)?;
+    let batch = a.num("--batch", "at least 1 image per batch", at_least_one)?;
+    cfg.batch_size = batch.unwrap_or(cfg.batch_size);
+    let tolerance = a.num("--tolerance", "a finite cost fraction >= 0", non_negative)?;
+    cfg.cost_tolerance = tolerance.unwrap_or(cfg.cost_tolerance);
+    let threads = a.num("--threads", "a thread count, 0 = auto", |_: &usize| true)?;
+    cfg.threads = threads.unwrap_or(cfg.threads);
+    let retries = a.num("--retries", "a retry count", |_: &u32| true)?;
+    cfg.invoke_retries = retries.unwrap_or(cfg.invoke_retries);
+    let backoff = a.num("--backoff", "a finite number of seconds >= 0", non_negative)?;
+    cfg.backoff_base_s = backoff.unwrap_or(cfg.backoff_base_s);
+    let seed = a.num("--fault-seed", "an unsigned integer", |_: &u64| true)?;
+    let probability = |p: &f64| (0.0..=1.0).contains(p);
+    if let Some(rate) = a.num("--inject-faults", "a probability in [0,1]", probability)? {
+        cfg.faults = FaultPlan::uniform(rate, seed.unwrap_or(0));
+    }
+    let below_one = |p: &f64| (0.0..1.0).contains(p);
+    if let Some(rate) = a.num("--flaky-store", "a probability in [0,1)", below_one)? {
+        cfg.store = StoreKind::flaky_s3(rate);
+    }
+    if a.has("--pipeline") {
+        let depth = a.num("--pipe-depth", "at least 1 station per stage", at_least_one)?;
+        cfg.pipeline_depth = depth.unwrap_or(1);
+    }
+    Ok(cfg)
+}
+
+/// The model argument, loaded, and under `--quantize` narrowed to that
+/// many bytes per weight (and said so).
+fn model(a: &Args) -> Result<LayerGraph, String> {
+    let quantize = a.num("--quantize", "1 to 4 bytes", |b: &u64| (1..=4).contains(b))?;
+    let mut g = load_model(a.model)?;
+    if let Some(bytes) = quantize {
+        g = g.quantized(bytes);
+        println!(
+            "quantized weights to {} bits: {:.1} MB",
+            bytes * 8,
+            g.weight_bytes() as f64 / 1024.0 / 1024.0
+        );
+    }
+    Ok(g)
 }
 
 fn load_model(arg: Option<&String>) -> Result<LayerGraph, String> {
@@ -1154,114 +1205,40 @@ fn load_model(arg: Option<&String>) -> Result<LayerGraph, String> {
     ))
 }
 
-fn parse_cfg(args: &[String]) -> Result<(AmpsConfig, Option<u64>, Option<String>), String> {
-    let mut cfg = AmpsConfig::default();
-    if let Some(v) = flag_value(args, "--slo") {
-        let slo: f64 = v.parse().map_err(|_| format!("bad --slo value {v}"))?;
-        if !(slo.is_finite() && slo > 0.0) {
-            return Err(format!(
-                "bad --slo value {v} (need a positive number of seconds)"
-            ));
-        }
-        cfg.slo_s = Some(slo);
-    }
-    if let Some(v) = flag_value(args, "--batch") {
-        cfg.batch_size = v.parse().map_err(|_| format!("bad --batch value {v}"))?;
-        if cfg.batch_size == 0 {
-            return Err(format!(
-                "bad --batch value {v} (need at least 1 image per batch)"
-            ));
-        }
-    }
-    if let Some(v) = flag_value(args, "--tolerance") {
-        let tol: f64 = v
-            .parse()
-            .map_err(|_| format!("bad --tolerance value {v}"))?;
-        if !(tol.is_finite() && tol >= 0.0) {
-            return Err(format!(
-                "bad --tolerance value {v} (need a finite cost fraction >= 0)"
-            ));
-        }
-        cfg.cost_tolerance = tol;
-    }
-    if let Some(v) = flag_value(args, "--threads") {
-        cfg.threads = v.parse().map_err(|_| format!("bad --threads value {v}"))?;
-    }
-    if args.iter().any(|a| a == "--quota-2021") {
-        cfg = cfg.lambda_2021();
-    }
-    if let Some(v) = flag_value(args, "--retries") {
-        cfg.invoke_retries = v.parse().map_err(|_| format!("bad --retries value {v}"))?;
-    }
-    if let Some(v) = flag_value(args, "--backoff") {
-        let base: f64 = v.parse().map_err(|_| format!("bad --backoff value {v}"))?;
-        if !(base.is_finite() && base >= 0.0) {
-            return Err(format!(
-                "bad --backoff value {v} (need a finite number of seconds >= 0)"
-            ));
-        }
-        cfg.backoff_base_s = base;
-    }
-    let fault_seed: u64 = match flag_value(args, "--fault-seed") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("bad --fault-seed value {v}"))?,
-        None => 0,
-    };
-    if let Some(v) = flag_value(args, "--inject-faults") {
-        let rate: f64 = v
-            .parse()
-            .map_err(|_| format!("bad --inject-faults value {v}"))?;
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(format!("--inject-faults rate {v} must be in [0,1]"));
-        }
-        cfg.faults = FaultPlan::uniform(rate, fault_seed);
-    }
-    if let Some(v) = flag_value(args, "--flaky-store") {
-        let rate: f64 = v
-            .parse()
-            .map_err(|_| format!("bad --flaky-store value {v}"))?;
-        if !(0.0..1.0).contains(&rate) {
-            return Err(format!("--flaky-store rate {v} must be in [0,1)"));
-        }
-        cfg.store = StoreKind::flaky_s3(rate);
-    }
-    let pipeline = args.iter().any(|a| a == "--pipeline");
-    match flag_value(args, "--pipe-depth") {
-        Some(v) => {
-            if !pipeline {
-                return Err(
-                    "--pipe-depth requires --pipeline (depth is the number of stations \
-                     each pipeline stage owns; without --pipeline there are no stations)"
-                        .into(),
-                );
-            }
-            let d: usize = v
-                .parse()
-                .map_err(|_| format!("bad --pipe-depth value {v} (need a positive integer)"))?;
-            if d == 0 {
-                return Err(
-                    "--pipe-depth 0 is invalid: every stage needs at least one station \
-                     to run at all (1 = strict FIFO per stage, N = up to N requests \
-                     in-flight per stage per lane)"
-                        .into(),
-                );
-            }
-            cfg.pipeline_depth = d;
-        }
-        None => {
-            if pipeline {
-                cfg.pipeline_depth = 1;
-            }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn usage_documents_exactly_the_table_flags() {
+        let table: BTreeSet<&str> = all_words().map(|w| w.trim_end_matches('=')).collect();
+        let documented: BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.len() > 2 && w.starts_with("--"))
+            .collect();
+        assert_eq!(documented, table);
+        // A value flag's option line shows its `<value>`; a switch's none.
+        for word in all_words() {
+            let flag = word.trim_end_matches('=');
+            let line = USAGE
+                .lines()
+                .find(|l| l.starts_with(&format!("  {flag} ")))
+                .unwrap_or_else(|| panic!("{flag} has no option line"));
+            let shown = line[2 + flag.len()..].trim_start().starts_with('<');
+            assert_eq!(shown, word.ends_with('='), "{line}");
         }
     }
-    let quantize = match flag_value(args, "--quantize") {
-        Some(v) => match v.parse::<u64>() {
-            Ok(bytes @ 1..=4) => Some(bytes),
-            _ => return Err(format!("bad --quantize value {v} (need 1 to 4 bytes)")),
-        },
-        None => None,
-    };
-    let json_out = flag_value(args, "--json").map(|s| s.to_string());
-    Ok((cfg, quantize, json_out))
+
+    #[test]
+    fn every_needed_and_refused_flag_is_in_the_table() {
+        let known = |f: &str| all_words().any(|w| names(w, f));
+        for (flag, needed, _) in NEEDS {
+            assert!(known(flag) && known(needed), "{flag} / {needed}");
+        }
+        for (row, set, _) in REFUSED {
+            assert!(TABLE.iter().any(|(name, _)| *name == row), "{row}");
+            assert!(set.split_whitespace().all(known), "{row}: {set}");
+        }
+    }
 }

@@ -552,3 +552,246 @@ fn sweep_rejects_bad_grid_values() {
     assert!(!ok);
     assert!(stderr.contains("bad --batches"), "{stderr}");
 }
+
+/// The flags each command line accepts, written out from the usage text
+/// by hand: `(command line, flags it reads besides those already on it)`.
+/// `serve` has a row per mode, and `--requests` picks the mode.
+const ROWS: [(&[&str], &[&str]); 6] = [
+    (&["models"], &[]),
+    (&["summary", "MODEL"], &[]),
+    (
+        &["plan", "MODEL"],
+        &[
+            "--slo",
+            "--batch",
+            "--tolerance",
+            "--threads",
+            "--quota-2021",
+            "--quantize",
+            "--dag",
+            "--verbose",
+            "--json",
+            "--pipeline",
+            "--inject-faults",
+            "--fault-seed",
+            "--flaky-store",
+            "--retries",
+            "--backoff",
+        ],
+    ),
+    (
+        &[
+            "sweep",
+            "MODEL",
+            "--slo-from",
+            "6",
+            "--slo-to",
+            "8",
+            "--points",
+            "2",
+        ],
+        &[
+            "--batches",
+            "--batch",
+            "--tolerance",
+            "--threads",
+            "--quota-2021",
+            "--quantize",
+            "--dag",
+            "--verbose",
+        ],
+    ),
+    (
+        &["serve", "MODEL", "--images", "2"],
+        &[
+            "--parallel",
+            "--slo",
+            "--batch",
+            "--tolerance",
+            "--threads",
+            "--quota-2021",
+            "--quantize",
+            "--dag",
+            "--pipeline",
+            "--pipe-depth",
+            "--inject-faults",
+            "--fault-seed",
+            "--flaky-store",
+            "--retries",
+            "--backoff",
+        ],
+    ),
+    (
+        &["serve", "MODEL", "--requests", "5"],
+        &[
+            "--rate",
+            "--shape",
+            "--policy",
+            "--lanes",
+            "--adaptive",
+            "--slo-tiers",
+            "--epoch",
+            "--verbose",
+            "--slo",
+            "--batch",
+            "--tolerance",
+            "--threads",
+            "--quota-2021",
+            "--quantize",
+            "--dag",
+            "--pipeline",
+            "--pipe-depth",
+            "--inject-faults",
+            "--fault-seed",
+            "--flaky-store",
+            "--retries",
+            "--backoff",
+        ],
+    ),
+];
+
+/// `flag` with a valid value, plus any flag it needs beside it.
+fn with_valid_value(flag: &str) -> Vec<&str> {
+    let value = match flag {
+        "--adaptive" => return vec![flag, "--slo-tiers", "5,9"],
+        "--slo-tiers" => return vec![flag, "5,9", "--adaptive"],
+        "--epoch" => return vec![flag, "4", "--adaptive", "--slo-tiers", "5,9"],
+        "--pipe-depth" => return vec![flag, "2", "--pipeline"],
+        "--dag" | "--parallel" | "--pipeline" | "--quota-2021" | "--verbose" => return vec![flag],
+        "--slo" | "--rate" | "--slo-from" | "--requests" => "5",
+        "--batch" | "--quantize" | "--images" | "--points" => "2",
+        "--tolerance" | "--inject-faults" | "--flaky-store" | "--backoff" => "0.1",
+        "--threads" => "1",
+        "--fault-seed" | "--retries" | "--lanes" => "4",
+        "--slo-to" => "9",
+        "--batches" => "1,2",
+        "--shape" => "spike",
+        "--policy" => "zero",
+        "--json" => "oracle-plan.json",
+        other => panic!("no valid value written for {other}"),
+    };
+    vec![flag, value]
+}
+
+/// Every `--flag` the usage text documents.
+fn documented_flags() -> Vec<String> {
+    let (_, usage, _) = run(&[]);
+    let mut flags: Vec<String> = usage
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|w| w.len() > 2 && w.starts_with("--"))
+        .map(str::to_string)
+        .collect();
+    flags.sort();
+    flags.dedup();
+    flags
+}
+
+#[test]
+fn each_command_accepts_exactly_the_flags_it_reads() {
+    // With a model that does not exist, a flag the command reads gets as
+    // far as loading the model; any other flag must stop the command
+    // before it does anything.
+    let documented = documented_flags();
+    for (line, reads) in ROWS {
+        let base: Vec<&str> = line
+            .iter()
+            .map(|&w| if w == "MODEL" { "no-such-model" } else { w })
+            .collect();
+        for flag in &documented {
+            if line.contains(&flag.as_str()) {
+                continue;
+            }
+            let args = [&base[..], &with_valid_value(flag)].concat();
+            let label = args.join(" ");
+            let (stdout, stderr, ok) = run(&args);
+            assert!(!ok, "{label} should fail");
+            assert!(stdout.is_empty(), "{label}: {stdout}");
+            assert!(stderr.starts_with("error: "), "{label}: {stderr}");
+            let reached_model = stderr.contains("unknown model 'no-such-model'");
+            assert_eq!(
+                reached_model,
+                reads.contains(&flag.as_str()),
+                "{label}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn flags_a_command_does_not_read_fail_cleanly() {
+    // Each of these used to exit 0 with the flag ignored.
+    let json = std::env::temp_dir().join("ampsinf-cli-test-ignored.json");
+    let json = json.to_str().unwrap();
+    let sweep = ["sweep", "mobilenet", "--slo-from", "6", "--slo-to", "8"];
+    let cases: [&[&str]; 10] = [
+        &[&sweep[..], &["--points", "2", "--json", json]].concat(),
+        &["serve", "mobilenet", "--images", "2", "--adaptive"],
+        &[
+            "serve",
+            "mobilenet",
+            "--images",
+            "2",
+            "--adaptive",
+            "--slo-tiers",
+            "5,9",
+        ],
+        &["models", "--dag"],
+        &["plan", "mobilenet", "--lanes", "4"],
+        &["summary", "mobilenet", "--slo", "5"],
+        &["serve", "mobilenet", "--images", "2", "--verbose"],
+        &["serve", "mobilenet", "--requests", "5", "--epoch", "4"],
+        &["serve", "mobilenet", "--images", "2", "--rate", "5"],
+        &[&sweep[..], &["--points", "2", "--retries", "5"]].concat(),
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_ampsinf"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let label = args.join(" ");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{label}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{label}: {stderr}");
+        assert!(out.stdout.is_empty(), "{label}");
+    }
+    assert!(!std::path::Path::new(json).exists());
+}
+
+#[test]
+fn serve_quantizes_the_model() {
+    // fp32 BERT-Base fits no lambda; `--quantize 1` used to be dropped by
+    // `serve`.
+    let (stdout, stderr, ok) = run(&["serve", "bert_base", "--quantize", "1"]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.contains("quantized weights to 8 bits"), "{stdout}");
+    assert!(stdout.contains("1 image(s):"), "{stdout}");
+}
+
+#[test]
+fn closed_stdout_ends_without_a_panic() {
+    use std::io::BufRead;
+    use std::process::Stdio;
+    // The reader goes away before the first line (`models`) or after it
+    // (`plan ... | head -1`); `println!` used to panic with exit 101.
+    for (args, lines_read) in [
+        (&["models"][..], 0),
+        (&["plan", "bert_base", "--quantize", "1"][..], 1),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_ampsinf"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let mut reader = std::io::BufReader::new(child.stdout.take().unwrap());
+        for _ in 0..lines_read {
+            reader.read_line(&mut String::new()).unwrap();
+        }
+        drop(reader);
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let label = args.join(" ");
+        assert_ne!(out.status.code(), Some(101), "{label}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{label}: {stderr}");
+    }
+}
