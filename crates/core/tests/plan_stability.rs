@@ -6,7 +6,9 @@
 //! come out strictly better under the planner's own objective: cheaper,
 //! or equal-cost and faster. Every point's cut and memories are pinned on
 //! their own in [`PLANS`], so a change that may only move predicted bits
-//! shows that it moved no plan.
+//! shows that it moved no plan. [`TOL0`] pins the same points planned at
+//! cost tolerance 0, where the planner returns the cheapest plan that
+//! meets the SLO and spends nothing on speed.
 
 mod common;
 
@@ -186,4 +188,96 @@ fn slo_bound_chain_plans_keep_their_cuts_and_memories() {
         .map(|(name, f, mix)| format!("    (\"{name}\", {f:?}, {mix:#018x}),\n"))
         .collect();
     assert_eq!(got, PLANS, "cuts or memories moved; now:\n{table}");
+}
+
+/// Each model's tolerance-0 unconstrained plan time when [`TOL0`] was
+/// recorded, the anchor its SLO factors multiply. They are constants so
+/// that a change to any plan cannot move the SLOs this table is checked
+/// at.
+#[rustfmt::skip]
+const TOL0_ANCHORS: [(&str, u64); 5] = [
+    ("mobilenet", 0x4023426cafcbbb6d), // 9.629735463733335 s
+    ("resnet50", 0x4041efc64df78513), // 35.873239274844444 s
+    ("inception_v3", 0x4045a9233cd8b490), // 43.32138786870303 s
+    ("xception", 0x404871cb1ac25a13), // 48.88901075830304 s
+    ("bert-w8", 0x405103fd6827e003), // 68.0623417272 s
+];
+
+/// A tolerance-0 point: `(time bits, cost bits, mix digest)` of its plan,
+/// or the error it plans to.
+type Pin = Result<(u64, u64, u64), &'static str>;
+
+/// `(model, factor, pin)` of every tolerance-0 point, in table order.
+#[rustfmt::skip]
+const TOL0: [(&str, f64, Pin); 29] = [
+    ("mobilenet", 0.9, Ok((0x4021001ed352e892, 0x3f1c3ba39ad36e3a, 0x427ff5d6e2fc2309))), // 8.500235179777778 s, $0.000107700215
+    ("mobilenet", 0.95, Ok((0x402206fc661576f5, 0x3f1b62eed53ad07b, 0x3bdf3c8f4cfad86e))), // 9.013644399757576 s, $0.000104471041875
+    ("mobilenet", 1.0, Ok((0x4023426cafcbbb6d, 0x3f1a8a3a0fa232bd, 0xfa90fed208cd60ae))), // 9.629735463733335 s, $0.00010124186875000003
+    ("mobilenet", 1.1, Ok((0x4023426cafcbbb6d, 0x3f1a8a3a0fa232bd, 0xfa90fed208cd60ae))), // 9.629735463733335 s, $0.00010124186875000003
+    ("mobilenet", 1.25, Ok((0x4023426cafcbbb6d, 0x3f1a8a3a0fa232bd, 0xfa90fed208cd60ae))), // 9.629735463733335 s, $0.00010124186875000003
+    ("mobilenet", 1.5, Ok((0x4023426cafcbbb6d, 0x3f1a8a3a0fa232bd, 0xfa90fed208cd60ae))), // 9.629735463733335 s, $0.00010124186875000003
+    ("resnet50", 0.9, Ok((0x404013abb7fb3320, 0x3f3c818b4b714446, 0x27c79d0dde90e0ab))), // 32.15367793813334 s, $0.00043496752500000004
+    ("resnet50", 0.95, Ok((0x4040b7fa18052466, 0x3f3c499eb55a65e3, 0x267defa7372d52f3))), // 33.437319757948714 s, $0.00043163418500000004
+    ("resnet50", 1.0, Ok((0x4041efc64df78513, 0x3f3bfcb966faf41c, 0x6c83ce3bb721b81d))), // 35.873239274844444 s, $0.0004270508425000001
+    ("resnet50", 1.1, Ok((0x4041efc64df78513, 0x3f3bfcb966faf41c, 0x6c83ce3bb721b81d))), // 35.873239274844444 s, $0.0004270508425000001
+    ("resnet50", 1.25, Ok((0x4041efc64df78513, 0x3f3bfcb966faf41c, 0x6c83ce3bb721b81d))), // 35.873239274844444 s, $0.0004270508425000001
+    ("resnet50", 1.5, Ok((0x4041efc64df78513, 0x3f3bfcb966faf41c, 0x6c83ce3bb721b81d))), // 35.873239274844444 s, $0.0004270508425000001
+    ("inception_v3", 0.9, Ok((0x40437226e52b7c24, 0x3f400fe4e0a603c7, 0xfeae7527d9d363ea))), // 38.8918119871453 s, $0.0004901759687500001
+    ("inception_v3", 0.95, Ok((0x40447cfaffb551ac, 0x3f3fe61dc6847238, 0x25e5400493e8542a))), // 40.97640987733334 s, $0.00048673846187500007
+    ("inception_v3", 1.0, Ok((0x4045a9233cd8b490, 0x3f3fcf65a98b27e0, 0x12dd774ec6db0475))), // 43.32138786870303 s, $0.0004853842925000001
+    ("inception_v3", 1.1, Ok((0x4045a9233cd8b490, 0x3f3fcf65a98b27e0, 0x12dd774ec6db0475))), // 43.32138786870303 s, $0.0004853842925000001
+    ("inception_v3", 1.25, Ok((0x4045a9233cd8b490, 0x3f3fcf65a98b27e0, 0x12dd774ec6db0475))), // 43.32138786870303 s, $0.0004853842925000001
+    ("inception_v3", 1.5, Ok((0x4045a9233cd8b490, 0x3f3fcf65a98b27e0, 0x12dd774ec6db0475))), // 43.32138786870303 s, $0.0004853842925000001
+    ("xception", 0.95, Ok((0x4046183010207a47, 0x3f435cdf8c678be7, 0x31881f654a48dfda))), // 44.188966766222215 s, $0.0005909053368750001
+    ("xception", 1.0, Ok((0x404871cb1ac25a13, 0x3f4348c6867753fc, 0x0185d973db888022))), // 48.88901075830304 s, $0.0005885094987500001
+    ("xception", 1.1, Ok((0x404871cb1ac25a13, 0x3f4348c6867753fc, 0x0185d973db888022))), // 48.88901075830304 s, $0.0005885094987500001
+    ("xception", 1.25, Ok((0x404871cb1ac25a13, 0x3f4348c6867753fc, 0x0185d973db888022))), // 48.88901075830304 s, $0.0005885094987500001
+    ("xception", 1.5, Ok((0x404871cb1ac25a13, 0x3f4348c6867753fc, 0x0185d973db888022))), // 48.88901075830304 s, $0.0005885094987500001
+    ("bert-w8", 0.9, Ok((0x404de46458575079, 0x3f479169d59fc4da, 0x224c910066245f74))), // 59.78431228888889 s, $0.0007192389268750002
+    ("bert-w8", 0.95, Ok((0x404ff41e9e6c663d, 0x3f4779d2064e1f08, 0xa650cecd73caba8f))), // 63.90718441288889 s, $0.0007164264212500002
+    ("bert-w8", 1.0, Ok((0x405103fd6827e003, 0x3f476f55aa29d554, 0x8002435f33874221))), // 68.0623417272 s, $0.00071517641875
+    ("bert-w8", 1.1, Ok((0x405103fd6827e003, 0x3f476f55aa29d554, 0x8002435f33874221))), // 68.0623417272 s, $0.00071517641875
+    ("bert-w8", 1.25, Ok((0x405103fd6827e003, 0x3f476f55aa29d554, 0x8002435f33874221))), // 68.0623417272 s, $0.00071517641875
+    ("bert-w8", 1.5, Ok((0x405103fd6827e003, 0x3f476f55aa29d554, 0x8002435f33874221))), // 68.0623417272 s, $0.00071517641875
+];
+
+#[test]
+fn tolerance_zero_chain_plans_are_pinned() {
+    let mut got = Vec::new();
+    for ((name, factors), &(aname, anchor)) in CHAIN_POINTS.into_iter().zip(&TOL0_ANCHORS) {
+        assert_eq!(name, aname, "anchor order");
+        let g = model(name);
+        let mut cfg = AmpsConfig::default().with_threads(1);
+        cfg.cost_tolerance = 0.0;
+        for &f in factors {
+            let pin = Optimizer::new(cfg.clone().with_slo(f64::from_bits(anchor) * f))
+                .optimize(&g)
+                .map(|r| {
+                    let plan = r.plan;
+                    (
+                        plan.predicted_time_s.to_bits(),
+                        plan.predicted_cost.to_bits(),
+                        mix_digest(&plan),
+                    )
+                })
+                .map_err(|e| e.to_string());
+            got.push((name, f, pin));
+        }
+    }
+    let table: String = got
+        .iter()
+        .map(|(name, f, pin)| match pin {
+            Ok((t, c, mix)) => format!(
+                "    (\"{name}\", {f:?}, Ok(({t:#018x}, {c:#018x}, {mix:#018x}))), // {} s, ${}\n",
+                f64::from_bits(*t),
+                f64::from_bits(*c)
+            ),
+            Err(e) => format!("    (\"{name}\", {f:?}, Err({e:?})),\n"),
+        })
+        .collect();
+    let want: Vec<_> = TOL0
+        .iter()
+        .map(|&(name, f, pin)| (name, f, pin.map_err(str::to_string)))
+        .collect();
+    assert_eq!(got, want, "tolerance-0 plans moved; now:\n{table}");
 }
