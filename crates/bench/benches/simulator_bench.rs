@@ -149,7 +149,7 @@ fn bench_serving(b: &mut Bencher) {
         },
     );
 
-    // The key-interning / scratch-reuse win shows up serially: the same
+    // The per-request key-block / scratch-reuse win shows up serially: the same
     // engine, single lane, no threads — pure hot-path allocation savings.
     let seq_cfg = AmpsConfig::default();
     let seq_plan = Optimizer::new(seq_cfg.clone()).optimize(&g).unwrap().plan;

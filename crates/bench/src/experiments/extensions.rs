@@ -37,7 +37,7 @@ pub fn ext_store() -> Table {
         let coord = Coordinator::new(cfg);
         let mut platform = coord.platform();
         let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-        let job = coord.serve_one(&mut platform, &dep, 0.0, "st").unwrap();
+        let job = coord.serve_one(&mut platform, &dep, 0.0).unwrap();
         let dollars = job.dollars + platform.settle_storage(job.inference_s);
         t.row_all(
             label,
@@ -315,7 +315,7 @@ pub fn ext_parallel() -> Table {
         let coord = Coordinator::new(cfg);
         let mut platform = coord.platform();
         let dep = coord.deploy_dag(&mut platform, &split, &plan).unwrap();
-        let job = coord.serve_one(&mut platform, &dep, 0.0, "vgg16").unwrap();
+        let job = coord.serve_one(&mut platform, &dep, 0.0).unwrap();
         t.row_all(
             format!(
                 "fc1 split x{} → optimize_dag, tol {tolerance} ({} region(s))",
@@ -359,7 +359,7 @@ pub fn ext_costmodel() -> Table {
         let coord = Coordinator::new(cfg.clone());
         let mut platform = coord.platform();
         let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-        let job = coord.serve_one(&mut platform, &dep, 0.0, "cm").unwrap();
+        let job = coord.serve_one(&mut platform, &dep, 0.0).unwrap();
         platform.settle_storage(job.inference_s);
         let l = &platform.ledger;
         t.row_all(

@@ -22,7 +22,7 @@ pub fn fig11() -> Table {
     let coord = Coordinator::new(cfg.clone());
     let mut platform = coord.platform();
     let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-    let amps = coord.serve_one(&mut platform, &dep, 0.0, "amps").unwrap();
+    let amps = coord.serve_one(&mut platform, &dep, 0.0).unwrap();
     let amps_dollars = amps.dollars + platform.settle_storage(amps.inference_s);
     t.row_all("AMPS-Inf", &[amps.inference_s, amps_dollars]);
     let serfer = run_serfer(&g, &plan, &cfg).unwrap();

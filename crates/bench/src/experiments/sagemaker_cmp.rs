@@ -23,7 +23,7 @@ pub fn amps_serve(g: &LayerGraph, cfg: &AmpsConfig) -> (JobReport, f64) {
     let coord = Coordinator::new(cfg.clone());
     let mut platform = coord.platform();
     let dep = coord.deploy(&mut platform, g, &plan).unwrap();
-    let job = coord.serve_one(&mut platform, &dep, 0.0, "eval").unwrap();
+    let job = coord.serve_one(&mut platform, &dep, 0.0).unwrap();
     let dollars = job.dollars + platform.settle_storage(job.inference_s);
     (job, dollars)
 }

@@ -40,9 +40,8 @@ use ampsinf_faas::platform::{
     DeployError, FailedInvocation, FunctionId, InvocationWork, InvokeError, Platform,
 };
 use ampsinf_faas::runtime::{PartitionWork, StationPool};
-use ampsinf_faas::{InvocationOutcome, ObjectKey};
+use ampsinf_faas::InvocationOutcome;
 use ampsinf_model::LayerGraph;
-use std::fmt::Write as _;
 use std::iter::StepBy;
 use std::ops::Range;
 
@@ -352,8 +351,6 @@ struct NodeSlot {
 struct ServeScratch {
     works: Vec<InvocationWork>,
     nodes: Vec<NodeSlot>,
-    keys: Vec<ObjectKey>,
-    buf: String,
     /// Whether `works` already holds the deployment's profiles, so a
     /// request only patches its keys in.
     primed: bool,
@@ -366,26 +363,28 @@ impl ServeScratch {
         ServeScratch {
             works: vec![InvocationWork::default(); k],
             nodes: vec![NodeSlot::default(); k],
-            keys: Vec::with_capacity(dep.num_objects()),
-            buf: String::new(),
             primed: false,
         }
     }
 
-    /// Points every node's read/write slots at this request's object keys
-    /// (`key_of(object)`). The first call builds the full work profiles
-    /// from the deployment's scalars; the wiring is fixed per plan, so
-    /// every later call only patches keys into the existing slots — no
-    /// Vec growth, clearing, or per-object allocator calls.
+    /// Draws this request's object keys — one fresh contiguous block in
+    /// object order, so object `o` (boundary `o` on a chain) is
+    /// `base.offset(o)` — and points every node's read/write slots at
+    /// them. The first call builds the full work profiles from the
+    /// deployment's scalars; the wiring is fixed per plan, so every later
+    /// call only patches keys into the existing slots: one allocator call
+    /// plus O(reads + writes) key stores per request, with no Vec growth
+    /// or clearing.
     #[inline]
-    fn load_keys(&mut self, dep: &Deployment, key_of: impl Fn(u32) -> ObjectKey) {
+    fn prepare_keys(&mut self, platform: &mut Platform, dep: &Deployment) {
+        let base = platform.store.fresh_block(dep.num_objects());
         if self.primed {
             for (v, w) in self.works.iter_mut().enumerate() {
                 for (slot, &o) in dep.reads_of(v).iter().enumerate() {
-                    w.reads[slot] = key_of(o);
+                    w.reads[slot] = base.offset(o);
                 }
                 for (slot, &(o, _)) in dep.writes_of(v).iter().enumerate() {
-                    w.writes[slot].0 = key_of(o);
+                    w.writes[slot].0 = base.offset(o);
                 }
             }
             return;
@@ -396,38 +395,15 @@ impl ServeScratch {
             w.flops = s.flops;
             w.resident_bytes = s.resident_bytes;
             w.tmp_bytes = s.tmp_bytes;
-            w.reads.extend(dep.reads_of(v).iter().map(|&o| key_of(o)));
+            w.reads
+                .extend(dep.reads_of(v).iter().map(|&o| base.offset(o)));
             w.writes.extend(
                 dep.writes_of(v)
                     .iter()
-                    .map(|&(o, bytes)| (key_of(o), bytes)),
+                    .map(|&(o, bytes)| (base.offset(o), bytes)),
             );
         }
         self.primed = true;
-    }
-
-    /// Interns this request's object keys (`{tag}/b{o}`, one per object in
-    /// object order — boundary `o` on a chain) and points the per-node
-    /// work profiles at them.
-    fn prepare(&mut self, platform: &mut Platform, dep: &Deployment, tag: &str) {
-        self.keys.clear();
-        for o in 0..dep.num_objects() {
-            self.buf.clear();
-            let _ = write!(self.buf, "{tag}/b{o}");
-            self.keys.push(platform.store.intern(&self.buf));
-        }
-        let keys = std::mem::take(&mut self.keys);
-        self.load_keys(dep, |o| keys[o as usize]);
-        self.keys = keys;
-    }
-
-    /// Prepares this request with *anonymous* object keys — the trace
-    /// engine's hot path. Keys are drawn as one contiguous block in
-    /// object order, so per-request setup is one allocator call plus
-    /// O(reads + writes) key stores.
-    fn prepare_anon(&mut self, platform: &mut Platform, dep: &Deployment) {
-        let base = platform.store.fresh_block(dep.num_objects());
-        self.load_keys(dep, |o| base.offset(o));
     }
 
     /// Drains this lane's per-node accumulators into `stats` (summed in
@@ -866,9 +842,9 @@ impl Coordinator {
         })
     }
 
-    /// Serves one request through `dep`, starting at `t0`.
-    ///
-    /// `tag` disambiguates intermediate-object keys between requests.
+    /// Serves one request through `dep`, starting at `t0`. Its
+    /// intermediate objects get a fresh key block in the platform's store,
+    /// so requests never share an object.
     ///
     /// Node `v` is invoked at its checkpoint-ready instant: the latest
     /// completion among the producers of the objects it reads, or `t0`
@@ -888,9 +864,8 @@ impl Coordinator {
         platform: &mut Platform,
         dep: &Deployment,
         t0: f64,
-        tag: &str,
     ) -> Result<JobReport, ServeError> {
-        self.serve_one_delayed(platform, dep, t0, tag, 0.0)
+        self.serve_one_delayed(platform, dep, t0, 0.0)
     }
 
     /// [`serve_one`](Self::serve_one) with every node started `delay_s`
@@ -903,25 +878,23 @@ impl Coordinator {
         platform: &mut Platform,
         dep: &Deployment,
         t0: f64,
-        tag: &str,
         delay_s: f64,
     ) -> Result<JobReport, ServeError> {
         let mut scratch = ServeScratch::for_deployment(dep);
-        self.serve_recorded(platform, dep, t0, tag, delay_s, &mut scratch)
+        self.serve_recorded(platform, dep, t0, delay_s, &mut scratch)
     }
 
     /// [`serve_one_delayed`](Self::serve_one_delayed) on `scratch`, which
-    /// the named batch modes reuse across their images.
+    /// the closed-loop batch modes reuse across their images.
     fn serve_recorded(
         &self,
         platform: &mut Platform,
         dep: &Deployment,
         t0: f64,
-        tag: &str,
         delay_s: f64,
         scratch: &mut ServeScratch,
     ) -> Result<JobReport, ServeError> {
-        scratch.prepare(platform, dep, tag);
+        scratch.prepare_keys(platform, dep);
         let mut rec = Recorder {
             delay_s,
             outcomes: Vec::with_capacity(dep.functions.len()),
@@ -1013,8 +986,8 @@ impl Coordinator {
                 platform,
                 &starts,
                 |_, _| ServeScratch::for_deployment(dep),
-                |p, scratch: &mut ServeScratch, idx, start| {
-                    self.serve_recorded(p, dep, start, &format!("img{idx}"), 0.0, scratch)
+                |p, scratch: &mut ServeScratch, _, start| {
+                    self.serve_recorded(p, dep, start, 0.0, scratch)
                 },
             );
             platform.absorb_shards(shards.into_iter().map(|(shard, _)| shard).collect());
@@ -1022,10 +995,7 @@ impl Coordinator {
         } else {
             let mut scratch = ServeScratch::for_deployment(dep);
             (0..images)
-                .map(|img| {
-                    let tag = format!("img{img}");
-                    self.serve_recorded(platform, dep, t0, &tag, 0.0, &mut scratch)
-                })
+                .map(|_| self.serve_recorded(platform, dep, t0, 0.0, &mut scratch))
                 .collect()
         };
         let mut batch = Self::empty_batch(dep, images);
@@ -1060,8 +1030,7 @@ impl Coordinator {
         let mut scratch = ServeScratch::for_deployment(dep);
         let mut now = t0;
         for img in 0..images {
-            let tag = format!("img{img}");
-            match self.serve_recorded(platform, dep, now, &tag, 0.0, &mut scratch) {
+            match self.serve_recorded(platform, dep, now, 0.0, &mut scratch) {
                 Ok(r) => {
                     now += r.inference_s;
                     Self::absorb_job(&mut batch, r);
@@ -1104,7 +1073,7 @@ impl Coordinator {
         let mut completion = t0;
         let mut failed = 0usize;
         for _ in 0..images {
-            scratch.prepare_anon(platform, dep);
+            scratch.prepare_keys(platform, dep);
             let r = self.serve_lite(platform, dep, t0, &mut scratch, &mut stations);
             completion = completion.max(r.arrival_s + r.latency_s);
             dollars += r.dollars;
@@ -1183,7 +1152,7 @@ impl Coordinator {
             |p, scratches: &mut Vec<ServeScratch>, idx, t0| {
                 let d = assign(idx);
                 let scratch = &mut scratches[d];
-                scratch.prepare_anon(p, &deps[d]);
+                scratch.prepare_keys(p, &deps[d]);
                 self.serve_lite(p, &deps[d], t0, scratch, &mut ())
             },
         );
@@ -1254,7 +1223,7 @@ impl Coordinator {
             },
             |p, lane: &mut (ServeScratch, A), _idx, t0| {
                 let (scratch, adm) = lane;
-                scratch.prepare_anon(p, dep);
+                scratch.prepare_keys(p, dep);
                 self.serve_lite(p, dep, t0, scratch, adm)
             },
         );
@@ -1747,7 +1716,7 @@ mod tests {
             let (coord, plan) = optimized(&g);
             let mut platform = coord.platform();
             let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-            let report = coord.serve_one(&mut platform, &dep, 0.0, "req0").unwrap();
+            let report = coord.serve_one(&mut platform, &dep, 0.0).unwrap();
             assert!(
                 (report.inference_s - plan.predicted_time_s).abs() < 1e-6,
                 "{}: measured {} vs predicted {}",
@@ -1776,7 +1745,7 @@ mod tests {
         let mut platform = coord.platform();
         let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
         assert!(dep.deploy_s > 0.0);
-        let report = coord.serve_one(&mut platform, &dep, 0.0, "r").unwrap();
+        let report = coord.serve_one(&mut platform, &dep, 0.0).unwrap();
         assert!((report.e2e_s - (dep.deploy_s + report.inference_s)).abs() < 1e-12);
     }
 
@@ -2021,7 +1990,9 @@ mod tests {
         let coord = Coordinator::new(cfg);
         let mut platform = coord.platform();
         let dep = coord.deploy_dag(&mut platform, &g, &plan).unwrap();
-        let report = coord.serve_one(&mut platform, &dep, 0.0, "req0").unwrap();
+        // An empty block marks where the request's key block starts.
+        let base = platform.store.fresh_block(0);
+        let report = coord.serve_one(&mut platform, &dep, 0.0).unwrap();
         assert!(
             (report.inference_s - plan.predicted_time_s).abs() < 1e-6,
             "measured {} vs predicted {}",
@@ -2043,9 +2014,11 @@ mod tests {
             .sum();
         assert_eq!(report.outcomes.len(), 4);
         assert!(report.inference_s < sum_s - 1e-9);
-        // All three objects (scatter + two gathers) were checkpointed.
+        // All three objects (scatter + two gathers) were checkpointed
+        // under the request's key block.
+        assert_eq!(dep.num_objects(), 3);
         for o in 0..3 {
-            assert!(platform.store.size_of(&format!("req0/b{o}")).is_some());
+            assert!(platform.store.size_of_id(base.offset(o)).is_some());
         }
         assert!(platform.settle_storage(1000.0) > 0.0);
         assert!(report.retries.is_empty());
@@ -2146,13 +2119,63 @@ mod tests {
         assert!(plan.num_lambdas() >= 2);
         let mut platform = coord.platform();
         let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-        coord.serve_one(&mut platform, &dep, 0.0, "req").unwrap();
-        // Intermediate objects exist for every interior boundary.
-        for i in 0..plan.num_lambdas() - 1 {
-            assert!(platform.store.size_of(&format!("req/b{i}")).is_some());
+        // An empty block marks where the request's key block starts.
+        let base = platform.store.fresh_block(0);
+        coord.serve_one(&mut platform, &dep, 0.0).unwrap();
+        // Intermediate objects exist for every interior boundary, under
+        // the request's key block.
+        assert_eq!(dep.num_objects(), plan.num_lambdas() - 1);
+        for i in 0..dep.num_objects() as u32 {
+            assert!(platform.store.size_of_id(base.offset(i)).is_some());
         }
         // Settlement charges at-rest storage for them.
         let settled = platform.settle_storage(1000.0);
         assert!(settled > 0.0);
+    }
+    #[test]
+    fn requests_at_one_instant_write_disjoint_key_blocks() {
+        // Two requests at the same `t0` on one platform: each draws its
+        // own key block, so neither overwrites the other's objects.
+        let g = zoo::resnet50();
+        let (coord, plan) = optimized(&g);
+        let mut platform = coord.platform();
+        let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
+        let n = dep.num_objects();
+        assert!(n >= 1);
+        let first = platform.store.fresh_block(0);
+        coord.serve_one(&mut platform, &dep, 0.0).unwrap();
+        let one_request = platform.store.live_bytes();
+        let second = platform.store.fresh_block(0);
+        coord.serve_one(&mut platform, &dep, 0.0).unwrap();
+        assert_eq!(platform.store.num_keys(), 2 * n);
+        assert_eq!(second, first.offset(n as u32));
+        for o in 0..n as u32 {
+            assert!(platform.store.size_of_id(first.offset(o)).is_some());
+            assert!(platform.store.size_of_id(second.offset(o)).is_some());
+        }
+        assert_eq!(platform.store.live_bytes(), 2 * one_request);
+    }
+
+    #[test]
+    fn closed_loop_storage_failure_names_its_key() {
+        // ResNet-50's 2-partition chain on a store that fails 90% of
+        // requests, with no chain-level retries: the failure's reason
+        // names the request's one object by key.
+        let g = zoo::resnet50();
+        let (coord, plan) = optimized(&g);
+        assert_eq!(plan.num_lambdas(), 2);
+        let cfg = AmpsConfig {
+            store: ampsinf_faas::StoreKind::flaky_s3(0.9),
+            ..coord.cfg.clone()
+        };
+        let coord = Coordinator::new(cfg.with_retries(0));
+        let mut platform = coord.platform();
+        let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
+        let base = platform.store.fresh_block(0);
+        let err = coord.serve_one(&mut platform, &dep, 0.0).unwrap_err();
+        assert_eq!(err.reason, InvokeError::StorageUnavailable(base));
+        let named = format!("storage unavailable for object#{}", base.index());
+        assert_eq!(err.reason.to_string(), named);
+        assert!(err.to_string().ends_with(&named), "{err}");
     }
 }

@@ -554,7 +554,7 @@ mod tests {
         let coord = Coordinator::new(cfg.clone());
         let mut platform = coord.platform();
         let dep = coord.deploy_dag(&mut platform, &s, &plan).unwrap();
-        let job = coord.serve_one(&mut platform, &dep, 0.0, "vgg16").unwrap();
+        let job = coord.serve_one(&mut platform, &dep, 0.0).unwrap();
         assert!(
             (job.inference_s - plan.predicted_time_s).abs() < 1e-6,
             "served {} vs predicted {}",

@@ -155,7 +155,7 @@ mod tests {
         let coord = Coordinator::new(cfg);
         let mut platform = coord.platform();
         let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-        let job = coord.serve_one(&mut platform, &dep, 0.0, "tl").unwrap();
+        let job = coord.serve_one(&mut platform, &dep, 0.0).unwrap();
         (plan, job)
     }
 
@@ -195,7 +195,7 @@ mod tests {
         let coord = Coordinator::new(cfg);
         let mut platform = coord.platform();
         let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-        let job = coord.serve_one(&mut platform, &dep, 0.0, "tl").unwrap();
+        let job = coord.serve_one(&mut platform, &dep, 0.0).unwrap();
         assert_eq!(job.retries.len(), 1);
         let tl = Timeline::of(&plan, &job);
         let retry_total: f64 = job

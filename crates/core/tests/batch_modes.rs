@@ -159,7 +159,7 @@ fn batch_plans_serve_what_they_predict() {
             let coord = Coordinator::new(cfg);
             let mut platform = coord.platform();
             let dep = coord.deploy_batch(&mut platform, &g, &plan, batch).unwrap();
-            let r = coord.serve_one(&mut platform, &dep, 0.0, "req").unwrap();
+            let r = coord.serve_one(&mut platform, &dep, 0.0).unwrap();
             let close =
                 |served: f64, predicted: f64| (served - predicted).abs() <= 1e-12 * predicted.abs();
             assert!(

@@ -92,7 +92,7 @@ fn crash_resumes_from_checkpointed_boundary() {
     assert!(k >= 2, "need a chain to test resumption");
     let mut platform = coord.platform();
     let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-    let job = coord.serve_one(&mut platform, &dep, 0.0, "ckpt").unwrap();
+    let job = coord.serve_one(&mut platform, &dep, 0.0).unwrap();
     // Exactly one retry, on the crashed partition.
     assert_eq!(job.retries.len(), 1);
     assert_eq!(job.retries[0].lambda, 1);
@@ -128,7 +128,7 @@ fn backoff_doubles_between_attempts() {
     assert!(plan.num_lambdas() >= 2);
     let mut platform = coord.platform();
     let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-    let job = coord.serve_one(&mut platform, &dep, 0.0, "bk").unwrap();
+    let job = coord.serve_one(&mut platform, &dep, 0.0).unwrap();
     assert_eq!(job.retries.len(), 2);
     assert_eq!(job.retries[0].backoff_s, cfg.backoff_base_s);
     assert_eq!(job.retries[1].backoff_s, 2.0 * cfg.backoff_base_s);
@@ -149,7 +149,7 @@ fn injected_timeout_bills_consumed_window() {
     let (coord, plan) = planned(&cfg, &g);
     let mut platform = coord.platform();
     let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-    let err = coord.serve_one(&mut platform, &dep, 0.0, "to").unwrap_err();
+    let err = coord.serve_one(&mut platform, &dep, 0.0).unwrap_err();
     assert!(matches!(err.reason, InvokeError::Timeout { .. }));
     assert_eq!(err.lambda, 0);
     assert_eq!(err.attempts, 1);

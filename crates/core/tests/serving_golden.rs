@@ -238,7 +238,7 @@ fn serve_one_golden_under_faults() {
     let mut d = Digest::new();
     let (mut retried, mut failed) = (0, 0);
     for i in 0..10 {
-        match coord.serve_one(&mut platform, &dep, 3.0 * i as f64, &format!("g{i}")) {
+        match coord.serve_one(&mut platform, &dep, 3.0 * i as f64) {
             Ok(job) => {
                 retried += job.retries.len();
                 d.word(0);
@@ -262,7 +262,7 @@ fn serve_one_golden_clean() {
     let coord = Coordinator::new(AmpsConfig::default());
     let mut platform = coord.platform();
     let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-    let job = coord.serve_one(&mut platform, &dep, 0.0, "req0").unwrap();
+    let job = coord.serve_one(&mut platform, &dep, 0.0).unwrap();
     let mut d = Digest::new();
     d.f(dep.deploy_s);
     d.job(&job);

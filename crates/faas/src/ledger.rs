@@ -38,7 +38,7 @@ impl CostItem {
 }
 
 /// Attribution of a ledger line. The hot serving path charges millions of
-/// entries per load run, so the common attributions (interned object keys,
+/// entries per load run, so the common attributions (object keys,
 /// deployed-function ids, static labels) are stored without allocating;
 /// free-form text remains available for cold paths.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,7 +47,7 @@ pub enum Note {
     Label(&'static str),
     /// Free-form attribution text (cold paths only).
     Text(String),
-    /// A storage object, by its interned key.
+    /// A storage object, by its key.
     Object(crate::storage::ObjectKey),
     /// A deployed function, by id.
     Function(crate::platform::FunctionId),
@@ -58,7 +58,7 @@ impl std::fmt::Display for Note {
         match self {
             Note::Label(s) => f.write_str(s),
             Note::Text(s) => f.write_str(s),
-            Note::Object(k) => write!(f, "object#{}", k.index()),
+            Note::Object(k) => write!(f, "{k}"),
             Note::Function(id) => write!(f, "fn#{}", id.0),
         }
     }

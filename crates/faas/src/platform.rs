@@ -96,9 +96,9 @@ pub enum InvokeError {
         duration_s: f64,
     },
     /// A required input object is missing from storage.
-    MissingInput(String),
+    MissingInput(ObjectKey),
     /// Storage stayed unavailable through the retry budget.
-    StorageUnavailable(String),
+    StorageUnavailable(ObjectKey),
     /// The handler crashed partway through (injected fault).
     Crashed {
         /// Seconds consumed before the crash.
@@ -144,10 +144,8 @@ impl std::fmt::Display for InvokeError {
             InvokeError::Timeout { duration_s } => {
                 write!(f, "execution of {duration_s:.1} s exceeds the timeout")
             }
-            InvokeError::MissingInput(k) => write!(f, "missing input object {k}"),
-            InvokeError::StorageUnavailable(k) => {
-                write!(f, "storage unavailable for object {k}")
-            }
+            InvokeError::MissingInput(k) => write!(f, "missing input {k}"),
+            InvokeError::StorageUnavailable(k) => write!(f, "storage unavailable for {k}"),
             InvokeError::Crashed { duration_s } => {
                 write!(f, "handler crashed after {duration_s:.1} s")
             }
@@ -234,8 +232,8 @@ pub struct InvocationWork {
     pub resident_bytes: u64,
     /// `/tmp` bytes used (weight files + previous partition's output).
     pub tmp_bytes: u64,
-    /// Input object keys read from storage before compute (interned in
-    /// the platform's store — no per-invocation string building).
+    /// Input object keys read from storage before compute (allocated by
+    /// the platform's store).
     pub reads: Vec<ObjectKey>,
     /// Output objects written after compute: `(key, bytes)`.
     pub writes: Vec<(ObjectKey, u64)>,
@@ -608,7 +606,7 @@ impl Platform {
 
     /// Merges shards produced by [`Platform::fork_empty`] back into this
     /// platform, in lane order: invocation counters add, ledgers append,
-    /// stores merge by re-interning (see [`ObjectStore::absorb`]), and
+    /// stores merge by a shifted append (see [`ObjectStore::absorb`]), and
     /// each function's warm pools concatenate, with its cold-start,
     /// pre-warm and idle counters added lane by lane.
     ///
@@ -1262,7 +1260,7 @@ mod tests {
         let mut p = Platform::aws_2020();
         let (f1, _) = p.deploy(spec(1024, 10)).unwrap();
         let (f2, _) = p.deploy(spec(1024, 10)).unwrap();
-        let inter = p.store.intern("inter/0");
+        let inter = p.store.fresh_key();
         let w1 = InvocationWork {
             load_bytes: 10 * MB,
             flops: 500_000_000,
@@ -1290,13 +1288,13 @@ mod tests {
     fn missing_input_fails() {
         let mut p = Platform::aws_2020();
         let (id, _) = p.deploy(spec(1024, 10)).unwrap();
-        let never = p.store.intern("never-written");
+        let never = p.store.fresh_key();
         let w = InvocationWork {
             reads: vec![never],
             ..Default::default()
         };
         let failed = p.invoke(id, 0.0, &w).unwrap_err();
-        assert!(matches!(failed.reason, InvokeError::MissingInput(_)));
+        assert_eq!(failed.reason, InvokeError::MissingInput(never));
         // The sandbox ran cold start, import and load before discovering
         // the missing input — that consumed time is billed.
         assert!(failed.duration() > 0.0);
@@ -1597,7 +1595,7 @@ mod tests {
         pool
     }
 
-    fn randomize(p: &mut Platform, rng: &mut crate::SmallRng, lane: usize) {
+    fn randomize(p: &mut Platform, rng: &mut crate::SmallRng) {
         for f in &mut p.functions {
             f.instances = random_pool(rng);
             f.cold_starts = rng.below(50);
@@ -1616,7 +1614,7 @@ mod tests {
         }
         p.store.fresh_block(rng.below(6));
         if rng.below(2) == 0 {
-            p.store.intern(&format!("lane{lane}/obj"));
+            p.store.fresh_key();
         }
     }
 
@@ -1630,13 +1628,13 @@ mod tests {
             }
             let lanes = rng.range_inclusive(1, 9);
             let shards: Vec<Platform> = (0..lanes)
-                .map(|lane| {
+                .map(|_| {
                     let mut s = base.fork_empty();
-                    randomize(&mut s, &mut rng, lane);
+                    randomize(&mut s, &mut rng);
                     s
                 })
                 .collect();
-            randomize(&mut base, &mut rng, lanes);
+            randomize(&mut base, &mut rng);
 
             let mut want = base.clone();
             absorb_lane_by_lane(&mut want, shards.clone());
@@ -1706,13 +1704,13 @@ mod tests {
             }
             let lanes = rng.range_inclusive(1, 9);
             let shards: Vec<Platform> = (0..lanes)
-                .map(|lane| {
+                .map(|_| {
                     let mut s = lazy.fork_empty();
-                    randomize(&mut s, &mut rng, lane);
+                    randomize(&mut s, &mut rng);
                     s
                 })
                 .collect();
-            randomize(&mut lazy, &mut rng, lanes);
+            randomize(&mut lazy, &mut rng);
             lazy.absorb_shards(shards);
             deferred += lazy.functions.iter().filter(|f| !f.ordered).count();
             let mut eager = lazy.clone();

@@ -88,8 +88,8 @@ impl PartitionWork {
     /// Invocation work, wiring the storage keys: reads `input_key` (None
     /// for the first partition, whose image arrives with the trigger) and
     /// writes `output_key` (None for the last partition, which returns the
-    /// prediction in the response). Keys are interned storage ids — see
-    /// [`crate::storage::ObjectStore::intern`].
+    /// prediction in the response). Keys are allocated by the store — see
+    /// [`crate::storage::ObjectStore::fresh_key`].
     pub fn invocation(
         &self,
         input_key: Option<ObjectKey>,
@@ -258,7 +258,7 @@ mod tests {
             PartitionWork::from_segment(&g, 41, g.num_layers() - 1),
         ];
         let mut store = crate::storage::ObjectStore::new(crate::storage::StoreKind::s3());
-        let inter = store.intern("inter/0");
+        let inter = store.fresh_key();
         let w0 = parts[0].invocation(None, Some(inter));
         assert!(w0.reads.is_empty());
         assert_eq!(w0.writes.len(), 1);

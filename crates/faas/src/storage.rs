@@ -7,29 +7,6 @@
 
 use crate::ledger::{CostItem, CostLedger};
 use crate::pricing::PriceSheet;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-
-/// Multiplicative hasher for the name table's dense `u32` keys: one
-/// multiply beats SipHash on the intern path, and key values are already
-/// unique, so spreading their bits is all a hash needs to do here.
-#[derive(Debug, Default, Clone)]
-struct KeyHasher(u64);
-
-impl std::hash::Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("the name table hashes u32 keys only")
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.0 = u64::from(v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type KeyMap<V> = HashMap<u32, V, BuildHasherDefault<KeyHasher>>;
 
 /// Storage backend characteristics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,24 +73,29 @@ struct ObjectMeta {
     billed_until: f64,
 }
 
-/// An interned object key: a dense index into the store's key table.
-///
-/// The serving hot path performs every read/write through interned keys,
-/// so repeated requests over the same boundary objects never re-hash or
-/// re-allocate key strings. Keys are only meaningful for the store that
-/// interned them (shard merges re-intern by name).
+/// An object key: a dense index into the store's key table, allocated
+/// by the store itself ([`ObjectStore::fresh_key`],
+/// [`ObjectStore::fresh_block`]). Keys are only meaningful for the store
+/// that allocated them (a shard merge shifts them by the merging store's
+/// key count). Displays as `object#N`, in errors and ledger notes alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ObjectKey(u32);
 
+impl std::fmt::Display for ObjectKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "object#{}", self.0)
+    }
+}
+
 impl ObjectKey {
-    /// The key's dense index in its store's intern table.
+    /// The key's dense index in its store's key table.
     pub fn index(self) -> u32 {
         self.0
     }
 
     /// The key `i` slots after this one. Only meaningful inside a
     /// contiguous block handed out by [`ObjectStore::fresh_block`], whose
-    /// keys are guaranteed consecutive — the DAG serving hot path derives
+    /// keys are guaranteed consecutive — every serving mode derives
     /// a request's per-object keys from the block base with plain index
     /// arithmetic instead of one allocator call per object.
     pub fn offset(self, i: u32) -> ObjectKey {
@@ -126,19 +108,9 @@ impl ObjectKey {
 pub struct ObjectStore {
     /// Backend characteristics.
     pub kind: StoreKind,
-    /// Key → name for *named* keys only (merges and settlement look keys
-    /// up by index, never iterate, so map order is irrelevant). Anonymous
-    /// keys — the serving hot path's entire per-request traffic — carry
-    /// no entry at all, so allocating them never touches a string table.
-    names: KeyMap<String>,
-    /// Name → interned key, hashed with unkeyed SipHash: a per-process
-    /// random hasher would drop the names in a different order, and so
-    /// leave a different heap layout, in every run.
-    lookup: HashMap<String, ObjectKey, BuildHasherDefault<DefaultHasher>>,
     /// Live object metadata, indexed by [`ObjectKey`] (`None` = never
-    /// written). Settlement walks this table in intern order, which makes
-    /// at-rest billing order deterministic (the former `HashMap` walk
-    /// settled in hash order).
+    /// written). Settlement walks this table in key order, which makes
+    /// at-rest billing order deterministic.
     metas: Vec<Option<ObjectMeta>>,
     /// Tombstones for objects replaced by an overwriting `put` (the prior
     /// incarnation's lifetime still bills at settlement).
@@ -165,11 +137,11 @@ pub struct StorageOp {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
     /// No live object under that key.
-    NotFound(String),
+    NotFound(ObjectKey),
     /// Transient failures exhausted the retry budget.
     Unavailable {
         /// The key involved.
-        key: String,
+        key: ObjectKey,
         /// Attempts made.
         attempts: u32,
     },
@@ -178,9 +150,9 @@ pub enum StorageError {
 impl std::fmt::Display for StorageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StorageError::NotFound(k) => write!(f, "object {k} not found"),
+            StorageError::NotFound(k) => write!(f, "{k} not found"),
             StorageError::Unavailable { key, attempts } => {
-                write!(f, "object {key} unavailable after {attempts} attempts")
+                write!(f, "{key} unavailable after {attempts} attempts")
             }
         }
     }
@@ -196,54 +168,35 @@ impl ObjectStore {
     pub fn new(kind: StoreKind) -> Self {
         ObjectStore {
             kind,
-            names: KeyMap::default(),
-            lookup: HashMap::default(),
             metas: Vec::new(),
             history: Vec::new(),
             rng: RNG_SEED,
         }
     }
 
-    /// Interns `name`, returning its stable key. Interning is idempotent:
-    /// the same name always maps to the same key within one store.
-    pub fn intern(&mut self, name: &str) -> ObjectKey {
-        if let Some(&k) = self.lookup.get(name) {
-            return k;
-        }
-        let k = ObjectKey(u32::try_from(self.metas.len()).expect("intern table overflow"));
-        self.names.insert(k.0, name.to_string());
-        self.lookup.insert(name.to_string(), k);
-        self.metas.push(None);
-        k
-    }
-
-    /// Allocates an *anonymous* key: a fresh slot with an empty name and
-    /// no name-table entry. The serving hot path uses these for
-    /// per-request boundary objects — no string formatting, hashing, or
-    /// map insertion per request. Anonymous keys settle and merge exactly
-    /// like named keys but are unreachable by name (each call returns a
-    /// distinct key, so they never collide).
+    /// Allocates a fresh key: a new, never-written slot. Each call
+    /// returns a distinct key, so keys never collide.
     pub fn fresh_key(&mut self) -> ObjectKey {
-        let k = ObjectKey(u32::try_from(self.metas.len()).expect("intern table overflow"));
+        let k = ObjectKey(u32::try_from(self.metas.len()).expect("key table overflow"));
         self.metas.push(None);
         k
     }
 
-    /// Allocates `n` anonymous keys in one call and returns the first;
+    /// Allocates `n` fresh keys in one call and returns the first;
     /// the block is contiguous, so key `i` of the block is
     /// `base.offset(i)`. Equivalent to `n` [`ObjectStore::fresh_key`]
     /// calls (same key values, same table growth) but with one bounds
-    /// check and two bulk extends instead of `n` of each — the per-request
-    /// setup cost of a DAG with `n` inter-node objects.
+    /// check and one bulk extend instead of `n` of each — the per-request
+    /// setup cost of a plan with `n` inter-node objects.
     pub fn fresh_block(&mut self, n: usize) -> ObjectKey {
         let len = self.metas.len();
-        let base = ObjectKey(u32::try_from(len).expect("intern table overflow"));
-        u32::try_from(len + n).expect("intern table overflow");
+        let base = ObjectKey(u32::try_from(len).expect("key table overflow"));
+        u32::try_from(len + n).expect("key table overflow");
         self.metas.resize(len + n, None);
         base
     }
 
-    /// Keys interned or allocated so far (named and anonymous).
+    /// Keys allocated so far.
     pub fn num_keys(&self) -> usize {
         self.metas.len()
     }
@@ -255,12 +208,6 @@ impl ObjectStore {
         self.metas.reserve(additional);
     }
 
-    /// The name an [`ObjectKey`] was interned under (empty for anonymous
-    /// keys from [`ObjectStore::fresh_key`]).
-    pub fn name_of(&self, key: ObjectKey) -> &str {
-        self.names.get(&key.0).map_or("", String::as_str)
-    }
-
     /// Re-keys the failure-draw stream for substream `stream`. The sharded
     /// serving engine calls this once per request (keyed by request index)
     /// so flaky-store draws depend only on the request, never on how many
@@ -270,54 +217,19 @@ impl ObjectStore {
         self.rng = RNG_SEED ^ stream.wrapping_mul(0xa076_1d64_78bd_642f);
     }
 
-    /// Merges a shard store into this one, re-interning by name. Shards
-    /// serve disjoint requests with disjoint key tags, so live objects
-    /// never collide; if one ever did, the current incarnation here is
-    /// tombstoned like an overwriting `put`. The shard's tombstone history
-    /// (with its `billed_until` watermarks) carries over, so settlement
-    /// after a merge stays exact and double-bills nothing.
+    /// Merges a shard store into this one. The shard's keys are the
+    /// identity shifted by this store's key count, so its tables
+    /// bulk-append: every key stays distinct, and no live object can
+    /// collide. The shard's tombstone history (with its `billed_until`
+    /// watermarks) carries over, so settlement after a merge stays exact
+    /// and double-bills nothing.
     pub fn absorb(&mut self, other: ObjectStore) {
-        let ObjectStore {
-            names,
-            lookup,
-            metas,
-            history,
-            ..
-        } = other;
-        if lookup.is_empty() {
-            // Every shard key is anonymous (the serving hot path's usual
-            // case): the remap is the identity shifted by this store's
-            // key count, so the tables bulk-append — no per-key allocator
-            // or intern-table traffic, no remap buffer.
-            let base = u32::try_from(self.metas.len()).expect("intern table overflow");
-            u32::try_from(self.metas.len() + metas.len()).expect("intern table overflow");
-            self.metas.extend(metas);
-            self.history
-                .extend(history.into_iter().map(|(k, m)| (ObjectKey(k.0 + base), m)));
-            return;
-        }
-        let mut remap = Vec::with_capacity(metas.len());
-        self.metas.reserve(metas.len());
-        for idx in 0..metas.len() {
-            // Anonymous shard keys stay anonymous — and stay distinct:
-            // interning their shared empty name would collapse every
-            // shard's per-request objects onto one key.
-            remap.push(match names.get(&(idx as u32)) {
-                Some(name) => self.intern(name),
-                None => self.fresh_key(),
-            });
-        }
-        for (idx, meta) in metas.into_iter().enumerate() {
-            let Some(meta) = meta else { continue };
-            let key = remap[idx];
-            if let Some(existing) = self.metas[key.0 as usize].take() {
-                self.history.push((key, existing));
-            }
-            self.metas[key.0 as usize] = Some(meta);
-        }
-        for (key, meta) in history {
-            self.history.push((remap[key.0 as usize], meta));
-        }
+        let ObjectStore { metas, history, .. } = other;
+        let base = u32::try_from(self.metas.len()).expect("key table overflow");
+        u32::try_from(self.metas.len() + metas.len()).expect("key table overflow");
+        self.metas.extend(metas);
+        self.history
+            .extend(history.into_iter().map(|(k, m)| (ObjectKey(k.0 + base), m)));
     }
 
     /// Deterministic uniform draw in [0, 1).
@@ -344,7 +256,7 @@ impl ObjectStore {
         None
     }
 
-    /// Writes an object by interned key at time `now`; returns duration
+    /// Writes an object by key at time `now`; returns duration
     /// and records the PUT fee in `ledger`. Transient backend failures are
     /// retried up to [`STORAGE_RETRIES`] times (failed attempts cost
     /// latency but no fee, as with real 5xx responses).
@@ -358,7 +270,7 @@ impl ObjectStore {
     ) -> Result<StorageOp, StorageError> {
         let Some((retry_latency, attempts)) = self.attempt() else {
             return Err(StorageError::Unavailable {
-                key: self.name_of(key).to_string(),
+                key,
                 attempts: 1 + STORAGE_RETRIES,
             });
         };
@@ -395,7 +307,7 @@ impl ObjectStore {
         })
     }
 
-    /// Reads an object by interned key; returns duration and records the
+    /// Reads an object by key; returns duration and records the
     /// GET fee. Missing keys fail immediately; transient failures retry
     /// like [`Self::put_id`].
     pub fn get_id(
@@ -406,11 +318,11 @@ impl ObjectStore {
     ) -> Result<StorageOp, StorageError> {
         let bytes = match self.metas[key.0 as usize] {
             Some(meta) if meta.deleted_at.is_none() => meta.bytes,
-            _ => return Err(StorageError::NotFound(self.name_of(key).to_string())),
+            _ => return Err(StorageError::NotFound(key)),
         };
         let Some((retry_latency, attempts)) = self.attempt() else {
             return Err(StorageError::Unavailable {
-                key: self.name_of(key).to_string(),
+                key,
                 attempts: 1 + STORAGE_RETRIES,
             });
         };
@@ -430,34 +342,6 @@ impl ObjectStore {
         })
     }
 
-    /// Writes an object by name (auto-interning convenience wrapper over
-    /// [`Self::put_id`]).
-    pub fn put(
-        &mut self,
-        key: impl Into<String>,
-        bytes: u64,
-        now: f64,
-        sheet: &PriceSheet,
-        ledger: &mut CostLedger,
-    ) -> Result<StorageOp, StorageError> {
-        let id = self.intern(&key.into());
-        self.put_id(id, bytes, now, sheet, ledger)
-    }
-
-    /// Reads an object by name (convenience wrapper over
-    /// [`Self::get_id`]; never-written names fail as `NotFound`).
-    pub fn get(
-        &mut self,
-        key: &str,
-        sheet: &PriceSheet,
-        ledger: &mut CostLedger,
-    ) -> Result<StorageOp, StorageError> {
-        let Some(&id) = self.lookup.get(key) else {
-            return Err(StorageError::NotFound(key.to_string()));
-        };
-        self.get_id(id, sheet, ledger)
-    }
-
     /// Marks an object deleted at `now` (it stops accruing storage cost).
     pub fn delete_id(&mut self, key: ObjectKey, now: f64) {
         if let Some(meta) = self.metas[key.0 as usize].as_mut() {
@@ -465,23 +349,11 @@ impl ObjectStore {
         }
     }
 
-    /// Marks an object deleted by name.
-    pub fn delete(&mut self, key: &str, now: f64) {
-        if let Some(&id) = self.lookup.get(key) {
-            self.delete_id(id, now);
-        }
-    }
-
-    /// Size of a live object, by interned key.
+    /// Size of a live object, by key.
     pub fn size_of_id(&self, key: ObjectKey) -> Option<u64> {
         self.metas[key.0 as usize]
             .filter(|m| m.deleted_at.is_none())
             .map(|m| m.bytes)
-    }
-
-    /// Size of a live object, by name.
-    pub fn size_of(&self, key: &str) -> Option<u64> {
-        self.lookup.get(key).and_then(|&id| self.size_of_id(id))
     }
 
     /// Bytes currently held (live objects only).
@@ -530,7 +402,7 @@ impl ObjectStore {
                 meta.billed_until = end;
             }
         };
-        // Intern order, then tombstone-insertion order: deterministic
+        // Key order, then tombstone-insertion order: deterministic
         // regardless of how keys hash.
         for (idx, meta) in self.metas.iter_mut().enumerate() {
             if let Some(meta) = meta {
@@ -559,10 +431,11 @@ mod tests {
     #[test]
     fn put_get_round_trip() {
         let (mut s, sheet, mut l) = setup();
-        let put = s.put("k", 80_000_000, 0.0, &sheet, &mut l).unwrap();
+        let k = s.fresh_key();
+        let put = s.put_id(k, 80_000_000, 0.0, &sheet, &mut l).unwrap();
         assert!((put.duration_s - (1.0 + 0.02)).abs() < 1e-9);
-        assert_eq!(s.size_of("k"), Some(80_000_000));
-        let get = s.get("k", &sheet, &mut l).unwrap();
+        assert_eq!(s.size_of_id(k), Some(80_000_000));
+        let get = s.get_id(k, &sheet, &mut l).unwrap();
         assert!((get.duration_s - put.duration_s).abs() < 1e-12);
         assert!((l.total_of(CostItem::StoragePut) - 5e-6).abs() < 1e-12);
         assert!((l.total_of(CostItem::StorageGet) - 4e-7).abs() < 1e-12);
@@ -571,20 +444,22 @@ mod tests {
     #[test]
     fn missing_and_deleted_keys() {
         let (mut s, sheet, mut l) = setup();
-        assert!(matches!(
-            s.get("nope", &sheet, &mut l),
-            Err(StorageError::NotFound(_))
-        ));
-        s.put("k", 10, 0.0, &sheet, &mut l).unwrap();
-        s.delete("k", 5.0);
-        assert!(s.get("k", &sheet, &mut l).is_err());
+        let nope = s.fresh_key();
+        let err = s.get_id(nope, &sheet, &mut l).unwrap_err();
+        assert_eq!(err, StorageError::NotFound(nope));
+        assert_eq!(err.to_string(), "object#0 not found");
+        let k = s.fresh_key();
+        s.put_id(k, 10, 0.0, &sheet, &mut l).unwrap();
+        s.delete_id(k, 5.0);
+        assert_eq!(s.get_id(k, &sheet, &mut l), Err(StorageError::NotFound(k)));
         assert_eq!(s.live_bytes(), 0);
     }
 
     #[test]
     fn storage_settlement_bills_lifetime() {
         let (mut s, sheet, mut l) = setup();
-        let op = s.put("k", 1_000_000_000, 0.0, &sheet, &mut l).unwrap();
+        let k = s.fresh_key();
+        let op = s.put_id(k, 1_000_000_000, 0.0, &sheet, &mut l).unwrap();
         // The object becomes visible when the upload completes; settle
         // exactly 60 s later → 60 s of at-rest time on 1 GB.
         let t1 = op.duration_s + 60.0;
@@ -598,7 +473,7 @@ mod tests {
         let expect_inc = sheet.s3_storage_cost(1_000_000_000, 30.0);
         assert!((inc - expect_inc).abs() < 1e-12, "{inc} vs {expect_inc}");
         // Once deleted, further settles stop accruing.
-        s.delete("k", t1 + 30.0);
+        s.delete_id(k, t1 + 30.0);
         assert_eq!(s.settle_storage(t1 + 500.0, &sheet, &mut l), 0.0);
     }
 
@@ -607,10 +482,11 @@ mod tests {
         // Regression: settling mid-run must not destroy still-live
         // intermediates (serve → settle → serve).
         let (mut s, sheet, mut l) = setup();
-        s.put("job/b0", 4_000_000, 0.0, &sheet, &mut l).unwrap();
+        let k = s.fresh_key();
+        s.put_id(k, 4_000_000, 0.0, &sheet, &mut l).unwrap();
         s.settle_storage(100.0, &sheet, &mut l);
-        assert_eq!(s.size_of("job/b0"), Some(4_000_000));
-        assert!(s.get("job/b0", &sheet, &mut l).is_ok(), "live after settle");
+        assert_eq!(s.size_of_id(k), Some(4_000_000));
+        assert!(s.get_id(k, &sheet, &mut l).is_ok(), "live after settle");
         assert_eq!(s.live_bytes(), 4_000_000);
     }
 
@@ -619,10 +495,11 @@ mod tests {
         // Regression: a re-put (chain-level retry re-checkpointing) must
         // not drop the replaced object's at-rest interval from billing.
         let (mut s, sheet, mut l) = setup();
-        let first = s.put("k", 1_000_000_000, 0.0, &sheet, &mut l).unwrap();
+        let k = s.fresh_key();
+        let first = s.put_id(k, 1_000_000_000, 0.0, &sheet, &mut l).unwrap();
         let v1 = first.duration_s; // first incarnation visible
         let second = s
-            .put("k", 1_000_000_000, v1 + 60.0, &sheet, &mut l)
+            .put_id(k, 1_000_000_000, v1 + 60.0, &sheet, &mut l)
             .unwrap();
         let v2 = v1 + 60.0 + second.duration_s; // replacement visible
         let charged = s.settle_storage(v2 + 40.0, &sheet, &mut l);
@@ -646,8 +523,9 @@ mod tests {
         let mut gets = 0u32;
         let mut saw_retry = false;
         let mut saw_retry_latency = false;
-        for i in 0..40 {
-            if let Ok(op) = s.put(format!("k{i}"), 1_000_000, 0.0, &sheet, &mut l) {
+        for _ in 0..40 {
+            let k = s.fresh_key();
+            if let Ok(op) = s.put_id(k, 1_000_000, 0.0, &sheet, &mut l) {
                 puts += 1;
                 assert_eq!(op.fee, sheet.s3_put_request);
                 if op.attempts > 1 {
@@ -658,7 +536,7 @@ mod tests {
                     assert!((op.duration_s - expect).abs() < 1e-12);
                     saw_retry_latency = true;
                 }
-                if let Ok(op) = s.get(&format!("k{i}"), &sheet, &mut l) {
+                if let Ok(op) = s.get_id(k, &sheet, &mut l) {
                     gets += 1;
                     assert_eq!(op.fee, sheet.s3_get_request);
                 }
@@ -675,31 +553,15 @@ mod tests {
     }
 
     #[test]
-    fn interning_is_idempotent_and_id_paths_match_names() {
-        let (mut s, sheet, mut l) = setup();
-        let k = s.intern("img0/b0");
-        assert_eq!(k, s.intern("img0/b0"));
-        assert_eq!(s.name_of(k), "img0/b0");
-        let by_id = s.put_id(k, 4 * 1024 * 1024, 0.0, &sheet, &mut l).unwrap();
-        assert_eq!(s.size_of_id(k), Some(4 * 1024 * 1024));
-        assert_eq!(s.size_of("img0/b0"), Some(4 * 1024 * 1024));
-        let by_name = s.get("img0/b0", &sheet, &mut l).unwrap();
-        let by_id_get = s.get_id(k, &sheet, &mut l).unwrap();
-        assert_eq!(by_name, by_id_get);
-        assert!((by_id.duration_s - by_name.duration_s).abs() < 1e-12);
-        s.delete_id(k, 10.0);
-        assert_eq!(s.size_of("img0/b0"), None);
-    }
-
-    #[test]
     fn absorb_merges_shards_and_settles_exactly() {
         let sheet = PriceSheet::aws_2020();
         // One store serving both objects vs two shards merged: settlement
         // must charge the same dollars.
         let mut whole = ObjectStore::new(StoreKind::s3());
         let mut lw = CostLedger::new();
-        whole.put("a/b0", 50_000_000, 0.0, &sheet, &mut lw).unwrap();
-        whole.put("b/b0", 80_000_000, 1.0, &sheet, &mut lw).unwrap();
+        let (a, b) = (whole.fresh_key(), whole.fresh_key());
+        whole.put_id(a, 50_000_000, 0.0, &sheet, &mut lw).unwrap();
+        whole.put_id(b, 80_000_000, 1.0, &sheet, &mut lw).unwrap();
         let expect = whole.settle_storage(500.0, &sheet, &mut lw);
 
         let mut base = ObjectStore::new(StoreKind::s3());
@@ -708,14 +570,17 @@ mod tests {
             ObjectStore::new(StoreKind::s3()),
         );
         let mut l = CostLedger::new();
-        s1.put("a/b0", 50_000_000, 0.0, &sheet, &mut l).unwrap();
-        s2.put("b/b0", 80_000_000, 1.0, &sheet, &mut l).unwrap();
+        let k1 = s1.fresh_key();
+        s1.put_id(k1, 50_000_000, 0.0, &sheet, &mut l).unwrap();
+        let k2 = s2.fresh_key();
+        s2.put_id(k2, 80_000_000, 1.0, &sheet, &mut l).unwrap();
         base.absorb(s1);
         base.absorb(s2);
         let got = base.settle_storage(500.0, &sheet, &mut l);
         assert!((got - expect).abs() < 1e-15, "{got} vs {expect}");
-        assert_eq!(base.size_of("a/b0"), Some(50_000_000));
-        assert_eq!(base.size_of("b/b0"), Some(80_000_000));
+        // Each shard's keys land shifted by the keys merged before it.
+        assert_eq!(base.size_of_id(a), Some(50_000_000));
+        assert_eq!(base.size_of_id(b), Some(80_000_000));
     }
 
     #[test]
@@ -725,8 +590,11 @@ mod tests {
         let mut l = CostLedger::new();
         // Overwrite inside the shard (tombstone) and settle part-way
         // (watermark) before merging.
-        shard.put("k", 1_000_000_000, 0.0, &sheet, &mut l).unwrap();
-        shard.put("k", 1_000_000_000, 60.0, &sheet, &mut l).unwrap();
+        let k = shard.fresh_key();
+        shard.put_id(k, 1_000_000_000, 0.0, &sheet, &mut l).unwrap();
+        shard
+            .put_id(k, 1_000_000_000, 60.0, &sheet, &mut l)
+            .unwrap();
         let pre = shard.settle_storage(100.0, &sheet, &mut l);
         assert!(pre > 0.0);
         let mut base = ObjectStore::new(StoreKind::s3());
@@ -748,8 +616,9 @@ mod tests {
             let sheet = PriceSheet::aws_2020();
             let mut l = CostLedger::new();
             (0..n)
-                .map(|i| {
-                    s.put(format!("k{i}"), 1_000, 0.0, &sheet, &mut l)
+                .map(|_| {
+                    let k = s.fresh_key();
+                    s.put_id(k, 1_000, 0.0, &sheet, &mut l)
                         .map_or(0, |op| op.attempts)
                 })
                 .collect()
@@ -768,16 +637,15 @@ mod tests {
     fn anonymous_keys_stay_distinct_through_absorb() {
         let sheet = PriceSheet::aws_2020();
         let mut l = CostLedger::new();
-        // Two shards, each with two anonymous objects still live at merge
-        // time: the merged store must keep all four distinct (interning
-        // the shared empty name would collapse them) and settle exactly.
+        // Two shards, each with two objects still live at merge time under
+        // the same key values: the merged store must keep all four
+        // distinct and settle exactly.
         let mut base = ObjectStore::new(StoreKind::s3());
         let mut shards = Vec::new();
         for s in 0..2 {
             let mut shard = ObjectStore::new(StoreKind::s3());
             for i in 0..2 {
                 let k = shard.fresh_key();
-                assert_eq!(shard.name_of(k), "");
                 shard
                     .put_id(k, 10_000_000, f64::from(s * 2 + i), &sheet, &mut l)
                     .unwrap();
@@ -788,7 +656,7 @@ mod tests {
         for shard in shards {
             base.absorb(shard);
         }
-        assert_eq!(base.live_bytes(), expect_live, "no anonymous collisions");
+        assert_eq!(base.live_bytes(), expect_live, "no key collisions");
         let settled = base.settle_storage(100.0, &sheet, &mut l);
         assert!(settled > 0.0);
         // All four lifetimes billed: ~(100-t_visible) each on 10 MB.
@@ -803,7 +671,8 @@ mod tests {
         let mut s = ObjectStore::new(StoreKind::fast_store());
         let sheet = PriceSheet::aws_2020();
         let mut l = CostLedger::new();
-        let op = s.put("k", 80_000_000, 0.0, &sheet, &mut l).unwrap();
+        let k = s.fresh_key();
+        let op = s.put_id(k, 80_000_000, 0.0, &sheet, &mut l).unwrap();
         assert!(op.duration_s < 0.2);
         assert_eq!(op.fee, 0.0);
         assert!(l.is_empty());

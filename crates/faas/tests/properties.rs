@@ -124,15 +124,14 @@ fn ledger_total_equals_sum_of_outcomes_plus_storage() {
         }
         let mut now = 0.0;
         let mut direct = 0.0;
+        let mut prev = None;
         for (i, fid) in fids.iter().enumerate() {
             let mut w = work(weights + i as u64, gf);
-            if i > 0 {
-                let key = p.store.intern(&format!("x/{}", i - 1));
-                w.reads.push(key);
-            }
+            w.reads.extend(prev.take());
             if i + 1 < fids.len() {
-                let key = p.store.intern(&format!("x/{i}"));
+                let key = p.store.fresh_key();
                 w.writes.push((key, 2 * MB));
+                prev = Some(key);
             }
             let out = p.invoke(*fid, now, &w).unwrap();
             now = out.end;
@@ -151,10 +150,11 @@ fn storage_round_trip_preserves_bytes() {
         let mut store = ampsinf_faas::ObjectStore::new(StoreKind::s3());
         let sheet = PriceSheet::aws_2020();
         let mut ledger = CostLedger::new();
-        store.put("k", bytes, 0.0, &sheet, &mut ledger).unwrap();
-        assert_eq!(store.size_of("k"), Some(bytes));
+        let k = store.fresh_key();
+        store.put_id(k, bytes, 0.0, &sheet, &mut ledger).unwrap();
+        assert_eq!(store.size_of_id(k), Some(bytes));
         assert_eq!(store.live_bytes(), bytes);
-        let get = store.get("k", &sheet, &mut ledger).unwrap();
+        let get = store.get_id(k, &sheet, &mut ledger).unwrap();
         // Transfer time symmetric for put/get on the same backend.
         let put_t = store.transfer_time(bytes, 1);
         assert!((get.duration_s - put_t).abs() < 1e-12);
@@ -173,7 +173,8 @@ fn settle_is_idempotent() {
         let mut store = ampsinf_faas::ObjectStore::new(StoreKind::s3());
         let sheet = PriceSheet::aws_2020();
         let mut ledger = CostLedger::new();
-        let op = store.put("k", bytes, 0.0, &sheet, &mut ledger).unwrap();
+        let k = store.fresh_key();
+        let op = store.put_id(k, bytes, 0.0, &sheet, &mut ledger).unwrap();
         let visible = op.duration_s;
         let first = store.settle_storage(until, &sheet, &mut ledger);
         let again = store.settle_storage(until, &sheet, &mut ledger);
@@ -183,7 +184,7 @@ fn settle_is_idempotent() {
         let from = visible.max(until);
         let expect = sheet.s3_storage_cost(bytes, (until + 100.0 - from).max(0.0));
         assert!((later - expect).abs() < 1e-12, "{later} vs {expect}");
-        assert_eq!(store.size_of("k"), Some(bytes));
+        assert_eq!(store.size_of_id(k), Some(bytes));
     }
 }
 
@@ -339,7 +340,7 @@ fn cost_items_partition_ledger() {
     let mut p = Platform::aws_2020();
     let (fid, _) = p.deploy(spec(1024, 10)).unwrap();
     let mut w = work(10, 2);
-    let key = p.store.intern("o");
+    let key = p.store.fresh_key();
     w.writes.push((key, MB));
     let out = p.invoke(fid, 0.0, &w).unwrap();
     let _ = out;

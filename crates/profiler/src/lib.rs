@@ -278,20 +278,14 @@ pub fn evaluate_segment(
         .deploy(spec)
         .map_err(|e| EvalError::Deploy(e.to_string()))?;
 
-    let input_key = (!is_first).then(|| platform.store.intern("profile/in"));
-    let output_key = (!is_last).then(|| platform.store.intern("profile/out"));
-    if input_key.is_some() {
+    let input_key = (!is_first).then(|| platform.store.fresh_key());
+    let output_key = (!is_last).then(|| platform.store.fresh_key());
+    if let Some(key) = input_key {
         // Stage the upstream tensor so the GET has something to read.
         let mut scratch = ampsinf_faas::CostLedger::new();
         platform
             .store
-            .put(
-                "profile/in",
-                work.seg.input_bytes,
-                0.0,
-                prices,
-                &mut scratch,
-            )
+            .put_id(key, work.seg.input_bytes, 0.0, prices, &mut scratch)
             .expect("staging put cannot fail on a non-flaky store");
     }
     let invocation = work.invocation(input_key, output_key);

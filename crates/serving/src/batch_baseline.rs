@@ -51,7 +51,7 @@ pub fn run_batch_baseline(
             .deploy_batch(&mut platform, graph, &plan, batch)
             .map_err(|e| e.to_string())?;
         let r = coord
-            .serve_one(&mut platform, &dep, now, "batch")
+            .serve_one(&mut platform, &dep, now)
             .map_err(|e| e.to_string())?;
         now += r.inference_s;
         dollars += r.dollars;

@@ -56,7 +56,7 @@ pub fn run_serfer(
     let driver = VmInstance::start(VmType::ec2_driver(), 0.0);
     let t0 = DRIVER_SPLIT_OVERHEAD_S;
     let job = coord
-        .serve_one_delayed(&mut platform, &dep, t0, "serfer", TRANSITION_LATENCY_S)
+        .serve_one_delayed(&mut platform, &dep, t0, TRANSITION_LATENCY_S)
         .map_err(|e| e.to_string())?;
     // The last partition's completion plus the workflow's exit transition.
     let completion_s = t0 + job.inference_s + TRANSITION_LATENCY_S;
@@ -91,7 +91,7 @@ mod tests {
         let coord = Coordinator::new(cfg.clone());
         let mut platform = coord.platform();
         let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-        let amps = coord.serve_one(&mut platform, &dep, 0.0, "amps").unwrap();
+        let amps = coord.serve_one(&mut platform, &dep, 0.0).unwrap();
         let amps_dollars = amps.dollars + platform.settle_storage(amps.inference_s);
 
         assert!(

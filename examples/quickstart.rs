@@ -37,7 +37,7 @@ fn main() {
         .deploy(&mut platform, &model, &report.plan)
         .expect("plan satisfies all quotas");
     let job = coordinator
-        .serve_one(&mut platform, &deployment, 0.0, "req-0")
+        .serve_one(&mut platform, &deployment, 0.0)
         .expect("chain executes");
 
     println!("\nserved one image:");

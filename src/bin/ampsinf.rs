@@ -252,7 +252,7 @@ fn serve(a: &Args) -> Result<(), String> {
         .map_err(|e| format!("deploy: {e}"))?;
     let (time, mut dollars) = if images == 1 {
         let job = coord
-            .serve_one(&mut platform, &dep, 0.0, "cli")
+            .serve_one(&mut platform, &dep, 0.0)
             .map_err(|e| format!("serve: {e}"))?;
         println!(
             "deploy {:.2}s  load {:.2}s  predict {:.2}s  {} {:.2}s",
@@ -853,6 +853,7 @@ reliability options (plan/serve):
   --inject-faults <p>  inject crash/timeout/cold-start faults, each
                        with per-invocation probability p
   --fault-seed <n>     seed of the deterministic fault stream
+                       (requires --inject-faults)
   --flaky-store <p>    storage 5xx probability per request
   --retries <n>        per-partition retry budget (default 2)
   --backoff <s>        exponential-backoff base seconds (default 0.1;
@@ -1003,8 +1004,9 @@ const REFUSED: [(&str, &str, &str); 5] = [
 ];
 
 /// Flags that mean nothing without another: `(flag, needed, why)`.
-const NEEDS: [(&str, &str, &str); 4] = [
+const NEEDS: [(&str, &str, &str); 5] = [
     ("--pipe-depth", "--pipeline", ""),
+    ("--fault-seed", "--inject-faults", ""),
     ("--slo-tiers", "--adaptive", ""),
     ("--epoch", "--adaptive", ""),
     ("--adaptive", "--slo-tiers", " <s1,s2,...>"),

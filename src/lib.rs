@@ -29,7 +29,7 @@
 //! let coordinator = Coordinator::new(cfg);
 //! let mut platform = coordinator.platform();
 //! let deployment = coordinator.deploy(&mut platform, &model, &report.plan).unwrap();
-//! let job = coordinator.serve_one(&mut platform, &deployment, 0.0, "req-0").unwrap();
+//! let job = coordinator.serve_one(&mut platform, &deployment, 0.0).unwrap();
 //! assert!(job.dollars > 0.0);
 //! ```
 //!

@@ -657,12 +657,13 @@ fn with_valid_value(flag: &str) -> Vec<&str> {
         "--slo-tiers" => return vec![flag, "5,9", "--adaptive"],
         "--epoch" => return vec![flag, "4", "--adaptive", "--slo-tiers", "5,9"],
         "--pipe-depth" => return vec![flag, "2", "--pipeline"],
+        "--fault-seed" => return vec![flag, "4", "--inject-faults", "0.1"],
         "--dag" | "--parallel" | "--pipeline" | "--quota-2021" | "--verbose" => return vec![flag],
         "--slo" | "--rate" | "--slo-from" | "--requests" => "5",
         "--batch" | "--quantize" | "--images" | "--points" => "2",
         "--tolerance" | "--inject-faults" | "--flaky-store" | "--backoff" => "0.1",
         "--threads" => "1",
-        "--fault-seed" | "--retries" | "--lanes" => "4",
+        "--retries" | "--lanes" => "4",
         "--slo-to" => "9",
         "--batches" => "1,2",
         "--shape" => "spike",
@@ -755,6 +756,24 @@ fn flags_a_command_does_not_read_fail_cleanly() {
         assert!(out.stdout.is_empty(), "{label}");
     }
     assert!(!std::path::Path::new(json).exists());
+}
+
+#[test]
+fn fault_seed_requires_inject_faults() {
+    // The seed only seeds injected faults; alone it used to be parsed
+    // and dropped.
+    let args = ["serve", "mobilenet", "--images", "2", "--fault-seed", "7"];
+    let out = Command::new(env!("CARGO_BIN_EXE_ampsinf"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        stderr.trim_end(),
+        "error: --fault-seed requires --inject-faults"
+    );
+    assert!(out.stdout.is_empty());
 }
 
 #[test]

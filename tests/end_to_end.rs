@@ -21,9 +21,7 @@ fn full_pipeline_every_evaluation_model() {
         let coord = Coordinator::new(cfg);
         let mut platform = coord.platform();
         let dep = coord.deploy(&mut platform, &g, plan).expect("deployable");
-        let job = coord
-            .serve_one(&mut platform, &dep, 0.0, "e2e")
-            .expect("serves");
+        let job = coord.serve_one(&mut platform, &dep, 0.0).expect("serves");
 
         assert!(
             (job.inference_s - plan.predicted_time_s).abs() < 1e-6,
@@ -165,10 +163,10 @@ fn storage_failure_injection() {
         let p = &plan.partitions[i];
         amps_inf::faas::PartitionWork::from_segment(&g, p.start, p.end)
     };
-    let sab = platform.store.intern("sab/b0");
+    let sab = platform.store.fresh_key();
     let w0 = work(0).invocation(None, Some(sab));
     let o0 = platform.invoke(dep.functions[0], 0.0, &w0).unwrap();
-    platform.store.delete("sab/b0", o0.end);
+    platform.store.delete_id(sab, o0.end);
     let w1 = work(1).invocation(Some(sab), None);
     let err = platform.invoke(dep.functions[1], o0.end, &w1).unwrap_err();
     assert!(matches!(
@@ -202,7 +200,7 @@ fn flaky_storage_retries_then_fails_cleanly() {
     let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
     for r in 0..5 {
         let job = coord
-            .serve_one(&mut platform, &dep, r as f64 * 100.0, &format!("fk{r}"))
+            .serve_one(&mut platform, &dep, r as f64 * 100.0)
             .expect("moderate flakiness is retried away");
         assert!(job.inference_s > 0.0);
     }
@@ -220,7 +218,7 @@ fn flaky_storage_retries_then_fails_cleanly() {
     let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
     let mut saw_unavailable = false;
     for r in 0..5 {
-        match coord.serve_one(&mut platform, &dep, r as f64 * 100.0, &format!("xk{r}")) {
+        match coord.serve_one(&mut platform, &dep, r as f64 * 100.0) {
             Ok(_) => {}
             Err(e) if matches!(e.reason, InvokeError::StorageUnavailable(_)) => {
                 // Even the doomed request billed its consumed time.
