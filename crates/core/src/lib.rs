@@ -11,15 +11,18 @@
 //! * [`cuts`] — cut enumeration with constraint-(4)/(5)/(6) pruning (the
 //!   Profiler's "all the possible ways for the partition", Fig. 4);
 //! * [`colcache`] — the per-optimize segment-column memo cache shared by
-//!   both optimizer passes;
+//!   both optimizer passes, and the node-column memo the DAG search, the
+//!   polish and pipelined planning read stage times from;
 //! * [`miqp_build`] — assembly of the per-cut 0-1 quadratic program
 //!   (Eq. 12–14) with SOS-1 memory rows (Eq. 1) and the SLO row;
 //! * [`optimizer`] — the Optimizer component: enumerate → solve → select;
 //! * [`sweep`] — amortized multi-point planning over an SLO × batch grid
-//!   with Pareto-frontier extraction;
+//!   with Pareto-frontier extraction: one [`SweepReport`] for chain and
+//!   chain-vs-DAG grids, plus the pipelined grid's report;
 //! * [`baselines`] — the paper's Baseline 1 (random), Baseline 2
 //!   (greedy-from-last-layer + max memory), Baseline 3 (exhaustive
-//!   optimum via DP over all boundaries);
+//!   optimum via DP over all boundaries), Baseline 4 (PipeServe's
+//!   backward bucket scan, `b4_bucket_scan`);
 //! * [`coordinator`] — the Coordinator component: package partitions,
 //!   deploy, run every plan (chains lowered to DAGs) as invocations that
 //!   hand tensors over through storage, return predictions;
@@ -47,8 +50,7 @@ pub use coordinator::{
 pub use optimizer::{DagReport, DagSearchStats, OptimizeError, Optimizer};
 pub use plan::{DagNode, DagObject, DagPlan, ExecutionPlan, PartitionPlan, PipelinePlan};
 pub use sweep::{
-    DagSweepPoint, DagSweepReport, PipelinePoint, PipelineSweepReport, PointStats, SweepGrid,
-    SweepPoint, SweepReport,
+    PipelinePoint, PipelineSweepReport, PointStats, SweepGrid, SweepPoint, SweepReport,
 };
 pub use trace::Timeline;
 

@@ -16,14 +16,18 @@
 //!   a DAG sweep the remaining threads fan out each point's region
 //!   trials. Results come back in grid order.
 //!
-//! The report marks the per-batch Pareto frontier over (time, cost) with
-//! the knee point flagged — the grid point a cost/latency trade-off
+//! [`Optimizer::optimize_sweep`] (chain plans) and
+//! [`Optimizer::optimize_dag_sweep`] (chain-vs-DAG verdicts) are two entry
+//! points over one body and return the same [`SweepReport`]; a chain sweep
+//! builds no region tables and runs no region search. The report marks
+//! the per-batch Pareto frontier over each point's effective (time, cost)
+//! with the knee point flagged — the grid point a cost/latency trade-off
 //! discussion would pick.
 
 use crate::colcache::CacheCounters;
 use crate::cuts::DagShared;
 use crate::optimizer::{
-    BatchShared, DagSearchStats, OptimizeError, Optimizer, PointSolve, NAN_SLO, ZERO_BATCH,
+    BatchShared, DagSearchStats, OptimizeError, Optimizer, NAN_SLO, ZERO_BATCH,
 };
 use crate::par_map;
 use crate::plan::{DagPlan, ExecutionPlan, PipelinePlan};
@@ -44,26 +48,20 @@ pub struct SweepGrid {
 }
 
 impl SweepGrid {
-    /// Grid over explicit SLO values at the optimizer's batch.
+    /// Grid over explicit SLO values at the optimizer's batch. Values are
+    /// not checked here: a sweep plans a NaN SLO to
+    /// [`OptimizeError::InvalidInput`] and a zero or negative one to
+    /// [`OptimizeError::SloInfeasible`], per point.
     pub fn from_slos(slos: Vec<f64>) -> Self {
-        assert!(!slos.is_empty(), "at least one SLO required");
-        assert!(
-            slos.iter().all(|s| s.is_finite() && *s > 0.0),
-            "SLOs must be positive and finite"
-        );
         SweepGrid {
             slos,
             batches: Vec::new(),
         }
     }
 
-    /// `points` linearly spaced SLOs over `[from, to]` inclusive.
+    /// `points` linearly spaced SLOs from `from` to `to` inclusive (none
+    /// when `points` is 0).
     pub fn slo_range(from: f64, to: f64, points: usize) -> Self {
-        assert!(points >= 1, "at least one point required");
-        assert!(
-            from.is_finite() && to.is_finite() && from > 0.0 && to >= from,
-            "need 0 < from <= to"
-        );
         let slos = if points == 1 {
             vec![from]
         } else {
@@ -74,13 +72,9 @@ impl SweepGrid {
         Self::from_slos(slos)
     }
 
-    /// Replaces the batch axis.
+    /// Replaces the batch axis (empty: the optimizer's batch). A zero
+    /// batch plans to [`OptimizeError::InvalidInput`] at each of its points.
     pub fn with_batches(mut self, batches: Vec<u64>) -> Self {
-        assert!(!batches.is_empty(), "at least one batch size required");
-        assert!(
-            batches.iter().all(|&b| b >= 1),
-            "batch sizes must be at least 1"
-        );
         self.batches = batches;
         self
     }
@@ -90,7 +84,7 @@ impl SweepGrid {
         self.slos.len() * self.batches.len().max(1)
     }
 
-    /// Whether the grid is empty (never, given the constructors' checks).
+    /// Whether the grid has no points (its SLO list is empty).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -113,84 +107,36 @@ pub struct PointStats {
     pub solve_time: Duration,
 }
 
-/// One planned grid point.
+/// One planned grid point of a chain or DAG sweep.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// The point's SLO in seconds.
     pub slo_s: f64,
     /// The point's batch size.
     pub batch: u64,
-    /// The plan, or why none exists at this point.
-    pub outcome: Result<ExecutionPlan, OptimizeError>,
-    /// Solver statistics for this point.
-    pub stats: PointStats,
-    /// Another same-batch point is at least as fast *and* as cheap.
-    pub dominated: bool,
-    /// The knee of its batch's Pareto frontier (max normalized distance
-    /// from the chord; only marked on frontiers of ≥ 3 points).
-    pub knee: bool,
-}
-
-/// Result of [`Optimizer::optimize_sweep`]: every grid point in grid
-/// order plus the Pareto frontier and cumulative cache statistics.
-#[derive(Debug, Clone)]
-pub struct SweepReport {
-    /// Every grid point, batch-major in grid order
-    /// (`points[bi * slos.len() + si]`).
-    pub points: Vec<SweepPoint>,
-    /// Indices (into `points`) of the per-batch Pareto frontiers,
-    /// ascending.
-    pub pareto: Vec<usize>,
-    /// Cuts enumerated, summed over distinct batches.
-    pub cuts_considered: usize,
-    /// Cumulative segment-column cache hits (shared pass 1 + all points).
-    pub cache_hits: usize,
-    /// Cumulative segment-column cache misses.
-    pub cache_misses: usize,
-    /// Wall-clock spent building the per-batch shared state (pass 1).
-    pub pass1_time: Duration,
-    /// Wall-clock of the whole sweep.
-    pub total_time: Duration,
-    /// Worker threads the sweep was allowed to use.
-    pub threads_used: usize,
-}
-
-impl SweepReport {
-    /// Points whose plan solved.
-    pub fn solved(&self) -> usize {
-        self.points.iter().filter(|p| p.outcome.is_ok()).count()
-    }
-}
-
-/// One planned grid point of a DAG sweep: the chain incumbent plus the
-/// branch-parallel plan when one wins at this point.
-#[derive(Debug, Clone)]
-pub struct DagSweepPoint {
-    /// The point's SLO in seconds.
-    pub slo_s: f64,
-    /// The point's batch size.
-    pub batch: u64,
-    /// The chain incumbent, or why none exists at this point.
+    /// The chain plan, or why none exists at this point.
     pub outcome: Result<ExecutionPlan, OptimizeError>,
     /// The branch-parallel plan when it beats the chain under the twin
-    /// objectives (`None`: the chain stands).
+    /// objectives (always `None` in a chain sweep: the chain stands).
     pub dag: Option<DagPlan>,
     /// Fork/join regions the winning DAG uses (0 when `dag` is `None`).
     pub regions_used: usize,
     /// Chain-solver statistics for this point.
     pub stats: PointStats,
-    /// Region-search statistics for this point (memo hits attribute to
-    /// the point that touched the entry, like `PointStats`' cache
-    /// columns).
+    /// Region-search statistics for this point (all zero in a chain
+    /// sweep; memo hits attribute to the point that touched the entry,
+    /// like `PointStats`' cache columns).
     pub search: DagSearchStats,
     /// Another same-batch point's *effective* plan is at least as fast
     /// *and* as cheap.
     pub dominated: bool,
-    /// The knee of its batch's effective-plan Pareto frontier.
+    /// The knee of its batch's effective-plan Pareto frontier (max
+    /// normalized distance from the chord; only marked on frontiers of
+    /// ≥ 3 points).
     pub knee: bool,
 }
 
-impl DagSweepPoint {
+impl SweepPoint {
     /// The point's effective `(time, cost)`: the DAG's when it won, the
     /// chain's otherwise, `None` when the point is infeasible.
     pub fn effective(&self) -> Option<(f64, f64)> {
@@ -202,14 +148,15 @@ impl DagSweepPoint {
     }
 }
 
-/// Result of [`Optimizer::optimize_dag_sweep`]: every grid point in grid
-/// order, the Pareto frontier over *effective* plans (the DAG's when it
-/// won, the chain's otherwise), and cumulative memo statistics.
+/// Result of [`Optimizer::optimize_sweep`] and
+/// [`Optimizer::optimize_dag_sweep`]: every grid point in grid order, the
+/// Pareto frontier over *effective* plans, and cumulative cache and memo
+/// statistics. The region and spine counters stay 0 in a chain sweep.
 #[derive(Debug, Clone)]
-pub struct DagSweepReport {
+pub struct SweepReport {
     /// Every grid point, batch-major in grid order
     /// (`points[bi * slos.len() + si]`).
-    pub points: Vec<DagSweepPoint>,
+    pub points: Vec<SweepPoint>,
     /// Indices (into `points`) of the per-batch effective-plan Pareto
     /// frontiers, ascending.
     pub pareto: Vec<usize>,
@@ -230,8 +177,8 @@ pub struct DagSweepReport {
     pub spine_span_hits: usize,
     /// Cumulative spine spans actually solved.
     pub spine_spans_solved: usize,
-    /// Wall-clock spent building the per-batch shared state (pass 1 and
-    /// the region/byte-table precomputation).
+    /// Wall-clock spent building the per-batch shared state (pass 1 and,
+    /// in a DAG sweep, the region/byte-table precomputation).
     pub pass1_time: Duration,
     /// Wall-clock of the whole sweep.
     pub total_time: Duration,
@@ -239,7 +186,7 @@ pub struct DagSweepReport {
     pub threads_used: usize,
 }
 
-impl DagSweepReport {
+impl SweepReport {
     /// Points whose chain plan solved.
     pub fn solved(&self) -> usize {
         self.points.iter().filter(|p| p.outcome.is_ok()).count()
@@ -354,49 +301,80 @@ impl Optimizer {
     /// plan is bit-identical to an independent [`Optimizer::optimize`]
     /// call at that point's `(slo, batch)`, at every thread count.
     pub fn optimize_sweep(&self, graph: &LayerGraph, grid: &SweepGrid) -> SweepReport {
+        self.sweep(graph, grid, false)
+    }
+
+    /// Plans every point of `grid` with the branch-parallel search of
+    /// [`Optimizer::optimize_dag`]: each point gets the chain incumbent
+    /// *and* the greedy fork/join region search against it.
+    ///
+    /// Reuses [`Optimizer::optimize_sweep`]'s amortization for the chain
+    /// side (shared pass 1, parallel batches) and adds the DAG side's own
+    /// sharing: the region candidates, scatter/gather byte tables,
+    /// spine-span memo, and node-evaluation memo are built once per
+    /// distinct batch (the region tables and memos are SLO-independent)
+    /// and warmed further by every point of the batch. The contract
+    /// matches `optimize_sweep`'s: every point's chain plan *and* DAG
+    /// verdict are bit-identical to an independent
+    /// [`Optimizer::optimize_dag`] call at that `(slo, batch)` — at every
+    /// thread count — because every memoized value is a pure function of
+    /// its key.
+    pub fn optimize_dag_sweep(&self, graph: &LayerGraph, grid: &SweepGrid) -> SweepReport {
+        self.sweep(graph, grid, true)
+    }
+
+    /// The body of both sweeps; `dag` adds the region tables per batch and
+    /// the region search per solved point.
+    fn sweep(&self, graph: &LayerGraph, grid: &SweepGrid, dag: bool) -> SweepReport {
         let grid = &self.batch_axis(grid);
         let t0 = Instant::now();
         let threads = self.resolve_threads();
 
-        // Shared pass 1, once per distinct batch.
+        // Shared pass 1 (plus the DAG search's shared tables), once per
+        // distinct batch.
         let p1 = Instant::now();
-        let shared_by_batch =
-            self.shared_per_batch(graph, &grid.batches, |opt, p| opt.build_shared(p));
+        let shared_by_batch = self.shared_per_batch(graph, &grid.batches, |opt, p| {
+            let sh = opt.build_shared(p)?;
+            let ds = dag.then(|| DagShared::new(graph, &sh.profile, opt.config()));
+            Ok((sh, ds))
+        });
         let pass1_time = p1.elapsed();
 
-        // Batches run concurrently; the split depends only on the grid
-        // shape and `threads`, never on interleaving.
+        // Batches run concurrently, leftover threads fan out each point's
+        // region trials; the split depends only on the grid shape and
+        // `threads`, never on interleaving.
         let groups = batch_groups(grid, &shared_by_batch);
+        let workers = threads.min(groups.len()).max(1);
+        let inner = (threads / workers).max(1);
         let per_batch = par_map(&groups, threads, |&(batch, shared)| {
             grid.slos
                 .iter()
-                .map(|&slo| {
-                    let t = Instant::now();
-                    let (_, solve, mut stats) =
-                        self.sweep_point(graph, shared.as_ref(), batch, slo);
-                    stats.solve_time = t.elapsed();
-                    SweepPoint {
-                        slo_s: slo,
-                        batch,
-                        outcome: solve.map(|ps| ps.plan),
-                        stats,
-                        dominated: false,
-                        knee: false,
-                    }
-                })
+                .map(|&slo| self.sweep_point(graph, shared.as_ref(), batch, slo, inner))
                 .collect::<Vec<_>>()
         });
-        let n = grid.slos.len();
         let mut points: Vec<SweepPoint> = per_batch.into_iter().flatten().collect();
-        let pareto = mark_frontier(&mut points, grid.batches.len(), n, true);
+        let metrics: Vec<_> = points.iter().map(SweepPoint::effective).collect();
+        let frontier = mark_frontier(&metrics, grid.slos.len());
+        for (p, dominated) in points.iter_mut().zip(frontier.dominated) {
+            p.dominated = dominated;
+        }
+        for i in frontier.knees {
+            points[i].knee = true;
+        }
 
         let ok_shared = || shared_by_batch.iter().filter_map(|(_, s)| s.as_ref().ok());
+        let ok_dag = || ok_shared().filter_map(|(_, ds)| ds.as_ref());
         SweepReport {
             points,
-            pareto,
-            cuts_considered: ok_shared().map(|sh| sh.pass1.cuts.len()).sum(),
-            cache_hits: ok_shared().map(|sh| sh.cache.hits()).sum(),
-            cache_misses: ok_shared().map(|sh| sh.cache.misses()).sum(),
+            pareto: frontier.pareto,
+            regions_considered: ok_dag().map(|ds| ds.regions.len()).sum(),
+            cuts_considered: ok_shared().map(|(sh, _)| sh.pass1.cuts.len()).sum(),
+            cache_hits: ok_shared().map(|(sh, _)| sh.cache.hits()).sum(),
+            cache_misses: ok_shared().map(|(sh, _)| sh.cache.misses()).sum(),
+            node_memo_hits: ok_shared().map(|(sh, _)| sh.cache.node_hits()).sum(),
+            node_memo_misses: ok_shared().map(|(sh, _)| sh.cache.node_misses()).sum(),
+            spine_span_hits: ok_dag().map(|ds| ds.spine_hits()).sum(),
+            spine_spans_solved: ok_dag().map(|ds| ds.spine_solves()).sum(),
             pass1_time,
             total_time: t0.elapsed(),
             threads_used: threads,
@@ -404,15 +382,17 @@ impl Optimizer {
     }
 
     /// Solves one grid point at `(batch, slo)` against its batch's shared
-    /// pass 1. Returns the point's optimizer, its solve, and its stats
-    /// (with `solve_time` left for the caller to stamp).
+    /// state: the chain's pass 2 and, when the batch carries region
+    /// tables, the region search on `inner` threads.
     fn sweep_point(
         &self,
         graph: &LayerGraph,
-        shared: Result<&BatchShared, &OptimizeError>,
+        shared: Result<&(BatchShared, Option<DagShared>), &OptimizeError>,
         batch: u64,
         slo: f64,
-    ) -> (Optimizer, Result<PointSolve, OptimizeError>, PointStats) {
+        inner: usize,
+    ) -> SweepPoint {
+        let t = Instant::now();
         let mut cfg = self.config().clone();
         cfg.batch_size = batch;
         cfg.slo_s = Some(slo);
@@ -420,8 +400,8 @@ impl Optimizer {
         let counters = CacheCounters::new();
         let solve = shared
             .map_err(Clone::clone)
-            .and_then(|sh| opt.solve_point(graph, sh, Some(&counters)));
-        let stats = match &solve {
+            .and_then(|(sh, _)| opt.solve_point(graph, sh, Some(&counters)));
+        let mut stats = match &solve {
             Ok(ps) => PointStats {
                 miqps_solved: ps.solved.len(),
                 miqps_pruned: ps.miqps_pruned,
@@ -431,95 +411,26 @@ impl Optimizer {
             },
             Err(_) => PointStats::default(),
         };
-        (opt, solve, stats)
-    }
-
-    /// Plans every point of `grid` with the branch-parallel search of
-    /// [`Optimizer::optimize_dag`]: each point gets the chain incumbent
-    /// *and* the greedy fork/join region search against it.
-    ///
-    /// Reuses [`Optimizer::optimize_sweep`]'s amortization for the chain
-    /// side (shared pass 1, parallel batches) and adds the DAG side's own sharing: the region
-    /// candidates, scatter/gather byte tables, spine-span memo, and
-    /// node-evaluation memo are built once per distinct batch (the
-    /// region tables and memos are SLO-independent) and
-    /// warmed further by every point of the batch. The contract matches
-    /// `optimize_sweep`'s: every point's chain plan *and* DAG verdict are
-    /// bit-identical to an independent [`Optimizer::optimize_dag`] call at
-    /// that `(slo, batch)` — at every thread count — because every
-    /// memoized value is a pure function of its key.
-    pub fn optimize_dag_sweep(&self, graph: &LayerGraph, grid: &SweepGrid) -> DagSweepReport {
-        let grid = &self.batch_axis(grid);
-        let t0 = Instant::now();
-        let threads = self.resolve_threads();
-
-        // Shared pass 1 plus the DAG search's shared tables, once per
-        // distinct batch.
-        let p1 = Instant::now();
-        let shared_by_batch = self.shared_per_batch(graph, &grid.batches, |opt, p| {
-            let sh = opt.build_shared(p)?;
-            let ds = DagShared::new(graph, &sh.profile, opt.config());
-            Ok((sh, ds))
-        });
-        let pass1_time = p1.elapsed();
-
-        // Same deterministic thread split as `optimize_sweep`: batches
-        // concurrently, leftover threads fan out each point's region
-        // trials.
-        let groups = batch_groups(grid, &shared_by_batch);
-        let workers = threads.min(groups.len()).max(1);
-        let inner = (threads / workers).max(1);
-        let per_batch = par_map(&groups, threads, |&(batch, shared)| {
-            grid.slos
-                .iter()
-                .map(|&slo| {
-                    let t = Instant::now();
-                    let chain = shared.as_ref().map(|(sh, _)| sh);
-                    let (opt, solve, mut stats) = self.sweep_point(graph, chain, batch, slo);
-                    let (dag, regions_used, search) = match (&solve, shared) {
-                        (Ok(ps), Ok((sh, ds))) => {
-                            let s0 = Instant::now();
-                            let (dag, used, mut search) =
-                                opt.dag_search(graph, sh, ds, &ps.plan, inner);
-                            search.search_time = s0.elapsed();
-                            (dag, used, search)
-                        }
-                        _ => (None, 0, DagSearchStats::default()),
-                    };
-                    stats.solve_time = t.elapsed();
-                    DagSweepPoint {
-                        slo_s: slo,
-                        batch,
-                        outcome: solve.map(|ps| ps.plan),
-                        dag,
-                        regions_used,
-                        stats,
-                        search,
-                        dominated: false,
-                        knee: false,
-                    }
-                })
-                .collect::<Vec<_>>()
-        });
-        let n = grid.slos.len();
-        let mut points: Vec<DagSweepPoint> = per_batch.into_iter().flatten().collect();
-        let pareto = mark_frontier(&mut points, grid.batches.len(), n, true);
-
-        let ok_shared = || shared_by_batch.iter().filter_map(|(_, s)| s.as_ref().ok());
-        DagSweepReport {
-            points,
-            pareto,
-            regions_considered: ok_shared().map(|(_, ds)| ds.regions.len()).sum(),
-            cuts_considered: ok_shared().map(|(sh, _)| sh.pass1.cuts.len()).sum(),
-            cache_hits: ok_shared().map(|(sh, _)| sh.cache.hits()).sum(),
-            cache_misses: ok_shared().map(|(sh, _)| sh.cache.misses()).sum(),
-            node_memo_hits: ok_shared().map(|(sh, _)| sh.cache.node_hits()).sum(),
-            node_memo_misses: ok_shared().map(|(sh, _)| sh.cache.node_misses()).sum(),
-            spine_span_hits: ok_shared().map(|(_, ds)| ds.spine_hits()).sum(),
-            spine_spans_solved: ok_shared().map(|(_, ds)| ds.spine_solves()).sum(),
-            pass1_time,
-            total_time: t0.elapsed(),
-            threads_used: threads,
+        let (dag, regions_used, search) = match (&solve, shared) {
+            (Ok(ps), Ok((sh, Some(ds)))) => {
+                let s0 = Instant::now();
+                let (dag, used, mut search) = opt.dag_search(graph, sh, ds, &ps.plan, inner);
+                search.search_time = s0.elapsed();
+                (dag, used, search)
+            }
+            _ => (None, 0, DagSearchStats::default()),
+        };
+        stats.solve_time = t.elapsed();
+        SweepPoint {
+            slo_s: slo,
+            batch,
+            outcome: solve.map(|ps| ps.plan),
+            dag,
+            regions_used,
+            stats,
+            search,
+            dominated: false,
+            knee: false,
         }
     }
 
@@ -559,7 +470,17 @@ impl Optimizer {
             }
         }
 
-        mark_frontier(&mut points, grid.batches.len(), grid.slos.len(), false);
+        let metrics: Vec<_> = points
+            .iter()
+            .map(|p| {
+                let pp = p.outcome.as_ref().ok()?;
+                Some((pp.bottleneck_s, pp.plan.predicted_cost))
+            })
+            .collect();
+        let frontier = mark_frontier(&metrics, grid.slos.len());
+        for (p, dominated) in points.iter_mut().zip(frontier.dominated) {
+            p.dominated = dominated;
+        }
 
         // Grid-best: max steady throughput (min bottleneck), then min
         // cost, then earliest grid index.
@@ -679,153 +600,92 @@ impl Optimizer {
     }
 }
 
-/// A sweep point every frontier marking understands: an optional
-/// `(x, y)` metric pair (both lower-is-better; `None` skips the point)
-/// plus the dominated/knee flags to set.
-trait FrontierPoint {
-    /// The point's metric pair, or `None` when it has no plan to rank.
-    fn metric(&self) -> Option<(f64, f64)>;
-    /// Records that another same-batch point dominates this one.
-    fn set_dominated(&mut self, dominated: bool);
-    /// Records that this point is its frontier's knee (ignored by point
-    /// types without the concept).
-    fn set_knee(&mut self) {}
+/// The per-batch Pareto marks of a sweep's points.
+struct Frontier {
+    /// `dominated[i]`: another rankable same-batch point is no worse on
+    /// both axes.
+    dominated: Vec<bool>,
+    /// Ascending indices of the per-batch frontiers.
+    pareto: Vec<usize>,
+    /// The knee of each frontier of ≥ 3 points.
+    knees: Vec<usize>,
 }
 
-impl FrontierPoint for SweepPoint {
-    fn metric(&self) -> Option<(f64, f64)> {
-        self.outcome
-            .as_ref()
-            .ok()
-            .map(|p| (p.predicted_time_s, p.predicted_cost))
-    }
-    fn set_dominated(&mut self, dominated: bool) {
-        self.dominated = dominated;
-    }
-    fn set_knee(&mut self) {
-        self.knee = true;
-    }
-}
-
-impl FrontierPoint for DagSweepPoint {
-    fn metric(&self) -> Option<(f64, f64)> {
-        self.effective()
-    }
-    fn set_dominated(&mut self, dominated: bool) {
-        self.dominated = dominated;
-    }
-    fn set_knee(&mut self) {
-        self.knee = true;
-    }
-}
-
-impl FrontierPoint for PipelinePoint {
-    fn metric(&self) -> Option<(f64, f64)> {
-        self.outcome
-            .as_ref()
-            .ok()
-            .map(|pp| (pp.bottleneck_s, pp.plan.predicted_cost))
-    }
-    fn set_dominated(&mut self, dominated: bool) {
-        self.dominated = dominated;
-    }
-}
-
-/// Marks per-batch dominance over the points' metric pairs in place;
-/// returns the ascending frontier indices. A point is dominated when
-/// another rankable same-batch point is no worse on both axes (exact
-/// ties keep the lower index, mirroring the column presolve's
-/// tie-break). With `knees`, each frontier of ≥ 3 points also gets its
-/// knee flagged: the point farthest (perpendicular) from the chord
-/// between the frontier's endpoints, in normalized metric space, ties
-/// keeping the earliest along the frontier.
-fn mark_frontier<P: FrontierPoint>(
-    points: &mut [P],
-    num_batches: usize,
-    per_batch: usize,
-    knees: bool,
-) -> Vec<usize> {
-    let mut pareto = Vec::new();
-    for bi in 0..num_batches {
-        let base = bi * per_batch;
+/// Marks per-batch dominance over the points' metric pairs (both
+/// lower-is-better; `None` is a point with no plan to rank), batch-major
+/// in groups of `per_batch`. A point is dominated when another rankable
+/// same-batch point is no worse on both axes (exact ties keep the lower
+/// index, mirroring the column presolve's tie-break). Each frontier of
+/// ≥ 3 points also gets a knee: the point farthest (perpendicular) from
+/// the chord between the frontier's endpoints, in normalized metric
+/// space, ties keeping the earliest along the frontier.
+fn mark_frontier(metrics: &[Option<(f64, f64)>], per_batch: usize) -> Frontier {
+    let mut marks = Frontier {
+        dominated: vec![false; metrics.len()],
+        pareto: Vec::new(),
+        knees: Vec::new(),
+    };
+    for base in (0..metrics.len()).step_by(per_batch.max(1)) {
         let solved: Vec<usize> = (base..base + per_batch)
-            .filter(|&i| points[i].metric().is_some())
+            .filter(|&i| metrics[i].is_some())
             .collect();
-        let tc = |points: &[P], i: usize| points[i].metric().expect("rankable point");
+        let tc = |i: usize| metrics[i].expect("rankable point");
         let mut frontier: Vec<usize> = Vec::new();
         for &i in &solved {
-            let (ti, ci) = tc(points, i);
+            let (ti, ci) = tc(i);
             let dominated = solved.iter().any(|&j| {
                 if j == i {
                     return false;
                 }
-                let (tj, cj) = tc(points, j);
+                let (tj, cj) = tc(j);
                 tj <= ti && cj <= ci && (tj < ti || cj < ci || j < i)
             });
-            points[i].set_dominated(dominated);
+            marks.dominated[i] = dominated;
             if !dominated {
                 frontier.push(i);
             }
         }
         frontier.sort_by(|&a, &b| {
-            tc(points, a)
+            tc(a)
                 .0
-                .partial_cmp(&tc(points, b).0)
+                .partial_cmp(&tc(b).0)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        if knees && frontier.len() >= 3 {
-            let (t_lo, c_hi) = tc(points, frontier[0]);
-            let (t_hi, c_lo) = tc(points, *frontier.last().unwrap());
+        if frontier.len() >= 3 {
+            let (t_lo, c_hi) = tc(frontier[0]);
+            let (t_hi, c_lo) = tc(*frontier.last().unwrap());
             let span_t = (t_hi - t_lo).abs().max(1e-12);
             let span_c = (c_hi - c_lo).abs().max(1e-12);
-            let norm = |points: &[P], i: usize| {
-                let (t, c) = tc(points, i);
+            let norm = |i: usize| {
+                let (t, c) = tc(i);
                 ((t - t_lo) / span_t, (c - c_lo) / span_c)
             };
-            let (x1, y1) = norm(points, frontier[0]);
-            let (x2, y2) = norm(points, *frontier.last().unwrap());
+            let (x1, y1) = norm(frontier[0]);
+            let (x2, y2) = norm(*frontier.last().unwrap());
             let mut knee: Option<(usize, f64)> = None;
             for &i in &frontier[1..frontier.len() - 1] {
-                let (x, y) = norm(points, i);
+                let (x, y) = norm(i);
                 let dist = ((x2 - x1) * (y1 - y) - (x1 - x) * (y2 - y1)).abs();
                 if knee.is_none_or(|(_, d)| dist > d) {
                     knee = Some((i, dist));
                 }
             }
-            if let Some((i, _)) = knee {
-                points[i].set_knee();
-            }
+            marks.knees.extend(knee.map(|(i, _)| i));
         }
-        pareto.extend(frontier.iter().copied());
+        marks.pareto.extend(frontier.iter().copied());
     }
-    pareto.sort_unstable();
-    pareto
+    marks.pareto.sort_unstable();
+    marks
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::AmpsConfig;
-    use crate::plan::PartitionPlan;
 
-    fn point(slo: f64, batch: u64, time: f64, cost: f64) -> SweepPoint {
-        SweepPoint {
-            slo_s: slo,
-            batch,
-            outcome: Ok(ExecutionPlan {
-                model: "m".into(),
-                partitions: vec![PartitionPlan {
-                    start: 0,
-                    end: 0,
-                    memory_mb: 512,
-                }],
-                predicted_time_s: time,
-                predicted_cost: cost,
-            }),
-            stats: PointStats::default(),
-            dominated: false,
-            knee: false,
-        }
+    /// Metric pairs of solved points.
+    fn solved(pairs: &[(f64, f64)]) -> Vec<Option<(f64, f64)>> {
+        pairs.iter().copied().map(Some).collect()
     }
 
     #[test]
@@ -837,113 +697,79 @@ mod tests {
         assert_eq!(*g.slos.last().unwrap(), 2.0);
         assert!((g.slos[1] - 1.25).abs() < 1e-12);
         assert_eq!(SweepGrid::slo_range(3.0, 3.0, 1).slos, vec![3.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive and finite")]
-    fn grid_rejects_nonpositive_slo() {
-        let _ = SweepGrid::from_slos(vec![1.0, 0.0]);
+        assert!(SweepGrid::slo_range(1.0, 2.0, 0).is_empty());
     }
 
     #[test]
     fn pareto_marks_dominated_and_knee() {
         // A convex frontier with one clearly dominated point and a sharp
         // elbow at (2, 2).
-        let mut pts = vec![
-            point(0.1, 1, 1.0, 10.0),
-            point(0.2, 1, 2.0, 2.0),
-            point(0.3, 1, 5.0, 1.8),
-            point(0.4, 1, 9.0, 1.7),
-            point(0.5, 1, 9.5, 5.0), // dominated by (9.0, 1.7)? no: 9.5 > 9.0 and 5.0 > 1.7 → dominated
-        ];
-        let pareto = mark_frontier(&mut pts, 1, 5, true);
-        assert_eq!(pareto, vec![0, 1, 2, 3]);
-        assert!(pts[4].dominated);
-        assert!(!pts[1].dominated);
-        assert!(pts[1].knee, "elbow at (2,2) should be the knee");
-        assert_eq!(pts.iter().filter(|p| p.knee).count(), 1);
+        let f = mark_frontier(
+            &solved(&[
+                (1.0, 10.0),
+                (2.0, 2.0),
+                (5.0, 1.8),
+                (9.0, 1.7),
+                (9.5, 5.0), // dominated by (9.0, 1.7)
+            ]),
+            5,
+        );
+        assert_eq!(f.pareto, vec![0, 1, 2, 3]);
+        assert_eq!(f.dominated, vec![false, false, false, false, true]);
+        assert_eq!(f.knees, vec![1], "elbow at (2,2) should be the knee");
     }
 
     #[test]
     fn pareto_tie_keeps_lower_index() {
-        let mut pts = vec![
-            point(0.1, 1, 1.0, 1.0),
-            point(0.2, 1, 1.0, 1.0), // exact duplicate → dominated by index 0
-        ];
-        let pareto = mark_frontier(&mut pts, 1, 2, true);
-        assert_eq!(pareto, vec![0]);
-        assert!(!pts[0].dominated);
-        assert!(pts[1].dominated);
+        // An exact duplicate is dominated by index 0.
+        let f = mark_frontier(&solved(&[(1.0, 1.0), (1.0, 1.0)]), 2);
+        assert_eq!(f.pareto, vec![0]);
+        assert_eq!(f.dominated, vec![false, true]);
     }
 
     #[test]
     fn pareto_is_per_batch() {
         // Batch groups never dominate across each other.
-        let mut pts = vec![
-            point(0.1, 1, 5.0, 5.0),
-            point(0.2, 1, 6.0, 6.0), // dominated within batch 1
-            point(0.1, 8, 1.0, 1.0), // would dominate everything if global
-            point(0.2, 8, 2.0, 2.0), // dominated within batch 8
-        ];
-        let pareto = mark_frontier(&mut pts, 2, 2, true);
-        assert_eq!(pareto, vec![0, 2]);
+        let f = mark_frontier(
+            &solved(&[
+                (5.0, 5.0),
+                (6.0, 6.0), // dominated within batch 1
+                (1.0, 1.0), // would dominate everything if global
+                (2.0, 2.0), // dominated within batch 8
+            ]),
+            2,
+        );
+        assert_eq!(f.pareto, vec![0, 2]);
     }
 
     #[test]
     fn short_frontier_has_no_knee() {
-        let mut pts = vec![point(0.1, 1, 1.0, 2.0), point(0.2, 1, 2.0, 1.0)];
-        mark_frontier(&mut pts, 1, 2, true);
-        assert!(pts.iter().all(|p| !p.knee));
+        let f = mark_frontier(&solved(&[(1.0, 2.0), (2.0, 1.0)]), 2);
+        assert!(f.knees.is_empty());
     }
 
     #[test]
     fn infeasible_points_are_skipped_by_pareto() {
-        let mut pts = vec![point(0.1, 1, 1.0, 1.0), point(0.2, 1, 2.0, 2.0)];
-        pts[0].outcome = Err(OptimizeError::SloInfeasible);
-        let pareto = mark_frontier(&mut pts, 1, 2, true);
-        assert_eq!(pareto, vec![1]);
-        assert!(!pts[1].dominated);
-    }
-
-    fn pipe_point(slo: f64, batch: u64, bottleneck: f64, cost: f64) -> PipelinePoint {
-        PipelinePoint {
-            slo_s: slo,
-            batch,
-            outcome: Ok(PipelinePlan {
-                plan: ExecutionPlan {
-                    model: "m".into(),
-                    partitions: vec![PartitionPlan {
-                        start: 0,
-                        end: 0,
-                        memory_mb: 512,
-                    }],
-                    predicted_time_s: bottleneck,
-                    predicted_cost: cost,
-                },
-                stage_times_s: vec![bottleneck],
-                bottleneck_s: bottleneck,
-            }),
-            dominated: false,
-        }
+        let f = mark_frontier(&[None, Some((2.0, 2.0))], 2);
+        assert_eq!(f.pareto, vec![1]);
+        assert_eq!(f.dominated, vec![false, false]);
     }
 
     #[test]
     fn pipeline_dominance_is_per_batch_with_tie_break() {
-        let mut pts = vec![
-            pipe_point(0.1, 1, 1.0, 2.0),
-            pipe_point(0.2, 1, 1.0, 2.0), // exact tie → dominated by index 0
-            pipe_point(0.3, 1, 2.0, 1.0), // incomparable → kept
-            pipe_point(0.1, 8, 9.0, 9.0), // other batch: untouched by batch 1
-            pipe_point(0.2, 8, 9.5, 9.5), // dominated within batch 8
-            pipe_point(0.3, 8, 0.5, 9.9), // incomparable → kept
-        ];
-        mark_frontier(&mut pts, 2, 3, false);
-        assert!(!pts[0].dominated);
-        assert!(pts[1].dominated);
-        assert!(!pts[2].dominated);
-        assert!(!pts[3].dominated);
-        assert!(pts[4].dominated);
-        assert!(!pts[5].dominated);
+        // (bottleneck, cost) pairs of two batches of three points.
+        let f = mark_frontier(
+            &solved(&[
+                (1.0, 2.0),
+                (1.0, 2.0), // exact tie → dominated by index 0
+                (2.0, 1.0), // incomparable → kept
+                (9.0, 9.0), // other batch: untouched by batch 1
+                (9.5, 9.5), // dominated within batch 8
+                (0.5, 9.9), // incomparable → kept
+            ]),
+            3,
+        );
+        assert_eq!(f.dominated, vec![false, true, false, false, true, false]);
     }
 
     #[test]
@@ -1013,28 +839,50 @@ mod tests {
     #[test]
     fn zero_batches_and_nan_slos_are_per_point_errors() {
         let g = ampsinf_model::zoo::tiny_cnn();
-        let opt = Optimizer::new(AmpsConfig::default().with_threads(1));
+        let opt = Optimizer::new(AmpsConfig::default().with_threads(1).with_batch(2));
         let free = opt.optimize(&g).unwrap().plan.predicted_time_s;
-        // The public fields bypass the grid constructors' checks.
-        let grid = SweepGrid {
-            slos: vec![f64::NAN, free * 2.0],
-            batches: vec![0, 1],
-        };
-        let want = [Some(ZERO_BATCH), Some(ZERO_BATCH), Some(NAN_SLO), None];
-        let chain: Vec<_> = opt.optimize_sweep(&g, &grid).points;
-        let dag: Vec<_> = opt.optimize_dag_sweep(&g, &grid).points;
-        let pipe: Vec<_> = opt.optimize_pipelined(&g, &grid).points;
-        let outcomes = [
-            chain
-                .iter()
-                .map(|p| p.outcome.clone().err())
-                .collect::<Vec<_>>(),
-            dag.iter().map(|p| p.outcome.clone().err()).collect(),
-            pipe.iter().map(|p| p.outcome.clone().err()).collect(),
+        let bad = Some(OptimizeError::SloInfeasible);
+        // Batch-major (batch, SLO) points and the error each plans to.
+        let cases = [
+            (
+                SweepGrid::from_slos(vec![f64::NAN, free * 2.0]).with_batches(vec![0, 1]),
+                vec![(0, Some(ZERO_BATCH)), (0, Some(ZERO_BATCH))]
+                    .into_iter()
+                    .chain([(1, Some(NAN_SLO)), (1, None)])
+                    .collect::<Vec<_>>(),
+            ),
+            (
+                SweepGrid::from_slos(vec![0.0, -1.0, free * 2.0]),
+                vec![(2, bad.clone()), (2, bad), (2, None)],
+            ),
+            (
+                SweepGrid::from_slos(vec![]).with_batches(vec![1, 4]),
+                vec![],
+            ),
+            (
+                SweepGrid::slo_range(free * 2.0, free * 2.0, 1).with_batches(vec![]),
+                vec![(2, None)],
+            ),
         ];
-        for errs in outcomes {
-            // Batch-major: (0, NaN), (0, ok), (1, NaN), (1, ok) plans.
-            assert_eq!(errs, want);
+        for (grid, want) in cases {
+            let chain = opt.optimize_sweep(&g, &grid).points;
+            let dag = opt.optimize_dag_sweep(&g, &grid).points;
+            let pipe = opt.optimize_pipelined(&g, &grid).points;
+            let outcomes = [
+                chain
+                    .iter()
+                    .map(|p| (p.batch, p.outcome.clone().err()))
+                    .collect::<Vec<_>>(),
+                dag.iter()
+                    .map(|p| (p.batch, p.outcome.clone().err()))
+                    .collect(),
+                pipe.iter()
+                    .map(|p| (p.batch, p.outcome.clone().err()))
+                    .collect(),
+            ];
+            for got in outcomes {
+                assert_eq!(got, want, "grid {grid:?}");
+            }
         }
     }
 

@@ -16,7 +16,7 @@
 //!    reuse across trials and points.
 
 use ampsinf_core::optimizer::Optimizer;
-use ampsinf_core::sweep::{DagSweepReport, SweepGrid};
+use ampsinf_core::sweep::{SweepGrid, SweepReport};
 use ampsinf_core::{AmpsConfig, DagPlan, DagReport, ExecutionPlan};
 use ampsinf_model::zoo;
 use ampsinf_model::LayerGraph;
@@ -91,7 +91,7 @@ fn report_key(r: &DagReport) -> (ChainKey, Option<DagKey>, usize, usize) {
 /// frontier.
 #[allow(clippy::type_complexity)]
 fn projection(
-    r: &DagSweepReport,
+    r: &SweepReport,
 ) -> (
     Vec<(Option<ChainKey>, Option<DagKey>, usize, bool, bool)>,
     Vec<usize>,
@@ -118,7 +118,7 @@ fn projection(
 fn assert_dag_sweep_equals_cold(
     graph: &LayerGraph,
     cfg: &AmpsConfig,
-    report: &DagSweepReport,
+    report: &SweepReport,
     label: &str,
 ) {
     for (i, p) in report.points.iter().enumerate() {

@@ -532,21 +532,7 @@ pub fn run_adaptive_loop(
     load: &LoadSpec,
     adaptive: &AdaptiveSpec,
 ) -> Result<LoadReport, String> {
-    let arrivals = adaptive_arrivals(cfg, load)?;
-    let boundary = graph.boundary_transfer_bytes();
-    let lower = |plan: &ExecutionPlan| DagPlan::from_chain(plan, |k| boundary[k]);
-    let sweep = Optimizer::new(cfg.clone())
-        .optimize_sweep(graph, &SweepGrid::from_slos(adaptive.slo_tiers.clone()));
-    let tiers = sweep
-        .points
-        .iter()
-        .map(|p| p.outcome.as_ref().ok().map(lower))
-        .collect();
-    let unconstrained = || {
-        let r = Optimizer::new(unconstrained_cfg(cfg)).optimize(graph);
-        r.ok().map(|r| lower(&r.plan))
-    };
-    adaptive_loop(graph, cfg, load, adaptive, &arrivals, tiers, unconstrained)
+    adaptive_loop(graph, cfg, load, adaptive, false)
 }
 
 /// Runs an open-loop workload with online re-planning over the plans the
@@ -573,22 +559,7 @@ pub fn run_adaptive_loop_dag(
     load: &LoadSpec,
     adaptive: &AdaptiveSpec,
 ) -> Result<LoadReport, String> {
-    let arrivals = adaptive_arrivals(cfg, load)?;
-    let boundary = graph.boundary_transfer_bytes();
-    let lower = |plan: &ExecutionPlan| DagPlan::from_chain(plan, |k| boundary[k]);
-    let sweep = Optimizer::new(cfg.clone())
-        .optimize_dag_sweep(graph, &SweepGrid::from_slos(adaptive.slo_tiers.clone()));
-    let tiers = sweep
-        .points
-        .into_iter()
-        .map(|p| p.dag.or_else(|| p.outcome.as_ref().ok().map(lower)))
-        .collect();
-    let unconstrained = || {
-        let r = Optimizer::new(unconstrained_cfg(cfg)).optimize_dag(graph);
-        r.ok()
-            .map(|r| r.dag.unwrap_or_else(|| lower(&r.chain.plan)))
-    };
-    adaptive_loop(graph, cfg, load, adaptive, &arrivals, tiers, unconstrained)
+    adaptive_loop(graph, cfg, load, adaptive, true)
 }
 
 /// The arrival trace of an adaptive run, or why the run cannot start.
@@ -616,20 +587,46 @@ fn unconstrained_cfg(cfg: &AmpsConfig) -> AmpsConfig {
     }
 }
 
-/// The adaptive controller both entry points share. `tiers[i]` is tier
-/// `i`'s deployable plan (`None` when the tier is infeasible);
-/// `unconstrained` solves the no-SLO fallback, called at most once. Every
-/// tier probe counts as a plan hit; the fallback's solve is the one miss
-/// and its later probes are hits.
+/// The adaptive controller both entry points share; `dag` picks the
+/// chain-vs-DAG planner over the chain planner. Each tier's plan is its
+/// sweep point's effective plan (`None` when the tier is infeasible), and
+/// the no-SLO fallback is solved at most once. Every tier probe counts as
+/// a plan hit; the fallback's solve is the one miss and its later probes
+/// are hits.
 fn adaptive_loop(
     graph: &LayerGraph,
     cfg: &AmpsConfig,
     load: &LoadSpec,
     adaptive: &AdaptiveSpec,
-    arrivals: &[f64],
-    tiers: Vec<Option<DagPlan>>,
-    unconstrained: impl Fn() -> Option<DagPlan>,
+    dag: bool,
 ) -> Result<LoadReport, String> {
+    let arrivals = &adaptive_arrivals(cfg, load)?;
+    let boundary = graph.boundary_transfer_bytes();
+    let lower = |plan: &ExecutionPlan| DagPlan::from_chain(plan, |k| boundary[k]);
+    let sweep = {
+        let planner = Optimizer::new(cfg.clone());
+        let grid = SweepGrid::from_slos(adaptive.slo_tiers.clone());
+        if dag {
+            planner.optimize_dag_sweep(graph, &grid)
+        } else {
+            planner.optimize_sweep(graph, &grid)
+        }
+    };
+    let tiers: Vec<Option<DagPlan>> = sweep
+        .points
+        .into_iter()
+        .map(|p| p.dag.or_else(|| p.outcome.as_ref().ok().map(lower)))
+        .collect();
+    let unconstrained = || {
+        let planner = Optimizer::new(unconstrained_cfg(cfg));
+        if dag {
+            let r = planner.optimize_dag(graph).ok()?;
+            Some(r.dag.unwrap_or_else(|| lower(&r.chain.plan)))
+        } else {
+            planner.optimize(graph).ok().map(|r| lower(&r.plan))
+        }
+    };
+
     let n_tiers = adaptive.slo_tiers.len();
     let coord = Coordinator::new(cfg.clone());
     let mut platform = coord.platform();
@@ -1507,6 +1504,31 @@ mod tests {
             run_adaptive_loop_dag(&g, cfg, &load, &adaptive).unwrap()
         });
         assert_eq!(dag, chain, "dag {dag:#018x}");
+    }
+
+    #[test]
+    fn chain_and_dag_entry_points_share_the_controller() {
+        // MobileNet has no fork/join region, so both planners give every
+        // tier the same chain and the controller must serve them alike.
+        let (g, plan, cfg) = setup();
+        let free = plan.predicted_time_s;
+        let tiers = vec![free * 1.05, free * 4.0];
+        let sweep = Optimizer::new(cfg.clone())
+            .optimize_dag_sweep(&g, &SweepGrid::from_slos(tiers.clone()));
+        assert_eq!(sweep.regions_considered, 0);
+        let adaptive = AdaptiveSpec::new(8, tiers);
+        let load = LoadSpec::poisson(2.0, 48, 33).with_shape(ArrivalShape::flash_crowd());
+        for threads in [1, 2] {
+            let cfg = cfg.clone().with_serve_lanes(4).with_serve_threads(threads);
+            let chain = run_adaptive_loop(&g, &cfg, &load, &adaptive).unwrap();
+            let dag = run_adaptive_loop_dag(&g, &cfg, &load, &adaptive).unwrap();
+            assert!(chain.replans >= 1, "the flash crowd must force a re-plan");
+            assert_eq!(
+                load_digest(&chain),
+                load_digest(&dag),
+                "entry points disagree at {threads} thread(s)"
+            );
+        }
     }
 
     #[test]

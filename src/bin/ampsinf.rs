@@ -582,17 +582,112 @@ fn serve_load(a: &Args, requests: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// `sweep`: plans the SLO × batch grid in one amortized call, chain-only
-/// ([`run_sweep`]) or chain-vs-DAG under `--dag` ([`run_dag_sweep`]).
+/// `sweep`: plans the SLO × batch grid in one amortized call and prints
+/// every point, the per-batch Pareto frontier (knee flagged) and the
+/// amortization summary. Under `--dag` each row shows the chain and DAG
+/// verdicts, and the frontier marks apply to each point's *effective*
+/// plan (the DAG when it won, else the chain).
 fn sweep(a: &Args) -> Result<(), String> {
     let grid = parse_grid(a)?;
     let cfg = config(a)?;
     let g = model(a)?;
-    if a.has("--dag") {
-        run_dag_sweep(&g, cfg, &grid, a.has("--verbose"));
+    let (dag, verbose) = (a.has("--dag"), a.has("--verbose"));
+    let planner = Optimizer::new(cfg);
+    let report = if dag {
+        planner.optimize_dag_sweep(&g, &grid)
     } else {
-        run_sweep(&g, cfg, &grid, a.has("--verbose"));
+        planner.optimize_sweep(&g, &grid)
+    };
+    let shape = format!(
+        "{} point(s) ({} SLO x {} batch), {} solved",
+        report.points.len(),
+        grid.slos.len(),
+        grid.batches.len().max(1),
+        report.solved()
+    );
+    if dag {
+        println!(
+            "dag sweep: {shape}, {} DAG win(s) over {} branch region(s)",
+            report.dag_wins(),
+            report.regions_considered
+        );
+        println!(
+            "{:>3} {:>6} {:>10} {:>10} {:>12} {:>10} {:>12} {:>5}  {:<10}",
+            "#", "batch", "slo(s)", "chain(s)", "chain($)", "dag(s)", "dag($)", "win", "frontier"
+        );
+    } else {
+        println!("sweep: {shape}");
+        println!(
+            "{:>3} {:>6} {:>10} {:>10} {:>12} {:>4}  {:<10} {:>9}",
+            "#", "batch", "slo(s)", "time(s)", "cost($)", "fns", "frontier", "cache h/m"
+        );
     }
+    for (i, p) in report.points.iter().enumerate() {
+        match &p.outcome {
+            Ok(plan) => {
+                let head = format!(
+                    "{i:>3} {:>6} {:>10.3} {:>10.3} {:>12.6}",
+                    p.batch, p.slo_s, plan.predicted_time_s, plan.predicted_cost
+                );
+                let marker = frontier_marker(p.knee, p.dominated);
+                match (dag, &p.dag) {
+                    (false, _) => println!(
+                        "{head} {:>4}  {marker:<10} {:>5}/{}",
+                        plan.num_lambdas(),
+                        p.stats.cache_hits,
+                        p.stats.cache_misses
+                    ),
+                    (true, Some(d)) => println!(
+                        "{head} {:>10.3} {:>12.6} {:>5}  {marker}",
+                        d.predicted_time_s, d.predicted_cost, "dag"
+                    ),
+                    (true, None) => {
+                        println!("{head} {:>10} {:>12} {:>5}  {marker}", "-", "-", "chain")
+                    }
+                }
+            }
+            Err(e) => println!("{i:>3} {:>6} {:>10.3}  {e}", p.batch, p.slo_s),
+        }
+        if verbose && dag {
+            println!(
+                "      search: {} trial(s), {} polish step(s), {} region(s) accepted, node \
+                 evals {} hit / {} miss, spine spans {} reused / {} solved, {:?}",
+                p.search.trials_evaluated,
+                p.search.polish_steps,
+                p.regions_used,
+                p.search.node_memo_hits,
+                p.search.node_memo_misses,
+                p.search.spine_span_hits,
+                p.search.spine_spans_solved,
+                p.search.search_time
+            );
+        } else if verbose {
+            println!(
+                "      solver: {} knapsack solve(s), {} LP-pruned, {:?}",
+                p.stats.miqps_solved, p.stats.miqps_pruned, p.stats.solve_time
+            );
+        }
+    }
+    println!(
+        "columns: {} cache hits, {} misses cumulative (shared pass 1: {:?})",
+        report.cache_hits, report.cache_misses, report.pass1_time
+    );
+    if dag {
+        println!(
+            "dag memos: node evals {} hit / {} miss, spine spans {} reused / {} solved",
+            report.node_memo_hits,
+            report.node_memo_misses,
+            report.spine_span_hits,
+            report.spine_spans_solved
+        );
+    }
+    println!(
+        "planned {} point(s) over {} cut(s) in {:?} on {} thread(s)",
+        report.points.len(),
+        report.cuts_considered,
+        report.total_time,
+        report.threads_used
+    );
     Ok(())
 }
 
@@ -631,142 +726,6 @@ fn frontier_marker(knee: bool, dominated: bool) -> &'static str {
     } else {
         "pareto"
     }
-}
-
-/// `sweep` mode: plan an entire SLO × batch grid in one amortized call
-/// and print the per-batch Pareto frontier (knee flagged) plus the cache
-/// amortization summary.
-fn run_sweep(g: &LayerGraph, cfg: AmpsConfig, grid: &SweepGrid, verbose: bool) {
-    let report = Optimizer::new(cfg).optimize_sweep(g, grid);
-    println!(
-        "sweep: {} point(s) ({} SLO x {} batch), {} solved",
-        report.points.len(),
-        grid.slos.len(),
-        grid.len() / grid.slos.len(),
-        report.solved()
-    );
-    println!(
-        "{:>3} {:>6} {:>10} {:>10} {:>12} {:>4}  {:<10} {:>9}",
-        "#", "batch", "slo(s)", "time(s)", "cost($)", "fns", "frontier", "cache h/m"
-    );
-    for (i, p) in report.points.iter().enumerate() {
-        match &p.outcome {
-            Ok(plan) => println!(
-                "{i:>3} {:>6} {:>10.3} {:>10.3} {:>12.6} {:>4}  {:<10} {:>5}/{}",
-                p.batch,
-                p.slo_s,
-                plan.predicted_time_s,
-                plan.predicted_cost,
-                plan.num_lambdas(),
-                frontier_marker(p.knee, p.dominated),
-                p.stats.cache_hits,
-                p.stats.cache_misses
-            ),
-            Err(e) => println!("{i:>3} {:>6} {:>10.3}  {e}", p.batch, p.slo_s),
-        }
-        if verbose {
-            println!(
-                "      solver: {} knapsack solve(s), {} LP-pruned, {:?}",
-                p.stats.miqps_solved, p.stats.miqps_pruned, p.stats.solve_time
-            );
-        }
-    }
-    println!(
-        "columns: {} cache hits, {} misses cumulative (shared pass 1: {:?})",
-        report.cache_hits, report.cache_misses, report.pass1_time
-    );
-    println!(
-        "planned {} point(s) over {} cut(s) in {:?} on {} thread(s)",
-        report.points.len(),
-        report.cuts_considered,
-        report.total_time,
-        report.threads_used
-    );
-}
-
-/// `sweep --dag` mode: amortized chain-vs-DAG planning over the SLO ×
-/// batch grid. Segment columns, branch-region candidates and the
-/// node/spine memos are shared across every point of a batch; the table
-/// prints both verdicts per point, and the frontier/knee marks apply to
-/// each point's *effective* plan (the DAG when it won, else the chain).
-fn run_dag_sweep(g: &LayerGraph, cfg: AmpsConfig, grid: &SweepGrid, verbose: bool) {
-    let report = Optimizer::new(cfg).optimize_dag_sweep(g, grid);
-    println!(
-        "dag sweep: {} point(s) ({} SLO x {} batch), {} solved, {} DAG win(s) \
-         over {} branch region(s)",
-        report.points.len(),
-        grid.slos.len(),
-        grid.len() / grid.slos.len(),
-        report.solved(),
-        report.dag_wins(),
-        report.regions_considered
-    );
-    println!(
-        "{:>3} {:>6} {:>10} {:>10} {:>12} {:>10} {:>12} {:>5}  {:<10}",
-        "#", "batch", "slo(s)", "chain(s)", "chain($)", "dag(s)", "dag($)", "win", "frontier"
-    );
-    for (i, p) in report.points.iter().enumerate() {
-        match &p.outcome {
-            Ok(plan) => {
-                let marker = frontier_marker(p.knee, p.dominated);
-                match &p.dag {
-                    Some(d) => println!(
-                        "{i:>3} {:>6} {:>10.3} {:>10.3} {:>12.6} {:>10.3} {:>12.6} {:>5}  {marker}",
-                        p.batch,
-                        p.slo_s,
-                        plan.predicted_time_s,
-                        plan.predicted_cost,
-                        d.predicted_time_s,
-                        d.predicted_cost,
-                        "dag",
-                    ),
-                    None => println!(
-                        "{i:>3} {:>6} {:>10.3} {:>10.3} {:>12.6} {:>10} {:>12} {:>5}  {marker}",
-                        p.batch,
-                        p.slo_s,
-                        plan.predicted_time_s,
-                        plan.predicted_cost,
-                        "-",
-                        "-",
-                        "chain",
-                    ),
-                }
-            }
-            Err(e) => println!("{i:>3} {:>6} {:>10.3}  {e}", p.batch, p.slo_s),
-        }
-        if verbose {
-            println!(
-                "      search: {} trial(s), {} polish step(s), {} region(s) accepted, node \
-                 evals {} hit / {} miss, spine spans {} reused / {} solved, {:?}",
-                p.search.trials_evaluated,
-                p.search.polish_steps,
-                p.regions_used,
-                p.search.node_memo_hits,
-                p.search.node_memo_misses,
-                p.search.spine_span_hits,
-                p.search.spine_spans_solved,
-                p.search.search_time
-            );
-        }
-    }
-    println!(
-        "columns: {} cache hits, {} misses cumulative (shared pass 1: {:?})",
-        report.cache_hits, report.cache_misses, report.pass1_time
-    );
-    println!(
-        "dag memos: node evals {} hit / {} miss, spine spans {} reused / {} solved",
-        report.node_memo_hits,
-        report.node_memo_misses,
-        report.spine_span_hits,
-        report.spine_spans_solved
-    );
-    println!(
-        "planned {} point(s) over {} cut(s) in {:?} on {} thread(s)",
-        report.points.len(),
-        report.cuts_considered,
-        report.total_time,
-        report.threads_used
-    );
 }
 
 /// The text `ampsinf` prints when run without a command.
