@@ -136,9 +136,9 @@ impl AmpsConfig {
         self
     }
 
-    /// Config optimized for batches of `batch` images per request.
+    /// Config optimized for batches of `batch` images per request (planning
+    /// batch 0 is [`crate::OptimizeError::InvalidInput`]).
     pub fn with_batch(mut self, batch: u64) -> Self {
-        assert!(batch >= 1, "batch must be at least 1");
         self.batch_size = batch;
         self
     }

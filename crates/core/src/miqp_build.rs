@@ -9,8 +9,9 @@
 //! SLO enters as a single linear row over all selectors.
 //!
 //! That MIQP is a pick-one knapsack with one constraint: [`CutKnapsack`]
-//! states it in that form for the planner's exact solver
-//! ([`ampsinf_solver::knapsack`]); [`build`] assembles the MIQP form the
+//! states it in that form, over the full presolved columns, for the
+//! planner's exact solver ([`ampsinf_solver::knapsack`]); [`build`]
+//! assembles the MIQP form, over thinned columns, that the
 //! branch-and-bound reference solves.
 
 use crate::config::AmpsConfig;
@@ -219,11 +220,8 @@ pub fn presolve_dominated(p: &PartitionColumns) -> PartitionColumns {
 /// Total binary budget for one *joint* MIQP: each partition keeps a
 /// representative column subset (extremes, the cost argmin and its
 /// neighbourhood, plus even spacing) sized so the whole problem stays
-/// around this many binaries. The budget dates from the branch-and-bound
-/// solver, whose dense relaxations scale cubically with variable count;
-/// the exact knapsack keeps it so its plans match that reference. The
-/// separable pass and the final memory-upgrade step always use the full
-/// grid.
+/// around this many binaries, which keeps the branch-and-bound reference's
+/// dense relaxations small. The planner's knapsack reads every column.
 const MIQP_BINARY_BUDGET: usize = 48;
 /// Never thin a partition below this many columns.
 const MIN_MIQP_COLS: usize = 4;
@@ -257,47 +255,32 @@ fn thin_columns(p: &PartitionColumns, max_cols: usize) -> PartitionColumns {
     }
 }
 
-/// The per-cut problem's columns: every presolved partition thinned to its
-/// share of `MIQP_BINARY_BUDGET` — the groups both the MIQP and the
-/// knapsack form choose from.
-pub fn miqp_columns<P: std::borrow::Borrow<PartitionColumns>>(
-    presolved: &[P],
-) -> Vec<PartitionColumns> {
-    let max_cols = (MIQP_BINARY_BUDGET / presolved.len().max(1)).max(MIN_MIQP_COLS);
-    presolved
-        .iter()
-        .map(|p| thin_columns(p.borrow(), max_cols))
-        .collect()
-}
-
-/// One cut's MIQP as a pick-one knapsack: the [`miqp_columns`] groups with
-/// each column's `(seconds, dollars)`. Its objective at a pick is the
-/// MIQP's (the summed dollars of the chosen columns) and its one
-/// constraint is the SLO row.
+/// One cut's MIQP as a pick-one knapsack over its full presolved columns,
+/// each column carrying its `(seconds, dollars)`. Its objective at a pick
+/// is the MIQP's (the summed dollars of the chosen columns) and its one
+/// constraint is the SLO row. The same groups with the two sums swapped
+/// answer the planner's second question: the fastest mix within a dollar
+/// budget.
 #[derive(Debug, Clone)]
 pub struct CutKnapsack {
-    /// Per-partition thinned columns, in cut order.
-    pub parts: Vec<PartitionColumns>,
+    /// Per-partition memory blocks, one per column, in cut order.
+    memories: Vec<Vec<u32>>,
+    /// Per-partition columns as `(seconds, dollars)` items.
     groups: Vec<Vec<Item>>,
 }
 
 impl CutKnapsack {
     /// The knapsack form of the cut whose presolved columns are given.
     pub fn new<P: std::borrow::Borrow<PartitionColumns>>(presolved: &[P]) -> Self {
-        let parts = miqp_columns(presolved);
-        let groups = parts
-            .iter()
-            .map(|p| {
-                p.evals
-                    .iter()
-                    .map(|e| Item {
-                        seconds: e.duration_s,
-                        dollars: e.dollars,
-                    })
-                    .collect()
-            })
-            .collect();
-        CutKnapsack { parts, groups }
+        let parts = presolved.iter().map(|p| p.borrow());
+        let item = |e: &SegmentEval| Item {
+            seconds: e.duration_s,
+            dollars: e.dollars,
+        };
+        CutKnapsack {
+            memories: parts.clone().map(|p| p.memories.clone()).collect(),
+            groups: parts.map(|p| p.evals.iter().map(item).collect()).collect(),
+        }
     }
 
     /// A lower bound on the dollars of every mix whose seconds are at most
@@ -313,13 +296,44 @@ impl CutKnapsack {
     /// `None` when no mix fits.
     pub fn solve(&self, limit: f64) -> Option<(Vec<u32>, f64, f64)> {
         let pick = knapsack::solve(&self.groups, limit)?;
-        let memories = self
-            .parts
+        Some((self.memories_of(&pick.choice), pick.seconds, pick.dollars))
+    }
+
+    /// [`CutKnapsack::lower_bound`] with seconds and dollars swapped: a
+    /// lower bound on the seconds of every mix whose dollars are at most
+    /// `budget`.
+    pub fn time_bound(&self, budget: f64) -> f64 {
+        knapsack::lp_bound(&self.swapped(), budget).unwrap_or(f64::INFINITY)
+    }
+
+    /// [`CutKnapsack::solve`] with seconds and dollars swapped: the fastest
+    /// mix whose dollars are at most `budget`, as `(memories, seconds,
+    /// dollars)`. Ties go to fewer dollars, then the lexicographically
+    /// smaller memories.
+    pub fn fastest(&self, budget: f64) -> Option<(Vec<u32>, f64, f64)> {
+        let pick = knapsack::solve(&self.swapped(), budget)?;
+        Some((self.memories_of(&pick.choice), pick.dollars, pick.seconds))
+    }
+
+    /// The groups with each item's seconds and dollars swapped.
+    fn swapped(&self) -> Vec<Vec<Item>> {
+        let swap = |it: &Item| Item {
+            seconds: it.dollars,
+            dollars: it.seconds,
+        };
+        self.groups
             .iter()
-            .zip(&pick.choice)
-            .map(|(p, &j)| p.memories[j])
-            .collect();
-        Some((memories, pick.seconds, pick.dollars))
+            .map(|g| g.iter().map(swap).collect())
+            .collect()
+    }
+
+    /// The memory blocks of one column choice per partition.
+    fn memories_of(&self, choice: &[usize]) -> Vec<u32> {
+        self.memories
+            .iter()
+            .zip(choice)
+            .map(|(m, &j)| m[j])
+            .collect()
     }
 }
 
@@ -331,14 +345,19 @@ pub fn build(profile: &Profile, cut: &[usize], cfg: &AmpsConfig) -> Option<CutMi
 }
 
 /// Builds the MIQP from already-presolved partition columns (the memo
-/// cache stores exactly these, see [`crate::colcache::SegmentColumnCache`]).
-/// Because `presolve_dominated` is idempotent, this is bit-identical to
-/// [`build`] on the same cut.
+/// cache stores exactly these, see [`crate::colcache::SegmentColumnCache`]),
+/// each thinned to its share of `MIQP_BINARY_BUDGET`. Because
+/// `presolve_dominated` is idempotent, this is bit-identical to [`build`]
+/// on the same cut.
 pub fn build_from_presolved<P: std::borrow::Borrow<PartitionColumns>>(
     presolved: &[P],
     cfg: &AmpsConfig,
 ) -> CutMiqp {
-    let parts = miqp_columns(presolved);
+    let max_cols = (MIQP_BINARY_BUDGET / presolved.len().max(1)).max(MIN_MIQP_COLS);
+    let parts: Vec<PartitionColumns> = presolved
+        .iter()
+        .map(|p| thin_columns(p.borrow(), max_cols))
+        .collect();
     let nvars: usize = parts.iter().map(|p| p.memories.len()).sum();
     let mut offsets = Vec::with_capacity(parts.len());
     let mut h = Matrix::zeros(nvars, nvars);
@@ -623,11 +642,9 @@ mod tests {
             .iter()
             .map(presolve_dominated)
             .collect();
+        // The knapsack reads the full presolved columns, B&B their thinned
+        // subset, so the knapsack is never dearer.
         let ks = CutKnapsack::new(&presolved);
-        assert_eq!(
-            ks.parts, miqp.parts,
-            "both forms choose from the same columns"
-        );
         let (mems, t, c) = ks.solve(slo + 1e-9).unwrap();
         assert_eq!(mems.len(), cut.len());
         assert!(t <= slo + 1e-9 && t_bb <= slo + 1e-9);
@@ -635,6 +652,17 @@ mod tests {
         assert!(ks.lower_bound(slo + 1e-9) <= c);
         assert_eq!(ks.lower_bound(0.001), f64::INFINITY);
         assert!(ks.solve(0.001).is_none());
+        // Swapped: the fastest mix within the cheapest mix's dollars is no
+        // slower than it, and no mix fits a budget of nothing.
+        let (fast, ft, fc) = ks.fastest(c).unwrap();
+        assert_eq!(fast.len(), cut.len());
+        assert!(
+            ft <= t && fc <= c,
+            "fastest ({ft} s, ${fc}) vs ({t} s, ${c})"
+        );
+        assert!(ks.time_bound(c) <= ft);
+        assert_eq!(ks.time_bound(0.0), f64::INFINITY);
+        assert!(ks.fastest(0.0).is_none());
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //! per-cut MIQP, select the best configuration.
 //!
 //! Selection implements the paper's twin objectives — *cost-efficiency*
-//! and *timely-response*: minimize cost subject to the SLO, then, among
-//! configurations within `cost_tolerance` of the optimum, prefer the
-//! fastest (this is what makes AMPS-Inf land slightly above Baseline 3's
-//! cost but slightly below its completion time in §5.3).
+//! and *timely-response* — exactly, in two pick-one knapsack stages over
+//! every cut: `C*` is the least cost of any configuration meeting the
+//! SLO, and the plan is the fastest configuration costing at most
+//! `C*·(1 + cost_tolerance)`, the cheaper on equal seconds (this is what
+//! makes AMPS-Inf land slightly above Baseline 3's cost but slightly
+//! below its completion time in §5.3). The DAG region search applies the
+//! same objective to its trials.
 
 use crate::baselines::predict_dag;
 use crate::colcache::{CacheCounters, NodeColumns, SegmentColumnCache};
@@ -16,6 +19,8 @@ use crate::plan::{DagNode, DagObject, DagPlan, ExecutionPlan, PartitionPlan};
 use crate::polish::{dag_schedule, Polish};
 use ampsinf_model::LayerGraph;
 use ampsinf_profiler::Profile;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,25 +57,6 @@ pub(crate) const ZERO_BATCH: OptimizeError =
 
 /// The [`OptimizeError::InvalidInput`] of a NaN SLO.
 pub(crate) const NAN_SLO: OptimizeError = OptimizeError::InvalidInput("SLO is NaN");
-
-/// A candidate as the replay keeps it: the cut by index and its memory
-/// mix by source. Only the winner becomes a plan.
-struct Kept {
-    ci: usize,
-    mix: Mix,
-    time_s: f64,
-    cost: f64,
-}
-
-/// Where a kept candidate's memory mix comes from.
-enum Mix {
-    /// The cut's separable min-cost mix, read back from pass 1.
-    MinCost,
-    /// The cut's separable min-time mix, read back from pass 1.
-    MinTime,
-    /// The exact knapsack solve's mix.
-    Solved(Vec<u32>),
-}
 
 /// Pass-1 result for one cut in its per-cut form (see
 /// [`Optimizer::pass1`]): the separable optima over memory mixes. The
@@ -190,9 +176,12 @@ pub(crate) struct BatchShared {
 /// Result of solving one grid point against a [`BatchShared`].
 pub(crate) struct PointSolve {
     pub(crate) plan: ExecutionPlan,
-    /// Indices of the binding cuts whose knapsack was solved, in rank
-    /// order (`miqps_solved` of them).
+    /// Indices of the SLO-binding cuts whose min-cost knapsack stage 1
+    /// solved, in rank order.
     pub(crate) solved: Vec<usize>,
+    /// Knapsack solves of both stages.
+    pub(crate) miqps_solved: usize,
+    /// Cuts both stages discarded on their LP bound alone.
     pub(crate) miqps_pruned: usize,
 }
 
@@ -204,11 +193,12 @@ pub struct OptimizerReport {
     pub plan: ExecutionPlan,
     /// Cuts enumerated.
     pub cuts_considered: usize,
-    /// SLO-binding cuts whose MIQP was solved exactly, as a pick-one
-    /// knapsack.
+    /// Exact pick-one knapsack solves: stage 1's on SLO-binding cuts
+    /// (cheapest mix meeting the SLO) plus stage 2's (fastest mix within
+    /// the cost budget).
     pub miqps_solved: usize,
-    /// SLO-binding cuts the replay discarded on their LP lower bound
-    /// alone, without a solve.
+    /// Cuts the two stages discarded on their LP lower bound alone,
+    /// without a solve.
     pub miqps_pruned: usize,
     /// Reference-only: branch-and-bound nodes. The planner solves no MIQP
     /// by branch and bound, so this is always 0; the field stays for
@@ -229,7 +219,8 @@ pub struct OptimizerReport {
     pub solve_time: Duration,
     /// Wall-clock time of pass 1 (column evaluation + separable paths).
     pub pass1_time: Duration,
-    /// Wall-clock time of pass 2 (the replay and its knapsack solves).
+    /// Wall-clock time of pass 2 (both selection stages and their
+    /// knapsack solves).
     pub pass2_time: Duration,
     /// Worker threads the run was allowed (`cfg.threads` resolved). The
     /// chain passes run on one thread; the DAG region search fans out.
@@ -303,14 +294,6 @@ pub struct Optimizer {
     cfg: AmpsConfig,
 }
 
-/// Number of lowest-cost cuts the replay always examines before its
-/// tolerance break may stop it.
-const MIQP_TOP_CUTS: usize = 12;
-
-/// Hard cap on MIQP solves per optimization (bounds the SLO-binding worst
-/// case; cuts beyond the cap fall back to their fastest memory mix).
-const MIQP_HARD_CAP: usize = 200;
-
 impl Optimizer {
     /// Creates an optimizer with the given configuration.
     pub fn new(cfg: AmpsConfig) -> Self {
@@ -345,7 +328,7 @@ impl Optimizer {
         let report = OptimizerReport {
             plan: sol.plan,
             cuts_considered: shared.pass1.cuts.len(),
-            miqps_solved: sol.solved.len(),
+            miqps_solved: sol.miqps_solved,
             miqps_pruned: sol.miqps_pruned,
             bb_nodes: 0,
             qp_relaxations: 0,
@@ -386,9 +369,9 @@ impl Optimizer {
         )
     }
 
-    /// Pass 2's exact solves on their own: the SLO-binding cuts whose
-    /// knapsack the replay solved for this configuration, in rank order —
-    /// what an oracle re-solves to check the planner's inner solve.
+    /// Stage 1's exact solves on their own: the SLO-binding cuts whose
+    /// min-cost knapsack the planner solved for this configuration, in rank
+    /// order — what an oracle re-solves to check the planner's inner solve.
     pub fn solved_cuts(&self, graph: &LayerGraph) -> Result<Vec<Vec<usize>>, OptimizeError> {
         self.check_inputs()?;
         let shared = self.build_shared(Profile::batched(graph, self.cfg.batch_size))?;
@@ -443,9 +426,12 @@ impl Optimizer {
     }
 
     /// Pass 2 for one grid point (`self.cfg` carries the point's SLO and
-    /// batch): classify the surviving cuts, solve the SLO-binding ones
-    /// exactly, and select the plan. A sweep point runs exactly the pass 2
-    /// a cold [`Optimizer::optimize`] runs, against its batch's `shared`.
+    /// batch), in two exact stages: [`Optimizer::cheapest`] finds `C*`,
+    /// [`Optimizer::fastest`] the fastest mix costing at most
+    /// `C*·(1 + tolerance)`. The winner is priced through the chain node
+    /// memo with `baselines::predict`'s fold. A sweep point runs exactly
+    /// the pass 2 a cold [`Optimizer::optimize`] runs, against its batch's
+    /// `shared`.
     pub(crate) fn solve_point(
         &self,
         graph: &LayerGraph,
@@ -453,158 +439,141 @@ impl Optimizer {
         track: Option<&CacheCounters>,
     ) -> Result<PointSolve, OptimizeError> {
         self.check_inputs()?;
-        let (candidates, solved, miqps_pruned) = self.run_replay(shared, track);
-        if candidates.is_empty() {
+        let (best_cost, solved, pruned) = self.cheapest(shared, track);
+        if best_cost == f64::INFINITY {
             return Err(OptimizeError::SloInfeasible);
         }
-
-        // Selection: min cost, then timely-response upgrades within the
-        // cost tolerance.
-        let best_cost = candidates
-            .iter()
-            .map(|c| c.cost)
-            .fold(f64::INFINITY, f64::min);
-        // The budget never falls below `best_cost` (the tolerance is
-        // clamped at 0), so the cheapest candidate always passes the
-        // filter; only non-finite costs could empty it.
-        let budget = best_cost * (1.0 + self.tolerance());
-        let Some(winner) = candidates
-            .into_iter()
-            .filter(|c| c.cost <= budget + 1e-15)
-            .min_by(|a, b| {
-                a.time_s
-                    .partial_cmp(&b.time_s)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-        else {
-            return Err(OptimizeError::SloInfeasible);
-        };
-        let p1 = &shared.pass1;
-        let memories: Vec<u32> = match winner.mix {
-            Mix::MinCost => p1.mix(winner.ci, false).collect(),
-            Mix::MinTime => p1.mix(winner.ci, true).collect(),
-            Mix::Solved(mems) => mems,
-        };
-
-        // Timely response: spend the rest of the budget on the best
-        // time-per-dollar memory upgrades, with the DAG planner's polish
-        // on a block chain of one partition per block. Each partition's
-        // grid is its deployed node's entry in the node memo, and the
-        // polish's fold is `predict`'s arithmetic, so its time and cost
-        // are the plan's prediction.
-        let mut start = 0usize;
-        let cols: Vec<Arc<NodeColumns>> = p1
-            .cuts
-            .cut(winner.ci)
-            .map(|end| {
-                let grid = shared
-                    .cache
-                    .chain_node_columns(&shared.profile, start, end, &self.cfg);
-                start = end + 1;
-                grid
-            })
-            .collect();
-        let bounds: Vec<usize> = (0..=cols.len()).collect();
-        let mut polish = Polish::new(&cols, &bounds, memories)
-            .expect("a winning mix picks feasible grid points");
-        while polish.upgrade_step(Some(budget)) {}
-        let plan = self.to_plan(
-            graph,
-            p1.cuts.cut(winner.ci),
-            polish.mems,
-            polish.time,
-            polish.cost,
-        );
+        let budget = best_cost * (1.0 + self.tolerance()) + 1e-15;
+        let (ci, memories, solves, prunes) = self
+            .fastest(shared, budget, track)
+            .ok_or(OptimizeError::SloInfeasible)?;
+        let (mut start, mut time, mut cost) = (0usize, 0.0f64, -0.0f64);
+        for (end, &m) in shared.pass1.cuts.cut(ci).zip(&memories) {
+            let grid = shared
+                .cache
+                .chain_node_columns(&shared.profile, start, end, &self.cfg);
+            let (t, d) = grid.eval_at(m).expect("a selected mix is feasible");
+            (start, time, cost) = (end + 1, time + t, cost + d);
+        }
         Ok(PointSolve {
-            plan,
+            plan: self.to_plan(graph, shared.pass1.cuts.cut(ci), memories, time, cost),
+            miqps_solved: solved.len() + solves,
+            miqps_pruned: pruned + prunes,
             solved,
-            miqps_pruned,
         })
     }
 
-    /// The deterministic sequential selection loop over ranked cuts.
+    /// The knapsack form of feasible cut `ci`, over its presolved columns.
+    fn knapsack(&self, sh: &BatchShared, ci: usize, track: Option<&CacheCounters>) -> CutKnapsack {
+        let cut: Vec<usize> = sh.pass1.cuts.cut(ci).collect();
+        let cols = sh
+            .cache
+            .columns_for_cut_tracked(&sh.profile, &cut, &self.cfg, track);
+        CutKnapsack::new(&cols.expect("pass 1 found the cut feasible"))
+    }
+
+    /// Stage 1: `C*`, the least dollars of any mix meeting the SLO
+    /// (infinite when none does), the SLO-binding cuts whose knapsack was
+    /// solved (in rank order) and the count pruned on the LP bound.
     ///
-    /// Only cuts whose separable `min_time` meets the SLO take part: it is
-    /// the fastest any memory mix can make the cut, so the rest are
-    /// provably infeasible and never see a MIQP. Each surviving cut is
-    /// classified as the loop reaches it, by a rule that depends only on
-    /// its rank among the survivors:
-    /// - its separable min-cost mix meets the SLO (or none is set): that
-    ///   mix is already the cut's cost optimum, so the MIQP cannot
-    ///   improve it;
-    /// - otherwise, among the first `MIQP_HARD_CAP` such SLO-binding cuts,
-    ///   the exact knapsack finds the cheapest mix meeting the SLO;
-    /// - a binding cut beyond the cap takes its separable min-time mix,
-    ///   which fits the SLO (the filter kept the cut).
-    ///
-    /// A binding cut's knapsack is built and LP-bounded when the loop
-    /// reaches it, then pruned or solved on the spot. The knapsack returns
-    /// only mixes within `slo + 1e-9`, the acceptance test every candidate
-    /// meets. Returns `(candidates, solved binding cuts in rank order,
-    /// replay prunes)`.
-    fn run_replay(
+    /// Cuts arrive in cost order until their separable min cost exceeds
+    /// the running best. A cut whose separable `min_time` misses the SLO
+    /// has no mix meeting it; one whose separable min-cost mix meets it
+    /// costs exactly that. Any other cut is SLO-binding: pruned when its LP
+    /// bound exceeds the running best, else solved within `slo + 1e-9`.
+    fn cheapest(
         &self,
         shared: &BatchShared,
         track: Option<&CacheCounters>,
-    ) -> (Vec<Kept>, Vec<usize>, usize) {
-        let p1 = &shared.pass1;
-        let tol = self.tolerance();
+    ) -> (f64, Vec<usize>, usize) {
         let slo = self.cfg.slo_s;
         let limit = slo.map_or(f64::INFINITY, |s| s + 1e-9);
-        let mut candidates: Vec<Kept> = Vec::new();
-        let mut solved = Vec::new();
-        let mut best_candidate_cost = f64::INFINITY;
-        let mut miqps_pruned = 0usize;
-        let mut binding = 0usize;
-        let survivors = shared
-            .order
-            .iter()
-            .map(|&ci| (ci, p1.totals(ci)))
-            .filter(|(_, s)| slo.is_none_or(|slo| s.min_time <= slo + 1e-9));
-        for (rank, (ci, s)) in survivors.enumerate() {
-            if s.cost > best_candidate_cost * (1.0 + tol) + 1e-15 && rank >= MIQP_TOP_CUTS {
-                break; // no later cut can enter the tolerance set
+        let (mut best, mut solved, mut pruned) = (f64::INFINITY, Vec::new(), 0usize);
+        for &ci in &shared.order {
+            let s = shared.pass1.totals(ci);
+            if s.cost > best + 1e-15 {
+                break;
             }
-            let (mix, time_s, cost) = if slo.is_none_or(|slo| s.time <= slo) {
-                (Mix::MinCost, s.time, s.cost)
-            } else if binding < MIQP_HARD_CAP {
-                binding += 1;
-                let cut: Vec<usize> = p1.cuts.cut(ci).collect();
-                let Some(cols) =
-                    shared
-                        .cache
-                        .columns_for_cut_tracked(&shared.profile, &cut, &self.cfg, track)
-                else {
-                    continue; // unreachable: the cut survived pass 1
-                };
-                let knapsack = CutKnapsack::new(&cols);
-                // LP-bound prune: every SLO-feasible mix of this cut costs
-                // at least `max(separable min cost, LP bound)`. When that
-                // exceeds the running tolerance budget, which only shrinks
-                // from here, the cut can neither become the cost minimum
-                // nor enter the tolerance set.
-                let lower = knapsack.lower_bound(limit).max(s.cost);
-                if lower > best_candidate_cost * (1.0 + tol) + 1e-15 {
-                    miqps_pruned += 1;
+            if s.min_time > limit {
+                continue;
+            }
+            if slo.is_none_or(|slo| s.time <= slo) {
+                best = best.min(s.cost);
+                continue;
+            }
+            let knapsack = self.knapsack(shared, ci, track);
+            if knapsack.lower_bound(limit).max(s.cost) > best + 1e-15 {
+                pruned += 1;
+                continue;
+            }
+            solved.push(ci);
+            if let Some((_, _, cost)) = knapsack.solve(limit) {
+                best = best.min(cost);
+            }
+        }
+        (best, solved, pruned)
+    }
+
+    /// Stage 2: the fastest mix whose dollars are at most `budget`, the
+    /// cheaper on equal seconds, as `(cut, memories, knapsack solves, LP
+    /// prunes)`; `None` when no mix fits.
+    ///
+    /// Only the cost-order prefix whose separable min cost fits the budget
+    /// can hold such a mix. It is visited by separable `min_time` (ties in
+    /// cost order), stopping at the first cut slower than the incumbent. A
+    /// cut whose min-time mix fits the budget offers it unsolved; any other
+    /// is pruned when its swapped LP bound exceeds the incumbent, else
+    /// solved for its fastest mix within the budget.
+    fn fastest(
+        &self,
+        shared: &BatchShared,
+        budget: f64,
+        track: Option<&CacheCounters>,
+    ) -> Option<(usize, Vec<u32>, usize, usize)> {
+        let p1 = &shared.pass1;
+        let fits = shared
+            .order
+            .partition_point(|&ci| p1.totals(ci).cost <= budget);
+        // A min-heap of `(min_time bits, cost rank)`: non-negative floats
+        // order as their bits do, so cuts pop by `min_time`, ties in cost
+        // order. Building it is linear; only the visited cuts pay a pop.
+        let mut visit: BinaryHeap<Reverse<(u64, usize)>> = shared.order[..fits]
+            .iter()
+            .enumerate()
+            .map(|(rank, &ci)| Reverse((p1.totals(ci).min_time.to_bits(), rank)))
+            .collect();
+        let (mut solves, mut prunes) = (0usize, 0usize);
+        // (seconds, dollars, cut, memories)
+        let mut best: Option<(f64, f64, usize, Vec<u32>)> = None;
+        while let Some(Reverse((bits, rank))) = visit.pop() {
+            let (min_time, ci) = (f64::from_bits(bits), shared.order[rank]);
+            let incumbent = best.as_ref().map_or(f64::INFINITY, |b| b.0);
+            if min_time > incumbent {
+                break;
+            }
+            let s = p1.totals(ci);
+            let (time, cost, mems) = if s.min_cost <= budget {
+                (s.min_time, s.min_cost, p1.mix(ci, true).collect())
+            } else {
+                let knapsack = self.knapsack(shared, ci, track);
+                if knapsack.time_bound(budget) > incumbent {
+                    prunes += 1;
                     continue;
                 }
-                solved.push(ci);
-                let Some((mems, time_s, cost)) = knapsack.solve(limit) else {
+                solves += 1;
+                let Some((mems, time, cost)) = knapsack.fastest(budget) else {
                     continue;
                 };
-                (Mix::Solved(mems), time_s, cost)
-            } else {
-                (Mix::MinTime, s.min_time, s.min_cost)
+                (time, cost, mems)
             };
-            best_candidate_cost = best_candidate_cost.min(cost);
-            candidates.push(Kept {
-                ci,
-                mix,
-                time_s,
-                cost,
-            });
+            if best
+                .as_ref()
+                .is_none_or(|b| time < b.0 || (time == b.0 && cost < b.1))
+            {
+                best = Some((time, cost, ci, mems));
+            }
         }
-        (candidates, solved, miqps_pruned)
+        best.map(|(_, _, ci, mems)| (ci, mems, solves, prunes))
     }
 
     /// The cost tolerance the selection rules spend: `cfg.cost_tolerance`,
@@ -1286,7 +1255,8 @@ mod tests {
             ..Default::default()
         };
         let nan = AmpsConfig::default().with_slo(f64::NAN);
-        for (cfg, want) in [(zero, ZERO_BATCH), (nan, NAN_SLO)] {
+        let built = AmpsConfig::default().with_batch(0);
+        for (cfg, want) in [(zero, ZERO_BATCH), (built, ZERO_BATCH), (nan, NAN_SLO)] {
             let opt = Optimizer::new(cfg);
             assert_eq!(opt.optimize(&g).unwrap_err(), want);
             assert_eq!(opt.optimize_dag(&g).unwrap_err(), want);

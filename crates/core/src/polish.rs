@@ -1,7 +1,5 @@
-//! Memory polish of a plan, priced on its fork/join block chain: the
-//! DAG planner's SLO repair and tolerance spending, and the chain
-//! planner's tolerance spending (a chain is the block chain of one node
-//! per block).
+//! Memory polish of a DAG plan, priced on its fork/join block chain: the
+//! DAG planner's SLO repair and tolerance spending.
 //!
 //! `Optimizer::build_dag` emits nodes block by block: each spine node is
 //! a block of its own, and each fork/join region's branches form one

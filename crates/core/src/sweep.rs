@@ -94,9 +94,9 @@ impl SweepGrid {
 /// observable.
 #[derive(Debug, Clone, Default)]
 pub struct PointStats {
-    /// Exact knapsack solves of SLO-binding cuts at this point.
+    /// Exact knapsack solves of both selection stages at this point.
     pub miqps_solved: usize,
-    /// SLO-binding cuts the replay pruned on their LP bound.
+    /// Cuts both selection stages pruned on their LP bound.
     pub miqps_pruned: usize,
     /// Segment-column cache hits attributed to this point's pass 2.
     pub cache_hits: usize,
@@ -403,7 +403,7 @@ impl Optimizer {
             .and_then(|(sh, _)| opt.solve_point(graph, sh, Some(&counters)));
         let mut stats = match &solve {
             Ok(ps) => PointStats {
-                miqps_solved: ps.solved.len(),
+                miqps_solved: ps.miqps_solved,
                 miqps_pruned: ps.miqps_pruned,
                 cache_hits: counters.hits(),
                 cache_misses: counters.misses(),
@@ -551,7 +551,7 @@ impl Optimizer {
 
         // Pass B: among budget-feasible candidates, minimize the
         // bottleneck stage. Stage seconds come from the shared node memo,
-        // which evaluates each stage exactly as the chain's polish and
+        // which evaluates each stage exactly as chain pricing and
         // `predict` do. Mixes are read back from pass 1; a plan is built
         // only for a new best.
         let mut best: Option<PipelinePlan> = None;

@@ -2,11 +2,11 @@
 //! parallelism"): at every thread count the selected plan must be
 //! bit-identical to the sequential `threads = 1` run — same partitions,
 //! same memories, bit-equal predicted cost and time. The sweep covers the
-//! no-SLO path (zero MIQPs, pass 1 and selection only), binding SLOs (the
-//! exact knapsack replay), and infeasible SLOs (error-path agreement). The
-//! suite also checks the memoized pass-1 tables against direct evaluation
-//! and the planner's knapsack solves against the branch-and-bound
-//! reference.
+//! no-SLO path (no min-cost knapsack; the fastest-within-budget stage
+//! alone), binding SLOs (both exact knapsack stages), and infeasible SLOs
+//! (error-path agreement). The suite also checks the memoized pass-1
+//! tables against direct evaluation and the planner's min-cost knapsack
+//! solves against the branch-and-bound reference.
 
 use ampsinf_core::colcache::SegmentColumnCache;
 use ampsinf_core::cuts::enumerate_cuts;
@@ -88,8 +88,9 @@ fn slim() -> AmpsConfig {
 
 #[test]
 fn zoo_models_identical_without_slo() {
-    // Unconstrained runs solve zero MIQPs, so this isolates pass 1's
-    // summary-table evaluation + stable sort on the real architectures.
+    // Unconstrained runs solve no min-cost knapsack, so this isolates
+    // pass 1's summary-table evaluation, stable sort and the
+    // fastest-within-budget stage on the real architectures.
     for g in [zoo::mobilenet_v1(), zoo::resnet50(), zoo::xception()] {
         let label = g.name.clone();
         assert_identical(&g, &AmpsConfig::default(), &label);
@@ -98,7 +99,7 @@ fn zoo_models_identical_without_slo() {
 
 #[test]
 fn mobilenet_binding_slo_identical() {
-    // One real-model binding case: the knapsack replay.
+    // One real-model binding case: both knapsack stages.
     slo_sweep(&zoo::mobilenet_v1(), &slim(), &[0.95], "mobilenet_v1/slim");
 }
 
@@ -228,9 +229,10 @@ const PLAN_MIX: [(&str, &[f64]); 5] = [
 ];
 
 /// The exact knapsack against the branch-and-bound reference on every
-/// SLO-binding cut the replay solves across the plan mix: on the same
-/// presolved columns, the knapsack's mix is never dearer than the MIQP
-/// optimum beyond B&B's 2e-9 absolute gap, and both meet the SLO.
+/// SLO-binding cut stage 1 solves across the plan mix: on the same
+/// presolved columns (B&B reads them thinned), the knapsack's mix is
+/// never dearer than the MIQP optimum beyond B&B's 2e-9 absolute gap, and
+/// both meet the SLO.
 #[test]
 fn knapsack_never_worse_than_bb_on_replayed_binding_cuts() {
     let mut checked = 0usize;

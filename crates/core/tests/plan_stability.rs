@@ -1,10 +1,10 @@
 //! Plan-stability golden values: the predicted `(time, cost)` bits of the
 //! 29 SLO-bound chain points of the benchmark's plan mix (five models at
-//! 0.9–1.5× their own unconstrained plan time), as the branch-and-bound
-//! planner produced them. The exact pick-one knapsack must reproduce every
-//! point bit for bit, except the points listed in [`IMPROVED`], which must
-//! come out strictly better under the planner's own objective: cheaper,
-//! or equal-cost and faster. Every point's cut and memories are pinned on
+//! 0.9–1.5× their own unconstrained plan time, frozen in [`ANCHORS`]), as
+//! the branch-and-bound planner produced them. The planner must reproduce
+//! every point bit for bit, except the points listed in [`IMPROVED`],
+//! which must come out strictly better under its objective: faster within
+//! the cost budget `C*·(1 + tol)`, or as fast and cheaper. Every point's cut and memories are pinned on
 //! their own in [`PLANS`], so a change that may only move predicted bits
 //! shows that it moved no plan. [`TOL0`] pins the same points planned at
 //! cost tolerance 0, where the planner returns the cheapest plan that
@@ -46,41 +46,73 @@ fn mix_digest(plan: &ExecutionPlan) -> u64 {
     d.0
 }
 
+/// Each model's default-tolerance unconstrained plan time when
+/// [`GOLDEN`] was recorded, the anchor its SLO factors multiply. Like
+/// [`TOL0_ANCHORS`], they are constants so that a change to any plan
+/// cannot move the SLOs this table is checked at.
+#[rustfmt::skip]
+const ANCHORS: [(&str, u64); 5] = [
+    ("mobilenet", 0x402021b21c10bedb), // 8.065811993641026 s
+    ("resnet50", 0x403848601c354de1), // 24.28271652509091 s
+    ("inception_v3", 0x4039c167e4b0eb4b), // 25.755491536324637 s
+    ("xception", 0x4039e10f208cf0f2), // 25.879137072 s
+    ("bert-w8", 0x404180511df5012c), // 35.00247549498667 s
+];
+
+/// One default-tolerance point: its model, factor and SLO.
+fn default_points() -> Vec<(&'static str, f64, f64)> {
+    let mut out = Vec::new();
+    for ((name, factors), &(aname, anchor)) in CHAIN_POINTS.into_iter().zip(&ANCHORS) {
+        assert_eq!(name, aname, "anchor order");
+        for &f in factors {
+            out.push((name, f, f64::from_bits(anchor) * f));
+        }
+    }
+    out
+}
+
 /// `(model, factor, time bits, cost bits, mix digest)` of every point, in
 /// table order.
 fn plan_points() -> Vec<(&'static str, f64, u64, u64, u64)> {
-    let mut out = Vec::new();
-    for (name, factors) in CHAIN_POINTS {
-        let g = model(name);
-        let cfg = AmpsConfig::default().with_threads(1);
-        let free = Optimizer::new(cfg.clone())
-            .optimize(&g)
-            .expect("unconstrained plan")
-            .plan
-            .predicted_time_s;
-        for &f in factors {
-            let plan = Optimizer::new(cfg.clone().with_slo(free * f))
-                .optimize(&g)
+    let cfg = AmpsConfig::default().with_threads(1);
+    default_points()
+        .into_iter()
+        .map(|(name, f, slo)| {
+            let plan = Optimizer::new(cfg.clone().with_slo(slo))
+                .optimize(&model(name))
                 .unwrap_or_else(|e| panic!("{name} at {f}x: {e}"))
                 .plan;
-            out.push((
+            (
                 name,
                 f,
                 plan.predicted_time_s.to_bits(),
                 plan.predicted_cost.to_bits(),
                 mix_digest(&plan),
-            ));
-        }
-    }
-    out
+            )
+        })
+        .collect()
+}
+
+/// The cost budget of a default-tolerance point: its tolerance-0 plan's
+/// dollars (the least any plan meeting the SLO costs) times `1 + tol`.
+fn budget(name: &str, slo: f64) -> f64 {
+    let mut cfg = AmpsConfig::default().with_threads(1).with_slo(slo);
+    let tol = cfg.cost_tolerance;
+    cfg.cost_tolerance = 0.0;
+    let cheapest = Optimizer::new(cfg)
+        .optimize(&model(name))
+        .expect("feasible point")
+        .plan
+        .predicted_cost;
+    cheapest * (1.0 + tol)
 }
 
 /// `(model, factor, time bits, cost bits)` of every point as the
 /// branch-and-bound planner predicted it. Rows whose prediction differs
 /// only by rounding were re-recorded (1–2 ulps, plans unchanged) when the
 /// chain's tolerance spending moved onto the block-chain polish, whose
-/// fold is `baselines::predict`'s arithmetic; the [`IMPROVED`] row keeps
-/// its branch-and-bound value.
+/// fold is `baselines::predict`'s arithmetic; the [`IMPROVED`] rows keep
+/// their recorded values.
 #[rustfmt::skip]
 const GOLDEN: [(&str, f64, u64, u64); 29] = [
     ("mobilenet", 0.9, 0x4019ada587db3418, 0x3f20e35b7dabdca6), // 6.419576761964912 s, $0.00012884609062500002
@@ -114,23 +146,46 @@ const GOLDEN: [(&str, f64, u64, u64); 29] = [
     ("bert-w8", 1.5, 0x404795483c35ea74, 0x3f4a4ee08ab231aa), // 47.16626694328889 s, $0.0008028599162500001
 ];
 
-/// Points the exact knapsack plans strictly better than branch and bound
-/// did. Int8 BERT-Base at 0.9×: branch and bound stopped within its
-/// absolute gap of a mix one ulp dearer than the optimum.
-const IMPROVED: [(&str, f64); 1] = [("bert-w8", 0.9)];
+/// Points planned strictly better than [`GOLDEN`] records under the
+/// planner's objective: faster within `C*·(1 + tol)`, or as fast and
+/// cheaper. Int8 BERT-Base at 0.9× first moved when the exact knapsack
+/// replaced branch and bound, which stopped within its absolute gap of a
+/// mix one ulp dearer than the optimum. The rest moved when two exact
+/// stages replaced the candidate-per-cut replay and its greedy memory
+/// polish, which missed faster mixes within the budget.
+#[rustfmt::skip]
+const IMPROVED: [(&str, f64); 20] = [
+    ("resnet50", 0.9), ("resnet50", 0.95), ("resnet50", 1.0), ("resnet50", 1.1),
+    ("inception_v3", 0.9), ("inception_v3", 0.95), ("inception_v3", 1.0),
+    ("inception_v3", 1.1), ("inception_v3", 1.5),
+    ("xception", 0.95), ("xception", 1.0), ("xception", 1.1), ("xception", 1.25),
+    ("xception", 1.5),
+    ("bert-w8", 0.9), ("bert-w8", 0.95), ("bert-w8", 1.0), ("bert-w8", 1.1),
+    ("bert-w8", 1.25), ("bert-w8", 1.5),
+];
 
 #[test]
 fn slo_bound_chain_plans_match_golden_values() {
     let points = plan_points();
     assert_eq!(points.len(), GOLDEN.len());
-    for ((name, f, t, c, _), &(gname, gf, gt, gc)) in points.into_iter().zip(&GOLDEN) {
+    let slos = default_points().into_iter().map(|(_, _, slo)| slo);
+    for (((name, f, t, c, _), &(gname, gf, gt, gc)), slo) in
+        points.into_iter().zip(&GOLDEN).zip(slos)
+    {
         assert_eq!((name, f), (gname, gf), "table order");
         let label = format!("{name} at {f}x");
         let (time, cost) = (f64::from_bits(t), f64::from_bits(c));
         let (gtime, gcost) = (f64::from_bits(gt), f64::from_bits(gc));
         if IMPROVED.contains(&(name, f)) {
+            // Plans carry `predict` bits, the budget pass-1 sums: 1e-12
+            // relative slack covers the difference.
+            let budget = budget(name, slo);
             assert!(
-                cost < gcost || (cost == gcost && time < gtime),
+                time <= slo && cost <= budget * (1.0 + 1e-12),
+                "{label}: ({time} s, ${cost}) misses the SLO {slo} s or the budget ${budget}"
+            );
+            assert!(
+                time < gtime || (time == gtime && cost < gcost),
                 "{label}: ({time} s, ${cost}) is not better than ({gtime} s, ${gcost})"
             );
         } else {
@@ -144,6 +199,7 @@ fn slo_bound_chain_plans_match_golden_values() {
 }
 
 /// `(model, factor, mix digest)` of every point: its cut and memories.
+/// The [`IMPROVED`] points' digests are their improved plans'.
 #[rustfmt::skip]
 const PLANS: [(&str, f64, u64); 29] = [
     ("mobilenet", 0.9, 0xc68433a3f0a27e24),
@@ -152,29 +208,29 @@ const PLANS: [(&str, f64, u64); 29] = [
     ("mobilenet", 1.1, 0x0131b8199eceab49),
     ("mobilenet", 1.25, 0x83ce339427299ac9),
     ("mobilenet", 1.5, 0x83ce339427299ac9),
-    ("resnet50", 0.9, 0x466eec24435aa263),
-    ("resnet50", 0.95, 0x078e1602fd4ccad2),
-    ("resnet50", 1.0, 0xdbeaf613f8a01165),
-    ("resnet50", 1.1, 0x153b3ed206053c15),
+    ("resnet50", 0.9, 0x9460fc4204955d7b),
+    ("resnet50", 0.95, 0x9b01b5899a96a816),
+    ("resnet50", 1.0, 0x5543cc76abbbb419),
+    ("resnet50", 1.1, 0x1a964800fd8f86f4),
     ("resnet50", 1.25, 0x87cdd30ed8274cff),
     ("resnet50", 1.5, 0xeebcb22fc018d575),
-    ("inception_v3", 0.9, 0xe4cede9038320bd0),
-    ("inception_v3", 0.95, 0xe7bc3e19b18cf37b),
-    ("inception_v3", 1.0, 0x4b8ff4b5d29d7d23),
-    ("inception_v3", 1.1, 0xccf8719068984072),
+    ("inception_v3", 0.9, 0xa8636deb262d0af4),
+    ("inception_v3", 0.95, 0xf85ae08a1ba88385),
+    ("inception_v3", 1.0, 0x75be650f934d9405),
+    ("inception_v3", 1.1, 0xf1ba274285a738ea),
     ("inception_v3", 1.25, 0x94c82560bb0ee0d4),
-    ("inception_v3", 1.5, 0x2e72b17bf9c5d61e),
-    ("xception", 0.95, 0xa19aef2a29845ec5),
-    ("xception", 1.0, 0x7e309108e0c61ce5),
-    ("xception", 1.1, 0xecee79006bdef902),
-    ("xception", 1.25, 0xb552073b55f0fd39),
-    ("xception", 1.5, 0x8b22a97d94740f19),
-    ("bert-w8", 0.9, 0x90dc25d00e0d4d97),
-    ("bert-w8", 0.95, 0x53057cd094e85cbf),
-    ("bert-w8", 1.0, 0x8af5b9bc531a2a49),
-    ("bert-w8", 1.1, 0x14a134c68d05a304),
-    ("bert-w8", 1.25, 0x1e31c76dee919677),
-    ("bert-w8", 1.5, 0x8d0234db44f30914),
+    ("inception_v3", 1.5, 0x32e3d60e52cdc36f),
+    ("xception", 0.95, 0xacdb2564aea84b83),
+    ("xception", 1.0, 0xacdb2564aea84b83),
+    ("xception", 1.1, 0x28d6e797a101f068),
+    ("xception", 1.25, 0x37801c79524ff139),
+    ("xception", 1.5, 0x44c18f087e52866f),
+    ("bert-w8", 0.9, 0x97bebb9f2a3d380b),
+    ("bert-w8", 0.95, 0x97bebb9f2a3d380b),
+    ("bert-w8", 1.0, 0x97bebb9f2a3d380b),
+    ("bert-w8", 1.1, 0x49c5721eb944e584),
+    ("bert-w8", 1.25, 0xf5affa2cfde88445),
+    ("bert-w8", 1.5, 0x5fcc94ed01bad15a),
 ];
 
 #[test]

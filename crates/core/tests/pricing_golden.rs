@@ -210,17 +210,20 @@ fn segment_evaluations_match_golden_digests() {
 /// Re-recorded when the chain's tolerance spending moved onto the
 /// block-chain polish: every plan and re-priced value is unchanged, and
 /// the optimizer's own prediction moved by 1–3 ulps on five rows, to
-/// `predict`'s bits.
+/// `predict`'s bits. `mobilenet/64`, `resnet50/8` and `inception_v3/1`,
+/// `/8` and `/64` were re-recorded when the chain planner began solving
+/// its objective exactly: each plan is faster within the cost budget
+/// (`mobilenet/64` also cheaper), see CHANGES.md.
 const PREDICT_GOLDEN: [(&str, u64); 9] = [
     ("mobilenet/1", 0xf940956de8f23544),
     ("mobilenet/8", 0x3b13784dc1fa9c8e),
-    ("mobilenet/64", 0x1049b4484a751d29),
+    ("mobilenet/64", 0x7d827ab014e59bf0),
     ("resnet50/1", 0xc789ef4bd025d717),
-    ("resnet50/8", 0x5ade82ee05164284),
+    ("resnet50/8", 0xcf4604e05ab6de34),
     ("resnet50/64", 0x11dab681ea5b0d86),
-    ("inception_v3/1", 0x85a7e1b156e28e1f),
-    ("inception_v3/8", 0x2c7af0a0dce4d65a),
-    ("inception_v3/64", 0x59941a328f0fc821),
+    ("inception_v3/1", 0x4170c80735bcac44),
+    ("inception_v3/8", 0xf26b43522ba9d2f1),
+    ("inception_v3/64", 0xb9233b66e4936de1),
 ];
 
 /// The optimizer plans each model at batch 1, 8 and 64; every plan is

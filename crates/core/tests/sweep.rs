@@ -9,7 +9,8 @@
 //!    threads = 1 and threads = many.
 //! 3. **Monotonicity** — along a loosening SLO grid at zero cost
 //!    tolerance, optimal cost never increases and optimal time never
-//!    decreases (the paper's cost-vs-SLO curve).
+//!    decreases (the paper's cost-vs-SLO curve); at every tolerance, a
+//!    tighter SLO never yields a slower plan.
 //! 4. **Amortization is observable** — per-point cache misses are zero
 //!    once the shared pass 1 has warmed the cache.
 
@@ -225,6 +226,89 @@ fn cost_monotone_and_time_monotone_across_loosening_slo() {
                 a.predicted_time_s,
                 b.predicted_time_s
             );
+        }
+    }
+}
+
+/// Seconds of each plan, tightest SLO first; `None` for an error.
+fn check_tighter_never_slower(times: &[Option<f64>], label: &str) {
+    for (i, a) in times.iter().enumerate() {
+        for (j, b) in times.iter().enumerate().skip(i + 1) {
+            match (a, b) {
+                (Some(a), Some(b)) => assert!(
+                    *a <= b * (1.0 + 1e-12),
+                    "{label}: SLO #{i} plans {a} s, the looser #{j} {b} s"
+                ),
+                (Some(_), None) => panic!("{label}: SLO #{i} is feasible, the looser #{j} is not"),
+                _ => {}
+            }
+        }
+    }
+}
+
+#[test]
+fn tighter_slo_never_yields_a_slower_plan() {
+    // A looser SLO can only lower `C*`, the least dollars meeting it, and
+    // with it the budget `C*·(1 + tol)`; the fastest plan within a smaller
+    // budget is never faster. The slack covers the difference between the
+    // pass-1 sums selection reads and the `predict` bits plans carry.
+    let models = [
+        zoo::mobilenet_v1(),
+        zoo::resnet50(),
+        zoo::inception_v3(),
+        zoo::xception(),
+        zoo::densenet121(),
+        zoo::bert_base().quantized(1),
+        zoo::tiny_cnn(),
+    ];
+    for g in &models {
+        for batch in [1, 8, 64] {
+            let base = AmpsConfig::default().with_batch(batch).with_threads(1);
+            let anchor = Optimizer::new(AmpsConfig {
+                cost_tolerance: 0.0,
+                ..base.clone()
+            })
+            .optimize(g)
+            .expect("unconstrained plan")
+            .plan
+            .predicted_time_s;
+            let slos: Vec<f64> = [0.9, 0.95, 1.0, 1.1, 1.25, 1.5, 2.0]
+                .iter()
+                .map(|f| anchor * f)
+                .collect();
+            for tol in [0.0, 0.05, 0.1, 0.3] {
+                let cfg = AmpsConfig {
+                    cost_tolerance: tol,
+                    ..base.clone()
+                };
+                let label = format!("{} b{batch} tol {tol}", g.name);
+                let time =
+                    |r: Result<&ExecutionPlan, &OptimizeError>| r.ok().map(|p| p.predicted_time_s);
+                let free = time(
+                    Optimizer::new(cfg.clone())
+                        .optimize(g)
+                        .map(|r| r.plan)
+                        .as_ref(),
+                );
+                let cold: Vec<Option<f64>> = slos
+                    .iter()
+                    .map(|&slo| {
+                        let r = Optimizer::new(cfg.clone().with_slo(slo)).optimize(g);
+                        time(r.map(|r| r.plan).as_ref())
+                    })
+                    .chain([free])
+                    .collect();
+                check_tighter_never_slower(&cold, &format!("{label} optimize"));
+                let report = Optimizer::new(cfg.clone())
+                    .optimize_sweep(g, &SweepGrid::from_slos(slos.clone()));
+                let swept: Vec<Option<f64>> = report
+                    .points
+                    .iter()
+                    .map(|p| time(p.outcome.as_ref()))
+                    .chain([free])
+                    .collect();
+                check_tighter_never_slower(&swept, &format!("{label} optimize_sweep"));
+            }
         }
     }
 }

@@ -9,6 +9,12 @@
 //! that `Coordinator::deploy_batch` and the coordinator's serving modes
 //! replaced.
 //!
+//! The ResNet-50 batch-10 and Inception-v3 batch-64 tables were
+//! re-recorded, through the same modes, when the chain planner began
+//! solving its objective exactly: their plans moved (ResNet-50 from
+//! 72.98 s / $0.0020363 to 65.06 s / $0.0019046; Inception-v3 one ulp
+//! faster at equal dollars, with its last cut two layers later).
+//!
 //! Sequential, parallel and BATCH runs must match bit for bit. A
 //! pipelined run must match on its completion time; its dollars may
 //! differ by a few ulps, because the engine sums dollars per request
@@ -160,35 +166,35 @@ const FIG13: [Bits; 3] = [
 ];
 const RESNET50_B10X10: [Bits; 3] = [
     // sequential
-    [0x3fffd9988d2a1f8e, 0x4082b7030e06a085, 0x3f91c7f105455a36],
+    [0x40048a3ff4e2958c, 0x4080fa659d9accbb, 0x3f904dd91a964cd8],
     // parallel
-    [0x3fffd9988d2a1f8e, 0x40523e759fb12db3, 0x3f94da1afd66281b],
+    [0x40048a3ff4e2958c, 0x40504397b348d08c, 0x3f9380adbd7fddbc],
     // pipelined
-    [0x3fffd9988d2a1f8e, 0x407e64ae5d4b65cb, 0x3f91c7efc0ae1b4b],
+    [0x40048a3ff4e2958c, 0x40769fd2ae9c6e6d, 0x3f904dd4eb31e299],
 ];
 const RESNET50_B10X2: [Bits; 3] = [
     // sequential
-    [0x3fffd9988d2a1f8e, 0x40606d1930c37819, 0x3f6ea2238a9d6c7d],
+    [0x40048a3ff4e2958c, 0x405d8c6f64588bce, 0x3f6c5c6799c50198],
     // parallel
-    [0x3fffd9988d2a1f8e, 0x40523e759fb12db3, 0x3f70ae7bfdeb5349],
+    [0x40048a3ff4e2958c, 0x40504397b348d08c, 0x3f6f34492f32fc61],
     // pipelined
-    [0x3fffd9988d2a1f8e, 0x405bebb06bb05a8e, 0x3f6ea2232a0b796e],
+    [0x40048a3ff4e2958c, 0x4056c86c7f3d862a, 0x3f6c5c6690cdd1e9],
 ];
 const RESNET50_B10X8: [Bits; 3] = [
     // sequential
-    [0x3fffd9988d2a1f8e, 0x407e2027bb225fcd, 0x3f8c960a137cacf2],
+    [0x40048a3ff4e2958c, 0x407b505f62adbbd5, 0x3f8a3a891517b59f],
     // parallel
-    [0x3fffd9988d2a1f8e, 0x40523e759fb12db3, 0x3f90ae7bfdeb5349],
+    [0x40048a3ff4e2958c, 0x40504397b348d08c, 0x3f8f34492f32fc61],
     // pipelined
-    [0x3fffd9988d2a1f8e, 0x40788a3dccb39201, 0x3f8c96087bcc3b2a],
+    [0x40048a3ff4e2958c, 0x40726464cae92b35, 0x3f8a3a83d89bde9f],
 ];
 const INCEPTION_B64X4: [Bits; 3] = [
     // sequential
-    [0x4001d394d28a7bf0, 0x40a3774e4b74fac2, 0x3fb9f07cb95db6dd],
+    [0x4001d3769f998ddb, 0x40a3774e4b74fac2, 0x3fb9f07cb94de36e],
     // parallel
-    [0x4001d394d28a7bf0, 0x4083e3e5c5d76819, 0x3fba764c48c7cc3b],
+    [0x4001d3769f998ddb, 0x4083e3e5c5d76818, 0x3fba764c48b7bdf1],
     // pipelined
-    [0x4001d394d28a7bf0, 0x4094af08e3ef36e2, 0x3fb9df960d9d4c49],
+    [0x4001d3769f998ddb, 0x4094af08e3ef36e2, 0x3fb9df960d8d78d9],
 ];
 const MOBILENET_B1X1: [Bits; 3] = [
     // sequential

@@ -413,3 +413,47 @@ fn knapsack_lp_bound_is_tight_without_binding_limit_and_none_when_infeasible() {
         assert!(knapsack::solve(&groups, lo * (1.0 - 1e-6)).is_none());
     }
 }
+
+/// The instance with seconds and dollars swapped: [`knapsack::solve`] on
+/// it finds the fastest pick within a dollar budget.
+fn swapped(groups: &[Vec<Item>]) -> Vec<Vec<Item>> {
+    groups
+        .iter()
+        .map(|items| {
+            items
+                .iter()
+                .map(|it| Item {
+                    seconds: it.dollars,
+                    dollars: it.seconds,
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn knapsack_swapped_breaks_equal_seconds_toward_fewer_dollars() {
+    let item = |seconds, dollars| Item { seconds, dollars };
+    // Within $4 the fastest picks take 3 s: (0, 1) for $4 and (1, 0) for
+    // $3. The cheaper one wins although its choice vector is larger.
+    let groups = [
+        vec![item(1.0, 3.0), item(2.0, 1.0)],
+        vec![item(1.0, 2.0), item(2.0, 1.0)],
+    ];
+    let pick = knapsack::solve(&swapped(&groups), 4.0).unwrap();
+    assert_eq!(pick.choice, vec![1, 0]);
+    assert_eq!((pick.dollars, pick.seconds), (3.0, 3.0));
+    // Small integers tie often: against the oracle, fewest seconds within
+    // the budget, then fewest dollars, then the smaller choice vector.
+    let mut g = Gen::new(23);
+    let mut feasible = 0;
+    for case in 0..60 {
+        let groups = swapped(&knapsack_instance(&mut g, true));
+        let (lo, hi) = seconds_range(&groups);
+        let budget = (lo + g.uniform() * (hi - lo)).round();
+        let got = knapsack::solve(&groups, budget);
+        assert_eq!(got, knapsack_brute_force(&groups, budget), "case {case}");
+        feasible += usize::from(got.is_some());
+    }
+    assert!(feasible >= 40, "only {feasible} feasible cases");
+}

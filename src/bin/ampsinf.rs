@@ -101,7 +101,6 @@ fn plan(a: &Args) -> Result<(), String> {
     }
     let r = Optimizer::new(cfg.clone()).optimize(&g).map_err(failed)?;
     println!("{}", r.plan);
-    print_fault_plan(&cfg);
     println!(
         "searched {} cuts, {} MIQPs, {:?} ({} threads: eval {:?}, miqp {:?})",
         r.cuts_considered, r.miqps_solved, r.solve_time, r.threads_used, r.pass1_time, r.pass2_time
@@ -158,7 +157,6 @@ fn plan_dag(g: &LayerGraph, cfg: &AmpsConfig, a: &Args) -> Result<(), String> {
         .map_err(failed)?;
     let chain = &r.chain.plan;
     println!("chain incumbent: {chain}");
-    print_fault_plan(cfg);
     println!(
         "searched {} cuts, {} MIQPs, {:?} ({} threads); {} branch region(s) considered",
         r.chain.cuts_considered,
@@ -808,15 +806,17 @@ options (each command rejects those it does not read):
   --epoch <n>          requests per adaptive control epoch
                        (default 64; requires --adaptive)
 
-reliability options (plan/serve):
+reliability options (serve):
   --inject-faults <p>  inject crash/timeout/cold-start faults, each
                        with per-invocation probability p
   --fault-seed <n>     seed of the deterministic fault stream
                        (requires --inject-faults)
   --flaky-store <p>    storage 5xx probability per request
-  --retries <n>        per-partition retry budget (default 2)
+  --retries <n>        per-partition retry budget (default 2; requires
+                       --inject-faults or --flaky-store)
   --backoff <s>        exponential-backoff base seconds (default 0.1;
-                       finite, >= 0)";
+                       finite, >= 0; requires --inject-faults or
+                       --flaky-store)";
 
 fn usage() -> i32 {
     eprintln!("{USAGE}");
@@ -874,7 +874,7 @@ fn print_reliability(retries: usize, failed: usize, wasted_s: f64, wasted_dollar
 /// `--verbose` companion block: solver-internals counters from the run.
 fn print_solver_stats(r: &amps_inf::core::optimizer::OptimizerReport) {
     println!(
-        "solver: {} exact knapsack solve(s), {} binding cut(s) pruned on the LP bound",
+        "solver: {} exact knapsack solve(s), {} cut(s) pruned on the LP bound",
         r.miqps_solved, r.miqps_pruned
     );
     println!(
@@ -904,8 +904,9 @@ fn print_dag_search_stats(s: &amps_inf::core::DagSearchStats) {
 /// Planning flags every command that plans reads.
 const PLANNING: &str = "--batch= --tolerance= --threads= --quota-2021 --quantize= --dag";
 /// Flags of the commands that plan one point: `plan` and both `serve` modes.
-const ONE_POINT: &str =
-    "--slo= --pipeline --inject-faults= --fault-seed= --flaky-store= --retries= --backoff=";
+const ONE_POINT: &str = "--slo= --pipeline";
+/// `serve`'s fault injection and retry policy.
+const FAULTS: &str = "--inject-faults= --fault-seed= --flaky-store= --retries= --backoff=";
 /// `sweep`'s grid.
 const GRID: &str = "--slo-from= --slo-to= --points= --batches= --verbose";
 /// `serve`'s batch mode.
@@ -922,8 +923,11 @@ const TABLE: [(&str, &[&str]); 6] = [
     ("summary", &[]),
     ("plan", &[PLANNING, ONE_POINT, "--verbose --json="]),
     ("sweep", &[PLANNING, GRID]),
-    ("serve without --requests", &[PLANNING, ONE_POINT, BATCH]),
-    ("serve --requests", &[PLANNING, ONE_POINT, LOAD]),
+    (
+        "serve without --requests",
+        &[PLANNING, ONE_POINT, FAULTS, BATCH],
+    ),
+    ("serve --requests", &[PLANNING, ONE_POINT, FAULTS, LOAD]),
 ];
 
 /// Flag sets a row refuses when all of them are given, before it checks
@@ -962,10 +966,13 @@ const REFUSED: [(&str, &str, &str); 5] = [
     ),
 ];
 
-/// Flags that mean nothing without another: `(flag, needed, why)`.
-const NEEDS: [(&str, &str, &str); 5] = [
+/// Flags that mean nothing without another: `(flag, needed, why)`; any
+/// one of `needed`'s `or`-separated flags will do.
+const NEEDS: [(&str, &str, &str); 7] = [
     ("--pipe-depth", "--pipeline", ""),
     ("--fault-seed", "--inject-faults", ""),
+    ("--retries", "--inject-faults or --flaky-store", ""),
+    ("--backoff", "--inject-faults or --flaky-store", ""),
     ("--slo-tiers", "--adaptive", ""),
     ("--epoch", "--adaptive", ""),
     ("--adaptive", "--slo-tiers", " <s1,s2,...>"),
@@ -1083,7 +1090,9 @@ fn check_flags<'a>(cmd: &str, args: &'a [String]) -> Result<Option<Args<'a>>, St
             "{f} does not apply to {name} (run `ampsinf` for usage)"
         ));
     }
-    if let Some((f, needed, why)) = NEEDS.iter().find(|(f, n, _)| given.has(f) && !given.has(n)) {
+    let alone =
+        |(f, n, _): &&(&str, &str, &str)| given.has(f) && !n.split(" or ").any(|n| given.has(n));
+    if let Some((f, needed, why)) = NEEDS.iter().find(alone) {
         return Err(format!("{f} requires {needed}{why}"));
     }
     Ok(Some(given))
@@ -1195,7 +1204,10 @@ mod tests {
     fn every_needed_and_refused_flag_is_in_the_table() {
         let known = |f: &str| all_words().any(|w| names(w, f));
         for (flag, needed, _) in NEEDS {
-            assert!(known(flag) && known(needed), "{flag} / {needed}");
+            assert!(
+                known(flag) && needed.split(" or ").all(known),
+                "{flag} / {needed}"
+            );
         }
         for (row, set, _) in REFUSED {
             assert!(TABLE.iter().any(|(name, _)| *name == row), "{row}");

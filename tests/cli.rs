@@ -139,23 +139,29 @@ fn out_of_range_planning_flags_fail_cleanly() {
         ("--slo", "-5"),
         ("--slo", "nan"),
         ("--slo", "inf"),
-        ("--backoff", "nan"),
-        ("--backoff", "-5"),
-        ("--backoff", "inf"),
         ("--quantize", "0"),
         ("--quantize", "5"),
     ];
-    for cmd in ["plan", "serve"] {
-        for (flag, value) in cases {
-            let (_, stderr, ok) = run(&[cmd, "mobilenet", flag, value]);
-            let label = format!("{cmd} {flag} {value}");
-            assert!(!ok, "{label} should fail");
-            assert!(
-                stderr.contains(&format!("bad {flag} value")),
-                "{label}: {stderr}"
-            );
-            assert!(!stderr.contains("panicked"), "{label}: {stderr}");
-        }
+    // `--backoff` only shapes serve's retries, which need faults.
+    let faulty = ["--inject-faults", "0.1"];
+    let backoff = [
+        ("--backoff", "nan"),
+        ("--backoff", "-5"),
+        ("--backoff", "inf"),
+    ];
+    let runs = ["plan", "serve"]
+        .into_iter()
+        .flat_map(|cmd| cases.iter().map(move |&c| (cmd, c, &[][..])))
+        .chain(backoff.iter().map(|&c| ("serve", c, &faulty[..])));
+    for (cmd, (flag, value), extra) in runs {
+        let (_, stderr, ok) = run(&[&[cmd, "mobilenet", flag, value][..], extra].concat());
+        let label = format!("{cmd} {flag} {value}");
+        assert!(!ok, "{label} should fail");
+        assert!(
+            stderr.contains(&format!("bad {flag} value")),
+            "{label}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{label}: {stderr}");
     }
 }
 
@@ -572,11 +578,6 @@ const ROWS: [(&[&str], &[&str]); 6] = [
             "--verbose",
             "--json",
             "--pipeline",
-            "--inject-faults",
-            "--fault-seed",
-            "--flaky-store",
-            "--retries",
-            "--backoff",
         ],
     ),
     (
@@ -657,13 +658,14 @@ fn with_valid_value(flag: &str) -> Vec<&str> {
         "--slo-tiers" => return vec![flag, "5,9", "--adaptive"],
         "--epoch" => return vec![flag, "4", "--adaptive", "--slo-tiers", "5,9"],
         "--pipe-depth" => return vec![flag, "2", "--pipeline"],
-        "--fault-seed" => return vec![flag, "4", "--inject-faults", "0.1"],
+        "--fault-seed" | "--retries" => return vec![flag, "4", "--inject-faults", "0.1"],
+        "--backoff" => return vec![flag, "0.1", "--flaky-store", "0.1"],
         "--dag" | "--parallel" | "--pipeline" | "--quota-2021" | "--verbose" => return vec![flag],
         "--slo" | "--rate" | "--slo-from" | "--requests" => "5",
         "--batch" | "--quantize" | "--images" | "--points" => "2",
-        "--tolerance" | "--inject-faults" | "--flaky-store" | "--backoff" => "0.1",
+        "--tolerance" | "--inject-faults" | "--flaky-store" => "0.1",
         "--threads" => "1",
-        "--retries" | "--lanes" => "4",
+        "--lanes" => "4",
         "--slo-to" => "9",
         "--batches" => "1,2",
         "--shape" => "spike",
@@ -724,7 +726,7 @@ fn flags_a_command_does_not_read_fail_cleanly() {
     let json = std::env::temp_dir().join("ampsinf-cli-test-ignored.json");
     let json = json.to_str().unwrap();
     let sweep = ["sweep", "mobilenet", "--slo-from", "6", "--slo-to", "8"];
-    let cases: [&[&str]; 10] = [
+    let cases: [&[&str]; 14] = [
         &[&sweep[..], &["--points", "2", "--json", json]].concat(),
         &["serve", "mobilenet", "--images", "2", "--adaptive"],
         &[
@@ -743,6 +745,10 @@ fn flags_a_command_does_not_read_fail_cleanly() {
         &["serve", "mobilenet", "--requests", "5", "--epoch", "4"],
         &["serve", "mobilenet", "--images", "2", "--rate", "5"],
         &[&sweep[..], &["--points", "2", "--retries", "5"]].concat(),
+        &["plan", "mobilenet", "--flaky-store", "0.5"],
+        &["plan", "mobilenet", "--inject-faults", "0.1"],
+        &["serve", "mobilenet", "--images", "2", "--retries", "3"],
+        &["serve", "mobilenet", "--requests", "5", "--backoff", "0.2"],
     ];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_ampsinf"))
