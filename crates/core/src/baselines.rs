@@ -85,12 +85,18 @@ fn dag_evals(profile: &Profile, plan: &DagPlan, cfg: &AmpsConfig) -> Option<Vec<
     Some(evals)
 }
 
+/// The profile every baseline plans on: `cfg.batch_size` images per
+/// request, like the optimizer's. `None` for a zero batch.
+fn batch_profile(graph: &LayerGraph, cfg: &AmpsConfig) -> Option<Profile> {
+    (cfg.batch_size > 0).then(|| Profile::batched(graph, cfg.batch_size))
+}
+
 /// Baseline 1: random feasible cut + one random memory for all lambdas.
 ///
 /// Rejection-samples until feasible (bounded attempts); deterministic under
 /// `seed`.
 pub fn b1_random(graph: &LayerGraph, cfg: &AmpsConfig, seed: u64) -> Option<ExecutionPlan> {
-    let profile = Profile::of(graph);
+    let profile = batch_profile(graph, cfg)?;
     let n = profile.num_layers();
     let mut rng = SmallRng::seed_from_u64(seed);
     let blocks = cfg.quotas.memory_blocks();
@@ -142,7 +148,7 @@ pub fn b1_random(graph: &LayerGraph, cfg: &AmpsConfig, seed: u64) -> Option<Exec
 
 /// Baseline 2: greedy pack from the last layer; maximum memory everywhere.
 pub fn b2_greedy_max(graph: &LayerGraph, cfg: &AmpsConfig) -> Option<ExecutionPlan> {
-    let profile = Profile::of(graph);
+    let profile = batch_profile(graph, cfg)?;
     let n = profile.num_layers();
     let max_mem = cfg.quotas.memory_max_mb;
     // Walk backwards, extending each partition toward the front until a
@@ -176,7 +182,7 @@ pub fn b2_greedy_max(graph: &LayerGraph, cfg: &AmpsConfig) -> Option<ExecutionPl
 /// Baseline 3: exact cost-optimal plan by dynamic programming over every
 /// boundary position and every feasible memory block.
 pub fn b3_optimal(graph: &LayerGraph, cfg: &AmpsConfig) -> Option<ExecutionPlan> {
-    let profile = Profile::of(graph);
+    let profile = batch_profile(graph, cfg)?;
     let n = profile.num_layers();
     // best[s] = (cost to serve layers s..n-1, chosen end, chosen memory)
     let mut best: Vec<Option<(f64, usize, u32)>> = vec![None; n + 1];
@@ -263,7 +269,7 @@ pub fn b4_bucket_scan(
     cfg: &AmpsConfig,
     stages: usize,
 ) -> Option<ExecutionPlan> {
-    let profile = Profile::of(graph);
+    let profile = batch_profile(graph, cfg)?;
     let n = profile.num_layers();
     let stages = stages.max(1);
     let max_mem = cfg.quotas.memory_max_mb;

@@ -1,31 +1,34 @@
-//! Per-optimize segment-column memo cache.
+//! Per-optimize segment-column memo.
 //!
 //! A cut is a list of segment boundaries, and adjacent cuts overwhelmingly
 //! share segments: enumerating cuts of a model re-derives the same
-//! `(start, end)` column evaluations thousands of times. A segment's
-//! columns are a pure function of `(profile, start, end, config)` — its
-//! storage objects are [`Profile::chain_io`]'s, fixed by `start` and
-//! `end` — so one optimize call shares a single memo table across both
-//! passes and every worker thread.
+//! `(start, end)` column evaluations thousands of times. A span's columns
+//! are a pure function of `(profile, start, end, objects, config)`, where
+//! the objects are the byte sizes the node reads and writes, so one
+//! optimize call shares a single memo table across both passes, the DAG
+//! region search and every worker thread.
 //!
-//! The cache stores the **post-`presolve_dominated`** Pareto frontier: it
-//! is what every consumer (the separable fast paths and the MIQP assembly)
-//! actually wants, and it is idempotent, so cached and uncached paths
-//! produce identical columns. Values are computed *outside* the lock;
-//! racing threads may duplicate a computation (each counts a miss), but
-//! since the function is pure they compute bit-identical values and
-//! whichever inserts first wins — results never depend on interleaving.
+//! The table maps `(start, end)` to one [`NodeColumns`] per object
+//! shape. A chain segment is the entry under [`Profile::chain_io`]'s
+//! objects, so pass 1, the chain winner's pricing, pipelined stage times
+//! and the DAG spine DP's interior spans all share it; gather-fed,
+//! scatter-feeding and branch nodes add entries under their own objects.
+//! Each entry keeps its raw per-memory grid (the DAG polish scans it,
+//! pricing reads one cell) and, computed once at insert by the dominance
+//! sweep of [`crate::miqp_build::presolve_dominated`], the indices of its
+//! Pareto frontier, which every selection reads.
+//!
+//! Values are computed *outside* the lock; racing threads may duplicate a
+//! computation (each counts a miss), but since the function is pure they
+//! compute bit-identical values and whichever inserts first wins —
+//! results never depend on interleaving.
 
 use crate::config::AmpsConfig;
-use crate::miqp_build::{evaluate_segment, presolve_dominated, PartitionColumns};
+use crate::miqp_build::dominance_frontier;
 use crate::FixedHashMap;
 use ampsinf_profiler::{quick_eval_node, Profile};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
-
-/// A memoized segment evaluation: `None` records an infeasible segment
-/// (no feasible memory) so it is not re-derived either.
-type CachedColumns = Option<Arc<PartitionColumns>>;
 
 /// Stand-alone hit/miss tally. A sweep threads one per grid point through
 /// the shared cache's `_tracked` accessors so amortization is observable
@@ -65,39 +68,56 @@ impl CacheCounters {
     }
 }
 
-/// Raw per-memory evaluations of one DAG node: for each feasible memory
-/// of the span, in ascending grid order, the `quick_eval_node` outcome
-/// under the node's explicit object reads/writes (`None` records an
-/// evaluation error, e.g. a memory that cannot hold the batch buffers).
-///
-/// Unlike the chain's segment columns these are deliberately **not**
-/// presolved: the DAG search's min-dollar pick and the polish scan both
-/// tie-break toward the smallest memory over the *raw* grid, and a
-/// dominance presolve could drop an exact-cost-tie column the raw scan
-/// would have chosen — so caching the raw grid is what keeps warm plans
-/// bit-identical to cold ones.
+/// `(memory, seconds, dollars)` of one column.
+pub type ColumnPick = (u32, f64, f64);
+
+/// The per-memory evaluations of one node: a span under explicit object
+/// reads/writes, priced by `quick_eval_node` at every feasible memory of
+/// the span, plus the dominance-presolved frontier of that grid.
 #[derive(Debug)]
 pub struct NodeColumns {
     /// Feasible memory sizes, ascending.
-    pub memories: Vec<u32>,
-    /// `(duration_s, dollars)` per memory, parallel to `memories`.
-    pub evals: Vec<Option<(f64, f64)>>,
+    pub(crate) memories: Vec<u32>,
+    /// `(duration_s, dollars)` per memory, parallel to `memories` (`None`
+    /// records an evaluation error, e.g. a memory that cannot hold the
+    /// batch buffers).
+    pub(crate) evals: Vec<Option<(f64, f64)>>,
+    /// Indices of the frontier columns, ascending (so in memory order).
+    frontier: Vec<usize>,
 }
 
 impl NodeColumns {
-    /// Min-dollar `(memory, dollars)` over the raw grid, scanning in
-    /// ascending order with a strict improvement test so ties break
-    /// toward the smallest block.
-    pub fn min_cost(&self) -> Option<(u32, f64)> {
-        let mut best: Option<(u32, f64)> = None;
-        for (&m, ev) in self.memories.iter().zip(&self.evals) {
-            if let Some((_, dollars)) = ev {
-                if best.is_none_or(|(_, c)| *dollars < c) {
-                    best = Some((m, *dollars));
-                }
-            }
+    /// Wraps a raw grid, presolving its frontier.
+    pub fn new(memories: Vec<u32>, evals: Vec<Option<(f64, f64)>>) -> Self {
+        let frontier = dominance_frontier(evals.iter().copied());
+        NodeColumns {
+            memories,
+            evals,
+            frontier,
         }
-        best
+    }
+
+    /// The Pareto frontier in memory order: no column is dominated, and
+    /// each `(seconds, dollars)` pair appears once. Empty when no memory is
+    /// feasible.
+    pub fn frontier(&self) -> impl ExactSizeIterator<Item = ColumnPick> + Clone + '_ {
+        self.frontier.iter().map(|&j| {
+            let (t, d) = self.evals[j].expect("frontier columns are feasible");
+            (self.memories[j], t, d)
+        })
+    }
+
+    /// The cheapest frontier column. Frontier dollars are pairwise
+    /// distinct, so this is the cheapest column of the grid, then the
+    /// faster, then the smaller memory.
+    pub fn min_cost(&self) -> Option<ColumnPick> {
+        self.frontier().min_by(|a, b| a.2.total_cmp(&b.2))
+    }
+
+    /// The fastest frontier column (fastest, then cheaper, then smaller
+    /// memory over the grid).
+    pub fn min_time(&self) -> Option<ColumnPick> {
+        self.frontier().min_by(|a, b| a.1.total_cmp(&b.1))
     }
 
     /// The evaluation at one memory size, if feasible.
@@ -109,24 +129,21 @@ impl NodeColumns {
     }
 }
 
-/// Node entries of one `(start, end)` span, distinguished by their object
-/// read/write byte lists. Spans see only a handful of distinct io shapes
-/// (chain interior, gather-fed, scatter-feeding), so a linear scan beats
-/// hashing the byte lists — and lookups allocate nothing on a hit.
-type NodeSlot = Vec<(Box<[u64]>, Box<[u64]>, Arc<NodeColumns>)>;
+/// Entries of one `(start, end)` span, distinguished by their object
+/// read/write byte lists, each stored as the reads followed by the writes
+/// plus the number of reads. Spans see only a handful of distinct io
+/// shapes (chain interior, gather-fed, scatter-feeding), so a linear scan
+/// beats hashing the byte lists — and lookups allocate nothing on a hit.
+type NodeSlot = Vec<(Box<[u64]>, usize, Arc<NodeColumns>)>;
 
-/// Thread-shared memo table `(start, end) → presolved PartitionColumns`,
-/// plus the DAG search's raw node-evaluation memo (same discipline:
-/// values computed outside the lock; racing duplicates are bit-identical
-/// because the evaluation is pure).
+/// Thread-shared memo table `(start, end) → objects → NodeColumns`. Chain
+/// lookups (`get_or_eval*`, `columns_for_cut*`) and node lookups
+/// (`node_columns_tracked`) read the same entries but tally separately.
 #[derive(Debug, Default)]
 pub struct SegmentColumnCache {
-    map: RwLock<FixedHashMap<(usize, usize), CachedColumns>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    nodes: RwLock<FixedHashMap<(usize, usize), NodeSlot>>,
-    node_hits: AtomicUsize,
-    node_misses: AtomicUsize,
+    table: RwLock<FixedHashMap<(usize, usize), NodeSlot>>,
+    chain: CacheCounters,
+    node: CacheCounters,
 }
 
 impl SegmentColumnCache {
@@ -135,15 +152,15 @@ impl SegmentColumnCache {
         Self::default()
     }
 
-    /// Returns the presolved columns of segment `[start, end]`, evaluating
-    /// and inserting them on first use.
+    /// Returns the columns of chain segment `[start, end]`, evaluating and
+    /// inserting them on first use; `None` when no memory is feasible.
     pub fn get_or_eval(
         &self,
         profile: &Profile,
         start: usize,
         end: usize,
         cfg: &AmpsConfig,
-    ) -> CachedColumns {
+    ) -> Option<Arc<NodeColumns>> {
         self.get_or_eval_tracked(profile, start, end, cfg, None)
     }
 
@@ -156,37 +173,20 @@ impl SegmentColumnCache {
         end: usize,
         cfg: &AmpsConfig,
         extra: Option<&CacheCounters>,
-    ) -> CachedColumns {
-        if let Some(v) = self.map.read().expect("cache lock").get(&(start, end)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(c) = extra {
-                c.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            return v.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(c) = extra {
-            c.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        let val =
-            evaluate_segment(profile, start, end, cfg).map(|p| Arc::new(presolve_dominated(&p)));
-        self.map
-            .write()
-            .expect("cache lock")
-            .entry((start, end))
-            .or_insert(val)
-            .clone()
+    ) -> Option<Arc<NodeColumns>> {
+        let io = profile.chain_io(start, end);
+        let cols = self.lookup(profile, (start, end), io, cfg, &self.chain, extra);
+        (!cols.frontier.is_empty()).then_some(cols)
     }
 
-    /// Presolved columns for every segment of `cut`, or `None` when some
-    /// segment has no feasible memory — the cached equivalent of
-    /// `evaluate_columns` + `presolve_dominated` per partition.
+    /// Columns for every segment of `cut`, or `None` when some segment has
+    /// no feasible memory.
     pub fn columns_for_cut(
         &self,
         profile: &Profile,
         cut: &[usize],
         cfg: &AmpsConfig,
-    ) -> Option<Vec<Arc<PartitionColumns>>> {
+    ) -> Option<Vec<Arc<NodeColumns>>> {
         self.columns_for_cut_tracked(profile, cut, cfg, None)
     }
 
@@ -198,7 +198,7 @@ impl SegmentColumnCache {
         cut: &[usize],
         cfg: &AmpsConfig,
         extra: Option<&CacheCounters>,
-    ) -> Option<Vec<Arc<PartitionColumns>>> {
+    ) -> Option<Vec<Arc<NodeColumns>>> {
         let mut parts = Vec::with_capacity(cut.len());
         let mut start = 0usize;
         for &end in cut {
@@ -208,45 +208,58 @@ impl SegmentColumnCache {
         Some(parts)
     }
 
-    /// Returns the raw node columns of span `[start, end]` under the given
-    /// object reads/writes, evaluating and inserting them on first use.
-    /// The hit/miss is additionally tallied into `extra` when given (the
-    /// DAG search threads one per point, mirroring the `_tracked` chain
-    /// accessors).
-    #[allow(clippy::too_many_arguments)]
+    /// Returns the columns of span `[start, end]` under the object byte
+    /// sizes it reads and writes (`io`), evaluating and inserting them on
+    /// first use. The hit/miss is additionally tallied into `extra` when
+    /// given (the DAG search threads one per point, mirroring the
+    /// `_tracked` chain accessors).
     pub fn node_columns_tracked(
         &self,
         profile: &Profile,
         start: usize,
         end: usize,
-        reads: &[u64],
-        writes: &[u64],
+        io: (&[u64], &[u64]),
         cfg: &AmpsConfig,
         extra: Option<&CacheCounters>,
     ) -> Arc<NodeColumns> {
-        if let Some(slot) = self
-            .nodes
+        self.lookup(profile, (start, end), io, cfg, &self.node, extra)
+    }
+
+    /// The one lookup/insert path: the entry of span `[start, end]` under
+    /// `io`, tallied into `own` and `extra`.
+    fn lookup(
+        &self,
+        profile: &Profile,
+        (start, end): (usize, usize),
+        (reads, writes): (&[u64], &[u64]),
+        cfg: &AmpsConfig,
+        own: &CacheCounters,
+        extra: Option<&CacheCounters>,
+    ) -> Arc<NodeColumns> {
+        let find = |slot: &NodeSlot| {
+            slot.iter()
+                .find(|(io, n, _)| io.split_at(*n) == (reads, writes))
+                .map(|(_, _, cols)| Arc::clone(cols))
+        };
+        let cached = self
+            .table
             .read()
-            .expect("node cache lock")
+            .expect("cache lock")
             .get(&(start, end))
-        {
-            if let Some((_, _, cols)) = slot
-                .iter()
-                .find(|(r, w, _)| &**r == reads && &**w == writes)
-            {
-                self.node_hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(c) = extra {
-                    c.hits.fetch_add(1, Ordering::Relaxed);
-                }
-                return Arc::clone(cols);
-            }
-        }
-        self.node_misses.fetch_add(1, Ordering::Relaxed);
+            .and_then(find);
+        let tally = |c: &CacheCounters| match cached {
+            Some(_) => c.add_hit(),
+            None => c.add_miss(),
+        };
+        tally(own);
         if let Some(c) = extra {
-            c.misses.fetch_add(1, Ordering::Relaxed);
+            tally(c);
+        }
+        if let Some(cols) = cached {
+            return cols;
         }
         let memories = profile.feasible_memories(start, end, &cfg.quotas, &cfg.perf);
-        let evals: Vec<Option<(f64, f64)>> = memories
+        let evals = memories
             .iter()
             .map(|&m| {
                 quick_eval_node(
@@ -265,61 +278,75 @@ impl SegmentColumnCache {
                 .map(|e| (e.duration_s, e.dollars))
             })
             .collect();
-        let cols = Arc::new(NodeColumns { memories, evals });
-        let mut table = self.nodes.write().expect("node cache lock");
-        let slot = table.entry((start, end)).or_default();
+        let cols = Arc::new(NodeColumns::new(memories, evals));
+        let mut table = self.table.write().expect("cache lock");
+        // Most spans are read under one io shape only.
+        let slot = table
+            .entry((start, end))
+            .or_insert_with(|| Vec::with_capacity(1));
         // A racing thread may have inserted the same io shape meanwhile;
         // keep the first copy so every reader shares one allocation.
-        if let Some((_, _, existing)) = slot
-            .iter()
-            .find(|(r, w, _)| &**r == reads && &**w == writes)
-        {
-            return Arc::clone(existing);
+        if let Some(existing) = find(slot) {
+            return existing;
         }
-        slot.push((reads.into(), writes.into(), Arc::clone(&cols)));
+        slot.push((
+            [reads, writes].concat().into(),
+            reads.len(),
+            Arc::clone(&cols),
+        ));
         cols
-    }
-
-    /// The node columns of chain segment `[start, end]`: the node
-    /// `DagPlan::from_chain` deploys it as, which reads and writes
-    /// [`Profile::chain_io`]'s objects.
-    pub(crate) fn chain_node_columns(
-        &self,
-        profile: &Profile,
-        start: usize,
-        end: usize,
-        cfg: &AmpsConfig,
-    ) -> Arc<NodeColumns> {
-        let (reads, writes) = profile.chain_io(start, end);
-        self.node_columns_tracked(profile, start, end, reads, writes, cfg, None)
     }
 
     /// Tallies `n` segment references served by a memo layered over this
     /// cache (the optimizer's pass-1 summary table), so a hit keeps
     /// meaning "a reference that did not evaluate its segment".
     pub(crate) fn add_hits(&self, n: usize) {
-        self.hits.fetch_add(n, Ordering::Relaxed);
+        self.chain.hits.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Lookups served from the table.
+    /// Chain lookups served from the table.
     pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
+        self.chain.hits()
     }
 
-    /// Lookups that evaluated the segment (racing threads may both count a
-    /// miss for the same key; the *values* are identical regardless).
+    /// Chain lookups that evaluated the segment (racing threads may both
+    /// count a miss for the same key; the *values* are identical
+    /// regardless).
     pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
+        self.chain.misses()
     }
 
-    /// Node-column lookups served from the table.
+    /// Node lookups served from the table.
     pub fn node_hits(&self) -> usize {
-        self.node_hits.load(Ordering::Relaxed)
+        self.node.hits()
     }
 
-    /// Node-column lookups that evaluated the span's memory grid (racing
-    /// threads may duplicate one; values are identical regardless).
+    /// Node lookups that evaluated the span's memory grid (racing threads
+    /// may duplicate one; values are identical regardless).
     pub fn node_misses(&self) -> usize {
-        self.node_misses.load(Ordering::Relaxed)
+        self.node.misses()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ampsinf_model::zoo;
+
+    #[test]
+    fn chain_and_node_lookups_share_one_entry() {
+        let g = zoo::mobilenet_v1();
+        let profile = Profile::of(&g);
+        let cfg = AmpsConfig::default();
+        let (start, end) = (0, profile.num_layers() / 2);
+        let cache = SegmentColumnCache::new();
+        let chain = cache
+            .get_or_eval(&profile, start, end, &cfg)
+            .expect("feasible segment");
+        let io = profile.chain_io(start, end);
+        let node = cache.node_columns_tracked(&profile, start, end, io, &cfg, None);
+        assert!(Arc::ptr_eq(&chain, &node));
+        assert_eq!((cache.misses(), cache.hits()), (1, 0));
+        assert_eq!((cache.node_misses(), cache.node_hits()), (0, 1));
     }
 }

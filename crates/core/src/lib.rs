@@ -10,9 +10,10 @@
 //!   policy, time-preference ε;
 //! * [`cuts`] — cut enumeration with constraint-(4)/(5)/(6) pruning (the
 //!   Profiler's "all the possible ways for the partition", Fig. 4);
-//! * [`colcache`] — the per-optimize segment-column memo cache shared by
-//!   both optimizer passes, and the node-column memo the DAG search, the
-//!   polish and pipelined planning read stage times from;
+//! * [`colcache`] — the per-optimize segment memo: each span's memory
+//!   grid under each object shape, with its presolved frontier, shared by
+//!   both optimizer passes, the DAG search, the polish and pipelined
+//!   planning;
 //! * [`miqp_build`] — assembly of the per-cut 0-1 quadratic program
 //!   (Eq. 12–14) with SOS-1 memory rows (Eq. 1) and the SLO row;
 //! * [`optimizer`] — the Optimizer component: enumerate → solve → select;

@@ -9,18 +9,22 @@
 //! SLO enters as a single linear row over all selectors.
 //!
 //! That MIQP is a pick-one knapsack with one constraint: [`CutKnapsack`]
-//! states it in that form, over the full presolved columns, for the
-//! planner's exact solver ([`ampsinf_solver::knapsack`]); [`build`]
-//! assembles the MIQP form, over thinned columns, that the
-//! branch-and-bound reference solves.
+//! states it in that form, over the presolved frontiers of the memoized
+//! [`NodeColumns`], for the planner's exact solver
+//! ([`ampsinf_solver::knapsack`]); [`build`] assembles the MIQP form, over
+//! thinned columns, that the branch-and-bound reference solves.
 
+use crate::colcache::{ColumnPick, NodeColumns};
 use crate::config::AmpsConfig;
 use ampsinf_linalg::Matrix;
 use ampsinf_profiler::{quick_eval_node, Profile, SegmentEval};
 use ampsinf_solver::knapsack::{self, Item};
 use ampsinf_solver::{MiqpProblem, VarKind};
+use std::borrow::Borrow;
 
-/// One partition's per-memory evaluation column.
+/// One partition's per-memory evaluation column, with every memory's
+/// full [`SegmentEval`]: the reference MIQP splits each cell's dollars by
+/// its phase breakdown.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionColumns {
     /// Segment bounds (inclusive).
@@ -31,6 +35,18 @@ pub struct PartitionColumns {
     pub memories: Vec<u32>,
     /// Ground-truth evaluation per memory block.
     pub evals: Vec<SegmentEval>,
+}
+
+impl PartitionColumns {
+    /// The columns at the given indices, in that order.
+    fn select(&self, keep: &[usize]) -> PartitionColumns {
+        PartitionColumns {
+            start: self.start,
+            end: self.end,
+            memories: keep.iter().map(|&i| self.memories[i]).collect(),
+            evals: keep.iter().map(|&i| self.evals[i]).collect(),
+        }
+    }
 }
 
 /// The assembled MIQP plus the variable layout needed to decode solutions.
@@ -44,55 +60,11 @@ pub struct CutMiqp {
     pub offsets: Vec<usize>,
 }
 
-/// Evaluates one segment's (memory × eval) columns, or `None` when the
-/// segment has no feasible memory/evaluation at all.
-///
-/// `(start, end)` fully determines the result for a given profile and
-/// config: the segment's storage objects are [`Profile::chain_io`]'s, one
-/// boundary read and one written except at the model's ends. That is
-/// what makes segment columns shareable across cuts (see
-/// [`crate::colcache::SegmentColumnCache`]).
-pub fn evaluate_segment(
-    profile: &Profile,
-    start: usize,
-    end: usize,
-    cfg: &AmpsConfig,
-) -> Option<PartitionColumns> {
-    let (reads, writes) = profile.chain_io(start, end);
-    let mut memories = Vec::new();
-    let mut evals = Vec::new();
-    for mem in profile.feasible_memories(start, end, &cfg.quotas, &cfg.perf) {
-        if let Ok(eval) = quick_eval_node(
-            profile,
-            start,
-            end,
-            mem,
-            &cfg.quotas,
-            &cfg.prices,
-            &cfg.perf,
-            &cfg.store,
-            reads,
-            writes,
-        ) {
-            memories.push(mem);
-            evals.push(eval);
-        }
-    }
-    if memories.is_empty() {
-        return None;
-    }
-    Some(PartitionColumns {
-        start,
-        end,
-        memories,
-        evals,
-    })
-}
-
-/// Evaluates every (partition × feasible memory) cell of a cut. Returns
+/// Evaluates every (partition × feasible memory) cell of a cut, each
+/// segment reading and writing [`Profile::chain_io`]'s objects. Returns
 /// `None` when some partition has no feasible memory/evaluation at all.
-/// Only the reference MIQP [`build`] uses it; the planner reads segment
-/// and node columns from [`crate::colcache::SegmentColumnCache`].
+/// Only the reference MIQP [`build`] uses it; the planner reads columns
+/// from [`crate::colcache::SegmentColumnCache`].
 pub fn evaluate_columns(
     profile: &Profile,
     cut: &[usize],
@@ -101,80 +73,105 @@ pub fn evaluate_columns(
     let mut parts = Vec::with_capacity(cut.len());
     let mut start = 0usize;
     for &end in cut {
-        parts.push(evaluate_segment(profile, start, end, cfg)?);
+        let (reads, writes) = profile.chain_io(start, end);
+        let (memories, evals): (Vec<u32>, Vec<SegmentEval>) = profile
+            .feasible_memories(start, end, &cfg.quotas, &cfg.perf)
+            .into_iter()
+            .filter_map(|mem| {
+                quick_eval_node(
+                    profile,
+                    start,
+                    end,
+                    mem,
+                    &cfg.quotas,
+                    &cfg.prices,
+                    &cfg.perf,
+                    &cfg.store,
+                    reads,
+                    writes,
+                )
+                .ok()
+                .map(|eval| (mem, eval))
+            })
+            .unzip();
+        if memories.is_empty() {
+            return None;
+        }
+        parts.push(PartitionColumns {
+            start,
+            end,
+            memories,
+            evals,
+        });
         start = end + 1;
     }
     Some(parts)
 }
 
-/// Deterministic argmin over one partition's columns by `key`. Ties break
-/// toward the **smaller memory size** — an explicit rule, so ties can
-/// never silently depend on column order. (On a presolved Pareto frontier
-/// keys are pairwise distinct and the tie-break is moot; on raw columns it
-/// pins the answer.)
-fn argmin_column(p: &PartitionColumns, key: impl Fn(&SegmentEval) -> f64) -> usize {
-    let mut best = 0usize;
-    for j in 1..p.evals.len() {
-        let kj = key(&p.evals[j]);
-        let kb = key(&p.evals[best]);
-        if kj < kb || (kj == kb && p.memories[j] < p.memories[best]) {
-            best = j;
-        }
-    }
-    best
-}
-
-/// Shared body of the separable fast paths: per-partition argmin by `key`,
-/// summed. Generic over owned or shared ([`std::sync::Arc`]) columns so
-/// the memo-cache path needs no clones.
-fn separable_argmin_cols<P: std::borrow::Borrow<PartitionColumns>>(
+/// Shared body of the separable fast paths: one frontier column per
+/// partition, summed left to right from `0.0`. Generic over owned or
+/// shared ([`std::sync::Arc`]) columns so the memo-cache path needs no
+/// clones.
+fn separable<P: Borrow<NodeColumns>>(
     parts: &[P],
-    key: impl Fn(&SegmentEval) -> f64 + Copy,
+    pick: fn(&NodeColumns) -> Option<ColumnPick>,
 ) -> (Vec<u32>, f64, f64) {
     let mut memories = Vec::with_capacity(parts.len());
     let mut time = 0.0;
     let mut cost = 0.0;
     for p in parts {
-        let p = p.borrow();
-        let j = argmin_column(p, key);
-        memories.push(p.memories[j]);
-        time += p.evals[j].duration_s;
-        cost += p.evals[j].dollars;
+        let (m, t, d) = pick(p.borrow()).expect("every segment has a feasible memory");
+        memories.push(m);
+        time += t;
+        cost += d;
     }
     (memories, time, cost)
 }
 
-/// `(memory, seconds, dollars)` of one chosen column.
-pub(crate) type ColumnPick = (u32, f64, f64);
-
-/// One segment's terms of the separable fast paths: the `(min-cost,
-/// min-time)` columns [`separable_min_cost_cols`] and
-/// [`separable_min_time_cols`] pick for it. Summing these left to right
-/// from `0.0` over a cut's segments reproduces those functions' totals
-/// bit for bit.
-pub(crate) fn separable_picks(p: &PartitionColumns) -> (ColumnPick, ColumnPick) {
-    let pick = |j: usize| (p.memories[j], p.evals[j].duration_s, p.evals[j].dollars);
-    (
-        pick(argmin_column(p, |e| e.dollars)),
-        pick(argmin_column(p, |e| e.duration_s)),
-    )
+/// Separable fast path over memoized columns: per-partition cost argmin
+/// ([`NodeColumns::min_cost`]), ignoring any SLO coupling. Returns
+/// `(memories, total time, total cost)`.
+pub fn separable_min_cost_cols<P: Borrow<NodeColumns>>(parts: &[P]) -> (Vec<u32>, f64, f64) {
+    separable(parts, NodeColumns::min_cost)
 }
 
-/// Separable fast path over evaluated columns: per-partition cost argmin,
-/// ignoring any SLO coupling. Returns `(memories, total time, total cost)`.
-pub fn separable_min_cost_cols<P: std::borrow::Borrow<PartitionColumns>>(
-    parts: &[P],
-) -> (Vec<u32>, f64, f64) {
-    separable_argmin_cols(parts, |e| e.dollars)
+/// Separable fast path minimizing *time*: per-partition duration argmin
+/// ([`NodeColumns::min_time`]). Its total is the fastest any memory mix
+/// can make this cut — a provable SLO-feasibility filter. Returns
+/// `(memories, total time, total cost)`.
+pub fn separable_min_time_cols<P: Borrow<NodeColumns>>(parts: &[P]) -> (Vec<u32>, f64, f64) {
+    separable(parts, NodeColumns::min_time)
 }
 
-/// Separable fast path minimizing *time*: per-partition duration argmin.
-/// Its total is the fastest any memory mix can make this cut — a provable
-/// SLO-feasibility filter. Returns `(memories, total time, total cost)`.
-pub fn separable_min_time_cols<P: std::borrow::Borrow<PartitionColumns>>(
-    parts: &[P],
-) -> (Vec<u32>, f64, f64) {
-    separable_argmin_cols(parts, |e| e.duration_s)
+/// The sort and sweep of [`presolve_dominated`], by index: the ascending
+/// indices of the `(seconds, dollars)` cells that survive, where `None`
+/// cells are infeasible and never do. [`NodeColumns::new`] runs it over a
+/// raw grid.
+pub(crate) fn dominance_frontier(
+    cells: impl ExactSizeIterator<Item = Option<(f64, f64)>>,
+) -> Vec<usize> {
+    let mut order: Vec<(f64, f64, usize)> = Vec::with_capacity(cells.len());
+    order.extend(
+        cells
+            .enumerate()
+            .filter_map(|(j, cell)| cell.map(|(seconds, dollars)| (dollars, seconds, j))),
+    );
+    order.sort_unstable_by(|a, b| {
+        a.0.total_cmp(&b.0)
+            .then(a.1.total_cmp(&b.1))
+            .then(a.2.cmp(&b.2))
+    });
+    let mut fastest = f64::INFINITY;
+    order.retain(|&(_, seconds, _)| {
+        let keep = seconds < fastest;
+        if keep {
+            fastest = seconds;
+        }
+        keep
+    });
+    let mut keep: Vec<usize> = order.iter().map(|&(_, _, j)| j).collect();
+    keep.sort_unstable();
+    keep
 }
 
 /// Dominance presolve: within one partition's SOS-1 group, a memory column
@@ -187,34 +184,14 @@ pub fn separable_min_time_cols<P: std::borrow::Borrow<PartitionColumns>>(
 /// Sort and sweep, O(l log l): in `(dollars, seconds, index)` order every
 /// column that dominates `j` comes before it, so `j` is dominated exactly
 /// when some earlier column is no slower — a column is kept exactly when
-/// its seconds are strictly below every column before it. The kept
+/// its seconds are strictly below every column before it. So the kept
+/// columns' dollars, and their seconds, are pairwise distinct. The kept
 /// columns come back in index order. Evaluations are finite and never
 /// `-0.0`, where `total_cmp` orders as `<` does.
 pub fn presolve_dominated(p: &PartitionColumns) -> PartitionColumns {
-    let mut order: Vec<usize> = (0..p.memories.len()).collect();
-    order.sort_unstable_by(|&a, &b| {
-        let (ea, eb) = (&p.evals[a], &p.evals[b]);
-        ea.dollars
-            .total_cmp(&eb.dollars)
-            .then(ea.duration_s.total_cmp(&eb.duration_s))
-            .then(a.cmp(&b))
-    });
-    let mut fastest = f64::INFINITY;
-    order.retain(|&j| {
-        let keep = p.evals[j].duration_s < fastest;
-        if keep {
-            fastest = p.evals[j].duration_s;
-        }
-        keep
-    });
-    order.sort_unstable();
-    let keep = order;
-    PartitionColumns {
-        start: p.start,
-        end: p.end,
-        memories: keep.iter().map(|&i| p.memories[i]).collect(),
-        evals: keep.iter().map(|&i| p.evals[i]).collect(),
-    }
+    p.select(&dominance_frontier(
+        p.evals.iter().map(|e| Some((e.duration_s, e.dollars))),
+    ))
 }
 
 /// Total binary budget for one *joint* MIQP: each partition keeps a
@@ -226,13 +203,15 @@ const MIQP_BINARY_BUDGET: usize = 48;
 /// Never thin a partition below this many columns.
 const MIN_MIQP_COLS: usize = 4;
 
-/// Thins a partition's columns for the joint MIQP.
+/// Thins a partition's presolved columns for the joint MIQP.
 fn thin_columns(p: &PartitionColumns, max_cols: usize) -> PartitionColumns {
     let l = p.memories.len();
     if l <= max_cols {
         return p.clone();
     }
-    let argmin_cost = argmin_column(p, |e| e.dollars);
+    let argmin_cost = (0..l)
+        .min_by(|&a, &b| p.evals[a].dollars.total_cmp(&p.evals[b].dollars))
+        .expect("non-empty columns");
     let mut keep: Vec<usize> = vec![0, l - 1, argmin_cost];
     if argmin_cost > 0 {
         keep.push(argmin_cost - 1);
@@ -247,20 +226,15 @@ fn thin_columns(p: &PartitionColumns, max_cols: usize) -> PartitionColumns {
     keep.sort_unstable();
     keep.dedup();
     keep.truncate(max_cols);
-    PartitionColumns {
-        start: p.start,
-        end: p.end,
-        memories: keep.iter().map(|&i| p.memories[i]).collect(),
-        evals: keep.iter().map(|&i| p.evals[i]).collect(),
-    }
+    p.select(&keep)
 }
 
-/// One cut's MIQP as a pick-one knapsack over its full presolved columns,
-/// each column carrying its `(seconds, dollars)`. Its objective at a pick
-/// is the MIQP's (the summed dollars of the chosen columns) and its one
-/// constraint is the SLO row. The same groups with the two sums swapped
-/// answer the planner's second question: the fastest mix within a dollar
-/// budget.
+/// One cut's MIQP as a pick-one knapsack over its segments' full
+/// frontiers, each column carrying its `(seconds, dollars)`. Its objective
+/// at a pick is the MIQP's (the summed dollars of the chosen columns) and
+/// its one constraint is the SLO row. The same groups with the two sums
+/// swapped answer the planner's second question: the fastest mix within
+/// a dollar budget.
 #[derive(Debug, Clone)]
 pub struct CutKnapsack {
     /// Per-partition memory blocks, one per column, in cut order.
@@ -270,16 +244,20 @@ pub struct CutKnapsack {
 }
 
 impl CutKnapsack {
-    /// The knapsack form of the cut whose presolved columns are given.
-    pub fn new<P: std::borrow::Borrow<PartitionColumns>>(presolved: &[P]) -> Self {
-        let parts = presolved.iter().map(|p| p.borrow());
-        let item = |e: &SegmentEval| Item {
-            seconds: e.duration_s,
-            dollars: e.dollars,
-        };
+    /// The knapsack form of the cut whose segments' columns are given.
+    pub fn new<P: Borrow<NodeColumns>>(cols: &[P]) -> Self {
+        let frontiers = cols.iter().map(|p| p.borrow().frontier());
         CutKnapsack {
-            memories: parts.clone().map(|p| p.memories.clone()).collect(),
-            groups: parts.map(|p| p.evals.iter().map(item).collect()).collect(),
+            memories: frontiers
+                .clone()
+                .map(|f| f.map(|(m, _, _)| m).collect())
+                .collect(),
+            groups: frontiers
+                .map(|f| {
+                    f.map(|(_, seconds, dollars)| Item { seconds, dollars })
+                        .collect()
+                })
+                .collect(),
         }
     }
 
@@ -337,26 +315,15 @@ impl CutKnapsack {
     }
 }
 
-/// Builds the solver-ready MIQP for a cut (Eq. 12–14 + Eq. 1 + SLO row).
+/// Builds the solver-ready MIQP for a cut (Eq. 12–14 + Eq. 1 + SLO row)
+/// over its presolved columns, each thinned to its share of
+/// `MIQP_BINARY_BUDGET`.
 pub fn build(profile: &Profile, cut: &[usize], cfg: &AmpsConfig) -> Option<CutMiqp> {
     let full = evaluate_columns(profile, cut, cfg)?;
-    let presolved: Vec<PartitionColumns> = full.iter().map(presolve_dominated).collect();
-    Some(build_from_presolved(&presolved, cfg))
-}
-
-/// Builds the MIQP from already-presolved partition columns (the memo
-/// cache stores exactly these, see [`crate::colcache::SegmentColumnCache`]),
-/// each thinned to its share of `MIQP_BINARY_BUDGET`. Because
-/// `presolve_dominated` is idempotent, this is bit-identical to [`build`]
-/// on the same cut.
-pub fn build_from_presolved<P: std::borrow::Borrow<PartitionColumns>>(
-    presolved: &[P],
-    cfg: &AmpsConfig,
-) -> CutMiqp {
-    let max_cols = (MIQP_BINARY_BUDGET / presolved.len().max(1)).max(MIN_MIQP_COLS);
-    let parts: Vec<PartitionColumns> = presolved
+    let max_cols = (MIQP_BINARY_BUDGET / full.len().max(1)).max(MIN_MIQP_COLS);
+    let parts: Vec<PartitionColumns> = full
         .iter()
-        .map(|p| thin_columns(p.borrow(), max_cols))
+        .map(|p| thin_columns(&presolve_dominated(p), max_cols))
         .collect();
     let nvars: usize = parts.iter().map(|p| p.memories.len()).sum();
     let mut offsets = Vec::with_capacity(parts.len());
@@ -394,11 +361,11 @@ pub fn build_from_presolved<P: std::borrow::Borrow<PartitionColumns>>(
     if let Some(slo) = cfg.slo_s {
         problem.add_le(t_row, slo);
     }
-    CutMiqp {
+    Some(CutMiqp {
         problem,
         parts,
         offsets,
-    }
+    })
 }
 
 impl CutMiqp {
@@ -423,18 +390,12 @@ impl CutMiqp {
         }
         (memories, time, cost)
     }
-
-    /// Separable fast path over this MIQP's (thinned) columns — see
-    /// [`separable_min_cost_cols`]. The thinning always retains the
-    /// per-partition cost argmin, so this equals the full-grid fast path.
-    pub fn separable_min_cost(&self) -> (Vec<u32>, f64, f64) {
-        separable_min_cost_cols(&self.parts)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::colcache::SegmentColumnCache;
     use ampsinf_model::zoo;
     use ampsinf_solver::bb::{solve_miqp, BbStatus};
     use ampsinf_solver::BbOptions;
@@ -442,6 +403,17 @@ mod tests {
     fn setup() -> (Profile, AmpsConfig) {
         let g = zoo::mobilenet_v1();
         (Profile::of(&g), AmpsConfig::default())
+    }
+
+    /// The planner's separable min-cost mix of `cut`, from fresh memoized
+    /// columns.
+    fn separable_min_cost(
+        profile: &Profile,
+        cut: &[usize],
+        cfg: &AmpsConfig,
+    ) -> (Vec<u32>, f64, f64) {
+        let cols = SegmentColumnCache::new().columns_for_cut(profile, cut, cfg);
+        separable_min_cost_cols(&cols.expect("feasible cut"))
     }
 
     #[test]
@@ -468,7 +440,7 @@ mod tests {
         let sol = solve_miqp(&miqp.problem, BbOptions::default());
         assert_eq!(sol.status, BbStatus::Optimal);
         let (mem_bb, _, cost_bb) = miqp.decode(&sol.x);
-        let (mem_sep, _, cost_sep) = miqp.separable_min_cost();
+        let (mem_sep, _, cost_sep) = separable_min_cost(&profile, &cut, &cfg);
         assert!(
             (cost_bb - cost_sep).abs() < 1e-9,
             "miqp {cost_bb} vs separable {cost_sep}"
@@ -587,6 +559,25 @@ mod tests {
             let want = presolve_reference(&p);
             assert_eq!(presolve_dominated(&p), want, "case {case}: {p:?}");
             assert_eq!(presolve_dominated(&want), want, "case {case}: idempotent");
+            // The same sweep over a raw grid with infeasible cells between
+            // the columns keeps the same columns.
+            let (mut memories, mut cells) = (Vec::new(), Vec::new());
+            for (&m, e) in p.memories.iter().zip(&p.evals) {
+                if rng.below(3) == 0 {
+                    memories.push(m - 1);
+                    cells.push(None);
+                }
+                memories.push(m);
+                cells.push(Some((e.duration_s, e.dollars)));
+            }
+            let grid = NodeColumns::new(memories, cells);
+            let frontier: Vec<ColumnPick> = want
+                .memories
+                .iter()
+                .zip(&want.evals)
+                .map(|(&m, e)| (m, e.duration_s, e.dollars))
+                .collect();
+            assert_eq!(grid.frontier().collect::<Vec<_>>(), frontier, "case {case}");
         }
     }
 
@@ -598,7 +589,15 @@ mod tests {
         // The full MIQP (with presolve inside build) must match the
         // separable optimum computed over the raw, unpresolved columns.
         let raw = evaluate_columns(&profile, &cut, &cfg).unwrap();
-        let (_, _, cost_raw) = separable_min_cost_cols(&raw);
+        let cost_raw: f64 = raw
+            .iter()
+            .map(|p| {
+                p.evals
+                    .iter()
+                    .map(|e| e.dollars)
+                    .fold(f64::INFINITY, f64::min)
+            })
+            .sum();
         let miqp = build(&profile, &cut, &cfg).unwrap();
         let sol = solve_miqp(&miqp.problem, BbOptions::default());
         assert_eq!(sol.status, BbStatus::Optimal);
@@ -612,8 +611,7 @@ mod tests {
         let n = profile.num_layers();
         let cut = vec![n - 1];
         // Unconstrained min-cost config:
-        let free = build(&profile, &cut, &cfg).unwrap();
-        let (_, t_free, cost_free) = free.separable_min_cost();
+        let (free_mems, t_free, cost_free) = separable_min_cost(&profile, &cut, &cfg);
         // Now demand a response faster than the min-cost config delivers.
         cfg.slo_s = Some(t_free * 0.8);
         let tight = build(&profile, &cut, &cfg).unwrap();
@@ -622,7 +620,7 @@ mod tests {
         let (mems, t, cost) = tight.decode(&sol.x);
         assert!(t <= t_free * 0.8 + 1e-6, "SLO violated: {t}");
         assert!(cost >= cost_free - 1e-12, "faster cannot be cheaper");
-        assert!(mems[0] > free.separable_min_cost().0[0]);
+        assert!(mems[0] > free_mems[0]);
     }
 
     #[test]
@@ -630,21 +628,18 @@ mod tests {
         let (profile, mut cfg) = setup();
         let n = profile.num_layers();
         let cut = vec![n / 3, 2 * n / 3, n - 1];
-        let free = build(&profile, &cut, &cfg).unwrap();
-        let slo = free.separable_min_cost().1 * 0.9;
+        let slo = separable_min_cost(&profile, &cut, &cfg).1 * 0.9;
         cfg.slo_s = Some(slo);
         let miqp = build(&profile, &cut, &cfg).unwrap();
         let sol = solve_miqp(&miqp.problem, BbOptions::default());
         assert_eq!(sol.status, BbStatus::Optimal);
         let (_, t_bb, c_bb) = miqp.decode(&sol.x);
-        let presolved: Vec<PartitionColumns> = evaluate_columns(&profile, &cut, &cfg)
-            .unwrap()
-            .iter()
-            .map(presolve_dominated)
-            .collect();
-        // The knapsack reads the full presolved columns, B&B their thinned
-        // subset, so the knapsack is never dearer.
-        let ks = CutKnapsack::new(&presolved);
+        let cols = SegmentColumnCache::new()
+            .columns_for_cut(&profile, &cut, &cfg)
+            .unwrap();
+        // The knapsack reads the full frontiers, B&B their thinned subset,
+        // so the knapsack is never dearer.
+        let ks = CutKnapsack::new(&cols);
         let (mems, t, c) = ks.solve(slo + 1e-9).unwrap();
         assert_eq!(mems.len(), cut.len());
         assert!(t <= slo + 1e-9 && t_bb <= slo + 1e-9);

@@ -11,10 +11,10 @@
 //! same objective to its trials.
 
 use crate::baselines::predict_dag;
-use crate::colcache::{CacheCounters, NodeColumns, SegmentColumnCache};
+use crate::colcache::{CacheCounters, ColumnPick, NodeColumns, SegmentColumnCache};
 use crate::config::AmpsConfig;
 use crate::cuts::{enumerate_cut_set, insert_region_sorted, segment_feasible, CutSet, DagShared};
-use crate::miqp_build::{separable_picks, ColumnPick, CutKnapsack};
+use crate::miqp_build::CutKnapsack;
 use crate::plan::{DagNode, DagObject, DagPlan, ExecutionPlan, PartitionPlan};
 use crate::polish::{dag_schedule, Polish};
 use ampsinf_model::LayerGraph;
@@ -428,10 +428,10 @@ impl Optimizer {
     /// Pass 2 for one grid point (`self.cfg` carries the point's SLO and
     /// batch), in two exact stages: [`Optimizer::cheapest`] finds `C*`,
     /// [`Optimizer::fastest`] the fastest mix costing at most
-    /// `C*·(1 + tolerance)`. The winner is priced through the chain node
-    /// memo with `baselines::predict`'s fold. A sweep point runs exactly
-    /// the pass 2 a cold [`Optimizer::optimize`] runs, against its batch's
-    /// `shared`.
+    /// `C*·(1 + tolerance)`. The winner is priced from its segments' raw
+    /// grids in the segment memo with `baselines::predict`'s fold. A sweep
+    /// point runs exactly the pass 2 a cold [`Optimizer::optimize`] runs,
+    /// against its batch's `shared`.
     pub(crate) fn solve_point(
         &self,
         graph: &LayerGraph,
@@ -447,11 +447,13 @@ impl Optimizer {
         let (ci, memories, solves, prunes) = self
             .fastest(shared, budget, track)
             .ok_or(OptimizeError::SloInfeasible)?;
+        let profile = &shared.profile;
         let (mut start, mut time, mut cost) = (0usize, 0.0f64, -0.0f64);
         for (end, &m) in shared.pass1.cuts.cut(ci).zip(&memories) {
+            let io = profile.chain_io(start, end);
             let grid = shared
                 .cache
-                .chain_node_columns(&shared.profile, start, end, &self.cfg);
+                .node_columns_tracked(profile, start, end, io, &self.cfg, None);
             let (t, d) = grid.eval_at(m).expect("a selected mix is feasible");
             (start, time, cost) = (end + 1, time + t, cost + d);
         }
@@ -630,7 +632,7 @@ impl Optimizer {
                             *cell.insert(
                                 cache
                                     .get_or_eval(profile, start, end, &self.cfg)
-                                    .map(|cols| separable_picks(&cols)),
+                                    .and_then(|cols| cols.min_cost().zip(cols.min_time())),
                             )
                         }
                     };
@@ -836,11 +838,11 @@ impl Optimizer {
     }
 
     /// Min-dollar `(memory, dollars)` for one DAG node span with explicit
-    /// object reads/writes, served from the shared node-column memo — the
+    /// object reads/writes, served from the shared segment memo — the
     /// grid is evaluated once per `(span, io)` shape and every later
     /// lookup is a scan over cached values. [`NodeColumns::min_cost`]
-    /// scans ascending with a strict improvement test, so ties break
-    /// toward the smallest block exactly like the pre-memo loop.
+    /// reads the grid's presolved frontier: the cheapest column, then the
+    /// faster, then the smaller memory — the pick pass 1 makes.
     fn dag_node_best(
         &self,
         sh: &BatchShared,
@@ -851,8 +853,9 @@ impl Optimizer {
         track: Option<&CacheCounters>,
     ) -> Option<(u32, f64)> {
         sh.cache
-            .node_columns_tracked(&sh.profile, s, e, reads, writes, &self.cfg, track)
+            .node_columns_tracked(&sh.profile, s, e, (reads, writes), &self.cfg, track)
             .min_cost()
+            .map(|(m, _, dollars)| (m, dollars))
     }
 
     /// Min-cost chain partitioning of the spine segment `[a, b]`: a DP
@@ -1069,7 +1072,7 @@ impl Optimizer {
     /// winner does. Every candidate's full-plan effect is
     /// still measured exactly (so upgrades off the critical path, which
     /// buy no latency, are never taken) — but the evaluations come from
-    /// the shared node-column memo, and each candidate is priced on the
+    /// the shared segment memo, and each candidate is priced on the
     /// plan's fork/join block chain (`bounds`, recorded by
     /// [`Optimizer::build_dag`]): one changed block term refolded over
     /// the later blocks, bit-identical to a full re-schedule (see
@@ -1096,8 +1099,7 @@ impl Optimizer {
                     profile,
                     plan.nodes[v].start,
                     plan.nodes[v].end,
-                    &reads,
-                    &writes,
+                    (&reads, &writes),
                     cfg,
                     Some(&track.node),
                 )

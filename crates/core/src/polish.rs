@@ -439,7 +439,7 @@ mod tests {
                         })
                     })
                     .collect();
-                Arc::new(NodeColumns { memories, evals })
+                Arc::new(NodeColumns::new(memories, evals))
             })
             .collect();
         let plan = DagPlan {

@@ -531,8 +531,7 @@ impl Optimizer {
         if slo.is_nan() {
             return Err(NAN_SLO);
         }
-        let cfg = self.config();
-        let p1 = &sh.pass1;
+        let (cfg, p1, profile) = (self.config(), &sh.pass1, &sh.profile);
         // Pass A: the cost floor over SLO-feasible candidates.
         let mut floor = f64::INFINITY;
         for &ci in &sh.order {
@@ -550,10 +549,10 @@ impl Optimizer {
         let budget = floor * (1.0 + self.tolerance()) + 1e-15;
 
         // Pass B: among budget-feasible candidates, minimize the
-        // bottleneck stage. Stage seconds come from the shared node memo,
-        // which evaluates each stage exactly as chain pricing and
-        // `predict` do. Mixes are read back from pass 1; a plan is built
-        // only for a new best.
+        // bottleneck stage. Stage seconds come from the segment memo's
+        // chain entries, which evaluate each stage exactly as chain
+        // pricing and `predict` do. Mixes are read back from pass 1; a
+        // plan is built only for a new best.
         let mut best: Option<PipelinePlan> = None;
         let mut stage_times: Vec<f64> = Vec::new();
         for &ci in &sh.order {
@@ -570,7 +569,10 @@ impl Optimizer {
                 stage_times.clear();
                 let mut start = 0usize;
                 let ok = p1.cuts.cut(ci).zip(p1.mix(ci, fastest)).all(|(end, mem)| {
-                    let grid = sh.cache.chain_node_columns(&sh.profile, start, end, cfg);
+                    let io = profile.chain_io(start, end);
+                    let grid = sh
+                        .cache
+                        .node_columns_tracked(profile, start, end, io, cfg, None);
                     start = end + 1;
                     grid.eval_at(mem)
                         .map(|(t, _)| stage_times.push(t))

@@ -11,8 +11,8 @@
 use ampsinf_core::colcache::SegmentColumnCache;
 use ampsinf_core::cuts::enumerate_cuts;
 use ampsinf_core::miqp_build::{
-    build_from_presolved, evaluate_columns, presolve_dominated, separable_min_cost_cols,
-    separable_min_time_cols, CutKnapsack,
+    build, evaluate_columns, presolve_dominated, separable_min_cost_cols, separable_min_time_cols,
+    CutKnapsack,
 };
 use ampsinf_core::optimizer::{CutEval, OptimizeError, Optimizer, OptimizerReport};
 use ampsinf_core::AmpsConfig;
@@ -134,7 +134,8 @@ fn infeasible_slo_errors_identical() {
 #[test]
 fn memoized_columns_match_direct_evaluation() {
     // The segment-column cache must be a pure memoization: for every cut,
-    // the cached per-partition columns equal a fresh evaluate + presolve.
+    // each cached frontier equals a fresh evaluate + presolve, memory for
+    // memory and bit for bit.
     for g in [zoo::mobilenet_v1(), zoo::tiny_cnn()] {
         let cfg = slim();
         let profile = Profile::batched(&g, cfg.batch_size);
@@ -148,7 +149,17 @@ fn memoized_columns_match_direct_evaluation() {
                 (Some(c), Some(d)) => {
                     assert_eq!(c.len(), d.len(), "{}: column count", g.name);
                     for (a, b) in c.iter().zip(&d) {
-                        assert_eq!(a.as_ref(), b, "{}: cached columns diverge", g.name);
+                        let cached: Vec<(u32, u64, u64)> = a
+                            .frontier()
+                            .map(|(m, t, c)| (m, t.to_bits(), c.to_bits()))
+                            .collect();
+                        let direct: Vec<(u32, u64, u64)> = b
+                            .memories
+                            .iter()
+                            .zip(&b.evals)
+                            .map(|(&m, e)| (m, e.duration_s.to_bits(), e.dollars.to_bits()))
+                            .collect();
+                        assert_eq!(cached, direct, "{}: cached columns diverge", g.name);
                     }
                 }
                 (None, None) => {}
@@ -263,7 +274,7 @@ fn knapsack_never_worse_than_bb_on_replayed_binding_cuts() {
                 let (_, t, c) = CutKnapsack::new(&cols)
                     .solve(slo + 1e-9)
                     .unwrap_or_else(|| panic!("{label}: knapsack found no mix"));
-                let miqp = build_from_presolved(&cols, &cfg);
+                let miqp = build(&profile, cut, &cfg).expect("feasible cut");
                 let sol = solve_miqp(&miqp.problem, BbOptions::default());
                 assert!(!sol.x.is_empty(), "{label}: b&b found no mix");
                 let (_, t_bb, c_bb) = miqp.decode(&sol.x);

@@ -2,10 +2,10 @@
 //! structure, prediction arithmetic. Inputs come from deterministic grids
 //! (no external property-testing dependency).
 
-use ampsinf_core::baselines::{b1_random, b2_greedy_max, predict};
+use ampsinf_core::baselines::{b1_random, b2_greedy_max, b3_optimal, predict};
 use ampsinf_core::cuts::{enumerate_cuts, segment_feasible};
 use ampsinf_core::plan::{ExecutionPlan, PartitionPlan};
-use ampsinf_core::AmpsConfig;
+use ampsinf_core::{AmpsConfig, Optimizer};
 use ampsinf_model::zoo;
 use ampsinf_profiler::{quick_eval_node, Profile};
 
@@ -181,5 +181,39 @@ fn b2_partitions_are_maximal() {
             p.start,
             p.end
         );
+    }
+}
+
+/// Baseline 3 plans at the configured batch: its plan re-prices to itself
+/// under `predict` on the batched profile, and as the optimum over every
+/// boundary it is no dearer than the planner's tolerance-0 plan.
+#[test]
+fn b3_plans_at_the_configured_batch() {
+    for g in [zoo::resnet50(), zoo::inception_v3()] {
+        for batch in [8, 64] {
+            let cfg = AmpsConfig {
+                cost_tolerance: 0.0,
+                ..AmpsConfig::default().with_batch(batch)
+            };
+            let label = format!("{} at batch {batch}", g.name);
+            let b3 = b3_optimal(&g, &cfg).expect("baseline 3 plans");
+            let mut again = b3.clone();
+            assert!(predict(&Profile::batched(&g, batch), &mut again, &cfg));
+            assert_eq!(
+                [
+                    again.predicted_time_s.to_bits(),
+                    again.predicted_cost.to_bits()
+                ],
+                [b3.predicted_time_s.to_bits(), b3.predicted_cost.to_bits()],
+                "{label}: baseline 3 priced off the batch"
+            );
+            let amps = Optimizer::new(cfg.clone()).optimize(&g).expect("plans");
+            assert!(
+                b3.predicted_cost <= amps.plan.predicted_cost * (1.0 + 1e-12),
+                "{label}: baseline 3 ${} vs planner ${}",
+                b3.predicted_cost,
+                amps.plan.predicted_cost
+            );
+        }
     }
 }

@@ -177,13 +177,46 @@ impl LoadSpec {
         self
     }
 
+    /// Why the spec describes no trace, if it does not: a mean rate that
+    /// is not a positive finite number, a diurnal period ≤ 0 or depth
+    /// outside `[0, 1)`, a spike magnitude ≤ 0 or width < 0, a burst
+    /// window < 0, or no tenants or a tenant share or multiplier ≤ 0.
+    /// NaN fails every one of these tests.
+    pub fn check(&self) -> Result<(), String> {
+        let rate = self.rate_rps;
+        let shape_ok = match &self.shape {
+            ArrivalShape::Constant => true,
+            ArrivalShape::Diurnal { period_s, depth } => {
+                *period_s > 0.0 && (0.0..1.0).contains(depth)
+            }
+            ArrivalShape::Spike {
+                magnitude, width, ..
+            } => *magnitude > 0.0 && *width >= 0.0,
+            ArrivalShape::Bursts { within_s, .. } => *within_s >= 0.0,
+            ArrivalShape::MultiTenant { tenants } => {
+                !tenants.is_empty() && tenants.iter().all(|&(s, m)| s > 0.0 && m > 0.0)
+            }
+        };
+        if !(rate > 0.0 && rate.is_finite()) {
+            Err(format!(
+                "arrival rate must be positive and finite, got {rate} rps"
+            ))
+        } else if !shape_ok {
+            Err(format!("arrival shape out of range: {:?}", self.shape))
+        } else {
+            Ok(())
+        }
+    }
+
     /// Generates the arrival times, ascending. Deterministic in the
     /// spec alone — see [`ArrivalShape`].
+    ///
+    /// # Panics
+    /// When [`LoadSpec::check`] fails.
     pub fn arrivals(&self) -> Vec<f64> {
-        assert!(
-            self.rate_rps > 0.0 && self.rate_rps.is_finite(),
-            "arrival rate must be positive"
-        );
+        if let Err(why) = self.check() {
+            panic!("{why}");
+        }
         let n = self.requests;
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let mut out = Vec::with_capacity(n);
@@ -196,8 +229,6 @@ impl LoadSpec {
                 }
             }
             ArrivalShape::Diurnal { period_s, depth } => {
-                assert!(*period_s > 0.0, "diurnal period must be positive");
-                assert!((0.0..1.0).contains(depth), "diurnal depth must be in [0,1)");
                 let mut t = 0.0f64;
                 for _ in 0..n {
                     let phase = std::f64::consts::TAU * t / period_s;
@@ -211,8 +242,6 @@ impl LoadSpec {
                 magnitude,
                 width,
             } => {
-                assert!(*magnitude > 0.0, "spike magnitude must be positive");
-                assert!(*width >= 0.0, "spike width must be non-negative");
                 let horizon = n as f64 / self.rate_rps;
                 let lo = (at - width / 2.0) * horizon;
                 let hi = (at + width / 2.0) * horizon;
@@ -228,7 +257,6 @@ impl LoadSpec {
                 }
             }
             ArrivalShape::Bursts { burst, within_s } => {
-                assert!(*within_s >= 0.0, "burst window must be non-negative");
                 let burst = (*burst).max(1);
                 let mut start = 0.0f64;
                 while out.len() < n {
@@ -241,11 +269,6 @@ impl LoadSpec {
                 }
             }
             ArrivalShape::MultiTenant { tenants } => {
-                assert!(!tenants.is_empty(), "at least one tenant required");
-                assert!(
-                    tenants.iter().all(|&(s, m)| s > 0.0 && m > 0.0),
-                    "tenant shares and multipliers must be positive"
-                );
                 let share_sum: f64 = tenants.iter().map(|t| t.0).sum();
                 let mut assigned = 0usize;
                 for (i, &(share, mult)) in tenants.iter().enumerate() {
@@ -421,15 +444,9 @@ fn report_from_trace(
     }
 }
 
-/// The trace `load` describes, or an error when its mean rate is not a
-/// positive finite number of requests per second.
+/// The trace `load` describes, or [`LoadSpec::check`]'s error.
 fn checked_arrivals(load: &LoadSpec) -> Result<Vec<f64>, String> {
-    if !(load.rate_rps > 0.0 && load.rate_rps.is_finite()) {
-        return Err(format!(
-            "arrival rate must be positive and finite, got {} rps",
-            load.rate_rps
-        ));
-    }
+    load.check()?;
     Ok(load.arrivals())
 }
 
@@ -1234,6 +1251,71 @@ mod tests {
             ] {
                 assert!(err.contains("arrival rate"), "rate {rate}: {err}");
             }
+        }
+    }
+
+    #[test]
+    fn bad_shapes_are_errors_not_panics() {
+        let (g, plan, cfg) = setup();
+        let dag = DagPlan::from_chain(&plan, |k| g.cut_transfer_bytes(k));
+        let adaptive = AdaptiveSpec::new(4, vec![plan.predicted_time_s * 2.0]);
+        let nan = f64::NAN;
+        let diurnal = |period_s, depth| ArrivalShape::Diurnal { period_s, depth };
+        let spike = |magnitude, width| ArrivalShape::Spike {
+            at: 0.5,
+            magnitude,
+            width,
+        };
+        let bursts = |within_s| ArrivalShape::Bursts { burst: 4, within_s };
+        let tenants = |tenants: &[(f64, f64)]| ArrivalShape::MultiTenant {
+            tenants: tenants.to_vec(),
+        };
+        for shape in [
+            diurnal(0.0, 0.5),
+            diurnal(-60.0, 0.5),
+            diurnal(nan, 0.5),
+            diurnal(60.0, 1.0),
+            diurnal(60.0, -0.1),
+            diurnal(60.0, nan),
+            spike(0.0, 0.1),
+            spike(-2.0, 0.1),
+            spike(nan, 0.1),
+            spike(8.0, -0.1),
+            spike(8.0, nan),
+            bursts(-0.05),
+            bursts(nan),
+            tenants(&[]),
+            tenants(&[(0.5, 1.0), (0.0, 2.0)]),
+            tenants(&[(0.5, 1.0), (-0.5, 2.0)]),
+            tenants(&[(0.5, 0.0)]),
+            tenants(&[(0.5, -1.0)]),
+            tenants(&[(nan, 1.0)]),
+            tenants(&[(0.5, nan)]),
+        ] {
+            let load = LoadSpec::poisson(2.0, 5, 1).with_shape(shape.clone());
+            assert!(load.check().is_err(), "{shape:?} passes the check");
+            for err in [
+                run_open_loop(&g, &plan, &cfg, &load).unwrap_err(),
+                run_open_loop_dag(&g, &dag, &cfg, &load).unwrap_err(),
+                run_adaptive_loop(&g, &cfg, &load, &adaptive).unwrap_err(),
+                run_adaptive_loop_dag(&g, &cfg, &load, &adaptive).unwrap_err(),
+            ] {
+                assert!(err.contains("arrival shape"), "{shape:?}: {err}");
+            }
+        }
+        // The presets and the range edges pass.
+        for shape in [
+            ArrivalShape::Constant,
+            ArrivalShape::diurnal(),
+            ArrivalShape::flash_crowd(),
+            ArrivalShape::bursty(),
+            ArrivalShape::multi_tenant(),
+            diurnal(60.0, 0.0),
+            spike(8.0, 0.0),
+            bursts(0.0),
+        ] {
+            let load = LoadSpec::poisson(2.0, 5, 1).with_shape(shape.clone());
+            assert_eq!(load.check(), Ok(()), "{shape:?}");
         }
     }
 

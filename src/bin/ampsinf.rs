@@ -102,8 +102,8 @@ fn plan(a: &Args) -> Result<(), String> {
     let r = Optimizer::new(cfg.clone()).optimize(&g).map_err(failed)?;
     println!("{}", r.plan);
     println!(
-        "searched {} cuts, {} MIQPs, {:?} ({} threads: eval {:?}, miqp {:?})",
-        r.cuts_considered, r.miqps_solved, r.solve_time, r.threads_used, r.pass1_time, r.pass2_time
+        "searched {} cuts, {} knapsack solve(s), {:?} (eval {:?}, select {:?})",
+        r.cuts_considered, r.miqps_solved, r.solve_time, r.pass1_time, r.pass2_time
     );
     if a.has("--verbose") {
         print_solver_stats(&r);
@@ -114,7 +114,7 @@ fn plan(a: &Args) -> Result<(), String> {
             b3.predicted_time_s, b3.predicted_cost
         );
     }
-    let profile = Profile::of(&g);
+    let profile = Profile::batched(&g, cfg.batch_size);
     if let Some(b4) = baselines::b4_bucket_scan(&g, &cfg, r.plan.num_lambdas()) {
         let lowered = DagPlan::from_chain(&b4, |k| profile.output_bytes(k));
         let bottleneck = baselines::dag_node_times(&profile, &lowered, &cfg)
@@ -158,7 +158,7 @@ fn plan_dag(g: &LayerGraph, cfg: &AmpsConfig, a: &Args) -> Result<(), String> {
     let chain = &r.chain.plan;
     println!("chain incumbent: {chain}");
     println!(
-        "searched {} cuts, {} MIQPs, {:?} ({} threads); {} branch region(s) considered",
+        "searched {} cuts, {} knapsack solve(s), {:?} ({} threads); {} branch region(s) considered",
         r.chain.cuts_considered,
         r.chain.miqps_solved,
         r.chain.solve_time,
