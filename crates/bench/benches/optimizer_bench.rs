@@ -42,7 +42,7 @@ fn main() {
             1 => format!("pass1/{}", g.name),
             _ => format!("pass1/{}/batch{batch}", g.name),
         };
-        b.bench(&name, 10, || opt.pass1(&g));
+        b.bench(&name, 10, || opt.pass1(&g).unwrap());
     }
 
     // SLO near the feasibility edge forces the per-cut knapsack path.

@@ -212,21 +212,17 @@ pub fn ext_pipeline() -> Table {
 
 /// Stage-station pipelining (DESIGN.md §6e): the same closed batch through
 /// the sequential chain engine vs the pipelined station engine, on the
-/// cost-blind balanced bucket-scan plan and the budget-bound joint plan.
+/// cost-blind balanced bucket-scan plan and the budget-bound pipelined
+/// plan.
 pub fn ext_stations() -> Table {
     use ampsinf_core::baselines;
-    use ampsinf_core::sweep::SweepGrid;
     let g = zoo::resnet50();
     let cfg = AmpsConfig::default();
     let n = 40;
     let balanced = baselines::b4_bucket_scan(&g, &cfg, 4).expect("bucket scan plans resnet50");
-    let grid = SweepGrid::from_slos(vec![1e9]).with_batches(vec![1]);
-    let mut rep = Optimizer::new(cfg.clone()).optimize_pipelined(&g, &grid);
-    let joint = rep
-        .points
-        .remove(0)
-        .outcome
-        .expect("joint plan feasible unconstrained")
+    let joint = Optimizer::new(cfg.clone())
+        .optimize_pipelined(&g)
+        .expect("pipelined plan feasible unconstrained")
         .plan;
     let mut t = Table::new(
         "ext-stations",

@@ -5,18 +5,24 @@
 //! `(start, end)` column evaluations thousands of times. A span's columns
 //! are a pure function of `(profile, start, end, objects, config)`, where
 //! the objects are the byte sizes the node reads and writes, so one
-//! optimize call shares a single memo table across both passes, the DAG
-//! region search and every worker thread.
+//! optimize call shares a single memo table across pass 1, the DAG region
+//! search and every worker thread.
 //!
 //! The table maps `(start, end)` to one [`NodeColumns`] per object
 //! shape. A chain segment is the entry under [`Profile::chain_io`]'s
-//! objects, so pass 1, the chain winner's pricing, pipelined stage times
-//! and the DAG spine DP's interior spans all share it; gather-fed,
-//! scatter-feeding and branch nodes add entries under their own objects.
-//! Each entry keeps its raw per-memory grid (the DAG polish scans it,
-//! pricing reads one cell) and, computed once at insert by the dominance
-//! sweep of [`crate::miqp_build::presolve_dominated`], the indices of its
-//! Pareto frontier, which every selection reads.
+//! objects: pass 1 evaluates it once, and the optimizer's segment table
+//! keeps the `Arc` by boundary slot for the knapsack stages, the winner's
+//! pricing and pipelined stage times. The DAG spine DP's interior spans
+//! read the same entry here; gather-fed, scatter-feeding and branch nodes
+//! add entries under their own objects. Each entry keeps its raw
+//! per-memory grid (the DAG polish scans it, pricing reads one cell) and,
+//! computed once at insert by the dominance sweep of
+//! [`crate::miqp_build::presolve_dominated`], the indices of its Pareto
+//! frontier, which every selection reads.
+//!
+//! Chain lookups ([`SegmentColumnCache::get_or_eval`] and the callers
+//! built on it) tally a miss when they evaluate a segment and a hit when
+//! the entry exists; node lookups tally apart.
 //!
 //! Values are computed *outside* the lock; racing threads may duplicate a
 //! computation (each counts a miss), but since the function is pure they
@@ -30,10 +36,10 @@ use ampsinf_profiler::{quick_eval_node, Profile};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// Stand-alone hit/miss tally. A sweep threads one per grid point through
-/// the shared cache's `_tracked` accessors so amortization is observable
-/// per point, while the cache's own totals keep accumulating across the
-/// whole sweep.
+/// Stand-alone hit/miss tally. A DAG region search threads one through
+/// [`SegmentColumnCache::node_columns_tracked`] so its own memo traffic is
+/// observable, while the cache's totals keep accumulating across every
+/// search on the table.
 #[derive(Debug, Default)]
 pub struct CacheCounters {
     hits: AtomicUsize,
@@ -137,8 +143,9 @@ impl NodeColumns {
 type NodeSlot = Vec<(Box<[u64]>, usize, Arc<NodeColumns>)>;
 
 /// Thread-shared memo table `(start, end) → objects → NodeColumns`. Chain
-/// lookups (`get_or_eval*`, `columns_for_cut*`) and node lookups
-/// (`node_columns_tracked`) read the same entries but tally separately.
+/// lookups (`get_or_eval`, `chain_columns`, `columns_for_cut`) and node
+/// lookups (`node_columns_tracked`) read the same entries but tally
+/// separately.
 #[derive(Debug, Default)]
 pub struct SegmentColumnCache {
     table: RwLock<FixedHashMap<(usize, usize), NodeSlot>>,
@@ -161,22 +168,22 @@ impl SegmentColumnCache {
         end: usize,
         cfg: &AmpsConfig,
     ) -> Option<Arc<NodeColumns>> {
-        self.get_or_eval_tracked(profile, start, end, cfg, None)
+        let cols = self.chain_columns(profile, start, end, cfg);
+        (!cols.frontier.is_empty()).then_some(cols)
     }
 
-    /// [`get_or_eval`](Self::get_or_eval) that additionally tallies the
-    /// hit/miss into `extra` (when given) on top of the cache's own totals.
-    pub fn get_or_eval_tracked(
+    /// The memo's chain entry of segment `[start, end]` (the entry under
+    /// [`Profile::chain_io`]), evaluated and inserted on first use, also
+    /// when no memory is feasible.
+    pub(crate) fn chain_columns(
         &self,
         profile: &Profile,
         start: usize,
         end: usize,
         cfg: &AmpsConfig,
-        extra: Option<&CacheCounters>,
-    ) -> Option<Arc<NodeColumns>> {
+    ) -> Arc<NodeColumns> {
         let io = profile.chain_io(start, end);
-        let cols = self.lookup(profile, (start, end), io, cfg, &self.chain, extra);
-        (!cols.frontier.is_empty()).then_some(cols)
+        self.lookup(profile, (start, end), io, cfg, &self.chain, None)
     }
 
     /// Columns for every segment of `cut`, or `None` when some segment has
@@ -187,22 +194,10 @@ impl SegmentColumnCache {
         cut: &[usize],
         cfg: &AmpsConfig,
     ) -> Option<Vec<Arc<NodeColumns>>> {
-        self.columns_for_cut_tracked(profile, cut, cfg, None)
-    }
-
-    /// [`columns_for_cut`](Self::columns_for_cut) with per-point counter
-    /// attribution.
-    pub fn columns_for_cut_tracked(
-        &self,
-        profile: &Profile,
-        cut: &[usize],
-        cfg: &AmpsConfig,
-        extra: Option<&CacheCounters>,
-    ) -> Option<Vec<Arc<NodeColumns>>> {
         let mut parts = Vec::with_capacity(cut.len());
         let mut start = 0usize;
         for &end in cut {
-            parts.push(self.get_or_eval_tracked(profile, start, end, cfg, extra)?);
+            parts.push(self.get_or_eval(profile, start, end, cfg)?);
             start = end + 1;
         }
         Some(parts)
@@ -211,8 +206,7 @@ impl SegmentColumnCache {
     /// Returns the columns of span `[start, end]` under the object byte
     /// sizes it reads and writes (`io`), evaluating and inserting them on
     /// first use. The hit/miss is additionally tallied into `extra` when
-    /// given (the DAG search threads one per point, mirroring the
-    /// `_tracked` chain accessors).
+    /// given (the DAG search threads one per search).
     pub fn node_columns_tracked(
         &self,
         profile: &Profile,
@@ -295,13 +289,6 @@ impl SegmentColumnCache {
             Arc::clone(&cols),
         ));
         cols
-    }
-
-    /// Tallies `n` segment references served by a memo layered over this
-    /// cache (the optimizer's pass-1 summary table), so a hit keeps
-    /// meaning "a reference that did not evaluate its segment".
-    pub(crate) fn add_hits(&self, n: usize) {
-        self.chain.hits.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Chain lookups served from the table.

@@ -1791,11 +1791,9 @@ mod tests {
         let cfg = AmpsConfig::default();
         let opt = Optimizer::new(cfg.clone());
         let free = opt.optimize(&g).unwrap().plan;
-        // The joint planner balances within the cost budget…
-        let grid = crate::sweep::SweepGrid::from_slos(vec![free.predicted_time_s * 2.0]);
-        let joint = opt.optimize_pipelined(&g, &grid).points[0]
-            .outcome
-            .clone()
+        // The pipelined planner balances within the cost budget…
+        let joint = Optimizer::new(cfg.clone().with_slo(free.predicted_time_s * 2.0))
+            .optimize_pipelined(&g)
             .unwrap();
         assert!(
             joint.imbalance() < 1.25,

@@ -9,6 +9,7 @@
 //! rationale: "reducing search space by removing intuitively unpromising
 //! solutions"), then enumerate combinations under a budget.
 
+use crate::colcache::{CacheCounters, ColumnPick, NodeColumns};
 use crate::config::AmpsConfig;
 use crate::FixedHashMap;
 use ampsinf_faas::runtime::{CODE_BYTES, DEPS_BYTES};
@@ -239,7 +240,7 @@ impl DagShared {
         &self,
         prev: Option<usize>,
         next: Option<usize>,
-        track: Option<&crate::colcache::CacheCounters>,
+        track: Option<&CacheCounters>,
         f: F,
     ) -> Option<Arc<SpineParts>>
     where
@@ -326,7 +327,7 @@ pub(crate) fn insert_region_sorted(
 /// Enumerates feasible cuts over the candidate boundaries, smallest
 /// partition counts first, up to the internal budget.
 pub fn enumerate_cuts(profile: &Profile, cfg: &AmpsConfig) -> Vec<Vec<usize>> {
-    let set = enumerate_cut_set(profile, cfg);
+    let (set, _) = enumerate_cut_set(profile, cfg);
     (0..set.len()).map(|ci| set.cut(ci).collect()).collect()
 }
 
@@ -415,8 +416,45 @@ impl CutSet {
     }
 }
 
-/// [`enumerate_cuts`] as a flat [`CutSet`], with its boundary slots.
-pub(crate) fn enumerate_cut_set(profile: &Profile, cfg: &AmpsConfig) -> CutSet {
+/// One `(start slot, end slot)` segment of a [`SegmentTable`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SegmentCell {
+    /// The cut walk's [`segment_feasible`] verdict; `None` when the walk
+    /// never asked.
+    feasible: Option<bool>,
+    /// The segment memo's chain entry, once pass 1 reaches the segment.
+    pub(crate) columns: Option<Arc<NodeColumns>>,
+    /// The entry's separable `(min-cost, min-time)` picks; `None` when no
+    /// memory is feasible or pass 1 never reached the segment.
+    pub(crate) picks: Option<(ColumnPick, ColumnPick)>,
+}
+
+/// Every segment the cut walk asked about, stored `m × m` by `(start
+/// slot, end slot)` over `m` boundary slots (see [`CutSet::segments`]).
+/// The walk fills the feasibility verdicts; pass 1 adds the columns and
+/// picks, which the knapsack stages, the winner's pricing and pipelined
+/// stage times then read by slot.
+#[derive(Debug)]
+pub(crate) struct SegmentTable {
+    m: usize,
+    cells: Vec<SegmentCell>,
+}
+
+impl SegmentTable {
+    /// The segment from start slot `s` to end slot `e`.
+    pub(crate) fn cell(&self, s: usize, e: usize) -> &SegmentCell {
+        &self.cells[s * self.m + e]
+    }
+
+    /// Mutable access to the segment from start slot `s` to end slot `e`.
+    pub(crate) fn cell_mut(&mut self, s: usize, e: usize) -> &mut SegmentCell {
+        &mut self.cells[s * self.m + e]
+    }
+}
+
+/// [`enumerate_cuts`] as a flat [`CutSet`], with its boundary slots, and
+/// the segment table holding the walk's feasibility verdicts.
+pub(crate) fn enumerate_cut_set(profile: &Profile, cfg: &AmpsConfig) -> (CutSet, SegmentTable) {
     let n = profile.num_layers();
     let mut ends = candidate_boundaries(profile, cfg);
     ends.push(n - 1); // the final boundary is always available
@@ -424,7 +462,10 @@ pub(crate) fn enumerate_cut_set(profile: &Profile, cfg: &AmpsConfig) -> CutSet {
     let mut walk = CutWalk {
         profile,
         cfg,
-        feasible: vec![None; m * m],
+        segments: SegmentTable {
+            m,
+            cells: vec![SegmentCell::default(); m * m],
+        },
         acc: Vec::new(),
         out: CutSet::new(ends),
     };
@@ -437,17 +478,17 @@ pub(crate) fn enumerate_cut_set(profile: &Profile, cfg: &AmpsConfig) -> CutSet {
             break;
         }
     }
-    walk.out
+    (walk.out, walk.segments)
 }
 
-/// The recursive cut walk's state: the cut set it fills and the memo of
-/// every `(start slot, end slot)` pair's [`segment_feasible`] verdict,
-/// which the deepening rounds and sibling branches ask for repeatedly.
+/// The recursive cut walk's state: the cut set it fills and the segment
+/// table memoizing every `(start slot, end slot)` pair's
+/// [`segment_feasible`] verdict, which the deepening rounds and sibling
+/// branches ask for repeatedly.
 struct CutWalk<'a> {
     profile: &'a Profile,
     cfg: &'a AmpsConfig,
-    /// `m × m`, indexed `start slot · m + end slot`; `None` = not asked yet.
-    feasible: Vec<Option<bool>>,
+    segments: SegmentTable,
     /// End slots of the cut under construction.
     acc: Vec<u16>,
     out: CutSet,
@@ -460,7 +501,10 @@ impl CutWalk<'_> {
     fn feasible(&mut self, s: usize, e: usize) -> bool {
         let (profile, cfg) = (self.profile, self.cfg);
         let (start, end) = (self.out.start_layer(s), self.out.ends[e]);
-        *self.feasible[s * self.out.ends.len() + e]
+        *self
+            .segments
+            .cell_mut(s, e)
+            .feasible
             .get_or_insert_with(|| segment_feasible(profile, start, end, cfg))
     }
 

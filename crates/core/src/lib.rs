@@ -50,9 +50,7 @@ pub use coordinator::{
 };
 pub use optimizer::{DagReport, DagSearchStats, OptimizeError, Optimizer};
 pub use plan::{DagNode, DagObject, DagPlan, ExecutionPlan, PartitionPlan, PipelinePlan};
-pub use sweep::{
-    PipelinePoint, PipelineSweepReport, PointStats, SweepGrid, SweepPoint, SweepReport,
-};
+pub use sweep::{PointStats, SweepGrid, SweepPoint, SweepReport};
 pub use trace::Timeline;
 
 /// A `HashMap` hashed with unkeyed SipHash instead of `RandomState`'s

@@ -1,6 +1,15 @@
 //! The Optimizer component (paper Fig. 4): enumerate cuts, solve the
 //! per-cut MIQP, select the best configuration.
 //!
+//! Pass 1 walks the enumerated cuts once. Every distinct segment is
+//! evaluated through the segment memo the first time a cut reaches it,
+//! and one `(start slot, end slot)` segment table keeps the memo's entry
+//! and its two separable picks. After pass 1 every chain reader takes
+//! segments from that table by slot: both knapsack stages, the winner's
+//! pricing and [`Optimizer::optimize_pipelined`]'s stage times. Only the
+//! DAG region search still looks spans up in the memo, under their own
+//! objects.
+//!
 //! Selection implements the paper's twin objectives — *cost-efficiency*
 //! and *timely-response* — exactly, in two pick-one knapsack stages over
 //! every cut: `C*` is the least cost of any configuration meeting the
@@ -11,11 +20,13 @@
 //! same objective to its trials.
 
 use crate::baselines::predict_dag;
-use crate::colcache::{CacheCounters, ColumnPick, NodeColumns, SegmentColumnCache};
+use crate::colcache::{CacheCounters, NodeColumns, SegmentColumnCache};
 use crate::config::AmpsConfig;
-use crate::cuts::{enumerate_cut_set, insert_region_sorted, segment_feasible, CutSet, DagShared};
+use crate::cuts::{
+    enumerate_cut_set, insert_region_sorted, segment_feasible, CutSet, DagShared, SegmentTable,
+};
 use crate::miqp_build::CutKnapsack;
-use crate::plan::{DagNode, DagObject, DagPlan, ExecutionPlan, PartitionPlan};
+use crate::plan::{DagNode, DagObject, DagPlan, ExecutionPlan, PartitionPlan, PipelinePlan};
 use crate::polish::{dag_schedule, Polish};
 use ampsinf_model::LayerGraph;
 use ampsinf_profiler::Profile;
@@ -94,40 +105,42 @@ pub enum CutEval {
 /// separable min-cost mix and of its separable min-time mix, each summed
 /// left to right from `0.0` over the cut's segments.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CutSums {
-    pub(crate) time: f64,
-    pub(crate) cost: f64,
-    pub(crate) min_time: f64,
-    pub(crate) min_cost: f64,
+struct CutSums {
+    time: f64,
+    cost: f64,
+    min_time: f64,
+    min_cost: f64,
 }
 
-/// One segment's separable `(min-cost, min-time)` picks.
-type SegmentPicks = (ColumnPick, ColumnPick);
-
-/// Pass 1 stored flat: the cuts, one [`CutSums`] record per cut (`None`:
-/// infeasible), and the dense `(start slot, end slot)` picks table every
-/// cut's memory mixes are read back from — no per-cut heap object.
+/// Pass 1 stored flat: the cuts, their segment table, one [`CutSums`]
+/// record per cut (`None`: infeasible) and the count of segment
+/// references the table served — no per-cut heap object.
 pub(crate) struct Pass1 {
     pub(crate) cuts: CutSet,
-    pub(crate) sums: Vec<Option<CutSums>>,
-    /// `start slot · m + end slot`; `None` for a segment no cut reached
-    /// or one with no feasible column (every segment of a feasible cut
-    /// has its picks).
-    picks: Vec<Option<SegmentPicks>>,
+    /// Every segment a cut reached holds its memo entry and picks; every
+    /// segment of a feasible cut has picks.
+    segments: SegmentTable,
+    sums: Vec<Option<CutSums>>,
+    /// Segment references after a segment's first: served by the table,
+    /// with no memo lookup (the reported column-cache hits).
+    pub(crate) hits: usize,
 }
 
 impl Pass1 {
     /// Feasible cut `ci`'s totals.
-    pub(crate) fn totals(&self, ci: usize) -> CutSums {
+    fn totals(&self, ci: usize) -> CutSums {
         self.sums[ci].expect("ranked cuts are feasible")
     }
 
     /// Feasible cut `ci`'s separable min-time mix (`fastest`) or min-cost
     /// mix, one memory per partition.
-    pub(crate) fn mix(&self, ci: usize, fastest: bool) -> impl ExactSizeIterator<Item = u32> + '_ {
-        let m = self.cuts.ends.len();
+    fn mix(&self, ci: usize, fastest: bool) -> impl ExactSizeIterator<Item = u32> + '_ {
         self.cuts.segments(ci).map(move |(s, e)| {
-            let (cost, time) = self.picks[s * m + e].expect("a feasible cut's segments have picks");
+            let (cost, time) = self
+                .segments
+                .cell(s, e)
+                .picks
+                .expect("a feasible cut's segments have picks");
             if fastest {
                 time.0
             } else {
@@ -136,8 +149,35 @@ impl Pass1 {
         })
     }
 
+    /// Feasible cut `ci`'s segment columns, in chain order.
+    fn columns(&self, ci: usize) -> impl ExactSizeIterator<Item = &NodeColumns> + '_ {
+        self.cuts.segments(ci).map(|(s, e)| {
+            let cell = self.segments.cell(s, e);
+            cell.columns
+                .as_deref()
+                .expect("pass 1 reached every segment of a feasible cut")
+        })
+    }
+
+    /// The knapsack form of feasible cut `ci`, over its presolved columns.
+    fn knapsack(&self, ci: usize) -> CutKnapsack {
+        CutKnapsack::new(&self.columns(ci).collect::<Vec<_>>())
+    }
+
+    /// `(seconds, dollars)` of each segment of feasible cut `ci` at the
+    /// memories `mems`, in chain order.
+    fn evals_at<'a>(
+        &'a self,
+        ci: usize,
+        mems: impl IntoIterator<Item = u32> + 'a,
+    ) -> impl Iterator<Item = (f64, f64)> + 'a {
+        self.columns(ci)
+            .zip(mems)
+            .map(|(cols, m)| cols.eval_at(m).expect("a selected mix is feasible"))
+    }
+
     /// True when cut `ci`'s min-cost and min-time mixes are the same.
-    pub(crate) fn one_mix(&self, ci: usize) -> bool {
+    fn one_mix(&self, ci: usize) -> bool {
         self.mix(ci, false).eq(self.mix(ci, true))
     }
 
@@ -159,8 +199,9 @@ impl Pass1 {
 }
 
 /// SLO-independent shared state for one `(model, batch)`: the batch-scaled
-/// profile, pass 1 (the enumerated cuts and every cut's verdict), the
-/// feasible cuts in cost rank order, and the segment-column memo table.
+/// profile, pass 1 (the enumerated cuts, their segment table and every
+/// cut's verdict), the feasible cuts in cost rank order, and the
+/// segment-column memo table the DAG region search reads.
 /// One instance serves every SLO point of a sweep at this batch size; a
 /// plain [`Optimizer::optimize`] builds one for its single point.
 pub(crate) struct BatchShared {
@@ -169,7 +210,8 @@ pub(crate) struct BatchShared {
     /// Indices of feasible cuts, ordered by separable min cost, ties by
     /// index.
     pub(crate) order: Vec<usize>,
-    /// Segment-column memo table shared by every point on this batch.
+    /// Segment-column memo table: pass 1's chain entries, and the DAG
+    /// search's node entries of every point on this batch.
     pub(crate) cache: SegmentColumnCache,
 }
 
@@ -210,10 +252,11 @@ pub struct OptimizerReport {
     /// Reference-only: warm-started relaxations (always 0, see
     /// `bb_nodes`).
     pub warm_start_hits: usize,
-    /// Segment-column memo cache hits across both passes.
+    /// Pass-1 segment references served by the segment table: every
+    /// reference to a segment after its first.
     pub column_cache_hits: usize,
-    /// Segment-column memo cache misses (evaluations performed; racing
-    /// threads may duplicate one — values are identical regardless).
+    /// Segment evaluations: pass 1's first reference to each distinct
+    /// segment. Pass 2 evaluates nothing.
     pub column_cache_misses: usize,
     /// Wall-clock optimization time.
     pub solve_time: Duration,
@@ -323,7 +366,7 @@ impl Optimizer {
         let shared = self.build_shared(Profile::batched(graph, self.cfg.batch_size))?;
         let pass1_time = t0.elapsed();
         let p2 = Instant::now();
-        let sol = self.solve_point(graph, &shared, None)?;
+        let sol = self.solve_point(graph, &shared)?;
         let pass2_time = p2.elapsed();
         let report = OptimizerReport {
             plan: sol.plan,
@@ -333,7 +376,7 @@ impl Optimizer {
             bb_nodes: 0,
             qp_relaxations: 0,
             warm_start_hits: 0,
-            column_cache_hits: shared.cache.hits(),
+            column_cache_hits: shared.pass1.hits,
             column_cache_misses: shared.cache.misses(),
             solve_time: t0.elapsed(),
             pass1_time,
@@ -357,16 +400,24 @@ impl Optimizer {
 
     /// Pass 1 on its own: the enumerated cuts of `graph` at this
     /// configuration's batch size and every cut's SLO-independent verdict,
-    /// exactly as the planner ranks them.
-    pub fn pass1(&self, graph: &LayerGraph) -> (Vec<Vec<usize>>, Vec<CutEval>) {
+    /// exactly as the planner ranks them. A zero batch size or a NaN SLO
+    /// is [`OptimizeError::InvalidInput`].
+    pub fn pass1(
+        &self,
+        graph: &LayerGraph,
+    ) -> Result<(Vec<Vec<usize>>, Vec<CutEval>), OptimizeError> {
+        self.check_inputs()?;
         let profile = Profile::batched(graph, self.cfg.batch_size);
-        let cuts = enumerate_cut_set(&profile, &self.cfg);
-        let p1 = self.evaluate_cuts(&profile, cuts, &SegmentColumnCache::new());
+        let p1 = self.evaluate_cuts(
+            &profile,
+            enumerate_cut_set(&profile, &self.cfg),
+            &SegmentColumnCache::new(),
+        );
         let n = p1.cuts.len();
-        (
+        Ok((
             (0..n).map(|ci| p1.cuts.cut(ci).collect()).collect(),
             (0..n).map(|ci| p1.eval(ci)).collect(),
-        )
+        ))
     }
 
     /// Stage 1's exact solves on their own: the SLO-binding cuts whose
@@ -375,7 +426,7 @@ impl Optimizer {
     pub fn solved_cuts(&self, graph: &LayerGraph) -> Result<Vec<Vec<usize>>, OptimizeError> {
         self.check_inputs()?;
         let shared = self.build_shared(Profile::batched(graph, self.cfg.batch_size))?;
-        let sol = self.solve_point(graph, &shared, None)?;
+        let sol = self.solve_point(graph, &shared)?;
         Ok(sol
             .solved
             .iter()
@@ -384,23 +435,22 @@ impl Optimizer {
     }
 
     /// Pass 1 for one `(model, batch)`: enumerate cuts, summarize every
-    /// distinct segment once through a fresh shared memo cache, and sum
-    /// each cut's separable fast paths from that summary. Everything here
-    /// is **SLO-independent** (the cut set, the columns, and the separable
-    /// argmins are functions of the profile and the platform config
-    /// only), so one `BatchShared` serves every SLO point of a sweep at
-    /// this batch size.
+    /// distinct segment once through a fresh memo cache into the segment
+    /// table, and sum each cut's separable fast paths from that table.
+    /// Everything here is **SLO-independent** (the cut set, the columns,
+    /// and the separable argmins are functions of the profile and the
+    /// platform config only), so one `BatchShared` serves every SLO point
+    /// of a sweep at this batch size.
     pub(crate) fn build_shared(&self, profile: Profile) -> Result<BatchShared, OptimizeError> {
-        let cuts = enumerate_cut_set(&profile, &self.cfg);
-        if cuts.is_empty() {
+        let walk = enumerate_cut_set(&profile, &self.cfg);
+        if walk.0.is_empty() {
             return Err(OptimizeError::NoFeasibleCut);
         }
-        // One segment-column memo table shared by both passes, every
-        // worker, and (in a sweep) every point on this batch: adjacent
-        // cuts overwhelmingly share `(start, end)` segments, and a
-        // segment's columns are a pure function of the profile/config.
+        // One segment-column memo table shared by pass 1, every worker of
+        // the DAG search, and (in a sweep) every point on this batch: a
+        // span's columns are a pure function of the profile/config.
         let cache = SegmentColumnCache::new();
-        let pass1 = self.evaluate_cuts(&profile, cuts, &cache);
+        let pass1 = self.evaluate_cuts(&profile, walk, &cache);
         let mut ranked: Vec<(f64, usize)> = pass1
             .sums
             .iter()
@@ -429,33 +479,26 @@ impl Optimizer {
     /// batch), in two exact stages: [`Optimizer::cheapest`] finds `C*`,
     /// [`Optimizer::fastest`] the fastest mix costing at most
     /// `C*·(1 + tolerance)`. The winner is priced from its segments' raw
-    /// grids in the segment memo with `baselines::predict`'s fold. A sweep
-    /// point runs exactly the pass 2 a cold [`Optimizer::optimize`] runs,
-    /// against its batch's `shared`.
+    /// grids in the segment table with `baselines::predict`'s fold. A
+    /// sweep point runs exactly the pass 2 a cold [`Optimizer::optimize`]
+    /// runs, against its batch's `shared`.
     pub(crate) fn solve_point(
         &self,
         graph: &LayerGraph,
         shared: &BatchShared,
-        track: Option<&CacheCounters>,
     ) -> Result<PointSolve, OptimizeError> {
         self.check_inputs()?;
-        let (best_cost, solved, pruned) = self.cheapest(shared, track);
+        let (best_cost, solved, pruned) = self.cheapest(shared);
         if best_cost == f64::INFINITY {
             return Err(OptimizeError::SloInfeasible);
         }
         let budget = best_cost * (1.0 + self.tolerance()) + 1e-15;
         let (ci, memories, solves, prunes) = self
-            .fastest(shared, budget, track)
+            .fastest(shared, budget)
             .ok_or(OptimizeError::SloInfeasible)?;
-        let profile = &shared.profile;
-        let (mut start, mut time, mut cost) = (0usize, 0.0f64, -0.0f64);
-        for (end, &m) in shared.pass1.cuts.cut(ci).zip(&memories) {
-            let io = profile.chain_io(start, end);
-            let grid = shared
-                .cache
-                .node_columns_tracked(profile, start, end, io, &self.cfg, None);
-            let (t, d) = grid.eval_at(m).expect("a selected mix is feasible");
-            (start, time, cost) = (end + 1, time + t, cost + d);
+        let (mut time, mut cost) = (0.0f64, -0.0f64);
+        for (t, d) in shared.pass1.evals_at(ci, memories.iter().copied()) {
+            (time, cost) = (time + t, cost + d);
         }
         Ok(PointSolve {
             plan: self.to_plan(graph, shared.pass1.cuts.cut(ci), memories, time, cost),
@@ -463,15 +506,6 @@ impl Optimizer {
             miqps_pruned: pruned + prunes,
             solved,
         })
-    }
-
-    /// The knapsack form of feasible cut `ci`, over its presolved columns.
-    fn knapsack(&self, sh: &BatchShared, ci: usize, track: Option<&CacheCounters>) -> CutKnapsack {
-        let cut: Vec<usize> = sh.pass1.cuts.cut(ci).collect();
-        let cols = sh
-            .cache
-            .columns_for_cut_tracked(&sh.profile, &cut, &self.cfg, track);
-        CutKnapsack::new(&cols.expect("pass 1 found the cut feasible"))
     }
 
     /// Stage 1: `C*`, the least dollars of any mix meeting the SLO
@@ -483,11 +517,7 @@ impl Optimizer {
     /// has no mix meeting it; one whose separable min-cost mix meets it
     /// costs exactly that. Any other cut is SLO-binding: pruned when its LP
     /// bound exceeds the running best, else solved within `slo + 1e-9`.
-    fn cheapest(
-        &self,
-        shared: &BatchShared,
-        track: Option<&CacheCounters>,
-    ) -> (f64, Vec<usize>, usize) {
+    fn cheapest(&self, shared: &BatchShared) -> (f64, Vec<usize>, usize) {
         let slo = self.cfg.slo_s;
         let limit = slo.map_or(f64::INFINITY, |s| s + 1e-9);
         let (mut best, mut solved, mut pruned) = (f64::INFINITY, Vec::new(), 0usize);
@@ -503,7 +533,7 @@ impl Optimizer {
                 best = best.min(s.cost);
                 continue;
             }
-            let knapsack = self.knapsack(shared, ci, track);
+            let knapsack = shared.pass1.knapsack(ci);
             if knapsack.lower_bound(limit).max(s.cost) > best + 1e-15 {
                 pruned += 1;
                 continue;
@@ -530,7 +560,6 @@ impl Optimizer {
         &self,
         shared: &BatchShared,
         budget: f64,
-        track: Option<&CacheCounters>,
     ) -> Option<(usize, Vec<u32>, usize, usize)> {
         let p1 = &shared.pass1;
         let fits = shared
@@ -557,7 +586,7 @@ impl Optimizer {
             let (time, cost, mems) = if s.min_cost <= budget {
                 (s.min_time, s.min_cost, p1.mix(ci, true).collect())
             } else {
-                let knapsack = self.knapsack(shared, ci, track);
+                let knapsack = shared.pass1.knapsack(ci);
                 if knapsack.time_bound(budget) > incumbent {
                     prunes += 1;
                     continue;
@@ -578,6 +607,74 @@ impl Optimizer {
         best.map(|(_, _, ci, mems)| (ci, mems, solves, prunes))
     }
 
+    /// Plans `graph` for **pipelined** execution at this configuration's
+    /// SLO (`None`: no SLO) and batch. Under pipelined stage execution the
+    /// makespan is bottleneck-stage-bound — `fill + (n−1)·max_i tᵢ`, not
+    /// `n·Σtᵢ` — so among configurations whose *fill* (one request's chain
+    /// time) meets the SLO and whose cost stays within `cost_tolerance` of
+    /// the cheapest such configuration, the planner picks the cut whose
+    /// slowest stage is shortest, i.e. the cut that best balances stage
+    /// times and therefore minimizes pipeline stalls.
+    ///
+    /// Candidates are each feasible cut's two separable memory mixes from
+    /// pass 1 (min-cost and min-time); bottleneck ties go to the cheaper,
+    /// then to pass-1 cost rank, the min-cost mix before the min-time mix.
+    /// A zero batch size or a NaN SLO is [`OptimizeError::InvalidInput`].
+    pub fn optimize_pipelined(&self, graph: &LayerGraph) -> Result<PipelinePlan, OptimizeError> {
+        self.check_inputs()?;
+        let sh = self.build_shared(Profile::batched(graph, self.cfg.batch_size))?;
+        let p1 = &sh.pass1;
+        let limit = self.cfg.slo_s.map_or(f64::INFINITY, |s| s + 1e-9);
+        // The cost floor over SLO-feasible candidates.
+        let mut floor = f64::INFINITY;
+        for &ci in &sh.order {
+            let s = p1.totals(ci);
+            if s.time <= limit {
+                floor = floor.min(s.cost);
+            }
+            if s.min_time <= limit {
+                floor = floor.min(s.min_cost);
+            }
+        }
+        if floor.is_infinite() {
+            return Err(OptimizeError::SloInfeasible);
+        }
+        let budget = floor * (1.0 + self.tolerance()) + 1e-15;
+
+        // Among budget-feasible candidates, minimize the bottleneck stage.
+        // Stage seconds come from the segment table's memo entries, which
+        // evaluate each stage exactly as chain pricing and `predict` do. A
+        // plan is built only for a new best.
+        let stage_times =
+            |ci: usize, fastest: bool| p1.evals_at(ci, p1.mix(ci, fastest)).map(|(t, _)| t);
+        let mut best: Option<PipelinePlan> = None;
+        for &ci in &sh.order {
+            let s = p1.totals(ci);
+            for fastest in [false, true] {
+                let (time, cost) = if fastest {
+                    (s.min_time, s.min_cost)
+                } else {
+                    (s.time, s.cost)
+                };
+                if time > limit || cost > budget || (fastest && p1.one_mix(ci)) {
+                    continue;
+                }
+                let bottleneck = stage_times(ci, fastest).fold(0.0f64, f64::max);
+                if best.as_ref().is_none_or(|b| {
+                    bottleneck < b.bottleneck_s
+                        || (bottleneck == b.bottleneck_s && cost < b.plan.predicted_cost)
+                }) {
+                    best = Some(PipelinePlan {
+                        plan: self.to_plan(graph, p1.cuts.cut(ci), p1.mix(ci, fastest), time, cost),
+                        stage_times_s: stage_times(ci, fastest).collect(),
+                        bottleneck_s: bottleneck,
+                    });
+                }
+            }
+        }
+        best.ok_or(OptimizeError::SloInfeasible)
+    }
+
     /// The cost tolerance the selection rules spend: `cfg.cost_tolerance`,
     /// with a NaN or negative value behaving as 0 (pure cost minimum).
     pub(crate) fn tolerance(&self) -> f64 {
@@ -595,23 +692,25 @@ impl Optimizer {
         }
     }
 
-    /// Pass-1 verdicts of all cuts, from a summary table of their distinct
-    /// segments. The first reference to a segment evaluates its presolved
-    /// columns through `cache` (a miss) and stores its two separable picks
-    /// in a dense `(start slot, end slot)` table; every later reference
-    /// reads the table (a hit). The separable argmins over the presolved
-    /// Pareto frontier equal those over the raw grid (dominated columns
-    /// are never argmins and exact duplicates keep their smallest-memory
-    /// copy), and each cut sums its picks left to right from `0.0` — the
-    /// order `separable_min_{cost,time}_cols` add in — so every verdict is
+    /// Pass-1 verdicts of all cuts, from the segment table the cut walk
+    /// left. The first reference to a segment stores the memo's chain
+    /// entry from `cache` (a miss) and its two separable picks in the
+    /// segment's cell; every later reference reads the cell (a hit). The
+    /// separable argmins over the presolved Pareto frontier equal those
+    /// over the raw grid (dominated columns are never argmins and exact
+    /// duplicates keep their smallest-memory copy), and each cut sums its
+    /// picks left to right from `0.0` — the order
+    /// `separable_min_{cost,time}_cols` add in — so every verdict is
     /// bit-identical to summing the cut's columns directly. A cut stops at
     /// its first segment without a feasible column. No SLO is consulted:
     /// the verdicts serve every sweep point.
-    fn evaluate_cuts(&self, profile: &Profile, cuts: CutSet, cache: &SegmentColumnCache) -> Pass1 {
-        let m = cuts.ends.len();
-        // `None` = not referenced yet; `Some(None)` = no feasible column.
-        let mut table: Vec<Option<Option<SegmentPicks>>> = vec![None; m * m];
-        let mut served = 0usize;
+    fn evaluate_cuts(
+        &self,
+        profile: &Profile,
+        (cuts, mut segments): (CutSet, SegmentTable),
+        cache: &SegmentColumnCache,
+    ) -> Pass1 {
+        let mut hits = 0usize;
         let sums = (0..cuts.len())
             .map(|ci| {
                 let mut sums = CutSums {
@@ -621,22 +720,16 @@ impl Optimizer {
                     min_cost: 0.0,
                 };
                 for (s, e) in cuts.segments(ci) {
-                    let cell = &mut table[s * m + e];
-                    let picks = match *cell {
-                        Some(picks) => {
-                            served += 1;
-                            picks
-                        }
-                        None => {
-                            let (start, end) = (cuts.start_layer(s), cuts.ends[e]);
-                            *cell.insert(
-                                cache
-                                    .get_or_eval(profile, start, end, &self.cfg)
-                                    .and_then(|cols| cols.min_cost().zip(cols.min_time())),
-                            )
-                        }
-                    };
-                    let ((_, t, c), (_, min_t, min_c)) = picks?;
+                    let cell = segments.cell_mut(s, e);
+                    if cell.columns.is_some() {
+                        hits += 1;
+                    } else {
+                        let (start, end) = (cuts.start_layer(s), cuts.ends[e]);
+                        let cols = cache.chain_columns(profile, start, end, &self.cfg);
+                        cell.picks = cols.min_cost().zip(cols.min_time());
+                        cell.columns = Some(cols);
+                    }
+                    let ((_, t, c), (_, min_t, min_c)) = cell.picks?;
                     sums.time += t;
                     sums.cost += c;
                     sums.min_time += min_t;
@@ -645,11 +738,11 @@ impl Optimizer {
                 Some(sums)
             })
             .collect();
-        cache.add_hits(served);
         Pass1 {
             cuts,
+            segments,
             sums,
-            picks: table.into_iter().map(Option::flatten).collect(),
+            hits,
         }
     }
 
@@ -1263,11 +1356,99 @@ mod tests {
             assert_eq!(opt.optimize(&g).unwrap_err(), want);
             assert_eq!(opt.optimize_dag(&g).unwrap_err(), want);
             assert_eq!(opt.solved_cuts(&g).unwrap_err(), want);
+            assert_eq!(opt.pass1(&g).unwrap_err(), want);
+            assert_eq!(opt.optimize_pipelined(&g).unwrap_err(), want);
         }
         assert_eq!(
             ZERO_BATCH.to_string(),
             "invalid input: batch size must be at least 1"
         );
+    }
+
+    #[test]
+    fn segment_table_cells_share_the_memo_chain_entries() {
+        // The DAG spine DP reads interior spans from the memo under
+        // `chain_io`, so it must find the very entries pass 1 stored.
+        for batch in [1, 64] {
+            let g = zoo::inception_v3();
+            let cfg = AmpsConfig::default().with_batch(batch);
+            let opt = Optimizer::new(cfg.clone());
+            let sh = opt.build_shared(Profile::batched(&g, batch)).unwrap();
+            let (p1, profile) = (&sh.pass1, &sh.profile);
+            let m = p1.cuts.ends.len();
+            let mut filled = 0usize;
+            for s in 0..m {
+                for e in s..m {
+                    let Some(cols) = &p1.segments.cell(s, e).columns else {
+                        continue;
+                    };
+                    let (start, end) = (p1.cuts.start_layer(s), p1.cuts.ends[e]);
+                    let io = profile.chain_io(start, end);
+                    let memo = sh
+                        .cache
+                        .node_columns_tracked(profile, start, end, io, &cfg, None);
+                    assert!(Arc::ptr_eq(cols, &memo), "batch {batch}: slots ({s}, {e})");
+                    filled += 1;
+                }
+            }
+            assert_eq!(
+                filled,
+                sh.cache.misses(),
+                "batch {batch}: one cell per evaluation"
+            );
+        }
+    }
+
+    #[test]
+    fn pipelined_point_balances_stages_within_budget() {
+        let g = zoo::resnet50();
+        let cfg = AmpsConfig::default().with_threads(1);
+        let free = Optimizer::new(cfg.clone()).optimize(&g).unwrap().plan;
+        let opt = Optimizer::new(cfg.clone().with_slo(free.predicted_time_s * 2.0));
+        let pp = opt.optimize_pipelined(&g).unwrap();
+        pp.plan.validate(g.num_layers()).unwrap();
+        // Stage times are the same arithmetic as the chain prediction.
+        let fill: f64 = pp.stage_times_s.iter().sum();
+        assert!(
+            (fill - pp.plan.predicted_time_s).abs() < 1e-9,
+            "fill {fill} vs predicted {}",
+            pp.plan.predicted_time_s
+        );
+        assert!(pp.bottleneck_s <= pp.plan.predicted_time_s + 1e-12);
+        assert!(pp.steady_rps() > 0.0);
+        // The tolerance budget holds against the cheapest SLO-feasible
+        // candidate, which the optimizer's own plan upper-bounds.
+        assert!(
+            pp.plan.predicted_cost <= free.predicted_cost * (1.0 + cfg.cost_tolerance) + 1e-12,
+            "pipelined {} vs optimize {}",
+            pp.plan.predicted_cost,
+            free.predicted_cost
+        );
+        // No SLO plans as an SLO too loose to bind.
+        let loose = Optimizer::new(cfg.clone().with_slo(free.predicted_time_s * 1e3));
+        let unbound = Optimizer::new(cfg).optimize_pipelined(&g).unwrap();
+        assert_eq!(loose.optimize_pipelined(&g).unwrap(), unbound);
+    }
+
+    #[test]
+    fn pipelined_point_is_deterministic_and_rejects_tight_slo() {
+        let g = zoo::mobilenet_v1();
+        let cfg = AmpsConfig::default().with_threads(1);
+        let free = Optimizer::new(cfg.clone()).optimize(&g).unwrap();
+        let t = free.plan.predicted_time_s;
+        let tight = Optimizer::new(cfg.clone().with_slo(t * 1e-6));
+        assert_eq!(
+            tight.optimize_pipelined(&g).unwrap_err(),
+            OptimizeError::SloInfeasible
+        );
+        for batch in [1, 4] {
+            let opt = Optimizer::new(cfg.clone().with_batch(batch).with_slo(t * 3.0));
+            assert_eq!(
+                opt.optimize_pipelined(&g).unwrap(),
+                opt.optimize_pipelined(&g).unwrap(),
+                "batch {batch}"
+            );
+        }
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //!
 //! What a sweep shares over N independent [`Optimizer::optimize`] calls:
 //!
-//! - **Pass 1, once per batch.** The profile, the cut enumeration, every
-//!   cut's column evaluation, and the segment-column memo cache are
-//!   functions of `(model, batch)` only, so they are built once per
-//!   distinct batch and reused by every SLO point ([`crate::optimizer`]'s
-//!   `BatchShared`). Each point then runs exactly the pass 2 a cold
-//!   `optimize()` runs, so its plan and its solve/prune counters equal
-//!   the cold call's.
+//! - **Pass 1, once per batch.** The profile, the cut enumeration, the
+//!   segment table with every segment's columns, and the segment-column
+//!   memo cache are functions of `(model, batch)` only, so they are built
+//!   once per distinct batch and reused by every SLO point
+//!   ([`crate::optimizer`]'s `BatchShared`). Each point then runs exactly
+//!   the pass 2 a cold `optimize()` runs, reading segments from the table,
+//!   so its plan and its solve/prune counters equal the cold call's and it
+//!   evaluates no segment.
 //! - **Parallel batches.** A batch's points run in grid order on one
 //!   thread; distinct batches run concurrently on scoped threads, and in
 //!   a DAG sweep the remaining threads fan out each point's region
@@ -22,17 +23,15 @@
 //! builds no region tables and runs no region search. The report marks
 //! the per-batch Pareto frontier over each point's effective (time, cost)
 //! with the knee point flagged — the grid point a cost/latency trade-off
-//! discussion would pick.
+//! discussion would pick. Pipelined planning is one point at a time
+//! ([`Optimizer::optimize_pipelined`]).
 
-use crate::colcache::CacheCounters;
 use crate::cuts::DagShared;
-use crate::optimizer::{
-    BatchShared, DagSearchStats, OptimizeError, Optimizer, NAN_SLO, ZERO_BATCH,
-};
+use crate::optimizer::{BatchShared, DagSearchStats, OptimizeError, Optimizer, ZERO_BATCH};
 use crate::par_map;
-use crate::plan::{DagPlan, ExecutionPlan, PipelinePlan};
+use crate::plan::{DagPlan, ExecutionPlan};
 use ampsinf_model::LayerGraph;
-use ampsinf_profiler::{batched_unique, Profile};
+use ampsinf_profiler::batched_unique;
 use std::time::{Duration, Instant};
 
 /// The SLO × batch grid a sweep plans. The grid is the cross product of
@@ -98,11 +97,6 @@ pub struct PointStats {
     pub miqps_solved: usize,
     /// Cuts both selection stages pruned on their LP bound.
     pub miqps_pruned: usize,
-    /// Segment-column cache hits attributed to this point's pass 2.
-    pub cache_hits: usize,
-    /// Segment-column cache misses attributed to this point's pass 2
-    /// (zero once the shared pass 1 has warmed the cache).
-    pub cache_misses: usize,
     /// Wall-clock spent solving this point.
     pub solve_time: Duration,
 }
@@ -124,8 +118,7 @@ pub struct SweepPoint {
     /// Chain-solver statistics for this point.
     pub stats: PointStats,
     /// Region-search statistics for this point (all zero in a chain
-    /// sweep; memo hits attribute to the point that touched the entry,
-    /// like `PointStats`' cache columns).
+    /// sweep; memo hits attribute to the point that touched the entry).
     pub search: DagSearchStats,
     /// Another same-batch point's *effective* plan is at least as fast
     /// *and* as cheap.
@@ -164,9 +157,11 @@ pub struct SweepReport {
     pub regions_considered: usize,
     /// Cuts enumerated, summed over distinct batches.
     pub cuts_considered: usize,
-    /// Cumulative segment-column cache hits (shared pass 1 + all points).
+    /// Pass-1 segment references served by the segment table, summed over
+    /// distinct batches (see `OptimizerReport::column_cache_hits`).
     pub cache_hits: usize,
-    /// Cumulative segment-column cache misses.
+    /// Segment evaluations, summed over distinct batches: pass 1's only,
+    /// since no point evaluates a segment.
     pub cache_misses: usize,
     /// Cumulative node-evaluation memo hits, summed over distinct batches.
     pub node_memo_hits: usize,
@@ -198,87 +193,32 @@ impl SweepReport {
     }
 }
 
-/// One planned grid point of a pipelined sweep.
-#[derive(Debug, Clone)]
-pub struct PipelinePoint {
-    /// The point's SLO in seconds (bounds the *fill* — one request's
-    /// end-to-end chain time — not the steady-state period).
-    pub slo_s: f64,
-    /// The point's batch size.
-    pub batch: u64,
-    /// The stall-aware plan, or why none exists at this point.
-    pub outcome: Result<PipelinePlan, OptimizeError>,
-    /// Another same-batch point has a bottleneck at least as short *and*
-    /// a cost at least as low.
-    pub dominated: bool,
-}
-
-/// Result of [`Optimizer::optimize_pipelined`]: every grid point in grid
-/// order plus the overall throughput-best point.
-#[derive(Debug, Clone)]
-pub struct PipelineSweepReport {
-    /// Every grid point, batch-major in grid order
-    /// (`points[bi * slos.len() + si]`).
-    pub points: Vec<PipelinePoint>,
-    /// Index (into `points`) of the highest-steady-throughput solved
-    /// point (ties: cheaper, then earlier in grid order). `None` when no
-    /// point solved.
-    pub best: Option<usize>,
-    /// Cuts enumerated, summed over distinct batches.
-    pub cuts_considered: usize,
-    /// Wall-clock of the whole sweep.
-    pub total_time: Duration,
-}
-
-impl PipelineSweepReport {
-    /// Points whose plan solved.
-    pub fn solved(&self) -> usize {
-        self.points.iter().filter(|p| p.outcome.is_ok()).count()
-    }
-}
-
-/// Each grid batch, in grid order, with the shared pass-1 state built for
-/// it (or the error every point at it inherits).
-fn batch_groups<'a, S>(
-    grid: &SweepGrid,
-    shared_by_batch: &'a [(u64, Result<S, OptimizeError>)],
-) -> Vec<(u64, &'a Result<S, OptimizeError>)> {
-    grid.batches
-        .iter()
-        .map(|&b| (b, shared_of(shared_by_batch, b)))
-        .collect()
-}
-
-/// The state [`Optimizer::shared_per_batch`] built for batch `b`.
-fn shared_of<S>(
-    shared_by_batch: &[(u64, Result<S, OptimizeError>)],
-    b: u64,
-) -> &Result<S, OptimizeError> {
-    &shared_by_batch
-        .iter()
-        .find(|(seen, _)| *seen == b)
-        .expect("every grid batch was profiled")
-        .1
-}
+/// A batch's shared state: pass 1, plus the region tables in a DAG sweep.
+type Shared = (BatchShared, Option<DagShared>);
 
 impl Optimizer {
-    /// Per-distinct-batch shared state: `build` runs on the batch's profile
-    /// with an optimizer configured for that batch. A zero batch gets
-    /// [`OptimizeError::InvalidInput`] instead, which every point at it
-    /// inherits.
-    fn shared_per_batch<S>(
+    /// Per-distinct-batch shared state, built on the batch's profile by an
+    /// optimizer configured for that batch (`dag` adds the region tables).
+    /// A zero batch gets [`OptimizeError::InvalidInput`] instead, which
+    /// every point at it inherits.
+    fn shared_per_batch(
         &self,
         graph: &LayerGraph,
         batches: &[u64],
-        build: impl Fn(&Optimizer, Profile) -> Result<S, OptimizeError>,
-    ) -> Vec<(u64, Result<S, OptimizeError>)> {
+        dag: bool,
+    ) -> Vec<(u64, Result<Shared, OptimizeError>)> {
         let valid: Vec<u64> = batches.iter().copied().filter(|&b| b > 0).collect();
-        let mut out: Vec<(u64, Result<S, OptimizeError>)> = batched_unique(graph, &valid)
+        let mut out: Vec<_> = batched_unique(graph, &valid)
             .into_iter()
             .map(|(b, profile)| {
                 let mut cfg = self.config().clone();
                 cfg.batch_size = b;
-                (b, build(&Optimizer::new(cfg), profile))
+                let opt = Optimizer::new(cfg);
+                let shared = opt.build_shared(profile).map(|sh| {
+                    let ds = dag.then(|| DagShared::new(graph, &sh.profile, opt.config()));
+                    (sh, ds)
+                });
+                (b, shared)
             })
             .collect();
         if valid.len() < batches.len() {
@@ -333,17 +273,24 @@ impl Optimizer {
         // Shared pass 1 (plus the DAG search's shared tables), once per
         // distinct batch.
         let p1 = Instant::now();
-        let shared_by_batch = self.shared_per_batch(graph, &grid.batches, |opt, p| {
-            let sh = opt.build_shared(p)?;
-            let ds = dag.then(|| DagShared::new(graph, &sh.profile, opt.config()));
-            Ok((sh, ds))
-        });
+        let shared_by_batch = self.shared_per_batch(graph, &grid.batches, dag);
         let pass1_time = p1.elapsed();
 
-        // Batches run concurrently, leftover threads fan out each point's
-        // region trials; the split depends only on the grid shape and
-        // `threads`, never on interleaving.
-        let groups = batch_groups(grid, &shared_by_batch);
+        // Each grid batch, in grid order, with its shared state. Batches
+        // run concurrently, leftover threads fan out each point's region
+        // trials; the split depends only on the grid shape and `threads`,
+        // never on interleaving.
+        let groups: Vec<_> = grid
+            .batches
+            .iter()
+            .map(|&b| {
+                let (_, shared) = shared_by_batch
+                    .iter()
+                    .find(|(seen, _)| *seen == b)
+                    .expect("every grid batch was profiled");
+                (b, shared)
+            })
+            .collect();
         let workers = threads.min(groups.len()).max(1);
         let inner = (threads / workers).max(1);
         let per_batch = par_map(&groups, threads, |&(batch, shared)| {
@@ -369,7 +316,7 @@ impl Optimizer {
             pareto: frontier.pareto,
             regions_considered: ok_dag().map(|ds| ds.regions.len()).sum(),
             cuts_considered: ok_shared().map(|(sh, _)| sh.pass1.cuts.len()).sum(),
-            cache_hits: ok_shared().map(|(sh, _)| sh.cache.hits()).sum(),
+            cache_hits: ok_shared().map(|(sh, _)| sh.pass1.hits).sum(),
             cache_misses: ok_shared().map(|(sh, _)| sh.cache.misses()).sum(),
             node_memo_hits: ok_shared().map(|(sh, _)| sh.cache.node_hits()).sum(),
             node_memo_misses: ok_shared().map(|(sh, _)| sh.cache.node_misses()).sum(),
@@ -387,7 +334,7 @@ impl Optimizer {
     fn sweep_point(
         &self,
         graph: &LayerGraph,
-        shared: Result<&(BatchShared, Option<DagShared>), &OptimizeError>,
+        shared: Result<&Shared, &OptimizeError>,
         batch: u64,
         slo: f64,
         inner: usize,
@@ -397,16 +344,13 @@ impl Optimizer {
         cfg.batch_size = batch;
         cfg.slo_s = Some(slo);
         let opt = Optimizer::new(cfg);
-        let counters = CacheCounters::new();
         let solve = shared
             .map_err(Clone::clone)
-            .and_then(|(sh, _)| opt.solve_point(graph, sh, Some(&counters)));
+            .and_then(|(sh, _)| opt.solve_point(graph, sh));
         let mut stats = match &solve {
             Ok(ps) => PointStats {
                 miqps_solved: ps.miqps_solved,
                 miqps_pruned: ps.miqps_pruned,
-                cache_hits: counters.hits(),
-                cache_misses: counters.misses(),
                 solve_time: Duration::ZERO,
             },
             Err(_) => PointStats::default(),
@@ -432,173 +376,6 @@ impl Optimizer {
             dominated: false,
             knee: false,
         }
-    }
-
-    /// Plans every point of `grid` for **pipelined** execution: batch size
-    /// and partition are chosen *jointly* against steady-state throughput
-    /// under the SLO. Under pipelined stage execution the makespan is
-    /// bottleneck-stage-bound — `fill + (n−1)·max_i tᵢ`, not `n·Σtᵢ` — so
-    /// among configurations whose *fill* (one request's chain time) meets
-    /// the SLO and whose cost stays within `cost_tolerance` of the
-    /// cheapest such configuration, the planner picks the cut whose
-    /// slowest stage is shortest, i.e. the cut that best balances stage
-    /// times and therefore minimizes pipeline stalls.
-    ///
-    /// Reuses [`Optimizer::optimize_sweep`]'s amortization: the profile,
-    /// cut enumeration, and every cut's separable column optima are built
-    /// once per distinct batch and shared by every SLO point.
-    pub fn optimize_pipelined(&self, graph: &LayerGraph, grid: &SweepGrid) -> PipelineSweepReport {
-        let grid = &self.batch_axis(grid);
-        let t0 = Instant::now();
-        let shared_by_batch =
-            self.shared_per_batch(graph, &grid.batches, |opt, p| opt.build_shared(p));
-
-        let mut points = Vec::with_capacity(grid.len());
-        for &batch in &grid.batches {
-            let shared = shared_of(&shared_by_batch, batch);
-            for &slo in &grid.slos {
-                let outcome = match shared {
-                    Err(e) => Err(e.clone()),
-                    Ok(sh) => self.solve_pipelined_point(graph, sh, slo),
-                };
-                points.push(PipelinePoint {
-                    slo_s: slo,
-                    batch,
-                    outcome,
-                    dominated: false,
-                });
-            }
-        }
-
-        let metrics: Vec<_> = points
-            .iter()
-            .map(|p| {
-                let pp = p.outcome.as_ref().ok()?;
-                Some((pp.bottleneck_s, pp.plan.predicted_cost))
-            })
-            .collect();
-        let frontier = mark_frontier(&metrics, grid.slos.len());
-        for (p, dominated) in points.iter_mut().zip(frontier.dominated) {
-            p.dominated = dominated;
-        }
-
-        // Grid-best: max steady throughput (min bottleneck), then min
-        // cost, then earliest grid index.
-        let mut best: Option<usize> = None;
-        for (i, p) in points.iter().enumerate() {
-            let Ok(pp) = &p.outcome else { continue };
-            let better = match best {
-                None => true,
-                Some(j) => {
-                    let cur = points[j].outcome.as_ref().expect("best is solved");
-                    pp.bottleneck_s < cur.bottleneck_s
-                        || (pp.bottleneck_s == cur.bottleneck_s
-                            && pp.plan.predicted_cost < cur.plan.predicted_cost)
-                }
-            };
-            if better {
-                best = Some(i);
-            }
-        }
-
-        let cuts_considered: usize = shared_by_batch
-            .iter()
-            .filter_map(|(_, s)| s.as_ref().ok().map(|sh| sh.pass1.cuts.len()))
-            .sum();
-
-        PipelineSweepReport {
-            points,
-            best,
-            cuts_considered,
-            total_time: t0.elapsed(),
-        }
-    }
-
-    /// Solves one pipelined grid point against a [`BatchShared`].
-    ///
-    /// Candidate configurations are each feasible cut's two separable
-    /// memory mixes from pass 1 (min-cost and min-time). The twin
-    /// objectives become: (1) the fill must meet the SLO; (2) cost within
-    /// `cost_tolerance` of the cheapest SLO-feasible candidate; (3) among
-    /// those, minimize the bottleneck stage duration (ties: cheaper, then
-    /// pass-1 cost rank, min-cost mix before min-time mix).
-    fn solve_pipelined_point(
-        &self,
-        graph: &LayerGraph,
-        sh: &BatchShared,
-        slo: f64,
-    ) -> Result<PipelinePlan, OptimizeError> {
-        if slo.is_nan() {
-            return Err(NAN_SLO);
-        }
-        let (cfg, p1, profile) = (self.config(), &sh.pass1, &sh.profile);
-        // Pass A: the cost floor over SLO-feasible candidates.
-        let mut floor = f64::INFINITY;
-        for &ci in &sh.order {
-            let s = p1.totals(ci);
-            if s.time <= slo + 1e-9 {
-                floor = floor.min(s.cost);
-            }
-            if s.min_time <= slo + 1e-9 {
-                floor = floor.min(s.min_cost);
-            }
-        }
-        if floor.is_infinite() {
-            return Err(OptimizeError::SloInfeasible);
-        }
-        let budget = floor * (1.0 + self.tolerance()) + 1e-15;
-
-        // Pass B: among budget-feasible candidates, minimize the
-        // bottleneck stage. Stage seconds come from the segment memo's
-        // chain entries, which evaluate each stage exactly as chain
-        // pricing and `predict` do. Mixes are read back from pass 1; a
-        // plan is built only for a new best.
-        let mut best: Option<PipelinePlan> = None;
-        let mut stage_times: Vec<f64> = Vec::new();
-        for &ci in &sh.order {
-            let s = p1.totals(ci);
-            for fastest in [false, true] {
-                let (time, cost) = if fastest {
-                    (s.min_time, s.min_cost)
-                } else {
-                    (s.time, s.cost)
-                };
-                if time > slo + 1e-9 || cost > budget || (fastest && p1.one_mix(ci)) {
-                    continue;
-                }
-                stage_times.clear();
-                let mut start = 0usize;
-                let ok = p1.cuts.cut(ci).zip(p1.mix(ci, fastest)).all(|(end, mem)| {
-                    let io = profile.chain_io(start, end);
-                    let grid = sh
-                        .cache
-                        .node_columns_tracked(profile, start, end, io, cfg, None);
-                    start = end + 1;
-                    grid.eval_at(mem)
-                        .map(|(t, _)| stage_times.push(t))
-                        .is_some()
-                });
-                if !ok {
-                    continue;
-                }
-                let bottleneck = stage_times.iter().copied().fold(0.0f64, f64::max);
-                let replace = match &best {
-                    None => true,
-                    Some(b) => {
-                        bottleneck < b.bottleneck_s
-                            || (bottleneck == b.bottleneck_s && cost < b.plan.predicted_cost)
-                    }
-                };
-                if replace {
-                    best = Some(PipelinePlan {
-                        plan: self.to_plan(graph, p1.cuts.cut(ci), p1.mix(ci, fastest), time, cost),
-                        stage_times_s: stage_times.clone(),
-                        bottleneck_s: bottleneck,
-                    });
-                }
-            }
-        }
-        best.ok_or(OptimizeError::SloInfeasible)
     }
 }
 
@@ -684,6 +461,7 @@ fn mark_frontier(metrics: &[Option<(f64, f64)>], per_batch: usize) -> Frontier {
 mod tests {
     use super::*;
     use crate::config::AmpsConfig;
+    use crate::optimizer::NAN_SLO;
 
     /// Metric pairs of solved points.
     fn solved(pairs: &[(f64, f64)]) -> Vec<Option<(f64, f64)>> {
@@ -758,8 +536,8 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_dominance_is_per_batch_with_tie_break() {
-        // (bottleneck, cost) pairs of two batches of three points.
+    fn dominance_is_per_batch_with_tie_break() {
+        // (time, cost) pairs of two batches of three points.
         let f = mark_frontier(
             &solved(&[
                 (1.0, 2.0),
@@ -772,70 +550,6 @@ mod tests {
             3,
         );
         assert_eq!(f.dominated, vec![false, true, false, false, true, false]);
-    }
-
-    #[test]
-    fn pipelined_point_balances_stages_within_budget() {
-        let g = ampsinf_model::zoo::resnet50();
-        let opt = Optimizer::new(AmpsConfig::default().with_threads(1));
-        let free = opt.optimize(&g).unwrap().plan;
-        let grid = SweepGrid::from_slos(vec![free.predicted_time_s * 2.0]);
-        let report = opt.optimize_pipelined(&g, &grid);
-        assert_eq!(report.points.len(), 1);
-        assert_eq!(report.best, Some(0));
-        let pp = report.points[0].outcome.as_ref().unwrap();
-        pp.plan.validate(g.num_layers()).unwrap();
-        // Stage times are the same arithmetic as the chain prediction.
-        let fill: f64 = pp.stage_times_s.iter().sum();
-        assert!(
-            (fill - pp.plan.predicted_time_s).abs() < 1e-9,
-            "fill {fill} vs predicted {}",
-            pp.plan.predicted_time_s
-        );
-        assert!(pp.bottleneck_s <= pp.plan.predicted_time_s + 1e-12);
-        assert!(pp.steady_rps() > 0.0);
-        // The tolerance budget holds against the cheapest SLO-feasible
-        // candidate, which the optimizer's own plan upper-bounds.
-        let cfg = AmpsConfig::default();
-        assert!(
-            pp.plan.predicted_cost <= free.predicted_cost * (1.0 + cfg.cost_tolerance) + 1e-12,
-            "pipelined {} vs optimize {}",
-            pp.plan.predicted_cost,
-            free.predicted_cost
-        );
-    }
-
-    #[test]
-    fn pipelined_sweep_is_deterministic_and_rejects_tight_slo() {
-        let g = ampsinf_model::zoo::mobilenet_v1();
-        let opt = Optimizer::new(AmpsConfig::default().with_threads(1));
-        let free = opt.optimize(&g).unwrap().plan.predicted_time_s;
-        let grid = SweepGrid::from_slos(vec![free * 1e-6, free * 3.0]).with_batches(vec![1, 4]);
-        let a = opt.optimize_pipelined(&g, &grid);
-        let b = opt.optimize_pipelined(&g, &grid);
-        assert_eq!(a.points.len(), 4);
-        // The hopeless SLO at batch 1 is infeasible.
-        assert!(matches!(
-            a.points[0].outcome,
-            Err(OptimizeError::SloInfeasible)
-        ));
-        assert!(a.solved() >= 1);
-        assert!(a.best.is_some());
-        assert_eq!(a.best, b.best);
-        for (x, y) in a.points.iter().zip(&b.points) {
-            match (&x.outcome, &y.outcome) {
-                (Ok(px), Ok(py)) => assert_eq!(px, py),
-                (Err(ex), Err(ey)) => assert_eq!(ex, ey),
-                _ => panic!("outcome mismatch"),
-            }
-        }
-        // Best is the max-throughput point: no solved point beats it.
-        let best = a.points[a.best.unwrap()].outcome.as_ref().unwrap();
-        for p in &a.points {
-            if let Ok(pp) = &p.outcome {
-                assert!(pp.bottleneck_s >= best.bottleneck_s - 1e-15);
-            }
-        }
     }
 
     #[test]
@@ -869,16 +583,12 @@ mod tests {
         for (grid, want) in cases {
             let chain = opt.optimize_sweep(&g, &grid).points;
             let dag = opt.optimize_dag_sweep(&g, &grid).points;
-            let pipe = opt.optimize_pipelined(&g, &grid).points;
             let outcomes = [
                 chain
                     .iter()
                     .map(|p| (p.batch, p.outcome.clone().err()))
                     .collect::<Vec<_>>(),
                 dag.iter()
-                    .map(|p| (p.batch, p.outcome.clone().err()))
-                    .collect(),
-                pipe.iter()
                     .map(|p| (p.batch, p.outcome.clone().err()))
                     .collect(),
             ];

@@ -71,6 +71,10 @@ fn chain_plans_carry_predicts_bits() {
                     continue;
                 };
                 checked += check(&profile, &cfg, &free.plan, &at(None));
+                if let Ok(pp) = Optimizer::new(cfg.clone()).optimize_pipelined(&g) {
+                    let label = format!("{} (pipelined)", at(None));
+                    checked += check(&profile, &cfg, &pp.plan, &label);
+                }
                 let t = free.plan.predicted_time_s;
                 let slos: Vec<f64> = SLO_FACTORS.iter().map(|f| t * f).collect();
                 for &slo in &slos {
@@ -83,6 +87,10 @@ fn chain_plans_carry_predicts_bits() {
                         let label = format!("{} (dag incumbent)", at(Some(slo)));
                         checked += check(&profile, &pcfg, &r.chain.plan, &label);
                     }
+                    if let Ok(pp) = opt.optimize_pipelined(&g) {
+                        let label = format!("{} (pipelined)", at(Some(slo)));
+                        checked += check(&profile, &pcfg, &pp.plan, &label);
+                    }
                 }
                 let grid = SweepGrid::from_slos(slos).with_batches(vec![batch]);
                 let opt = Optimizer::new(cfg.clone());
@@ -90,12 +98,6 @@ fn chain_plans_carry_predicts_bits() {
                     if let Ok(plan) = &p.outcome {
                         let label = format!("{} (sweep)", at(Some(p.slo_s)));
                         checked += check(&profile, &cfg, plan, &label);
-                    }
-                }
-                for p in opt.optimize_pipelined(&g, &grid).points {
-                    if let Ok(pp) = &p.outcome {
-                        let label = format!("{} (pipelined)", at(Some(p.slo_s)));
-                        checked += check(&profile, &cfg, &pp.plan, &label);
                     }
                 }
             }

@@ -191,7 +191,7 @@ fn pass1_summary_table_matches_per_cut_columns_bitwise() {
         for batch in [1, 64] {
             let cfg = AmpsConfig::default().with_batch(batch);
             let label = format!("{}/batch={batch}", g.name);
-            let (cuts, evals) = Optimizer::new(cfg.clone()).pass1(&g);
+            let (cuts, evals) = Optimizer::new(cfg.clone()).pass1(&g).unwrap();
             let profile = Profile::batched(&g, batch);
             assert_eq!(cuts, enumerate_cuts(&profile, &cfg), "{label}: cut list");
             assert_eq!(evals.len(), cuts.len(), "{label}: one verdict per cut");

@@ -44,7 +44,7 @@ fn coarse(batch: u64) -> AmpsConfig {
 fn all_plans(graph: &LayerGraph, cfg: &AmpsConfig) -> Vec<(f64, f64)> {
     let profile = Profile::batched(graph, cfg.batch_size);
     let blocks = cfg.quotas.memory_blocks_search_grid();
-    let (cuts, evals) = Optimizer::new(cfg.clone()).pass1(graph);
+    let (cuts, evals) = Optimizer::new(cfg.clone()).pass1(graph).unwrap();
     let mut out = Vec::new();
     for (cut, eval) in cuts.iter().zip(&evals) {
         if matches!(eval, CutEval::Infeasible) {

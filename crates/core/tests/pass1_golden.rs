@@ -76,7 +76,7 @@ fn pass1_matches_golden_digests() {
     for ((g, batch), (label, _, _)) in cases.iter().zip(GOLDEN) {
         let cfg = AmpsConfig::default().with_batch(*batch);
         let cuts = enumerate_cuts(&Profile::batched(g, *batch), &cfg);
-        let (p1_cuts, evals) = Optimizer::new(cfg).pass1(g);
+        let (p1_cuts, evals) = Optimizer::new(cfg).pass1(g).unwrap();
         assert_eq!(p1_cuts, cuts, "{label}: pass 1 plans the enumerated cuts");
         got.push((label, cuts_digest(&cuts), pass1_digest(&p1_cuts, &evals)));
     }

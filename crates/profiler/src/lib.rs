@@ -27,6 +27,7 @@ use ampsinf_faas::platform::Platform;
 use ampsinf_faas::runtime::{PartitionWork, CODE_BYTES, DEPS_BYTES};
 use ampsinf_faas::{PerfModel, PriceSheet, Quotas, StoreKind, MB};
 use ampsinf_model::LayerGraph;
+use std::borrow::Cow;
 
 /// Per-layer profile entry (the paper's `e_i`, `d_i`, `z_i` carriers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,12 +234,16 @@ pub struct SegmentEval {
 }
 
 /// Evaluation failure: the segment cannot run in this configuration.
+/// [`quick_eval_node`]'s reasons are static text, so rejecting a valid
+/// memory size (the only kind a planner grid holds) allocates nothing;
+/// an invalid memory size and [`evaluate_segment`]'s forwarded platform
+/// messages own their text.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EvalError {
     /// Deployment rejected (constraint (4) or memory validity).
-    Deploy(String),
+    Deploy(Cow<'static, str>),
     /// Invocation rejected (OOM, `/tmp`, timeout).
-    Invoke(String),
+    Invoke(Cow<'static, str>),
 }
 
 impl std::fmt::Display for EvalError {
@@ -276,7 +281,7 @@ pub fn evaluate_segment(
     let spec = work.function_spec(format!("{}[{start}..{end}]", graph.name), memory_mb);
     let (fid, _deploy_s) = platform
         .deploy(spec)
-        .map_err(|e| EvalError::Deploy(e.to_string()))?;
+        .map_err(|e| EvalError::Deploy(e.to_string().into()))?;
 
     let input_key = (!is_first).then(|| platform.store.fresh_key());
     let output_key = (!is_last).then(|| platform.store.fresh_key());
@@ -291,7 +296,7 @@ pub fn evaluate_segment(
     let invocation = work.invocation(input_key, output_key);
     let out = platform
         .invoke(fid, 0.0, &invocation)
-        .map_err(|e| EvalError::Invoke(e.to_string()))?;
+        .map_err(|e| EvalError::Invoke(e.to_string().into()))?;
     Ok(SegmentEval {
         duration_s: out.duration(),
         dollars: out.dollars,
@@ -332,12 +337,14 @@ pub fn quick_eval_node(
     use ampsinf_faas::perf::LambdaPerf;
 
     if !quotas.is_valid_memory(memory_mb) {
-        return Err(EvalError::Deploy(format!("invalid memory {memory_mb}")));
+        return Err(EvalError::Deploy(
+            format!("invalid memory {memory_mb}").into(),
+        ));
     }
     let weights = profile.weights(start, end);
     let package = CODE_BYTES + DEPS_BYTES + weights;
     if package > u64::from(quotas.deploy_limit_mb) * MB {
-        return Err(EvalError::Deploy("package too large".into()));
+        return Err(EvalError::Deploy(Cow::Borrowed("package too large")));
     }
     let input_bytes = if read_bytes.is_empty() {
         profile.input_bytes(start)
@@ -346,13 +353,13 @@ pub fn quick_eval_node(
     };
     let tmp = weights + input_bytes;
     if tmp > u64::from(quotas.tmp_limit_mb) * MB {
-        return Err(EvalError::Invoke("tmp exceeded".into()));
+        return Err(EvalError::Invoke(Cow::Borrowed("tmp exceeded")));
     }
     let resident = 2 * weights + profile.activations(start, end) + input_bytes;
     let footprint_mb = perf.runtime_footprint_mb + resident as f64 / MB as f64;
     let lp = LambdaPerf::new(perf, memory_mb);
     if lp.is_oom(footprint_mb) {
-        return Err(EvalError::Invoke("out of memory".into()));
+        return Err(EvalError::Invoke(Cow::Borrowed("out of memory")));
     }
 
     let mut b = DurationBreakdown {
@@ -379,7 +386,7 @@ pub fn quick_eval_node(
     }
     let duration = b.total();
     if duration > quotas.timeout_s {
-        return Err(EvalError::Invoke("timeout".into()));
+        return Err(EvalError::Invoke(Cow::Borrowed("timeout")));
     }
     let dollars = prices.lambda_compute_cost(duration, memory_mb) + prices.lambda_request + fees;
     Ok(SegmentEval {

@@ -19,7 +19,7 @@
 
 use amps_inf::core::baselines;
 use amps_inf::core::sweep::SweepGrid;
-use amps_inf::core::{OptimizeError, PipelinePlan};
+use amps_inf::core::OptimizeError;
 use amps_inf::faas::WarmPoolPolicy;
 use amps_inf::model::summary::ModelSummary;
 use amps_inf::prelude::*;
@@ -129,7 +129,7 @@ fn plan(a: &Args) -> Result<(), String> {
         );
     }
     if cfg.pipeline_depth > 0 {
-        match pipelined_plan(&g, &cfg) {
+        match Optimizer::new(cfg.clone()).optimize_pipelined(&g) {
             Ok(pp) => {
                 println!("pipelined plan: {pp}");
                 println!(
@@ -215,15 +215,6 @@ fn write_json(a: &Args, json: impl FnOnce() -> String) -> Result<(), String> {
         println!("plan written to {path}");
     }
     Ok(())
-}
-
-/// The joint planner's one-point pipelined plan at `cfg`'s SLO (none:
-/// 1e9 s) and batch: the minimum bottleneck within `cost_tolerance` of
-/// the sequential cost floor.
-fn pipelined_plan(g: &LayerGraph, cfg: &AmpsConfig) -> Result<PipelinePlan, OptimizeError> {
-    let grid = SweepGrid::from_slos(vec![cfg.slo_s.unwrap_or(1e9)]);
-    let mut rep = Optimizer::new(cfg.clone()).optimize_pipelined(g, &grid);
-    rep.points.remove(0).outcome
 }
 
 /// `serve`: plan, deploy and serve on the one engine. `--requests` runs
@@ -323,8 +314,8 @@ fn joined(values: &[f64], show: impl Fn(f64) -> String) -> String {
 
 /// The plan `serve` deploys, printed: with `dag`, [`plan_dag`]'s
 /// chain-vs-DAG objective (the chain incumbent when no branch plan
-/// wins); otherwise the chain optimum, or under `--pipeline` the joint
-/// planner's stage-balanced chain ([`pipelined_plan`]). Chains lower
+/// wins); otherwise the chain optimum, or under `--pipeline` the
+/// pipelined planner's stage-balanced chain at `--batch`. Chains lower
 /// through [`DagPlan::from_chain`].
 fn plan_for_serving(g: &LayerGraph, cfg: &AmpsConfig, dag: bool) -> Result<DagPlan, String> {
     if !dag {
@@ -333,8 +324,9 @@ fn plan_for_serving(g: &LayerGraph, cfg: &AmpsConfig, dag: bool) -> Result<DagPl
             .map_err(failed)?
             .plan;
         if cfg.pipeline_depth > 0 {
-            let pp =
-                pipelined_plan(g, cfg).map_err(|e| format!("pipelined planning failed: {e}"))?;
+            let pp = Optimizer::new(cfg.clone())
+                .optimize_pipelined(g)
+                .map_err(|e| format!("pipelined planning failed: {e}"))?;
             println!(
                 "pipelined planning: bottleneck {:.3}s, imbalance {:.2} \
                  (stage-balanced within cost tolerance of the sequential optimum)",
@@ -616,8 +608,8 @@ fn sweep(a: &Args) -> Result<(), String> {
     } else {
         println!("sweep: {shape}");
         println!(
-            "{:>3} {:>6} {:>10} {:>10} {:>12} {:>4}  {:<10} {:>9}",
-            "#", "batch", "slo(s)", "time(s)", "cost($)", "fns", "frontier", "cache h/m"
+            "{:>3} {:>6} {:>10} {:>10} {:>12} {:>4}  {}",
+            "#", "batch", "slo(s)", "time(s)", "cost($)", "fns", "frontier"
         );
     }
     for (i, p) in report.points.iter().enumerate() {
@@ -629,12 +621,7 @@ fn sweep(a: &Args) -> Result<(), String> {
                 );
                 let marker = frontier_marker(p.knee, p.dominated);
                 match (dag, &p.dag) {
-                    (false, _) => println!(
-                        "{head} {:>4}  {marker:<10} {:>5}/{}",
-                        plan.num_lambdas(),
-                        p.stats.cache_hits,
-                        p.stats.cache_misses
-                    ),
+                    (false, _) => println!("{head} {:>4}  {marker}", plan.num_lambdas()),
                     (true, Some(d)) => println!(
                         "{head} {:>10.3} {:>12.6} {:>5}  {marker}",
                         d.predicted_time_s, d.predicted_cost, "dag"
