@@ -13,11 +13,12 @@
 //!    grid point resolves entirely from warm tables with an identical
 //!    result.
 //! 4. **Amortization is observable** — the search counters expose memo
-//!    reuse across trials and points.
+//!    reuse across trials and points, and a sweep's memo totals are the
+//!    sums of its points' counters.
 
 use ampsinf_core::optimizer::Optimizer;
 use ampsinf_core::sweep::{SweepGrid, SweepReport};
-use ampsinf_core::{AmpsConfig, DagPlan, DagReport, ExecutionPlan};
+use ampsinf_core::{AmpsConfig, DagPlan, DagReport, DagSearchStats, ExecutionPlan};
 use ampsinf_model::zoo;
 use ampsinf_model::LayerGraph;
 
@@ -293,4 +294,41 @@ fn dag_sweep_counters_expose_amortization() {
     }
     assert!(report.solved() >= 1);
     assert!(report.total_time >= report.pass1_time);
+}
+
+#[test]
+fn sweep_totals_are_sums_of_points() {
+    // Every DAG memo lookup is tallied by the point whose search made it,
+    // so the report's node and spine totals are the sums over points;
+    // the segment-table totals are pass 1's, once per distinct batch.
+    let g = zoo::inception_v3();
+    let cfg = AmpsConfig::default().with_threads(1);
+    let free = |batch: u64| {
+        Optimizer::new(cfg.clone().with_batch(batch))
+            .optimize(&g)
+            .expect("unconstrained run is feasible")
+            .plan
+            .predicted_time_s
+    };
+    let (t1, t64) = (free(1), free(64));
+    let grid = SweepGrid::from_slos(vec![t1 * 0.9, t1 * 1.5, t64 * 0.95, t64 * 1.2])
+        .with_batches(vec![1, 64]);
+    let r = Optimizer::new(cfg).optimize_dag_sweep(&g, &grid);
+    let sum =
+        |f: fn(&DagSearchStats) -> usize| r.points.iter().map(|p| f(&p.search)).sum::<usize>();
+    let totals = [
+        r.cache_hits,
+        r.cache_misses,
+        r.node_memo_hits,
+        r.node_memo_misses,
+        r.spine_span_hits,
+        r.spine_spans_solved,
+    ];
+    assert_eq!(r.node_memo_hits, sum(|s| s.node_memo_hits));
+    assert_eq!(r.node_memo_misses, sum(|s| s.node_memo_misses));
+    assert_eq!(r.spine_span_hits, sum(|s| s.spine_span_hits));
+    assert_eq!(r.spine_spans_solved, sum(|s| s.spine_spans_solved));
+    // Recorded when the cache and the spine memo also kept their own
+    // tallies; counting each lookup once must not move them.
+    assert_eq!(totals, [185_568, 668, 6_321, 640, 360, 68]);
 }
