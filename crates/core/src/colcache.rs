@@ -20,9 +20,13 @@
 //! [`crate::miqp_build::presolve_dominated`], the indices of its Pareto
 //! frontier, which every selection reads.
 //!
-//! Chain lookups ([`SegmentColumnCache::get_or_eval`] and the callers
-//! built on it) tally a miss when they evaluate a segment and a hit when
-//! the entry exists; node lookups tally apart.
+//! The table keeps no tallies of its own: each lookup is counted once,
+//! by its caller. Pass 1 counts the cells of its segment table (each
+//! cell is one chain lookup, a miss in its fresh memo, and every later
+//! reference is a table hit); a DAG region search passes its
+//! [`CacheCounters`] to every node lookup
+//! ([`SegmentColumnCache::node_columns_tracked`]), and a sweep sums its
+//! points' counters.
 //!
 //! Values are computed *outside* the lock; racing threads may duplicate a
 //! computation (each counts a miss), but since the function is pure they
@@ -36,10 +40,10 @@ use ampsinf_profiler::{quick_eval_node, Profile};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// Stand-alone hit/miss tally. A DAG region search threads one through
-/// [`SegmentColumnCache::node_columns_tracked`] so its own memo traffic is
-/// observable, while the cache's totals keep accumulating across every
-/// search on the table.
+/// Hit/miss tally of one caller's memo lookups. A DAG region search
+/// threads one through [`SegmentColumnCache::node_columns_tracked`] (and
+/// another through its spine-span memo) so its own memo traffic is
+/// observable.
 #[derive(Debug, Default)]
 pub struct CacheCounters {
     hits: AtomicUsize,
@@ -144,13 +148,11 @@ type NodeSlot = Vec<(Box<[u64]>, usize, Arc<NodeColumns>)>;
 
 /// Thread-shared memo table `(start, end) → objects → NodeColumns`. Chain
 /// lookups (`get_or_eval`, `chain_columns`, `columns_for_cut`) and node
-/// lookups (`node_columns_tracked`) read the same entries but tally
-/// separately.
+/// lookups (`node_columns_tracked`) read the same entries; only node
+/// lookups tally, into their caller's counters.
 #[derive(Debug, Default)]
 pub struct SegmentColumnCache {
     table: RwLock<FixedHashMap<(usize, usize), NodeSlot>>,
-    chain: CacheCounters,
-    node: CacheCounters,
 }
 
 impl SegmentColumnCache {
@@ -183,7 +185,7 @@ impl SegmentColumnCache {
         cfg: &AmpsConfig,
     ) -> Arc<NodeColumns> {
         let io = profile.chain_io(start, end);
-        self.lookup(profile, (start, end), io, cfg, &self.chain, None)
+        self.lookup(profile, (start, end), io, cfg, None)
     }
 
     /// Columns for every segment of `cut`, or `None` when some segment has
@@ -205,8 +207,8 @@ impl SegmentColumnCache {
 
     /// Returns the columns of span `[start, end]` under the object byte
     /// sizes it reads and writes (`io`), evaluating and inserting them on
-    /// first use. The hit/miss is additionally tallied into `extra` when
-    /// given (the DAG search threads one per search).
+    /// first use. The hit/miss is tallied into `counters` (the DAG search
+    /// threads one per search).
     pub fn node_columns_tracked(
         &self,
         profile: &Profile,
@@ -214,21 +216,20 @@ impl SegmentColumnCache {
         end: usize,
         io: (&[u64], &[u64]),
         cfg: &AmpsConfig,
-        extra: Option<&CacheCounters>,
+        counters: &CacheCounters,
     ) -> Arc<NodeColumns> {
-        self.lookup(profile, (start, end), io, cfg, &self.node, extra)
+        self.lookup(profile, (start, end), io, cfg, Some(counters))
     }
 
     /// The one lookup/insert path: the entry of span `[start, end]` under
-    /// `io`, tallied into `own` and `extra`.
+    /// `io`, tallied into `counters` when given.
     fn lookup(
         &self,
         profile: &Profile,
         (start, end): (usize, usize),
         (reads, writes): (&[u64], &[u64]),
         cfg: &AmpsConfig,
-        own: &CacheCounters,
-        extra: Option<&CacheCounters>,
+        counters: Option<&CacheCounters>,
     ) -> Arc<NodeColumns> {
         let find = |slot: &NodeSlot| {
             slot.iter()
@@ -241,13 +242,11 @@ impl SegmentColumnCache {
             .expect("cache lock")
             .get(&(start, end))
             .and_then(find);
-        let tally = |c: &CacheCounters| match cached {
-            Some(_) => c.add_hit(),
-            None => c.add_miss(),
-        };
-        tally(own);
-        if let Some(c) = extra {
-            tally(c);
+        if let Some(c) = counters {
+            match cached {
+                Some(_) => c.add_hit(),
+                None => c.add_miss(),
+            }
         }
         if let Some(cols) = cached {
             return cols;
@@ -290,29 +289,6 @@ impl SegmentColumnCache {
         ));
         cols
     }
-
-    /// Chain lookups served from the table.
-    pub fn hits(&self) -> usize {
-        self.chain.hits()
-    }
-
-    /// Chain lookups that evaluated the segment (racing threads may both
-    /// count a miss for the same key; the *values* are identical
-    /// regardless).
-    pub fn misses(&self) -> usize {
-        self.chain.misses()
-    }
-
-    /// Node lookups served from the table.
-    pub fn node_hits(&self) -> usize {
-        self.node.hits()
-    }
-
-    /// Node lookups that evaluated the span's memory grid (racing threads
-    /// may duplicate one; values are identical regardless).
-    pub fn node_misses(&self) -> usize {
-        self.node.misses()
-    }
 }
 
 #[cfg(test)]
@@ -331,9 +307,13 @@ mod tests {
             .get_or_eval(&profile, start, end, &cfg)
             .expect("feasible segment");
         let io = profile.chain_io(start, end);
-        let node = cache.node_columns_tracked(&profile, start, end, io, &cfg, None);
+        let counters = CacheCounters::new();
+        let node = cache.node_columns_tracked(&profile, start, end, io, &cfg, &counters);
         assert!(Arc::ptr_eq(&chain, &node));
-        assert_eq!((cache.misses(), cache.hits()), (1, 0));
-        assert_eq!((cache.node_misses(), cache.node_hits()), (0, 1));
+        assert_eq!((counters.misses(), counters.hits()), (0, 1));
+        let again = cache
+            .get_or_eval(&profile, start, end, &cfg)
+            .expect("feasible segment");
+        assert!(Arc::ptr_eq(&chain, &again));
     }
 }

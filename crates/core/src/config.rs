@@ -155,13 +155,6 @@ impl AmpsConfig {
         self
     }
 
-    /// Config with an explicit exponential-backoff base.
-    pub fn with_backoff(mut self, base_s: f64) -> Self {
-        assert!(base_s >= 0.0, "backoff base must be non-negative");
-        self.backoff_base_s = base_s;
-        self
-    }
-
     /// Config with a lambda-level fault injection plan.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
@@ -229,10 +222,8 @@ mod tests {
     fn reliability_builders_apply() {
         let c = AmpsConfig::default()
             .with_retries(5)
-            .with_backoff(0.25)
             .with_faults(FaultPlan::uniform(0.1, 9));
         assert_eq!(c.invoke_retries, 5);
-        assert_eq!(c.backoff_base_s, 0.25);
         assert!(c.faults.enabled());
     }
 

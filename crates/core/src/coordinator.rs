@@ -215,10 +215,6 @@ pub struct Deployment {
     writes: Vec<(u32, u64)>,
     /// Number of inter-node storage objects.
     num_objects: usize,
-    /// Every non-root node reads only objects its predecessor produced —
-    /// the chain shape, where completions are monotone in node order and
-    /// every request's critical path is every node.
-    chain: bool,
 }
 
 /// The former name of [`Deployment`]. It exists only because the frozen
@@ -794,7 +790,6 @@ impl Coordinator {
         reads_off.push(0u32);
         writes_off.push(0u32);
         let mut deploy_s = 0.0f64;
-        let mut chain = true;
         for (v, node) in plan.nodes.iter().enumerate() {
             let work = PartitionWork {
                 seg: graph.segment_with(node.start, node.end, boundary),
@@ -805,10 +800,8 @@ impl Coordinator {
             deploy_s = deploy_s.max(d); // parallel uploads
             let reads = plan.inputs_of(v);
             for &o in &reads {
-                let producer = plan.objects[o].producer;
-                chain &= producer + 1 == v;
                 reads_obj.push(o as u32);
-                read_producer.push(producer as u32);
+                read_producer.push(plan.objects[o].producer as u32);
             }
             reads_off.push(reads_obj.len() as u32);
             for o in plan.outputs_of(v) {
@@ -838,7 +831,6 @@ impl Coordinator {
             writes_off,
             writes,
             num_objects: plan.objects.len(),
-            chain,
         })
     }
 
@@ -1332,21 +1324,14 @@ impl Coordinator {
         // critical-path walk starts.
         let mut last = 0usize;
         let mut last_end = t0;
-        // A chain node is ready when its predecessor completes.
-        let mut prev_end = t0;
         let works = &scratch.works[..k];
         let nodes = &mut scratch.nodes[..k];
         for v in 0..k {
             // Checkpoint-ready: every object this node reads is written.
-            let ready = if dep.chain {
-                prev_end
-            } else {
-                let mut ready = t0;
-                for &p in dep.producers_of(v) {
-                    ready = ready.max(nodes[p as usize].finish);
-                }
-                ready
-            };
+            let mut ready = t0;
+            for &p in dep.producers_of(v) {
+                ready = ready.max(nodes[p as usize].finish);
+            }
             let (station, start) = admission.admit(v, ready);
             let on_retry = |failed: FailedInvocation, backoff_s: f64| {
                 n_retries += 1;
@@ -1387,7 +1372,6 @@ impl Coordinator {
                 last = v;
                 last_end = out.end;
             }
-            prev_end = out.end;
             done = done.max(out.end);
             dollars += out.dollars;
             stall_s += out.storage_retry_s;
@@ -1417,20 +1401,9 @@ impl Coordinator {
     /// latest-finishing input producer (first such producer on ties,
     /// making the walk deterministic) — and adds every visited node's
     /// successful-attempt duration to the lane's `crit_s` accumulator.
-    ///
-    /// On a chain deployment completions are monotone in node order, so
-    /// the walk visits every node up to `last` and every node after it
-    /// ran for zero seconds: adding every node's duration in one straight
-    /// loop gives the same sums without the walk.
     #[inline(always)]
     fn accumulate_critical_path(dep: &Deployment, scratch: &mut ServeScratch, last: usize) {
         let nodes = &mut scratch.nodes;
-        if dep.chain {
-            for n in nodes.iter_mut() {
-                n.crit_s += n.dur;
-            }
-            return;
-        }
         let mut v = last;
         loop {
             nodes[v].crit_s += nodes[v].dur;
@@ -2026,16 +1999,15 @@ mod tests {
     #[test]
     fn chain_critical_path_is_every_node() {
         // A chain's completions are monotone in node order, so every
-        // clean request's critical path is the whole chain: the straight
-        // per-node sum the engine takes on chains must equal the busy
-        // seconds, bit for bit, in both trace modes.
+        // clean request's critical path is the whole chain (nodes after
+        // the first to finish last ran for zero seconds): the walk's sums
+        // must equal the busy seconds, bit for bit, in both trace modes.
         let g = zoo::resnet50();
         let (coord, plan) = optimized(&g);
         let arrivals: Vec<f64> = (0..12).map(|i| i as f64 * 0.5).collect();
         for coord in [coord.clone(), Coordinator::new(coord.cfg.with_pipeline(2))] {
             let mut platform = coord.platform();
             let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-            assert!(dep.chain);
             let trace = if coord.cfg.pipeline_depth > 0 {
                 coord.serve_trace_pipelined(&mut platform, &dep, &arrivals)
             } else {

@@ -16,7 +16,6 @@ use ampsinf_faas::runtime::{CODE_BYTES, DEPS_BYTES};
 use ampsinf_faas::MB;
 use ampsinf_model::{BranchRegion, LayerGraph, LayerOp};
 use ampsinf_profiler::Profile;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Exhaustive enumeration threshold: models with at most this many layers
@@ -192,8 +191,6 @@ pub(crate) struct DagShared {
     /// span. Values are pure functions of the key, so racing trials may
     /// duplicate a solve but never disagree.
     spines: SpineMemo,
-    spine_hits: AtomicUsize,
-    spine_solves: AtomicUsize,
     /// Per-region branch-node memo: the min-cost memory per branch, or
     /// `None` when some branch has no feasible evaluation.
     branches: RwLock<FixedHashMap<usize, Option<Arc<Vec<u32>>>>>,
@@ -227,20 +224,19 @@ impl DagShared {
             scatter,
             gather,
             spines: RwLock::default(),
-            spine_hits: AtomicUsize::new(0),
-            spine_solves: AtomicUsize::new(0),
             branches: RwLock::default(),
         }
     }
 
     /// The memoized spine span between `prev` and `next` (region indices,
-    /// `None` = the model end), solving via `f` on first use. `track`
-    /// receives the per-call hit/miss tally on top of the shared totals.
+    /// `None` = the model end), solving via `f` on first use. The hit or
+    /// miss is tallied into `track` (racing trials may both count a miss
+    /// for one span; the parts are identical regardless).
     pub(crate) fn spine_or<F>(
         &self,
         prev: Option<usize>,
         next: Option<usize>,
-        track: Option<&CacheCounters>,
+        track: &CacheCounters,
         f: F,
     ) -> Option<Arc<SpineParts>>
     where
@@ -248,16 +244,10 @@ impl DagShared {
     {
         let key = (prev.map_or(0, |i| i + 1), next.map_or(0, |i| i + 1));
         if let Some(v) = self.spines.read().expect("spine memo lock").get(&key) {
-            self.spine_hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(c) = track {
-                c.add_hit();
-            }
+            track.add_hit();
             return v.clone();
         }
-        self.spine_solves.fetch_add(1, Ordering::Relaxed);
-        if let Some(c) = track {
-            c.add_miss();
-        }
+        track.add_miss();
         let val = f().map(Arc::new);
         self.spines
             .write()
@@ -283,17 +273,6 @@ impl DagShared {
             .entry(region)
             .or_insert(val)
             .clone()
-    }
-
-    /// Spine spans served from the memo.
-    pub(crate) fn spine_hits(&self) -> usize {
-        self.spine_hits.load(Ordering::Relaxed)
-    }
-
-    /// Spine spans actually solved (memo misses; racing trials may
-    /// duplicate one — the parts are identical regardless).
-    pub(crate) fn spine_solves(&self) -> usize {
-        self.spine_solves.load(Ordering::Relaxed)
     }
 }
 

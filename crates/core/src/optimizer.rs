@@ -124,6 +124,10 @@ pub(crate) struct Pass1 {
     /// Segment references after a segment's first: served by the table,
     /// with no memo lookup (the reported column-cache hits).
     pub(crate) hits: usize,
+    /// Cells filled: each segment's first reference, one memo lookup
+    /// that evaluates the segment in the fresh memo (the reported
+    /// column-cache misses).
+    pub(crate) misses: usize,
 }
 
 impl Pass1 {
@@ -273,7 +277,9 @@ pub struct OptimizerReport {
 /// Counters of one DAG region search, following the
 /// [`PointStats`](crate::sweep::PointStats) conventions: plans are
 /// thread-invariant, these counts need not be (racing trials may
-/// duplicate a memoized evaluation, each tallying a miss).
+/// duplicate a memoized evaluation, each tallying a miss). The memo
+/// counters are the only tally of the search's lookups: the memos keep
+/// none, and a sweep's totals are these summed over its points.
 #[derive(Debug, Clone, Default)]
 pub struct DagSearchStats {
     /// Trial plans the greedy rounds evaluated (thread-independent: every
@@ -377,7 +383,7 @@ impl Optimizer {
             qp_relaxations: 0,
             warm_start_hits: 0,
             column_cache_hits: shared.pass1.hits,
-            column_cache_misses: shared.cache.misses(),
+            column_cache_misses: shared.pass1.misses,
             solve_time: t0.elapsed(),
             pass1_time,
             pass2_time,
@@ -710,7 +716,7 @@ impl Optimizer {
         (cuts, mut segments): (CutSet, SegmentTable),
         cache: &SegmentColumnCache,
     ) -> Pass1 {
-        let mut hits = 0usize;
+        let (mut hits, mut misses) = (0usize, 0usize);
         let sums = (0..cuts.len())
             .map(|ci| {
                 let mut sums = CutSums {
@@ -726,6 +732,7 @@ impl Optimizer {
                     } else {
                         let (start, end) = (cuts.start_layer(s), cuts.ends[e]);
                         let cols = cache.chain_columns(profile, start, end, &self.cfg);
+                        misses += 1;
                         cell.picks = cols.min_cost().zip(cols.min_time());
                         cell.columns = Some(cols);
                     }
@@ -743,6 +750,7 @@ impl Optimizer {
             segments,
             sums,
             hits,
+            misses,
         }
     }
 
@@ -943,7 +951,7 @@ impl Optimizer {
         e: usize,
         reads: &[u64],
         writes: &[u64],
-        track: Option<&CacheCounters>,
+        track: &CacheCounters,
     ) -> Option<(u32, f64)> {
         sh.cache
             .node_columns_tracked(&sh.profile, s, e, (reads, writes), &self.cfg, track)
@@ -967,7 +975,7 @@ impl Optimizer {
         b: usize,
         first_reads: &[u64],
         last_writes: &[u64],
-        track: Option<&CacheCounters>,
+        track: &CacheCounters,
     ) -> Option<Vec<(usize, usize, u32)>> {
         let profile = &sh.profile;
         let mut ends: Vec<usize> = cand.iter().copied().filter(|&k| k >= a && k < b).collect();
@@ -1049,7 +1057,7 @@ impl Optimizer {
         trial: &[usize],
         track: &SearchCounters,
     ) -> Option<DagPlan> {
-        let node_track = Some(&track.node);
+        let node_track = &track.node;
         let profile = &sh.profile;
         let n = profile.num_layers();
         if trial.is_empty() {
@@ -1067,7 +1075,7 @@ impl Optimizer {
         for ri in 0..=trial.len() {
             let prev = (ri > 0).then(|| trial[ri - 1]);
             let next = trial.get(ri).copied();
-            let parts = ds.spine_or(prev, next, Some(&track.spine), || {
+            let parts = ds.spine_or(prev, next, &track.spine, || {
                 let a = prev.map_or(0, |p| ds.regions[p].merge);
                 let b = next.map_or(n - 1, |q| ds.regions[q].entry);
                 // The root's image arrives with the trigger; the tail
@@ -1194,7 +1202,7 @@ impl Optimizer {
                     plan.nodes[v].end,
                     (&reads, &writes),
                     cfg,
-                    Some(&track.node),
+                    &track.node,
                 )
             })
             .collect();
@@ -1377,6 +1385,7 @@ mod tests {
             let (p1, profile) = (&sh.pass1, &sh.profile);
             let m = p1.cuts.ends.len();
             let mut filled = 0usize;
+            let lookups = CacheCounters::new();
             for s in 0..m {
                 for e in s..m {
                     let Some(cols) = &p1.segments.cell(s, e).columns else {
@@ -1386,15 +1395,16 @@ mod tests {
                     let io = profile.chain_io(start, end);
                     let memo = sh
                         .cache
-                        .node_columns_tracked(profile, start, end, io, &cfg, None);
+                        .node_columns_tracked(profile, start, end, io, &cfg, &lookups);
                     assert!(Arc::ptr_eq(cols, &memo), "batch {batch}: slots ({s}, {e})");
                     filled += 1;
                 }
             }
+            assert_eq!(filled, p1.misses, "batch {batch}: one cell per evaluation");
             assert_eq!(
-                filled,
-                sh.cache.misses(),
-                "batch {batch}: one cell per evaluation"
+                (lookups.hits(), lookups.misses()),
+                (filled, 0),
+                "batch {batch}: every cell is already in the memo"
             );
         }
     }

@@ -163,14 +163,15 @@ pub struct SweepReport {
     /// Segment evaluations, summed over distinct batches: pass 1's only,
     /// since no point evaluates a segment.
     pub cache_misses: usize,
-    /// Cumulative node-evaluation memo hits, summed over distinct batches.
+    /// Node-evaluation memo hits, summed over points.
     pub node_memo_hits: usize,
-    /// Cumulative node-evaluation memo misses (each evaluated one span's
-    /// memory grid exactly once per io shape).
+    /// Node-evaluation memo misses, summed over points (each evaluated one
+    /// span's memory grid, once per io shape unless racing trials
+    /// duplicated it).
     pub node_memo_misses: usize,
-    /// Cumulative spine-span memo hits, summed over distinct batches.
+    /// Spine-span memo hits, summed over points.
     pub spine_span_hits: usize,
-    /// Cumulative spine spans actually solved.
+    /// Spine spans actually solved, summed over points.
     pub spine_spans_solved: usize,
     /// Wall-clock spent building the per-batch shared state (pass 1 and,
     /// in a DAG sweep, the region/byte-table precomputation).
@@ -310,18 +311,21 @@ impl Optimizer {
         }
 
         let ok_shared = || shared_by_batch.iter().filter_map(|(_, s)| s.as_ref().ok());
-        let ok_dag = || ok_shared().filter_map(|(_, ds)| ds.as_ref());
+        let searched = |f: fn(&DagSearchStats) -> usize| points.iter().map(|p| f(&p.search)).sum();
         SweepReport {
-            points,
-            pareto: frontier.pareto,
-            regions_considered: ok_dag().map(|ds| ds.regions.len()).sum(),
+            regions_considered: ok_shared()
+                .filter_map(|(_, ds)| ds.as_ref())
+                .map(|ds| ds.regions.len())
+                .sum(),
             cuts_considered: ok_shared().map(|(sh, _)| sh.pass1.cuts.len()).sum(),
             cache_hits: ok_shared().map(|(sh, _)| sh.pass1.hits).sum(),
-            cache_misses: ok_shared().map(|(sh, _)| sh.cache.misses()).sum(),
-            node_memo_hits: ok_shared().map(|(sh, _)| sh.cache.node_hits()).sum(),
-            node_memo_misses: ok_shared().map(|(sh, _)| sh.cache.node_misses()).sum(),
-            spine_span_hits: ok_dag().map(|ds| ds.spine_hits()).sum(),
-            spine_spans_solved: ok_dag().map(|ds| ds.spine_solves()).sum(),
+            cache_misses: ok_shared().map(|(sh, _)| sh.pass1.misses).sum(),
+            node_memo_hits: searched(|s| s.node_memo_hits),
+            node_memo_misses: searched(|s| s.node_memo_misses),
+            spine_span_hits: searched(|s| s.spine_span_hits),
+            spine_spans_solved: searched(|s| s.spine_spans_solved),
+            points,
+            pareto: frontier.pareto,
             pass1_time,
             total_time: t0.elapsed(),
             threads_used: threads,

@@ -5,7 +5,7 @@
 //! per request so users can see *where* a plan spends its seconds (and why
 //! the optimizer chose the memories it chose).
 
-use crate::coordinator::{BatchReport, JobReport};
+use crate::coordinator::JobReport;
 use crate::plan::ExecutionPlan;
 
 /// One timeline span.
@@ -83,15 +83,6 @@ impl Timeline {
             spans,
             total_s: job.inference_s,
         }
-    }
-
-    /// Timelines of every successful job of a batch, in image order.
-    ///
-    /// The sharded batch engine merges per-shard results back into global
-    /// image order before building the report, so this rendering is
-    /// stable across [`crate::AmpsConfig::serve_threads`] settings.
-    pub fn of_batch(plan: &ExecutionPlan, batch: &BatchReport) -> Vec<Timeline> {
-        batch.jobs.iter().map(|j| Timeline::of(plan, j)).collect()
     }
 
     /// Seconds spent in a given phase across all lambdas.

@@ -1,9 +1,10 @@
-//! Itemized cost accounting.
+//! Per-category cost accounting.
 //!
 //! The paper's Eq. (3) decomposes a lambda's cost into compute (`v·T`),
 //! intermediate storage (`q·T·H`), request fees (`G`, `U`) and invocation
-//! (`I`); SageMaker comparisons add VM time. The ledger keeps each dollar
-//! attributed so the repro harness can print the same decompositions.
+//! (`I`); SageMaker comparisons add VM time. The ledger keeps one running
+//! total per category so the repro harness can print the same
+//! decompositions.
 
 /// Cost category, mirroring the paper's cost-model terms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -20,8 +21,6 @@ pub enum CostItem {
     StorageAtRest,
     /// VM instance time (SageMaker notebook / hosting).
     VmTime,
-    /// Data transfer fees.
-    DataTransfer,
     /// Provisioned/keep-warm idle capacity (warm-pool policies that bill
     /// idle time, like Lambda provisioned concurrency).
     WarmPoolIdle,
@@ -29,7 +28,7 @@ pub enum CostItem {
 
 impl CostItem {
     /// Number of cost categories (size of the running-totals table).
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 7;
 
     /// Dense slot of this category in the running-totals table.
     const fn slot(self) -> usize {
@@ -37,92 +36,14 @@ impl CostItem {
     }
 }
 
-/// Attribution of a ledger line. The hot serving path charges millions of
-/// entries per load run, so the common attributions (object keys,
-/// deployed-function ids, static labels) are stored without allocating;
-/// free-form text remains available for cold paths.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Note {
-    /// A static attribution label.
-    Label(&'static str),
-    /// Free-form attribution text (cold paths only).
-    Text(String),
-    /// A storage object, by its key.
-    Object(crate::storage::ObjectKey),
-    /// A deployed function, by id.
-    Function(crate::platform::FunctionId),
-}
-
-impl std::fmt::Display for Note {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Note::Label(s) => f.write_str(s),
-            Note::Text(s) => f.write_str(s),
-            Note::Object(k) => write!(f, "{k}"),
-            Note::Function(id) => write!(f, "fn#{}", id.0),
-        }
-    }
-}
-
-impl From<&'static str> for Note {
-    fn from(s: &'static str) -> Self {
-        Note::Label(s)
-    }
-}
-
-impl From<String> for Note {
-    fn from(s: String) -> Self {
-        Note::Text(s)
-    }
-}
-
-impl From<crate::storage::ObjectKey> for Note {
-    fn from(k: crate::storage::ObjectKey) -> Self {
-        Note::Object(k)
-    }
-}
-
-impl From<crate::platform::FunctionId> for Note {
-    fn from(id: crate::platform::FunctionId) -> Self {
-        Note::Function(id)
-    }
-}
-
-/// One ledger line.
-#[derive(Debug, Clone)]
-pub struct CostEntry {
-    /// What kind of charge.
-    pub item: CostItem,
-    /// Dollars.
-    pub dollars: f64,
-    /// Attribution (function, object key, free text).
-    pub note: Note,
-}
-
-/// Append-only cost ledger.
+/// Cost ledger: the running dollar total of each category.
 ///
-/// Per-category running totals are maintained on every charge, so
-/// [`CostLedger::total`] and [`CostLedger::total_of`] are O(1) regardless
-/// of entry count — the serving hot path charges several lines per
-/// request and sums totals per request. Itemized entries (the audit
-/// trail) can be switched off with [`CostLedger::set_itemized`] for
-/// throughput runs where only the totals matter; the totals themselves
-/// always accrue.
-#[derive(Debug, Clone)]
+/// A charge adds to its category's total, so [`CostLedger::total`] and
+/// [`CostLedger::total_of`] are O(1) — the serving hot path charges
+/// several times per request and sums totals per request.
+#[derive(Debug, Clone, Default)]
 pub struct CostLedger {
-    entries: Vec<CostEntry>,
     totals: [f64; CostItem::COUNT],
-    itemized: bool,
-}
-
-impl Default for CostLedger {
-    fn default() -> Self {
-        CostLedger {
-            entries: Vec::new(),
-            totals: [0.0; CostItem::COUNT],
-            itemized: true,
-        }
-    }
 }
 
 impl CostLedger {
@@ -131,29 +52,10 @@ impl CostLedger {
         Self::default()
     }
 
-    /// Enables or disables the itemized audit trail. Totals always accrue;
-    /// with itemization off, `charge` skips the per-line entry push (the
-    /// serving engine turns this off on its throughput shards).
-    pub fn set_itemized(&mut self, on: bool) {
-        self.itemized = on;
-    }
-
-    /// Whether per-line entries are being recorded.
-    pub fn is_itemized(&self) -> bool {
-        self.itemized
-    }
-
     /// Records a charge.
-    pub fn charge(&mut self, item: CostItem, dollars: f64, note: impl Into<Note>) {
+    pub fn charge(&mut self, item: CostItem, dollars: f64) {
         debug_assert!(dollars >= 0.0, "negative charge");
         self.totals[item.slot()] += dollars;
-        if self.itemized {
-            self.entries.push(CostEntry {
-                item,
-                dollars,
-                note: note.into(),
-            });
-        }
     }
 
     /// Total dollars across all categories. Summed in fixed category
@@ -168,28 +70,11 @@ impl CostLedger {
         self.totals[item.slot()]
     }
 
-    /// All entries (empty when itemization was off).
-    pub fn entries(&self) -> &[CostEntry] {
-        &self.entries
-    }
-
-    /// Merges `other` into `self`: category totals add element-wise and
-    /// itemized entries append.
+    /// Merges `other` into `self`: category totals add element-wise.
     pub fn absorb(&mut self, other: CostLedger) {
         for (mine, theirs) in self.totals.iter_mut().zip(other.totals) {
             *mine += theirs;
         }
-        self.entries.extend(other.entries);
-    }
-
-    /// Number of itemized entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no itemized entries exist.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -200,41 +85,25 @@ mod tests {
     #[test]
     fn totals_by_category() {
         let mut l = CostLedger::new();
-        l.charge(CostItem::LambdaCompute, 0.001, "f1");
-        l.charge(CostItem::LambdaCompute, 0.002, "f2");
-        l.charge(CostItem::StoragePut, 0.000005, "obj");
+        l.charge(CostItem::LambdaCompute, 0.001);
+        l.charge(CostItem::LambdaCompute, 0.002);
+        l.charge(CostItem::StoragePut, 0.000005);
         assert!((l.total() - 0.003005).abs() < 1e-12);
         assert!((l.total_of(CostItem::LambdaCompute) - 0.003).abs() < 1e-12);
         assert!((l.total_of(CostItem::VmTime) - 0.0).abs() < 1e-15);
-        assert_eq!(l.len(), 3);
-    }
-
-    #[test]
-    fn totals_accrue_with_itemization_off() {
-        let mut l = CostLedger::new();
-        l.set_itemized(false);
-        l.charge(CostItem::LambdaCompute, 0.004, "f1");
-        l.charge(CostItem::WarmPoolIdle, 0.001, "pool");
-        assert_eq!(l.len(), 0, "no audit trail when itemization is off");
-        assert!((l.total() - 0.005).abs() < 1e-15);
-        assert!((l.total_of(CostItem::WarmPoolIdle) - 0.001).abs() < 1e-15);
-
-        // Absorbing a non-itemized shard still merges its totals.
-        let mut base = CostLedger::new();
-        base.charge(CostItem::LambdaCompute, 0.002, "f0");
-        base.absorb(l);
-        assert_eq!(base.len(), 1);
-        assert!((base.total() - 0.007).abs() < 1e-15);
     }
 
     #[test]
     fn absorb_merges() {
         let mut a = CostLedger::new();
-        a.charge(CostItem::VmTime, 0.01, "sage1");
+        a.charge(CostItem::VmTime, 0.01);
+        a.charge(CostItem::LambdaCompute, 0.002);
         let mut b = CostLedger::new();
-        b.charge(CostItem::LambdaRequest, 0.0000002, "f");
+        b.charge(CostItem::LambdaRequest, 0.0000002);
+        b.charge(CostItem::WarmPoolIdle, 0.001);
         a.absorb(b);
-        assert_eq!(a.len(), 2);
-        assert!((a.total() - 0.0100002).abs() < 1e-12);
+        assert!((a.total() - 0.0130002).abs() < 1e-12);
+        assert!((a.total_of(CostItem::VmTime) - 0.01).abs() < 1e-15);
+        assert!((a.total_of(CostItem::WarmPoolIdle) - 0.001).abs() < 1e-15);
     }
 }

@@ -20,7 +20,7 @@
 //! Modules: [`quotas`] (platform limits, 2020 + 2021 presets), [`pricing`]
 //! (price sheets), [`perf`] (the Lambda performance law), [`storage`]
 //! (S3-like object store), [`vm`] (EC2/SageMaker instances), [`ledger`]
-//! (itemized cost accounting), [`platform`] (deploy/invoke API enforcing
+//! (per-category cost totals), [`platform`] (deploy/invoke API enforcing
 //! quotas), [`runtime`] (symbolic execution of model partitions),
 //! [`fault`] (seeded fault injection), [`rng`] (the simulator's seeded
 //! generator). Workflow orchestration is not a substrate here: SerFer's
@@ -70,7 +70,7 @@ pub mod storage;
 pub mod vm;
 
 pub use fault::{FaultKind, FaultPlan};
-pub use ledger::{CostItem, CostLedger, Note};
+pub use ledger::{CostItem, CostLedger};
 pub use perf::{LambdaPerf, PerfModel};
 pub use platform::{
     DeployError, FailedInvocation, FunctionId, FunctionSpec, InvocationOutcome, InvocationWork,

@@ -4,7 +4,7 @@
 //! consumed plus the request fee, exactly as real Lambda does.
 
 use crate::fault::{FaultInjector, FaultKind, FaultPlan};
-use crate::ledger::{CostItem, CostLedger, Note};
+use crate::ledger::{CostItem, CostLedger};
 use crate::perf::{DurationBreakdown, LambdaPerf, PerfModel};
 use crate::pricing::PriceSheet;
 use crate::quotas::Quotas;
@@ -483,7 +483,7 @@ pub struct Platform {
     perf: PerfModel,
     /// Intermediate object storage.
     pub store: ObjectStore,
-    /// Itemized cost ledger.
+    /// Per-category cost ledger.
     pub ledger: CostLedger,
     functions: Vec<DeployedFunction>,
     /// Warm-pool provisioning policy.
@@ -579,19 +579,13 @@ impl Platform {
     /// functions — but fresh (empty) warm pools, ledger, store, and
     /// counters. Shards simulate disjoint request slices and are merged
     /// back with [`Platform::absorb_shards`].
-    ///
-    /// Shard ledgers skip the itemized audit trail (totals still accrue
-    /// and merge exactly) — the serving hot path charges several lines per
-    /// request, and only the base platform keeps per-line attribution.
     pub fn fork_empty(&self) -> Platform {
-        let mut ledger = CostLedger::new();
-        ledger.set_itemized(false);
         Platform {
             quotas: self.quotas,
             prices: self.prices,
             perf: self.perf,
             store: ObjectStore::new(self.store.kind),
-            ledger,
+            ledger: CostLedger::new(),
             functions: self
                 .functions
                 .iter()
@@ -605,7 +599,7 @@ impl Platform {
     }
 
     /// Merges shards produced by [`Platform::fork_empty`] back into this
-    /// platform, in lane order: invocation counters add, ledgers append,
+    /// platform, in lane order: invocation counters add, ledger totals add,
     /// stores merge by a shifted append (see [`ObjectStore::absorb`]), and
     /// each function's warm pools concatenate, with its cold-start,
     /// pre-warm and idle counters added lane by lane.
@@ -734,8 +728,7 @@ impl Platform {
         let rate = self.prices.lambda_provisioned_gb_second;
         let mut idle_total = 0.0;
         let mut dollars = 0.0;
-        let mut charges: Vec<(FunctionId, f64)> = Vec::new();
-        for (i, f) in self.functions.iter_mut().enumerate() {
+        for f in &mut self.functions {
             // The idle sum runs in pool order, so its bits need the sort.
             f.order_pool();
             let mut idle = std::mem::take(&mut f.idle_warm_s);
@@ -757,12 +750,9 @@ impl Platform {
                 if policy.bill_idle {
                     let c = rate * idle * (f64::from(f.spec.memory_mb) / 1024.0);
                     dollars += c;
-                    charges.push((FunctionId(i), c));
+                    self.ledger.charge(CostItem::WarmPoolIdle, c);
                 }
             }
-        }
-        for (id, c) in charges {
-            self.ledger.charge(CostItem::WarmPoolIdle, c, id);
         }
         (idle_total, dollars)
     }
@@ -1041,10 +1031,9 @@ impl Platform {
 
         let billed = self.prices.billed_duration(duration);
         let compute_cost = self.prices.lambda_compute_cost(duration, memory_mb);
+        self.ledger.charge(CostItem::LambdaCompute, compute_cost);
         self.ledger
-            .charge(CostItem::LambdaCompute, compute_cost, id);
-        self.ledger
-            .charge(CostItem::LambdaRequest, self.prices.lambda_request, id);
+            .charge(CostItem::LambdaRequest, self.prices.lambda_request);
 
         self.functions[id.0].pool_insert(start + duration, warm);
         Ok(InvocationOutcome {
@@ -1089,21 +1078,10 @@ impl Platform {
         let billed = self.prices.billed_duration(consumed_s);
         let compute_cost = self.prices.lambda_compute_cost(consumed_s, memory_mb);
         if compute_cost > 0.0 {
-            // The attribution string only materializes on itemized ledgers
-            // — failures are off the hot path, but shards skip it anyway.
-            let note = if self.ledger.is_itemized() {
-                Note::Text(format!(
-                    "{} [failed: {reason}]",
-                    self.functions[id.0].spec.name
-                ))
-            } else {
-                Note::Label("failed invocation")
-            };
-            self.ledger
-                .charge(CostItem::LambdaCompute, compute_cost, note);
+            self.ledger.charge(CostItem::LambdaCompute, compute_cost);
         }
         self.ledger
-            .charge(CostItem::LambdaRequest, self.prices.lambda_request, id);
+            .charge(CostItem::LambdaRequest, self.prices.lambda_request);
         let end = start + consumed_s;
         if sandbox_created {
             // Lambda reuses sandboxes after handler errors and timeouts —
@@ -1610,7 +1588,7 @@ mod tests {
             CostItem::StoragePut,
             CostItem::WarmPoolIdle,
         ] {
-            p.ledger.charge(item, rng.next_f64() * 1e-3, "shard");
+            p.ledger.charge(item, rng.next_f64() * 1e-3);
         }
         p.store.fresh_block(rng.below(6));
         if rng.below(2) == 0 {
@@ -1674,7 +1652,6 @@ mod tests {
                     "seed {seed}: {item:?}"
                 );
             }
-            assert_eq!(want.ledger.len(), got.ledger.len(), "seed {seed}");
             assert_eq!(want.store.num_keys(), got.store.num_keys(), "seed {seed}");
         }
     }

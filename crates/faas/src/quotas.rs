@@ -50,26 +50,11 @@ impl Quotas {
     /// All valid memory blocks in MB, ascending.
     ///
     /// Beware: under the 2021 preset this is ~10k entries; use
-    /// [`Quotas::memory_blocks_coarse`] for optimization grids.
+    /// [`Quotas::memory_blocks_search_grid`] for optimization grids.
     pub fn memory_blocks(&self) -> Vec<u32> {
         (self.memory_min_mb..=self.memory_max_mb)
             .step_by(self.memory_step_mb as usize)
             .collect()
-    }
-
-    /// Memory blocks thinned to at most `max_points` (always keeping the
-    /// extremes); lets optimizers handle the 1 MB-granular 2021 quota.
-    pub fn memory_blocks_coarse(&self, max_points: usize) -> Vec<u32> {
-        let all = self.memory_blocks();
-        if all.len() <= max_points || max_points < 2 {
-            return all;
-        }
-        let stride = (all.len() - 1) as f64 / (max_points - 1) as f64;
-        let mut out: Vec<u32> = (0..max_points)
-            .map(|i| all[(i as f64 * stride).round() as usize])
-            .collect();
-        out.dedup();
-        out
     }
 
     /// Valid blocks at an effective granularity of at least 64 MB (plus
@@ -164,19 +149,8 @@ mod tests {
         let q = Quotas::lambda_2021();
         assert!(q.is_valid_memory(10_240));
         assert!(q.is_valid_memory(1793));
-        let coarse = q.memory_blocks_coarse(64);
-        assert!(coarse.len() <= 64);
-        assert_eq!(coarse[0], 128);
-        assert_eq!(*coarse.last().unwrap(), 10_240);
-    }
-
-    #[test]
-    fn coarse_grid_is_sorted_unique() {
-        let q = Quotas::lambda_2021();
-        let c = q.memory_blocks_coarse(50);
-        let mut s = c.clone();
-        s.sort_unstable();
-        s.dedup();
-        assert_eq!(c, s);
+        let grid = q.memory_blocks_search_grid();
+        assert_eq!(grid[0], 128);
+        assert_eq!(*grid.last().unwrap(), 10_240);
     }
 }

@@ -77,7 +77,7 @@ struct ObjectMeta {
 /// by the store itself ([`ObjectStore::fresh_key`],
 /// [`ObjectStore::fresh_block`]). Keys are only meaningful for the store
 /// that allocated them (a shard merge shifts them by the merging store's
-/// key count). Displays as `object#N`, in errors and ledger notes alike.
+/// key count). Displays as `object#N` in errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ObjectKey(u32);
 
@@ -114,7 +114,7 @@ pub struct ObjectStore {
     metas: Vec<Option<ObjectMeta>>,
     /// Tombstones for objects replaced by an overwriting `put` (the prior
     /// incarnation's lifetime still bills at settlement).
-    history: Vec<(ObjectKey, ObjectMeta)>,
+    history: Vec<ObjectMeta>,
     /// Deterministic failure-draw state (splitmix64).
     rng: u64,
 }
@@ -225,11 +225,9 @@ impl ObjectStore {
     /// and double-bills nothing.
     pub fn absorb(&mut self, other: ObjectStore) {
         let ObjectStore { metas, history, .. } = other;
-        let base = u32::try_from(self.metas.len()).expect("key table overflow");
         u32::try_from(self.metas.len() + metas.len()).expect("key table overflow");
         self.metas.extend(metas);
-        self.history
-            .extend(history.into_iter().map(|(k, m)| (ObjectKey(k.0 + base), m)));
+        self.history.extend(history);
     }
 
     /// Deterministic uniform draw in [0, 1).
@@ -281,7 +279,7 @@ impl ObjectStore {
             0.0
         };
         if fee > 0.0 {
-            ledger.charge(CostItem::StoragePut, fee, key);
+            ledger.charge(CostItem::StoragePut, fee);
         }
         let created_at = now + duration;
         let slot = &mut self.metas[key.0 as usize];
@@ -298,7 +296,7 @@ impl ObjectStore {
             if old.deleted_at.is_none() {
                 old.deleted_at = Some(created_at.max(old.created_at));
             }
-            self.history.push((key, old));
+            self.history.push(old);
         }
         Ok(StorageOp {
             duration_s: duration,
@@ -333,7 +331,7 @@ impl ObjectStore {
             0.0
         };
         if fee > 0.0 {
-            ledger.charge(CostItem::StorageGet, fee, key);
+            ledger.charge(CostItem::StorageGet, fee);
         }
         Ok(StorageOp {
             duration_s: duration,
@@ -390,13 +388,13 @@ impl ObjectStore {
             return 0.0;
         }
         let mut total = 0.0;
-        let mut settle_one = |key: ObjectKey, meta: &mut ObjectMeta| {
+        let mut settle_one = |meta: &mut ObjectMeta| {
             let from = meta.created_at.max(meta.billed_until);
             let end = meta.deleted_at.unwrap_or(until).min(until);
             if end > from {
                 let c = sheet.s3_storage_cost(meta.bytes, end - from);
                 if c > 0.0 {
-                    ledger.charge(CostItem::StorageAtRest, c, key);
+                    ledger.charge(CostItem::StorageAtRest, c);
                     total += c;
                 }
                 meta.billed_until = end;
@@ -404,13 +402,11 @@ impl ObjectStore {
         };
         // Key order, then tombstone-insertion order: deterministic
         // regardless of how keys hash.
-        for (idx, meta) in self.metas.iter_mut().enumerate() {
-            if let Some(meta) = meta {
-                settle_one(ObjectKey(idx as u32), meta);
-            }
+        for meta in self.metas.iter_mut().flatten() {
+            settle_one(meta);
         }
-        for (key, meta) in &mut self.history {
-            settle_one(*key, meta);
+        for meta in &mut self.history {
+            settle_one(meta);
         }
         total
     }
@@ -675,7 +671,7 @@ mod tests {
         let op = s.put_id(k, 80_000_000, 0.0, &sheet, &mut l).unwrap();
         assert!(op.duration_s < 0.2);
         assert_eq!(op.fee, 0.0);
-        assert!(l.is_empty());
+        assert_eq!(l.total(), 0.0);
         assert_eq!(s.settle_storage(100.0, &sheet, &mut l), 0.0);
     }
 }

@@ -87,7 +87,7 @@ impl VmInstance {
     pub fn stop(&self, now: f64, ledger: &mut CostLedger) -> f64 {
         let uptime = (now - self.started_at).max(0.0);
         let dollars = uptime / 3600.0 * self.vm.hourly;
-        ledger.charge(CostItem::VmTime, dollars, self.vm.name);
+        ledger.charge(CostItem::VmTime, dollars);
         dollars
     }
 }

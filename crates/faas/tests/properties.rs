@@ -352,7 +352,6 @@ fn cost_items_partition_ledger() {
         CostItem::StorageGet,
         CostItem::StorageAtRest,
         CostItem::VmTime,
-        CostItem::DataTransfer,
     ]
     .iter()
     .map(|k| p.ledger.total_of(*k))

@@ -3,64 +3,16 @@
 //! The paper's AMPS-Inf takes "the pre-trained model (in YAML/JSON format)
 //! as user input" plus an H5 weights file, and the Coordinator splits the
 //! YAML into per-partition files (§4). We stand in with JSON for the
-//! architecture and a weights *manifest* (per-layer byte extents) for the
-//! H5 file — the optimizer and coordinator only ever need sizes, never
-//! values. The encoding is externally tagged (`{"Conv2D": {...}}`, unit
-//! variants as bare strings) and is produced/consumed by [`crate::json`],
-//! keeping the workspace free of registry dependencies.
+//! architecture; no weights file is needed, since the optimizer and
+//! coordinator only ever need weight sizes, which follow from each
+//! layer's parameter count. The encoding is externally tagged
+//! (`{"Conv2D": {...}}`, unit variants as bare strings) and is
+//! produced/consumed by [`crate::json`], keeping the workspace free of
+//! registry dependencies.
 
 use crate::graph::{LayerGraph, LayerNode};
 use crate::json::Json;
 use crate::layer::{Activation, LayerOp, Padding, TensorShape};
-
-/// Per-layer weight extent within a (virtual) weights file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WeightExtent {
-    /// Layer name.
-    pub layer: String,
-    /// Offset within the weights blob.
-    pub offset: u64,
-    /// Byte length (params × 4).
-    pub bytes: u64,
-}
-
-/// The H5-file stand-in: an ordered manifest of weight extents.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WeightsManifest {
-    /// Model name.
-    pub model: String,
-    /// Extents in layer order.
-    pub extents: Vec<WeightExtent>,
-    /// Total blob size in bytes.
-    pub total_bytes: u64,
-}
-
-impl WeightsManifest {
-    /// Builds the manifest for a graph (contiguous layout, layer order).
-    pub fn of(g: &LayerGraph) -> Self {
-        let mut extents = Vec::with_capacity(g.num_layers());
-        let mut offset = 0u64;
-        for n in g.nodes() {
-            let bytes = n.params * crate::BYTES_PER_SCALAR;
-            extents.push(WeightExtent {
-                layer: n.name.clone(),
-                offset,
-                bytes,
-            });
-            offset += bytes;
-        }
-        WeightsManifest {
-            model: g.name.clone(),
-            extents,
-            total_bytes: offset,
-        }
-    }
-
-    /// Bytes of weights for the contiguous layer range `[start, end]`.
-    pub fn range_bytes(&self, start: usize, end: usize) -> u64 {
-        self.extents[start..=end].iter().map(|e| e.bytes).sum()
-    }
-}
 
 fn pair_json(p: (u32, u32)) -> Json {
     Json::Arr(vec![Json::from(p.0), Json::from(p.1)])
@@ -545,25 +497,5 @@ mod tests {
         let back = from_json(&to_json(&q)).unwrap();
         assert_eq!(back.bytes_per_param(), 1);
         assert_eq!(back.weight_bytes(), q.weight_bytes());
-    }
-
-    #[test]
-    fn manifest_extents_are_contiguous() {
-        let g = zoo::mobilenet_v1();
-        let m = WeightsManifest::of(&g);
-        assert_eq!(m.total_bytes, g.weight_bytes());
-        let mut expect_offset = 0u64;
-        for e in &m.extents {
-            assert_eq!(e.offset, expect_offset);
-            expect_offset += e.bytes;
-        }
-    }
-
-    #[test]
-    fn manifest_range_matches_segment() {
-        let g = zoo::mobilenet_v1();
-        let m = WeightsManifest::of(&g);
-        let seg = g.segment(5, 20);
-        assert_eq!(m.range_bytes(5, 20), seg.weight_bytes);
     }
 }

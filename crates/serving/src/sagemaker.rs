@@ -103,7 +103,7 @@ pub fn run_sagemaker(
             nb.stop(billed_s, &mut ledger);
             // Weight storage in/out during the episode.
             let storage = prices.s3_storage_cost(graph.weight_bytes(), billed_s);
-            ledger.charge(CostItem::StorageAtRest, storage, "model weights");
+            ledger.charge(CostItem::StorageAtRest, storage);
             SageReport {
                 setting,
                 load_s: convert_s + load_s,
@@ -138,7 +138,7 @@ pub fn run_sagemaker(
                 .max(host.started_at + cfg.endpoint_floor_s);
             host.stop(host_end, &mut ledger);
             let storage = prices.s3_storage_cost(graph.weight_bytes(), nb_billed);
-            ledger.charge(CostItem::StorageAtRest, storage, "model weights in S3");
+            ledger.charge(CostItem::StorageAtRest, storage);
             SageReport {
                 setting,
                 load_s,

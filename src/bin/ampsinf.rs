@@ -319,22 +319,19 @@ fn joined(values: &[f64], show: impl Fn(f64) -> String) -> String {
 /// through [`DagPlan::from_chain`].
 fn plan_for_serving(g: &LayerGraph, cfg: &AmpsConfig, dag: bool) -> Result<DagPlan, String> {
     if !dag {
-        let mut plan = Optimizer::new(cfg.clone())
-            .optimize(g)
-            .map_err(failed)?
-            .plan;
-        if cfg.pipeline_depth > 0 {
-            let pp = Optimizer::new(cfg.clone())
-                .optimize_pipelined(g)
-                .map_err(|e| format!("pipelined planning failed: {e}"))?;
+        let opt = Optimizer::new(cfg.clone());
+        let plan = if cfg.pipeline_depth > 0 {
+            let pp = opt.optimize_pipelined(g).map_err(failed)?;
             println!(
                 "pipelined planning: bottleneck {:.3}s, imbalance {:.2} \
                  (stage-balanced within cost tolerance of the sequential optimum)",
                 pp.bottleneck_s,
                 pp.imbalance()
             );
-            plan = pp.plan;
-        }
+            pp.plan
+        } else {
+            opt.optimize(g).map_err(failed)?.plan
+        };
         println!("{plan}");
         return Ok(DagPlan::from_chain(&plan, |e| g.cut_transfer_bytes(e)));
     }
