@@ -38,7 +38,7 @@ fn bench_serving(b: &mut Bencher) {
             || {
                 let mut platform = coord.platform();
                 let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-                let trace = coord.serve_trace(&mut platform, &dep, &arrivals);
+                let trace = coord.serve_trace(platform, &dep, &arrivals);
                 dollars.push(trace.dollars.to_bits());
                 trace.last_completion_s
             },
@@ -62,7 +62,7 @@ fn bench_serving(b: &mut Bencher) {
             || {
                 let mut platform = coord.platform();
                 let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-                let trace = coord.serve_trace_pipelined(&mut platform, &dep, &arrivals);
+                let trace = coord.serve_trace_pipelined(platform, &dep, &arrivals);
                 pipe_dollars.push(trace.dollars.to_bits());
                 trace.last_completion_s
             },
@@ -83,7 +83,7 @@ fn bench_serving(b: &mut Bencher) {
     b.bench_items("open_loop/resnet50/100k/shape=spike", 3, REQUESTS, || {
         let mut platform = spike_coord.platform();
         let dep = spike_coord.deploy(&mut platform, &g, &plan).unwrap();
-        let trace = spike_coord.serve_trace(&mut platform, &dep, &spike);
+        let trace = spike_coord.serve_trace(platform, &dep, &spike);
         assert!(trace.idle_dollars > 0.0);
         trace.last_completion_s
     });
@@ -116,7 +116,7 @@ fn bench_serving(b: &mut Bencher) {
                 let dep = coord
                     .deploy_dag(&mut platform, &inception, &dag_plan)
                     .unwrap();
-                let trace = coord.serve_trace(&mut platform, &dep, &arrivals);
+                let trace = coord.serve_trace(platform, &dep, &arrivals);
                 dag_dollars.push(trace.dollars.to_bits());
                 trace.last_completion_s
             },
@@ -128,26 +128,34 @@ fn bench_serving(b: &mut Bencher) {
     );
 
     // The same DAG at 4k requests: 64 lanes of ~60 requests each, so the
-    // per-trace costs (forking 64 shards, appending their warm pools —
-    // 47 functions, ~3k instances apiece — into the base platform) weigh
-    // more than in the 100k rows above. The merged pools are ordered on
-    // first use and nothing here reads them, so the row times no sort.
+    // per-trace costs (forking 64 shards, settling and dropping them) weigh
+    // more than in the 100k rows above. The first row passes the platform
+    // by value, as the open loops do, so the shards drop unmerged; the
+    // `merged` row passes `&mut platform`, so every shard's key table and
+    // warm pools (47 functions, ~3k instances apiece) are appended into
+    // the base platform first. The two rows differ by the merge.
     const DAG_REQUESTS: usize = 4_000;
     let coord = Coordinator::new(dag_cfg.clone().with_serve_threads(1));
-    b.bench_items(
-        "open_loop_dag/inception_v3/4k/threads=1",
-        20,
-        DAG_REQUESTS,
-        || {
-            let mut platform = coord.platform();
-            let dep = coord
-                .deploy_dag(&mut platform, &inception, &dag_plan)
-                .unwrap();
-            coord
-                .serve_trace(&mut platform, &dep, &arrivals[..DAG_REQUESTS])
-                .last_completion_s
-        },
-    );
+    for (row, merged) in [("threads=1", false), ("merged/threads=1", true)] {
+        b.bench_items(
+            &format!("open_loop_dag/inception_v3/4k/{row}"),
+            20,
+            DAG_REQUESTS,
+            || {
+                let mut platform = coord.platform();
+                let dep = coord
+                    .deploy_dag(&mut platform, &inception, &dag_plan)
+                    .unwrap();
+                let arrivals = &arrivals[..DAG_REQUESTS];
+                let trace = if merged {
+                    coord.serve_trace(&mut platform, &dep, arrivals)
+                } else {
+                    coord.serve_trace(platform, &dep, arrivals)
+                };
+                trace.last_completion_s
+            },
+        );
+    }
 
     // The per-request key-block / scratch-reuse win shows up serially: the same
     // engine, single lane, no threads — pure hot-path allocation savings.

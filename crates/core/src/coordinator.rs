@@ -33,6 +33,12 @@
 //! requests within a lane, and the merge order (requests in global index
 //! order, shards in lane order) are all functions of the request index
 //! alone — workers only race for *which lane advances next*.
+//!
+//! A trace report is built from the base platform and the settled shards
+//! directly. Whether the shards then merge into the base platform is the
+//! caller's choice, made by ownership ([`TraceBase`]): a borrowed platform
+//! absorbs them ([`Platform::absorb_shards`]) so it can serve again; an
+//! owned one, such as the open loops build, drops them unmerged.
 
 use crate::config::AmpsConfig;
 use crate::plan::{DagPlan, ExecutionPlan};
@@ -660,6 +666,44 @@ impl Admission for Recorder {
     }
 }
 
+/// The platform a trace serves on ([`Coordinator::serve_trace`] and its
+/// pipelined and assigned variants). Ownership decides what becomes of
+/// the trace's lane shards once the report is built:
+///
+/// * `&mut Platform` keeps them: every shard merges into the caller's
+///   platform ([`Platform::absorb_shards`]) — warm pools, stored objects,
+///   ledger and counters — so serving on it again sees the trace.
+/// * An owned `Platform` drops them unmerged, with itself: a caller that
+///   builds a platform for one trace and reads only the report (the open
+///   loops) pays for no merge.
+///
+/// The report is the same either way: it is built from the base platform
+/// and the shards before they merge or drop.
+pub trait TraceBase {
+    /// The platform the lanes fork from; its storage settles with theirs.
+    fn platform(&mut self) -> &mut Platform;
+    /// Ends the trace with its settled lane shards, in lane order.
+    fn end_trace(self, shards: Vec<Platform>);
+}
+
+impl TraceBase for &mut Platform {
+    fn platform(&mut self) -> &mut Platform {
+        self
+    }
+
+    fn end_trace(self, shards: Vec<Platform>) {
+        self.absorb_shards(shards);
+    }
+}
+
+impl TraceBase for Platform {
+    fn platform(&mut self) -> &mut Platform {
+        self
+    }
+
+    fn end_trace(self, _shards: Vec<Platform>) {}
+}
+
 /// One lane's collection slot in [`Coordinator::run_lanes`]: its
 /// per-request results plus the shard platform and lane-carried state,
 /// filled exactly once.
@@ -1095,9 +1139,13 @@ impl Coordinator {
     /// the trace keeps serving. Storage is settled at the global last
     /// completion, per lane in lane order, so the settlement is
     /// deterministic and thread-count-independent too.
+    ///
+    /// Pass `&mut platform` to merge the lane shards into it afterwards
+    /// (to serve on it again), or the platform itself to drop them
+    /// unmerged ([`TraceBase`]); the report is the same.
     pub fn serve_trace(
         &self,
-        platform: &mut Platform,
+        platform: impl TraceBase,
         dep: &Deployment,
         arrivals: &[f64],
     ) -> TraceReport {
@@ -1124,16 +1172,17 @@ impl Coordinator {
     /// thread-invariant); every returned index must be `< deps.len()`,
     /// and all deployments must live on `platform`. Per-node stats are
     /// not folded here (node indices mean different things across
-    /// deployments), so `dag_nodes` stays `None`.
+    /// deployments), so `dag_nodes` stays `None`. The shards merge into
+    /// `platform` or drop with it as in `serve_trace`.
     pub fn serve_trace_assigned(
         &self,
-        platform: &mut Platform,
+        mut platform: impl TraceBase,
         deps: &[Deployment],
         assign: &(dyn Fn(usize) -> usize + Sync),
         arrivals: &[f64],
     ) -> TraceReport {
         let (requests, lanes) = self.run_lanes(
-            platform,
+            platform.platform(),
             arrivals,
             |requests, p| -> Vec<ServeScratch> {
                 // Every request draws its deployment's object keys.
@@ -1169,10 +1218,11 @@ impl Coordinator {
     /// off. Per-request RNG streams are keyed identically
     /// ([`Platform::begin_request`]), so a given request draws the same
     /// fault/storage fates in both modes. The report carries both the
-    /// stations' [`PipelineStats`] and the nodes' [`DagNodeStats`].
+    /// stations' [`PipelineStats`] and the nodes' [`DagNodeStats`]. The
+    /// shards merge into `platform` or drop with it as in `serve_trace`.
     pub fn serve_trace_pipelined(
         &self,
-        platform: &mut Platform,
+        platform: impl TraceBase,
         dep: &Deployment,
         arrivals: &[f64],
     ) -> TraceReport {
@@ -1199,7 +1249,7 @@ impl Coordinator {
     /// per-node stats plus every lane's admission state in lane order.
     fn serve_trace_on<A: Admission + Send>(
         &self,
-        platform: &mut Platform,
+        mut platform: impl TraceBase,
         dep: &Deployment,
         arrivals: &[f64],
         stations_per_node: usize,
@@ -1207,7 +1257,7 @@ impl Coordinator {
     ) -> (TraceReport, Vec<A>) {
         let k = dep.functions.len();
         let (requests, lanes) = self.run_lanes(
-            platform,
+            platform.platform(),
             arrivals,
             |requests, p| {
                 p.store.reserve(requests.len() * dep.num_objects());
@@ -1241,10 +1291,13 @@ impl Coordinator {
     }
 
     /// Shared trace aggregation: settle storage and warm pools per shard
-    /// in lane order, absorb shards, and assemble the report.
+    /// in lane order, assemble the report, then end the trace on `base`
+    /// ([`TraceBase::end_trace`]: merge the shards or drop them). Every
+    /// counter is read across the base platform and the shards, summed as
+    /// the merge would sum it, so the report never reads the merge.
     fn finish_trace(
         &self,
-        platform: &mut Platform,
+        mut base: impl TraceBase,
         functions: &[FunctionId],
         requests: Vec<RequestSummary>,
         mut shards: Vec<Platform>,
@@ -1257,6 +1310,7 @@ impl Coordinator {
             last_completion = last_completion.max(r.arrival_s + r.latency_s);
             failures += usize::from(!r.ok);
         }
+        let platform = base.platform();
         let mut settled = platform.settle_storage(last_completion);
         let mut idle_s = 0.0f64;
         let mut idle_dollars = 0.0f64;
@@ -1268,17 +1322,21 @@ impl Coordinator {
             idle_dollars += lane_idle_dollars;
             invocations += shard.invocation_count();
         }
-        platform.absorb_shards(shards);
+        let platforms = || std::iter::once(&*platform).chain(&shards);
         let mut fids: Vec<FunctionId> = functions.to_vec();
         fids.sort_by_key(|f| f.0);
         fids.dedup();
-        let cold_starts = fids.iter().map(|&f| platform.cold_starts(f)).sum();
+        let cold_starts = fids
+            .iter()
+            .map(|&f| platforms().map(|p| p.cold_starts(f)).sum::<usize>())
+            .sum();
         let peak_instances = fids
             .iter()
-            .map(|&f| platform.instance_count(f))
+            .map(|&f| platforms().map(|p| p.instance_count(f)).sum::<usize>())
             .max()
             .unwrap_or(0);
-        TraceReport {
+        let pre_warmed = platforms().map(Platform::pre_warmed_total).sum();
+        let report = TraceReport {
             requests,
             dollars,
             settled_dollars: settled,
@@ -1287,12 +1345,14 @@ impl Coordinator {
             peak_instances,
             failures,
             invocations,
-            pre_warmed: platform.pre_warmed_total(),
+            pre_warmed,
             idle_s,
             idle_dollars,
             pipeline: None,
             dag_nodes: None,
-        }
+        };
+        base.end_trace(shards);
+        report
     }
 
     /// The engine's one per-request body: the ready recurrence, the

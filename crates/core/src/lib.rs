@@ -46,7 +46,7 @@ pub mod trace;
 pub use config::AmpsConfig;
 pub use coordinator::{
     BatchFailure, BatchReport, Coordinator, DagNodeStats, Deployment, JobReport, PipelineReport,
-    PipelineStats, RequestSummary, RetryRecord, ServeError, TraceReport,
+    PipelineStats, RequestSummary, RetryRecord, ServeError, TraceBase, TraceReport,
 };
 pub use optimizer::{DagReport, DagSearchStats, OptimizeError, Optimizer};
 pub use plan::{DagNode, DagObject, DagPlan, ExecutionPlan, PartitionPlan, PipelinePlan};

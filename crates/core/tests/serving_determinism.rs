@@ -4,7 +4,9 @@
 //! execution parameter; only `serve_lanes` (the warm-pool sharding) is a
 //! model parameter.
 
-use ampsinf_core::{AmpsConfig, BatchReport, Coordinator, DagPlan, Optimizer, TraceReport};
+use ampsinf_core::{
+    AmpsConfig, BatchReport, Coordinator, DagPlan, Deployment, Optimizer, TraceBase, TraceReport,
+};
 use ampsinf_faas::{FaultPlan, StoreKind, WarmPoolPolicy};
 use ampsinf_model::zoo;
 
@@ -610,4 +612,79 @@ fn lanes_are_a_model_parameter_threads_are_not() {
     // cold-starts; one lane serves the legacy single-pool behaviour.
     assert!(six_lanes.3 >= one_lane.3);
     assert_eq!(six_lanes.0.jobs.len(), 6);
+}
+
+/// The three trace engines, generic over where the shards end up.
+#[derive(Clone, Copy, Debug)]
+enum Engine {
+    Trace,
+    Pipelined,
+    Assigned,
+}
+
+fn serve_on<B: TraceBase>(
+    coord: &Coordinator,
+    engine: Engine,
+    base: B,
+    deps: &[Deployment],
+    arrivals: &[f64],
+) -> TraceReport {
+    match engine {
+        Engine::Trace => coord.serve_trace(base, &deps[0], arrivals),
+        Engine::Pipelined => coord.serve_trace_pipelined(base, &deps[0], arrivals),
+        Engine::Assigned => coord.serve_trace_assigned(base, deps, &|i| (i / 5) % 2, arrivals),
+    }
+}
+
+#[test]
+fn trace_report_does_not_depend_on_the_shard_merge() {
+    // A borrowed platform absorbs the lane shards after the report is
+    // built; an owned one drops them. The report must not tell the two
+    // apart — with base counters and pools already non-empty, faults,
+    // retries, a flaky store and a billed pre-warmed pool.
+    let (g, plan, mut cfg) = plan_cfg();
+    cfg.store = StoreKind::flaky_s3(0.2);
+    let cfg = cfg
+        .with_serve_lanes(4)
+        .with_pipeline(2)
+        .with_retries(2)
+        .with_faults(FaultPlan::uniform(0.15, 41))
+        .with_warm_pool(WarmPoolPolicy::provisioned(3));
+    let coord = Coordinator::new(cfg);
+    let mut p = coord.platform();
+    let deps = [
+        coord.deploy(&mut p, &g, &plan).unwrap(),
+        coord.deploy(&mut p, &g, &plan).unwrap(),
+    ];
+    coord.serve_sequential(&mut p, &deps[0], 3, 0.0);
+    p.pre_warm(1);
+    for &f in &deps[0].functions {
+        assert!(p.cold_starts(f) > 0 && p.instance_count(f) > 1);
+    }
+    let arrivals: Vec<f64> = (0..24).map(|i| 200.0 + 1.5 * f64::from(i)).collect();
+    for engine in [Engine::Trace, Engine::Pipelined, Engine::Assigned] {
+        let owned = serve_on(&coord, engine, p.clone(), &deps, &arrivals);
+        let invocations = p.invocation_count();
+        let kept = serve_on(&coord, engine, &mut p, &deps, &arrivals);
+        assert!(
+            kept.failures > 0 || kept.requests.iter().any(|r| r.retries > 0),
+            "{engine:?}: faults injected nothing"
+        );
+        assert!(kept.pre_warmed > 0 && kept.idle_dollars > 0.0, "{engine:?}");
+        assert_traces_bit_identical(&kept, &owned);
+        assert_eq!(kept, owned, "{engine:?}");
+        // Only the borrowed platform saw the shards merge, and its merged
+        // counters read what the report summed without it.
+        assert_eq!(p.invocation_count(), invocations + kept.invocations);
+        let used = match engine {
+            Engine::Assigned => &deps[..],
+            _ => &deps[..1],
+        };
+        let fids = || used.iter().flat_map(|d| d.functions.iter().copied());
+        let cold: usize = fids().map(|f| p.cold_starts(f)).sum();
+        let peak = fids().map(|f| p.instance_count(f)).max().unwrap();
+        assert_eq!(kept.cold_starts, cold, "{engine:?}");
+        assert_eq!(kept.peak_instances, peak, "{engine:?}");
+        assert_eq!(kept.pre_warmed, p.pre_warmed_total(), "{engine:?}");
+    }
 }

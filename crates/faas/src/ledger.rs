@@ -30,6 +30,17 @@ impl CostItem {
     /// Number of cost categories (size of the running-totals table).
     pub const COUNT: usize = 7;
 
+    /// Every category, in slot order.
+    pub const ALL: [CostItem; CostItem::COUNT] = [
+        CostItem::LambdaCompute,
+        CostItem::LambdaRequest,
+        CostItem::StoragePut,
+        CostItem::StorageGet,
+        CostItem::StorageAtRest,
+        CostItem::VmTime,
+        CostItem::WarmPoolIdle,
+    ];
+
     /// Dense slot of this category in the running-totals table.
     const fn slot(self) -> usize {
         self as usize

@@ -602,7 +602,9 @@ impl Platform {
     /// platform, in lane order: invocation counters add, ledger totals add,
     /// stores merge by a shifted append (see [`ObjectStore::absorb`]), and
     /// each function's warm pools concatenate, with its cold-start,
-    /// pre-warm and idle counters added lane by lane.
+    /// pre-warm and idle counters added lane by lane. The merge is for a
+    /// caller that serves on this platform again: a trace whose caller
+    /// reads only its report drops the shards unmerged instead.
     ///
     /// A merged pool is left unordered and sorted once by its first
     /// reader (an invocation or [`Platform::settle_warm_pool`]), so a
@@ -1640,12 +1642,7 @@ mod tests {
             }
             assert_eq!(want.invocations, got.invocations, "seed {seed}");
             assert_eq!(want.total_cost().to_bits(), got.total_cost().to_bits());
-            for item in [
-                CostItem::LambdaCompute,
-                CostItem::LambdaRequest,
-                CostItem::StoragePut,
-                CostItem::WarmPoolIdle,
-            ] {
+            for item in CostItem::ALL {
                 assert_eq!(
                     want.ledger.total_of(item).to_bits(),
                     got.ledger.total_of(item).to_bits(),

@@ -335,26 +335,29 @@ fn warm_pool_policy_tails_are_exact() {
     assert!(d2 > 0.0);
 }
 
+/// The per-category totals add up to the ledger total, under the
+/// default policy and under a provisioned pool whose idle time is billed
+/// (the category only `settle_warm_pool` charges).
 #[test]
 fn cost_items_partition_ledger() {
-    let mut p = Platform::aws_2020();
-    let (fid, _) = p.deploy(spec(1024, 10)).unwrap();
-    let mut w = work(10, 2);
-    let key = p.store.fresh_key();
-    w.writes.push((key, MB));
-    let out = p.invoke(fid, 0.0, &w).unwrap();
-    let _ = out;
-    p.settle_storage(100.0);
-    let sum_by_kind: f64 = [
-        CostItem::LambdaCompute,
-        CostItem::LambdaRequest,
-        CostItem::StoragePut,
-        CostItem::StorageGet,
-        CostItem::StorageAtRest,
-        CostItem::VmTime,
-    ]
-    .iter()
-    .map(|k| p.ledger.total_of(*k))
-    .sum();
-    assert!((sum_by_kind - p.total_cost()).abs() < 1e-15);
+    for policy in [
+        WarmPoolPolicy::lambda_default(),
+        WarmPoolPolicy::provisioned(2),
+    ] {
+        let mut p = Platform::aws_2020().with_warm_pool(policy);
+        let (fid, _) = p.deploy(spec(1024, 10)).unwrap();
+        p.pre_warm(policy.pre_warm);
+        let mut w = work(10, 2);
+        let key = p.store.fresh_key();
+        w.writes.push((key, MB));
+        p.invoke(fid, 0.0, &w).unwrap();
+        p.settle_storage(100.0);
+        p.settle_warm_pool(100.0);
+        assert_eq!(
+            p.ledger.total_of(CostItem::WarmPoolIdle) > 0.0,
+            policy.bill_idle
+        );
+        let sum_by_kind: f64 = CostItem::ALL.iter().map(|&k| p.ledger.total_of(k)).sum();
+        assert!((sum_by_kind - p.total_cost()).abs() < 1e-15);
+    }
 }

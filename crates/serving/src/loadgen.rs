@@ -490,10 +490,12 @@ pub fn run_open_loop_dag(
     let dep = coord
         .deploy_dag(&mut platform, graph, plan)
         .map_err(|e| e.to_string())?;
+    // The platform goes in by value: the report is all this run keeps,
+    // so the lane shards drop unmerged.
     let trace = if cfg.pipeline_depth > 0 {
-        coord.serve_trace_pipelined(&mut platform, &dep, &arrivals)
+        coord.serve_trace_pipelined(platform, &dep, &arrivals)
     } else {
-        coord.serve_trace(&mut platform, &dep, &arrivals)
+        coord.serve_trace(platform, &dep, &arrivals)
     };
     Ok(report_from_trace(&trace, &arrivals, load, cfg))
 }
@@ -690,7 +692,7 @@ fn adaptive_loop(
 
     let epoch_requests = adaptive.epoch_requests;
     let trace = coord.serve_trace_assigned(
-        &mut platform,
+        platform,
         &deps,
         &|i| epoch_dep[i / epoch_requests],
         arrivals,
