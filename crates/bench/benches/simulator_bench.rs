@@ -219,6 +219,37 @@ fn main() {
         p.invoke(fid, 0.0, &work.invocation(None, None)).unwrap()
     });
 
+    // One invocation against a deep warm pool, in the shape a serve-chain
+    // lane's pools have (ResNet-50, 100k requests at 200 rps over 64
+    // lanes): ~236 sandboxes, ~41 of them busy past each arrival, Poisson
+    // arrivals in order, every request warm.
+    let mut p = Platform::aws_2020();
+    let (fid, _) = p.deploy(work.function_spec("m", 1024)).unwrap();
+    let inv = work.invocation(None, None);
+    let cold_end = (0..236)
+        .map(|_| p.invoke(fid, 0.0, &inv).unwrap().end)
+        .fold(0.0, f64::max);
+    let warm_s = p.invoke(fid, cold_end, &inv).unwrap().duration();
+    let mut rng = SmallRng::seed_from_u64(41);
+    let mut t = cold_end;
+    let mut arrive = move || {
+        t += -rng.next_f64_open().ln() * warm_s / 41.0;
+        t
+    };
+    let mut ends = std::collections::VecDeque::new();
+    for _ in 0..4000 {
+        let start = arrive();
+        ends.push_back(p.invoke(fid, start, &inv).unwrap().end);
+        while ends.front().is_some_and(|&e| e <= start) {
+            ends.pop_front();
+        }
+    }
+    assert_eq!(p.instance_count(fid), 236, "the pool must stay warm");
+    assert!((30..=55).contains(&ends.len()), "{} busy", ends.len());
+    b.bench("platform/invoke/deep_pool", 20, || {
+        p.invoke(fid, arrive(), &inv).unwrap().end
+    });
+
     b.bench("zoo_build/resnet50", 20, zoo::resnet50);
     b.bench("zoo_build/inception_v3", 20, zoo::inception_v3);
 

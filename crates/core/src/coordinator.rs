@@ -558,7 +558,9 @@ pub struct TraceReport {
     pub last_completion_s: f64,
     /// Cold starts across all partitions and lanes.
     pub cold_starts: usize,
-    /// Peak live container instances across partitions (lanes summed).
+    /// The largest function's count of sandboxes ever created, lanes
+    /// summed ([`Platform::instance_count`]: its cold starts plus its
+    /// pre-warmed instances), not a peak of live instances.
     pub peak_instances: usize,
     /// Requests that exhausted their retry budget.
     pub failures: usize,

@@ -268,6 +268,137 @@ impl InvocationOutcome {
     }
 }
 
+/// One function's container pool: the `busy_until` of every sandbox the
+/// function ever created (busy or idle, lapsed or not; nothing leaves
+/// the pool), with the finger its last lookup left. Lambda scales out
+/// under concurrency: a request arriving while all sandboxes are busy
+/// gets a fresh (cold) one, and an idle one within the keep-alive window
+/// is reused warm. The pool is ascending by `total_cmp` once ordered, so
+/// the warm candidate is the largest `busy_until` ≤ the request start,
+/// just below the request's idle boundary.
+#[derive(Debug, Clone)]
+struct WarmPool {
+    /// `busy_until` per sandbox.
+    instances: Vec<f64>,
+    /// Whether `instances` is sorted. [`WarmPool::append`] only appends
+    /// and clears this; the first reader sorts ([`WarmPool::order`]), so
+    /// a merged pool nothing reads is never sorted.
+    ordered: bool,
+    /// The finger: the idle boundary of `hint_start`. Every entry below
+    /// `hint` is ≤ `hint_start`, every entry from `hint` up is above it.
+    /// A lane's requests arrive in order, so the next lookup's boundary
+    /// is usually a few entries away.
+    hint: usize,
+    /// The start whose idle boundary `hint` is (−∞ for a reset finger).
+    hint_start: f64,
+}
+
+impl Default for WarmPool {
+    fn default() -> Self {
+        WarmPool {
+            instances: Vec::new(),
+            ordered: true,
+            hint: 0,
+            hint_start: f64::NEG_INFINITY,
+        }
+    }
+}
+
+impl WarmPool {
+    /// Appends `busy_until`s in any order. Sorting moves entries across
+    /// the finger, so a non-empty append also resets it to the bottom
+    /// (the boundary of −∞, exact for any contents).
+    fn append(&mut self, busy: impl IntoIterator<Item = f64>) {
+        let before = self.instances.len();
+        self.instances.extend(busy);
+        if self.instances.len() > before {
+            self.ordered = false;
+            self.hint = 0;
+            self.hint_start = f64::NEG_INFINITY;
+        }
+    }
+
+    /// Sorts the pool by `total_cmp` if an append left it unordered.
+    /// Entries equal under `total_cmp` are bit-equal, so the sorted pool
+    /// is the same vector however its entries arrived.
+    fn order(&mut self) {
+        if !self.ordered {
+            self.instances.sort_unstable_by(f64::total_cmp);
+            self.ordered = true;
+        }
+    }
+
+    /// Moves the finger to the idle boundary of `start` (the number of
+    /// entries ≤ `start`), galloping up from the last one (or searching
+    /// below it, for an earlier start), and returns the slot of the warm
+    /// candidate just below it when that sandbox is within
+    /// `keep_alive_s`. The sandbox stays in place until
+    /// [`WarmPool::release`] returns it. `start` must not be NaN.
+    fn pick(&mut self, start: f64, keep_alive_s: f64) -> Option<usize> {
+        self.order();
+        let pool = &self.instances;
+        let idle = if start < self.hint_start {
+            // Entries from the finger up are > hint_start > start. An
+            // earlier start is rare in a lane, so no gallop down.
+            pool[..self.hint].partition_point(|&b| b <= start)
+        } else {
+            // Entries below the finger are ≤ hint_start ≤ start.
+            gallop_up(pool, self.hint, start)
+        };
+        let warm = idle > 0 && start - pool[idle - 1] <= keep_alive_s;
+        self.hint = idle;
+        self.hint_start = start;
+        warm.then(|| idle - 1)
+    }
+
+    /// Returns a sandbox at `busy_until` (≥ the start of the last
+    /// [`WarmPool::pick`]): `taken` is the slot that pick returned, still
+    /// in place, or `None` for a fresh sandbox. The entries between the
+    /// slot and `busy_until`'s place shift down one; a fresh sandbox at or
+    /// above the top is pushed. The finger stays on the pick's start.
+    fn release(&mut self, taken: Option<usize>, busy_until: f64) {
+        let pool = &mut self.instances;
+        let n = pool.len();
+        // Most sandboxes come back busy the longest: test the top first.
+        let at = if n == 0 || pool[n - 1] <= busy_until {
+            n
+        } else {
+            gallop_up(pool, self.hint, busy_until)
+        };
+        match taken {
+            Some(slot) => {
+                pool.copy_within(slot + 1..at, slot);
+                pool[at - 1] = busy_until;
+                self.hint -= 1;
+            }
+            None if at == n => pool.push(busy_until),
+            None => pool.insert(at, busy_until),
+        }
+        if busy_until <= self.hint_start {
+            self.hint += 1;
+        }
+    }
+}
+
+/// The number of entries of the sorted `pool` that are ≤ `x`, given that
+/// the first `lo` are: an exponential search up from `lo`, then a binary
+/// search inside the last step.
+fn gallop_up(pool: &[f64], mut lo: usize, x: f64) -> usize {
+    let mut step = 1;
+    let hi = loop {
+        let probe = lo + step - 1;
+        if probe >= pool.len() {
+            break pool.len();
+        }
+        if pool[probe] > x {
+            break probe;
+        }
+        lo = probe + 1;
+        step *= 2;
+    };
+    lo + pool[lo..hi].partition_point(|&b| b <= x)
+}
+
 #[derive(Debug, Clone)]
 struct DeployedFunction {
     spec: FunctionSpec,
@@ -275,19 +406,8 @@ struct DeployedFunction {
     /// they depend only on the package size and the platform's fixed
     /// performance law.
     cold_s: f64,
-    /// Warm container pool: `busy_until` per live instance, ascending
-    /// once ordered (a free-list ordered by idle-since time). Lambda
-    /// scales out under concurrency — a request arriving while all
-    /// instances are busy gets a fresh (cold) instance; an idle instance
-    /// within the keep-alive window is reused warm. The sort order makes
-    /// warm-slot selection a binary search instead of a linear scan: the
-    /// candidate is always the largest `busy_until` ≤ the request start.
-    instances: Vec<f64>,
-    /// Whether `instances` is sorted. [`Platform::absorb_shards`] and
-    /// [`Platform::pre_warm`] only append and clear this; the first
-    /// reader sorts ([`DeployedFunction::order_pool`]), so a merged pool
-    /// nothing reads is never sorted.
-    ordered: bool,
+    /// Every sandbox this function created, with its `busy_until`.
+    pool: WarmPool,
     /// Perf-model phases of the last work this function ran.
     phases: Option<Phases>,
     /// Total cold starts observed (metrics).
@@ -310,8 +430,7 @@ impl DeployedFunction {
         DeployedFunction {
             spec,
             cold_s,
-            instances: Vec::new(),
-            ordered: true,
+            pool: WarmPool::default(),
             phases,
             cold_starts: 0,
             pre_warmed: 0,
@@ -320,23 +439,13 @@ impl DeployedFunction {
         }
     }
 
-    /// Sorts the pool by `total_cmp` if an append left it unordered.
-    /// Entries equal under `total_cmp` are bit-equal, so the sorted pool
-    /// is the same vector however its entries arrived.
-    fn order_pool(&mut self) {
-        if !self.ordered {
-            self.instances.sort_unstable_by(f64::total_cmp);
-            self.ordered = true;
-        }
-    }
-
-    /// Returns a sandbox to the pool at `busy_until`, preserving the sort;
-    /// a fresh (cold) sandbox also counts toward `cold_starts`.
-    fn pool_insert(&mut self, busy_until: f64, warm: bool) {
-        self.order_pool();
-        let at = self.instances.partition_point(|&b| b <= busy_until);
-        self.instances.insert(at, busy_until);
-        if !warm {
+    /// Returns a sandbox to the pool at `busy_until` when its invocation
+    /// resolves ([`WarmPool::release`]): `taken` is the warm slot the
+    /// invocation's pick returned, `None` for a fresh (cold) sandbox,
+    /// which also counts toward `cold_starts`.
+    fn pool_insert(&mut self, taken: Option<usize>, busy_until: f64) {
+        self.pool.release(taken, busy_until);
+        if taken.is_none() {
             self.cold_starts += 1;
         }
     }
@@ -632,18 +741,19 @@ impl Platform {
                 .absorb(std::mem::replace(&mut shard.store, ObjectStore::new(kind)));
         }
         for (f, mine) in self.functions.iter_mut().enumerate() {
-            let extra: usize = shards.iter().map(|s| s.functions[f].instances.len()).sum();
-            mine.instances.reserve(extra);
+            let extra: usize = shards
+                .iter()
+                .map(|s| s.functions[f].pool.instances.len())
+                .sum();
+            mine.pool.instances.reserve(extra);
             for shard in &mut shards {
                 let theirs = &mut shard.functions[f];
-                mine.instances
-                    .extend_from_slice(&std::mem::take(&mut theirs.instances));
+                mine.pool.append(std::mem::take(&mut theirs.pool).instances);
                 mine.cold_starts += theirs.cold_starts;
                 mine.pre_warmed += theirs.pre_warmed;
                 mine.idle_warm_s += theirs.idle_warm_s;
                 mine.idle_billed_until = mine.idle_billed_until.max(theirs.idle_billed_until);
             }
-            mine.ordered &= extra == 0;
         }
     }
 
@@ -707,8 +817,7 @@ impl Platform {
             return;
         }
         for f in &mut self.functions {
-            f.instances.extend(std::iter::repeat_n(0.0, count));
-            f.ordered = false;
+            f.pool.append(std::iter::repeat_n(0.0, count));
             f.pre_warmed += count;
         }
     }
@@ -732,9 +841,9 @@ impl Platform {
         let mut dollars = 0.0;
         for f in &mut self.functions {
             // The idle sum runs in pool order, so its bits need the sort.
-            f.order_pool();
+            f.pool.order();
             let mut idle = std::mem::take(&mut f.idle_warm_s);
-            for &busy_until in &f.instances {
+            for &busy_until in &f.pool.instances {
                 let warm_until = if policy.keep_alive_s.is_finite() {
                     busy_until + policy.keep_alive_s
                 } else {
@@ -784,9 +893,13 @@ impl Platform {
         self.functions.iter().map(|f| f.idle_warm_s).sum()
     }
 
-    /// Live container instances of a function.
+    /// Sandboxes a function has ever created, busy, idle and lapsed alike:
+    /// a pool never drops one, so this is always its cold starts plus its
+    /// pre-warmed instances, not a count of live instances.
     pub fn instance_count(&self, id: FunctionId) -> usize {
-        self.functions.get(id.0).map_or(0, |f| f.instances.len())
+        self.functions
+            .get(id.0)
+            .map_or(0, |f| f.pool.instances.len())
     }
 
     /// Invokes function `id` starting at absolute time `start`.
@@ -799,6 +912,12 @@ impl Platform {
     /// the function's record of its last work when `work`'s
     /// `(load_bytes, flops, resident_bytes)` match it, and are computed
     /// (and recorded) otherwise; the `/tmp` check runs on every call.
+    ///
+    /// The warm candidate is the most recently idle sandbox free at
+    /// `start`, found by a finger search from the idle boundary the
+    /// function's last lookup left; it keeps its pool slot until the
+    /// invocation resolves and then shifts to its new `busy_until` in one
+    /// move. `start` must not be NaN.
     ///
     /// Failures are billed like real Lambda bills them: the returned
     /// [`FailedInvocation`] charges GB-seconds for the time the sandbox
@@ -826,15 +945,14 @@ impl Platform {
         // Instance selection: reuse the most-recently-idle warm instance
         // that is free at `start` and within keep-alive; otherwise a fresh
         // cold instance handles this (possibly concurrent) request. The
-        // pool is sorted by `busy_until`, so the candidate is the largest
-        // entry ≤ `start` — one binary search, no linear scan. The chosen
-        // sandbox leaves the pool here and rejoins at its new `busy_until`
-        // when the invocation resolves.
-        func.order_pool();
-        let idle = func.instances.partition_point(|&b| b <= start);
-        let warm = idle > 0 && start - func.instances[idle - 1] <= keep_alive_s;
-        if warm {
-            let busy_until = func.instances.remove(idle - 1);
+        // candidate is the largest `busy_until` ≤ `start`, found by a
+        // finger search from the last lookup's idle boundary. The chosen
+        // sandbox keeps its slot until the invocation resolves, when one
+        // shift moves it to its new `busy_until` (`pool_insert`).
+        let taken = func.pool.pick(start, keep_alive_s);
+        let warm = taken.is_some();
+        if let Some(slot) = taken {
+            let busy_until = func.pool.instances[slot];
             // The reused instance idled from going free to this reuse —
             // warm-pool time the policy may bill at settlement.
             let idled_from = busy_until.max(func.idle_billed_until);
@@ -867,7 +985,7 @@ impl Platform {
                 start,
                 b,
                 consumed,
-                false,
+                None,
                 false,
                 0.0,
                 InvokeError::ColdStartFailed,
@@ -886,7 +1004,7 @@ impl Platform {
                 start,
                 b,
                 consumed,
-                warm,
+                taken,
                 true,
                 0.0,
                 InvokeError::OutOfMemory {
@@ -908,7 +1026,7 @@ impl Platform {
                 start,
                 b,
                 consumed,
-                warm,
+                taken,
                 true,
                 0.0,
                 InvokeError::TmpExceeded {
@@ -938,7 +1056,7 @@ impl Platform {
                     b.transfer_s += burned;
                     let consumed = b.total();
                     return Err(
-                        self.fail(id, memory_mb, start, b, consumed, warm, true, fees, reason)
+                        self.fail(id, memory_mb, start, b, consumed, taken, true, fees, reason)
                     );
                 }
             }
@@ -954,7 +1072,7 @@ impl Platform {
                     start,
                     b,
                     consumed,
-                    warm,
+                    taken,
                     true,
                     fees,
                     InvokeError::Crashed {
@@ -973,7 +1091,7 @@ impl Platform {
                     start,
                     b,
                     consumed,
-                    warm,
+                    taken,
                     true,
                     fees,
                     InvokeError::Timeout {
@@ -1005,7 +1123,7 @@ impl Platform {
                     b.transfer_s += write_s + burned;
                     let consumed = b.total();
                     return Err(
-                        self.fail(id, memory_mb, start, b, consumed, warm, true, fees, reason)
+                        self.fail(id, memory_mb, start, b, consumed, taken, true, fees, reason)
                     );
                 }
             }
@@ -1022,7 +1140,7 @@ impl Platform {
                 start,
                 b,
                 self.quotas.timeout_s,
-                warm,
+                taken,
                 true,
                 fees,
                 InvokeError::Timeout {
@@ -1037,7 +1155,7 @@ impl Platform {
         self.ledger
             .charge(CostItem::LambdaRequest, self.prices.lambda_request);
 
-        self.functions[id.0].pool_insert(start + duration, warm);
+        self.functions[id.0].pool_insert(taken, start + duration);
         Ok(InvocationOutcome {
             start,
             end: start + duration,
@@ -1072,7 +1190,7 @@ impl Platform {
         start: f64,
         breakdown: DurationBreakdown,
         consumed_s: f64,
-        warm: bool,
+        taken: Option<usize>,
         sandbox_created: bool,
         fees: f64,
         reason: InvokeError,
@@ -1088,7 +1206,7 @@ impl Platform {
         if sandbox_created {
             // Lambda reuses sandboxes after handler errors and timeouts —
             // the runtime restarts inside the same (billable) instance.
-            self.functions[id.0].pool_insert(end, warm);
+            self.functions[id.0].pool_insert(taken, end);
         }
         FailedInvocation {
             reason,
@@ -1097,7 +1215,7 @@ impl Platform {
             breakdown,
             billed_s: billed,
             dollars: compute_cost + self.prices.lambda_request + fees,
-            warm,
+            warm: taken.is_some(),
         }
     }
 
@@ -1533,8 +1651,8 @@ mod tests {
     fn absorb_lane_by_lane(base: &mut Platform, shards: Vec<Platform>) {
         for shard in shards {
             for (mine, theirs) in base.functions.iter_mut().zip(shard.functions) {
-                let a = std::mem::take(&mut mine.instances);
-                let b = theirs.instances;
+                let a = std::mem::take(&mut mine.pool.instances);
+                let b = theirs.pool.instances;
                 let mut merged = Vec::with_capacity(a.len() + b.len());
                 let (mut i, mut j) = (0, 0);
                 while i < a.len() && j < b.len() {
@@ -1548,7 +1666,7 @@ mod tests {
                 }
                 merged.extend_from_slice(&a[i..]);
                 merged.extend_from_slice(&b[j..]);
-                mine.instances = merged;
+                mine.pool.instances = merged;
                 mine.cold_starts += theirs.cold_starts;
                 mine.pre_warmed += theirs.pre_warmed;
                 mine.idle_warm_s += theirs.idle_warm_s;
@@ -1577,7 +1695,10 @@ mod tests {
 
     fn randomize(p: &mut Platform, rng: &mut crate::SmallRng) {
         for f in &mut p.functions {
-            f.instances = random_pool(rng);
+            f.pool = WarmPool {
+                instances: random_pool(rng),
+                ..WarmPool::default()
+            };
             f.cold_starts = rng.below(50);
             f.pre_warmed = rng.below(3);
             f.idle_warm_s = rng.next_f64() * 30.0;
@@ -1624,9 +1745,13 @@ mod tests {
             for (w, g) in want.functions.iter().zip(&mut got.functions) {
                 // The merged pool is read through the ordering step every
                 // reader (`invoke`, `settle_warm_pool`, ...) runs first.
-                g.order_pool();
+                g.pool.order();
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&w.instances), bits(&g.instances), "seed {seed}: pool");
+                assert_eq!(
+                    bits(&w.pool.instances),
+                    bits(&g.pool.instances),
+                    "seed {seed}: pool"
+                );
                 assert_eq!(w.cold_starts, g.cold_starts, "seed {seed}");
                 assert_eq!(w.pre_warmed, g.pre_warmed, "seed {seed}");
                 assert_eq!(
@@ -1686,11 +1811,11 @@ mod tests {
                 .collect();
             randomize(&mut lazy, &mut rng);
             lazy.absorb_shards(shards);
-            deferred += lazy.functions.iter().filter(|f| !f.ordered).count();
+            deferred += lazy.functions.iter().filter(|f| !f.pool.ordered).count();
             let mut eager = lazy.clone();
             for f in &mut eager.functions {
-                f.instances.sort_unstable_by(f64::total_cmp);
-                f.ordered = true;
+                f.pool.instances.sort_unstable_by(f64::total_cmp);
+                f.pool.ordered = true;
             }
 
             let settle_at = rng.next_f64() * 200.0;
@@ -1717,13 +1842,431 @@ mod tests {
                 settle(p, &mut bits);
                 bits.push(p.total_cost().to_bits());
                 for f in &p.functions {
-                    bits.extend(f.instances.iter().map(|x| x.to_bits()));
+                    bits.extend(f.pool.instances.iter().map(|x| x.to_bits()));
                 }
                 bits
             };
             assert_eq!(run(&mut lazy), run(&mut eager), "seed {seed}");
         }
         assert!(deferred > 0, "no merged pool was left for its first reader");
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The warm-pool algorithm [`WarmPool`]'s finger search replaced, kept
+    /// as the reference it must reproduce bit for bit: sort an unordered
+    /// pool, `partition_point` for the idle boundary, `remove` the warm
+    /// candidate, and when the invocation resolves `partition_point` again
+    /// and `insert`.
+    #[derive(Debug, Clone)]
+    struct RefFunction {
+        instances: Vec<f64>,
+        ordered: bool,
+        cold_starts: usize,
+        pre_warmed: usize,
+        idle_warm_s: f64,
+    }
+
+    impl RefFunction {
+        fn new() -> Self {
+            RefFunction {
+                instances: Vec::new(),
+                ordered: true,
+                cold_starts: 0,
+                pre_warmed: 0,
+                idle_warm_s: 0.0,
+            }
+        }
+
+        /// `(warm, lapsed)`: whether the request rides a sandbox, and
+        /// whether a free one was passed over for idling too long.
+        fn pick(&mut self, start: f64, keep_alive_s: f64, idle_billed_until: f64) -> (bool, bool) {
+            if !self.ordered {
+                self.instances.sort_unstable_by(f64::total_cmp);
+                self.ordered = true;
+            }
+            let idle = self.instances.partition_point(|&b| b <= start);
+            let warm = idle > 0 && start - self.instances[idle - 1] <= keep_alive_s;
+            if warm {
+                let busy_until = self.instances.remove(idle - 1);
+                let idled_from = busy_until.max(idle_billed_until);
+                if start > idled_from {
+                    self.idle_warm_s += start - idled_from;
+                }
+            }
+            (warm, idle > 0 && !warm)
+        }
+
+        fn insert(&mut self, busy_until: f64, warm: bool) {
+            let at = self.instances.partition_point(|&b| b <= busy_until);
+            self.instances.insert(at, busy_until);
+            if !warm {
+                self.cold_starts += 1;
+            }
+        }
+    }
+
+    /// What the reference sequence exercised, so the test can insist on it.
+    #[derive(Debug, Default)]
+    struct Seen {
+        warm: usize,
+        cold: usize,
+        lapsed: usize,
+        zero_length: usize,
+        tied: usize,
+        earlier: usize,
+        after_append: usize,
+        failures: std::collections::BTreeSet<&'static str>,
+    }
+
+    /// A platform under test (`p`) next to the reference: `refs` holds the
+    /// reference pools and counters, and `q` is the same platform with its
+    /// pools and counters reset to `refs` (fingers included) before each
+    /// call, so `q`'s outcomes are the reference algorithm's outcomes.
+    struct Twin {
+        p: Platform,
+        q: Platform,
+        refs: Vec<RefFunction>,
+    }
+
+    impl Twin {
+        fn new(p: Platform) -> Self {
+            let refs = vec![RefFunction::new(); p.functions.len()];
+            Twin {
+                q: p.clone(),
+                p,
+                refs,
+            }
+        }
+
+        fn fork(&self) -> Twin {
+            Twin {
+                p: self.p.fork_empty(),
+                q: self.q.fork_empty(),
+                refs: vec![RefFunction::new(); self.refs.len()],
+            }
+        }
+
+        fn sync(&mut self) {
+            for (g, r) in self.q.functions.iter_mut().zip(&self.refs) {
+                g.pool = WarmPool {
+                    instances: r.instances.clone(),
+                    ordered: r.ordered,
+                    ..WarmPool::default()
+                };
+                g.cold_starts = r.cold_starts;
+                g.idle_warm_s = r.idle_warm_s;
+            }
+        }
+
+        fn check(&self, what: &str) {
+            for (f, (g, r)) in self.p.functions.iter().zip(&self.refs).enumerate() {
+                assert_eq!(
+                    bits(&g.pool.instances),
+                    bits(&r.instances),
+                    "{what}: pool {f}"
+                );
+                assert_eq!(g.pool.ordered, r.ordered, "{what}: order flag {f}");
+                assert_eq!(g.cold_starts, r.cold_starts, "{what}: cold starts {f}");
+                assert_eq!(g.pre_warmed, r.pre_warmed, "{what}: pre-warmed {f}");
+                assert_eq!(
+                    g.idle_warm_s.to_bits(),
+                    r.idle_warm_s.to_bits(),
+                    "{what}: idle {f}"
+                );
+            }
+        }
+
+        /// A fresh output key, allocated alike on both platforms.
+        fn fresh_key(&mut self) -> ObjectKey {
+            let k = self.p.store.fresh_key();
+            assert_eq!(self.q.store.fresh_key(), k);
+            k
+        }
+
+        fn invoke(
+            &mut self,
+            id: FunctionId,
+            start: f64,
+            work: &InvocationWork,
+            seen: &mut Seen,
+            what: &str,
+        ) {
+            let before = &self.p.functions[id.0].pool;
+            seen.earlier += usize::from(start < before.hint_start);
+            seen.after_append += usize::from(!before.ordered);
+            self.sync();
+            let keep_alive_s = self.p.warm_pool.keep_alive_s;
+            let idle_billed_until = self.p.functions[id.0].idle_billed_until;
+            let r = &mut self.refs[id.0];
+            let (warm, lapsed) = r.pick(start, keep_alive_s, idle_billed_until);
+            let got = self.p.invoke(id, start, work);
+            let want = self.q.invoke(id, start, work);
+            let key = |r: &Result<InvocationOutcome, FailedInvocation>| match r {
+                Ok(o) => (o.warm, o.end.to_bits(), o.dollars.to_bits(), String::new()),
+                Err(f) => (
+                    f.warm,
+                    f.end.to_bits(),
+                    f.dollars.to_bits(),
+                    format!("{:?}", f.reason),
+                ),
+            };
+            assert_eq!(key(&got), key(&want), "{what}");
+            assert_eq!(key(&got).0, warm, "{what}: warm");
+            let end = match &want {
+                Ok(o) => Some(o.end),
+                Err(f) => {
+                    seen.failures.insert(match f.reason {
+                        InvokeError::OutOfMemory { .. } => "oom",
+                        InvokeError::TmpExceeded { .. } => "tmp",
+                        InvokeError::Timeout { .. } => "timeout",
+                        InvokeError::MissingInput(_) => "missing",
+                        InvokeError::StorageUnavailable(_) => "storage",
+                        InvokeError::Crashed { .. } => "crash",
+                        InvokeError::ColdStartFailed => "cold start",
+                        InvokeError::NoSuchFunction => "no function",
+                    });
+                    (f.reason != InvokeError::ColdStartFailed).then_some(f.end)
+                }
+            };
+            if let Some(end) = end {
+                seen.zero_length += usize::from(end == start);
+                seen.tied += usize::from(r.instances.iter().any(|b| b.to_bits() == end.to_bits()));
+                r.insert(end, warm);
+            }
+            seen.warm += usize::from(warm);
+            seen.cold += usize::from(!warm);
+            seen.lapsed += usize::from(lapsed);
+            self.check(what);
+        }
+
+        fn pre_warm(&mut self, count: usize) {
+            self.p.pre_warm(count);
+            self.q.pre_warm(count);
+            for r in &mut self.refs {
+                if count > 0 {
+                    r.instances.extend(std::iter::repeat_n(0.0, count));
+                    r.ordered = false;
+                    r.pre_warmed += count;
+                }
+            }
+            self.check("pre_warm");
+        }
+
+        fn absorb(&mut self, shards: Vec<Twin>) {
+            for (f, mine) in self.refs.iter_mut().enumerate() {
+                let extra: usize = shards.iter().map(|s| s.refs[f].instances.len()).sum();
+                for shard in &shards {
+                    let theirs = &shard.refs[f];
+                    mine.instances.extend_from_slice(&theirs.instances);
+                    mine.cold_starts += theirs.cold_starts;
+                    mine.pre_warmed += theirs.pre_warmed;
+                    mine.idle_warm_s += theirs.idle_warm_s;
+                }
+                mine.ordered &= extra == 0;
+            }
+            let (ps, qs): (Vec<_>, Vec<_>) = shards.into_iter().map(|s| (s.p, s.q)).unzip();
+            self.p.absorb_shards(ps);
+            self.q.absorb_shards(qs);
+            self.check("absorb_shards");
+        }
+
+        fn settle(&mut self, until: f64) {
+            self.sync();
+            let (ip, dp) = self.p.settle_warm_pool(until);
+            let (iq, dq) = self.q.settle_warm_pool(until);
+            assert_eq!([ip, dp].map(f64::to_bits), [iq, dq].map(f64::to_bits));
+            for r in &mut self.refs {
+                r.instances.sort_unstable_by(f64::total_cmp);
+                r.ordered = true;
+                r.idle_warm_s = 0.0;
+            }
+            self.check("settle_warm_pool");
+        }
+    }
+
+    /// A random work that succeeds, takes no time warm without the fixed
+    /// overhead, runs out of memory, overflows /tmp, reads a never-written
+    /// object or writes one (a flaky store may fail it).
+    fn random_work(
+        rng: &mut crate::SmallRng,
+        mut fresh_key: impl FnMut() -> ObjectKey,
+    ) -> InvocationWork {
+        let normal = InvocationWork {
+            load_bytes: 17 * MB,
+            flops: 1_000_000_000,
+            resident_bytes: 40 * MB,
+            ..Default::default()
+        };
+        match rng.below(8) {
+            0 => InvocationWork::default(),
+            1 => InvocationWork {
+                resident_bytes: 4000 * MB,
+                ..normal
+            },
+            2 => InvocationWork {
+                tmp_bytes: 600 * MB,
+                ..normal
+            },
+            3 => InvocationWork {
+                reads: vec![fresh_key()],
+                ..normal
+            },
+            4 => InvocationWork {
+                writes: vec![(fresh_key(), 2 * MB)],
+                ..normal
+            },
+            _ => normal,
+        }
+    }
+
+    /// One random invocation of a random function on `twin`, at `t` or
+    /// up to 20 s before it.
+    fn random_call(twin: &mut Twin, t: f64, rng: &mut crate::SmallRng, seen: &mut Seen) {
+        let id = FunctionId(rng.below(twin.p.num_functions()));
+        let work = random_work(rng, || twin.fresh_key());
+        // Mostly in arrival order; a quarter of the calls start earlier
+        // than the last, so the finger also searches below itself.
+        let start = if rng.below(4) == 0 {
+            (t - rng.below(41) as f64 * 0.5).max(0.0)
+        } else {
+            t
+        };
+        twin.invoke(id, start, &work, seen, &format!("call at {start}"));
+    }
+
+    #[test]
+    fn finger_pool_matches_the_partition_point_reference() {
+        let mut seen = Seen::default();
+        for seed in 0..48 {
+            let mut rng = crate::SmallRng::seed_from_u64(seed);
+            let policy = match seed % 3 {
+                0 => WarmPoolPolicy::lambda_default(),
+                1 => WarmPoolPolicy::keep_alive(30.0),
+                _ => WarmPoolPolicy::provisioned(1),
+            };
+            let store = if seed % 4 == 3 {
+                StoreKind::flaky_s3(0.6)
+            } else {
+                StoreKind::s3()
+            };
+            // Without the fixed overhead an empty warm work takes no time.
+            let perf = PerfModel {
+                fixed_overhead_s: if seed % 2 == 0 { 0.0 } else { 0.6 },
+                ..PerfModel::default()
+            };
+            let mut p = Platform::new(Quotas::lambda_2020(), PriceSheet::aws_2020(), perf, store)
+                .with_warm_pool(policy);
+            if seed % 2 == 1 {
+                p = p.with_fault_plan(FaultPlan::uniform(0.06, seed));
+            }
+            for mem in [512, 1024, 2048] {
+                p.deploy(spec(mem, 17)).unwrap();
+            }
+            let mut twin = Twin::new(p);
+            twin.pre_warm(policy.pre_warm);
+            let mut t = 0.0;
+            for _ in 0..400 {
+                // Half-second steps, so concurrent sandboxes tie; now and
+                // then a gap past the 30-s keep-alive.
+                t += match rng.below(20) {
+                    0 => 40.0,
+                    1..=6 => 0.0,
+                    _ => rng.below(8) as f64 * 0.5,
+                };
+                match rng.below(40) {
+                    0 => twin.pre_warm(rng.below(3)),
+                    1 => twin.settle(t),
+                    2 => {
+                        let mut shards: Vec<Twin> = (0..rng.range_inclusive(1, 3))
+                            .map(|_| twin.fork())
+                            .collect();
+                        for shard in &mut shards {
+                            for _ in 0..rng.below(8) {
+                                random_call(shard, t, &mut rng, &mut seen);
+                            }
+                        }
+                        twin.absorb(shards);
+                    }
+                    _ => random_call(&mut twin, t, &mut rng, &mut seen),
+                }
+            }
+            twin.settle(t + 100.0);
+        }
+        for (what, n) in [
+            ("warm", seen.warm),
+            ("cold", seen.cold),
+            ("lapsed", seen.lapsed),
+            ("zero-length", seen.zero_length),
+            ("tied", seen.tied),
+            ("earlier-start", seen.earlier),
+            ("after-append", seen.after_append),
+        ] {
+            assert!(n >= 20, "only {n} {what} call(s): {seen:?}");
+        }
+        let kinds = [
+            "oom",
+            "tmp",
+            "timeout",
+            "missing",
+            "storage",
+            "crash",
+            "cold start",
+        ];
+        assert!(kinds.iter().all(|k| seen.failures.contains(k)), "{seen:?}");
+    }
+
+    #[test]
+    fn instance_count_is_cold_starts_plus_pre_warmed() {
+        // A pool never drops a sandbox, lapsed ones included, so a
+        // function's instance count is every sandbox it ever created:
+        // through every fault kind, pre-warming and shard merges.
+        let mut p = Platform::new(
+            Quotas::lambda_2020(),
+            PriceSheet::aws_2020(),
+            PerfModel::default(),
+            StoreKind::flaky_s3(0.6),
+        )
+        .with_warm_pool(WarmPoolPolicy::keep_alive(30.0))
+        .with_fault_plan(FaultPlan::uniform(0.1, 5));
+        for mem in [512, 1024] {
+            p.deploy(spec(mem, 17)).unwrap();
+        }
+        let holds = |p: &Platform| {
+            p.functions.iter().enumerate().all(|(f, d)| {
+                p.instance_count(FunctionId(f)) == p.cold_starts(FunctionId(f)) + d.pre_warmed
+            })
+        };
+        let mut rng = crate::SmallRng::seed_from_u64(3);
+        let mut failures = std::collections::HashSet::new();
+        let mut t = 0.0;
+        p.pre_warm(2);
+        assert!(holds(&p));
+        for _ in 0..30 {
+            let mut shards: Vec<Platform> = (0..2).map(|_| p.fork_empty()).collect();
+            shards[0].pre_warm(1);
+            for q in std::iter::once(&mut p).chain(&mut shards) {
+                for _ in 0..20 {
+                    t += rng.below(3) as f64 * 20.0;
+                    let id = FunctionId(rng.below(2));
+                    let work = random_work(&mut rng, || q.store.fresh_key());
+                    if let Err(f) = q.invoke(id, t, &work) {
+                        failures.insert(std::mem::discriminant(&f.reason));
+                    }
+                    assert!(holds(q));
+                }
+            }
+            p.absorb_shards(shards);
+            assert!(holds(&p));
+        }
+        assert!(p
+            .functions
+            .iter()
+            .all(|f| f.cold_starts > 0 && f.pre_warmed > 0));
+        // OOM, /tmp, timeout, missing input, storage, crash, cold start.
+        assert_eq!(failures.len(), 7, "{failures:?}");
     }
 
     fn breakdown_bits(b: &DurationBreakdown) -> [u64; 6] {

@@ -312,7 +312,9 @@ pub struct LoadReport {
     pub dollars: f64,
     /// Cold starts across all partitions.
     pub cold_starts: usize,
-    /// Peak live container instances across partitions.
+    /// The largest function's count of sandboxes ever created, lanes
+    /// summed (its cold starts plus its pre-warmed instances; see
+    /// `TraceReport::peak_instances`), not a peak of live instances.
     pub peak_instances: usize,
     /// Requests that exhausted their retry budget. The run degrades past
     /// them — `latencies_s` and its percentiles cover successes only.
