@@ -8,7 +8,9 @@
 //! their own in [`PLANS`], so a change that may only move predicted bits
 //! shows that it moved no plan. [`TOL0`] pins the same points planned at
 //! cost tolerance 0, where the planner returns the cheapest plan that
-//! meets the SLO and spends nothing on speed.
+//! meets the SLO and spends nothing on speed. [`SOLVES`] and
+//! [`TOL0_SOLVES`] pin each point's knapsack solves, LP prunes and the
+//! cuts stage 1 solved, which the order it visits cuts in decides.
 
 mod common;
 
@@ -336,4 +338,134 @@ fn tolerance_zero_chain_plans_are_pinned() {
         .map(|&(name, f, pin)| (name, f, pin.map_err(str::to_string)))
         .collect();
     assert_eq!(got, want, "tolerance-0 plans moved; now:\n{table}");
+}
+
+/// `(knapsack solves, LP prunes, solved-cut digest)` of one point: the
+/// counters of its `optimize` report and an FNV digest of
+/// [`Optimizer::solved_cuts`], the SLO-binding cuts stage 1 solved in
+/// the order it solved them.
+type Solves = (usize, usize, u64);
+
+fn solves(g: &LayerGraph, cfg: AmpsConfig) -> Solves {
+    let opt = Optimizer::new(cfg);
+    let report = opt.optimize(g).expect("feasible point");
+    let cuts = opt.solved_cuts(g).expect("feasible point");
+    let mut d = Digest::new();
+    d.word(cuts.len() as u64);
+    for cut in &cuts {
+        d.list(&cut.iter().map(|&k| k as u64).collect::<Vec<_>>());
+    }
+    (report.miqps_solved, report.miqps_pruned, d.0)
+}
+
+/// Every point's [`Solves`] at default tolerance ([`ANCHORS`]) or at
+/// tolerance 0 ([`TOL0_ANCHORS`]), in table order.
+fn solve_points(tol0: bool) -> Vec<(&'static str, f64, Solves)> {
+    let anchors = if tol0 { &TOL0_ANCHORS } else { &ANCHORS };
+    let mut cfg = AmpsConfig::default().with_threads(1);
+    if tol0 {
+        cfg.cost_tolerance = 0.0;
+    }
+    let mut got = Vec::new();
+    for ((name, factors), &(aname, anchor)) in CHAIN_POINTS.into_iter().zip(anchors) {
+        assert_eq!(name, aname, "anchor order");
+        let g = model(name);
+        for &f in factors {
+            let slo = f64::from_bits(anchor) * f;
+            got.push((name, f, solves(&g, cfg.clone().with_slo(slo))));
+        }
+    }
+    got
+}
+
+fn check_solves(tol0: bool, want: &[(&str, f64, Solves)]) {
+    let got = solve_points(tol0);
+    let table: String = got
+        .iter()
+        .map(|(name, f, (s, p, d))| format!("    (\"{name}\", {f:?}, ({s}, {p}, {d:#018x})),\n"))
+        .collect();
+    assert_eq!(
+        got, want,
+        "solver counters or solved cuts moved; now:\n{table}"
+    );
+}
+
+/// [`Solves`] of every default-tolerance point. Stage 1's visiting
+/// order decides which cuts it solves or prunes, so these pin that order
+/// on its own, not only relative to a cold plan.
+#[rustfmt::skip]
+const SOLVES: [(&str, f64, Solves); 29] = [
+    ("mobilenet", 0.9, (2, 0, 0x570e76d574c69339)),
+    ("mobilenet", 0.95, (2, 0, 0x570e76d574c69339)),
+    ("mobilenet", 1.0, (2, 0, 0x570e76d574c69339)),
+    ("mobilenet", 1.1, (2, 0, 0x570e76d574c69339)),
+    ("mobilenet", 1.25, (1, 0, 0xa8c7f832281a39c5)),
+    ("mobilenet", 1.5, (1, 0, 0xa8c7f832281a39c5)),
+    ("resnet50", 0.9, (7, 11, 0xc323646bc749e4f0)),
+    ("resnet50", 0.95, (8, 34, 0x704b979b6b0d5246)),
+    ("resnet50", 1.0, (7, 11, 0xc323646bc749e4f0)),
+    ("resnet50", 1.1, (8, 10, 0x704b979b6b0d5246)),
+    ("resnet50", 1.25, (8, 193, 0x704b979b6b0d5246)),
+    ("resnet50", 1.5, (4, 5, 0xa8c7f832281a39c5)),
+    ("inception_v3", 0.9, (20, 10, 0x78b1f778d280278c)),
+    ("inception_v3", 0.95, (9, 98, 0x78b1f778d280278c)),
+    ("inception_v3", 1.0, (9, 21, 0x78b1f778d280278c)),
+    ("inception_v3", 1.1, (9, 21, 0x78b1f778d280278c)),
+    ("inception_v3", 1.25, (10, 20, 0x1f552f88aebb488b)),
+    ("inception_v3", 1.5, (9, 155, 0x1227f5ca97f982ff)),
+    ("xception", 0.95, (7, 9, 0x9057f08529fe2edc)),
+    ("xception", 1.0, (7, 9, 0x9057f08529fe2edc)),
+    ("xception", 1.1, (8, 19, 0x9057f08529fe2edc)),
+    ("xception", 1.25, (8, 24, 0x9057f08529fe2edc)),
+    ("xception", 1.5, (11, 21, 0x0f19271aa18ec3d9)),
+    ("bert-w8", 0.9, (4, 13, 0x49458c279e62edea)),
+    ("bert-w8", 0.95, (5, 284, 0x0bf7d732c64fb7d1)),
+    ("bert-w8", 1.0, (5, 282, 0x0bf7d732c64fb7d1)),
+    ("bert-w8", 1.1, (10, 24, 0x49458c279e62edea)),
+    ("bert-w8", 1.25, (9, 25, 0x49458c279e62edea)),
+    ("bert-w8", 1.5, (9, 25, 0x4859fa18b2d71ba1)),
+];
+
+#[test]
+fn slo_bound_chain_points_keep_their_solves() {
+    check_solves(false, &SOLVES);
+}
+
+/// [`Solves`] of every tolerance-0 point.
+#[rustfmt::skip]
+const TOL0_SOLVES: [(&str, f64, Solves); 29] = [
+    ("mobilenet", 0.9, (2, 0, 0x570e76d574c69339)),
+    ("mobilenet", 0.95, (2, 0, 0x570e76d574c69339)),
+    ("mobilenet", 1.0, (1, 0, 0xa8c7f832281a39c5)),
+    ("mobilenet", 1.1, (1, 0, 0xa8c7f832281a39c5)),
+    ("mobilenet", 1.25, (1, 0, 0xa8c7f832281a39c5)),
+    ("mobilenet", 1.5, (1, 0, 0xa8c7f832281a39c5)),
+    ("resnet50", 0.9, (8, 10, 0x704b979b6b0d5246)),
+    ("resnet50", 0.95, (9, 9, 0x82aff77c108b0de4)),
+    ("resnet50", 1.0, (3, 0, 0xfc9ca0a7c4539a4f)),
+    ("resnet50", 1.1, (2, 0, 0xa8c7f832281a39c5)),
+    ("resnet50", 1.25, (2, 0, 0xa8c7f832281a39c5)),
+    ("resnet50", 1.5, (2, 0, 0xa8c7f832281a39c5)),
+    ("inception_v3", 0.9, (8, 20, 0x1227f5ca97f982ff)),
+    ("inception_v3", 0.95, (6, 11, 0x2a5a4aa6ec1179f9)),
+    ("inception_v3", 1.0, (1, 0, 0xa8c7f832281a39c5)),
+    ("inception_v3", 1.1, (1, 0, 0xa8c7f832281a39c5)),
+    ("inception_v3", 1.25, (1, 0, 0xa8c7f832281a39c5)),
+    ("inception_v3", 1.5, (1, 0, 0xa8c7f832281a39c5)),
+    ("xception", 0.95, (5, 19, 0xc0d03992a2223d15)),
+    ("xception", 1.0, (1, 0, 0xa8c7f832281a39c5)),
+    ("xception", 1.1, (1, 0, 0xa8c7f832281a39c5)),
+    ("xception", 1.25, (1, 0, 0xa8c7f832281a39c5)),
+    ("xception", 1.5, (1, 0, 0xa8c7f832281a39c5)),
+    ("bert-w8", 0.9, (10, 14, 0x0bf7d732c64fb7d1)),
+    ("bert-w8", 0.95, (9, 5, 0x57124602f178104f)),
+    ("bert-w8", 1.0, (3, 0, 0x0a21474de8f2c1c2)),
+    ("bert-w8", 1.1, (2, 0, 0xa8c7f832281a39c5)),
+    ("bert-w8", 1.25, (2, 0, 0xa8c7f832281a39c5)),
+    ("bert-w8", 1.5, (2, 0, 0xa8c7f832281a39c5)),
+];
+
+#[test]
+fn tolerance_zero_chain_points_keep_their_solves() {
+    check_solves(true, &TOL0_SOLVES);
 }
