@@ -146,6 +146,25 @@ fn main() {
         Optimizer::new(base.clone().with_threads(1)).optimize_dag_sweep(&g, &dag_grid)
     });
 
+    // The adaptive-faults workload's planning, ResNet-50 at batch 64: the
+    // unconstrained chain plan its SLO tiers scale from, and the adaptive
+    // controller's chain-vs-DAG sweep over the tiers (1.0, 1.2 and 1.5x
+    // that plan's time), which every serving operation of it runs.
+    let g = zoo::resnet50();
+    let base = AmpsConfig::default().with_batch(64).with_threads(1);
+    b.bench("optimize/resnet50/batch64", 10, || {
+        Optimizer::new(base.clone()).optimize(&g).expect("feasible")
+    });
+    let free = Optimizer::new(base.clone())
+        .optimize(&g)
+        .expect("feasible")
+        .plan
+        .predicted_time_s;
+    let tiers = SweepGrid::from_slos([1.0, 1.2, 1.5].iter().map(|f| f * free).collect());
+    b.bench("optimize_dag_sweep/resnet50/batch64/3pt", 10, || {
+        Optimizer::new(base.clone()).optimize_dag_sweep(&g, &tiers)
+    });
+
     // Bench targets run from the package directory; the committed baseline
     // lives at the repo root. Override with BENCH_BASELINE=<path>.
     b.compare_with_baseline("../../BENCH_optimizer.json");

@@ -33,7 +33,7 @@ use ampsinf_profiler::Profile;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Optimization failure.
@@ -202,21 +202,156 @@ impl Pass1 {
     }
 }
 
+/// The feasible cuts in separable min-cost order, ties by index, sorted
+/// only as far as a reader reads. Unread cuts wait in a min-heap of
+/// `(cost bits, index)` keys, built in linear time. Costs are sums of
+/// finite non-negative dollars from `0.0`, never NaN or `-0.0`, so their
+/// bits order as `<` does, and `(cost, index)` is a strict total order:
+/// the pops come out exactly as `sort_unstable_by(cost, then index)`
+/// would place them. Popped keys stay in `ranked`, so a later reader
+/// (the next sweep point at this batch) re-reads them without a pop.
+struct CostRank {
+    /// The ranked prefix: `(cost, cut)` in rank order.
+    ranked: Vec<(f64, usize)>,
+    /// The unranked cuts, cheapest on top.
+    rest: BinaryHeap<Reverse<(u64, usize)>>,
+}
+
+impl CostRank {
+    /// The rank of the feasible cuts of `sums`, none ranked yet.
+    fn new(sums: &[Option<CutSums>]) -> Self {
+        CostRank {
+            ranked: Vec::new(),
+            rest: heap_of(sums, |ci, s| Some((s.cost.to_bits(), ci))),
+        }
+    }
+
+    /// Cuts in the rank, ranked or not.
+    fn len(&self) -> usize {
+        self.ranked.len() + self.rest.len()
+    }
+
+    /// Moves the cheapest unranked cut onto the ranked prefix.
+    fn rank_next(&mut self) -> Option<(f64, usize)> {
+        let Reverse((bits, ci)) = self.rest.pop()?;
+        self.ranked.push((f64::from_bits(bits), ci));
+        Some((f64::from_bits(bits), ci))
+    }
+
+    /// `(cost, cut)` in rank order from the cheapest, ranking each cut
+    /// the first time any reader reaches it.
+    fn in_order(&mut self) -> impl Iterator<Item = (f64, usize)> + '_ {
+        let mut k = 0;
+        std::iter::from_fn(move || {
+            let key = match self.ranked.get(k) {
+                Some(&key) => key,
+                None => self.rank_next()?,
+            };
+            k += 1;
+            Some(key)
+        })
+    }
+
+    /// The rank-order prefix of cuts whose cost is at most `budget`, if
+    /// ranking at most `len / RANK_SHARE` cuts in all yields it; `None`
+    /// when more cuts fit, which one scan of pass 1 finds faster.
+    fn fitting(&mut self, budget: f64) -> Option<&[(f64, usize)]> {
+        let unranked_fits = |r: &Self| {
+            r.rest
+                .peek()
+                .is_some_and(|Reverse((bits, _))| f64::from_bits(*bits) <= budget)
+        };
+        while self.ranked.len() < self.len() / RANK_SHARE && unranked_fits(self) {
+            self.rank_next();
+        }
+        if unranked_fits(self) {
+            return None;
+        }
+        let fits = self.ranked.partition_point(|&(cost, _)| cost <= budget);
+        Some(&self.ranked[..fits])
+    }
+}
+
+/// [`CostRank::fitting`] ranks at most this share of the cuts: a pop
+/// costs about what scanning a few dozen cuts' sums does, so a budget
+/// that more cuts fit is gathered by one scan instead.
+const RANK_SHARE: usize = 32;
+
+/// Stage 2's visiting order: a min-heap of `(min_time bits, cost bits,
+/// cut)` over the feasible cuts whose separable min cost is at most
+/// `budget`, built in linear time. Non-negative floats order as their
+/// bits do, so cuts pop by `min_time`, ties in cost order, then by index:
+/// ties in cost rank order, with no rank sorted for it. The cuts come
+/// from the rank's prefix when it holds them all (a budget few cuts fit,
+/// or a sweep point after one that ranked past it), else from one scan.
+fn time_order(
+    sums: &[Option<CutSums>],
+    rank: &mut CostRank,
+    budget: f64,
+) -> BinaryHeap<Reverse<(u64, u64, usize)>> {
+    let key = |ci: usize, s: &CutSums| {
+        (s.cost <= budget).then(|| (s.min_time.to_bits(), s.cost.to_bits(), ci))
+    };
+    match rank.fitting(budget) {
+        Some(prefix) => prefix
+            .iter()
+            .filter_map(|&(_, ci)| sums[ci].as_ref().and_then(|s| key(ci, s)).map(Reverse))
+            .collect(),
+        None => heap_of(sums, key),
+    }
+}
+
+/// A min-heap of the keys `key` gives the feasible cuts of `sums` (`None`:
+/// leave the cut out), heapified in place in one buffer of exactly their
+/// count: a first pass counts them, so a large heap is neither copied
+/// while it grows nor handed memory it never fills (a buffer sized for
+/// every cut raised the peak RSS of a process that planned, then
+/// served, by ~1.2 MB).
+fn heap_of<K: Ord>(
+    sums: &[Option<CutSums>],
+    key: impl Fn(usize, &CutSums) -> Option<K>,
+) -> BinaryHeap<Reverse<K>> {
+    let keyed = || {
+        sums.iter()
+            .enumerate()
+            .filter_map(|(ci, s)| s.as_ref().and_then(|s| key(ci, s)))
+    };
+    let mut keys = Vec::with_capacity(keyed().count());
+    keys.extend(keyed().map(Reverse));
+    BinaryHeap::from(keys)
+}
+
 /// SLO-independent shared state for one `(model, batch)`: the batch-scaled
 /// profile, pass 1 (the enumerated cuts, their segment table and every
-/// cut's verdict), the feasible cuts in cost rank order, and the
-/// segment-column memo table the DAG region search reads.
+/// cut's verdict), the feasible cuts' cost rank, and the segment-column
+/// memo table the DAG region search reads.
 /// One instance serves every SLO point of a sweep at this batch size; a
 /// plain [`Optimizer::optimize`] builds one for its single point.
 pub(crate) struct BatchShared {
     pub(crate) profile: Profile,
     pub(crate) pass1: Pass1,
-    /// Indices of feasible cuts, ordered by separable min cost, ties by
-    /// index.
-    pub(crate) order: Vec<usize>,
+    /// The feasible cuts' cost rank, ranked as far as pass 2 of any
+    /// point at this batch has read it. A batch's points run one after
+    /// another, so the lock is never contended; it makes the shared
+    /// state `Sync` for the sweep's batch workers.
+    rank: Mutex<CostRank>,
+    /// The least separable `min_time` of any feasible cut: no mix of any
+    /// cut meets a tighter SLO.
+    least_min_time: f64,
     /// Segment-column memo table: pass 1's chain entries, and the DAG
     /// search's node entries of every point on this batch.
     pub(crate) cache: SegmentColumnCache,
+}
+
+impl BatchShared {
+    fn rank(&self) -> MutexGuard<'_, CostRank> {
+        self.rank.lock().expect("no reader panics while ranking")
+    }
+
+    /// Cuts the cost rank has ranked so far.
+    pub(crate) fn ranked(&self) -> usize {
+        self.rank().ranked.len()
+    }
 }
 
 /// Result of solving one grid point against a [`BatchShared`].
@@ -246,6 +381,11 @@ pub struct OptimizerReport {
     /// Cuts the two stages discarded on their LP lower bound alone,
     /// without a solve.
     pub miqps_pruned: usize,
+    /// Feasible cuts pass 2 put in cost order: the cheapest ones, up to
+    /// the first whose separable min cost exceeds `C*` (stage 1), or up
+    /// to stage 2's budget when few cuts fit it. The rest are never
+    /// sorted.
+    pub cuts_ranked: usize,
     /// Reference-only: branch-and-bound nodes. The planner solves no MIQP
     /// by branch and bound, so this is always 0; the field stays for
     /// callers that replay [`crate::miqp_build::build`] through
@@ -379,6 +519,7 @@ impl Optimizer {
             cuts_considered: shared.pass1.cuts.len(),
             miqps_solved: sol.miqps_solved,
             miqps_pruned: sol.miqps_pruned,
+            cuts_ranked: shared.ranked(),
             bb_nodes: 0,
             qp_relaxations: 0,
             warm_start_hits: 0,
@@ -457,26 +598,21 @@ impl Optimizer {
         // span's columns are a pure function of the profile/config.
         let cache = SegmentColumnCache::new();
         let pass1 = self.evaluate_cuts(&profile, walk, &cache);
-        let mut ranked: Vec<(f64, usize)> = pass1
-            .sums
-            .iter()
-            .enumerate()
-            .filter_map(|(ci, s)| s.map(|s| (s.cost, ci)))
-            .collect();
-        if ranked.is_empty() {
+        let rank = CostRank::new(&pass1.sums);
+        if rank.len() == 0 {
             return Err(OptimizeError::NoFeasibleCut);
         }
-        // Cost order with ties by index — the stable cost order — over
-        // compact `(cost, index)` keys. Costs are sums of finite dollars
-        // from `0.0`, never NaN or `-0.0`, so `total_cmp` orders them as
-        // `<` does. A per-point SLO filter over this order yields exactly
-        // the sequence a per-point filter-then-sort would.
-        ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let order = ranked.into_iter().map(|(_, ci)| ci).collect();
+        let least_min_time = pass1
+            .sums
+            .iter()
+            .flatten()
+            .map(|s| s.min_time)
+            .fold(f64::INFINITY, f64::min);
         Ok(BatchShared {
             profile,
             pass1,
-            order,
+            rank: Mutex::new(rank),
+            least_min_time,
             cache,
         })
     }
@@ -519,19 +655,25 @@ impl Optimizer {
     /// solved (in rank order) and the count pruned on the LP bound.
     ///
     /// Cuts arrive in cost order until their separable min cost exceeds
-    /// the running best. A cut whose separable `min_time` misses the SLO
+    /// the running best; the batch's cost rank sorts no further than
+    /// that. A cut whose separable `min_time` misses the SLO
     /// has no mix meeting it; one whose separable min-cost mix meets it
     /// costs exactly that. Any other cut is SLO-binding: pruned when its LP
     /// bound exceeds the running best, else solved within `slo + 1e-9`.
+    /// When every cut's `min_time` misses the SLO, no cut is read (the
+    /// walk would skip them all and rank every cut doing so).
     fn cheapest(&self, shared: &BatchShared) -> (f64, Vec<usize>, usize) {
         let slo = self.cfg.slo_s;
         let limit = slo.map_or(f64::INFINITY, |s| s + 1e-9);
         let (mut best, mut solved, mut pruned) = (f64::INFINITY, Vec::new(), 0usize);
-        for &ci in &shared.order {
-            let s = shared.pass1.totals(ci);
-            if s.cost > best + 1e-15 {
+        if shared.least_min_time > limit {
+            return (best, solved, pruned);
+        }
+        for (cost, ci) in shared.rank().in_order() {
+            if cost > best + 1e-15 {
                 break;
             }
+            let s = shared.pass1.totals(ci);
             if s.min_time > limit {
                 continue;
             }
@@ -556,9 +698,9 @@ impl Optimizer {
     /// cheaper on equal seconds, as `(cut, memories, knapsack solves, LP
     /// prunes)`; `None` when no mix fits.
     ///
-    /// Only the cost-order prefix whose separable min cost fits the budget
-    /// can hold such a mix. It is visited by separable `min_time` (ties in
-    /// cost order), stopping at the first cut slower than the incumbent. A
+    /// Only the cuts whose separable min cost fits the budget can hold
+    /// such a mix. They are visited by separable `min_time` (ties in cost
+    /// order), stopping at the first cut slower than the incumbent. A
     /// cut whose min-time mix fits the budget offers it unsolved; any other
     /// is pruned when its swapped LP bound exceeds the incumbent, else
     /// solved for its fastest mix within the budget.
@@ -568,22 +710,12 @@ impl Optimizer {
         budget: f64,
     ) -> Option<(usize, Vec<u32>, usize, usize)> {
         let p1 = &shared.pass1;
-        let fits = shared
-            .order
-            .partition_point(|&ci| p1.totals(ci).cost <= budget);
-        // A min-heap of `(min_time bits, cost rank)`: non-negative floats
-        // order as their bits do, so cuts pop by `min_time`, ties in cost
-        // order. Building it is linear; only the visited cuts pay a pop.
-        let mut visit: BinaryHeap<Reverse<(u64, usize)>> = shared.order[..fits]
-            .iter()
-            .enumerate()
-            .map(|(rank, &ci)| Reverse((p1.totals(ci).min_time.to_bits(), rank)))
-            .collect();
+        let mut visit = time_order(&p1.sums, &mut shared.rank(), budget);
         let (mut solves, mut prunes) = (0usize, 0usize);
         // (seconds, dollars, cut, memories)
         let mut best: Option<(f64, f64, usize, Vec<u32>)> = None;
-        while let Some(Reverse((bits, rank))) = visit.pop() {
-            let (min_time, ci) = (f64::from_bits(bits), shared.order[rank]);
+        while let Some(Reverse((bits, _, ci))) = visit.pop() {
+            let min_time = f64::from_bits(bits);
             let incumbent = best.as_ref().map_or(f64::INFINITY, |b| b.0);
             if min_time > incumbent {
                 break;
@@ -625,16 +757,17 @@ impl Optimizer {
     /// Candidates are each feasible cut's two separable memory mixes from
     /// pass 1 (min-cost and min-time); bottleneck ties go to the cheaper,
     /// then to pass-1 cost rank, the min-cost mix before the min-time mix.
+    /// A candidate never costs less than its cut's separable min cost, so
+    /// only the cuts whose min cost fits the budget are sorted.
     /// A zero batch size or a NaN SLO is [`OptimizeError::InvalidInput`].
     pub fn optimize_pipelined(&self, graph: &LayerGraph) -> Result<PipelinePlan, OptimizeError> {
         self.check_inputs()?;
         let sh = self.build_shared(Profile::batched(graph, self.cfg.batch_size))?;
         let p1 = &sh.pass1;
         let limit = self.cfg.slo_s.map_or(f64::INFINITY, |s| s + 1e-9);
-        // The cost floor over SLO-feasible candidates.
+        // The cost floor over SLO-feasible candidates, in any order.
         let mut floor = f64::INFINITY;
-        for &ci in &sh.order {
-            let s = p1.totals(ci);
+        for s in p1.sums.iter().flatten() {
             if s.time <= limit {
                 floor = floor.min(s.cost);
             }
@@ -653,8 +786,15 @@ impl Optimizer {
         // plan is built only for a new best.
         let stage_times =
             |ci: usize, fastest: bool| p1.evals_at(ci, p1.mix(ci, fastest)).map(|(t, _)| t);
+        let mut fits: Vec<(f64, usize)> = p1
+            .sums
+            .iter()
+            .enumerate()
+            .filter_map(|(ci, s)| s.filter(|s| s.cost <= budget).map(|s| (s.cost, ci)))
+            .collect();
+        fits.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut best: Option<PipelinePlan> = None;
-        for &ci in &sh.order {
+        for (_, ci) in fits {
             let s = p1.totals(ci);
             for fastest in [false, true] {
                 let (time, cost) = if fastest {
@@ -1370,6 +1510,142 @@ mod tests {
         assert_eq!(
             ZERO_BATCH.to_string(),
             "invalid input: batch size must be at least 1"
+        );
+    }
+
+    /// Pass-1 sums of up to 2,000 cuts, about one in five infeasible, on
+    /// grids of dollars (`0.0` included) and `min_time` seconds: half the
+    /// cases coarse, so many cuts tie on cost, on `min_time` or on both,
+    /// half fine. Also the feasible cuts' `(cost, index)` keys.
+    fn tied_sums(
+        rng: &mut ampsinf_faas::rng::SmallRng,
+    ) -> (Vec<Option<CutSums>>, Vec<(f64, usize)>) {
+        let levels = match rng.below(2) {
+            0 => rng.range_inclusive(1, 8),
+            _ => rng.range_inclusive(50, 400),
+        };
+        let sums: Vec<Option<CutSums>> = (0..rng.below(2000))
+            .map(|_| {
+                let cost = rng.below(levels) as f64 * 1e-6;
+                let min_time = rng.range_inclusive(1, 6) as f64 * 0.25;
+                (rng.below(5) != 0).then_some(CutSums {
+                    time: min_time * 2.0,
+                    cost,
+                    min_time,
+                    min_cost: cost * 2.0,
+                })
+            })
+            .collect();
+        let keys = sums
+            .iter()
+            .enumerate()
+            .filter_map(|(ci, s)| s.map(|s| (s.cost, ci)))
+            .collect();
+        (sums, keys)
+    }
+
+    /// A budget at the cost of a key of the sorted `keys` (so ties fit)
+    /// or half a grid step above it, skewed to the cheap end so that it
+    /// often fits few cuts.
+    fn budget_in(rng: &mut ampsinf_faas::rng::SmallRng, keys: &[(f64, usize)]) -> f64 {
+        let j = rng.below(keys.len().max(1)) >> rng.below(8);
+        keys.get(j).map_or(0.0, |k| k.0) + rng.below(2) as f64 * 0.5e-6
+    }
+
+    /// The old planner's full cost order.
+    fn sorted(keys: &[(f64, usize)]) -> Vec<(f64, usize)> {
+        let mut want = keys.to_vec();
+        want.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        want
+    }
+
+    #[test]
+    fn cost_rank_reads_are_prefixes_of_the_full_sort() {
+        use ampsinf_faas::rng::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(0x0a4c_5eed);
+        // Budget reads that found their prefix by ranking more cuts, that
+        // found it ranked already, and that gave up for a scan.
+        let (mut ranked_more, mut ranked_already, mut scans) = (0, 0, 0);
+        for case in 0..2000 {
+            let (sums, keys) = tied_sums(&mut rng);
+            let want = sorted(&keys);
+            let mut rank = CostRank::new(&sums);
+            assert_eq!(rank.len(), want.len(), "case {case}");
+            let cap = want.len() / RANK_SHARE;
+            let mut read = 0usize;
+            // Reads interleave as a sweep's points do: stage 1 reads from
+            // the cheapest cut on, stage 2 up to a budget.
+            for step in 0..rng.range_inclusive(1, 6) {
+                let label = format!("case {case}, read {step}");
+                if rng.below(2) == 0 {
+                    let k = rng.below(want.len() + 3) >> rng.below(6);
+                    let got: Vec<_> = rank.in_order().take(k).collect();
+                    assert_eq!(got, want[..k.min(want.len())], "{label}: first {k}");
+                    read = read.max(k.min(want.len()));
+                } else {
+                    let budget = budget_in(&mut rng, &want);
+                    let fits = want.partition_point(|&(c, _)| c <= budget);
+                    let got = rank.fitting(budget);
+                    if fits <= read {
+                        ranked_already += 1;
+                    } else if fits <= cap {
+                        ranked_more += 1;
+                    } else {
+                        scans += 1;
+                        assert_eq!(got, None, "{label}: ${budget} fits {fits} > cap {cap}");
+                    }
+                    if fits <= read.max(cap) {
+                        assert_eq!(got, Some(&want[..fits]), "{label}: ${budget}");
+                    }
+                    read = read.max(fits.min(cap));
+                }
+                // Only what was read is ranked.
+                assert_eq!(rank.ranked.len(), read, "{label}: ranked");
+            }
+        }
+        for (what, n) in [
+            ("ranked more", ranked_more),
+            ("ranked already", ranked_already),
+            ("scans", scans),
+        ] {
+            assert!(n >= 200, "{what}: only {n} budget reads");
+        }
+    }
+
+    #[test]
+    fn stage2_order_pops_like_the_ranked_heap() {
+        use ampsinf_faas::rng::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(0x0057_a9e2);
+        let mut via_rank = 0;
+        for case in 0..2000 {
+            let (sums, keys) = tied_sums(&mut rng);
+            let budget = budget_in(&mut rng, &sorted(&keys));
+            // The old stage 2: a heap of `(min_time bits, cost rank)`
+            // over the budget prefix of the full cost order.
+            let order: Vec<usize> = sorted(&keys).into_iter().map(|(_, ci)| ci).collect();
+            let fits = order.partition_point(|&ci| sums[ci].unwrap().cost <= budget);
+            let mut old: BinaryHeap<Reverse<(u64, usize)>> = order[..fits]
+                .iter()
+                .enumerate()
+                .map(|(rank, &ci)| Reverse((sums[ci].unwrap().min_time.to_bits(), rank)))
+                .collect();
+            let want: Vec<usize> = std::iter::from_fn(|| old.pop())
+                .map(|Reverse((_, rank))| order[rank])
+                .collect();
+            // The rank as an earlier sweep point may have left it.
+            let mut rank = CostRank::new(&sums);
+            let read = rng.below(keys.len() + 1);
+            rank.in_order().take(read).for_each(drop);
+            via_rank += usize::from(rank.fitting(budget).is_some());
+            let mut new = time_order(&sums, &mut rank, budget);
+            let got: Vec<usize> = std::iter::from_fn(|| new.pop())
+                .map(|Reverse((_, _, ci))| ci)
+                .collect();
+            assert_eq!(got, want, "case {case}: budget ${budget}");
+        }
+        assert!(
+            (500..1500).contains(&via_rank),
+            "{via_rank} of 2000 via the rank"
         );
     }
 

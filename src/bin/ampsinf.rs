@@ -526,7 +526,7 @@ fn serve_load(a: &Args, requests: usize) -> Result<(), String> {
     );
     println!(
         "platform: {} cold start(s) over {} invocation(s) ({:.1}% cold), \
-         peak {} instance(s)",
+         busiest function created {} sandbox(es)",
         rep.cold_starts,
         rep.invocations,
         rep.cold_start_rate() * 100.0,
@@ -858,8 +858,9 @@ fn print_reliability(retries: usize, failed: usize, wasted_s: f64, wasted_dollar
 /// `--verbose` companion block: solver-internals counters from the run.
 fn print_solver_stats(r: &amps_inf::core::optimizer::OptimizerReport) {
     println!(
-        "solver: {} exact knapsack solve(s), {} cut(s) pruned on the LP bound",
-        r.miqps_solved, r.miqps_pruned
+        "solver: {} exact knapsack solve(s), {} cut(s) pruned on the LP bound, \
+         ranked {} of {} cuts by cost",
+        r.miqps_solved, r.miqps_pruned, r.cuts_ranked, r.cuts_considered
     );
     println!(
         "columns: {} cache hits, {} misses",

@@ -209,6 +209,36 @@ fn serve_dag_runs_every_serving_mode() {
 }
 
 #[test]
+fn load_mode_counts_the_sandboxes_the_busiest_function_created() {
+    // Pools never drop a sandbox, so the count is the busiest function's
+    // cold starts plus its pre-warmed instances, not a peak of live ones.
+    let (stdout, stderr, ok) = run(&[
+        "serve",
+        "mobilenet",
+        "--requests",
+        "10",
+        "--rate",
+        "2",
+        "--policy",
+        "prewarm:3",
+    ]);
+    assert!(ok, "{stderr}");
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("platform: "))
+        .unwrap_or_else(|| panic!("no platform line: {stdout}"));
+    assert!(!line.contains("peak"), "{line}");
+    let created: usize = line
+        .split("busiest function created ")
+        .nth(1)
+        .and_then(|l| l.strip_suffix(" sandbox(es)"))
+        .unwrap_or_else(|| panic!("no sandbox count: {line}"))
+        .parse()
+        .expect("count");
+    assert!(created >= 3, "3 pre-warmed sandboxes: {line}");
+}
+
+#[test]
 fn adaptive_fallback_solves_the_unconstrained_plan_once() {
     // No plan meets 1 ns: both epochs probe the tier (hits), then fall
     // back to the unconstrained plan, solved on the first probe only.
@@ -416,6 +446,23 @@ fn verbose_plan_and_sweep_report_knapsack_counters() {
         !line.contains("solver: 0 exact"),
         "binding SLO solved nothing: {line}"
     );
+    // Stage 1 ranks only the cheapest of the searched cuts.
+    let searched = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("searched "))
+        .and_then(|l| l.split(' ').next())
+        .unwrap_or_else(|| panic!("no stats line: {stdout}"));
+    let ranked: Vec<usize> = line
+        .split(", ranked ")
+        .nth(1)
+        .and_then(|l| l.strip_suffix(" cuts by cost"))
+        .unwrap_or_else(|| panic!("no ranked count: {line}"))
+        .split(" of ")
+        .map(|n| n.parse().expect("count"))
+        .collect();
+    assert_eq!(ranked.len(), 2, "{line}");
+    assert_eq!(ranked[1].to_string(), searched, "{line}");
+    assert!(0 < ranked[0] && ranked[0] < ranked[1], "{line}");
     assert!(!stdout.contains("b&b"), "{stdout}");
 
     let (stdout, stderr, ok) = run(&[
