@@ -7,11 +7,17 @@
 //! with rounding), and moves no second. Every comparison the planner
 //! makes between dollars therefore comes out the same, so the plan must
 //! be identical and its predicted cost double bit for bit.
+//!
+//! The same scaling on the serving side: a plan served under doubled
+//! prices takes the same seconds, fails the same requests and bills
+//! every dollar twice, bit for bit — invocations, failed attempts,
+//! at-rest storage and warm-pool idle time alike.
 
 use ampsinf_core::optimizer::Optimizer;
-use ampsinf_core::AmpsConfig;
-use ampsinf_faas::PriceSheet;
-use ampsinf_model::zoo;
+use ampsinf_core::{AmpsConfig, Coordinator, DagPlan, TraceReport};
+use ampsinf_faas::{FaultPlan, PriceSheet, StoreKind, WarmPoolPolicy};
+use ampsinf_model::{zoo, LayerGraph};
+use ampsinf_serving::loadgen::{run_open_loop, run_open_loop_dag, LoadReport, LoadSpec};
 
 /// Zoo models with a feasible fp32 chain plan at every batch below.
 const MODELS: [&str; 5] = [
@@ -74,4 +80,143 @@ fn doubling_every_price_keeps_the_plan_and_doubles_its_cost() {
         "price doubling moved:\n{}",
         failed.join("\n")
     );
+}
+
+/// The serving configurations each plan is served under: clean on one
+/// lane, then lambda faults with retries, a flaky store and a
+/// provisioned pool (which bills idle time) on one lane and on four.
+fn serving_cfgs() -> Vec<(&'static str, AmpsConfig)> {
+    let faulty = |lanes: usize| {
+        let mut cfg = AmpsConfig::default()
+            .with_serve_lanes(lanes)
+            .with_retries(2)
+            .with_faults(FaultPlan::uniform(0.1, 31))
+            .with_warm_pool(WarmPoolPolicy::provisioned(2));
+        cfg.store = StoreKind::flaky_s3(0.2);
+        cfg
+    };
+    vec![
+        ("clean", AmpsConfig::default()),
+        ("faults+flaky+provisioned, 1 lane", faulty(1)),
+        ("faults+flaky+provisioned, 4 lanes", faulty(4)),
+    ]
+}
+
+/// Serves `load` on `cfg` twice: through the open loop (`open`) and
+/// through `Coordinator::serve_trace` on a fresh deployment (`trace`).
+type Serve<'a> = dyn Fn(&AmpsConfig) -> (LoadReport, TraceReport) + 'a;
+
+/// Every served dollar of `cfg` against `cfg` at doubled prices; returns
+/// what did not double (or what else moved), one line per field.
+fn doubling_mismatches(cfg: &AmpsConfig, serve: &Serve<'_>) -> Vec<String> {
+    let (load, trace) = serve(cfg);
+    let mut x2 = cfg.clone();
+    x2.prices = doubled(cfg.prices);
+    let (load2, trace2) = serve(&x2);
+    let mut out = Vec::new();
+    let mut doubles = |what: &str, a: f64, b: f64| {
+        if (a * 2.0).to_bits() != b.to_bits() {
+            out.push(format!("{what}: {a} x2 = {} vs {b}", a * 2.0));
+        }
+    };
+    doubles("LoadReport::dollars", load.dollars, load2.dollars);
+    doubles("LoadReport::idle_dollars", load.idle_dollars, load2.idle_dollars);
+    doubles("TraceReport::dollars", trace.dollars, trace2.dollars);
+    doubles(
+        "TraceReport::settled_dollars",
+        trace.settled_dollars,
+        trace2.settled_dollars,
+    );
+    doubles("TraceReport::idle_dollars", trace.idle_dollars, trace2.idle_dollars);
+    for (i, (r, r2)) in trace.requests.iter().zip(&trace2.requests).enumerate() {
+        doubles(&format!("request {i} dollars"), r.dollars, r2.dollars);
+        doubles(&format!("request {i} wasted_dollars"), r.wasted_dollars, r2.wasted_dollars);
+    }
+    let seconds = |t: &TraceReport| -> Vec<(u64, bool, u32)> {
+        let r = &t.requests;
+        r.iter().map(|r| (r.latency_s.to_bits(), r.ok, r.retries)).collect()
+    };
+    if seconds(&trace) != seconds(&trace2)
+        || load.latencies_s != load2.latencies_s
+        || load.failures != load2.failures
+        || load.makespan_s.to_bits() != load2.makespan_s.to_bits()
+    {
+        out.push("a latency, outcome, retry count or the makespan moved".into());
+    }
+    out
+}
+
+/// Asserts that `serve` exercised what the relation is about: billed
+/// at-rest storage, and under faults failed attempts and billed idle time.
+fn assert_exercised(name: &str, faulty: bool, load: &LoadReport, trace: &TraceReport) {
+    assert!(trace.settled_dollars > 0.0, "{name}: no at-rest storage billed");
+    if faulty {
+        let wasted = trace.requests.iter().any(|r| r.wasted_dollars > 0.0);
+        assert!(wasted, "{name}: no failed attempt billed");
+        assert!(load.idle_dollars > 0.0, "{name}: no idle time billed");
+    }
+}
+
+#[test]
+fn doubling_every_price_doubles_every_served_dollar() {
+    let resnet = zoo::resnet50();
+    let chain = Optimizer::new(AmpsConfig::default().with_threads(1))
+        .optimize(&resnet)
+        .expect("ResNet-50 chain plan")
+        .plan;
+    let chain_load = LoadSpec::poisson(20.0, 1500, 7);
+    let serve_chain = |cfg: &AmpsConfig| {
+        let load = run_open_loop(&resnet, &chain, cfg, &chain_load).expect("chain open loop");
+        let coord = Coordinator::new(cfg.clone());
+        let mut platform = coord.platform();
+        let dep = coord.deploy(&mut platform, &resnet, &chain).expect("deploy");
+        (load, coord.serve_trace(platform, &dep, &chain_load.arrivals()))
+    };
+
+    let inception = zoo::inception_v3();
+    let dag = inception_dag(&inception);
+    let dag_load = LoadSpec::poisson(2.0, 200, 11);
+    let serve_dag = |cfg: &AmpsConfig| {
+        let load = run_open_loop_dag(&inception, &dag, cfg, &dag_load).expect("DAG open loop");
+        let coord = Coordinator::new(cfg.clone());
+        let mut platform = coord.platform();
+        let dep = coord.deploy_dag(&mut platform, &inception, &dag).expect("deploy");
+        (load, coord.serve_trace(platform, &dep, &dag_load.arrivals()))
+    };
+
+    let plans: [(&str, &Serve<'_>); 2] = [
+        ("ResNet-50 chain", &serve_chain),
+        ("Inception-v3 batch-64 DAG", &serve_dag),
+    ];
+    let mut failed = Vec::new();
+    for (plan, serve) in plans {
+        for (i, (label, cfg)) in serving_cfgs().into_iter().enumerate() {
+            let name = format!("{plan}, {label}");
+            let (load, trace) = serve(&cfg);
+            assert_exercised(&name, i > 0, &load, &trace);
+            failed.extend(
+                doubling_mismatches(&cfg, serve)
+                    .into_iter()
+                    .map(|m| format!("{name}: {m}")),
+            );
+        }
+    }
+    assert!(
+        failed.is_empty(),
+        "price doubling did not double {} served dollar(s):\n{}",
+        failed.len(),
+        failed.join("\n")
+    );
+}
+
+/// The optimizer's branch-parallel Inception-v3 plan at batch 64 (at the
+/// chain optimum's SLO), served on the unbatched request stream.
+fn inception_dag(g: &LayerGraph) -> DagPlan {
+    let base = AmpsConfig::default().with_batch(64).with_threads(1);
+    let free = Optimizer::new(base.clone()).optimize(g).expect("chain plan");
+    Optimizer::new(base.with_slo(free.plan.predicted_time_s))
+        .optimize_dag(g)
+        .expect("DAG search")
+        .dag
+        .expect("a DAG plan wins at batch 64")
 }
