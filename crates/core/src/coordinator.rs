@@ -440,6 +440,13 @@ pub struct RequestSummary {
     pub ok: bool,
 }
 
+// `Coordinator::run_lanes` fills one `Option` slot per request and
+// unwraps the slots into the report's vector in place, which needs the
+// slot to be no larger than the summary (the `ok` flag's spare values
+// hold `None`).
+const _: () =
+    assert!(std::mem::size_of::<Option<RequestSummary>>() <= std::mem::size_of::<RequestSummary>());
+
 /// Aggregated pipeline-station measurements of a pipelined run
 /// (DESIGN.md §6e): per-stage occupancy and stall, plus the span the
 /// utilization is measured against. Summed over lanes in lane order, so
@@ -706,10 +713,9 @@ impl TraceBase for Platform {
     fn end_trace(self, _shards: Vec<Platform>) {}
 }
 
-/// One lane's collection slot in [`Coordinator::run_lanes`]: its
-/// per-request results plus the shard platform and lane-carried state,
-/// filled exactly once.
-type LaneSlot<R, S> = Option<(Vec<R>, Platform, S)>;
+/// One lane's collection slot in [`Coordinator::run_lanes`]: its shard
+/// platform and lane-carried state, filled exactly once.
+type LaneSlot<S> = Option<(Platform, S)>;
 
 /// The Coordinator: executes plans on a platform.
 #[derive(Debug, Clone)]
@@ -1502,22 +1508,24 @@ impl Coordinator {
     /// self-contained task (shard platform, the caller-built per-lane
     /// state `init(requests, platform)` — given the lane's request indices
     /// and its shard platform: scratches, station pools, reserved key
-    /// tables, anything —, result buffer, progress cursor) on a shared
-    /// queue; workers pop a task, advance it one *chunk* of requests, and
-    /// either requeue it or deposit it in its lane slot when exhausted; a
-    /// worker that finds the queue empty parks until a task is requeued or
-    /// the last lane finishes. Chunking amortizes queue traffic while letting an idle worker steal
-    /// a heavy lane's remainder — under skewed per-request cost no worker
-    /// sits idle watching one lane grind.
+    /// tables, anything —, progress cursor) on a shared queue; workers pop
+    /// a task, advance it one *chunk* of requests, move the chunk's
+    /// results into their request-index slots of the one `n`-slot output,
+    /// and either requeue the task or deposit it in its lane slot when
+    /// exhausted; a worker that finds the queue empty parks until a task
+    /// is requeued or the last lane finishes. Chunking amortizes queue
+    /// traffic while letting an idle worker steal a heavy lane's remainder
+    /// — under skewed per-request cost no worker sits idle watching one
+    /// lane grind.
     ///
     /// Thread-count invariance holds by construction: request `i` always
     /// runs on lane `i % lanes` (with [`Platform::begin_request`] keying
     /// its RNG streams), a lane's requests run in index order, and the
     /// lane's entire mutable state travels with its task — workers race
     /// only for *which lane advances next*, never for state inside one.
-    /// Chunk boundaries therefore cannot affect any result, and the merge
-    /// (requests in global index order, shard platforms and lane states
-    /// in lane order) is the same at every worker count.
+    /// Chunk boundaries therefore cannot affect any result: every result
+    /// lands in its request's own slot, and shard platforms and lane
+    /// states come back in lane order, at every worker count.
     ///
     /// Warm-pool pre-warming ([`AmpsConfig::warm_pool`]) happens here,
     /// per shard: lane `l` gets `⌈(pre_warm - l) / lanes⌉` of the policy's
@@ -1550,13 +1558,15 @@ impl Coordinator {
         // traffic negligible on huge runs and chunks meaningful on small.
         let chunk = (n / (lanes * 4) + 1).clamp(32, 1024);
 
-        struct LaneTask<R, S> {
+        use std::sync::Mutex;
+        const POISONED: &str = "a lane worker panicked";
+
+        struct LaneTask<S> {
             lane: usize,
             /// Requests of this lane already processed.
             done: usize,
             platform: Platform,
             state: S,
-            out: Vec<R>,
         }
         let new_task = |lane: usize| {
             let mut platform = base.fork_empty();
@@ -1567,67 +1577,79 @@ impl Coordinator {
                 done: 0,
                 platform,
                 state,
-                out: Vec::with_capacity(Self::lane_len(n, lanes, lane)),
             }
         };
-        // Advances `task` by one chunk; true when the lane is exhausted.
-        let run_chunk = |task: &mut LaneTask<R, S>| -> bool {
+        // Request `i`'s result, filled once by its lane. The lock is taken
+        // once per chunk, so it is uncontended at one worker.
+        let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
+        // Advances `task` by one chunk, collecting in the worker's `buf`,
+        // then moves the chunk's results into their slots; true when the
+        // lane is exhausted.
+        let run_chunk = |task: &mut LaneTask<S>, buf: &mut Vec<R>| -> bool {
             let total = Self::lane_len(n, lanes, task.lane);
+            let first = task.lane + task.done * lanes;
             let stop = (task.done + chunk).min(total);
             while task.done < stop {
                 let idx = task.lane + task.done * lanes;
                 task.platform.begin_request(idx as u64);
-                let r = f(&mut task.platform, &mut task.state, idx, starts[idx]);
-                task.out.push(r);
+                buf.push(f(&mut task.platform, &mut task.state, idx, starts[idx]));
                 task.done += 1;
+            }
+            let mut results = results.lock().expect(POISONED);
+            let slots = results[first..].iter_mut().step_by(lanes);
+            for (slot, r) in slots.zip(buf.drain(..)) {
+                *slot = Some(r);
             }
             task.done >= total
         };
 
-        let lane_results: Vec<(Vec<R>, Platform, S)> = if workers == 1 {
+        let lane_results: Vec<(Platform, S)> = if workers == 1 {
+            let mut buf = Vec::with_capacity(chunk);
             (0..lanes)
                 .map(|lane| {
                     let mut task = new_task(lane);
-                    while !run_chunk(&mut task) {}
-                    (task.out, task.platform, task.state)
+                    while !run_chunk(&mut task, &mut buf) {}
+                    (task.platform, task.state)
                 })
                 .collect()
         } else {
             use std::collections::VecDeque;
-            use std::sync::{Condvar, Mutex};
-            const POISONED: &str = "a lane worker panicked";
+            use std::sync::Condvar;
             // Pending tasks and the count of lanes not yet exhausted; an
             // idle worker parks on `ready` until a task is requeued or the
             // last lane finishes.
-            let queue: Mutex<(VecDeque<LaneTask<R, S>>, usize)> =
+            let queue: Mutex<(VecDeque<LaneTask<S>>, usize)> =
                 Mutex::new(((0..lanes).map(new_task).collect(), lanes));
             let ready = Condvar::new();
-            let slots: Mutex<Vec<LaneSlot<R, S>>> = Mutex::new((0..lanes).map(|_| None).collect());
+            let slots: Mutex<Vec<LaneSlot<S>>> = Mutex::new((0..lanes).map(|_| None).collect());
             std::thread::scope(|s| {
                 for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let mut q = queue.lock().expect(POISONED);
-                        let mut task = loop {
-                            if let Some(task) = q.0.pop_front() {
-                                break task;
-                            }
-                            if q.1 == 0 {
-                                return;
-                            }
-                            q = ready.wait(q).expect(POISONED);
-                        };
-                        drop(q);
-                        if run_chunk(&mut task) {
-                            slots.lock().expect(POISONED)[task.lane] =
-                                Some((task.out, task.platform, task.state));
+                    s.spawn(|| {
+                        let mut buf = Vec::with_capacity(chunk);
+                        loop {
                             let mut q = queue.lock().expect(POISONED);
-                            q.1 -= 1;
-                            if q.1 == 0 {
-                                ready.notify_all();
+                            let mut task = loop {
+                                if let Some(task) = q.0.pop_front() {
+                                    break task;
+                                }
+                                if q.1 == 0 {
+                                    return;
+                                }
+                                q = ready.wait(q).expect(POISONED);
+                            };
+                            drop(q);
+                            if run_chunk(&mut task, &mut buf) {
+                                slots.lock().expect(POISONED)[task.lane] =
+                                    Some((task.platform, task.state));
+                                let mut q = queue.lock().expect(POISONED);
+                                q.1 -= 1;
+                                if q.1 == 0 {
+                                    ready.notify_all();
+                                }
+                            } else {
+                                queue.lock().expect(POISONED).0.push_back(task);
+                                ready.notify_one();
                             }
-                        } else {
-                            queue.lock().expect(POISONED).0.push_back(task);
-                            ready.notify_one();
                         }
                     });
                 }
@@ -1639,16 +1661,11 @@ impl Coordinator {
                 .map(|slot| slot.expect("every lane ran"))
                 .collect()
         };
-        let mut lanes_out = Vec::with_capacity(lanes);
-        let mut iters = Vec::with_capacity(lanes);
-        for (out, p, s) in lane_results {
-            iters.push(out.into_iter());
-            lanes_out.push((p, s));
-        }
-        let merged = (0..n)
-            .map(|idx| iters[idx % lanes].next().expect("lane result"))
-            .collect();
-        (merged, lanes_out)
+        // Collected in place: an `Option<R>` slot is no larger than `R`
+        // for the engine's summaries (see `RequestSummary`).
+        let results = results.into_inner().expect(POISONED);
+        let results = results.into_iter().map(|r| r.expect("every request ran"));
+        (results.collect(), lane_results)
     }
 
     fn empty_batch(dep: &Deployment, images: usize) -> BatchReport {

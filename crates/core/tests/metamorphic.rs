@@ -102,17 +102,17 @@ fn serving_cfgs() -> Vec<(&'static str, AmpsConfig)> {
     ]
 }
 
-/// Serves `load` on `cfg` twice: through the open loop (`open`) and
-/// through `Coordinator::serve_trace` on a fresh deployment (`trace`).
+/// Serves one plan's load under a configuration, through the open loop
+/// and through `Coordinator::serve_trace` on a fresh deployment.
 type Serve<'a> = dyn Fn(&AmpsConfig) -> (LoadReport, TraceReport) + 'a;
 
-/// Every served dollar of `cfg` against `cfg` at doubled prices; returns
-/// what did not double (or what else moved), one line per field.
-fn doubling_mismatches(cfg: &AmpsConfig, serve: &Serve<'_>) -> Vec<String> {
-    let (load, trace) = serve(cfg);
-    let mut x2 = cfg.clone();
-    x2.prices = doubled(cfg.prices);
-    let (load2, trace2) = serve(&x2);
+/// Every served dollar of a run (`load`, `trace`) against the same run
+/// at doubled prices (`load2`, `trace2`); returns what did not double
+/// (or what else moved), one line per field.
+fn doubling_mismatches(
+    (load, trace): &(LoadReport, TraceReport),
+    (load2, trace2): &(LoadReport, TraceReport),
+) -> Vec<String> {
     let mut out = Vec::new();
     let mut doubles = |what: &str, a: f64, b: f64| {
         if (a * 2.0).to_bits() != b.to_bits() {
@@ -120,23 +120,37 @@ fn doubling_mismatches(cfg: &AmpsConfig, serve: &Serve<'_>) -> Vec<String> {
         }
     };
     doubles("LoadReport::dollars", load.dollars, load2.dollars);
-    doubles("LoadReport::idle_dollars", load.idle_dollars, load2.idle_dollars);
+    doubles(
+        "LoadReport::idle_dollars",
+        load.idle_dollars,
+        load2.idle_dollars,
+    );
     doubles("TraceReport::dollars", trace.dollars, trace2.dollars);
     doubles(
         "TraceReport::settled_dollars",
         trace.settled_dollars,
         trace2.settled_dollars,
     );
-    doubles("TraceReport::idle_dollars", trace.idle_dollars, trace2.idle_dollars);
+    doubles(
+        "TraceReport::idle_dollars",
+        trace.idle_dollars,
+        trace2.idle_dollars,
+    );
     for (i, (r, r2)) in trace.requests.iter().zip(&trace2.requests).enumerate() {
         doubles(&format!("request {i} dollars"), r.dollars, r2.dollars);
-        doubles(&format!("request {i} wasted_dollars"), r.wasted_dollars, r2.wasted_dollars);
+        doubles(
+            &format!("request {i} wasted_dollars"),
+            r.wasted_dollars,
+            r2.wasted_dollars,
+        );
     }
     let seconds = |t: &TraceReport| -> Vec<(u64, bool, u32)> {
         let r = &t.requests;
-        r.iter().map(|r| (r.latency_s.to_bits(), r.ok, r.retries)).collect()
+        r.iter()
+            .map(|r| (r.latency_s.to_bits(), r.ok, r.retries))
+            .collect()
     };
-    if seconds(&trace) != seconds(&trace2)
+    if seconds(trace) != seconds(trace2)
         || load.latencies_s != load2.latencies_s
         || load.failures != load2.failures
         || load.makespan_s.to_bits() != load2.makespan_s.to_bits()
@@ -149,7 +163,10 @@ fn doubling_mismatches(cfg: &AmpsConfig, serve: &Serve<'_>) -> Vec<String> {
 /// Asserts that `serve` exercised what the relation is about: billed
 /// at-rest storage, and under faults failed attempts and billed idle time.
 fn assert_exercised(name: &str, faulty: bool, load: &LoadReport, trace: &TraceReport) {
-    assert!(trace.settled_dollars > 0.0, "{name}: no at-rest storage billed");
+    assert!(
+        trace.settled_dollars > 0.0,
+        "{name}: no at-rest storage billed"
+    );
     if faulty {
         let wasted = trace.requests.iter().any(|r| r.wasted_dollars > 0.0);
         assert!(wasted, "{name}: no failed attempt billed");
@@ -169,8 +186,13 @@ fn doubling_every_price_doubles_every_served_dollar() {
         let load = run_open_loop(&resnet, &chain, cfg, &chain_load).expect("chain open loop");
         let coord = Coordinator::new(cfg.clone());
         let mut platform = coord.platform();
-        let dep = coord.deploy(&mut platform, &resnet, &chain).expect("deploy");
-        (load, coord.serve_trace(platform, &dep, &chain_load.arrivals()))
+        let dep = coord
+            .deploy(&mut platform, &resnet, &chain)
+            .expect("deploy");
+        (
+            load,
+            coord.serve_trace(platform, &dep, &chain_load.arrivals()),
+        )
     };
 
     let inception = zoo::inception_v3();
@@ -180,8 +202,13 @@ fn doubling_every_price_doubles_every_served_dollar() {
         let load = run_open_loop_dag(&inception, &dag, cfg, &dag_load).expect("DAG open loop");
         let coord = Coordinator::new(cfg.clone());
         let mut platform = coord.platform();
-        let dep = coord.deploy_dag(&mut platform, &inception, &dag).expect("deploy");
-        (load, coord.serve_trace(platform, &dep, &dag_load.arrivals()))
+        let dep = coord
+            .deploy_dag(&mut platform, &inception, &dag)
+            .expect("deploy");
+        (
+            load,
+            coord.serve_trace(platform, &dep, &dag_load.arrivals()),
+        )
     };
 
     let plans: [(&str, &Serve<'_>); 2] = [
@@ -192,13 +219,12 @@ fn doubling_every_price_doubles_every_served_dollar() {
     for (plan, serve) in plans {
         for (i, (label, cfg)) in serving_cfgs().into_iter().enumerate() {
             let name = format!("{plan}, {label}");
-            let (load, trace) = serve(&cfg);
-            assert_exercised(&name, i > 0, &load, &trace);
-            failed.extend(
-                doubling_mismatches(&cfg, serve)
-                    .into_iter()
-                    .map(|m| format!("{name}: {m}")),
-            );
+            let base = serve(&cfg);
+            assert_exercised(&name, i > 0, &base.0, &base.1);
+            let mut x2 = cfg.clone();
+            x2.prices = doubled(cfg.prices);
+            let mismatches = doubling_mismatches(&base, &serve(&x2));
+            failed.extend(mismatches.into_iter().map(|m| format!("{name}: {m}")));
         }
     }
     assert!(
@@ -213,7 +239,9 @@ fn doubling_every_price_doubles_every_served_dollar() {
 /// chain optimum's SLO), served on the unbatched request stream.
 fn inception_dag(g: &LayerGraph) -> DagPlan {
     let base = AmpsConfig::default().with_batch(64).with_threads(1);
-    let free = Optimizer::new(base.clone()).optimize(g).expect("chain plan");
+    let free = Optimizer::new(base.clone())
+        .optimize(g)
+        .expect("chain plan");
     Optimizer::new(base.with_slo(free.plan.predicted_time_s))
         .optimize_dag(g)
         .expect("DAG search")

@@ -199,6 +199,52 @@ fn targeted_crash_hits_the_same_image_at_every_thread_count() {
     }
 }
 
+/// Every request's result lands in its own index, for trace lengths
+/// around one lane, one chunk and several chunks: `serve_trace` reports
+/// `arrivals[i]` as request `i`'s arrival, and `serve_parallel` reports
+/// retries exactly on the images whose first invocation was made to
+/// crash. (`serve_parallel` on one lane serves on the platform itself,
+/// without the lane runner, so it is checked on three and 64 lanes.)
+#[test]
+fn lane_results_land_in_request_order() {
+    let (g, plan, cfg) = plan_cfg();
+    for n in [1, 63, 64, 65, 3 * 1024 + 1] {
+        // Ascending, and distinct at every index.
+        let arrivals: Vec<f64> = (0..n)
+            .map(|i| i as f64 * 0.37 + (i % 7) as f64 * 1e-3)
+            .collect();
+        let mut crashed = vec![0, 1, n / 2, n - 1];
+        crashed.retain(|&i| i < n);
+        crashed.dedup();
+        for lanes in [1, 3, 64] {
+            for threads in [1, 2] {
+                let cfg = cfg
+                    .clone()
+                    .with_serve_lanes(lanes)
+                    .with_serve_threads(threads);
+                let case = format!("{n} requests, {lanes} lane(s), {threads} thread(s)");
+                let (trace, ..) = run_trace(&cfg, &g, &plan, &arrivals);
+                assert_eq!(trace.requests.len(), n, "{case}");
+                for (i, (r, a)) in trace.requests.iter().zip(&arrivals).enumerate() {
+                    assert_eq!(r.arrival_s.to_bits(), a.to_bits(), "{case}: request {i}");
+                }
+                if lanes > 1 {
+                    let cfg = cfg.with_faults(FaultPlan {
+                        crash_invocations: crashed.iter().map(|&i| (i as u64) << 32).collect(),
+                        ..FaultPlan::default()
+                    });
+                    let (batch, ..) = run_batch(&cfg, &g, &plan, n);
+                    assert_eq!(batch.succeeded(), n, "{case}");
+                    let retried: Vec<usize> = (0..n)
+                        .filter(|&i| !batch.jobs[i].retries.is_empty())
+                        .collect();
+                    assert_eq!(retried, crashed, "{case}: retried images");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn trace_report_bit_identical_across_thread_counts() {
     let (g, plan, cfg) = plan_cfg();

@@ -62,15 +62,46 @@ impl StoreKind {
     }
 }
 
-/// Metadata for a stored object.
+/// Metadata for a stored object, or for a key never written to
+/// ([`ObjectMeta::UNWRITTEN`]). Instants are seconds on the platform
+/// clock, never NaN.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ObjectMeta {
     bytes: u64,
-    created_at: f64,
-    deleted_at: Option<f64>,
-    /// At-rest charges are settled up to this instant (no double billing
-    /// across repeated settlements; objects stay live and readable).
-    billed_until: f64,
+    /// Where the next settlement starts billing: the instant the object
+    /// landed (`created_at.max(0.0)`) until a settlement bills it, that
+    /// settlement's end afterwards, so repeated settlements never
+    /// double-bill an interval. NaN marks a never-written key; `max(0.0)`
+    /// never returns NaN.
+    from: f64,
+    /// The deletion instant, or `+∞` while the object is live.
+    end: f64,
+}
+
+impl ObjectMeta {
+    /// A never-written key. Its NaN `from` fails every `end > from`
+    /// test, so settlement skips it, and its NaN `end` is not `+∞`, so
+    /// it is never live.
+    const UNWRITTEN: ObjectMeta = ObjectMeta {
+        bytes: 0,
+        from: f64::NAN,
+        end: f64::NAN,
+    };
+
+    fn is_live(&self) -> bool {
+        self.end == f64::INFINITY
+    }
+
+    /// Marks a live object deleted at `now`; a deleted or never-written
+    /// one stays as it is (deletes are idempotent). A deletion instant
+    /// before `from` is clamped to it: such an object bills nothing more
+    /// either way. One at `+∞` is stored as `f64::MAX`, which keeps the
+    /// object deleted and bills as `+∞` does at every finite settlement.
+    fn delete(&mut self, now: f64) {
+        if self.is_live() {
+            self.end = now.max(self.from).min(f64::MAX);
+        }
+    }
 }
 
 /// An object key: a dense index into the store's key table, allocated
@@ -108,10 +139,10 @@ impl ObjectKey {
 pub struct ObjectStore {
     /// Backend characteristics.
     pub kind: StoreKind,
-    /// Live object metadata, indexed by [`ObjectKey`] (`None` = never
-    /// written). Settlement walks this table in key order, which makes
-    /// at-rest billing order deterministic.
-    metas: Vec<Option<ObjectMeta>>,
+    /// Object metadata, indexed by [`ObjectKey`]. Settlement walks this
+    /// table in key order, which makes at-rest billing order
+    /// deterministic.
+    metas: Vec<ObjectMeta>,
     /// Tombstones for objects replaced by an overwriting `put` (the prior
     /// incarnation's lifetime still bills at settlement).
     history: Vec<ObjectMeta>,
@@ -178,7 +209,7 @@ impl ObjectStore {
     /// returns a distinct key, so keys never collide.
     pub fn fresh_key(&mut self) -> ObjectKey {
         let k = ObjectKey(u32::try_from(self.metas.len()).expect("key table overflow"));
-        self.metas.push(None);
+        self.metas.push(ObjectMeta::UNWRITTEN);
         k
     }
 
@@ -192,7 +223,7 @@ impl ObjectStore {
         let len = self.metas.len();
         let base = ObjectKey(u32::try_from(len).expect("key table overflow"));
         u32::try_from(len + n).expect("key table overflow");
-        self.metas.resize(len + n, None);
+        self.metas.resize(len + n, ObjectMeta::UNWRITTEN);
         base
     }
 
@@ -220,8 +251,8 @@ impl ObjectStore {
     /// Merges a shard store into this one. The shard's keys are the
     /// identity shifted by this store's key count, so its tables
     /// bulk-append: every key stays distinct, and no live object can
-    /// collide. The shard's tombstone history (with its `billed_until`
-    /// watermarks) carries over, so settlement after a merge stays exact
+    /// collide. The shard's tombstone history (with each record's `from`
+    /// watermark) carries over, so settlement after a merge stays exact
     /// and double-bills nothing.
     pub fn absorb(&mut self, other: ObjectStore) {
         let ObjectStore { metas, history, .. } = other;
@@ -282,20 +313,19 @@ impl ObjectStore {
             ledger.charge(CostItem::StoragePut, fee);
         }
         let created_at = now + duration;
-        let slot = &mut self.metas[key.0 as usize];
-        let replaced = slot.replace(ObjectMeta {
-            bytes,
-            created_at,
-            deleted_at: None,
-            billed_until: 0.0,
-        });
-        if let Some(mut old) = replaced {
+        let mut old = std::mem::replace(
+            &mut self.metas[key.0 as usize],
+            ObjectMeta {
+                bytes,
+                from: created_at.max(0.0),
+                end: f64::INFINITY,
+            },
+        );
+        if !old.from.is_nan() {
             // The prior incarnation lived until this re-put landed (retried
             // chains overwrite their checkpoints); tombstone it so
             // settlement bills both lifetimes.
-            if old.deleted_at.is_none() {
-                old.deleted_at = Some(created_at.max(old.created_at));
-            }
+            old.delete(created_at);
             self.history.push(old);
         }
         Ok(StorageOp {
@@ -314,9 +344,8 @@ impl ObjectStore {
         sheet: &PriceSheet,
         ledger: &mut CostLedger,
     ) -> Result<StorageOp, StorageError> {
-        let bytes = match self.metas[key.0 as usize] {
-            Some(meta) if meta.deleted_at.is_none() => meta.bytes,
-            _ => return Err(StorageError::NotFound(key)),
+        let Some(bytes) = self.size_of_id(key) else {
+            return Err(StorageError::NotFound(key));
         };
         let Some((retry_latency, attempts)) = self.attempt() else {
             return Err(StorageError::Unavailable {
@@ -340,26 +369,24 @@ impl ObjectStore {
         })
     }
 
-    /// Marks an object deleted at `now` (it stops accruing storage cost).
+    /// Marks an object deleted at `now` (it stops accruing storage
+    /// cost). Deleting a deleted or never-written key does nothing, as
+    /// on S3: a repeat delete never moves the deletion instant.
     pub fn delete_id(&mut self, key: ObjectKey, now: f64) {
-        if let Some(meta) = self.metas[key.0 as usize].as_mut() {
-            meta.deleted_at = Some(now.max(meta.created_at));
-        }
+        self.metas[key.0 as usize].delete(now);
     }
 
     /// Size of a live object, by key.
     pub fn size_of_id(&self, key: ObjectKey) -> Option<u64> {
-        self.metas[key.0 as usize]
-            .filter(|m| m.deleted_at.is_none())
-            .map(|m| m.bytes)
+        let meta = self.metas[key.0 as usize];
+        meta.is_live().then_some(meta.bytes)
     }
 
     /// Bytes currently held (live objects only).
     pub fn live_bytes(&self) -> u64 {
         self.metas
             .iter()
-            .flatten()
-            .filter(|m| m.deleted_at.is_none())
+            .filter(|m| m.is_live())
             .map(|m| m.bytes)
             .sum()
     }
@@ -373,11 +400,11 @@ impl ObjectStore {
     /// Charges at-rest storage for all objects' lifetimes up to `until`
     /// (the paper's `q·T·H` term) and returns the charged dollars.
     ///
-    /// Settlement is incremental: each object carries a `billed_until`
-    /// watermark, so repeated settlements never double-bill an interval —
-    /// and live objects *stay live*, still readable by later requests
-    /// (serve → settle → serve works). Replaced-object tombstones bill the
-    /// same way.
+    /// Settlement is incremental: each object's `from` watermark moves to
+    /// the end of what was billed, so repeated settlements never
+    /// double-bill an interval — and live objects *stay live*, still
+    /// readable by later requests (serve → settle → serve works).
+    /// Replaced-object tombstones bill the same way.
     pub fn settle_storage(
         &mut self,
         until: f64,
@@ -389,20 +416,19 @@ impl ObjectStore {
         }
         let mut total = 0.0;
         let mut settle_one = |meta: &mut ObjectMeta| {
-            let from = meta.created_at.max(meta.billed_until);
-            let end = meta.deleted_at.unwrap_or(until).min(until);
-            if end > from {
-                let c = sheet.s3_storage_cost(meta.bytes, end - from);
+            let end = meta.end.min(until);
+            if end > meta.from {
+                let c = sheet.s3_storage_cost(meta.bytes, end - meta.from);
                 if c > 0.0 {
                     ledger.charge(CostItem::StorageAtRest, c);
                     total += c;
                 }
-                meta.billed_until = end;
+                meta.from = end;
             }
         };
         // Key order, then tombstone-insertion order: deterministic
         // regardless of how keys hash.
-        for meta in self.metas.iter_mut().flatten() {
+        for meta in &mut self.metas {
             settle_one(meta);
         }
         for meta in &mut self.history {
@@ -660,6 +686,381 @@ mod tests {
         let t0 = base.transfer_time(10_000_000, 1);
         let expect: f64 = (0..4).map(|i| per(f64::from(i) + t0)).sum();
         assert!((settled - expect).abs() < 1e-12, "{settled} vs {expect}");
+    }
+
+    #[test]
+    fn a_repeat_delete_changes_nothing() {
+        // A 1 GB object lands at ~12.5 s; deleted at 5 s it never bills.
+        // Deleting it again at 50 s used to move the deletion instant and
+        // bill 37.5 GB-s; S3 deletes are idempotent.
+        let (mut s, sheet, mut l) = setup();
+        let k = s.fresh_key();
+        s.put_id(k, 1_000_000_000, 0.0, &sheet, &mut l).unwrap();
+        s.delete_id(k, 5.0);
+        s.delete_id(k, 50.0);
+        assert_eq!(s.settle_storage(100.0, &sheet, &mut l), 0.0);
+        // Same after a settlement: the first delete's instant stands.
+        let k = s.fresh_key();
+        s.put_id(k, 1_000_000_000, 0.0, &sheet, &mut l).unwrap();
+        s.delete_id(k, 40.0);
+        let billed = s.settle_storage(100.0, &sheet, &mut l);
+        s.delete_id(k, 90.0);
+        assert_eq!(s.settle_storage(200.0, &sheet, &mut l), 0.0);
+        let expect = sheet.s3_storage_cost(1_000_000_000, 40.0 - s.transfer_time(1_000_000_000, 1));
+        assert!((billed - expect).abs() < 1e-15, "{billed} vs {expect}");
+        // Deleting a never-written key leaves it unwritten.
+        let k = s.fresh_key();
+        s.delete_id(k, 1.0);
+        s.put_id(k, 10, 2.0, &sheet, &mut l).unwrap();
+        assert_eq!(s.size_of_id(k), Some(10));
+    }
+
+    /// The store as it was before its 48-byte `Option<ObjectMeta>`
+    /// records shrank to 24 bytes (`created_at`, `Option` deletion
+    /// instant, `billed_until` watermark; `None` for a never-written
+    /// key), with repeat deletes made no-ops.
+    mod reference {
+        use super::super::{
+            ObjectKey, StorageError, StorageOp, StoreKind, RNG_SEED, STORAGE_RETRIES,
+        };
+        use crate::ledger::{CostItem, CostLedger};
+        use crate::pricing::PriceSheet;
+
+        #[derive(Clone, Copy)]
+        struct Meta {
+            bytes: u64,
+            created_at: f64,
+            deleted_at: Option<f64>,
+            billed_until: f64,
+        }
+
+        pub struct Store {
+            pub kind: StoreKind,
+            metas: Vec<Option<Meta>>,
+            history: Vec<Meta>,
+            rng: u64,
+        }
+
+        impl Store {
+            pub fn new(kind: StoreKind) -> Self {
+                Store {
+                    kind,
+                    metas: Vec::new(),
+                    history: Vec::new(),
+                    rng: RNG_SEED,
+                }
+            }
+
+            pub fn fresh_key(&mut self) -> ObjectKey {
+                self.metas.push(None);
+                ObjectKey(self.metas.len() as u32 - 1)
+            }
+
+            pub fn fresh_block(&mut self, n: usize) -> ObjectKey {
+                let base = ObjectKey(self.metas.len() as u32);
+                self.metas.resize(self.metas.len() + n, None);
+                base
+            }
+
+            pub fn num_keys(&self) -> usize {
+                self.metas.len()
+            }
+
+            pub fn set_stream(&mut self, stream: u64) {
+                self.rng = RNG_SEED ^ stream.wrapping_mul(0xa076_1d64_78bd_642f);
+            }
+
+            pub fn absorb(&mut self, other: Store) {
+                self.metas.extend(other.metas);
+                self.history.extend(other.history);
+            }
+
+            fn draw(&mut self) -> f64 {
+                self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = self.rng;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+            }
+
+            fn attempt(&mut self) -> Option<(f64, u32)> {
+                let mut extra = 0.0;
+                for attempt in 1..=(1 + STORAGE_RETRIES) {
+                    if self.kind.failure_rate <= 0.0 || self.draw() >= self.kind.failure_rate {
+                        return Some((extra, attempt));
+                    }
+                    extra += self.kind.request_latency_s;
+                }
+                None
+            }
+
+            fn transfer_time(&self, bytes: u64) -> f64 {
+                bytes as f64 / (self.kind.bandwidth_mbps * 1e6) + self.kind.request_latency_s
+            }
+
+            pub fn put_id(
+                &mut self,
+                key: ObjectKey,
+                bytes: u64,
+                now: f64,
+                sheet: &PriceSheet,
+                ledger: &mut CostLedger,
+            ) -> Result<StorageOp, StorageError> {
+                let Some((retry_latency, attempts)) = self.attempt() else {
+                    return Err(StorageError::Unavailable {
+                        key,
+                        attempts: 1 + STORAGE_RETRIES,
+                    });
+                };
+                let duration = retry_latency + self.transfer_time(bytes);
+                let fee = if self.kind.billed_requests {
+                    sheet.s3_put_request
+                } else {
+                    0.0
+                };
+                if fee > 0.0 {
+                    ledger.charge(CostItem::StoragePut, fee);
+                }
+                let created_at = now + duration;
+                let replaced = self.metas[key.0 as usize].replace(Meta {
+                    bytes,
+                    created_at,
+                    deleted_at: None,
+                    billed_until: 0.0,
+                });
+                if let Some(mut old) = replaced {
+                    if old.deleted_at.is_none() {
+                        old.deleted_at = Some(created_at.max(old.created_at));
+                    }
+                    self.history.push(old);
+                }
+                Ok(StorageOp {
+                    duration_s: duration,
+                    fee,
+                    attempts,
+                })
+            }
+
+            pub fn get_id(
+                &mut self,
+                key: ObjectKey,
+                sheet: &PriceSheet,
+                ledger: &mut CostLedger,
+            ) -> Result<StorageOp, StorageError> {
+                let bytes = match self.metas[key.0 as usize] {
+                    Some(meta) if meta.deleted_at.is_none() => meta.bytes,
+                    _ => return Err(StorageError::NotFound(key)),
+                };
+                let Some((retry_latency, attempts)) = self.attempt() else {
+                    return Err(StorageError::Unavailable {
+                        key,
+                        attempts: 1 + STORAGE_RETRIES,
+                    });
+                };
+                let duration = retry_latency + self.transfer_time(bytes);
+                let fee = if self.kind.billed_requests {
+                    sheet.s3_get_request
+                } else {
+                    0.0
+                };
+                if fee > 0.0 {
+                    ledger.charge(CostItem::StorageGet, fee);
+                }
+                Ok(StorageOp {
+                    duration_s: duration,
+                    fee,
+                    attempts,
+                })
+            }
+
+            pub fn delete_id(&mut self, key: ObjectKey, now: f64) {
+                if let Some(meta) = self.metas[key.0 as usize].as_mut() {
+                    if meta.deleted_at.is_none() {
+                        meta.deleted_at = Some(now.max(meta.created_at));
+                    }
+                }
+            }
+
+            pub fn size_of_id(&self, key: ObjectKey) -> Option<u64> {
+                self.metas[key.0 as usize]
+                    .filter(|m| m.deleted_at.is_none())
+                    .map(|m| m.bytes)
+            }
+
+            pub fn live_bytes(&self) -> u64 {
+                let live = self
+                    .metas
+                    .iter()
+                    .flatten()
+                    .filter(|m| m.deleted_at.is_none());
+                live.map(|m| m.bytes).sum()
+            }
+
+            pub fn settle_storage(
+                &mut self,
+                until: f64,
+                sheet: &PriceSheet,
+                ledger: &mut CostLedger,
+            ) -> f64 {
+                if !self.kind.billed_requests {
+                    return 0.0;
+                }
+                let mut total = 0.0;
+                let mut settle_one = |meta: &mut Meta| {
+                    let from = meta.created_at.max(meta.billed_until);
+                    let end = meta.deleted_at.unwrap_or(until).min(until);
+                    if end > from {
+                        let c = sheet.s3_storage_cost(meta.bytes, end - from);
+                        if c > 0.0 {
+                            ledger.charge(CostItem::StorageAtRest, c);
+                            total += c;
+                        }
+                        meta.billed_until = end;
+                    }
+                };
+                for meta in self.metas.iter_mut().flatten() {
+                    settle_one(meta);
+                }
+                for meta in &mut self.history {
+                    settle_one(meta);
+                }
+                total
+            }
+        }
+    }
+
+    /// A store under test and its reference, driven in lockstep, each
+    /// with its own ledger.
+    struct Pair {
+        real: ObjectStore,
+        model: reference::Store,
+        real_ledger: CostLedger,
+        model_ledger: CostLedger,
+    }
+
+    impl Pair {
+        fn new(kind: StoreKind) -> Self {
+            Pair {
+                real: ObjectStore::new(kind),
+                model: reference::Store::new(kind),
+                real_ledger: CostLedger::new(),
+                model_ledger: CostLedger::new(),
+            }
+        }
+
+        /// One seeded random operation on both stores; panics naming
+        /// `ctx` when a result, error or settlement total differs.
+        fn step(&mut self, rng: &mut crate::rng::SmallRng, sheet: &PriceSheet, ctx: &str) {
+            let (real, model) = (&mut self.real, &mut self.model);
+            let (rl, ml) = (&mut self.real_ledger, &mut self.model_ledger);
+            let keys = real.num_keys();
+            assert_eq!(keys, model.num_keys(), "{ctx}: key count");
+            let key = ObjectKey(rng.below(keys.max(1)) as u32);
+            // Instants in [-30, 270): some before 0, out of order, and
+            // now and then `+∞`.
+            let now = match rng.below(50) {
+                0 => f64::INFINITY,
+                _ => rng.next_f64() * 300.0 - 30.0,
+            };
+            let bits = |r: Result<StorageOp, StorageError>| {
+                r.map(|op| (op.duration_s.to_bits(), op.fee.to_bits(), op.attempts))
+            };
+            match rng.below(10) {
+                0 => assert_eq!(real.fresh_key(), model.fresh_key(), "{ctx}: fresh_key"),
+                1 => {
+                    let n = rng.below(4);
+                    assert_eq!(
+                        real.fresh_block(n),
+                        model.fresh_block(n),
+                        "{ctx}: fresh_block"
+                    );
+                }
+                2..=4 if keys > 0 => {
+                    // 0 B to 2 GB: uploads of up to ~25 s.
+                    let bytes = rng.next_u64() % 2_000_000_001;
+                    let (a, b) = (
+                        real.put_id(key, bytes, now, sheet, rl),
+                        model.put_id(key, bytes, now, sheet, ml),
+                    );
+                    assert_eq!(bits(a), bits(b), "{ctx}: put {key} at {now}");
+                }
+                5 if keys > 0 => {
+                    let (a, b) = (real.get_id(key, sheet, rl), model.get_id(key, sheet, ml));
+                    assert_eq!(bits(a), bits(b), "{ctx}: get {key}");
+                }
+                6 | 7 if keys > 0 => {
+                    real.delete_id(key, now);
+                    model.delete_id(key, now);
+                }
+                8 => {
+                    // Settlements are at finite instants.
+                    let until = now.min(270.0) + 30.0;
+                    let (a, b) = (
+                        real.settle_storage(until, sheet, rl),
+                        model.settle_storage(until, sheet, ml),
+                    );
+                    assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: settle at {until}");
+                }
+                9 => {
+                    let stream = rng.next_u64();
+                    real.set_stream(stream);
+                    model.set_stream(stream);
+                }
+                _ => {}
+            }
+            for k in 0..real.num_keys() {
+                let k = ObjectKey(k as u32);
+                assert_eq!(
+                    real.size_of_id(k),
+                    model.size_of_id(k),
+                    "{ctx}: size_of {k}"
+                );
+            }
+            assert_eq!(real.live_bytes(), model.live_bytes(), "{ctx}: live_bytes");
+            for item in [
+                CostItem::StoragePut,
+                CostItem::StorageGet,
+                CostItem::StorageAtRest,
+            ] {
+                let (a, b) = (rl.total_of(item), ml.total_of(item));
+                assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: ledger {item:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn compact_records_match_the_option_records() {
+        assert_eq!(std::mem::size_of::<ObjectMeta>(), 24);
+        let sheet = PriceSheet::aws_2020();
+        let mut rng = crate::rng::SmallRng::seed_from_u64(0x5707e);
+        let kinds = [
+            StoreKind::s3(),
+            StoreKind::flaky_s3(0.3),
+            StoreKind::fast_store(),
+        ];
+        for case in 0..300 {
+            let kind = kinds[case % kinds.len()];
+            let mut base = Pair::new(kind);
+            for step in 0..120 {
+                let ctx = format!("case {case} step {step}");
+                if rng.below(40) == 0 {
+                    // Absorb a shard that ran (and maybe settled) on its own.
+                    let mut shard = Pair::new(kind);
+                    for s in 0..rng.below(30) {
+                        shard.step(&mut rng, &sheet, &format!("{ctx} shard step {s}"));
+                    }
+                    base.real.absorb(shard.real);
+                    base.model.absorb(shard.model);
+                }
+                base.step(&mut rng, &sheet, &ctx);
+            }
+            let (a, b) = (
+                base.real.settle_storage(1e4, &sheet, &mut base.real_ledger),
+                base.model
+                    .settle_storage(1e4, &sheet, &mut base.model_ledger),
+            );
+            assert_eq!(a.to_bits(), b.to_bits(), "case {case}: final settle");
+        }
     }
 
     #[test]
