@@ -160,6 +160,13 @@ fn main() {
         .expect("feasible")
         .plan
         .predicted_time_s;
+    // One cold chain-vs-DAG plan at that time as its SLO: ResNet-50's
+    // region search, the adaptive controller's tier-1.0 point alone.
+    b.bench("optimize_dag/resnet50/batch64", 10, || {
+        Optimizer::new(base.clone().with_slo(free))
+            .optimize_dag(&g)
+            .expect("feasible")
+    });
     let tiers = SweepGrid::from_slos([1.0, 1.2, 1.5].iter().map(|f| f * free).collect());
     b.bench("optimize_dag_sweep/resnet50/batch64/3pt", 10, || {
         Optimizer::new(base.clone()).optimize_dag_sweep(&g, &tiers)

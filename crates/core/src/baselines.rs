@@ -21,7 +21,7 @@ use crate::plan::{DagPlan, ExecutionPlan, PartitionPlan};
 use crate::polish::dag_schedule;
 use ampsinf_faas::SmallRng;
 use ampsinf_model::LayerGraph;
-use ampsinf_profiler::{quick_eval_node, Profile};
+use ampsinf_profiler::{quick_eval_node, NodePricer, Profile};
 
 /// Evaluates a complete plan's predicted chain time and cost (cold chain,
 /// same arithmetic as the optimizer / platform). The chain is priced as
@@ -206,19 +206,19 @@ pub fn b3_optimal(graph: &LayerGraph, cfg: &AmpsConfig) -> Option<ExecutionPlan>
                 continue;
             }
             let (reads, writes) = profile.chain_io(s, e);
+            let pricer = NodePricer::new(
+                &profile,
+                s,
+                e,
+                &cfg.quotas,
+                &cfg.prices,
+                &cfg.perf,
+                &cfg.store,
+                reads,
+                writes,
+            );
             for mem in profile.feasible_memories(s, e, &cfg.quotas, &cfg.perf) {
-                if let Ok(eval) = quick_eval_node(
-                    &profile,
-                    s,
-                    e,
-                    mem,
-                    &cfg.quotas,
-                    &cfg.prices,
-                    &cfg.perf,
-                    &cfg.store,
-                    reads,
-                    writes,
-                ) {
+                if let Ok(eval) = pricer.eval(mem) {
                     let total = eval.dollars + cost_from[e + 1];
                     if best_here.is_none_or(|(c, _, _)| total < c) {
                         best_here = Some((total, e, mem));

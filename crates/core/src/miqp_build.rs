@@ -17,7 +17,7 @@
 use crate::colcache::{ColumnPick, NodeColumns};
 use crate::config::AmpsConfig;
 use ampsinf_linalg::Matrix;
-use ampsinf_profiler::{quick_eval_node, Profile, SegmentEval};
+use ampsinf_profiler::{NodePricer, Profile, SegmentEval};
 use ampsinf_solver::knapsack::{self, Item};
 use ampsinf_solver::{MiqpProblem, VarKind};
 use std::borrow::Borrow;
@@ -74,25 +74,21 @@ pub fn evaluate_columns(
     let mut start = 0usize;
     for &end in cut {
         let (reads, writes) = profile.chain_io(start, end);
+        let pricer = NodePricer::new(
+            profile,
+            start,
+            end,
+            &cfg.quotas,
+            &cfg.prices,
+            &cfg.perf,
+            &cfg.store,
+            reads,
+            writes,
+        );
         let (memories, evals): (Vec<u32>, Vec<SegmentEval>) = profile
             .feasible_memories(start, end, &cfg.quotas, &cfg.perf)
             .into_iter()
-            .filter_map(|mem| {
-                quick_eval_node(
-                    profile,
-                    start,
-                    end,
-                    mem,
-                    &cfg.quotas,
-                    &cfg.prices,
-                    &cfg.perf,
-                    &cfg.store,
-                    reads,
-                    writes,
-                )
-                .ok()
-                .map(|eval| (mem, eval))
-            })
+            .filter_map(|mem| pricer.eval(mem).ok().map(|eval| (mem, eval)))
             .unzip();
         if memories.is_empty() {
             return None;
@@ -146,23 +142,27 @@ pub fn separable_min_time_cols<P: Borrow<NodeColumns>>(parts: &[P]) -> (Vec<u32>
 /// The sort and sweep of [`presolve_dominated`], by index: the ascending
 /// indices of the `(seconds, dollars)` cells that survive, where `None`
 /// cells are infeasible and never do. [`NodeColumns::new`] runs it over a
-/// raw grid.
+/// raw grid. The sort compares integer keys that order as `total_cmp`
+/// orders the floats (for the finite non-negative evaluations of a grid,
+/// the plain bits), so the order is the `total_cmp` chain's.
 pub(crate) fn dominance_frontier(
     cells: impl ExactSizeIterator<Item = Option<(f64, f64)>>,
 ) -> Vec<usize> {
-    let mut order: Vec<(f64, f64, usize)> = Vec::with_capacity(cells.len());
+    // `f64::total_cmp`'s key: a negative float's magnitude bits are
+    // flipped, so signed integer order is the total order. The flip is its
+    // own inverse, so a kept cell's seconds come back bit for bit.
+    let flip = |b: i64| b ^ (((b >> 63) as u64) >> 1) as i64;
+    let key = |x: f64| flip(x.to_bits() as i64);
+    let mut order: Vec<(i64, i64, usize)> = Vec::with_capacity(cells.len());
     order.extend(
         cells
             .enumerate()
-            .filter_map(|(j, cell)| cell.map(|(seconds, dollars)| (dollars, seconds, j))),
+            .filter_map(|(j, cell)| cell.map(|(seconds, dollars)| (key(dollars), key(seconds), j))),
     );
-    order.sort_unstable_by(|a, b| {
-        a.0.total_cmp(&b.0)
-            .then(a.1.total_cmp(&b.1))
-            .then(a.2.cmp(&b.2))
-    });
+    order.sort_unstable();
     let mut fastest = f64::INFINITY;
     order.retain(|&(_, seconds, _)| {
+        let seconds = f64::from_bits(flip(seconds) as u64);
         let keep = seconds < fastest;
         if keep {
             fastest = seconds;

@@ -1317,8 +1317,9 @@ impl Optimizer {
     /// plan's fork/join block chain (`bounds`, recorded by
     /// [`Optimizer::build_dag`]): one changed block term refolded over
     /// the later blocks, bit-identical to a full re-schedule (see
-    /// `crate::polish`). Accepted upgrades are tallied into `track`, also
-    /// when the SLO repair fails.
+    /// `crate::polish`). The plan's prediction is the polish's own fold
+    /// (debug builds check it against `predict_dag`). Accepted upgrades
+    /// are tallied into `track`, also when the SLO repair fails.
     fn polish_dag(
         &self,
         sh: &BatchShared,
@@ -1350,8 +1351,8 @@ impl Optimizer {
         let mut p = Polish::new(&cols, bounds, mems)?;
         // Debug builds check that the block chain is the plan's real
         // wiring (block `j > 0` reads exactly block `j - 1`, block 0
-        // nothing) and that its fold reproduces the full schedule's
-        // makespan.
+        // nothing) and that its folds reproduce the full schedule's
+        // makespan and cost.
         let check = |p: &Polish| {
             if cfg!(debug_assertions) {
                 let parents: Vec<Vec<usize>> = (0..n).map(|v| plan.parents_of(v)).collect();
@@ -1361,8 +1362,9 @@ impl Optimizer {
                         .iter()
                         .all(|ps| *ps == want));
                 }
-                let full = dag_schedule(&parents, p.evals(), &mut vec![0.0; n]).0;
-                assert_eq!(p.time.to_bits(), full.to_bits());
+                let full = dag_schedule(&parents, p.evals(), &mut vec![0.0; n]);
+                assert_eq!(p.time.to_bits(), full.0.to_bits());
+                assert_eq!(p.cost.to_bits(), full.1.to_bits());
             }
         };
         check(&p);
@@ -1388,9 +1390,16 @@ impl Optimizer {
         for (node, &m) in plan.nodes.iter_mut().zip(&p.mems) {
             node.memory_mb = m;
         }
-        // Stamp the canonical prediction (same arithmetic; also a guard).
-        if !predict_dag(profile, &mut plan, cfg) {
-            return None;
+        // Stamp the trial's own fold: `check` holds it equal to the full
+        // schedule of the memo's cells, which are `predict_dag`'s
+        // evaluations, so it is the canonical prediction bit for bit.
+        plan.predicted_time_s = p.time;
+        plan.predicted_cost = p.cost;
+        if cfg!(debug_assertions) {
+            let mut canon = plan.clone();
+            assert!(predict_dag(profile, &mut canon, cfg));
+            assert_eq!(canon.predicted_time_s.to_bits(), p.time.to_bits());
+            assert_eq!(canon.predicted_cost.to_bits(), p.cost.to_bits());
         }
         Some(plan)
     }

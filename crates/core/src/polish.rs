@@ -44,9 +44,12 @@ pub(crate) fn dag_schedule(
     (time, cost)
 }
 
-/// One polish run's state: the current memories and evaluations plus the
-/// block-chain prefix folds every candidate is priced against. The
-/// vectors live as long as the run, so a step allocates nothing.
+/// One polish run's state: the current memories and evaluations, the
+/// block-chain prefix folds every candidate is priced against, and each
+/// node's scan state. The vectors live as long as the run, so a step
+/// allocates nothing; an accepted step updates only what its move can
+/// change (see [`Polish::accept`]).
+#[derive(Clone)]
 pub(crate) struct Polish<'a> {
     /// Each node's memoized memory grid.
     cols: &'a [Arc<NodeColumns>],
@@ -71,9 +74,12 @@ pub(crate) struct Polish<'a> {
     pre_cost: Vec<f64>,
     /// Nodes on a tight path of the current schedule.
     crit: Vec<bool>,
-    /// Per node and grid index `i`: the min seconds and the min dollars
-    /// over the node's feasible grid points `i..` (infinite past the last).
-    suffix_min: Vec<Vec<(f64, f64)>>,
+    /// Per node: the first grid index whose memory is above the node's
+    /// (where its upgrade scan starts).
+    above: Vec<usize>,
+    /// Per node: the max of its block siblings' durations, from `0.0` (the
+    /// block's term without the node).
+    rest: Vec<f64>,
 }
 
 impl<'a> Polish<'a> {
@@ -93,17 +99,8 @@ impl<'a> Polish<'a> {
             .map(|(&m, c)| c.eval_at(m))
             .collect::<Option<Vec<_>>>()?;
         let blocks = bounds.len() - 1;
-        let suffix_min = cols
-            .iter()
-            .map(|c| {
-                let mut out = vec![(f64::INFINITY, f64::INFINITY); c.evals.len() + 1];
-                for (i, ev) in c.evals.iter().enumerate().rev() {
-                    let (t, d) = out[i + 1];
-                    out[i] = ev.map_or((t, d), |(et, ed)| (t.min(et), d.min(ed)));
-                }
-                out
-            })
-            .collect();
+        let mut pre_cost = vec![0.0; n + 1];
+        pre_cost[0] = -0.0;
         let mut p = Polish {
             cols,
             bounds,
@@ -114,11 +111,18 @@ impl<'a> Polish<'a> {
             steps: 0,
             terms: vec![0.0; blocks],
             pre_f: vec![0.0; blocks + 1],
-            pre_cost: vec![0.0; n + 1],
+            pre_cost,
             crit: vec![false; n],
-            suffix_min,
+            above: vec![0; n],
+            rest: vec![0.0; n],
         };
-        p.refresh();
+        for v in 0..n {
+            p.rescan_node(v);
+        }
+        for j in 0..blocks {
+            p.rescan_block(j);
+        }
+        p.refresh_from(0, 0);
         Some(p)
     }
 
@@ -127,20 +131,42 @@ impl<'a> Polish<'a> {
         &self.evals
     }
 
-    /// Recomputes the prefix folds, the plan's time and cost, and the
-    /// critical marking from `evals`.
-    fn refresh(&mut self) {
-        let mut f = 0.0f64;
-        for j in 0..self.terms.len() {
-            let block = &self.evals[self.bounds[j]..self.bounds[j + 1]];
-            self.terms[j] = block.iter().map(|e| e.0).fold(0.0f64, f64::max);
+    /// Node `v`'s first grid index above its memory.
+    fn rescan_node(&mut self, v: usize) {
+        let m = self.mems[v];
+        self.above[v] = self.cols[v].memories.partition_point(|&g| g <= m);
+    }
+
+    /// Block `j`'s term and each of its nodes' sibling max.
+    fn rescan_block(&mut self, j: usize) {
+        let (lo, hi) = (self.bounds[j], self.bounds[j + 1]);
+        let block = &self.evals[lo..hi];
+        self.terms[j] = block.iter().map(|e| e.0).fold(0.0f64, f64::max);
+        for v in lo..hi {
+            self.rest[v] = (lo..hi)
+                .filter(|&w| w != v)
+                .map(|w| self.evals[w].0)
+                .fold(0.0f64, f64::max);
+        }
+    }
+
+    /// Refolds the prefix sums from block `j0` (`pre_f`) and node `v0`
+    /// (`pre_cost`), restamps the plan's time and cost, and re-marks the
+    /// critical nodes of blocks `j0..`, given that no term before block
+    /// `j0` and no dollars before node `v0` changed since the last fold.
+    /// The folds repeat the same additions in the same order as a fold
+    /// from block 0 and node 0, so they land on the same bits.
+    fn refresh_from(&mut self, j0: usize, v0: usize) {
+        let blocks = self.terms.len();
+        let mut f = self.pre_f[j0];
+        for j in j0..blocks {
             self.pre_f[j] = f;
             f += self.terms[j];
         }
-        self.pre_f[self.terms.len()] = f;
+        self.pre_f[blocks] = f;
         self.time = f;
-        let mut c = -0.0f64;
-        for (v, e) in self.evals.iter().enumerate() {
+        let mut c = self.pre_cost[v0];
+        for (v, e) in self.evals.iter().enumerate().skip(v0) {
             self.pre_cost[v] = c;
             c += e.1;
         }
@@ -153,11 +179,25 @@ impl<'a> Polish<'a> {
         // every block because each one's exit is the next one's entry. A
         // node off every tight path cannot move the makespan, so its
         // candidates are exactly `dt <= 1e-12` skips, pruned unpriced.
-        for j in 0..self.terms.len() {
+        // Blocks before `j0` keep their entry and exit instants, so their
+        // marks stand.
+        for j in j0..blocks {
             for v in self.bounds[j]..self.bounds[j + 1] {
                 self.crit[v] = self.pre_f[j] + self.evals[v].0 == self.pre_f[j + 1];
             }
         }
+    }
+
+    /// Moves node `v` of block `j` to memory `m` evaluated at `ev`: the
+    /// node's scan start, the block's term and sibling maxima, and the
+    /// folds from `j` and `v` on are all that can change.
+    fn accept(&mut self, j: usize, v: usize, m: u32, ev: (f64, f64)) {
+        self.mems[v] = m;
+        self.evals[v] = ev;
+        self.steps += 1;
+        self.rescan_node(v);
+        self.rescan_block(j);
+        self.refresh_from(j, v);
     }
 
     /// Makespan with block `j`'s term replaced by `term`.
@@ -186,21 +226,17 @@ impl<'a> Polish<'a> {
         // test too and the argmax is unchanged bit for bit.
         let tmargin = 1e-13 * self.time.max(1.0);
         let cmargin = 1e-13 * self.cost.abs().max(1.0);
-        // (ratio, node, memory_mb, (time_s, dollars), new_time, new_cost)
-        type Upgrade = (f64, usize, u32, (f64, f64), f64, f64);
+        // (ratio, block, node, memory_mb, (time_s, dollars), new_time, new_cost)
+        type Upgrade = (f64, usize, usize, u32, (f64, f64), f64, f64);
         let mut best: Option<Upgrade> = None;
         for j in 0..self.terms.len() {
-            let (lo, hi) = (self.bounds[j], self.bounds[j + 1]);
-            for v in lo..hi {
+            for v in self.bounds[j]..self.bounds[j + 1] {
                 if !self.crit[v] {
                     continue;
                 }
                 // The block's term without `v`: its siblings cap how far
                 // any upgrade of `v` can pull the block's exit in.
-                let rest = (lo..hi)
-                    .filter(|&w| w != v)
-                    .map(|w| self.evals[w].0)
-                    .fold(0.0f64, f64::max);
+                let rest = self.rest[v];
                 let cur = self.evals[v];
                 // Optimistic filters on an upgrade to `(t, d)`: the
                 // makespan drops by at most the block term's drop and the
@@ -222,8 +258,8 @@ impl<'a> Polish<'a> {
                         || r.is_some_and(|r| dt_ub / dc_lb.max(1e-12) <= r)
                 };
                 let col = &self.cols[v];
-                let suffix = &self.suffix_min[v];
-                let above = col.memories.partition_point(|&m| m <= self.mems[v]);
+                let suffix = col.suffix_min();
+                let above = self.above[v];
                 if hopeless(suffix[above], best.map(|b| b.0)) {
                     continue;
                 }
@@ -254,18 +290,15 @@ impl<'a> Polish<'a> {
                     }
                     let ratio = dt / (nc - self.cost).max(1e-12);
                     if r.is_none_or(|r| ratio > r) {
-                        best = Some((ratio, v, col.memories[i], ev, nt, nc));
+                        best = Some((ratio, j, v, col.memories[i], ev, nt, nc));
                     }
                 }
             }
         }
-        let Some((_, v, m, ev, nt, nc)) = best else {
+        let Some((_, j, v, m, ev, nt, nc)) = best else {
             return false;
         };
-        self.mems[v] = m;
-        self.evals[v] = ev;
-        self.steps += 1;
-        self.refresh();
+        self.accept(j, v, m, ev);
         debug_assert_eq!(self.time.to_bits(), nt.to_bits());
         debug_assert_eq!(self.cost.to_bits(), nc.to_bits());
         true
@@ -365,7 +398,7 @@ mod tests {
     }
 
     /// A random fork/join block chain wired exactly like `build_dag`'s
-    /// output: runs of 1–4 spine nodes alternating with regions of 2–6
+    /// output: runs of 1–4 spine nodes alternating with regions of 1–6
     /// branches (each reading the last spine node's scatter object and
     /// writing a gather object for the next spine node), ending on a
     /// spine run. Returns the plan, its block boundaries, and one random
@@ -404,7 +437,7 @@ mod tests {
                 break;
             }
             let producer = nodes.len() - 1;
-            let width = rng.range_inclusive(2, 6);
+            let width = rng.range_inclusive(1, 6);
             let consumers: Vec<usize> = (nodes.len()..nodes.len() + width).collect();
             for &c in &consumers {
                 gathers.push(c);
@@ -422,10 +455,13 @@ mod tests {
             bounds.push(nodes.len());
         }
         // Durations from a coarse lattice (so sibling ties and exact
-        // rounding absorption both occur) at a random scale; grids mix
+        // rounding absorption both occur), some nudged just below it, at
+        // a random scale; grids mix
         // infeasible points, slower-at-more-memory points and cheaper
         // upgrades.
         let scale = [1e-3, 1.0, 37.0, 1e4][rng.below(4)];
+        // A coarse lattice makes sibling ties common.
+        let lattice = [4, 40][rng.below(2)];
         let cols = (0..nodes.len())
             .map(|_| {
                 let points = rng.range_inclusive(1, 8);
@@ -433,7 +469,15 @@ mod tests {
                 let evals = (0..points)
                     .map(|_| {
                         (rng.below(8) > 0).then(|| {
-                            let t = scale * (1 + rng.below(40)) as f64 / 8.0;
+                            let mut t = scale * (1 + rng.below(lattice)) as f64 / 8.0;
+                            // Near-ties: a few ulps of a long block prefix
+                            // below a lattice point, which such a prefix
+                            // absorbs in rounding and a shorter one does
+                            // not, so moving an early block can flip a
+                            // later sibling's critical mark.
+                            if rng.below(3) == 0 {
+                                t -= scale * 2f64.powi(-(46 + rng.below(6) as i32));
+                            }
                             let c = 1e-5 * (1 + rng.below(400)) as f64 * rng.next_f64();
                             (t, c)
                         })
@@ -452,14 +496,72 @@ mod tests {
         (plan, bounds, cols)
     }
 
-    /// Collapsed makespan and cost ≡ the full schedule, and the block
-    /// chain step ≡ the reference step, at every step of every polish
-    /// phase on 400 random block chains.
+    /// Asserts that the run's kept state — scan starts, sibling maxima,
+    /// terms, both prefix folds, the critical marks, time and cost — is bit
+    /// for bit what a from-scratch refresh of the current evaluations
+    /// computes: every fold from block 0 and node 0, every scan start by
+    /// search, every sibling max over the whole block.
+    fn assert_state_is_fresh(p: &Polish, at: &str) {
+        let (bounds, evals) = (p.bounds, &p.evals);
+        let (n, blocks) = (evals.len(), bounds.len() - 1);
+        let above: Vec<usize> = (0..n)
+            .map(|v| p.cols[v].memories.partition_point(|&m| m <= p.mems[v]))
+            .collect();
+        let mut rest = Vec::with_capacity(n);
+        let mut terms = vec![0.0f64; blocks];
+        let mut pre_f = vec![0.0f64; blocks + 1];
+        let mut f = 0.0f64;
+        for j in 0..blocks {
+            let (lo, hi) = (bounds[j], bounds[j + 1]);
+            rest.extend((lo..hi).map(|v| {
+                (lo..hi)
+                    .filter(|&w| w != v)
+                    .map(|w| evals[w].0)
+                    .fold(0.0f64, f64::max)
+            }));
+            terms[j] = evals[lo..hi].iter().map(|e| e.0).fold(0.0f64, f64::max);
+            pre_f[j] = f;
+            f += terms[j];
+        }
+        pre_f[blocks] = f;
+        let mut pre_cost = vec![0.0f64; n + 1];
+        let mut c = -0.0f64;
+        for v in 0..n {
+            pre_cost[v] = c;
+            c += evals[v].1;
+        }
+        pre_cost[n] = c;
+        let mut crit = vec![false; n];
+        for j in 0..blocks {
+            for v in bounds[j]..bounds[j + 1] {
+                crit[v] = pre_f[j] + evals[v].0 == pre_f[j + 1];
+            }
+        }
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(p.above, above, "above, {at}");
+        assert_eq!(bits(&p.rest), bits(&rest), "rest, {at}");
+        assert_eq!(bits(&p.terms), bits(&terms), "terms, {at}");
+        assert_eq!(bits(&p.pre_f), bits(&pre_f), "pre_f, {at}");
+        assert_eq!(bits(&p.pre_cost), bits(&pre_cost), "pre_cost, {at}");
+        assert_eq!(p.crit, crit, "crit, {at}");
+        assert_eq!(p.time.to_bits(), f.to_bits(), "time, {at}");
+        assert_eq!(p.cost.to_bits(), c.to_bits(), "cost, {at}");
+    }
+
+    /// Collapsed makespan and cost ≡ the full schedule, the block chain
+    /// step ≡ the reference step, and the kept state ≡ a from-scratch
+    /// refresh, at every step of every polish phase on 4,000 random block
+    /// chains. The chains must move blocks of every width from 1 to 4,
+    /// and the runs must include budgets that bind, SLO repairs that fail
+    /// and steps after which a critical mark past the moved block flips.
     #[test]
     fn block_chain_polish_matches_full_schedule_reference() {
         let mut rng = SmallRng::seed_from_u64(0xb10c_c4a1);
         let (mut chains, mut steps) = (0, 0);
-        for _ in 0..400 {
+        let (mut bound_budgets, mut failed_repairs) = (0, 0);
+        let mut moved_widths = [0usize; 7];
+        let mut later_flips = 0;
+        for _ in 0..4000 {
             let (plan, bounds, cols) = random_chain(&mut rng);
             let n = plan.nodes.len();
             let parents: Vec<Vec<usize>> = (0..n).map(|v| plan.parents_of(v)).collect();
@@ -482,6 +584,7 @@ mod tests {
             };
             chains += 1;
             let mut p = Polish::new(&cols, &bounds, start.clone()).expect("feasible start");
+            assert_state_is_fresh(&p, "start");
             let mut mems = start;
             let mut evals = p.evals().to_vec();
             let mut finish = vec![0.0; n];
@@ -512,6 +615,7 @@ mod tests {
                         &mut finish,
                     );
                     let prev = p.mems.clone();
+                    let prev_crit = p.crit.clone();
                     let took = p.upgrade_step(budget);
                     // An accepted upgrade raises exactly one node's memory.
                     let got = took.then(|| {
@@ -531,15 +635,36 @@ mod tests {
                     let full = dag_schedule(&parents, p.evals(), &mut fresh);
                     assert_eq!(p.time.to_bits(), full.0.to_bits(), "collapsed makespan");
                     assert_eq!(p.cost.to_bits(), full.1.to_bits(), "collapsed cost");
-                    if !took {
+                    let Some((v, ..)) = got else {
+                        if phase == 0 {
+                            failed_repairs += 1;
+                        } else if p.clone().upgrade_step(None) {
+                            bound_budgets += 1;
+                        }
                         break;
+                    };
+                    assert_state_is_fresh(&p, &format!("step {} of phase {phase}", p.steps));
+                    let j = bounds.partition_point(|&b| b <= v) - 1;
+                    if (bounds[j + 1]..n).any(|w| p.crit[w] != prev_crit[w]) {
+                        later_flips += 1;
                     }
+                    moved_widths[bounds[j + 1] - bounds[j]] += 1;
                     steps += 1;
                 }
             }
         }
         // The generator must actually exercise the step, not just build.
-        assert!(chains > 300, "{chains} feasible chains");
-        assert!(steps > 1000, "{steps} accepted steps");
+        assert!(chains > 3000, "{chains} feasible chains");
+        assert!(steps > 10_000, "{steps} accepted steps");
+        assert!(
+            moved_widths[1..=4].iter().all(|&k| k >= 100),
+            "accepted steps per moved block width: {moved_widths:?}"
+        );
+        assert!(bound_budgets >= 100, "{bound_budgets} binding budgets");
+        assert!(failed_repairs >= 100, "{failed_repairs} failed SLO repairs");
+        assert!(
+            later_flips >= 10,
+            "{later_flips} steps flipped a later mark"
+        );
     }
 }

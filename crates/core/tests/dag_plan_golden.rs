@@ -9,7 +9,8 @@
 //! The digests were recorded before the polish step priced its
 //! candidates on the fork/join block chain; any change to the search or
 //! the polish that moves a single accepted upgrade, memory or predicted
-//! bit shows up here.
+//! bit shows up here. `dag_search_counters_are_pinned` also pins the
+//! search's counters (trials, polish steps, memo traffic) at six points.
 
 mod common;
 
@@ -233,4 +234,65 @@ const INCEPTION_V3_SWEEP_B64: [u64; 8] = [
     0xc3e5bcf69e9d8ea1,
     0xdba9d4eb9ff17269,
     0x4f1765bcdb1fe37d,
+];
+
+/// The DAG search's counters at one `(model, batch, SLO factor)` point
+/// (tolerance 0.1, one thread): trials, accepted polish steps, node-memo
+/// hits and misses, spine-span hits and solves. The polish's kept scan
+/// state and partial refresh must take exactly the steps a from-scratch
+/// refresh takes, and the trials must read the memos exactly as before.
+fn search_counters(g: &LayerGraph, batch: u64, anchor: u64, factor: Option<f64>) -> [usize; 6] {
+    let cfg = AmpsConfig {
+        batch_size: batch,
+        slo_s: factor.map(|f| f64::from_bits(anchor) * f),
+        ..base(0.1)
+    };
+    let s = Optimizer::new(cfg)
+        .optimize_dag(g)
+        .expect("plannable point")
+        .search;
+    [
+        s.trials_evaluated,
+        s.polish_steps,
+        s.node_memo_hits,
+        s.node_memo_misses,
+        s.spine_span_hits,
+        s.spine_spans_solved,
+    ]
+}
+
+/// The counter points: `(batch, SLO factor)` over the tolerance-0.1
+/// anchor (batch 1 plans without an SLO; its anchor is a batch-64 time).
+const COUNTER_POINTS: [(u64, Option<f64>); 3] = [(1, None), (64, None), (64, Some(1.0))];
+
+#[test]
+fn dag_search_counters_are_pinned() {
+    let cases = [
+        (
+            zoo::inception_v3(),
+            INCEPTION_V3_ANCHORS[1],
+            INCEPTION_V3_COUNTERS,
+        ),
+        (zoo::resnet50(), RESNET50_ANCHORS[1], RESNET50_COUNTERS),
+    ];
+    for (g, anchor, want) in &cases {
+        for (&(batch, factor), want) in COUNTER_POINTS.iter().zip(want) {
+            let got = search_counters(g, batch, *anchor, factor);
+            assert_eq!(&got, want, "{} batch {batch} SLO factor {factor:?}", g.name);
+        }
+    }
+}
+
+// Recorded before the polish kept its scan state between steps, one row
+// per `COUNTER_POINTS` entry: [trials, polish steps, node-memo hits,
+// node-memo misses, spine-span hits, spine spans solved].
+const INCEPTION_V3_COUNTERS: [[usize; 6]; 3] = [
+    [11, 155, 2115, 308, 0, 22],
+    [65, 8956, 4002, 332, 294, 46],
+    [65, 8956, 4002, 332, 294, 46],
+];
+const RESNET50_COUNTERS: [[usize; 6]; 3] = [
+    [4, 47, 822, 107, 0, 8],
+    [7, 265, 987, 108, 6, 11],
+    [4, 124, 841, 105, 0, 8],
 ];

@@ -66,6 +66,33 @@ impl Default for PerfModel {
     }
 }
 
+/// The law's memory-independent terms.
+impl PerfModel {
+    /// Full-share CPU seconds to import the framework.
+    #[inline]
+    pub fn import_work(&self) -> f64 {
+        self.import_cpu_s
+    }
+
+    /// Full-share CPU seconds to deserialize `bytes` of weights.
+    #[inline]
+    pub fn load_work(&self, bytes: u64) -> f64 {
+        bytes as f64 / (self.load_bw_mbps * 1e6)
+    }
+
+    /// Full-share CPU seconds to execute `flops`.
+    #[inline]
+    pub fn compute_work(&self, flops: u64) -> f64 {
+        flops as f64 / self.flops_per_s
+    }
+
+    /// Cold-start duration for a package of `package_bytes`.
+    #[inline]
+    pub fn cold_start(&self, package_bytes: u64) -> f64 {
+        self.cold_start_s + package_bytes as f64 / (self.package_fetch_mbps * 1e6)
+    }
+}
+
 /// Per-invocation duration breakdown computed by [`LambdaPerf`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DurationBreakdown {
@@ -85,12 +112,17 @@ pub struct DurationBreakdown {
 
 impl DurationBreakdown {
     /// Total duration.
+    #[inline]
     pub fn total(&self) -> f64 {
         self.cold_s + self.import_s + self.load_s + self.compute_s + self.transfer_s + self.fixed_s
     }
 }
 
-/// The performance law bound to a concrete memory size.
+/// The performance law bound to a concrete memory size. Its per-memory
+/// methods are `#[inline]`: a memory grid's pricer
+/// (`ampsinf_profiler::NodePricer`) calls them once per cell from another
+/// crate, and inlined, the three `cpu_time` calls of a cell share one
+/// share and one pressure computation.
 #[derive(Debug, Clone, Copy)]
 pub struct LambdaPerf<'a> {
     model: &'a PerfModel,
@@ -99,17 +131,20 @@ pub struct LambdaPerf<'a> {
 
 impl<'a> LambdaPerf<'a> {
     /// Binds the model to a memory block.
+    #[inline]
     pub fn new(model: &'a PerfModel, memory_mb: u32) -> Self {
         LambdaPerf { model, memory_mb }
     }
 
     /// Fraction of a vCPU owned at this memory size, in (0, 1].
+    #[inline]
     pub fn cpu_share(&self) -> f64 {
         (f64::from(self.memory_mb) / self.model.full_share_mb).min(1.0)
     }
 
     /// Memory-pressure slowdown multiplier (≥ 1) for a given total
     /// resident footprint.
+    #[inline]
     pub fn pressure(&self, footprint_mb: f64) -> f64 {
         let ratio = footprint_mb / f64::from(self.memory_mb);
         1.0 + self.model.pressure_coef * (ratio - 1.0).max(0.0)
@@ -117,29 +152,16 @@ impl<'a> LambdaPerf<'a> {
 
     /// True when the footprint cannot run at all at this memory size (the
     /// paper's 128 MB timeout case).
+    #[inline]
     pub fn is_oom(&self, footprint_mb: f64) -> bool {
         f64::from(self.memory_mb) < self.model.oom_fraction * footprint_mb
     }
 
     /// Seconds to execute `cpu_seconds_at_full_share` of CPU-bound work,
     /// given the resident footprint.
+    #[inline]
     pub fn cpu_time(&self, cpu_seconds_at_full_share: f64, footprint_mb: f64) -> f64 {
         cpu_seconds_at_full_share * self.pressure(footprint_mb) / self.cpu_share()
-    }
-
-    /// Full-share CPU seconds to import the framework.
-    pub fn import_work(&self) -> f64 {
-        self.model.import_cpu_s
-    }
-
-    /// Full-share CPU seconds to deserialize `bytes` of weights.
-    pub fn load_work(&self, bytes: u64) -> f64 {
-        bytes as f64 / (self.model.load_bw_mbps * 1e6)
-    }
-
-    /// Full-share CPU seconds to execute `flops`.
-    pub fn compute_work(&self, flops: u64) -> f64 {
-        flops as f64 / self.model.flops_per_s
     }
 
     /// Seconds to move `bytes` to/from storage, including per-request
@@ -147,11 +169,6 @@ impl<'a> LambdaPerf<'a> {
     pub fn transfer_time(&self, bytes: u64, requests: u32) -> f64 {
         bytes as f64 / (self.model.s3_bandwidth_mbps * 1e6)
             + f64::from(requests) * self.model.s3_latency_s
-    }
-
-    /// Cold-start duration for a package of `package_bytes`.
-    pub fn cold_start(&self, package_bytes: u64) -> f64 {
-        self.model.cold_start_s + package_bytes as f64 / (self.model.package_fetch_mbps * 1e6)
     }
 }
 
@@ -168,8 +185,8 @@ mod tests {
         if perf.is_oom(footprint) {
             return None;
         }
-        let cpu = perf.import_work() + perf.load_work(weights) + perf.compute_work(flops);
-        Some(perf.cold_start(weights) + perf.cpu_time(cpu, footprint) + model.fixed_overhead_s)
+        let cpu = model.import_work() + model.load_work(weights) + model.compute_work(flops);
+        Some(model.cold_start(weights) + perf.cpu_time(cpu, footprint) + model.fixed_overhead_s)
     }
 
     #[test]

@@ -487,9 +487,9 @@ impl Phases {
             key,
             footprint_mb,
             oom: law.is_oom(footprint_mb),
-            import_s: law.cpu_time(law.import_work(), footprint_mb),
-            load_s: law.cpu_time(law.load_work(load_bytes), footprint_mb),
-            compute_s: law.cpu_time(law.compute_work(flops), footprint_mb),
+            import_s: law.cpu_time(perf.import_work(), footprint_mb),
+            load_s: law.cpu_time(perf.load_work(load_bytes), footprint_mb),
+            compute_s: law.cpu_time(perf.compute_work(flops), footprint_mb),
         }
     }
 }
@@ -801,7 +801,7 @@ impl Platform {
         let duration =
             self.perf.deploy_fixed_s + uploaded as f64 / (self.perf.deploy_upload_mbps * 1e6);
         let id = FunctionId(self.functions.len());
-        let cold_s = LambdaPerf::new(&self.perf, spec.memory_mb).cold_start(spec.package_bytes());
+        let cold_s = self.perf.cold_start(spec.package_bytes());
         self.functions
             .push(DeployedFunction::new(spec, cold_s, None));
         Ok((id, duration))
@@ -2330,7 +2330,7 @@ mod tests {
             let (id, _) = p.deploy(spec(mem, 17)).unwrap();
             let tmp_limit = u64::from(p.quotas().tmp_limit_mb) * MB;
             let keep_alive_s = p.warm_pool().keep_alive_s;
-            let cold_s = law.cold_start(p.spec(id).unwrap().package_bytes());
+            let cold_s = perf.cold_start(p.spec(id).unwrap().package_bytes());
             let (mut t, mut prev) = (0.0, usize::MAX);
             for _ in 0..60 {
                 let k = rng.below(works.len());
@@ -2348,14 +2348,14 @@ mod tests {
                     rng.next_f64() * 40.0
                 };
                 let footprint_mb = perf.runtime_footprint_mb + w.resident_bytes as f64 / MB as f64;
-                let import_s = law.cpu_time(law.import_work(), footprint_mb);
-                let load_s = law.cpu_time(law.load_work(w.load_bytes), footprint_mb);
+                let import_s = law.cpu_time(perf.import_work(), footprint_mb);
+                let load_s = law.cpu_time(perf.load_work(w.load_bytes), footprint_mb);
                 match p.invoke(id, t, w) {
                     Ok(out) => {
                         assert!(runs[k], "seed {seed}: work {k} must fail");
                         seen[k][usize::from(out.warm)] = true;
                         let mut b = DurationBreakdown {
-                            compute_s: law.cpu_time(law.compute_work(w.flops), footprint_mb),
+                            compute_s: law.cpu_time(perf.compute_work(w.flops), footprint_mb),
                             fixed_s: perf.fixed_overhead_s,
                             ..Default::default()
                         };

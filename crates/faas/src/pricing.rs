@@ -54,12 +54,14 @@ impl PriceSheet {
 
     /// Lambda compute cost for a raw duration at `memory_mb`, applying the
     /// billing round-up.
+    #[inline]
     pub fn lambda_compute_cost(&self, duration_s: f64, memory_mb: u32) -> f64 {
         let billed = self.billed_duration(duration_s);
         billed * (f64::from(memory_mb) / 1024.0) * self.lambda_gb_second
     }
 
     /// Duration rounded up to the billing granularity.
+    #[inline]
     pub fn billed_duration(&self, duration_s: f64) -> f64 {
         if self.billing_granularity_s <= 0.0 {
             return duration_s;

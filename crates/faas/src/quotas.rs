@@ -79,6 +79,7 @@ impl Quotas {
     }
 
     /// True when `mb` is an exactly allocatable block.
+    #[inline]
     pub fn is_valid_memory(&self, mb: u32) -> bool {
         mb >= self.memory_min_mb
             && mb <= self.memory_max_mb

@@ -13,7 +13,9 @@
 //! * [`quick_eval_node`] — the (time, cost) of running one partition at
 //!   one memory size with explicit storage objects, in closed form. The
 //!   optimizer, the baselines and the sweeps price every chain segment
-//!   ([`Profile::chain_io`]) and every DAG node with it;
+//!   ([`Profile::chain_io`]) and every DAG node with it; a memory grid is
+//!   priced through one [`NodePricer`], which computes the memory-
+//!   independent terms once;
 //! * [`evaluate_segment`] — the platform-backed reference it is tested
 //!   against: it literally deploys and invokes the partition on a scratch
 //!   [`Platform`] instance — the paper's profiling runs, compressed — so
@@ -308,7 +310,9 @@ pub fn evaluate_segment(
 /// arithmetic the platform performs when [`evaluate_segment`] deploys and
 /// invokes it, without constructing a platform. This is the one pricing
 /// function of the optimizer, the baselines and the sweeps; the
-/// exhaustive searches call it hundreds of thousands of times.
+/// exhaustive searches call it hundreds of thousands of times. It is
+/// [`NodePricer::new`] followed by one [`NodePricer::eval`]; a caller
+/// pricing a whole memory grid builds the pricer once.
 ///
 /// Storage objects are explicit: `read_bytes` carries one entry per input
 /// object (one GET + fee each), `write_bytes` one per output object (one
@@ -334,66 +338,168 @@ pub fn quick_eval_node(
     read_bytes: &[u64],
     write_bytes: &[u64],
 ) -> Result<SegmentEval, EvalError> {
-    use ampsinf_faas::perf::LambdaPerf;
+    NodePricer::new(
+        profile,
+        start,
+        end,
+        quotas,
+        prices,
+        perf,
+        store,
+        read_bytes,
+        write_bytes,
+    )
+    .eval(memory_mb)
+}
 
-    if !quotas.is_valid_memory(memory_mb) {
-        return Err(EvalError::Deploy(
-            format!("invalid memory {memory_mb}").into(),
-        ));
-    }
-    let weights = profile.weights(start, end);
-    let package = CODE_BYTES + DEPS_BYTES + weights;
-    if package > u64::from(quotas.deploy_limit_mb) * MB {
-        return Err(EvalError::Deploy(Cow::Borrowed("package too large")));
-    }
-    let input_bytes = if read_bytes.is_empty() {
-        profile.input_bytes(start)
-    } else {
-        read_bytes.iter().sum()
-    };
-    let tmp = weights + input_bytes;
-    if tmp > u64::from(quotas.tmp_limit_mb) * MB {
-        return Err(EvalError::Invoke(Cow::Borrowed("tmp exceeded")));
-    }
-    let resident = 2 * weights + profile.activations(start, end) + input_bytes;
-    let footprint_mb = perf.runtime_footprint_mb + resident as f64 / MB as f64;
-    let lp = LambdaPerf::new(perf, memory_mb);
-    if lp.is_oom(footprint_mb) {
-        return Err(EvalError::Invoke(Cow::Borrowed("out of memory")));
-    }
+/// [`quick_eval_node`] with everything that does not depend on memory
+/// computed once: the package and `/tmp` checks, the resident footprint,
+/// the cold start, the three full-share CPU works, the transfer seconds
+/// and the request fees. [`NodePricer::eval`] then prices one memory
+/// size with the same operations in the same order, so a grid priced
+/// through one pricer is bit for bit the grid of per-cell calls.
+#[derive(Debug, Clone, Copy)]
+pub struct NodePricer<'a> {
+    quotas: &'a Quotas,
+    prices: &'a PriceSheet,
+    perf: &'a PerfModel,
+    /// The memory-independent terms, or the memory-independent rejection.
+    fixed: Result<FixedTerms, Reject>,
+}
 
-    let mut b = DurationBreakdown {
-        cold_s: lp.cold_start(package),
-        import_s: lp.cpu_time(lp.import_work(), footprint_mb),
-        load_s: lp.cpu_time(lp.load_work(weights), footprint_mb),
-        compute_s: lp.cpu_time(lp.compute_work(profile.flops(start, end)), footprint_mb),
-        transfer_s: 0.0,
-        fixed_s: perf.fixed_overhead_s,
-    };
-    let mut fees = 0.0;
-    let xfer = |bytes: u64| bytes as f64 / (store.bandwidth_mbps * 1e6) + store.request_latency_s;
-    for &r in read_bytes {
-        b.transfer_s += xfer(r);
-        if store.billed_requests {
-            fees += prices.s3_get_request;
+/// A rejection that does not depend on memory. A plain tag, so a pricer
+/// is `Copy` and has nothing to drop.
+#[derive(Debug, Clone, Copy)]
+enum Reject {
+    /// Deployment package over the cap.
+    PackageTooLarge,
+    /// Staged input plus weights over the `/tmp` cap.
+    TmpExceeded,
+}
+
+/// The memory-independent terms of one node's duration and dollars.
+#[derive(Debug, Clone, Copy)]
+struct FixedTerms {
+    footprint_mb: f64,
+    cold_s: f64,
+    import_work: f64,
+    load_work: f64,
+    compute_work: f64,
+    transfer_s: f64,
+    fees: f64,
+}
+
+impl<'a> NodePricer<'a> {
+    /// Prices the memory-independent part of layers `[start, end]` reading
+    /// `read_bytes` and writing `write_bytes` (see [`quick_eval_node`]).
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn new(
+        profile: &Profile,
+        start: usize,
+        end: usize,
+        quotas: &'a Quotas,
+        prices: &'a PriceSheet,
+        perf: &'a PerfModel,
+        store: &StoreKind,
+        read_bytes: &[u64],
+        write_bytes: &[u64],
+    ) -> Self {
+        let fixed = (|| {
+            let weights = profile.weights(start, end);
+            let package = CODE_BYTES + DEPS_BYTES + weights;
+            if package > u64::from(quotas.deploy_limit_mb) * MB {
+                return Err(Reject::PackageTooLarge);
+            }
+            let input_bytes = if read_bytes.is_empty() {
+                profile.input_bytes(start)
+            } else {
+                read_bytes.iter().sum()
+            };
+            let tmp = weights + input_bytes;
+            if tmp > u64::from(quotas.tmp_limit_mb) * MB {
+                return Err(Reject::TmpExceeded);
+            }
+            let resident = 2 * weights + profile.activations(start, end) + input_bytes;
+            let mut transfer_s = 0.0;
+            let mut fees = 0.0;
+            let xfer =
+                |bytes: u64| bytes as f64 / (store.bandwidth_mbps * 1e6) + store.request_latency_s;
+            for &r in read_bytes {
+                transfer_s += xfer(r);
+                if store.billed_requests {
+                    fees += prices.s3_get_request;
+                }
+            }
+            for &w in write_bytes {
+                transfer_s += xfer(w);
+                if store.billed_requests {
+                    fees += prices.s3_put_request;
+                }
+            }
+            Ok(FixedTerms {
+                footprint_mb: perf.runtime_footprint_mb + resident as f64 / MB as f64,
+                cold_s: perf.cold_start(package),
+                import_work: perf.import_work(),
+                load_work: perf.load_work(weights),
+                compute_work: perf.compute_work(profile.flops(start, end)),
+                transfer_s,
+                fees,
+            })
+        })();
+        NodePricer {
+            quotas,
+            prices,
+            perf,
+            fixed,
         }
     }
-    for &w in write_bytes {
-        b.transfer_s += xfer(w);
-        if store.billed_requests {
-            fees += prices.s3_put_request;
+
+    /// The node's `(duration, dollars)` at `memory_mb`, exactly
+    /// [`quick_eval_node`]'s result.
+    #[inline]
+    pub fn eval(&self, memory_mb: u32) -> Result<SegmentEval, EvalError> {
+        use ampsinf_faas::perf::LambdaPerf;
+
+        if !self.quotas.is_valid_memory(memory_mb) {
+            return Err(EvalError::Deploy(
+                format!("invalid memory {memory_mb}").into(),
+            ));
         }
+        let f = match &self.fixed {
+            Ok(f) => f,
+            Err(Reject::PackageTooLarge) => {
+                return Err(EvalError::Deploy(Cow::Borrowed("package too large")))
+            }
+            Err(Reject::TmpExceeded) => {
+                return Err(EvalError::Invoke(Cow::Borrowed("tmp exceeded")))
+            }
+        };
+        let lp = LambdaPerf::new(self.perf, memory_mb);
+        if lp.is_oom(f.footprint_mb) {
+            return Err(EvalError::Invoke(Cow::Borrowed("out of memory")));
+        }
+        let b = DurationBreakdown {
+            cold_s: f.cold_s,
+            import_s: lp.cpu_time(f.import_work, f.footprint_mb),
+            load_s: lp.cpu_time(f.load_work, f.footprint_mb),
+            compute_s: lp.cpu_time(f.compute_work, f.footprint_mb),
+            transfer_s: f.transfer_s,
+            fixed_s: self.perf.fixed_overhead_s,
+        };
+        let duration = b.total();
+        if duration > self.quotas.timeout_s {
+            return Err(EvalError::Invoke(Cow::Borrowed("timeout")));
+        }
+        let dollars = self.prices.lambda_compute_cost(duration, memory_mb)
+            + self.prices.lambda_request
+            + f.fees;
+        Ok(SegmentEval {
+            duration_s: duration,
+            dollars,
+            breakdown: b,
+        })
     }
-    let duration = b.total();
-    if duration > quotas.timeout_s {
-        return Err(EvalError::Invoke(Cow::Borrowed("timeout")));
-    }
-    let dollars = prices.lambda_compute_cost(duration, memory_mb) + prices.lambda_request + fees;
-    Ok(SegmentEval {
-        duration_s: duration,
-        dollars,
-        breakdown: b,
-    })
 }
 
 #[cfg(test)]

@@ -39,15 +39,23 @@ out="$change/.bench_build/ab/$workload-seed$seed-$(date +%Y%m%dT%H%M%S)"
 mkdir -p "$out/parent" "$out/change"
 
 # Runs side $1 (parent|change) for pair $2 and prints its median
-# operation time and peak RSS.
+# operation time, the run's reference-task time, the raw median it stands
+# for and the peak RSS. ampsbench reports operation times normalised to a
+# 10-ms reference task (`op_ms_p50` = raw median x 10 / `reference_ms`),
+# so a side whose process runs the reference task faster reads a smaller
+# raw gain than the normalised one; the raw median shows it.
 run() {
     local bin=$parent_bin
     [ "$1" = change ] && bin=$change_bin
-    local record
+    local record line p50 rss ref raw
     record=$(printf '%s/%s/%02d.json' "$out" "$1" "$2")
-    "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --out "$record" |
-        tail -n 1 | grep -o '"\(op_ms_p50\|peak_rss_mb\)": {"value": [0-9.]*' |
-        sed 's/"\([a-z0-9_]*\)": {"value": /\1 /' | paste -sd ' ' | sed "s/^/pair $2 $1: /"
+    line=$("$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --out "$record" |
+        tail -n 1)
+    p50=$(grep -o '"op_ms_p50": {"value": [0-9.e+-]*' <<<"$line" | sed 's/.*: //')
+    rss=$(grep -o '"peak_rss_mb": {"value": [0-9.e+-]*' <<<"$line" | sed 's/.*: //')
+    ref=$(grep -o '"reference_ms": [0-9.e+-]*' "$record" | head -n 1 | sed 's/.*: //')
+    raw=$(awk -v p="$p50" -v r="$ref" 'BEGIN { printf "%.6g", p * r / 10 }')
+    echo "pair $2 $1: op_ms_p50 $p50 reference_ms $ref raw_p50_ms $raw peak_rss_mb $rss"
 }
 
 for ((k = 0; k < pairs; k++)); do
